@@ -47,12 +47,11 @@ pub use report::Finding;
 /// from one of these must be free of nondeterminism sources and
 /// panics. Solver entry points (plain, checkpointed, resumable),
 /// simulator entry points, LP rounding, and the snapshot writers.
-pub const DEFAULT_ROOTS: [&str; 13] = [
+pub const DEFAULT_ROOTS: [&str; 12] = [
     "solve_placement",
     "solve_placement_checkpointed",
     "solve_resumable",
     "solve_fractional_checkpointed",
-    "solve_fractional_resumable",
     "resolve_from",
     "simulate",
     "simulate_with_final",

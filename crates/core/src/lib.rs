@@ -64,7 +64,6 @@ pub use repair::{repair_placement, RepairMove, RepairPlan};
 pub use rounding::RoundingStats;
 pub use solution::{BlockSolution, FractionalSolution, Placement};
 pub use solver::{
-    resolve_from, solve_cycle_fractional, solve_fractional_checkpointed,
-    solve_fractional_resumable, solve_placement, solve_placement_checkpointed, solve_resumable,
-    PlacementOutput, ResumeKind,
+    resolve_from, solve_cycle_fractional, solve_fractional_checkpointed, solve_placement,
+    solve_placement_checkpointed, solve_resumable, PlacementOutput, ResumeKind,
 };

@@ -271,20 +271,6 @@ pub fn solve_cycle_fractional(
     Ok((frac, epf, kind))
 }
 
-/// Fractional-only variant of [`solve_resumable`]. The checkpoint
-/// already carries the warm-started blocks, so no `warm` is taken.
-pub fn solve_fractional_resumable(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    ckpt: &SolverCheckpoint,
-    spec: Option<CheckpointSpec<'_>>,
-) -> Result<(FractionalSolution, EpfStats), SolveError> {
-    validate(inst, cfg)?;
-    ckpt.validate_for(inst, cfg)
-        .map_err(|what| SolveError::MismatchedCheckpoint { what })?;
-    Ok(solve_fractional_driven(inst, cfg, None, Some(ckpt), spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,8 @@
 
 use vod_core::remap::{remap_checkpoint, remap_fractional, RemapError};
 use vod_core::{
-    solve_cycle_fractional, solve_fractional_resumable, CheckpointSpec, EpfConfig, MipInstance,
-    ResumeKind, SolveError, SolverCheckpoint,
+    solve_cycle_fractional, solve_resumable, CheckpointSpec, EpfConfig, MipInstance, ResumeKind,
+    SolveError, SolverCheckpoint,
 };
 use vod_core::{DiskConfig, Placement};
 use vod_model::{Catalog, LinkId, Mbps, Video, VideoClass, VideoId, VideoKind};
@@ -117,7 +117,7 @@ fn capacity_only_delta_remaps_and_resumes() {
     let moved = instance_on(net, 0);
 
     // The raw checkpoint is now foreign: typed rejection, not a panic.
-    let err = solve_fractional_resumable(&moved, &cfg, &ckpt, None).expect_err("must reject");
+    let err = solve_resumable(&moved, &cfg, &ckpt, None).expect_err("must reject");
     assert!(
         matches!(err, SolveError::MismatchedCheckpoint { ref what } if what.contains("fingerprint")),
         "{err}"

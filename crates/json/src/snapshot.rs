@@ -20,15 +20,17 @@
 //! path, not take the supervisor down with it.
 //!
 //! Writers go through [`write_snapshot_atomic`]: the bytes land in a
-//! sibling `*.tmp` file which is then `rename`d over the destination,
-//! so a reader never observes a half-written snapshot (rename is atomic
-//! on POSIX filesystems). The `xtask` lint rule `snapshot-io` pins this:
-//! direct `File::create`/`fs::write` on snapshot paths is denied
-//! elsewhere in the workspace.
+//! sibling `*.tmp` file — uniquely named per call, so concurrent
+//! writers of one destination never share it — which is then `rename`d
+//! over the destination, so a reader never observes a half-written
+//! snapshot (rename is atomic on POSIX filesystems). The `xtask` lint
+//! rule `snapshot-io` pins this: direct `File::create`/`fs::write` on
+//! snapshot paths is denied elsewhere in the workspace.
 
 use crate::{JsonError, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic, also the container format version ("…P1").
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"VODSNAP1";
@@ -218,14 +220,20 @@ pub fn decode(bytes: &[u8], kind: &str, version: u32) -> Result<Vec<u8>, Snapsho
     Ok(payload.to_vec())
 }
 
-/// Sibling temp path for the atomic write: `<file>.tmp` in the same
-/// directory (rename is only atomic within one filesystem).
+/// Sibling temp path for the atomic write: `<file>.<pid>-<n>.tmp` in
+/// the same directory (rename is only atomic within one filesystem).
+/// Unique per call — process id plus a process-wide counter — so two
+/// writers of one destination never share a temp file and the last
+/// rename wins whole. No clock and no RNG: the name never reaches a
+/// payload, and the writers stay determinism-taint clean.
 fn tmp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_default();
-    name.push(".tmp");
+    name.push(format!(".{}-{n}.tmp", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -430,14 +438,54 @@ mod tests {
         dir
     }
 
+    /// Temp-file siblings of `path` still on disk.
+    fn tmp_debris(path: &Path) -> Vec<std::ffi::OsString> {
+        let stem = path.file_name().unwrap().to_string_lossy().into_owned();
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| {
+                let n = n.to_string_lossy();
+                n.starts_with(&stem) && n.contains(".tmp")
+            })
+            .collect()
+    }
+
     #[test]
     fn round_trip() {
         let path = tmp_dir().join("rt.snap");
         write_snapshot_atomic(&path, "test-kind", 3, b"hello payload").unwrap();
         let back = read_snapshot(&path, "test-kind", 3).unwrap();
         assert_eq!(back, b"hello payload");
-        // No temp file left behind.
-        assert!(!tmp_path(&path).exists());
+        assert!(tmp_debris(&path).is_empty(), "temp file left behind");
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_collide() {
+        // Hold the fault-shim gate (empty plan) so a fault drill running
+        // beside this test cannot inject into these writes.
+        let _io = crate::faults::install(crate::faults::FaultPlan::default());
+        let path = tmp_dir().join("contended.snap");
+        let payload = |t: usize, i: usize| format!("writer {t} round {i}").into_bytes();
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let path = &path;
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        write_snapshot_atomic(path, "test-kind", 3, &payload(t, i))
+                            .unwrap_or_else(|e| panic!("writer {t} round {i}: {e}"));
+                    }
+                });
+            }
+        });
+        // Whichever rename landed last survives whole.
+        let back = read_snapshot(&path, "test-kind", 3).unwrap();
+        assert!(
+            (0..8).any(|t| (0..50).any(|i| back == payload(t, i))),
+            "survivor is no writer's payload: {:?}",
+            String::from_utf8_lossy(&back)
+        );
+        assert!(tmp_debris(&path).is_empty(), "temp files left behind");
     }
 
     #[test]

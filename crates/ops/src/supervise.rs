@@ -1,10 +1,9 @@
-//! Supervision primitives shared by the one-shot pipeline and the
-//! long-running service loop: the recorded-backoff formula, the
-//! deterministic cycle watchdog, and the graceful-degradation ladder's
-//! typed recovery actions.
+//! Supervision primitives of the service loop: the recorded-backoff
+//! formula, the deterministic cycle watchdog, and the
+//! graceful-degradation ladder's typed recovery actions.
 //!
-//! Determinism contract: supervisors never read a clock and never
-//! sleep. Backoff is *computed* from seeded jitter and recorded in the
+//! Determinism contract: the supervisor never reads a clock and never
+//! sleeps. Backoff is *computed* from seeded jitter and recorded in the
 //! cycle ledger; the cycle watchdog counts supervision ticks, not
 //! seconds. The only sanctioned real sleep in the workspace is
 //! [`deployment_sleep`] below — the `sleep-timer` lint pins every
@@ -13,10 +12,9 @@
 use crate::state::StageId;
 use vod_model::rng::derive_seed;
 
-/// Recorded exponential backoff with deterministic seeded jitter: the
-/// single formula both supervisors use, so the service and the
-/// pipeline schedule byte-identical retry delays for the same
-/// `(seed, cycle, stage, attempt)` coordinate. Never slept in tests or
+/// Recorded exponential backoff with deterministic seeded jitter: a
+/// pure function of the `(seed, cycle, stage, attempt)` coordinate, so
+/// twin runs record byte-identical retry delays. Never slept in tests or
 /// benches — a deployment passes the returned amount to
 /// [`deployment_sleep`].
 #[must_use]

@@ -1,5 +1,5 @@
-//! Pinned coverage for the supervisor's cold-restart path: a
-//! `pipeline.state` file torn at *every byte offset of the snapshot
+//! Pinned coverage for the service's cold-restart path: a
+//! `service.state` file torn at *every byte offset of the snapshot
 //! header* (and corrupted at every header byte) must produce a typed
 //! cold restart — never a panic, never a resumed-from-garbage state —
 //! and the replay after a torn write must land on placements
@@ -10,7 +10,7 @@
 //! ([`vod_json::faults`]): ENOSPC, torn partial writes, failed fsync
 //! barriers and read EIO, each asserting the atomic-write contract —
 //! a failed write leaves the previous snapshot intact and no `*.tmp`
-//! debris — and that the supervisor degrades an unreadable state file
+//! debris — and that the service degrades an unreadable state file
 //! into a typed cold restart. Every test in this binary holds the
 //! shim gate (even with an empty plan) so a test's fault schedule can
 //! never leak into a concurrently running neighbour.
@@ -23,7 +23,10 @@ use vod_json::faults::{self, FaultPlan as IoFaultPlan, IoFault, ShimHandle};
 use vod_json::snapshot::{read_snapshot, write_snapshot_atomic, SnapshotError};
 use vod_model::Mbps;
 use vod_net::{topologies, PathSet};
-use vod_ops::{FaultPlan, OpsConfig, OpsError, OpsWorld, Pipeline, StepOutcome};
+use vod_ops::{
+    OpsConfig, OpsError, OpsWorld, Service, ServiceConfig, ServicePlan, StepOutcome, SERVICE_KIND,
+    SERVICE_VERSION,
+};
 use vod_trace::{generate_trace, synthesize_library, LibraryConfig, TraceConfig};
 
 /// Hold the process-global shim gate with no faults scheduled: the
@@ -33,9 +36,9 @@ fn io_quiet() -> ShimHandle {
     faults::install(IoFaultPlan::default())
 }
 
-/// Snapshot container header for the `ops-pipeline` kind: 8B magic +
-/// 1B kind-len + 12B kind + 4B version + 8B payload-len + 8B checksum.
-const HEADER_LEN: usize = 8 + 1 + "ops-pipeline".len() + 4 + 8 + 8;
+/// Snapshot container header for the `ops-service` kind: 8B magic +
+/// 1B kind-len + 11B kind + 4B version + 8B payload-len + 8B checksum.
+const HEADER_LEN: usize = 8 + 1 + SERVICE_KIND.len() + 4 + 8 + 8;
 
 fn world(seed: u64) -> OpsWorld {
     let mut net = topologies::mesh_backbone(6, 9, seed);
@@ -55,24 +58,35 @@ fn world(seed: u64) -> OpsWorld {
     }
 }
 
-fn config(seed: u64, dir: PathBuf) -> OpsConfig {
-    OpsConfig {
-        cycles: 2,
-        period_days: 2,
-        start_day: 7,
-        estimator: EstimatorKind::History,
-        epf: EpfConfig {
-            max_passes: 40,
-            seed,
-            ..EpfConfig::default()
+fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
+    ServiceConfig {
+        ops: OpsConfig {
+            cycles: 2,
+            period_days: 2,
+            start_day: 7,
+            estimator: EstimatorKind::History,
+            epf: EpfConfig {
+                max_passes: 40,
+                seed,
+                ..EpfConfig::default()
+            },
+            max_attempts: 3,
+            checkpoint_every: 3,
+            backoff_base_ms: 250,
+            validate_tol: 1e-6,
+            simulate: false,
+            state_dir: dir,
         },
-        max_attempts: 3,
-        checkpoint_every: 3,
-        backoff_base_ms: 250,
-        validate_tol: 1e-6,
-        simulate: false,
-        state_dir: dir,
+        churn_cap: None,
+        cycle_step_budget: None,
+        watchdog_budget: 32,
+        cycle_faults: Vec::new(),
+        cycle_deltas: Vec::new(),
     }
+}
+
+fn start(w: &OpsWorld, seed: u64, dir: &Path) -> Result<Service, OpsError> {
+    Service::resume_or_start(w, config(seed, dir.to_path_buf()), ServicePlan::default())
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -81,14 +95,13 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Run a pipeline a few steps in, then return the healthy state bytes.
+/// Run a service a few steps in, then return the healthy state bytes.
 fn partial_state(dir: &Path, seed: u64, w: &OpsWorld, steps: usize) -> Vec<u8> {
-    let mut p = Pipeline::resume_or_start(w, config(seed, dir.to_path_buf()), FaultPlan::default())
-        .unwrap();
+    let mut p = start(w, seed, dir).unwrap();
     for _ in 0..steps {
         assert_ne!(p.step().unwrap(), StepOutcome::Finished);
     }
-    std::fs::read(dir.join("pipeline.state")).unwrap()
+    std::fs::read(dir.join("service.state")).unwrap()
 }
 
 #[test]
@@ -98,13 +111,12 @@ fn torn_header_writes_at_every_offset_cold_restart() {
     let dir = fresh_dir("torn");
     let clean = partial_state(&dir, 60, &w, 3);
     assert!(clean.len() > HEADER_LEN, "state should outgrow its header");
-    let path = dir.join("pipeline.state");
+    let path = dir.join("service.state");
 
     for offset in 0..=HEADER_LEN {
         // Torn write: only the first `offset` bytes hit the disk.
         std::fs::write(&path, &clean[..offset]).unwrap();
-        let p =
-            Pipeline::resume_or_start(&w, config(60, dir.clone()), FaultPlan::default()).unwrap();
+        let p = start(&w, 60, &dir).unwrap();
         assert_eq!(
             p.state().cold_restarts,
             1,
@@ -118,8 +130,7 @@ fn torn_header_writes_at_every_offset_cold_restart() {
             let mut rotted = clean.clone();
             rotted[offset] ^= 0x20;
             std::fs::write(&path, &rotted).unwrap();
-            let p = Pipeline::resume_or_start(&w, config(60, dir.clone()), FaultPlan::default())
-                .unwrap();
+            let p = start(&w, 60, &dir).unwrap();
             assert_eq!(
                 p.state().cold_restarts,
                 1,
@@ -130,7 +141,7 @@ fn torn_header_writes_at_every_offset_cold_restart() {
 
     // The pristine bytes still resume (the loop never spoiled them).
     std::fs::write(&path, &clean).unwrap();
-    let p = Pipeline::resume_or_start(&w, config(60, dir), FaultPlan::default()).unwrap();
+    let p = start(&w, 60, &dir).unwrap();
     assert_eq!(p.state().cold_restarts, 0, "clean state must resume");
     assert!(p.state().resumes >= 1);
 }
@@ -140,9 +151,7 @@ fn replay_after_torn_write_matches_uninterrupted_run() {
     let _io = io_quiet();
     let w = world(61);
 
-    let mut base =
-        Pipeline::resume_or_start(&w, config(61, fresh_dir("torn_base")), FaultPlan::default())
-            .unwrap();
+    let mut base = start(&w, 61, &fresh_dir("torn_base")).unwrap();
     let base_fps: Vec<u64> = base
         .run()
         .unwrap()
@@ -156,8 +165,8 @@ fn replay_after_torn_write_matches_uninterrupted_run() {
     let dir = fresh_dir("torn_replay");
     let clean = partial_state(&dir, 61, &w, 7);
     let cut = HEADER_LEN / 2;
-    std::fs::write(dir.join("pipeline.state"), &clean[..cut]).unwrap();
-    let mut p = Pipeline::resume_or_start(&w, config(61, dir), FaultPlan::default()).unwrap();
+    std::fs::write(dir.join("service.state"), &clean[..cut]).unwrap();
+    let mut p = start(&w, 61, &dir).unwrap();
     assert_eq!(p.state().cold_restarts, 1);
     let st = p.run().unwrap();
     let fps: Vec<u64> = st.records.iter().map(|r| r.placement_fnv).collect();
@@ -172,14 +181,14 @@ fn seed_mismatch_refuses_to_clobber_foreign_state() {
     let _ = partial_state(&dir, 62, &w, 2);
     // Same directory, different experiment seed: typed refusal, and
     // the foreign state file is left byte-for-byte intact.
-    let before = std::fs::read(dir.join("pipeline.state")).unwrap();
-    match Pipeline::resume_or_start(&w, config(63, dir.clone()), FaultPlan::default()) {
+    let before = std::fs::read(dir.join("service.state")).unwrap();
+    match start(&w, 63, &dir) {
         Err(OpsError::Invalid { what }) => {
             assert!(what.contains("seed"), "{what}");
         }
         other => panic!("expected Invalid, got {other:?}"),
     }
-    let after = std::fs::read(dir.join("pipeline.state")).unwrap();
+    let after = std::fs::read(dir.join("service.state")).unwrap();
     assert_eq!(before, after, "refusal must not touch the state file");
 }
 
@@ -193,7 +202,6 @@ fn injected_write_faults_leave_previous_snapshot_intact() {
     let dir = fresh_dir("io_write_faults");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("victim.snap");
-    let tmp = dir.join("victim.snap.tmp");
     // Torn-write offsets cover: nothing landed, mid-header, header
     // boundary, mid-payload, and longer-than-the-payload (clamped).
     let cases = [
@@ -209,50 +217,30 @@ fn injected_write_faults_leave_previous_snapshot_intact() {
         IoFault::FsyncFail,
     ];
     for fault in cases {
-        write_snapshot_atomic(&path, "ops-pipeline", 1, b"previous payload").unwrap();
+        write_snapshot_atomic(&path, SERVICE_KIND, SERVICE_VERSION, b"previous payload").unwrap();
         let shim = faults::install(IoFaultPlan::one_write(0, fault));
-        let err = write_snapshot_atomic(&path, "ops-pipeline", 1, b"NEW payload, never visible")
-            .expect_err("the injected fault must fail the write");
+        let err = write_snapshot_atomic(
+            &path,
+            SERVICE_KIND,
+            SERVICE_VERSION,
+            b"NEW payload, never visible",
+        )
+        .expect_err("the injected fault must fail the write");
         assert!(matches!(err, SnapshotError::Io { .. }), "{fault}: {err}");
         assert_eq!(shim.writes_seen(), 1, "{fault}");
         drop(shim);
-        assert!(!tmp.exists(), "{fault}: stray temp file left behind");
+        let debris: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp"))
+            .collect();
+        assert!(debris.is_empty(), "{fault}: stray temp files {debris:?}");
         assert_eq!(
-            read_snapshot(&path, "ops-pipeline", 1).unwrap(),
+            read_snapshot(&path, SERVICE_KIND, SERVICE_VERSION).unwrap(),
             b"previous payload",
             "{fault}: destination must keep the old bytes"
         );
     }
-}
-
-#[test]
-fn injected_enospc_mid_pipeline_fails_typed_not_torn() {
-    // A full disk mid-run surfaces as a typed Io error from the step
-    // that hit it — and because the write was atomic-or-nothing, the
-    // durable state stays the *previous* transition, which resumes.
-    let w = world(64);
-    let dir = fresh_dir("io_enospc_pipeline");
-    {
-        let _io = io_quiet();
-        let _ = partial_state(&dir, 64, &w, 3);
-    }
-    // The constructor's own persist hits the injected ENOSPC; the
-    // pipeline treats persistence as load-bearing and propagates it as
-    // a typed Io error (the *service* is the layer that soft-persists).
-    let shim = faults::install(IoFaultPlan::one_write(0, IoFault::WriteEnospc));
-    match Pipeline::resume_or_start(&w, config(64, dir.clone()), FaultPlan::default()) {
-        Err(OpsError::Io { what }) => assert!(what.contains("os error 28"), "{what}"),
-        Ok(_) => panic!("ENOSPC on the state write must surface as Io"),
-        Err(other) => panic!("expected Io, got {other:?}"),
-    }
-    drop(shim);
-    let _io = io_quiet();
-    // The disk "healed", and the failed write was atomic-or-nothing:
-    // the same directory resumes from the last durable transition
-    // without a cold restart.
-    let p2 = Pipeline::resume_or_start(&w, config(64, dir), FaultPlan::default()).unwrap();
-    assert_eq!(p2.state().cold_restarts, 0, "state must still be readable");
-    assert!(p2.state().resumes >= 1);
 }
 
 #[test]
@@ -263,10 +251,10 @@ fn injected_read_eio_cold_restarts_then_heals() {
         let _io = io_quiet();
         let _ = partial_state(&dir, 65, &w, 3);
     }
-    // Unreadable sector under pipeline.state: the resume degrades to a
+    // Unreadable sector under service.state: the resume degrades to a
     // typed cold restart instead of propagating or panicking.
     let shim = faults::install(IoFaultPlan::one_read(0));
-    let p = Pipeline::resume_or_start(&w, config(65, dir.clone()), FaultPlan::default()).unwrap();
+    let p = start(&w, 65, &dir).unwrap();
     assert_eq!(
         p.state().cold_restarts,
         1,
@@ -278,6 +266,6 @@ fn injected_read_eio_cold_restarts_then_heals() {
     // the cold constructor already rewrote the state. A fresh resume
     // continues from the cold-restarted state cleanly.
     let _io = io_quiet();
-    let p2 = Pipeline::resume_or_start(&w, config(65, dir), FaultPlan::default()).unwrap();
+    let p2 = start(&w, 65, &dir).unwrap();
     assert!(p2.state().resumes >= 1);
 }

@@ -1,9 +1,10 @@
 //! End-to-end properties of the long-running service loop: every
 //! cycle deploys (or degrades with a typed reason, never aborts), the
 //! churn cap bounds per-cycle migration with deferrals that drain,
-//! stale-serve windows account their denials, the watchdog degrades
-//! stalled cycles, and kill/corruption at any point re-converges to
-//! the uninterrupted run's deployments bit for bit.
+//! stale-serve windows account their denials, exhausted retries fall
+//! back to the last-good deployment, the watchdog degrades stalled
+//! cycles, and kill/corruption at any point re-converges to the
+//! uninterrupted run's deployments bit for bit.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
@@ -196,8 +197,8 @@ fn churn_cap_is_enforced_and_deferrals_drain() {
 #[test]
 fn stale_serve_accounts_denials_instead_of_aborting() {
     let w = world(44);
-    // Exhaust cycle 0's solve retries: where the pipeline would stop
-    // with NoFallback, the service must stale-serve and keep going.
+    // Exhaust cycle 0's solve retries with nothing deployed yet: the
+    // service must stale-serve and keep going, never abort.
     let plan = ServicePlan {
         fail: (0..3).map(|a| (0, StageId::Solve, a)).collect(),
         ..ServicePlan::default()
@@ -223,6 +224,57 @@ fn stale_serve_accounts_denials_instead_of_aborting() {
     assert!(good.degraded.is_none());
     assert_ne!(good.placement_fnv, 0);
     assert!(!good.stale);
+}
+
+/// Exhaust every allowed attempt of `stage` in cycle 1 and check the
+/// last-good rung: the cycle closes on cycle 0's deployment with the
+/// failing stage recorded, and cycle 2 deploys fresh again.
+fn exhausted_retries_serve_last_good(seed: u64, stage: StageId, simulate: bool) {
+    let w = world(seed);
+    let mut cfg = config(seed, fresh_dir(&format!("lastgood_{stage}")));
+    cfg.ops.simulate = simulate;
+    let plan = ServicePlan {
+        fail: (0..3).map(|a| (1, stage, a)).collect(),
+        ..ServicePlan::default()
+    };
+    let mut s = Service::resume_or_start(&w, cfg, plan).unwrap();
+    let st = s.run().unwrap();
+    assert_eq!(st.records.len(), 3);
+    let good = &st.records[0];
+    let bad = &st.records[1];
+    assert!(good.degraded.is_none());
+    match bad.degraded.as_ref().unwrap() {
+        DegradeReason::StageFailed {
+            stage: failed,
+            attempts,
+            last_error,
+        } => {
+            assert_eq!(*failed, stage);
+            assert_eq!(*attempts, 3);
+            assert!(last_error.contains("injected"), "{last_error}");
+        }
+        other => panic!("wrong degrade reason: {other:?}"),
+    }
+    assert!(bad.recoveries.contains(&RecoveryAction::LastGood));
+    assert!(!bad.stale);
+    // The degraded cycle serves the previous cycle's placement …
+    assert_eq!(bad.placement_fnv, good.placement_fnv);
+    assert!(bad.objective.is_none());
+    // … and its recorded backoff grew across the retries.
+    assert!(bad.backoff_ms > 0);
+    // Cycle 2 recovers with a fresh solve anchored on that placement.
+    assert!(st.records[2].degraded.is_none());
+    assert!(st.records[2].objective.is_some());
+}
+
+#[test]
+fn exhausted_solve_retries_degrade_to_last_good() {
+    exhausted_retries_serve_last_good(53, StageId::Solve, true);
+}
+
+#[test]
+fn exhausted_validate_retries_degrade_to_last_good() {
+    exhausted_retries_serve_last_good(54, StageId::Validate, false);
 }
 
 #[test]
@@ -370,6 +422,69 @@ fn kills_and_torn_state_resume_to_identical_deployments() {
             assert!(r.degraded.is_none());
         }
         break;
+    }
+}
+
+#[test]
+fn mid_solve_kills_and_corrupt_artifacts_recover_typed() {
+    let w = world(55);
+    let base = Service::resume_or_start(
+        &w,
+        config(55, fresh_dir("corrupt_base")),
+        ServicePlan::default(),
+    )
+    .unwrap()
+    .run()
+    .unwrap()
+    .clone();
+
+    // Die mid-solve in cycle 0 (after 1 checkpoint) and in cycle 1
+    // (after 2), dropping the service value at each crash and resuming
+    // from the durable state alone — a true process death.
+    let dir = fresh_dir("corrupt_resume");
+    let mut kills = vec![(0usize, 1u64), (1usize, 2u64)];
+    while !kills.is_empty() {
+        let plan = ServicePlan {
+            kill_mid_solve: kills.clone(),
+            ..ServicePlan::default()
+        };
+        let mut s = Service::resume_or_start(&w, config(55, dir.clone()), plan).unwrap();
+        loop {
+            match s.step().unwrap() {
+                StepOutcome::SimulatedCrash { cycle } => {
+                    kills.retain(|(c, _)| *c != cycle);
+                    break;
+                }
+                StepOutcome::Finished => panic!("kills {kills:?} never fired"),
+                _ => {}
+            }
+        }
+        if kills.is_empty() {
+            // Second crash: the first one was resumed from its
+            // surviving checkpoint, not re-solved.
+            assert_eq!(s.state().resumes, 1);
+            assert!(
+                s.state().records[0].solver_resumes > 0,
+                "cycle 0 never resumed a solver checkpoint"
+            );
+        }
+    }
+    // Truncate the surviving checkpoint to half its length and scribble
+    // over the state file: the service must cold-restart (typed,
+    // counted), discard the checkpoint, and still land on the identical
+    // deployments.
+    let ckpt = dir.join("solver.ckpt");
+    let bytes = std::fs::read(&ckpt).unwrap();
+    std::fs::write(&ckpt, &bytes[..bytes.len() / 2]).unwrap();
+    std::fs::write(dir.join("service.state"), b"not a snapshot").unwrap();
+
+    let mut s = Service::resume_or_start(&w, config(55, dir), ServicePlan::default()).unwrap();
+    assert_eq!(s.state().cold_restarts, 1);
+    let st = s.run().unwrap();
+    assert_eq!(st.cold_restarts, 1);
+    assert_eq!(fingerprints(st), fingerprints(&base));
+    for r in &st.records {
+        assert!(r.degraded.is_none());
     }
 }
 

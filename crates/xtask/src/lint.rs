@@ -253,7 +253,7 @@ mod tests {
         // In the shim-observable crates a raw write is *two* findings:
         // it can be torn by a crash (snapshot-io) and the injectable
         // fault schedule can never reach it (io-fault-shim).
-        for path in ["crates/json/src/snapshot.rs", "crates/ops/src/pipeline.rs"] {
+        for path in ["crates/json/src/snapshot.rs", "crates/ops/src/service.rs"] {
             let f = lint_file(path, src);
             assert_eq!(
                 rules_of(&f),
@@ -272,7 +272,7 @@ mod tests {
         // damage the shim must not see.
         for path in [
             "crates/bench/src/lib.rs",
-            "crates/bench/src/bin/ops_pipeline.rs",
+            "crates/bench/src/bin/service_drill.rs",
         ] {
             let f = lint_file(path, src);
             assert_eq!(rules_of(&f), ["snapshot-io", "snapshot-io"], "{path}");
@@ -313,7 +313,7 @@ mod tests {
         assert!(lint_file("crates/core/src/x.rs", src).is_empty());
         assert!(lint_file("crates/trace/src/x.rs", src).is_empty());
         // Tests corrupt files on purpose.
-        assert!(lint_file("crates/ops/tests/pipeline.rs", src).is_empty());
+        assert!(lint_file("crates/ops/tests/service_loop.rs", src).is_empty());
         let in_tests = format!("#[cfg(test)]\nmod tests {{\n    {src}\n}}\n");
         assert!(lint_file("crates/json/src/snapshot.rs", &in_tests).is_empty());
     }
@@ -357,7 +357,7 @@ mod tests {
         // park_timeout is a disguised sleep; a justified allow works.
         let park = "fn f() { std::thread::park_timeout(d); }\n";
         assert_eq!(
-            rules_of(&lint_file("crates/ops/src/pipeline.rs", park)),
+            rules_of(&lint_file("crates/ops/src/diff.rs", park)),
             ["sleep-timer"]
         );
         let allowed = "// lint:allow(sleep-timer): shutdown drain, not a backoff\n\
