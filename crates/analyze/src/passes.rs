@@ -52,6 +52,8 @@ const TAINT_SOURCES: &[(&str, &[&str], &str)] = &[
     ("thread-id", &["thread", ":", ":", "current"], ""),
     ("env-read", &["env", ":", ":", "var"], ""),
     ("env-read", &["env", ":", ":", "vars"], ""),
+    ("env-read", &["env", ":", ":", "var_os"], ""),
+    ("env-read", &["env", ":", ":", "vars_os"], ""),
     ("fs-read", &["fs", ":", ":", "read"], ""),
     ("fs-read", &["fs", ":", ":", "read_to_string"], ""),
     ("fs-read", &["fs", ":", ":", "read_dir"], ""),
@@ -96,6 +98,12 @@ pub const BLESSED: &[(&str, &str, &str, &str)] = &[
         "determinism-taint",
         "wall-clock",
         "solver wall time is reported in EpfStats and never feeds back into the optimization",
+    ),
+    (
+        "solve_with_pool",
+        "determinism-taint",
+        "env-read",
+        "EPF_TRACE is read once per solve and gates stderr diagnostics only; it never feeds a decision",
     ),
     (
         "read_snapshot",

@@ -37,5 +37,8 @@ fn load_popularity(v: usize) -> u64 {
     let scale = std::env::var("POPULARITY_SCALE").ok();
     // fs-read: undeclared input file.
     let table = std::fs::read_to_string("popularity.txt").ok();
-    fold(v, scale, table)
+    // env-read, the `OsString` spellings: the same ambient state.
+    let debug = std::env::var_os("POPULARITY_DEBUG").is_some();
+    let n_vars = std::env::vars_os().count();
+    fold(v, scale, table, debug, n_vars)
 }

@@ -46,6 +46,8 @@ fn taint_fixture_reports_every_source_kind_exactly() {
         ("unseeded-rng".to_string(), s("jitter"), 29),
         ("thread-id".to_string(), s("jitter"), 31),
         ("env-read".to_string(), s("load_popularity"), 37),
+        ("env-read".to_string(), s("load_popularity"), 41),
+        ("env-read".to_string(), s("load_popularity"), 42),
         ("fs-read".to_string(), s("load_popularity"), 39),
     ];
     let mut got_sorted = got.clone();

@@ -18,7 +18,10 @@
 //! - **scale** — the 10⁵ (default) / 10⁶ (`--full`) video rows:
 //!   wall, peak approximate working set, gap, and a `threads = 1` vs
 //!   `threads = 4` byte-identity assert (the sharded-EPF determinism
-//!   contract at multi-shard block counts).
+//!   contract at multi-shard block counts); the 4-thread solve's wall
+//!   is recorded beside the 1-thread one as `wall_threads_s` /
+//!   `threads_n` / `thread_speedup` (read it against the envelope's
+//!   `threads`, the cores of the box).
 //!
 //! Scales: `--quick` (CI smoke: small ebone rows + a 20 k-video /
 //! 100-VHO scale smoke), default (PR ladder), `--full` (paper-scale
@@ -96,6 +99,8 @@ struct Row {
     wall_s: f64,
     walls_s: Vec<f64>,
     speedup_vs_scalar: Option<f64>,
+    /// Scale rows only: `(threads, wall)` of the multi-thread solve.
+    threaded: Option<(usize, f64)>,
     passes: usize,
     block_steps: u64,
     approx_mb: f64,
@@ -126,6 +131,19 @@ impl ToJson for Row {
             (
                 "speedup_vs_scalar",
                 self.speedup_vs_scalar.map_or(Value::Null, |s| s.to_value()),
+            ),
+            (
+                "wall_threads_s",
+                self.threaded.map_or(Value::Null, |(_, w)| w.to_value()),
+            ),
+            (
+                "threads_n",
+                self.threaded.map_or(Value::Null, |(n, _)| n.to_value()),
+            ),
+            (
+                "thread_speedup",
+                self.threaded
+                    .map_or(Value::Null, |(_, w)| (self.wall_s / w).to_value()),
             ),
             ("passes", self.passes.to_value()),
             ("block_steps", self.block_steps.to_value()),
@@ -179,6 +197,7 @@ fn row_from(
         wall_s: walls_s.iter().cloned().fold(f64::INFINITY, f64::min),
         walls_s,
         speedup_vs_scalar: speedup,
+        threaded: None,
         passes: stats.passes,
         block_steps: stats.block_steps,
         approx_mb: stats.approx_bytes as f64 / 1e6,
@@ -232,6 +251,7 @@ fn main() {
             "kernel",
             "wall (s)",
             "vs scalar",
+            "N threads",
             "passes",
             "approx MB",
             "gap",
@@ -247,6 +267,10 @@ fn main() {
             fmt(r.wall_s),
             r.speedup_vs_scalar
                 .map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
+            r.threaded.map_or_else(
+                || "-".to_string(),
+                |(n, w)| format!("{:.2}x @{n}", r.wall_s / w),
+            ),
             r.passes.to_string(),
             fmt(r.approx_mb),
             if r.gap.is_finite() {
@@ -366,7 +390,7 @@ fn main() {
         let net = vod_net::topologies::ladder_mesh(vhos);
         let inst = instance(n, &net, 3);
         let label = format!("{n}/mesh{vhos}");
-        println!("[scale] {label}: solving (threads=1, then 4-thread identity check)");
+        println!("[scale] {label}: solving (threads=1, then the timed 4-thread identity solve)");
         // No polish: at 10⁵ blocks the wander never beats the
         // smoothed-dual harvest (measured — 40 iters, zero lift), so
         // the budget goes to passes instead.
@@ -384,34 +408,37 @@ fn main() {
         let (frac, stats) = solve_fractional(&inst, &cfg);
         let wall = t0.elapsed().as_secs_f64();
         // The sharded-EPF determinism contract at multi-shard block
-        // counts: more workers than cores is fine (this asserts
-        // identity, it is not the timed run).
+        // counts, and the worker pool's scaling at this size: on a box
+        // with fewer than 4 cores the recorded speedup is the
+        // oversubscribed one.
+        const THREADS_N: usize = 4;
+        let t0 = Instant::now();
         let (frac4, stats4) = solve_fractional(
             &inst,
             &EpfConfig {
-                threads: 4,
+                threads: THREADS_N,
                 ..cfg.clone()
             },
         );
+        let wall4 = t0.elapsed().as_secs_f64();
         assert_eq!(
             identity_key(&frac, &stats),
             identity_key(&frac4, &stats4),
             "threads=4 diverged from threads=1 on {label}: sharded EPF must be thread-invariant",
         );
-        push(
-            &mut table,
-            row_from(
-                &label,
-                "scale",
-                cfg.kernel,
-                cfg.layout,
-                &inst,
-                &frac,
-                &stats,
-                vec![wall],
-                None,
-            ),
+        let mut row = row_from(
+            &label,
+            "scale",
+            cfg.kernel,
+            cfg.layout,
+            &inst,
+            &frac,
+            &stats,
+            vec![wall],
+            None,
         );
+        row.threaded = Some((THREADS_N, wall4));
+        push(&mut table, row);
     }
 
     table.print();

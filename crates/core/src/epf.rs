@@ -8,14 +8,14 @@
 //! random order (the shuffling alone speeds convergence by a large
 //! factor, per the paper), in chunks: a chunk snapshots the current
 //! Lagrange multipliers, solves its blocks' UFLs **in parallel**
-//! (scoped threads), then applies the resulting directions
+//! (the [`crate::pool`] fork-join), then applies the resulting directions
 //! sequentially, each with an exact 1-D line search against the live
 //! potential. After each pass the scale `δ` shrinks to the current
 //! max infeasibility, the smoothed duals are updated, and a Lagrangian
 //! lower-bound pass (per-block dual ascent) both certifies quality and
 //! raises the objective target `B` of `FEAS(B)`.
 
-use crate::block::{UflProblem, UflSolution};
+use crate::block::UflProblem;
 use crate::checkpoint::SolverCheckpoint;
 use crate::instance::{MipInstance, VideoBlock};
 use crate::kernel::{self, Kernel};
@@ -43,7 +43,8 @@ pub struct EpfConfig {
     pub chunk_size: usize,
     /// Hard cap on passes.
     pub max_passes: usize,
-    /// Worker threads for chunk optimization; 0 = all available cores.
+    /// Compute threads for chunk optimization, the calling thread
+    /// included; 0 = all available cores.
     pub threads: usize,
     /// Pure feasibility mode: ignore the objective, stop as soon as
     /// `δ_c(z) ≤ ε` (used by the feasibility-region searches).
@@ -157,10 +158,12 @@ impl EpfConfig {
         }
     }
 
-    /// Worker threads for a solve over `n_blocks` video blocks: the
-    /// configured (or available) count, capped at the block count —
-    /// an extra worker could never receive a chunk part, it would only
-    /// idle on a channel for the whole solve.
+    /// Compute threads for a solve over `n_blocks` video blocks, the
+    /// calling thread included (it runs part 0 of every dispatch, so
+    /// `N` spawns `N − 1` workers): the configured (or available)
+    /// count, capped at the block count — a thread beyond that could
+    /// never receive a chunk part and would only spin and sleep for the
+    /// whole solve.
     pub fn effective_threads(&self, n_blocks: usize) -> usize {
         let base = if self.threads > 0 {
             self.threads
@@ -578,12 +581,12 @@ fn polish_bound(
     cfg: &EpfConfig,
     pool: &WorkerPool<'_>,
     idx_all: &[usize],
+    trace: bool,
 ) -> f64 {
     if start.obj <= 0.0 {
         return f64::NEG_INFINITY;
     }
     let n_rows = layout.n_rows();
-    let trace = std::env::var_os("EPF_TRACE").is_some();
     // Normalized multipliers ν_r = (π_r/π_0)·b_r.
     let seed_nu: Vec<f64> = (0..n_rows)
         .map(|r| (start.rows[r] / start.obj) * coupling.cap(r))
@@ -683,7 +686,7 @@ fn polish_bound(
 
 /// Approximate solver working-set bytes (reported in Table III):
 /// block solutions + instance block data + potential rows + the flat
-/// penalty arena + per-worker UFL build/search scratch.
+/// penalty arena + per-thread UFL build/search scratch.
 fn approx_bytes(
     inst: &MipInstance,
     blocks: &[BlockSolution],
@@ -717,9 +720,9 @@ fn approx_bytes(
         .max()
         .unwrap_or(0);
     // One reusable flat UFL (facility row + service matrix) and solver
-    // scratch per worker, plus the inline path's copy.
+    // scratch per compute thread (the caller's included in `threads`).
     let per_scratch = (max_clients * v + v) * 8 + (2 * v + 3 * max_clients) * 8 + 2 * v;
-    sol + data + layout.n_rows() * 16 + arena_bytes + (threads + 1) * per_scratch
+    sol + data + layout.n_rows() * 16 + arena_bytes + threads * per_scratch
 }
 
 /// Solve the LP relaxation with the EPF method (Algorithm 1), returning
@@ -899,6 +902,9 @@ fn solve_with_pool(
     let idx_all: Vec<usize> = (0..n).collect();
     let chunk_size = cfg.chunk_size.clamp(1, n.max(1));
     let fingerprint = crate::checkpoint::config_fingerprint(cfg, inst);
+    // Stderr convergence diagnostics (`EPF_TRACE=1`), read once per
+    // solve; the flag gates `eprintln!` only and feeds no decision.
+    let trace = std::env::var_os("EPF_TRACE").is_some();
 
     /// Outcome of one fixed-target FEAS run.
     #[derive(PartialEq, Clone, Copy, Debug)]
@@ -1115,16 +1121,15 @@ fn solve_with_pool(
                         // previous chunk's applied steps touched get
                         // re-summed.
                         pool.update_penalty(&coupling.duals());
-                        let candidates: Vec<UflSolution> = pool.solve(chunk);
+                        let candidates = pool.solve(chunk);
                         let arena = pool.penalty();
-                        for (&m, cand) in chunk.iter().zip(&candidates) {
-                            let hat = BlockSolution::from_ufl(cand);
+                        for (&m, hat) in chunk.iter().zip(&candidates) {
                             let (deltas, dobj) =
-                                block_delta(inst, &layout, &inst.blocks()[m], &blocks[m], &hat);
+                                block_delta(inst, &layout, &inst.blocks()[m], &blocks[m], hat);
                             let tau = coupling.line_search(&deltas, dobj);
                             if tau > 0.0 {
                                 coupling.apply(&deltas, dobj, tau);
-                                blocks[m].step_toward(&hat, tau);
+                                blocks[m].step_toward(hat, tau);
                                 block_steps += 1;
                             }
                             // Corrective step: optimal x within the
@@ -1195,7 +1200,7 @@ fn solve_with_pool(
                     }
 
                     let dz = coupling.delta_z().max(coupling.delta_c());
-                    if std::env::var_os("EPF_TRACE").is_some() {
+                    if trace {
                         eprintln!(
                             "pass {}: viol={:.5} r0={:.5} obj={:.2} B={:?} steps={}",
                             global_pass,
@@ -1274,7 +1279,7 @@ fn solve_with_pool(
                 lb_run,
                 budget,
             } => {
-                if std::env::var_os("EPF_TRACE").is_some() {
+                if trace {
                     eprintln!(
                         "run done: outcome={outcome:?} budget={budget} B={:?} ub={ub:.2} lb={lb:.2} lo={lo:.2} pass={global_pass}",
                         coupling.target()
@@ -1302,7 +1307,7 @@ fn solve_with_pool(
                         // what we have.
                         if cfg.polish_iters > 0 {
                             lb = lb.max(polish_bound(
-                                &layout, &coupling, &smoothed, cfg, pool, &idx_all,
+                                &layout, &coupling, &smoothed, cfg, pool, &idx_all, trace,
                             ));
                         }
                         return finish(blocks, lb, false, passes_done, block_steps);
@@ -1407,7 +1412,7 @@ fn solve_with_pool(
                     // (now well-tuned) EPF duals.
                     if !converged && cfg.polish_iters > 0 {
                         let polished =
-                            polish_bound(&layout, &coupling, &smoothed, cfg, pool, &idx_all);
+                            polish_bound(&layout, &coupling, &smoothed, cfg, pool, &idx_all, trace);
                         lb = lb.max(polished);
                         converged = ub <= (1.0 + cert) * lb + 1e-9;
                     }

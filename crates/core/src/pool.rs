@@ -1,29 +1,46 @@
 //! Persistent worker pool for the EPF block solves.
 //!
-//! The solver used to spawn a fresh `std::thread::scope` (and fresh
-//! per-block allocations) for every chunk — tens of thousands of times
-//! per run. [`WorkerPool`] instead keeps `threads` long-lived workers
-//! for the whole solve: jobs (index lists) go out over per-worker
-//! channels, results come back over one shared channel, and every
-//! worker owns a [`BlockScratch`] (a reusable [`UflProblem`] buffer
-//! plus [`UflScratch`]) so the steady state allocates nothing.
+//! A solve dispatches thousands of small jobs (a 32-block chunk is
+//! ≈ 160 µs of UFL work), so the pool is a fork-join sized for that:
+//! `threads = N` keeps N − 1 long-lived workers and **the calling
+//! thread executes part 0 itself**. A dispatch copies the index list
+//! into one reused shared buffer, bumps an epoch, runs its own part,
+//! and reads the other parts back out of pre-sized per-worker slots.
+//! Every thread owns a [`BlockScratch`] (a reusable [`UflProblem`]
+//! buffer plus [`UflScratch`]), so the dispatch machinery itself
+//! allocates nothing in the steady state.
 //!
-//! **Determinism contract.** Results are reassembled *in part order*
-//! (part `k` = the `k`-th contiguous slice of the request), and the
-//! per-part work — `exec_job` — is the exact code the inline
-//! single-threaded path runs. Whichever worker finishes first, the
-//! caller observes the same `Vec` of outputs in the same order, built
+//! **Handoff.** Both directions spin, then block: a worker polls the
+//! epoch counter for [`SPIN_BUDGET`] iterations before it sleeps on the
+//! `work` condvar, and the caller polls the open-parts counter the same
+//! way before it sleeps on `done`. Back-to-back chunk dispatches
+//! therefore meet a hot worker, while an oversubscribed box falls back
+//! to plain blocking instead of burning a core. The budget is an
+//! iteration count, not a duration: the solver reads no clock. All job
+//! data travels under the board mutex, and both counters change only
+//! under it; polling them lock-free only says "look now".
+//!
+//! **Determinism contract.** Part `k` is the `k`-th contiguous slice of
+//! the request, its output lands in slot `k`, and slots are read back
+//! *in part order*; the per-part work — `exec_job` — is the exact code
+//! the inline single-threaded path runs. Whichever thread finishes
+//! first, the caller observes the same outputs in the same order, built
 //! from the same [`PenaltyArena`] snapshot; `threads = 1` and
 //! `threads = N` are therefore byte-identical by construction (pinned
 //! by the `determinism` integration test).
 //!
+//! **Panics.** A worker that unwinds flags the board on its way out
+//! and wakes the caller, which re-raises; dropping the pool (also while
+//! the caller itself unwinds) tells every worker to exit, so the
+//! enclosing scope always joins.
+//!
 //! The penalty arena is shared through an `RwLock`: the main thread
 //! write-locks between dispatches ([`WorkerPool::update_penalty`]),
-//! workers read-lock for the duration of one job. The lock is never
-//! contended in the write path because the pool's callers only update
-//! duals while no jobs are in flight.
+//! every thread read-locks for the duration of its part. The lock is
+//! never contended in the write path because the pool's callers only
+//! update duals while no jobs are in flight.
 
-use crate::block::{UflProblem, UflScratch, UflSolution};
+use crate::block::{UflProblem, UflScratch};
 use crate::epf::{block_delta, build_ufl_into};
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
@@ -31,13 +48,32 @@ use crate::penalty::{PenaltyArena, PenaltyUpdate};
 use crate::potential::{Duals, RowLayout};
 use crate::solution::BlockSolution;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
-/// Below this many items a dispatch runs inline on the calling thread:
-/// channel round-trips cost more than tiny chunks save.
-const PARALLEL_MIN: usize = 16;
+/// Below this many items a dispatch runs inline on the calling thread.
+/// Measured on the 2-core reference box (`mesh100` blocks, 3–5 µs of
+/// UFL work per item): a handoff to a spinning worker costs ≈ 3 µs, so
+/// under four items the split saves less than it costs. Dispatches that
+/// small are only a pass's ragged last chunk, which always meets a hot
+/// worker.
+const PARALLEL_MIN: usize = 4;
+
+/// Iterations either side of a handoff polls its counter before it
+/// blocks. An iteration is one load plus `spin_loop` (≈ 11 ns on the
+/// reference box, up to ≈ 50 ns where `PAUSE` is slow), so the budget
+/// spans the ≈ 170 µs a worker idles while the caller applies a chunk's
+/// steps serially — at 2¹² a worker is asleep again before the next
+/// chunk and `mesh100-9k` loses 8 % — and still bounds what a thread
+/// can burn per dispatch to a fraction of a scheduler slice.
+const SPIN_BUDGET: u32 = 1 << 14;
+
+/// Every this many iterations a spinner yields its core instead: free
+/// when the box has a core per thread, and on an oversubscribed one
+/// (tests run 8 threads on 2 cores) it hands the core to a thread with
+/// a part to run rather than spinning in front of it.
+const YIELD_EVERY: u32 = 128;
 
 /// Fan `f` over `items` on up to `threads` scoped workers and return
 /// the results **in item order** — the pool's determinism contract
@@ -87,32 +123,91 @@ where
 /// What to do with each block index of a job.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum JobKind {
-    /// Lagrangized UFL heuristic minimizer (the Frank-Wolfe direction).
+    /// Lagrangized UFL heuristic minimizer (the Frank-Wolfe direction),
+    /// returned as the `hat` block the line search steps toward.
     Solve,
     /// Per-block lower bound: dual ascent, or the exact block LP
     /// (`exact: true` — the polish's hybrid certification subset).
     DualBound { exact: bool },
     /// Polish sweep: valid bound + heuristic minimizer's resource usage.
     Polish { exact: bool },
-}
-
-struct Job {
-    kind: JobKind,
-    part: usize,
-    items: Vec<usize>,
+    /// Panics on the given item: the panic-propagation test's job.
+    #[cfg(test)]
+    PanicOn(usize),
 }
 
 enum JobOutput {
-    Solutions(Vec<UflSolution>),
+    Solutions(Vec<BlockSolution>),
     Bounds(Vec<f64>),
     Polish(Vec<(f64, Vec<(usize, f64)>)>),
 }
 
-/// Per-worker reusable state: one UFL build buffer + solver scratch.
+/// Per-thread reusable state: one UFL build buffer + solver scratch.
 #[derive(Default)]
 struct BlockScratch {
     ufl: UflProblem,
     search: UflScratch,
+}
+
+/// The dispatch state every thread of the pool reads and writes under
+/// one mutex. Holds are a few dozen instructions (publish, copy a
+/// part's indices out, store an output), never a job.
+struct Board {
+    kind: JobKind,
+    /// The current dispatch's item list (reused buffer).
+    items: Vec<usize>,
+    /// Items per part: part `k` is `items[k·per .. (k+1)·per]`, clipped.
+    per: usize,
+    /// Slot `k − 1` receives worker `k`'s output.
+    slots: Vec<Option<JobOutput>>,
+    /// Set when the pool is dropped: workers exit.
+    shutdown: bool,
+    /// Set by a worker that is unwinding: the caller re-raises.
+    panicked: bool,
+}
+
+struct Shared {
+    board: Mutex<Board>,
+    /// Workers sleep here for a new epoch or shutdown.
+    work: Condvar,
+    /// The caller sleeps here for the last open part or a worker panic.
+    done: Condvar,
+    /// Dispatch counter; a worker runs its part once per new value.
+    /// Written only under the board mutex, so a check-then-wait under
+    /// the mutex cannot miss a bump; spinners poll it without the lock
+    /// as a hint to go and look (the board's data is published by the
+    /// mutex, not by this store).
+    epoch: AtomicU64,
+    /// Worker parts not yet delivered (the caller's part 0 excluded);
+    /// same discipline as `epoch`.
+    open: AtomicUsize,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Board> {
+        self.board.lock().expect("pool board lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a pool thread panicked mid-update; re-raise it
+    }
+}
+
+/// Sleep on `cv`, releasing the board while asleep.
+fn wait<'a>(cv: &Condvar, board: MutexGuard<'a, Board>) -> MutexGuard<'a, Board> {
+    cv.wait(board).expect("pool board lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a pool thread panicked mid-update; re-raise it
+}
+
+/// Poll `ready` for up to [`SPIN_BUDGET`] iterations. Returning early
+/// or late changes only who sleeps, never a result: every caller
+/// re-checks its condition under the board mutex afterwards.
+fn spin_until(ready: impl Fn() -> bool) {
+    for i in 0..SPIN_BUDGET {
+        if ready() {
+            return;
+        }
+        if i % YIELD_EVERY == YIELD_EVERY - 1 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// A pool of long-lived block-solver workers tied to one solve.
@@ -121,17 +216,19 @@ pub(crate) struct WorkerPool<'env> {
     layout: RowLayout,
     arena: &'env RwLock<PenaltyArena>,
     kernel: Kernel,
-    txs: Vec<mpsc::Sender<Job>>,
-    rx: mpsc::Receiver<(usize, JobOutput)>,
-    /// Scratch for the inline (small-dispatch / single-thread) path.
-    inline: RefCell<BlockScratch>,
+    shared: Arc<Shared>,
+    /// Worker count (`threads − 1`); 0 runs every dispatch inline.
+    workers: usize,
+    /// The calling thread's scratch: part 0 and every inline dispatch.
+    own: RefCell<BlockScratch>,
 }
 
 impl<'env> WorkerPool<'env> {
-    /// Spawn `threads` workers on `scope` (none when `threads <= 1`;
-    /// the inline path then handles every dispatch). Workers exit when
-    /// the pool is dropped (their job channels close), which must
-    /// happen before the scope ends.
+    /// A pool of `threads` compute threads: the caller plus
+    /// `threads − 1` workers spawned on `scope` (none when
+    /// `threads <= 1`; every dispatch then runs inline). Workers exit
+    /// when the pool is dropped, which must happen before the scope
+    /// ends.
     pub(crate) fn new<'scope>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         threads: usize,
@@ -140,24 +237,33 @@ impl<'env> WorkerPool<'env> {
         arena: &'env RwLock<PenaltyArena>,
         kernel: Kernel,
     ) -> Self {
-        let (res_tx, rx) = mpsc::channel();
-        let mut txs = Vec::new();
-        if threads > 1 {
-            for _ in 0..threads {
-                let (tx, job_rx) = mpsc::channel::<Job>();
-                let res_tx = res_tx.clone();
-                scope.spawn(move || worker_loop(inst, layout, arena, kernel, &job_rx, &res_tx));
-                txs.push(tx);
-            }
+        let workers = threads.saturating_sub(1);
+        let shared = Arc::new(Shared {
+            board: Mutex::new(Board {
+                kind: JobKind::Solve,
+                items: Vec::new(),
+                per: 1,
+                slots: (0..workers).map(|_| None).collect(),
+                shutdown: false,
+                panicked: false,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            epoch: AtomicU64::new(0),
+            open: AtomicUsize::new(0),
+        });
+        for part in 1..=workers {
+            let shared = Arc::clone(&shared);
+            scope.spawn(move || worker_loop(part, &shared, inst, layout, arena, kernel));
         }
         Self {
             inst,
             layout,
             arena,
             kernel,
-            txs,
-            rx,
-            inline: RefCell::new(BlockScratch::default()),
+            shared,
+            workers,
+            own: RefCell::new(BlockScratch::default()),
         }
     }
 
@@ -176,26 +282,20 @@ impl<'env> WorkerPool<'env> {
         self.arena.read().expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
     }
 
-    /// Heuristic UFL minimizers for `items`, in item order.
-    pub(crate) fn solve(&self, items: &[usize]) -> Vec<UflSolution> {
-        self.run(items, JobKind::Solve)
-            .into_iter()
-            .flat_map(|o| match o {
-                JobOutput::Solutions(v) => v,
-                _ => unreachable!("Solve job returned a non-Solutions output"), // lint:allow(no-panic-hot-path): exec_job pairs Solve with Solutions
-            })
-            .collect()
+    /// Heuristic UFL minimizers for `items` as `hat` blocks, in item
+    /// order.
+    pub(crate) fn solve(&self, items: &[usize]) -> Vec<BlockSolution> {
+        let mut all = Vec::with_capacity(items.len());
+        self.run(items, JobKind::Solve, |o| match o {
+            JobOutput::Solutions(mut v) => all.append(&mut v),
+            _ => unreachable!("Solve job returned a non-Solutions output"), // lint:allow(no-panic-hot-path): exec_job pairs Solve with Solutions
+        });
+        all
     }
 
     /// Per-block dual-ascent bounds for `items`, in item order.
     pub(crate) fn dual_bounds(&self, items: &[usize]) -> Vec<f64> {
-        self.run(items, JobKind::DualBound { exact: false })
-            .into_iter()
-            .flat_map(|o| match o {
-                JobOutput::Bounds(v) => v,
-                _ => unreachable!("DualBound job returned a non-Bounds output"), // lint:allow(no-panic-hot-path): exec_job pairs DualBound with Bounds
-            })
-            .collect()
+        self.bounds(items, false)
     }
 
     /// Exact per-block LP bounds for `items`, in item order — the
@@ -203,13 +303,16 @@ impl<'env> WorkerPool<'env> {
     /// expensive per block than [`WorkerPool::dual_bounds`]; callers
     /// restrict `items` to the calibrated loose subset).
     pub(crate) fn exact_bounds(&self, items: &[usize]) -> Vec<f64> {
-        self.run(items, JobKind::DualBound { exact: true })
-            .into_iter()
-            .flat_map(|o| match o {
-                JobOutput::Bounds(v) => v,
-                _ => unreachable!("DualBound job returned a non-Bounds output"), // lint:allow(no-panic-hot-path): exec_job pairs DualBound with Bounds
-            })
-            .collect()
+        self.bounds(items, true)
+    }
+
+    fn bounds(&self, items: &[usize], exact: bool) -> Vec<f64> {
+        let mut all = Vec::with_capacity(items.len());
+        self.run(items, JobKind::DualBound { exact }, |o| match o {
+            JobOutput::Bounds(mut v) => all.append(&mut v),
+            _ => unreachable!("DualBound job returned a non-Bounds output"), // lint:allow(no-panic-hot-path): exec_job pairs DualBound with Bounds
+        });
+        all
     }
 
     /// Polish sweep: `(valid bound, minimizer resource usage)` per item.
@@ -218,78 +321,136 @@ impl<'env> WorkerPool<'env> {
         items: &[usize],
         exact: bool,
     ) -> Vec<(f64, Vec<(usize, f64)>)> {
-        self.run(items, JobKind::Polish { exact })
-            .into_iter()
-            .flat_map(|o| match o {
-                JobOutput::Polish(v) => v,
-                _ => unreachable!("Polish job returned a non-Polish output"), // lint:allow(no-panic-hot-path): exec_job pairs Polish with Polish
-            })
-            .collect()
+        let mut all = Vec::with_capacity(items.len());
+        self.run(items, JobKind::Polish { exact }, |o| match o {
+            JobOutput::Polish(mut v) => all.append(&mut v),
+            _ => unreachable!("Polish job returned a non-Polish output"), // lint:allow(no-panic-hot-path): exec_job pairs Polish with Polish
+        });
+        all
     }
 
-    /// Dispatch `items` (split into contiguous parts, one per worker)
-    /// and return the part outputs **in part order** — the determinism
-    /// contract's reassembly step.
-    fn run(&self, items: &[usize], kind: JobKind) -> Vec<JobOutput> {
-        if self.txs.is_empty() || items.len() < PARALLEL_MIN {
-            let arena = self.penalty();
-            let mut scratch = self.inline.borrow_mut();
-            return vec![exec_job(
-                self.inst,
-                &self.layout,
-                &arena,
-                self.kernel,
-                kind,
-                items,
-                &mut scratch,
-            )];
+    /// One part's job on the calling thread.
+    fn exec_own(&self, kind: JobKind, items: &[usize]) -> JobOutput {
+        let arena = self.penalty();
+        let mut scratch = self.own.borrow_mut();
+        exec_job(
+            self.inst,
+            &self.layout,
+            &arena,
+            self.kernel,
+            kind,
+            items,
+            &mut scratch,
+        )
+    }
+
+    /// Dispatch `items` (split into contiguous parts, one per thread,
+    /// part 0 on the caller) and hand the part outputs to `sink` **in
+    /// part order** — the determinism contract's reassembly step.
+    fn run(&self, items: &[usize], kind: JobKind, mut sink: impl FnMut(JobOutput)) {
+        if self.workers == 0 || items.len() < PARALLEL_MIN {
+            sink(self.exec_own(kind, items));
+            return;
         }
-        let per = items.len().div_ceil(self.txs.len());
-        let mut n_parts = 0usize;
-        for (part, (slice, tx)) in items.chunks(per).zip(&self.txs).enumerate() {
-            tx.send(Job {
-                kind,
-                part,
-                items: slice.to_vec(),
-            })
-            .expect("solver worker hung up"); // lint:allow(no-panic-hot-path): hangup implies a worker panic; re-raise it
-            n_parts += 1;
+        let shared = &*self.shared;
+        let per = items.len().div_ceil(self.workers + 1);
+        let worker_parts = items.len().div_ceil(per) - 1;
+        {
+            let mut board = shared.lock();
+            board.kind = kind;
+            board.items.clear();
+            board.items.extend_from_slice(items);
+            board.per = per;
+            shared.open.store(worker_parts, Ordering::Release);
+            shared.epoch.fetch_add(1, Ordering::Release);
         }
-        let mut out: Vec<Option<JobOutput>> = (0..n_parts).map(|_| None).collect();
-        for _ in 0..n_parts {
-            let (part, o) = self.rx.recv().expect("solver worker hung up"); // lint:allow(no-panic-hot-path): hangup implies a worker panic; re-raise it
-            out[part] = Some(o);
+        shared.work.notify_all();
+        sink(self.exec_own(kind, &items[..per]));
+        spin_until(|| shared.open.load(Ordering::Acquire) == 0);
+        let mut board = shared.lock();
+        while shared.open.load(Ordering::Acquire) > 0 && !board.panicked {
+            board = wait(&shared.done, board);
         }
-        out.into_iter()
-            .map(|o| o.expect("worker part missing")) // lint:allow(no-panic-hot-path): every part sent exactly once above
-            .collect()
+        assert!(!board.panicked, "solver worker panicked");
+        for slot in &mut board.slots[..worker_parts] {
+            sink(slot.take().expect("worker part missing")); // lint:allow(no-panic-hot-path): open == 0 means every dispatched part was delivered
+        }
     }
 }
 
+impl Drop for WorkerPool<'_> {
+    fn drop(&mut self) {
+        // Also runs while the caller unwinds, so never panic here: a
+        // poisoned board still takes the flag.
+        let mut board = self
+            .shared
+            .board
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        board.shutdown = true;
+        drop(board);
+        self.shared.work.notify_all();
+    }
+}
+
+/// Flags the board when its worker unwinds, so the caller stops
+/// waiting for a part that will never arrive.
+struct PanicFlag<'a>(&'a Shared);
+
+impl Drop for PanicFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut board = self.0.board.lock().unwrap_or_else(PoisonError::into_inner);
+            board.panicked = true;
+            drop(board);
+            self.0.done.notify_one();
+        }
+    }
+}
+
+/// Worker `part` (1-based: the caller is part 0): run that part of
+/// every dispatch until the pool shuts down.
 fn worker_loop(
+    part: usize,
+    shared: &Shared,
     inst: &MipInstance,
     layout: RowLayout,
     arena: &RwLock<PenaltyArena>,
     kernel: Kernel,
-    jobs: &mpsc::Receiver<Job>,
-    results: &mpsc::Sender<(usize, JobOutput)>,
 ) {
+    let _flag = PanicFlag(shared);
     let mut scratch = BlockScratch::default();
-    while let Ok(job) = jobs.recv() {
+    let mut items: Vec<usize> = Vec::new();
+    let mut seen = 0u64;
+    loop {
+        spin_until(|| shared.epoch.load(Ordering::Acquire) != seen);
+        let kind = {
+            let mut board = shared.lock();
+            while shared.epoch.load(Ordering::Acquire) == seen && !board.shutdown {
+                board = wait(&shared.work, board);
+            }
+            if board.shutdown {
+                return;
+            }
+            seen = shared.epoch.load(Ordering::Acquire);
+            let n = board.items.len();
+            let (lo, hi) = ((part * board.per).min(n), ((part + 1) * board.per).min(n));
+            items.clear();
+            items.extend_from_slice(&board.items[lo..hi]);
+            board.kind
+        };
+        if items.is_empty() {
+            continue; // fewer parts than threads this dispatch
+        }
         let out = {
             let arena = arena.read().expect("penalty arena lock poisoned"); // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
-            exec_job(
-                inst,
-                &layout,
-                &arena,
-                kernel,
-                job.kind,
-                &job.items,
-                &mut scratch,
-            )
+            exec_job(inst, &layout, &arena, kernel, kind, &items, &mut scratch)
         };
-        if results.send((job.part, out)).is_err() {
-            return; // pool gone; nothing left to report to
+        let mut board = shared.lock();
+        board.slots[part - 1] = Some(out);
+        if shared.open.fetch_sub(1, Ordering::AcqRel) == 1 {
+            drop(board);
+            shared.done.notify_one();
         }
     }
 }
@@ -319,9 +480,10 @@ fn exec_job(
                         &mut scratch.ufl,
                         kernel,
                     );
-                    scratch
+                    let sol = scratch
                         .ufl
-                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel)
+                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
+                    BlockSolution::from_ufl(&sol)
                 })
                 .collect(),
         ),
@@ -398,5 +560,135 @@ fn exec_job(
                 })
                 .collect(),
         ),
+        #[cfg(test)]
+        JobKind::PanicOn(bad) => {
+            assert!(!items.contains(&bad), "planted job panic on item {bad}");
+            JobOutput::Bounds(items.iter().map(|&m| m as f64).collect())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::epf::layout_of;
+    use crate::epf::tests::small_instance;
+    use crate::epf::{solve_fractional, EpfConfig};
+
+    /// Run `body` against a pool of `threads` over `inst`, its arena
+    /// priced at non-trivial duals so every block sees link penalties.
+    fn with_pool<R>(
+        inst: &MipInstance,
+        threads: usize,
+        body: impl FnOnce(&WorkerPool<'_>) -> R,
+    ) -> R {
+        let layout = layout_of(inst);
+        let arena = RwLock::new(PenaltyArena::with_layout(
+            inst,
+            &layout,
+            Default::default(),
+            None,
+        ));
+        let rows = (0..layout.n_rows())
+            .map(|r| 0.25 + (r % 7) as f64 * 0.5)
+            .collect();
+        std::thread::scope(|scope| {
+            let pool = WorkerPool::new(scope, threads, inst, layout, &arena, Kernel::default());
+            pool.update_penalty(&Duals::new(rows, 1.0));
+            body(&pool)
+        })
+    }
+
+    type Sweep = (Vec<BlockSolution>, Vec<u64>, Vec<(u64, Vec<(usize, u64)>)>);
+
+    /// All three job kinds over `items`, floats as bits.
+    fn sweep(pool: &WorkerPool<'_>, items: &[usize]) -> Sweep {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+        let polish = pool
+            .polish_sweep(items, false)
+            .into_iter()
+            .map(|(lb, usage)| {
+                let usage = usage.into_iter().map(|(r, u)| (r, u.to_bits())).collect();
+                (lb.to_bits(), usage)
+            })
+            .collect();
+        (pool.solve(items), bits(pool.dual_bounds(items)), polish)
+    }
+
+    /// Parts come back in part order whatever the thread count: item
+    /// counts straddle the inline threshold and leave ragged (or
+    /// missing) last parts, and the item order is not the block order.
+    #[test]
+    fn parts_reassemble_in_order_at_every_thread_count() {
+        let inst = small_instance(61, 2.0, 1.0, 9);
+        let counts = [
+            1,
+            PARALLEL_MIN - 1,
+            PARALLEL_MIN,
+            PARALLEL_MIN + 1,
+            13,
+            31,
+            61,
+        ];
+        let items_of = |n: usize| (0..n).map(|k| (k * 23 + 5) % 61).collect::<Vec<usize>>();
+        let want: Vec<Sweep> = with_pool(&inst, 1, |pool| {
+            counts.iter().map(|&n| sweep(pool, &items_of(n))).collect()
+        });
+        for threads in [2usize, 3, 8] {
+            with_pool(&inst, threads, |pool| {
+                for (&n, want) in counts.iter().zip(&want) {
+                    assert_eq!(&sweep(pool, &items_of(n)), want, "threads={threads} n={n}");
+                }
+            });
+        }
+    }
+
+    /// Eight threads on a 60-video instance (more threads than cores
+    /// on any CI box, parts of four blocks): the handoff must fall back
+    /// to blocking and finish, bit for bit the single-thread solve.
+    #[test]
+    fn oversubscribed_solve_finishes_and_matches_one_thread() {
+        let inst = small_instance(60, 2.0, 1.0, 6);
+        let solve = |threads| {
+            let cfg = EpfConfig {
+                max_passes: 30,
+                threads,
+                seed: 6,
+                ..Default::default()
+            };
+            solve_fractional(&inst, &cfg)
+        };
+        let (f1, s1) = solve(1);
+        let (f8, s8) = solve(8);
+        assert_eq!(s1.passes, s8.passes);
+        assert_eq!(s1.block_steps, s8.block_steps);
+        assert_eq!(s1.objective.to_bits(), s8.objective.to_bits());
+        assert_eq!(s1.lower_bound.to_bits(), s8.lower_bound.to_bits());
+        assert_eq!(f1.blocks, f8.blocks);
+    }
+
+    /// Item 31 of 32 is worker 1's at two threads: its panic must reach
+    /// the caller as a panic (and the scope must still join), not leave
+    /// the caller waiting on the part forever.
+    #[test]
+    #[should_panic(expected = "solver worker panicked")]
+    fn worker_panic_reaches_the_caller() {
+        let inst = small_instance(40, 2.0, 1.0, 9);
+        let items: Vec<usize> = (0..32).collect();
+        with_pool(&inst, 2, |pool| {
+            pool.run(&items, JobKind::PanicOn(31), |_| {})
+        });
+    }
+
+    /// The mirror case: the caller's own part 0 panics while workers
+    /// run theirs; dropping the pool on unwind must release them.
+    #[test]
+    #[should_panic(expected = "planted job panic on item 0")]
+    fn caller_panic_releases_the_workers() {
+        let inst = small_instance(40, 2.0, 1.0, 9);
+        let items: Vec<usize> = (0..32).collect();
+        with_pool(&inst, 3, |pool| {
+            pool.run(&items, JobKind::PanicOn(0), |_| {})
+        });
     }
 }

@@ -1,0 +1,93 @@
+//! Tier-1 smoke of the solver layer: one small mesh instance solved at
+//! 1, 2 and 5 compute threads (5: more than a CI box has cores, and
+//! than a pass's ragged last chunk has parts), plus one kill-and-resume
+//! on the worker pool — all bit for bit the single-thread solve. The full
+//! matrices live in `crates/core/tests/{determinism,checkpoint_resume}.rs`.
+#![allow(clippy::unwrap_used)]
+
+use vodplace::core::{
+    solve_placement_checkpointed, solve_resumable, CheckpointSpec, PlacementOutput,
+    SolverCheckpoint,
+};
+use vodplace::net::topologies;
+use vodplace::prelude::*;
+
+const SEED: u64 = 73;
+
+fn instance() -> MipInstance {
+    let mut net = topologies::mesh_backbone(6, 9, SEED);
+    net.set_uniform_capacity(Mbps::from_gbps(1.0));
+    let catalog = synthesize_library(&LibraryConfig::default_for(70, 7, SEED));
+    let trace = generate_trace(&catalog, &net, &TraceConfig::default_for(600.0, 7, SEED));
+    let windows = vodplace::trace::analysis::select_peak_windows(&trace, &catalog, 3600, 2);
+    let demand = DemandInput::from_trace(&trace, &catalog, net.num_nodes(), windows);
+    MipInstance::new(
+        net,
+        catalog,
+        demand,
+        &DiskConfig::UniformRatio { ratio: 2.0 },
+        1.0,
+        0.0,
+        None,
+    )
+}
+
+fn config(threads: usize) -> EpfConfig {
+    EpfConfig {
+        max_passes: 45,
+        threads,
+        seed: SEED,
+        ..Default::default()
+    }
+}
+
+fn assert_identical(a: &PlacementOutput, b: &PlacementOutput, what: &str) {
+    assert_eq!(
+        a.epf.objective.to_bits(),
+        b.epf.objective.to_bits(),
+        "{what}"
+    );
+    assert_eq!(
+        a.epf.lower_bound.to_bits(),
+        b.epf.lower_bound.to_bits(),
+        "{what}"
+    );
+    assert_eq!(a.epf.passes, b.epf.passes, "{what}");
+    assert_eq!(a.epf.block_steps, b.epf.block_steps, "{what}");
+    assert_eq!(
+        a.rounding.objective.to_bits(),
+        b.rounding.objective.to_bits(),
+        "{what}"
+    );
+    assert_eq!(
+        a.placement.holder_lists(),
+        b.placement.holder_lists(),
+        "{what}"
+    );
+}
+
+#[test]
+fn thread_count_and_resume_do_not_move_a_bit() {
+    let inst = instance();
+    let one = solve_placement(&inst, &config(1)).unwrap();
+    assert!(one.epf.block_steps > 0 && one.epf.lower_bound > 0.0);
+    for threads in [2, 5] {
+        let many = solve_placement(&inst, &config(threads)).unwrap();
+        assert_identical(&one, &many, &format!("threads = {threads}"));
+    }
+
+    // Kill at a mid-run checkpoint, resume from its bytes at two
+    // threads: the tail of the run replays on the worker pool.
+    let mut snaps: Vec<Vec<u8>> = Vec::new();
+    let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
+    let spec = CheckpointSpec {
+        every: 5,
+        sink: &mut sink,
+    };
+    let full = solve_placement_checkpointed(&inst, &config(2), spec).unwrap();
+    assert_identical(&one, &full, "checkpointed, threads = 2");
+    assert!(snaps.len() >= 2, "{} checkpoints", snaps.len());
+    let mid = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).unwrap();
+    let resumed = solve_resumable(&inst, &config(2), &mid, None).unwrap();
+    assert_identical(&one, &resumed, "resumed, threads = 2");
+}
