@@ -1,5 +1,5 @@
 //! Tracked solver performance baseline — emits `BENCH_solver.json`
-//! (schema `BENCH_solver/v3`).
+//! (schema `BENCH_solver/v4`).
 //!
 //! Runs the Table III EPF instance ladder (same generator as
 //! `table03_scalability`, decomposition solver only) plus the
@@ -10,8 +10,7 @@
 //!   wall time per kernel backend, per-repeat walls recorded, plus
 //!   the speedup over the `scalar` reference. Backends promise
 //!   bitwise-identical results ([`vod_core::kernel`]) and this binary
-//!   *asserts* it, along with dense-vs-sparse penalty-arena identity
-//!   ([`vod_core::penalty::PenaltyLayout`]) on every perf row.
+//!   *asserts* it on every perf row.
 //! - **quality** — one adaptive-budget solve per Table III instance
 //!   (`gap_limit`, polish + exact certification) reporting the
 //!   certified gap and convergence flag.
@@ -28,7 +27,6 @@
 //! plus the 10⁶ stretch row).
 use std::time::Instant;
 use vod_bench::{fmt, save_results, Scale, Table};
-use vod_core::penalty::PenaltyLayout;
 use vod_core::{
     solve_fractional, DiskConfig, EpfConfig, EpfStats, FractionalSolution, Kernel, MipInstance,
 };
@@ -54,33 +52,30 @@ fn instance(n_videos: usize, net: &vod_net::Network, seed: u64) -> MipInstance {
     )
 }
 
-/// Backends requested by `--kernel NAME` (repeatable; `all` = every
-/// backend compiled into this binary). Default: scalar + chunked.
+/// Backends requested by `--kernel NAME` (repeatable; `all` = both
+/// backends). Default: scalar + chunked.
 fn kernels_from_args() -> Vec<Kernel> {
     let mut out: Vec<Kernel> = Vec::new();
-    let mut expect_name = false;
-    for arg in std::env::args() {
-        if expect_name {
-            expect_name = false;
-            if arg == "all" {
-                for &k in Kernel::all() {
-                    if !out.contains(&k) {
-                        out.push(k);
-                    }
+    let mut args = std::env::args();
+    while let Some(arg) = args.next() {
+        if arg != "--kernel" {
+            continue;
+        }
+        let value = args.next();
+        let picked = match value.as_deref() {
+            Some("all") => Kernel::all().to_vec(),
+            name => match name.and_then(Kernel::from_name) {
+                Some(k) => vec![k],
+                None => {
+                    eprintln!("--kernel takes (scalar|chunked|all), got {name:?}");
+                    std::process::exit(2);
                 }
-                continue;
-            }
-            let Some(k) = Kernel::from_name(&arg) else {
-                eprintln!("unknown --kernel {arg:?} (scalar|chunked|simd|all)");
-                std::process::exit(2);
-            };
+            },
+        };
+        for k in picked {
             if !out.contains(&k) {
                 out.push(k);
             }
-            continue;
-        }
-        if arg == "--kernel" {
-            expect_name = true;
         }
     }
     if out.is_empty() {
@@ -93,7 +88,6 @@ struct Row {
     label: String,
     mode: &'static str,
     kernel: &'static str,
-    layout: &'static str,
     n_videos: usize,
     n_vhos: usize,
     wall_s: f64,
@@ -116,7 +110,6 @@ impl ToJson for Row {
             ("label", self.label.to_value()),
             ("mode", self.mode.to_value()),
             ("kernel", self.kernel.to_value()),
-            ("layout", self.layout.to_value()),
             ("n_videos", self.n_videos.to_value()),
             ("n_vhos", self.n_vhos.to_value()),
             ("wall_s", self.wall_s.to_value()),
@@ -164,8 +157,8 @@ fn gap_of(frac: &FractionalSolution) -> f64 {
     }
 }
 
-/// Solution identity key: the bitwise contract every backend, arena
-/// layout and thread count must agree on.
+/// Solution identity key: the bitwise contract every backend and
+/// thread count must agree on.
 fn identity_key(frac: &FractionalSolution, stats: &EpfStats) -> (u64, u64, usize, u64) {
     (
         frac.objective.to_bits(),
@@ -180,7 +173,6 @@ fn row_from(
     label: &str,
     mode: &'static str,
     kernel: Kernel,
-    layout: PenaltyLayout,
     inst: &MipInstance,
     frac: &FractionalSolution,
     stats: &EpfStats,
@@ -191,7 +183,6 @@ fn row_from(
         label: label.to_string(),
         mode,
         kernel: kernel.name(),
-        layout: layout.name(),
         n_videos: inst.n_videos(),
         n_vhos: inst.n_vhos(),
         wall_s: walls_s.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -230,15 +221,12 @@ fn main() {
         ],
     };
     // Large-library scale rows on ladder meshes: (videos, vhos,
-    // max_passes, memory_budget_mb). Pass budgets are deliberate wall
-    // caps — the row reports whatever gap that budget certifies. The
-    // 10⁶ stretch row runs under a 512 MiB working-set budget, which
-    // its block solutions alone exceed, forcing the sparse arena down
-    // the streaming-degrade path (bitwise-identical by contract).
-    let scale_rows: Vec<(usize, usize, usize, Option<usize>)> = match scale {
-        Scale::Quick => vec![(20_000, 100, 40, None)],
-        Scale::Default => vec![(100_000, 100, 60, None)],
-        Scale::Full => vec![(100_000, 100, 60, None), (1_000_000, 100, 24, Some(512))],
+    // max_passes). Pass budgets are deliberate wall caps — the row
+    // reports whatever gap that budget certifies.
+    let scale_rows: Vec<(usize, usize, usize)> = match scale {
+        Scale::Quick => vec![(20_000, 100, 40)],
+        Scale::Default => vec![(100_000, 100, 60)],
+        Scale::Full => vec![(100_000, 100, 60), (1_000_000, 100, 24)],
     };
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -330,27 +318,8 @@ fn main() {
             };
             push(
                 &mut table,
-                row_from(
-                    &label, "perf", kernel, cfg.layout, &inst, &frac, &stats, walls, speedup,
-                ),
+                row_from(&label, "perf", kernel, &inst, &frac, &stats, walls, speedup),
             );
-        }
-        // Dense-arena identity: the sparse penalty arena (the default
-        // layout above) must reproduce the historical dense objectives
-        // bit for bit.
-        {
-            let cfg = EpfConfig {
-                layout: PenaltyLayout::Dense,
-                ..perf_cfg.clone()
-            };
-            let (frac, stats) = solve_fractional(&inst, &cfg);
-            if let Some((_, key)) = &scalar_key {
-                assert_eq!(
-                    *key,
-                    identity_key(&frac, &stats),
-                    "dense arena diverged from sparse on {label}: layouts must be bitwise equal",
-                );
-            }
         }
         // Quality row: adaptive budget with certification. Exact
         // per-block LPs only below ~3k blocks, where they are cheaper
@@ -374,7 +343,6 @@ fn main() {
                     &label,
                     "quality",
                     cfg.kernel,
-                    cfg.layout,
                     &inst,
                     &frac,
                     &stats,
@@ -386,7 +354,7 @@ fn main() {
     }
 
     // ---- Scale rows: 10⁵–10⁶ videos on 100+-VHO ladder meshes ----
-    for (n, vhos, max_passes, memory_budget_mb) in scale_rows {
+    for (n, vhos, max_passes) in scale_rows {
         let net = vod_net::topologies::ladder_mesh(vhos);
         let inst = instance(n, &net, 3);
         let label = format!("{n}/mesh{vhos}");
@@ -400,7 +368,6 @@ fn main() {
             epsilon: 0.02,
             gap_limit: Some(0.02),
             polish_iters: 0,
-            memory_budget_mb,
             threads: 1,
             ..Default::default()
         };
@@ -430,7 +397,6 @@ fn main() {
             &label,
             "scale",
             cfg.kernel,
-            cfg.layout,
             &inst,
             &frac,
             &stats,
@@ -443,7 +409,7 @@ fn main() {
 
     table.print();
     let payload = obj(vec![
-        ("schema", "BENCH_solver/v3".to_value()),
+        ("schema", "BENCH_solver/v4".to_value()),
         ("scale", format!("{scale:?}").to_value()),
         ("threads", threads.to_value()),
         ("repeats", REPEATS.to_value()),

@@ -7,32 +7,33 @@
 //! costs from the disk duals and service costs from the objective plus
 //! link duals. Two solvers are provided:
 //!
-//! - [`UflProblem::solve_local_search`]: a Charikar–Guha-style
-//!   add/drop/swap local search over *integral* solutions (Section V-D
-//!   cites [11]); an integral solution is a vertex of `F^m`, so it is a
-//!   valid gradient-descent direction and, in the rounding pass, a
-//!   valid integer assignment.
-//! - [`UflProblem::dual_ascent_bound`]: an Erlenkotter-style dual
-//!   ascent producing a *feasible dual* solution, i.e. a valid lower
-//!   bound on the fractional block optimum. The Lagrangian bound
-//!   `LR(λ)` of the Appendix needs the exact block minimum; a feasible
-//!   dual lower-bounds it, so summing these keeps the global bound
-//!   valid (see DESIGN.md §4).
+//! - [`UflProblem::solve_local_search_with_kernel`] — a
+//!   Charikar–Guha-style add/drop/swap local search over *integral*
+//!   solutions (Section V-D cites [11]); an integral solution is a
+//!   vertex of `F^m`, so it is a valid gradient-descent direction and,
+//!   in the rounding pass, a valid integer assignment.
+//!   [`UflProblem::solve_local_search_fast_with_kernel`] is its
+//!   add/drop-only variant for the EPF pass loop.
+//! - [`UflProblem::dual_ascent_bound_with_kernel`] — an
+//!   Erlenkotter-style dual ascent producing a *feasible dual*
+//!   solution, i.e. a valid lower bound on the fractional block
+//!   optimum. The Lagrangian bound `LR(λ)` of the Appendix needs the
+//!   exact block minimum; a feasible dual lower-bounds it, so summing
+//!   these keeps the global bound valid (see DESIGN.md §4).
 //!
 //! The EPF loop solves hundreds of thousands of these tiny instances
 //! per run, so the service matrix is a single flat row-major buffer
-//! (not a `Vec<Vec<f64>>`) and both solvers take an optional
+//! (not a `Vec<Vec<f64>>`) and every solver takes a caller-owned
 //! [`UflScratch`] so a long-lived worker re-solves blocks with zero
 //! steady-state allocations (see DESIGN.md "Solver performance
 //! architecture").
 //!
-//! Both solvers are backed by the lane kernels of [`crate::kernel`]:
-//! the `_with_kernel` entry points accept a [`Kernel`] and, for the
-//! lane backends, replace the facility-major strided scans with
-//! client-row streaming passes (per-element addition order unchanged,
-//! so the trajectory is bitwise-identical to the scalar reference —
-//! pinned by `tests/kernel_props.rs`). The kernel-less entry points
-//! run [`Kernel::Scalar`], i.e. the original loops verbatim.
+//! Every solver also takes the [`Kernel`] backend of
+//! [`crate::kernel`]: the lane backend replaces the facility-major
+//! strided scans of [`Kernel::Scalar`] (the original loops verbatim)
+//! with client-row streaming passes — per-element addition order
+//! unchanged, so the trajectory is bitwise-identical to the scalar
+//! reference (pinned by `tests/kernel_props.rs`).
 
 use crate::kernel::{self, Kernel};
 
@@ -261,36 +262,12 @@ impl UflProblem {
         debug_assert!(self.service.iter().all(|&c| c >= 0.0 && c.is_finite()));
     }
 
-    /// Greedy start + add/drop/swap local search.
+    /// Greedy start + add/drop/swap local search (bitwise-identical
+    /// result whatever the backend).
     ///
     /// Every solution opens at least one facility even with zero
     /// clients — the MIP's constraints (3)+(4) imply `Σ_i y_i^m ≥ 1`
     /// (each video must be stored somewhere).
-    pub fn solve_local_search(&self) -> UflSolution {
-        self.local_search(true, &mut UflScratch::default(), Kernel::Scalar)
-    }
-
-    /// Add/drop-only local search: O(|V|·|C|) per round instead of the
-    /// O(|V|²·|C|) swap scan. Slightly weaker solutions, but the EPF
-    /// pass loop only needs descent *directions* — it calls this
-    /// thousands of times per video, while the rounding pass (which
-    /// commits integer decisions) uses the full search.
-    pub fn solve_local_search_fast(&self) -> UflSolution {
-        self.local_search(false, &mut UflScratch::default(), Kernel::Scalar)
-    }
-
-    /// [`UflProblem::solve_local_search`] with caller-owned scratch.
-    pub fn solve_local_search_with(&self, scratch: &mut UflScratch) -> UflSolution {
-        self.local_search(true, scratch, Kernel::Scalar)
-    }
-
-    /// [`UflProblem::solve_local_search_fast`] with caller-owned scratch.
-    pub fn solve_local_search_fast_with(&self, scratch: &mut UflScratch) -> UflSolution {
-        self.local_search(false, scratch, Kernel::Scalar)
-    }
-
-    /// [`UflProblem::solve_local_search_with`] on an explicit kernel
-    /// backend (bitwise-identical result whatever the backend).
     pub fn solve_local_search_with_kernel(
         &self,
         scratch: &mut UflScratch,
@@ -299,8 +276,11 @@ impl UflProblem {
         self.local_search(true, scratch, kernel)
     }
 
-    /// [`UflProblem::solve_local_search_fast_with`] on an explicit
-    /// kernel backend (bitwise-identical result whatever the backend).
+    /// Add/drop-only local search: O(|V|·|C|) per round instead of the
+    /// O(|V|²·|C|) swap scan. Slightly weaker solutions, but the EPF
+    /// pass loop only needs descent *directions* — it calls this
+    /// thousands of times per video, while the rounding pass (which
+    /// commits integer decisions) uses the full search.
     pub fn solve_local_search_fast_with_kernel(
         &self,
         scratch: &mut UflScratch,
@@ -858,20 +838,10 @@ impl UflProblem {
     ///
     /// Maintains dual feasibility `Σ_c (v_c − s_ci)⁺ ≤ f_i` throughout;
     /// the bound is `Σ_c v_c`. With zero clients the bound is the
-    /// cheapest opening cost (one copy is always required).
-    pub fn dual_ascent_bound(&self) -> f64 {
-        self.dual_ascent_bound_with(&mut UflScratch::default())
-    }
-
-    /// [`UflProblem::dual_ascent_bound`] with caller-owned scratch.
-    pub fn dual_ascent_bound_with(&self, scratch: &mut UflScratch) -> f64 {
-        self.dual_ascent_bound_with_kernel(scratch, Kernel::Scalar)
-    }
-
-    /// [`UflProblem::dual_ascent_bound_with`] on an explicit kernel
-    /// backend (bitwise-identical bound whatever the backend: the min
-    /// reductions are exactly reorderable — no NaN, no `-0.0` — and
-    /// every sum keeps its per-element scalar order).
+    /// cheapest opening cost (one copy is always required). The bound
+    /// is bitwise-identical whatever the backend: the min reductions
+    /// are exactly reorderable — no NaN, no `-0.0` — and every sum
+    /// keeps its per-element scalar order.
     pub fn dual_ascent_bound_with_kernel(&self, scratch: &mut UflScratch, kernel: Kernel) -> f64 {
         self.assert_valid();
         let n = self.n_facilities();
@@ -1025,28 +995,44 @@ impl UflProblem {
 mod tests {
     use super::*;
 
+    /// Full local search and dual-ascent bound of `p` on every backend.
+    fn solve_on_all(p: &UflProblem) -> Vec<(Kernel, UflSolution, f64)> {
+        let mut scratch = UflScratch::default();
+        Kernel::all()
+            .iter()
+            .map(|&k| {
+                let sol = p.solve_local_search_with_kernel(&mut scratch, k);
+                let lb = p.dual_ascent_bound_with_kernel(&mut scratch, k);
+                (k, sol, lb)
+            })
+            .collect()
+    }
+
+    /// Bound sandwich and solution invariants, on every backend.
     fn check_bound_sandwich(p: &UflProblem) {
-        let sol = p.solve_local_search();
-        let ub = p.cost(&sol);
-        let lb = p.dual_ascent_bound();
-        assert!(
-            lb <= ub + 1e-9,
-            "dual bound {lb} must not exceed heuristic cost {ub}"
-        );
-        // Solution invariants.
-        assert!(!sol.open.is_empty());
-        for &a in &sol.assign {
-            assert!(sol.open.contains(&a), "client assigned to closed facility");
+        for (k, sol, lb) in solve_on_all(p) {
+            let ub = p.cost(&sol);
+            assert!(
+                lb <= ub + 1e-9,
+                "dual bound {lb} must not exceed heuristic cost {ub} ({})",
+                k.name()
+            );
+            // Solution invariants.
+            assert!(!sol.open.is_empty());
+            for &a in &sol.assign {
+                assert!(sol.open.contains(&a), "client assigned to closed facility");
+            }
         }
     }
 
     #[test]
     fn single_facility_trivial() {
         let p = UflProblem::from_rows(vec![3.0], vec![vec![1.0], vec![2.0]]);
-        let sol = p.solve_local_search();
-        assert_eq!(sol.open, vec![0]);
-        assert_eq!(p.cost(&sol), 6.0);
-        assert!(p.dual_ascent_bound() <= 6.0 + 1e-9);
+        for (_, sol, lb) in solve_on_all(&p) {
+            assert_eq!(sol.open, vec![0]);
+            assert_eq!(p.cost(&sol), 6.0);
+            assert!(lb <= 6.0 + 1e-9);
+        }
     }
 
     #[test]
@@ -1054,18 +1040,20 @@ mod tests {
         // Facility 0 cheap to open but far from client 1; facility 1
         // expensive but essential.
         let p = UflProblem::from_rows(vec![1.0, 2.0], vec![vec![0.0, 10.0], vec![10.0, 0.0]]);
-        let sol = p.solve_local_search();
-        assert_eq!(sol.open, vec![0, 1]);
-        assert_eq!(p.cost(&sol), 3.0);
+        for (_, sol, _) in solve_on_all(&p) {
+            assert_eq!(sol.open, vec![0, 1]);
+            assert_eq!(p.cost(&sol), 3.0);
+        }
         check_bound_sandwich(&p);
     }
 
     #[test]
     fn consolidates_when_opening_costly() {
         let p = UflProblem::from_rows(vec![100.0, 100.0], vec![vec![1.0, 2.0], vec![2.0, 1.0]]);
-        let sol = p.solve_local_search();
-        assert_eq!(sol.open.len(), 1);
-        assert_eq!(p.cost(&sol), 103.0);
+        for (_, sol, _) in solve_on_all(&p) {
+            assert_eq!(sol.open.len(), 1);
+            assert_eq!(p.cost(&sol), 103.0);
+        }
         check_bound_sandwich(&p);
     }
 
@@ -1081,27 +1069,30 @@ mod tests {
                 vec![5.0, 0.0, 0.5],
             ],
         );
-        let sol = p.solve_local_search();
-        assert_eq!(sol.open, vec![2]);
-        assert!((p.cost(&sol) - 2.5).abs() < 1e-9);
+        for (k, sol, _) in solve_on_all(&p) {
+            assert_eq!(sol.open, vec![2], "{}", k.name());
+            assert!((p.cost(&sol) - 2.5).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn zero_clients_opens_cheapest() {
         let p = UflProblem::from_rows(vec![5.0, 2.0, 7.0], vec![]);
-        let sol = p.solve_local_search();
-        assert_eq!(sol.open, vec![1]);
-        assert_eq!(p.dual_ascent_bound(), 2.0);
+        for (k, sol, lb) in solve_on_all(&p) {
+            assert_eq!(sol.open, vec![1], "{}", k.name());
+            assert_eq!(lb, 2.0);
+        }
     }
 
     #[test]
     fn free_facilities_serve_everyone_locally() {
         // Zero facility costs: open everything useful, serve at min.
         let p = UflProblem::from_rows(vec![0.0; 3], vec![vec![4.0, 1.0, 9.0], vec![0.5, 3.0, 9.0]]);
-        let sol = p.solve_local_search();
-        assert!((p.cost(&sol) - 1.5).abs() < 1e-9);
-        // Dual bound equals optimum here (LP tight).
-        assert!((p.dual_ascent_bound() - 1.5).abs() < 1e-9);
+        for (k, sol, lb) in solve_on_all(&p) {
+            assert!((p.cost(&sol) - 1.5).abs() < 1e-9, "{}", k.name());
+            // Dual bound equals optimum here (LP tight).
+            assert!((lb - 1.5).abs() < 1e-9, "{}", k.name());
+        }
     }
 
     #[test]
@@ -1119,9 +1110,10 @@ mod tests {
             );
             check_bound_sandwich(&p);
             // On small instances the gap should typically be modest.
-            let lb = p.dual_ascent_bound();
-            let ub = p.cost(&p.solve_local_search());
-            assert!(ub <= 3.0 * lb.max(0.5), "loose: lb={lb} ub={ub}");
+            for (_, sol, lb) in solve_on_all(&p) {
+                let ub = p.cost(&sol);
+                assert!(ub <= 3.0 * lb.max(0.5), "loose: lb={lb} ub={ub}");
+            }
         }
     }
 
@@ -1138,7 +1130,6 @@ mod tests {
                     .map(|_| (0..n).map(|_| rng.gen_range(0.0..10.0)).collect())
                     .collect(),
             );
-            let got = p.cost(&p.solve_local_search());
             // Baseline 1: everything open.
             let all = UflSolution {
                 open: (0..n).collect(),
@@ -1147,12 +1138,15 @@ mod tests {
                     .map(|row| (0..n).min_by(|&a, &b| row[a].total_cmp(&row[b])).unwrap())
                     .collect(),
             };
-            assert!(got <= p.cost(&all) + 1e-9);
             // Baseline 2: best single facility.
             let best_single = (0..n)
                 .map(|i| p.facility_cost[i] + p.service_rows().map(|r| r[i]).sum::<f64>())
                 .fold(f64::MAX, f64::min);
-            assert!(got <= best_single + 1e-9);
+            for (_, sol, _) in solve_on_all(&p) {
+                let got = p.cost(&sol);
+                assert!(got <= p.cost(&all) + 1e-9);
+                assert!(got <= best_single + 1e-9);
+            }
         }
     }
 
@@ -1173,18 +1167,21 @@ mod tests {
                     .map(|_| (0..n).map(|_| rng.gen_range(0.0..10.0)).collect())
                     .collect(),
             );
-            assert_eq!(
-                p.solve_local_search_fast_with(&mut scratch),
-                p.solve_local_search_fast()
-            );
-            assert_eq!(
-                p.solve_local_search_with(&mut scratch),
-                p.solve_local_search()
-            );
-            assert_eq!(
-                p.dual_ascent_bound_with(&mut scratch).to_bits(),
-                p.dual_ascent_bound().to_bits()
-            );
+            for &k in Kernel::all() {
+                assert_eq!(
+                    p.solve_local_search_fast_with_kernel(&mut scratch, k),
+                    p.solve_local_search_fast_with_kernel(&mut UflScratch::default(), k)
+                );
+                assert_eq!(
+                    p.solve_local_search_with_kernel(&mut scratch, k),
+                    p.solve_local_search_with_kernel(&mut UflScratch::default(), k)
+                );
+                assert_eq!(
+                    p.dual_ascent_bound_with_kernel(&mut scratch, k).to_bits(),
+                    p.dual_ascent_bound_with_kernel(&mut UflScratch::default(), k)
+                        .to_bits()
+                );
+            }
         }
     }
 

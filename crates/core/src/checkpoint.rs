@@ -573,12 +573,8 @@ pub(crate) fn config_fingerprint(cfg: &EpfConfig, inst: &MipInstance) -> u64 {
     // single-backend execution can reproduce pass-for-pass in its
     // BENCH provenance — refuse the mismatch.
     push(cfg.kernel.tag());
-    // Same rationale for the penalty layout (bitwise-neutral reads)
-    // and the memory budget (value-neutral streaming degrade); the
-    // certification knobs shape the final bound, so they are
+    // The certification knobs shape the final bound, so they are
     // trajectory-relevant outright.
-    push(cfg.layout.tag());
-    push(cfg.memory_budget_mb.map_or(u64::MAX, |m| m as u64));
     push(cfg.gap_limit.map_or(u64::MAX, f64::to_bits));
     push(cfg.exact_cert as u64);
     push(inst.n_videos() as u64);

@@ -8,7 +8,9 @@
 //! solver against exact optima on small instances and (b) as the
 //! baseline of the Table III scalability comparison.
 
+use crate::block::UflScratch;
 use crate::instance::MipInstance;
+use crate::kernel::Kernel;
 use vod_lp::{Cmp, LinearProgram};
 
 /// The direct formulation plus the variable index maps needed to read
@@ -148,7 +150,7 @@ pub fn exact_block_lp(p: &crate::block::UflProblem) -> f64 {
     match vod_lp::solve_lp(&lp) {
         Ok(s) => s.objective,
         // Fall back to the always-valid combinatorial bound.
-        Err(_) => p.dual_ascent_bound(),
+        Err(_) => p.dual_ascent_bound_with_kernel(&mut UflScratch::default(), Kernel::default()),
     }
 }
 

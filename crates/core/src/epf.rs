@@ -98,18 +98,6 @@ pub struct EpfConfig {
     /// right choice above ~10⁴ blocks, where block LPs dominate wall
     /// time).
     pub exact_cert: usize,
-    /// Penalty arena layout ([`crate::penalty::PenaltyLayout`]):
-    /// `Sparse` (default) stores only the client rows active in each
-    /// window; `Dense` is the historical full `T·V²` arena. Reads are
-    /// bitwise-identical across layouts, so trajectories match — the
-    /// knob is memory/speed only, but fingerprinted like `kernel`.
-    pub layout: crate::penalty::PenaltyLayout,
-    /// Optional working-set budget in MiB. When the projected solver
-    /// working set exceeds it, the sparse arena degrades to streaming
-    /// window rebuilds (dropping its reverse index) instead of
-    /// growing; values stay bitwise-identical (the rebuild invariant),
-    /// only wall time is traded for memory. `None` = never degrade.
-    pub memory_budget_mb: Option<usize>,
 }
 
 impl Default for EpfConfig {
@@ -130,8 +118,6 @@ impl Default for EpfConfig {
             kernel: Kernel::default(),
             gap_limit: None,
             exact_cert: 0,
-            layout: crate::penalty::PenaltyLayout::default(),
-            memory_budget_mb: None,
         }
     }
 }
@@ -812,20 +798,7 @@ pub(crate) fn solve_fractional_driven(
     // the arena starts fresh and is rebuilt at the first chunk's dual
     // snapshot — bitwise-equal to the incremental updates it replaces,
     // by the arena's rebuild invariant (`tests/penalty_props.rs`).
-    // Under a memory budget, the arena gets the bytes left after the
-    // fixed working set (block data + solutions + potential rows +
-    // scratch) — exceeding it degrades the sparse arena to streaming
-    // window rebuilds instead of OOM-ing.
-    let arena_budget = cfg.memory_budget_mb.map(|mb| {
-        let fixed = approx_bytes(inst, &[], &layout, 0, threads);
-        (mb << 20).saturating_sub(fixed)
-    });
-    let arena = RwLock::new(PenaltyArena::with_layout(
-        inst,
-        &layout,
-        cfg.layout,
-        arena_budget,
-    ));
+    let arena = RwLock::new(PenaltyArena::new(inst, &layout));
     std::thread::scope(|scope| {
         let pool = WorkerPool::new(scope, threads, inst, layout, &arena, cfg.kernel);
         solve_with_pool(inst, cfg, layout, &pool, start, warm, resume, ckpt)

@@ -1,8 +1,7 @@
-//! Pluggable lane backends for the EPF inner loops — the penalty
-//! re-sum and the UFL row evaluation (ROADMAP item 2: SIMD now,
-//! GPU-shaped later).
+//! Lane backends for the EPF inner loops — the penalty re-sum and the
+//! UFL row evaluation.
 //!
-//! Three backends compute **bitwise-identical** results per element:
+//! Two backends compute **bitwise-identical** results per element:
 //!
 //! - [`Kernel::Scalar`] — the original loop shapes, kept verbatim at
 //!   the call sites as the reference implementation (and the baseline
@@ -10,8 +9,6 @@
 //! - [`Kernel::Chunked`] — `[f64; 8]` lane accumulators over
 //!   `chunks_exact`, written so stable rustc autovectorizes the lane
 //!   loops (no `unsafe`, no intrinsics).
-//! - [`Kernel::Simd`] — `std::simd::f64x8`, feature-gated behind
-//!   `--features simd` (nightly only; `portable_simd`).
 //!
 //! **Determinism contract.** Identity across backends holds because
 //! every operation here is either (a) purely elementwise (`axpy`,
@@ -28,18 +25,17 @@
 //! yield `+0.0` at zero) — so `min` is associative and commutative
 //! *bitwise*, not just numerically. Sum reductions are **never**
 //! reordered: the penalty re-sum ([`gather_sum`]) stays sequential in
-//! path order in every backend (the arena's rebuild invariant), and no
-//! backend uses `mul_add` (FMA changes rounding).
+//! path order in both backends (the arena's rebuild invariant), and
+//! neither uses `mul_add` (FMA changes rounding).
 //!
 //! The kernel proptests (`tests/kernel_props.rs`) pin all of this:
-//! scalar == chunked (== std::simd under the feature) bitwise on
-//! random nonnegative inputs, and the batched gather path of
-//! [`crate::penalty`] is history-independent.
+//! scalar == chunked bitwise on random nonnegative inputs, and the
+//! batched gather path of [`crate::penalty`] is history-independent.
 
-/// Lane width of the chunked and `std::simd` backends. Eight `f64`
-/// lanes = one AVX-512 register or two AVX2 ops — wide enough to
-/// saturate stable autovectorization, narrow enough that the remainder
-/// loop stays cheap on the solver's `V ≈ 50` rows.
+/// Lane width of the chunked backend. Eight `f64` lanes = one AVX-512
+/// register or two AVX2 ops — wide enough to saturate stable
+/// autovectorization, narrow enough that the remainder loop stays
+/// cheap on the solver's `V ≈ 50` rows.
 pub const LANES: usize = 8;
 
 /// Backend selector for the EPF inner-loop kernels. Carried in
@@ -54,9 +50,6 @@ pub enum Kernel {
     /// `[f64; 8]` lane accumulators on stable — the default.
     #[default]
     Chunked,
-    /// `std::simd::f64x8` (nightly, `--features simd`).
-    #[cfg(feature = "simd")]
-    Simd,
 }
 
 impl Kernel {
@@ -65,8 +58,6 @@ impl Kernel {
         match name {
             "scalar" => Some(Self::Scalar),
             "chunked" => Some(Self::Chunked),
-            #[cfg(feature = "simd")]
-            "simd" => Some(Self::Simd),
             _ => None,
         }
     }
@@ -76,31 +67,20 @@ impl Kernel {
         match self {
             Self::Scalar => "scalar",
             Self::Chunked => "chunked",
-            #[cfg(feature = "simd")]
-            Self::Simd => "simd",
         }
     }
 
-    /// Fingerprint tag (stable across builds and features).
+    /// Fingerprint tag (stable across builds).
     pub fn tag(self) -> u64 {
         match self {
             Self::Scalar => 0,
             Self::Chunked => 1,
-            #[cfg(feature = "simd")]
-            Self::Simd => 2,
         }
     }
 
     /// Every backend compiled into this build.
     pub fn all() -> &'static [Kernel] {
-        #[cfg(feature = "simd")]
-        {
-            &[Self::Scalar, Self::Chunked, Self::Simd]
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            &[Self::Scalar, Self::Chunked]
-        }
+        &[Self::Scalar, Self::Chunked]
     }
 }
 
@@ -132,8 +112,6 @@ pub fn axpy(kernel: Kernel, acc: &mut [f64], w: f64, src: &[f64]) {
                 *a += w * s;
             }
         }
-        #[cfg(feature = "simd")]
-        Kernel::Simd => simd::axpy(acc, w, src),
     }
 }
 
@@ -162,8 +140,6 @@ pub fn drain_budget(kernel: Kernel, budget: &mut [f64], row: &[f64], vc: f64, de
                 *b -= (s - r.max(vc)).max(0.0);
             }
         }
-        #[cfg(feature = "simd")]
-        Kernel::Simd => simd::drain_budget(budget, row, vc, delta),
     }
 }
 
@@ -195,8 +171,6 @@ pub fn accum(kernel: Kernel, acc: &mut [f64], row: &[f64]) {
                 *a += r;
             }
         }
-        #[cfg(feature = "simd")]
-        Kernel::Simd => simd::accum(acc, row),
     }
 }
 
@@ -224,8 +198,6 @@ pub fn accum_relu_sub(kernel: Kernel, acc: &mut [f64], s: f64, row: &[f64]) {
                 *a += (s - r).max(0.0);
             }
         }
-        #[cfg(feature = "simd")]
-        Kernel::Simd => simd::accum_relu_sub(acc, s, row),
     }
 }
 
@@ -256,8 +228,6 @@ pub fn row_min(kernel: Kernel, row: &[f64]) -> f64 {
             }
             m
         }
-        #[cfg(feature = "simd")]
-        Kernel::Simd => simd::row_min(row),
     }
 }
 
@@ -292,18 +262,16 @@ pub fn headroom_min(kernel: Kernel, row: &[f64], vc: f64, budget: &[f64]) -> f64
             }
             m
         }
-        #[cfg(feature = "simd")]
-        Kernel::Simd => simd::headroom_min(row, vc, budget),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Gather sum (sequential in every backend — path order is the invariant).
+// Gather sum (sequential in both backends — path order is the invariant).
 // ---------------------------------------------------------------------------
 
 /// `Σ_k w[idx[k]]` in index order. The penalty re-sum: `idx` is one
 /// pair's path (as link indices into the window's contiguous dual
-/// slice `w`). Deliberately sequential in **every** backend — the
+/// slice `w`). Deliberately sequential in **both** backends — the
 /// arena's rebuild invariant fixes the addition order to path order,
 /// and paths are short (a handful of links); the lane win for the
 /// batched update comes from gathering `w` once per window and
@@ -315,113 +283,6 @@ pub fn gather_sum(idx: &[u32], w: &[f64]) -> f64 {
         sum += w[l as usize];
     }
     sum
-}
-
-#[cfg(feature = "simd")]
-mod simd {
-    //! `std::simd` backend (nightly, `portable_simd`). Each op mirrors
-    //! the chunked backend exactly: same lane width, same sequential
-    //! lane combination (`to_array` then lane 0..8 in order), same
-    //! remainder handling — so the bitwise contract is inherited
-    //! rather than re-proven.
-    use super::LANES;
-    use std::simd::f64x8;
-    use std::simd::num::SimdFloat;
-
-    #[inline]
-    pub(super) fn axpy(acc: &mut [f64], w: f64, src: &[f64]) {
-        let ws = f64x8::splat(w);
-        let mut ac = acc.chunks_exact_mut(LANES);
-        let mut sc = src.chunks_exact(LANES);
-        for (a, s) in (&mut ac).zip(&mut sc) {
-            let v = f64x8::from_slice(a) + ws * f64x8::from_slice(s);
-            v.copy_to_slice(a);
-        }
-        for (a, &s) in ac.into_remainder().iter_mut().zip(sc.remainder()) {
-            *a += w * s;
-        }
-    }
-
-    #[inline]
-    pub(super) fn drain_budget(budget: &mut [f64], row: &[f64], vc: f64, delta: f64) {
-        let s = vc + delta;
-        let (sv, vcv, zero) = (f64x8::splat(s), f64x8::splat(vc), f64x8::splat(0.0));
-        let mut bc = budget.chunks_exact_mut(LANES);
-        let mut rc = row.chunks_exact(LANES);
-        for (b, r) in (&mut bc).zip(&mut rc) {
-            let inc = (sv - f64x8::from_slice(r).simd_max(vcv)).simd_max(zero);
-            (f64x8::from_slice(b) - inc).copy_to_slice(b);
-        }
-        for (b, &r) in bc.into_remainder().iter_mut().zip(rc.remainder()) {
-            *b -= (s - r.max(vc)).max(0.0);
-        }
-    }
-
-    #[inline]
-    pub(super) fn accum(acc: &mut [f64], row: &[f64]) {
-        let mut ac = acc.chunks_exact_mut(LANES);
-        let mut rc = row.chunks_exact(LANES);
-        for (a, r) in (&mut ac).zip(&mut rc) {
-            (f64x8::from_slice(a) + f64x8::from_slice(r)).copy_to_slice(a);
-        }
-        for (a, &r) in ac.into_remainder().iter_mut().zip(rc.remainder()) {
-            *a += r;
-        }
-    }
-
-    #[inline]
-    pub(super) fn accum_relu_sub(acc: &mut [f64], s: f64, row: &[f64]) {
-        let (sv, zero) = (f64x8::splat(s), f64x8::splat(0.0));
-        let mut ac = acc.chunks_exact_mut(LANES);
-        let mut rc = row.chunks_exact(LANES);
-        for (a, r) in (&mut ac).zip(&mut rc) {
-            let term = (sv - f64x8::from_slice(r)).simd_max(zero);
-            (f64x8::from_slice(a) + term).copy_to_slice(a);
-        }
-        for (a, &r) in ac.into_remainder().iter_mut().zip(rc.remainder()) {
-            *a += (s - r).max(0.0);
-        }
-    }
-
-    #[inline]
-    pub(super) fn row_min(row: &[f64]) -> f64 {
-        let mut lanes = f64x8::splat(f64::MAX);
-        let mut rc = row.chunks_exact(LANES);
-        for r in &mut rc {
-            lanes = lanes.simd_min(f64x8::from_slice(r));
-        }
-        let arr = lanes.to_array();
-        let mut m = f64::MAX;
-        for &lane in &arr {
-            m = m.min(lane);
-        }
-        for &r in rc.remainder() {
-            m = m.min(r);
-        }
-        m
-    }
-
-    #[inline]
-    pub(super) fn headroom_min(row: &[f64], vc: f64, budget: &[f64]) -> f64 {
-        let (vcv, zero) = (f64x8::splat(vc), f64x8::splat(0.0));
-        let mut lanes = f64x8::splat(f64::MAX);
-        let mut rc = row.chunks_exact(LANES);
-        let mut bc = budget.chunks_exact(LANES);
-        for (r, b) in (&mut rc).zip(&mut bc) {
-            let head =
-                (f64x8::from_slice(r) - vcv).simd_max(zero) + f64x8::from_slice(b).simd_max(zero);
-            lanes = lanes.simd_min(head);
-        }
-        let arr = lanes.to_array();
-        let mut m = f64::MAX;
-        for &lane in &arr {
-            m = m.min(lane);
-        }
-        for (&r, &b) in rc.remainder().iter().zip(bc.remainder()) {
-            m = m.min((r - vc).max(0.0) + b.max(0.0));
-        }
-        m
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@
 //! generic simplex baseline of `vod-lp`, standing in for CPLEX in the
 //! Table III comparison and for exact-optimum validation.
 
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 #![cfg_attr(
     test,
     allow(

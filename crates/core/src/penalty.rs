@@ -3,95 +3,32 @@
 //!
 //! Every UFL block build needs `D_t(i, j) = Σ_{l ∈ P_ij} π_{(l,t)}`:
 //! the link-dual cost of serving client `j` from server `i` during
-//! window `t`. The solver used to rebuild these matrices from scratch
-//! (O(windows·V²·path-length), one nested `Vec<Vec<f64>>` per chunk)
-//! on every dual snapshot. [`PenaltyArena`] instead keeps the stored
-//! rows in one flat `Vec<f64>` arena and updates them *incrementally*:
-//! a link → list-of-`(i,j)` reverse index over `inst.paths` (CSR,
-//! built once per solve) maps each changed dual row to exactly the
-//! entries it feeds, and only those entries are recomputed.
+//! window `t`. [`PenaltyArena`] keeps all windows in one flat
+//! `Vec<f64>` and updates it *incrementally*: a link → list-of-`(i,j)`
+//! reverse index over `inst.paths` (CSR, built once per solve) maps
+//! each changed dual row to exactly the entries it feeds, and only
+//! those entries are recomputed.
 //!
-//! **Layouts** ([`PenaltyLayout`]). The arena is addressed through a
-//! per-`(window, client)` *row slot* table:
-//!
-//! - [`PenaltyLayout::Dense`] stores every `(t, j)` row — the
-//!   historical full `T·V²` arena (slot = `t·V + j`).
-//! - [`PenaltyLayout::Sparse`] (default) stores only the rows that are
-//!   *active* — client VHO `j` has nonzero demand rate in window `t`
-//!   in at least one block. Every hot read is gated by exactly that
-//!   predicate (`rate != 0.0` in `build_ufl_into`, the greedy
-//!   correctives, and the rounding pass), so the dropped rows are
-//!   never streamed; a stray [`PenaltyArena::at`] on an inactive row
-//!   recomputes the sum on demand from the forward CSR — the same
-//!   links in the same order, hence bitwise the value the dense arena
-//!   stores. Reads are therefore **bitwise identical across layouts**
-//!   (pinned by `tests/penalty_props.rs`), making the layout a pure
-//!   memory knob that cannot move a solve trajectory.
-//!
-//! **Streaming degrade.** Under a memory budget
-//! ([`PenaltyArena::with_layout`]), the sparse arena drops its reverse
-//! index and epoch stamps entirely: an update then re-sums *every*
-//! active row of each window whose dual slice changed, instead of only
-//! the entries behind changed links. Same from-scratch sums in the
-//! same path order — values stay bitwise identical, the budget only
-//! trades update time for memory.
+//! The arena is stored **client-major** — `data[(t·V + j)·V + i]` — so
+//! one client's penalties over all servers form a contiguous slice
+//! ([`PenaltyArena::client_row`]) that `build_ufl_into` streams
+//! through the lane kernels of [`crate::kernel`]. Its size is
+//! `T·V²` floats whatever the library: the coupling rows are per VHO
+//! and per (link, window), never per video (0.2 MB at 49 VHOs, 0.96 MB
+//! at 100, two windows), so it carries no library-scale machinery.
 //!
 //! **Invariant:** a dirty entry is *re-summed from scratch in path
 //! order*, never patched with a `+=` delta — so the arena is always
 //! bitwise identical to a full rebuild under the same duals, whatever
-//! update sequence produced it, and whatever [`Kernel`] backend ran
-//! the batched re-sum (every backend sums each path sequentially; see
-//! `crate::kernel::gather_sum`). The `penalty_incremental_matches_rebuild`
-//! property test (and the determinism contract of [`crate::pool`])
-//! leans on exactly this.
+//! update sequence produced it, and whichever [`Kernel`] backend ran
+//! the batched re-sum (both sum each path sequentially; see
+//! `crate::kernel::gather_sum`). `tests/penalty_props.rs` (and the
+//! determinism contract of [`crate::pool`]) leans on exactly this.
 
 use crate::instance::MipInstance;
 use crate::kernel::{self, Kernel};
 use crate::potential::{Duals, RowLayout};
 use vod_model::LinkId;
-
-/// Row-slot sentinel: the `(t, j)` row is not stored.
-const NO_ROW: u32 = u32::MAX;
-
-/// Storage layout of the penalty arena — carried in
-/// [`crate::EpfConfig`] and fingerprinted like the kernel backend.
-/// Reads are bitwise-identical across layouts (see the module docs),
-/// so this is a memory/speed knob only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PenaltyLayout {
-    /// Every `(window, client)` row (`T·V²` floats).
-    Dense,
-    /// Only demand-active `(window, client)` rows, CSR-indexed.
-    #[default]
-    Sparse,
-}
-
-impl PenaltyLayout {
-    /// Parse a layout name (the bench's `--layout` flag).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "dense" => Some(Self::Dense),
-            "sparse" => Some(Self::Sparse),
-            _ => None,
-        }
-    }
-
-    /// Stable display / JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Dense => "dense",
-            Self::Sparse => "sparse",
-        }
-    }
-
-    /// Fingerprint tag (stable across builds).
-    pub fn tag(self) -> u64 {
-        match self {
-            Self::Dense => 0,
-            Self::Sparse => 1,
-        }
-    }
-}
 
 /// Outcome of a [`PenaltyArena::update`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,26 +50,11 @@ pub struct PenaltyArena {
     n_vhos: usize,
     n_links: usize,
     n_windows: usize,
-    mode: PenaltyLayout,
-    /// Whether the reverse index was dropped for the memory budget
-    /// (updates then stream whole windows; see the module docs).
-    streaming: bool,
-    /// `data[slot·V + i] = Σ_{l ∈ P_ij} π_{(l,t)}` where
-    /// `slot = row_slot[t·V + j]` (client-major rows; dense layout
-    /// makes `slot = t·V + j`, recovering the historical packing).
+    /// `data[(t·V + j)·V + i] = Σ_{l ∈ P_ij} π_{(l,t)}` (client-major).
     data: Vec<f64>,
-    /// Row-slot table: `row_slot[t·V + j]` is the stored slot of the
-    /// `(t, j)` client row, or [`NO_ROW`].
-    row_slot: Vec<u32>,
-    /// Slot → packed `j` (per stored row), used by streaming rebuilds
-    /// and whole-window walks.
-    slot_client: Vec<u32>,
-    /// First stored slot of each window (CSR over windows): window
-    /// `t`'s rows are slots `row_off[t]..row_off[t+1]`.
-    row_off: Vec<u32>,
     /// Reverse routing index (CSR): for link `l`, the packed `j·V + i`
     /// pairs whose path `P_ij` traverses `l` are
-    /// `rev_pairs[rev_off[l]..rev_off[l+1]]`. Empty in streaming mode.
+    /// `rev_pairs[rev_off[l]..rev_off[l+1]]`.
     rev_off: Vec<u32>,
     rev_pairs: Vec<u32>,
     /// Forward routing index (CSR): for packed pair `j·V + i`, the link
@@ -146,65 +68,57 @@ pub struct PenaltyArena {
     /// `data`.
     last: Duals,
     /// Epoch stamps (one per packed `j·V + i` pair) deduplicating dirty
-    /// pairs fed by several changed links within one window. Empty in
-    /// streaming mode.
+    /// pairs fed by several changed links within one window.
     stamp: Vec<u32>,
     epoch: u32,
     /// Reusable dirty-pair buffer for the current window (capacity V²,
     /// the live prefix length is local to each update — no push, no
-    /// steady-state allocation). Empty in streaming mode.
+    /// steady-state allocation).
     dirty: Vec<u32>,
 }
 
 impl PenaltyArena {
     /// Build the routing indexes and a zeroed arena (which is exactly
-    /// the penalty of the all-zero dual snapshot) in the default
-    /// layout, with no memory budget.
+    /// the penalty of the all-zero dual snapshot).
     pub fn new(inst: &MipInstance, layout: &RowLayout) -> Self {
-        Self::with_layout(inst, layout, PenaltyLayout::default(), None)
-    }
-
-    /// As [`PenaltyArena::new`] with an explicit layout and an optional
-    /// byte budget for the arena's own structures. A sparse arena whose
-    /// projected size exceeds the budget degrades to streaming mode
-    /// (drops the reverse index and stamps — values stay bitwise
-    /// identical, updates re-sum whole changed windows). A dense arena
-    /// ignores the budget: its size is fixed by the layout choice.
-    pub fn with_layout(
-        inst: &MipInstance,
-        layout: &RowLayout,
-        mode: PenaltyLayout,
-        budget_bytes: Option<usize>,
-    ) -> Self {
         let v = inst.n_vhos();
         assert_eq!(v, layout.n_vhos, "layout does not match instance");
         let n_links = layout.n_links;
-        let n_windows = layout.n_windows;
-
-        // Forward CSR over pairs (both layouts need it). Two-pass
-        // build: count, prefix-sum, cursor-fill — no nested Vec, no
-        // push in the pair loop.
+        // Two-pass CSR build: count, prefix-sum, cursor-fill — no
+        // nested Vec, no push in the pair loop.
+        let mut rev_off = vec![0u32; n_links + 1];
         let mut plinks_off = vec![0u32; v * v + 1];
         for i in inst.network.vho_ids() {
             for j in inst.network.vho_ids() {
                 if i != j {
-                    let pair = j.index() * v + i.index();
                     let path = inst.paths.path(i, j);
                     // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
                     let len = u32::try_from(path.len()).expect("path length exceeds u32");
-                    plinks_off[pair + 1] = len;
+                    plinks_off[j.index() * v + i.index() + 1] = len;
+                    for &l in path {
+                        rev_off[l.index() + 1] += 1;
+                    }
                 }
             }
+        }
+        for l in 0..n_links {
+            rev_off[l + 1] += rev_off[l];
         }
         for pair in 0..v * v {
             plinks_off[pair + 1] += plinks_off[pair];
         }
+        let mut rev_pairs = vec![0u32; rev_off[n_links] as usize];
         let mut plinks = vec![0u32; plinks_off[v * v] as usize];
+        let mut cursor = rev_off.clone();
         for i in inst.network.vho_ids() {
             for j in inst.network.vho_ids() {
                 if i != j {
-                    let base = plinks_off[j.index() * v + i.index()] as usize;
+                    let pair = u32::try_from(j.index() * v + i.index())
+                        .expect("VHO pair index exceeds u32"); // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
+                    let base = plinks_off[pair as usize] as usize;
                     for (k, &l) in inst.paths.path(i, j).iter().enumerate() {
+                        rev_pairs[cursor[l.index()] as usize] = pair;
+                        cursor[l.index()] += 1;
                         // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
                         let li = u32::try_from(l.index()).expect("link index exceeds u32");
                         plinks[base + k] = li;
@@ -212,124 +126,19 @@ impl PenaltyArena {
                 }
             }
         }
-
-        // Row-slot table. Dense: identity over (t, j). Sparse: rows
-        // with any nonzero demand rate — exactly the gate every hot
-        // read applies before touching the arena.
-        let mut row_slot = vec![NO_ROW; n_windows * v];
-        match mode {
-            PenaltyLayout::Dense => {
-                for (s, slot) in row_slot.iter_mut().enumerate() {
-                    // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                    *slot = u32::try_from(s).expect("dense row slot exceeds u32");
-                }
-            }
-            PenaltyLayout::Sparse => {
-                for b in inst.blocks() {
-                    for c in &b.clients {
-                        for (t, &rate) in c.rate.iter().enumerate() {
-                            if rate != 0.0 {
-                                row_slot[t * v + c.j.index()] = 0; // mark active
-                            }
-                        }
-                    }
-                }
-                let mut next = 0u32;
-                for slot in row_slot.iter_mut() {
-                    if *slot != NO_ROW {
-                        *slot = next;
-                        next += 1;
-                    }
-                }
-            }
-        }
-        let mut row_off = vec![0u32; n_windows + 1];
-        let mut slot_client = Vec::with_capacity(row_slot.len());
-        for t in 0..n_windows {
-            for j in 0..v {
-                if row_slot[t * v + j] != NO_ROW {
-                    // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                    // lint:allow(alloc-in-hot-loop): one-time CSR build per instance, capacity reserved above
-                    slot_client.push(u32::try_from(j).expect("client index exceeds u32"));
-                }
-            }
-            // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-            row_off[t + 1] = u32::try_from(slot_client.len()).expect("row count exceeds u32");
-        }
-        let n_rows_stored = slot_client.len();
-
-        // Memory projection: does the full incremental index fit the
-        // budget? (Dense mode keeps its historical structures either
-        // way — the budget is a *sparse-arena* degrade knob.)
-        let full_bytes = n_rows_stored * v * 8 // data
-            + (row_slot.len() + slot_client.len() + row_off.len()) * 4
-            + (plinks_off.len() + plinks.len()) * 4
-            + plinks.len() * 4 // rev_pairs mirrors plinks entry-for-entry
-            + (n_links + 1) * 4 // rev_off
-            + 2 * v * v * 4 // stamp + dirty
-            + layout.n_rows() * 8; // last snapshot
-        let streaming =
-            mode == PenaltyLayout::Sparse && budget_bytes.is_some_and(|budget| full_bytes > budget);
-
-        // Reverse CSR (skipped entirely in streaming mode).
-        let (mut rev_off, mut rev_pairs) = (Vec::new(), Vec::new());
-        if !streaming {
-            rev_off = vec![0u32; n_links + 1];
-            for i in inst.network.vho_ids() {
-                for j in inst.network.vho_ids() {
-                    if i != j {
-                        for &l in inst.paths.path(i, j) {
-                            rev_off[l.index() + 1] += 1;
-                        }
-                    }
-                }
-            }
-            for l in 0..n_links {
-                rev_off[l + 1] += rev_off[l];
-            }
-            rev_pairs = vec![0u32; rev_off[n_links] as usize];
-            let mut cursor = rev_off.clone();
-            for i in inst.network.vho_ids() {
-                for j in inst.network.vho_ids() {
-                    if i != j {
-                        let pair = u32::try_from(j.index() * v + i.index())
-                            .expect("VHO pair index exceeds u32"); // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                        for &l in inst.paths.path(i, j) {
-                            let slot = cursor[l.index()] as usize;
-                            rev_pairs[slot] = pair;
-                            cursor[l.index()] += 1;
-                        }
-                    }
-                }
-            }
-        }
-
         Self {
             n_vhos: v,
             n_links,
-            n_windows,
-            mode,
-            streaming,
-            data: vec![0.0; n_rows_stored * v],
-            row_slot,
-            slot_client,
-            row_off,
+            n_windows: layout.n_windows,
+            data: vec![0.0; layout.n_windows * v * v],
             rev_off,
             rev_pairs,
             plinks_off,
             plinks,
             last: Duals::new(vec![0.0; layout.n_rows()], 1.0),
-            stamp: if streaming {
-                Vec::new()
-            } else {
-                vec![0; v * v]
-            },
+            stamp: vec![0; v * v],
             epoch: 0,
-            dirty: if streaming {
-                Vec::new()
-            } else {
-                vec![0; v * v]
-            },
+            dirty: vec![0; v * v],
         }
     }
 
@@ -351,11 +160,10 @@ impl PenaltyArena {
     /// Fast paths, in order: (1) same snapshot version as the last
     /// applied update → return immediately; (2) per-(link, window)
     /// bitwise row comparison → only rows whose dual actually changed
-    /// mark entries dirty (incremental mode) or trigger their window's
-    /// streaming rebuild. Dirty entries are re-summed from scratch in
+    /// mark entries dirty. Dirty entries are re-summed from scratch in
     /// path order (see the module invariant): the scalar backend walks
     /// `inst.paths` with per-link row lookups (the reference shape),
-    /// the lane backends stream the CSR link lists against the
+    /// the lane backend streams the CSR link lists against the
     /// window's contiguous dual slice — same additions, same order,
     /// batched memory access.
     pub fn update(
@@ -373,24 +181,6 @@ impl PenaltyArena {
         let mut changed_rows = 0usize;
         let mut resummed = 0usize;
         for t in 0..self.n_windows {
-            if self.streaming {
-                // Budget-degraded path: one bitwise scan of the
-                // window's dual slice; any change re-sums every stored
-                // row of the window (same from-scratch path-order sums
-                // as the incremental path — bitwise identical values).
-                let mut any = false;
-                for l in 0..self.n_links {
-                    let row = layout.link_row(LinkId::from_index(l), t);
-                    if duals.rows[row].to_bits() != self.last.rows[row].to_bits() {
-                        changed_rows += 1;
-                        any = true;
-                    }
-                }
-                if any {
-                    resummed += self.resum_window(inst, layout, duals, kernel, t);
-                }
-                continue;
-            }
             self.epoch = self.epoch.wrapping_add(1);
             if self.epoch == 0 {
                 // u32 wrap-around: reset stamps so stale epochs cannot
@@ -407,11 +197,6 @@ impl PenaltyArena {
                 changed_rows += 1;
                 let (s, e) = (self.rev_off[l] as usize, self.rev_off[l + 1] as usize);
                 for &pair in &self.rev_pairs[s..e] {
-                    // Skip pairs whose client row is not stored (sparse
-                    // layout): nothing to maintain, reads recompute.
-                    if self.row_slot[t * v + pair as usize / v] == NO_ROW {
-                        continue;
-                    }
                     if self.stamp[pair as usize] != self.epoch {
                         self.stamp[pair as usize] = self.epoch;
                         self.dirty[dirty_len] = pair;
@@ -419,11 +204,11 @@ impl PenaltyArena {
                     }
                 }
             }
+            let base = t * v * v;
             match kernel {
                 Kernel::Scalar => {
                     for &pair in &self.dirty[..dirty_len] {
                         let (j, i) = (pair as usize / v, pair as usize % v);
-                        let slot = self.row_slot[t * v + j] as usize;
                         // lint:allow(raw-index): the packed pair index is dense
                         // over VHO indices by construction of the reverse index
                         let iv = vod_model::VhoId::from_index(i);
@@ -435,10 +220,10 @@ impl PenaltyArena {
                             .iter()
                             .map(|&l| duals.rows[layout.link_row(l, t)])
                             .sum();
-                        self.data[slot * v + i] = sum;
+                        self.data[base + pair as usize] = sum;
                     }
                 }
-                _ => {
+                Kernel::Chunked => {
                     // Gather once: the window's link-dual rows are one
                     // contiguous slice of the dual vector
                     // (`link_row(l, t) = disk_rows + t·L + l`). Stream
@@ -449,13 +234,11 @@ impl PenaltyArena {
                     let w0 = layout.link_row(LinkId::from_index(0), t);
                     let w = &duals.rows[w0..w0 + self.n_links];
                     for &pair in &self.dirty[..dirty_len] {
-                        let (j, i) = (pair as usize / v, pair as usize % v);
-                        let slot = self.row_slot[t * v + j] as usize;
                         let (s, e) = (
                             self.plinks_off[pair as usize] as usize,
                             self.plinks_off[pair as usize + 1] as usize,
                         );
-                        self.data[slot * v + i] = kernel::gather_sum(&self.plinks[s..e], w);
+                        self.data[base + pair as usize] = kernel::gather_sum(&self.plinks[s..e], w);
                     }
                 }
             }
@@ -470,122 +253,19 @@ impl PenaltyArena {
         }
     }
 
-    /// Streaming rebuild of one window: re-sum every stored row from
-    /// scratch in path order. Returns the number of entries resummed.
-    fn resum_window(
-        &mut self,
-        inst: &MipInstance,
-        layout: &RowLayout,
-        duals: &Duals,
-        kernel: Kernel,
-        t: usize,
-    ) -> usize {
-        let v = self.n_vhos;
-        let (lo, hi) = (self.row_off[t] as usize, self.row_off[t + 1] as usize);
-        match kernel {
-            Kernel::Scalar => {
-                for slot in lo..hi {
-                    let j = self.slot_client[slot] as usize;
-                    // lint:allow(raw-index): slot_client stores dense VHO indices
-                    let jv = vod_model::VhoId::from_index(j);
-                    for i in 0..v {
-                        if i == j {
-                            continue;
-                        }
-                        // lint:allow(raw-index): dense VHO decoding as above
-                        let iv = vod_model::VhoId::from_index(i);
-                        let sum: f64 = inst
-                            .paths
-                            .path(iv, jv)
-                            .iter()
-                            .map(|&l| duals.rows[layout.link_row(l, t)])
-                            .sum();
-                        self.data[slot * v + i] = sum;
-                    }
-                }
-            }
-            _ => {
-                let w0 = layout.link_row(LinkId::from_index(0), t);
-                let w = &duals.rows[w0..w0 + self.n_links];
-                for slot in lo..hi {
-                    let j = self.slot_client[slot] as usize;
-                    for i in 0..v {
-                        if i == j {
-                            continue;
-                        }
-                        let pair = j * v + i;
-                        let (s, e) = (
-                            self.plinks_off[pair] as usize,
-                            self.plinks_off[pair + 1] as usize,
-                        );
-                        self.data[slot * v + i] = kernel::gather_sum(&self.plinks[s..e], w);
-                    }
-                }
-            }
-        }
-        (hi - lo) * v
-    }
-
     /// Penalty of serving client `j` from server `i` in window `t`.
-    /// Stored rows read the arena; an inactive `(t, j)` row (sparse
-    /// layout only) recomputes the same path-order sum on demand from
-    /// the current snapshot — bitwise the value a dense arena stores.
     #[inline]
     pub fn at(&self, t: usize, i: usize, j: usize) -> f64 {
-        let v = self.n_vhos;
-        let slot = self.row_slot[t * v + j];
-        if slot == NO_ROW {
-            if i == j {
-                return 0.0;
-            }
-            let pair = j * v + i;
-            let (s, e) = (
-                self.plinks_off[pair] as usize,
-                self.plinks_off[pair + 1] as usize,
-            );
-            let w0 = v + t * self.n_links; // RowLayout::link_row(0, t)
-            let w = &self.last.rows[w0..w0 + self.n_links];
-            return kernel::gather_sum(&self.plinks[s..e], w);
-        }
-        self.data[slot as usize * v + i]
+        self.data[(t * self.n_vhos + j) * self.n_vhos + i]
     }
 
     /// Client `j`'s contiguous penalty row over all servers in window
     /// `t` — the slice `build_ufl_into` streams through the kernels.
-    /// The row must be stored: always true in the dense layout, and
-    /// true for every demand-active `(t, j)` in the sparse layout —
-    /// which is every row the hot paths read.
     #[inline]
     pub fn client_row(&self, t: usize, j: usize) -> &[f64] {
         let v = self.n_vhos;
-        let slot = self.row_slot[t * v + j];
-        debug_assert!(
-            slot != NO_ROW,
-            "client_row({t}, {j}) on a row the sparse arena does not store"
-        );
-        let base = slot as usize * v;
+        let base = (t * v + j) * v;
         &self.data[base..base + v]
-    }
-
-    /// Whether the `(t, j)` client row is stored in the arena.
-    #[inline]
-    pub fn row_stored(&self, t: usize, j: usize) -> bool {
-        self.row_slot[t * self.n_vhos + j] != NO_ROW
-    }
-
-    /// The flat `V×V` matrix of one window, **client-major**:
-    /// `window(t)[j·V + i]` is the penalty of serving `j` from `i`.
-    /// Dense layout only (sparse arenas do not store a contiguous
-    /// window) — test/validation surface, not a hot path.
-    #[inline]
-    pub fn window(&self, t: usize) -> &[f64] {
-        assert_eq!(
-            self.mode,
-            PenaltyLayout::Dense,
-            "window() requires the dense layout"
-        );
-        let v2 = self.n_vhos * self.n_vhos;
-        &self.data[t * v2..(t + 1) * v2]
     }
 
     /// The dual snapshot the arena currently reflects — the one every
@@ -605,36 +285,14 @@ impl PenaltyArena {
         self.n_vhos
     }
 
-    /// The configured layout.
-    #[inline]
-    pub fn layout_mode(&self) -> PenaltyLayout {
-        self.mode
-    }
-
-    /// Whether the memory budget degraded this arena to streaming
-    /// window rebuilds (reverse index dropped).
-    #[inline]
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// Stored rows (≤ `T·V`; equal to it in the dense layout).
-    #[inline]
-    pub fn stored_rows(&self) -> usize {
-        self.slot_client.len()
-    }
-
     /// Approximate heap bytes held by the arena (reported through
-    /// `EpfStats::approx_bytes`) — every sparse structure included.
+    /// `EpfStats::approx_bytes`).
     pub fn approx_bytes(&self) -> usize {
         self.data.capacity() * 8
             + (self.rev_off.capacity()
                 + self.rev_pairs.capacity()
                 + self.plinks_off.capacity()
-                + self.plinks.capacity()
-                + self.row_slot.capacity()
-                + self.slot_client.capacity()
-                + self.row_off.capacity())
+                + self.plinks.capacity())
                 * 4
             + self.last.rows.capacity() * 8
             + self.stamp.capacity() * 4
@@ -666,19 +324,6 @@ mod tests {
         (inst, layout, duals)
     }
 
-    fn arena_with(
-        inst: &MipInstance,
-        layout: &RowLayout,
-        duals: &Duals,
-        mode: PenaltyLayout,
-        kernel: Kernel,
-        budget: Option<usize>,
-    ) -> PenaltyArena {
-        let mut arena = PenaltyArena::with_layout(inst, layout, mode, budget);
-        arena.update(inst, layout, duals, kernel);
-        arena
-    }
-
     /// Reference implementation: the old from-scratch nested rebuild
     /// (transposed here to the arena's client-major packing).
     fn reference_matrices(inst: &MipInstance, layout: &RowLayout, duals: &Duals) -> Vec<Vec<f64>> {
@@ -707,77 +352,17 @@ mod tests {
     #[test]
     fn rebuild_matches_reference() {
         let (inst, layout, duals) = setup();
+        let v = inst.n_vhos();
+        let reference = reference_matrices(&inst, &layout, &duals);
         for &k in Kernel::all() {
-            let arena = arena_with(&inst, &layout, &duals, PenaltyLayout::Dense, k, None);
-            let reference = reference_matrices(&inst, &layout, &duals);
+            let arena = PenaltyArena::for_duals(&inst, &layout, &duals, k);
             for (t, want) in reference.iter().enumerate() {
-                assert_eq!(
-                    arena.window(t),
-                    want.as_slice(),
-                    "window {t} ({})",
-                    k.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_reads_match_dense_bitwise() {
-        let (inst, layout, duals) = setup();
-        let v = inst.n_vhos();
-        for &k in Kernel::all() {
-            let dense = arena_with(&inst, &layout, &duals, PenaltyLayout::Dense, k, None);
-            let sparse = arena_with(&inst, &layout, &duals, PenaltyLayout::Sparse, k, None);
-            assert!(sparse.stored_rows() <= dense.stored_rows());
-            for t in 0..layout.n_windows {
                 for j in 0..v {
-                    for i in 0..v {
-                        assert_eq!(
-                            dense.at(t, i, j).to_bits(),
-                            sparse.at(t, i, j).to_bits(),
-                            "at({t},{i},{j}) ({})",
-                            k.name()
-                        );
-                    }
-                    if sparse.row_stored(t, j) {
-                        assert_eq!(dense.client_row(t, j), sparse.client_row(t, j));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_degrade_matches_incremental_bitwise() {
-        let (inst, layout, duals) = setup();
-        // A 1-byte budget forces the streaming degrade.
-        let streaming = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Sparse,
-            Kernel::Chunked,
-            Some(1),
-        );
-        assert!(streaming.is_streaming());
-        let full = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Sparse,
-            Kernel::Chunked,
-            None,
-        );
-        assert!(!full.is_streaming());
-        assert!(streaming.approx_bytes() < full.approx_bytes());
-        let v = inst.n_vhos();
-        for t in 0..layout.n_windows {
-            for j in 0..v {
-                for i in 0..v {
                     assert_eq!(
-                        streaming.at(t, i, j).to_bits(),
-                        full.at(t, i, j).to_bits(),
-                        "at({t},{i},{j})"
+                        arena.client_row(t, j),
+                        &want[j * v..(j + 1) * v],
+                        "window {t} client {j} ({})",
+                        k.name()
                     );
                 }
             }
@@ -786,20 +371,16 @@ mod tests {
 
     #[test]
     fn at_and_client_row_agree() {
+        // Every (t, j), whether or not client j has demand in window t.
         let (inst, layout, duals) = setup();
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            let arena = arena_with(&inst, &layout, &duals, mode, Kernel::Chunked, None);
-            let v = inst.n_vhos();
-            for t in 0..layout.n_windows {
-                for j in 0..v {
-                    if !arena.row_stored(t, j) {
-                        continue;
-                    }
-                    let row = arena.client_row(t, j);
-                    assert_eq!(row.len(), v);
-                    for (i, &x) in row.iter().enumerate() {
-                        assert_eq!(x.to_bits(), arena.at(t, i, j).to_bits());
-                    }
+        let arena = PenaltyArena::for_duals(&inst, &layout, &duals, Kernel::Chunked);
+        let v = inst.n_vhos();
+        for t in 0..layout.n_windows {
+            for j in 0..v {
+                let row = arena.client_row(t, j);
+                assert_eq!(row.len(), v);
+                for (i, &x) in row.iter().enumerate() {
+                    assert_eq!(x.to_bits(), arena.at(t, i, j).to_bits());
                 }
             }
         }
@@ -833,55 +414,49 @@ mod tests {
     #[test]
     fn incremental_update_matches_rebuild_after_row_change() {
         let (inst, layout, duals) = setup();
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            for &k in Kernel::all() {
-                let mut arena = arena_with(&inst, &layout, &duals, mode, k, None);
-                // Perturb a couple of link rows (and one disk row, which
-                // must not affect penalties at all).
-                let mut perturbed = duals.clone();
-                perturbed.rows[0] *= 3.0; // disk row
-                let link_row0 = layout.link_row(LinkId::new(0), 0);
-                perturbed.rows[link_row0] += 0.125;
-                if layout.n_windows > 1 {
-                    let r = layout.link_row(LinkId::new(1), 1);
-                    perturbed.rows[r] *= 0.5;
+        let v = inst.n_vhos();
+        for &k in Kernel::all() {
+            let mut arena = PenaltyArena::for_duals(&inst, &layout, &duals, k);
+            // Perturb a couple of link rows (and one disk row, which
+            // must not affect penalties at all).
+            let mut perturbed = duals.clone();
+            perturbed.rows[0] *= 3.0; // disk row
+            let link_row0 = layout.link_row(LinkId::new(0), 0);
+            perturbed.rows[link_row0] += 0.125;
+            if layout.n_windows > 1 {
+                let r = layout.link_row(LinkId::new(1), 1);
+                perturbed.rows[r] *= 0.5;
+            }
+            perturbed.bump_version();
+            let upd = arena.update(&inst, &layout, &perturbed, k);
+            let fresh = PenaltyArena::for_duals(&inst, &layout, &perturbed, k);
+            for t in 0..layout.n_windows {
+                for j in 0..v {
+                    assert_eq!(
+                        arena.client_row(t, j),
+                        fresh.client_row(t, j),
+                        "window {t} client {j} ({})",
+                        k.name()
+                    );
                 }
-                perturbed.bump_version();
-                let upd = arena.update(&inst, &layout, &perturbed, k);
-                let fresh = arena_with(&inst, &layout, &perturbed, mode, k, None);
-                let v = inst.n_vhos();
-                for t in 0..layout.n_windows {
-                    for j in 0..v {
-                        if !arena.row_stored(t, j) {
-                            continue;
-                        }
-                        assert_eq!(
-                            arena.client_row(t, j),
-                            fresh.client_row(t, j),
-                            "window {t} client {j} ({}, {:?})",
-                            k.name(),
-                            mode
-                        );
-                    }
+            }
+            match upd {
+                PenaltyUpdate::Applied {
+                    changed_rows,
+                    resummed,
+                } => {
+                    // Only the touched link rows count; the resummed
+                    // pairs are exactly those routed over the changed
+                    // links.
+                    assert!((1..=2).contains(&changed_rows), "{changed_rows}");
+                    assert!(resummed > 0);
+                    let total_entries = layout.n_windows * v * v;
+                    assert!(
+                        resummed < total_entries,
+                        "incremental update resummed everything ({resummed}/{total_entries})"
+                    );
                 }
-                match upd {
-                    PenaltyUpdate::Applied {
-                        changed_rows,
-                        resummed,
-                    } => {
-                        // Only the touched link rows count; the resummed
-                        // pairs are exactly those routed over the changed
-                        // links (and stored).
-                        assert!((1..=2).contains(&changed_rows), "{changed_rows}");
-                        assert!(resummed > 0);
-                        let total_entries = layout.n_windows * inst.n_vhos() * inst.n_vhos();
-                        assert!(
-                            resummed < total_entries,
-                            "incremental update resummed everything ({resummed}/{total_entries})"
-                        );
-                    }
-                    other => panic!("expected Applied, got {other:?}"),
-                }
+                other => panic!("expected Applied, got {other:?}"),
             }
         }
     }
@@ -889,8 +464,8 @@ mod tests {
     #[test]
     fn zero_arena_reflects_zero_duals() {
         let (inst, layout, _) = setup();
-        let mut arena = PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Dense, None);
-        assert!(arena.window(0).iter().all(|&x| x == 0.0));
+        let mut arena = PenaltyArena::new(&inst, &layout);
+        assert!(arena.data.iter().all(|&x| x == 0.0));
         assert_eq!(arena.duals().obj, 1.0);
         // Updating with an explicit zero snapshot compares equal
         // everywhere and resums nothing.
@@ -907,39 +482,10 @@ mod tests {
     }
 
     #[test]
-    fn layout_names_round_trip() {
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            assert_eq!(PenaltyLayout::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(PenaltyLayout::from_name("bogus"), None);
-        assert_ne!(
-            PenaltyLayout::Dense.tag(),
-            PenaltyLayout::Sparse.tag(),
-            "fingerprint tags must differ"
-        );
-    }
-
-    #[test]
     fn approx_bytes_counts_arena() {
-        let (inst, layout, duals) = setup();
-        let arena = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Dense,
-            Kernel::Chunked,
-            None,
-        );
+        let (inst, layout, _) = setup();
+        let arena = PenaltyArena::new(&inst, &layout);
         let v = inst.n_vhos();
         assert!(arena.approx_bytes() >= layout.n_windows * v * v * 8);
-        let sparse = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Sparse,
-            Kernel::Chunked,
-            None,
-        );
-        assert!(sparse.approx_bytes() >= sparse.stored_rows() * v * 8);
     }
 }

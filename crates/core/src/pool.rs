@@ -583,12 +583,7 @@ mod tests {
         body: impl FnOnce(&WorkerPool<'_>) -> R,
     ) -> R {
         let layout = layout_of(inst);
-        let arena = RwLock::new(PenaltyArena::with_layout(
-            inst,
-            &layout,
-            Default::default(),
-            None,
-        ));
+        let arena = RwLock::new(PenaltyArena::new(inst, &layout));
         let rows = (0..layout.n_rows())
             .map(|r| 0.25 + (r % 7) as f64 * 0.5)
             .collect();

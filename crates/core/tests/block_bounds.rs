@@ -7,7 +7,8 @@
     clippy::float_cmp,
     clippy::cast_possible_truncation
 )]
-use vod_core::block::UflProblem;
+use vod_core::block::{UflProblem, UflScratch};
+use vod_core::Kernel;
 use vod_lp::{Cmp, LinearProgram};
 
 fn exact_ufl_lp(p: &UflProblem) -> f64 {
@@ -32,31 +33,37 @@ fn exact_ufl_lp(p: &UflProblem) -> f64 {
 #[test]
 fn block_bounds_sandwich_exact_lp() {
     use rand::Rng;
-    let mut rng = vod_model::rng::rng_from_seed(5);
-    let mut tot_da = 0.0;
-    let mut tot_exact = 0.0;
-    let mut tot_ls = 0.0;
-    for _ in 0..200 {
-        let n = 6;
-        let c = rng.gen_range(1..7usize);
-        let p = UflProblem::from_rows(
-            (0..n).map(|_| rng.gen_range(0.0..3.0f64)).collect(),
-            (0..c)
-                .map(|_| (0..n).map(|_| rng.gen_range(0.0..10.0f64)).collect())
-                .collect(),
+    let mut scratch = UflScratch::default();
+    for &kernel in Kernel::all() {
+        let mut tot_da = 0.0;
+        let mut tot_exact = 0.0;
+        let mut tot_ls = 0.0;
+        let mut rng = vod_model::rng::rng_from_seed(5);
+        for _ in 0..200 {
+            let n = 6;
+            let c = rng.gen_range(1..7usize);
+            let p = UflProblem::from_rows(
+                (0..n).map(|_| rng.gen_range(0.0..3.0f64)).collect(),
+                (0..c)
+                    .map(|_| (0..n).map(|_| rng.gen_range(0.0..10.0f64)).collect())
+                    .collect(),
+            );
+            let da = p.dual_ascent_bound_with_kernel(&mut scratch, kernel);
+            let ex = exact_ufl_lp(&p);
+            let ls = p.cost(&p.solve_local_search_with_kernel(&mut scratch, kernel));
+            assert!(da <= ex + 1e-6, "invalid bound {da} vs exact {ex}");
+            tot_da += da;
+            tot_exact += ex;
+            tot_ls += ls;
+        }
+        eprintln!(
+            "{}: dual ascent {tot_da:.2}  exact LP {tot_exact:.2}  local search {tot_ls:.2}",
+            kernel.name()
         );
-        let da = p.dual_ascent_bound();
-        let ex = exact_ufl_lp(&p);
-        let ls = p.cost(&p.solve_local_search());
-        assert!(da <= ex + 1e-6, "invalid bound {da} vs exact {ex}");
-        tot_da += da;
-        tot_exact += ex;
-        tot_ls += ls;
+        eprintln!(
+            "ascent slack {:.3}%  integrality {:.3}%",
+            (tot_exact - tot_da) / tot_exact * 100.0,
+            (tot_ls - tot_exact) / tot_exact * 100.0
+        );
     }
-    eprintln!("dual ascent {tot_da:.2}  exact LP {tot_exact:.2}  local search {tot_ls:.2}");
-    eprintln!(
-        "ascent slack {:.3}%  integrality {:.3}%",
-        (tot_exact - tot_da) / tot_exact * 100.0,
-        (tot_ls - tot_exact) / tot_exact * 100.0
-    );
 }

@@ -11,15 +11,12 @@
 //! 3. the batched penalty-arena gather path, whose incremental updates
 //!    must be history-independent and land bitwise on a `Scalar`
 //!    from-scratch rebuild whatever backend maintained them.
-//!
-//! With `--features simd` the nightly `std::simd` backend joins the
-//! comparison through [`Kernel::all`].
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vod_core::block::{UflProblem, UflScratch};
 use vod_core::kernel::{self, Kernel};
-use vod_core::penalty::{PenaltyArena, PenaltyLayout};
+use vod_core::penalty::PenaltyArena;
 use vod_core::potential::{Duals, RowLayout};
 use vod_core::{DiskConfig, MipInstance};
 use vod_model::Mbps;
@@ -191,12 +188,9 @@ proptest! {
         let (inst, layout) = setup();
         let n_rows = layout.n_rows();
         let target = Duals::new((0..n_rows).map(|r| scale * (r % 5) as f64).collect(), 1.0);
-        // Dense layout: window() compares whole matrices (the sparse
-        // layout's bitwise identity is pinned by penalty_props.rs).
-        let mut reference = PenaltyArena::with_layout(inst, layout, PenaltyLayout::Dense, None);
-        reference.update(inst, layout, &target, Kernel::Scalar);
+        let reference = PenaltyArena::for_duals(inst, layout, &target, Kernel::Scalar);
         for &k in Kernel::all() {
-            let mut arena = PenaltyArena::with_layout(inst, layout, PenaltyLayout::Dense, None);
+            let mut arena = PenaltyArena::new(inst, layout);
             let mut duals = Duals::new(vec![0.0; n_rows], 1.0);
             for &(raw_row, bump) in &detours {
                 duals.rows[raw_row % n_rows] += bump;
@@ -207,10 +201,12 @@ proptest! {
             duals.bump_version();
             arena.update(inst, layout, &duals, k);
             for t in 0..layout.n_windows {
-                let (a, b) = (reference.window(t), arena.window(t));
-                prop_assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "backend {}", k.name());
+                for j in 0..layout.n_vhos {
+                    let (a, b) = (reference.client_row(t, j), arena.client_row(t, j));
+                    prop_assert_eq!(a.len(), b.len());
+                    for (x, y) in a.iter().zip(b) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits(), "backend {}", k.name());
+                    }
                 }
             }
         }

@@ -1,19 +1,18 @@
 //! Property tests for the incremental penalty arena: after **any**
 //! sequence of dual perturbations, the incrementally-maintained arena
 //! must be bitwise identical to a from-scratch rebuild under the final
-//! duals — in *every* layout. This is the invariant
+//! duals, and both to the naive per-entry path-order sum written out
+//! below — on both kernel backends. This is the invariant
 //! (`crates/core/src/penalty.rs`: dirty entries are re-summed in path
 //! order, never patched with deltas) that lets the EPF hot path reuse
 //! one flat arena across tens of thousands of dual snapshots without
-//! ever drifting from the reference semantics, and it is what makes
-//! [`PenaltyLayout`] a pure memory knob: the sparse arena (and its
-//! budget-degraded streaming variant) must read bitwise-equal to the
-//! dense one at every `(window, server, client)` triple, on random
-//! topologies and random dual trajectories alike.
+//! ever drifting from the reference semantics. Every `(window, client)`
+//! row is checked, including clients with no demand in the window,
+//! which no hot path reads.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vod_core::penalty::{PenaltyArena, PenaltyLayout};
+use vod_core::penalty::PenaltyArena;
 use vod_core::potential::{Duals, RowLayout};
 use vod_core::Kernel;
 use vod_core::{DiskConfig, MipInstance};
@@ -56,44 +55,118 @@ fn setup() -> &'static (MipInstance, RowLayout) {
     SETUP.get_or_init(|| build_instance(6, 40, 33))
 }
 
-/// Every `(t, i, j)` read of `a` and `b` is bitwise identical — the
-/// cross-layout equivalence the sparse arena promises.
-fn assert_reads_bitwise_equal(layout: &RowLayout, a: &PenaltyArena, b: &PenaltyArena, what: &str) {
+/// The oracle: `D_t(i, j)` summed link by link along `P_ij`, sharing
+/// nothing with the arena but the routing table.
+fn naive_penalty(
+    inst: &MipInstance,
+    layout: &RowLayout,
+    duals: &Duals,
+    t: usize,
+    i: usize,
+    j: usize,
+) -> f64 {
+    if i == j {
+        return 0.0;
+    }
+    let (iv, jv) = (
+        vod_model::VhoId::from_index(i),
+        vod_model::VhoId::from_index(j),
+    );
+    inst.paths
+        .path(iv, jv)
+        .iter()
+        .map(|&l| duals.rows[layout.link_row(l, t)])
+        .sum()
+}
+
+/// Every `(t, i, j)` of `arena` is bitwise the naive sum under `duals`,
+/// through both read paths (`at` and `client_row`).
+fn assert_arena_is_naive(
+    inst: &MipInstance,
+    layout: &RowLayout,
+    arena: &PenaltyArena,
+    duals: &Duals,
+    what: &str,
+) {
     let v = layout.n_vhos;
     for t in 0..layout.n_windows {
         for j in 0..v {
-            for i in 0..v {
-                let (x, y) = (a.at(t, i, j), b.at(t, i, j));
+            let row = arena.client_row(t, j);
+            assert_eq!(row.len(), v, "{what}: row {t}/{j}");
+            for (i, &stored) in row.iter().enumerate() {
+                let want = naive_penalty(inst, layout, duals, t, i, j);
                 assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{what}: at({t},{i},{j}): {x} vs {y}"
+                    arena.at(t, i, j).to_bits(),
+                    want.to_bits(),
+                    "{what}: at({t},{i},{j})"
                 );
-            }
-            if a.row_stored(t, j) && b.row_stored(t, j) {
                 assert_eq!(
-                    a.client_row(t, j),
-                    b.client_row(t, j),
-                    "{what}: row {t}/{j}"
+                    stored.to_bits(),
+                    want.to_bits(),
+                    "{what}: client_row({t},{j})[{i}]"
                 );
             }
         }
     }
 }
 
+/// Incremental ≡ from-scratch ≡ naive. The rebuild deliberately runs
+/// the *other* backend than the arena under test, pinning the rebuild
+/// invariant and cross-backend bitwise identity at once.
 fn assert_arena_matches_rebuild(
     inst: &MipInstance,
     layout: &RowLayout,
     arena: &PenaltyArena,
     duals: &Duals,
+    kernel: Kernel,
 ) {
-    // The rebuild deliberately uses the Scalar reference backend on the
-    // *dense* layout while the incremental arena under test ran on
-    // Chunked/Sparse: this pins the rebuild invariant, cross-backend
-    // bitwise identity, and cross-layout bitwise identity at once.
-    let mut fresh = PenaltyArena::with_layout(inst, layout, PenaltyLayout::Dense, None);
-    fresh.update(inst, layout, duals, Kernel::Scalar);
-    assert_reads_bitwise_equal(layout, arena, &fresh, "incremental vs rebuild");
+    let other = match kernel {
+        Kernel::Scalar => Kernel::Chunked,
+        Kernel::Chunked => Kernel::Scalar,
+    };
+    let fresh = PenaltyArena::for_duals(inst, layout, duals, other);
+    assert_arena_is_naive(inst, layout, &fresh, duals, "rebuild");
+    assert_arena_is_naive(inst, layout, arena, duals, kernel.name());
+}
+
+/// `(t, j)` rows whose client has no demand in window `t` in any block
+/// — never read by the solver, still maintained by the arena.
+fn idle_rows(inst: &MipInstance, layout: &RowLayout) -> usize {
+    let v = layout.n_vhos;
+    let mut active = vec![false; layout.n_windows * v];
+    for b in inst.blocks() {
+        for c in &b.clients {
+            for (t, &rate) in c.rate.iter().enumerate() {
+                if rate != 0.0 {
+                    active[t * v + c.j.index()] = true;
+                }
+            }
+        }
+    }
+    active.iter().filter(|&&a| !a).count()
+}
+
+/// A library small enough that some clients are idle in some window:
+/// their rows follow the duals like every other row.
+#[test]
+fn idle_client_rows_are_maintained() {
+    let (inst, layout) = build_instance(12, 8, 33);
+    assert!(
+        idle_rows(&inst, &layout) > 0,
+        "fixture must leave some (window, client) row without demand"
+    );
+    let n_rows = layout.n_rows();
+    for &k in Kernel::all() {
+        let mut duals = Duals::new((0..n_rows).map(|r| 0.5 + (r % 5) as f64).collect(), 1.0);
+        let mut arena = PenaltyArena::for_duals(&inst, &layout, &duals, k);
+        assert_arena_is_naive(&inst, &layout, &arena, &duals, k.name());
+        for row in duals.rows.iter_mut().skip(layout.n_vhos).step_by(3) {
+            *row *= 1.75;
+        }
+        duals.bump_version();
+        arena.update(&inst, &layout, &duals, k);
+        assert_arena_is_naive(&inst, &layout, &arena, &duals, k.name());
+    }
 }
 
 proptest! {
@@ -101,7 +174,8 @@ proptest! {
 
     /// Apply a random sequence of row perturbations (scales, bumps and
     /// zero-outs on random rows — link and disk alike) and check the
-    /// arena against the from-scratch dense rebuild after every update.
+    /// arena against the from-scratch rebuild and the naive sum after
+    /// every update, on both backends.
     #[test]
     fn incremental_matches_rebuild_after_random_perturbations(
         init in prop::collection::vec(0.0f64..2.0, 1..2),
@@ -112,57 +186,56 @@ proptest! {
     ) {
         let (inst, layout) = setup();
         let n_rows = layout.n_rows();
-        let mut duals = Duals::new(vec![init[0]; n_rows], 1.0);
-        let mut arena = PenaltyArena::new(inst, layout); // default Sparse
-        arena.update(inst, layout, &duals, Kernel::Chunked);
-        assert_arena_matches_rebuild(inst, layout, &arena, &duals);
-        for &(raw_row, op, factor) in &steps {
-            let row = raw_row % n_rows;
-            match op {
-                0 => duals.rows[row] *= factor,
-                1 => duals.rows[row] += factor,
-                _ => duals.rows[row] = 0.0,
+        for &k in Kernel::all() {
+            let mut duals = Duals::new(vec![init[0]; n_rows], 1.0);
+            let mut arena = PenaltyArena::new(inst, layout);
+            arena.update(inst, layout, &duals, k);
+            assert_arena_matches_rebuild(inst, layout, &arena, &duals, k);
+            for &(raw_row, op, factor) in &steps {
+                let row = raw_row % n_rows;
+                match op {
+                    0 => duals.rows[row] *= factor,
+                    1 => duals.rows[row] += factor,
+                    _ => duals.rows[row] = 0.0,
+                }
+                duals.bump_version();
+                arena.update(inst, layout, &duals, k);
+                assert_arena_matches_rebuild(inst, layout, &arena, &duals, k);
             }
-            duals.bump_version();
-            arena.update(inst, layout, &duals, Kernel::Chunked);
-            assert_arena_matches_rebuild(inst, layout, &arena, &duals);
         }
     }
 
     /// Updating through intermediate snapshots and then jumping back to
     /// an earlier one (values equal, version different) still lands on
     /// the rebuild of that snapshot — path-order re-summing is
-    /// history-independent, in both layouts.
+    /// history-independent.
     #[test]
     fn arena_state_is_history_independent(scale in 0.5f64..3.0, detour in 1usize..5) {
         let (inst, layout) = setup();
         let n_rows = layout.n_rows();
         let target = Duals::new((0..n_rows).map(|r| scale * (r % 7) as f64).collect(), 1.0);
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            // Route A: straight to the target.
-            let mut direct = PenaltyArena::with_layout(inst, layout, mode, None);
-            direct.update(inst, layout, &target, Kernel::Scalar);
-            // Route B: detour through other snapshots first.
-            let mut wandering = PenaltyArena::with_layout(inst, layout, mode, None);
-            for k in 0..detour {
-                let mid = Duals::new(
-                    (0..n_rows).map(|r| (r + k) as f64 * 0.125).collect(),
-                    1.0,
-                );
-                wandering.update(inst, layout, &mid, Kernel::Chunked);
-            }
-            wandering.update(inst, layout, &target, Kernel::Chunked);
-            assert_reads_bitwise_equal(layout, &direct, &wandering, mode.name());
+        // Route A: straight to the target.
+        let direct = PenaltyArena::for_duals(inst, layout, &target, Kernel::Scalar);
+        // Route B: detour through other snapshots first.
+        let mut wandering = PenaltyArena::new(inst, layout);
+        for k in 0..detour {
+            let mid = Duals::new(
+                (0..n_rows).map(|r| (r + k) as f64 * 0.125).collect(),
+                1.0,
+            );
+            wandering.update(inst, layout, &mid, Kernel::Chunked);
         }
+        wandering.update(inst, layout, &target, Kernel::Chunked);
+        assert_arena_is_naive(inst, layout, &direct, &target, "direct");
+        assert_arena_is_naive(inst, layout, &wandering, &target, "wandering");
     }
 
-    /// The tentpole equivalence property: on *random topologies* and
-    /// random dual trajectories, the sparse arena — with and without
-    /// the streaming memory-budget degrade — reads bitwise-identical
-    /// to the dense arena at every `(t, i, j)`, on every kernel
-    /// backend.
+    /// The same identity on *random topologies* and random dual
+    /// trajectories: whatever the routing table, the incrementally
+    /// maintained arena reads the naive sum at every `(t, i, j)`, on
+    /// both backends.
     #[test]
-    fn sparse_matches_dense_on_random_topologies(
+    fn incremental_matches_naive_on_random_topologies(
         dims in (5usize..9, 20usize..40),
         seed in 0u64..500,
         steps in prop::collection::vec((0usize..1000, 0.1f64..3.0), 1..6),
@@ -171,24 +244,14 @@ proptest! {
         let (inst, layout) = build_instance(n_vhos, n_videos, seed);
         let n_rows = layout.n_rows();
         for &k in Kernel::all() {
-            let mut dense = PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Dense, None);
-            let mut sparse = PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Sparse, None);
-            // A 1-byte budget always degrades to streaming rebuilds.
-            let mut streaming =
-                PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Sparse, Some(1));
-            prop_assert!(streaming.is_streaming());
-            prop_assert!(!sparse.is_streaming());
-            prop_assert!(sparse.stored_rows() <= dense.stored_rows());
-            prop_assert!(sparse.approx_bytes() <= dense.approx_bytes());
+            let mut arena = PenaltyArena::new(&inst, &layout);
             let mut duals = Duals::new(vec![0.0; n_rows], 1.0);
+            assert_arena_is_naive(&inst, &layout, &arena, &duals, "zero duals");
             for &(raw_row, bump) in &steps {
                 duals.rows[raw_row % n_rows] += bump;
                 duals.bump_version();
-                dense.update(&inst, &layout, &duals, k);
-                sparse.update(&inst, &layout, &duals, k);
-                streaming.update(&inst, &layout, &duals, k);
-                assert_reads_bitwise_equal(&layout, &sparse, &dense, k.name());
-                assert_reads_bitwise_equal(&layout, &streaming, &dense, k.name());
+                arena.update(&inst, &layout, &duals, k);
+                assert_arena_is_naive(&inst, &layout, &arena, &duals, k.name());
             }
         }
     }

@@ -222,18 +222,21 @@ proptest! {
         fac in prop::collection::vec(0.0f64..5.0, 1..10),
         svc in prop::collection::vec(prop::collection::vec(0.0f64..10.0, 1..10), 0..8),
     ) {
-        use vodplace::core::block::UflProblem;
+        use vodplace::core::block::{UflProblem, UflScratch};
         let n = fac.len();
         let service: Vec<Vec<f64>> = svc.into_iter()
             .map(|row| (0..n).map(|i| row[i % row.len()]).collect())
             .collect();
         let p = UflProblem::from_rows(fac, service);
-        let sol = p.solve_local_search();
-        let lb = p.dual_ascent_bound();
-        prop_assert!(lb <= p.cost(&sol) + 1e-9);
-        prop_assert!(!sol.open.is_empty());
-        for &a in &sol.assign {
-            prop_assert!(sol.open.contains(&a));
+        let mut scratch = UflScratch::default();
+        for &kernel in vodplace::core::Kernel::all() {
+            let sol = p.solve_local_search_with_kernel(&mut scratch, kernel);
+            let lb = p.dual_ascent_bound_with_kernel(&mut scratch, kernel);
+            prop_assert!(lb <= p.cost(&sol) + 1e-9);
+            prop_assert!(!sol.open.is_empty());
+            for &a in &sol.assign {
+                prop_assert!(sol.open.contains(&a));
+            }
         }
     }
 
