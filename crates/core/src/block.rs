@@ -77,7 +77,9 @@ pub struct UflScratch {
     assign: Vec<usize>,
     new_assign: Vec<usize>,
     used: Vec<bool>,
-    // Dual-ascent state.
+    // Dual-ascent state. The lane local search borrows all three: `v`
+    // for the DROP reroute sums, `budget` for the SWAP deltas, `order`
+    // for the live open list (ascending).
     v: Vec<f64>,
     budget: Vec<f64>,
     order: Vec<usize>,
@@ -85,10 +87,11 @@ pub struct UflScratch {
     // (cacc) — gain screens, column sums, current-assignment costs.
     facc: Vec<f64>,
     cacc: Vec<f64>,
-    // DROP-screen state: per-client best / second-best open service
-    // (values + indices), maintained incrementally across the whole
-    // local-search call — O(C) insert per ADD, rescan-affected per
-    // DROP (`cidx`/`cb2i` say who is affected).
+    // Per-client best / second-best open service (values + indices),
+    // kept exact across the whole lane local-search call — O(C) insert
+    // per ADD, rescan-affected per DROP (`cidx`/`cb2i` say who is
+    // affected), full rescan per SWAP. The DROP and SWAP arms read
+    // their reroute targets from it.
     cidx: Vec<usize>,
     calt: Vec<f64>,
     cbest: Vec<f64>,
@@ -96,23 +99,18 @@ pub struct UflScratch {
 }
 
 impl UflScratch {
-    /// Approximate heap bytes currently held.
-    pub fn approx_bytes(&self) -> usize {
-        self.open.capacity()
-            + self.used.capacity()
-            + (self.assign.capacity()
-                + self.new_assign.capacity()
-                + self.order.capacity()
-                + self.cidx.capacity()
-                + self.cb2i.capacity())
-                * 8
-            + (self.v.capacity()
-                + self.budget.capacity()
-                + self.facc.capacity()
-                + self.cacc.capacity()
-                + self.calt.capacity()
-                + self.cbest.capacity())
-                * 8
+    /// Approximate heap bytes a scratch holds once it has run every
+    /// solver on blocks of up to `n` facilities × `clients` clients:
+    /// two flag vectors and eleven word vectors — seven client-sized,
+    /// `budget` and `facc` facility-sized, `v` and `order` sized by the
+    /// larger of the two (dual ascent indexes them by client, the
+    /// local search by facility).
+    pub fn approx_bytes(n: usize, clients: usize) -> usize {
+        let flags = 2 * n; // open, used
+        let per_client = 7 * clients; // assign, new_assign, cacc, cidx, calt, cbest, cb2i
+        let per_facility = 2 * n; // budget, facc
+        let either = 2 * n.max(clients); // v, order
+        flags + 8 * (per_client + per_facility + either)
     }
 }
 
@@ -304,6 +302,7 @@ impl UflProblem {
             new_assign,
             used,
             v,
+            budget,
             order,
             facc,
             cacc,
@@ -311,7 +310,6 @@ impl UflProblem {
             calt,
             cbest,
             cb2i,
-            ..
         } = scratch;
 
         // Start: the single facility minimizing open + total service.
@@ -362,14 +360,13 @@ impl UflProblem {
         let max_rounds = 4 * n + 16;
         let lane = !matches!(kernel, Kernel::Scalar);
         // Lane backends keep a per-client (best, second-best) view of
-        // the open set alive across the whole call: seeded from the
-        // singleton start, extended in O(C) per applied ADD, and
-        // repaired per applied DROP by rescanning only the clients
-        // whose best or second-best was the dropped facility. Index
-        // ties may resolve differently than a fresh ascending scan,
-        // but the *values* — all the DROP screen consumes — are the
-        // exact set minima either way.
-        let mut drop_cache_valid = false;
+        // the open set — the lexicographic `(value, index)` top-2, i.e.
+        // what the reference's ascending first-minimum scans would
+        // find — and the open list itself (`order`, ascending) exact
+        // across the whole call: seeded from the singleton start,
+        // extended in O(C) per applied ADD, repaired per applied DROP
+        // by rescanning only the clients whose best or second-best was
+        // the dropped facility, and rescanned per applied SWAP.
         if lane {
             cbest.clear();
             cbest.resize(n_clients, 0.0);
@@ -382,7 +379,9 @@ impl UflProblem {
             calt.resize(n_clients, f64::INFINITY);
             cb2i.clear();
             cb2i.resize(n_clients, usize::MAX);
-            drop_cache_valid = true;
+            order.clear();
+            order.reserve(n);
+            order.push(best_single);
         }
         let mut add_screen_valid = false;
         // Fresh-screen exactness: right after the streaming precompute,
@@ -459,7 +458,10 @@ impl UflProblem {
                         }
                     }
                     open[k] = true;
-                    if lane && drop_cache_valid {
+                    if lane {
+                        if let Err(pos) = order.binary_search(&k) {
+                            order.insert(pos, k);
+                        }
                         // Same reassignments as the reference loop
                         // below, fused with the O(C) top-2 insert so
                         // `row[k]` is gathered once (all-zip iteration:
@@ -603,44 +605,6 @@ impl UflProblem {
                             // Unchanged inputs since the last no-op
                             // DROP evaluation: nothing can apply.
                         } else {
-                            order.clear();
-                            // lint:allow(alloc-in-hot-loop): refills within capacity retained across calls (≤ n slots)
-                            order.extend((0..n).filter(|&i| open[i]));
-                            if !drop_cache_valid {
-                                // Full rebuild (only after a SWAP): fresh
-                                // ascending first-minimum scan per client.
-                                cbest.clear();
-                                cbest.resize(n_clients, 0.0);
-                                calt.clear();
-                                calt.resize(n_clients, 0.0);
-                                cidx.clear();
-                                cidx.resize(n_clients, usize::MAX);
-                                cb2i.clear();
-                                cb2i.resize(n_clients, usize::MAX);
-                                for (c, row) in self.service_rows().enumerate() {
-                                    let mut b1 = f64::INFINITY;
-                                    let mut b1i = usize::MAX;
-                                    let mut b2 = f64::INFINITY;
-                                    let mut b2i = usize::MAX;
-                                    for &i in order.iter() {
-                                        let s = row[i];
-                                        if s < b1 {
-                                            b2 = b1;
-                                            b2i = b1i;
-                                            b1 = s;
-                                            b1i = i;
-                                        } else if s < b2 {
-                                            b2 = s;
-                                            b2i = i;
-                                        }
-                                    }
-                                    cbest[c] = b1;
-                                    cidx[c] = b1i;
-                                    calt[c] = b2;
-                                    cb2i[c] = b2i;
-                                }
-                                drop_cache_valid = true;
-                            }
                             // `v` (dual-ascent scratch, free here) hosts the
                             // per-facility frozen reroute penalties —
                             // `facc` must survive untouched: it still holds
@@ -656,10 +620,10 @@ impl UflProblem {
                                 let alt = if ci == cur { ca } else { cb };
                                 v[cur] += alt - row[cur];
                             }
-                            // `order` now doubles as the live open list
-                            // (sorted ascending; drops remove in place), so
-                            // the survivors' alt-min scans O(|open|) instead
-                            // of O(n) and matches the reference iteration
+                            // `order` is the live open list (sorted
+                            // ascending; drops remove in place), so the
+                            // repairs' alt-min scans are O(|open|) instead
+                            // of O(n) and match the reference iteration
                             // order exactly.
                             for k in 0..n {
                                 if !open[k] {
@@ -710,31 +674,7 @@ impl UflProblem {
                                 // Repair the top-2 cache: only clients
                                 // whose best or second-best was `k`
                                 // rescan the (live) open list.
-                                for (c, row) in self.service_rows().enumerate() {
-                                    if cidx[c] != k && cb2i[c] != k {
-                                        continue;
-                                    }
-                                    let mut b1 = f64::INFINITY;
-                                    let mut b1i = usize::MAX;
-                                    let mut b2 = f64::INFINITY;
-                                    let mut b2i = usize::MAX;
-                                    for &i in order.iter() {
-                                        let s = row[i];
-                                        if s < b1 {
-                                            b2 = b1;
-                                            b2i = b1i;
-                                            b1 = s;
-                                            b1i = i;
-                                        } else if s < b2 {
-                                            b2 = s;
-                                            b2i = i;
-                                        }
-                                    }
-                                    cbest[c] = b1;
-                                    cidx[c] = b1i;
-                                    calt[c] = b2;
-                                    cb2i[c] = b2i;
-                                }
+                                self.rescan_top2(order, Some(k), cbest, cidx, calt, cb2i);
                                 // Rebuild the exact reroute sums against
                                 // the new live state so the remaining
                                 // candidates keep the direct-apply
@@ -769,31 +709,103 @@ impl UflProblem {
                 }
                 continue;
             }
-            for k in 0..n {
-                if !open[k] {
-                    continue;
+            match kernel {
+                Kernel::Scalar => {
+                    for k in 0..n {
+                        if !open[k] {
+                            continue;
+                        }
+                        for k2 in 0..n {
+                            if open[k2] {
+                                continue;
+                            }
+                            // Cost after the swap: every client picks its
+                            // best among (open \ {k}) ∪ {k2}.
+                            let mut delta = self.facility_cost[k2] - self.facility_cost[k];
+                            new_assign.clear();
+                            new_assign.extend_from_slice(assign);
+                            for (c, (row, &cur)) in
+                                self.service_rows().zip(assign.iter()).enumerate()
+                            {
+                                let best = (0..n)
+                                    .filter(|&i| (open[i] && i != k) || i == k2)
+                                    .min_by(|&a, &b| row[a].total_cmp(&row[b]))
+                                    .expect("k2 is always available"); // lint:allow(no-panic-hot-path): filter admits i == k2, set never empty
+                                delta += row[best] - row[cur];
+                                new_assign[c] = best;
+                            }
+                            if delta < -TOL {
+                                open[k] = false;
+                                open[k2] = true;
+                                std::mem::swap(assign, new_assign);
+                                improved = true;
+                                break;
+                            }
+                        }
+                    }
                 }
-                for k2 in 0..n {
-                    if open[k2] {
-                        continue;
-                    }
-                    // Cost after the swap: every client picks its best
-                    // among (open \ {k}) ∪ {k2}.
-                    let mut delta = self.facility_cost[k2] - self.facility_cost[k];
-                    new_assign.clear();
-                    new_assign.extend_from_slice(assign);
-                    for (c, (row, &cur)) in self.service_rows().zip(assign.iter()).enumerate() {
-                        let best = (0..n)
-                            .filter(|&i| (open[i] && i != k) || i == k2)
-                            .min_by(|&a, &b| row[a].total_cmp(&row[b]))
-                            .expect("k2 is always available"); // lint:allow(no-panic-hot-path): filter admits i == k2, set never empty
-                        delta += row[best] - row[cur];
-                        new_assign[c] = best;
-                    }
-                    if delta < -TOL {
+                _ => {
+                    // Lane backends evaluate every incoming k2 of a fixed
+                    // outgoing k in one streaming pass. Client c's best
+                    // over open ∖ {k} is already in the top-2 cache
+                    // (second-best when k holds its minimum, best
+                    // otherwise; +∞ when k is the only open facility),
+                    // and the reference's `row[best]` over
+                    // (open ∖ {k}) ∪ {k2} has the bits of
+                    // `min(row[k2], alt)` — tied doubles are equal bits,
+                    // and there is no NaN and no -0.0. Seeding
+                    // `budget[k2]` with `f_k2 − f_k` and streaming the
+                    // clients in ascending order therefore gives every
+                    // k2 the reference's `delta`: the same addends in
+                    // the same order. (`facc` and `v` are taken: the
+                    // live ADD screen and the DROP sums.)
+                    budget.clear();
+                    budget.resize(n, 0.0);
+                    for k in 0..n {
+                        if !open[k] {
+                            continue;
+                        }
+                        let fk = self.facility_cost[k];
+                        for (slot, &f) in budget.iter_mut().zip(&self.facility_cost) {
+                            *slot = f - fk;
+                        }
+                        for (((row, &cur), (&ci, &ca)), &cb) in self
+                            .service_rows()
+                            .zip(assign.iter())
+                            .zip(cidx.iter().zip(calt.iter()))
+                            .zip(cbest.iter())
+                        {
+                            let alt = if ci == k { ca } else { cb };
+                            kernel::accum_min_sub(kernel, budget, row, alt, row[cur]);
+                        }
+                        // The reference takes the first improving k2 in
+                        // ascending order and leaves only the k2 loop.
+                        let Some(k2) = (0..n).find(|&k2| !open[k2] && budget[k2] < -TOL) else {
+                            continue;
+                        };
                         open[k] = false;
                         open[k2] = true;
-                        std::mem::swap(assign, new_assign);
+                        // Every client moves to the reference's
+                        // first-minimum over the new open set: the
+                        // lexicographic smaller of (row[k2], k2) and its
+                        // cached alternative.
+                        let cache = cbest
+                            .iter()
+                            .zip(calt.iter())
+                            .zip(cidx.iter().zip(cb2i.iter()));
+                        for ((row, a), ((&cb, &ca), (&ci, &c2))) in
+                            self.service_rows().zip(assign.iter_mut()).zip(cache)
+                        {
+                            let alt = if ci == k { (ca, c2) } else { (cb, ci) };
+                            *a = if (row[k2], k2) < alt { k2 } else { alt.1 };
+                        }
+                        if let Ok(pos) = order.binary_search(&k) {
+                            order.remove(pos);
+                        }
+                        if let Err(pos) = order.binary_search(&k2) {
+                            order.insert(pos, k2);
+                        }
+                        self.rescan_top2(order, None, cbest, cidx, calt, cb2i);
                         improved = true;
                         // A swap may move clients to costlier rows and
                         // replaces an open facility wholesale.
@@ -801,8 +813,6 @@ impl UflProblem {
                         add_screen_exact = false;
                         add_clean = false;
                         drop_clean = false;
-                        drop_cache_valid = false;
-                        break;
                     }
                 }
             }
@@ -830,6 +840,48 @@ impl UflProblem {
         UflSolution {
             open: open_list,
             assign: assign.clone(),
+        }
+    }
+
+    /// Rescan the open list `order` (ascending) for the lexicographic
+    /// `(value, index)` top-2 of each client — of every client, or with
+    /// `touching = Some(k)` only of those whose cached best or
+    /// second-best is `k`. The ascending strict-`<` scan keeps the
+    /// earliest index on value ties, as the reference's first-minimum
+    /// scans do; fewer than two open facilities leave `(+∞, MAX)`.
+    fn rescan_top2(
+        &self,
+        order: &[usize],
+        touching: Option<usize>,
+        cbest: &mut [f64],
+        cidx: &mut [usize],
+        calt: &mut [f64],
+        cb2i: &mut [usize],
+    ) {
+        for (c, row) in self.service_rows().enumerate() {
+            if touching.is_some_and(|k| cidx[c] != k && cb2i[c] != k) {
+                continue;
+            }
+            let mut b1 = f64::INFINITY;
+            let mut b1i = usize::MAX;
+            let mut b2 = f64::INFINITY;
+            let mut b2i = usize::MAX;
+            for &i in order {
+                let s = row[i];
+                if s < b1 {
+                    b2 = b1;
+                    b2i = b1i;
+                    b1 = s;
+                    b1i = i;
+                } else if s < b2 {
+                    b2 = s;
+                    b2i = i;
+                }
+            }
+            cbest[c] = b1;
+            cidx[c] = b1i;
+            calt[c] = b2;
+            cb2i[c] = b2i;
         }
     }
 
@@ -1075,6 +1127,66 @@ mod tests {
         }
     }
 
+    /// The full search gives `open` / `assign` on every backend.
+    fn assert_full_search(p: &UflProblem, open: &[usize], assign: &[usize]) {
+        for (k, sol, _) in solve_on_all(p) {
+            assert_eq!(sol.open, open, "{}", k.name());
+            assert_eq!(sol.assign, assign, "{}", k.name());
+        }
+    }
+
+    #[test]
+    fn swap_out_of_the_only_open_facility() {
+        // The two column totals round to the same double (ulp 2 at
+        // 1e16), so the strict-< start keeps facility 0; ADD and DROP
+        // cannot move, and the SWAP delta — summed client by client —
+        // sees the 0.75 the totals lost. Every client's alternative
+        // among the facilities staying open is +∞ here.
+        let p = UflProblem::from_rows(vec![10.0, 9.5], vec![vec![1e16, 1e16], vec![1.0, 0.75]]);
+        assert_full_search(&p, &[1], &[1, 1]);
+    }
+
+    #[test]
+    fn swap_phase_carries_on_after_an_applied_swap() {
+        // Start {1}, ADD 0, then three swaps in one SWAP phase: 0 → 4,
+        // 1 → 0 (reopening what the first closed) and 4 → 2, each on
+        // the state the previous one left. Leaving the phase after the
+        // first swap instead ends on {2, 4}.
+        let p = UflProblem::from_rows(
+            vec![3.0, 4.0, 0.5, 3.0, 1.5],
+            vec![
+                vec![1.0, 1.0, 2.0, 8.0, 8.0],
+                vec![0.5, 4.0, 8.0, 0.5, 1.0],
+                vec![8.0, 0.5, 0.0, 8.0, 0.5],
+            ],
+        );
+        assert_full_search(&p, &[0, 2], &[0, 0, 2]);
+    }
+
+    #[test]
+    fn swap_ties_go_to_the_earliest_facility() {
+        // Start {2}, ADD 0, then swaps 0 → 1 and 2 → 3 in one round
+        // (neither 1 nor 3 pays as an ADD). Two clients' incoming
+        // facility ties their incumbent on value: client 5 ties
+        // incoming 1 with incumbent 2 and moves (lower index), client 6
+        // ties incoming 3 with incumbent 1 and stays (higher index) —
+        // the reference's first minimum. Client 4 ties 0 and 2 and is
+        // rerouted by the first swap.
+        let p = UflProblem::from_rows(
+            vec![3.0, 4.0, 3.5, 5.25],
+            vec![
+                vec![1.0, 0.0, 10.0, 10.0],
+                vec![1.0, 0.0, 10.0, 10.0],
+                vec![10.0, 10.0, 1.0, 0.0],
+                vec![10.0, 10.0, 1.0, 0.0],
+                vec![0.0, 5.0, 0.0, 0.0],
+                vec![0.5, 0.25, 0.25, 1.0],
+                vec![1.0, 0.25, 0.5, 0.25],
+            ],
+        );
+        assert_full_search(&p, &[1, 3], &[1, 1, 3, 3, 3, 1, 1]);
+    }
+
     #[test]
     fn zero_clients_opens_cheapest() {
         let p = UflProblem::from_rows(vec![5.0, 2.0, 7.0], vec![]);
@@ -1182,6 +1294,48 @@ mod tests {
                         .to_bits()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn approx_bytes_tracks_the_real_field_list() {
+        // What a scratch really holds after every solver ran on both
+        // backends, against the shape-only estimate `EpfStats` reports.
+        use rand::Rng;
+        let mut rng = vod_model::rng::rng_from_seed(5);
+        for (n, c) in [(12usize, 30usize), (40, 9)] {
+            let p = UflProblem::from_rows(
+                (0..n).map(|_| rng.gen_range(1.0..3.0)).collect(),
+                (0..c)
+                    .map(|_| (0..n).map(|_| rng.gen_range(0.0..10.0)).collect())
+                    .collect(),
+            );
+            let mut s = UflScratch::default();
+            for &k in Kernel::all() {
+                p.solve_local_search_with_kernel(&mut s, k);
+                p.dual_ascent_bound_with_kernel(&mut s, k);
+            }
+            let words: usize = [
+                s.assign.capacity(),
+                s.new_assign.capacity(),
+                s.order.capacity(),
+                s.cidx.capacity(),
+                s.cb2i.capacity(),
+                s.v.capacity(),
+                s.budget.capacity(),
+                s.facc.capacity(),
+                s.cacc.capacity(),
+                s.calt.capacity(),
+                s.cbest.capacity(),
+            ]
+            .iter()
+            .sum();
+            let held = s.open.capacity() + s.used.capacity() + 8 * words;
+            let estimate = UflScratch::approx_bytes(n, c);
+            assert!(
+                held * 4 >= estimate * 3 && held * 3 <= estimate * 4,
+                "{n}x{c}: holds {held} B, estimate {estimate} B"
+            );
         }
     }
 

@@ -22,7 +22,7 @@ use crate::kernel::{self, Kernel};
 use crate::penalty::PenaltyArena;
 use crate::pool::WorkerPool;
 use crate::potential::{Coupling, Duals, RowLayout};
-use crate::solution::{initial_block, BlockSolution, FractionalSolution, Placement};
+use crate::solution::{initial_block, BlockBuf, BlockSolution, FractionalSolution, Placement};
 use rand::seq::SliceRandom;
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
@@ -250,63 +250,58 @@ fn merge_sparse<'a>(
 }
 
 /// Full-step resource/objective delta of replacing `cur` by `hat` in
-/// block `data` (scaled by τ at application time).
+/// block `data` (scaled by τ at application time): fills `acc` with the
+/// touched coupling rows, ascending, and returns the objective delta.
 pub(crate) fn block_delta(
     inst: &MipInstance,
     layout: &RowLayout,
     data: &VideoBlock,
     cur: &BlockSolution,
     hat: &BlockSolution,
-) -> (Vec<(usize, f64)>, f64) {
-    // Row-sorted sparse accumulator, kept as reusable scratch: a block
+    acc: &mut Vec<(usize, f64)>,
+) -> f64 {
+    // Row-sorted sparse accumulator in caller-owned scratch: a block
     // delta touches a handful of rows, so binary-search insertion into
     // a flat vec beats a fresh BTreeMap (node allocation per row) while
     // keeping the exact same per-row accumulation order (scan order)
     // and the exact same row-ascending output order.
-    thread_local! {
-        static ACC: std::cell::RefCell<Vec<(usize, f64)>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    ACC.with(|cell| {
-        let acc = &mut *cell.borrow_mut();
-        acc.clear();
-        let bump = |acc: &mut Vec<(usize, f64)>, row: usize, val: f64| {
-            match acc.binary_search_by_key(&row, |e| e.0) {
-                Ok(pos) => acc[pos].1 += val,
-                // `0.0 + val`, not `val`: the BTreeMap this replaces
-                // seeded entries with `or_insert(0.0) += val`, and the
-                // two differ bitwise at `val == -0.0`.
-                Err(pos) => acc.insert(pos, (row, 0.0 + val)),
-            }
-        };
-        let mut dobj = 0.0;
-        for (i, old, new) in merge_sparse(&cur.y, &hat.y) {
-            let d = new - old;
-            if d != 0.0 {
-                bump(acc, layout.disk_row(i), data.size_gb * d);
-                if let Some(&fo) = data.facility_obj_cost.get(i.index()) {
-                    dobj += fo * d;
-                }
+    acc.clear();
+    let bump = |acc: &mut Vec<(usize, f64)>, row: usize, val: f64| {
+        match acc.binary_search_by_key(&row, |e| e.0) {
+            Ok(pos) => acc[pos].1 += val,
+            // `0.0 + val`, not `val`: the BTreeMap this replaces
+            // seeded entries with `or_insert(0.0) += val`, and the
+            // two differ bitwise at `val == -0.0`.
+            Err(pos) => acc.insert(pos, (row, 0.0 + val)),
+        }
+    };
+    let mut dobj = 0.0;
+    for (i, old, new) in merge_sparse(&cur.y, &hat.y) {
+        let d = new - old;
+        if d != 0.0 {
+            bump(acc, layout.disk_row(i), data.size_gb * d);
+            if let Some(&fo) = data.facility_obj_cost.get(i.index()) {
+                dobj += fo * d;
             }
         }
-        for (c_idx, client) in data.clients.iter().enumerate() {
-            for (i, old, new) in merge_sparse(&cur.x[c_idx], &hat.x[c_idx]) {
-                let d = new - old;
-                if d == 0.0 {
-                    continue;
-                }
-                dobj += client.demand_gb * inst.cost(i, client.j) * d;
-                for (t, &rate) in client.rate.iter().enumerate() {
-                    if rate != 0.0 {
-                        for &l in inst.paths.path(i, client.j) {
-                            bump(acc, layout.link_row(l, t), rate * d);
-                        }
+    }
+    for (c_idx, client) in data.clients.iter().enumerate() {
+        for (i, old, new) in merge_sparse(&cur.x[c_idx], &hat.x[c_idx]) {
+            let d = new - old;
+            if d == 0.0 {
+                continue;
+            }
+            dobj += client.demand_gb * inst.cost(i, client.j) * d;
+            for (t, &rate) in client.rate.iter().enumerate() {
+                if rate != 0.0 {
+                    for &l in inst.paths.path(i, client.j) {
+                        bump(acc, layout.link_row(l, t), rate * d);
                     }
                 }
             }
         }
-        (acc.clone(), dobj)
-    })
+    }
+    dobj
 }
 
 /// Build the Lagrangized UFL for one block, in the *scaled* form
@@ -375,19 +370,23 @@ pub(crate) fn build_ufl_into(
 /// turns the slow vertex-only Frank-Wolfe into a (partially)
 /// corrective variant and speeds up objective convergence markedly.
 /// Prices come from the arena's own dual snapshot (`arena.duals()`);
-/// `costs` is caller-owned scratch reused across blocks.
-pub(crate) fn greedy_x_given_y(
+/// `costs` and `out` are caller-owned scratch reused across blocks.
+pub(crate) fn greedy_x_given_y<'a>(
     inst: &MipInstance,
     data: &VideoBlock,
     y: &[(vod_model::VhoId, f64)],
     arena: &PenaltyArena,
     costs: &mut Vec<(f64, vod_model::VhoId, f64)>,
-) -> BlockSolution {
+    out: &'a mut BlockBuf,
+) -> &'a BlockSolution {
     let duals = arena.duals();
-    let x = data
-        .clients
+    let block = out.with_clients(data.clients.len());
+    block.y.clear();
+    block.y.extend_from_slice(y);
+    data.clients
         .iter()
-        .map(|client| {
+        .zip(&mut block.x)
+        .for_each(|(client, dist)| {
             let j = client.j.index();
             costs.clear();
             costs.extend(y.iter().filter(|&&(_, yv)| yv > 0.0).map(|&(i, yv)| {
@@ -399,10 +398,11 @@ pub(crate) fn greedy_x_given_y(
                 }
                 (cost, i, yv)
             }));
-            costs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // `(cost, id)` is a total order over unique ids: the
+            // unstable sort returns the stable sort's order.
+            costs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let mut remaining = 1.0f64;
-            // +1: the residue-dump below may add one extra entry.
-            let mut dist: Vec<(vod_model::VhoId, f64)> = Vec::with_capacity(costs.len() + 1);
+            dist.clear();
             for &(_, i, yv) in costs.iter() {
                 if remaining <= 0.0 {
                     break;
@@ -425,10 +425,8 @@ pub(crate) fn greedy_x_given_y(
                 }
             }
             dist.sort_by_key(|&(i, _)| i);
-            dist
-        })
-        .collect();
-    BlockSolution { y: y.to_vec(), x }
+        });
+    block
 }
 
 /// Lagrangian lower bound `LR(λ̄)` with the smoothed duals (Appendix,
@@ -705,9 +703,12 @@ fn approx_bytes(
         .map(|d| d.clients.len())
         .max()
         .unwrap_or(0);
-    // One reusable flat UFL (facility row + service matrix) and solver
-    // scratch per compute thread (the caller's included in `threads`).
-    let per_scratch = (max_clients * v + v) * 8 + (2 * v + 3 * max_clients) * 8 + 2 * v;
+    // One reusable flat UFL (facility row + service matrix, column
+    // sums + row minima) and solver scratch per compute thread (the
+    // caller's included in `threads`).
+    let per_scratch = (max_clients * v + v) * 8
+        + (v + max_clients) * 8
+        + crate::block::UflScratch::approx_bytes(v, max_clients);
     sol + data + layout.n_rows() * 16 + arena_bytes + threads * per_scratch
 }
 
@@ -1026,7 +1027,13 @@ fn solve_with_pool(
     // budget is the checkpointed pass counter (deterministic).
     let over_wall = || cfg.wall_limit.is_some_and(|w| start.elapsed() >= w);
     let over_steps = |gp: u64| cfg.step_limit.is_some_and(|s| gp >= s);
-    // Greedy-rerouting cost scratch, reused across all chunks.
+    // Step-apply scratch, reused across all chunks: the two candidate
+    // directions of a block, its coupling-row delta, the line search's
+    // terms and the greedy re-routing's cost list.
+    let mut hat_buf = BlockBuf::default();
+    let mut corrective_buf = BlockBuf::default();
+    let mut deltas: Vec<(usize, f64)> = Vec::new();
+    let mut terms: Vec<(f64, f64)> = Vec::new();
     let mut greedy_costs: Vec<(f64, vod_model::VhoId, f64)> = Vec::new();
 
     let finish = |blocks: Vec<BlockSolution>,
@@ -1096,10 +1103,12 @@ fn solve_with_pool(
                         pool.update_penalty(&coupling.duals());
                         let candidates = pool.solve(chunk);
                         let arena = pool.penalty();
-                        for (&m, hat) in chunk.iter().zip(&candidates) {
-                            let (deltas, dobj) =
-                                block_delta(inst, &layout, &inst.blocks()[m], &blocks[m], hat);
-                            let tau = coupling.line_search(&deltas, dobj);
+                        for (&m, sol) in chunk.iter().zip(&candidates) {
+                            let data = &inst.blocks()[m];
+                            let hat = hat_buf.set_from_ufl(sol);
+                            let dobj =
+                                block_delta(inst, &layout, data, &blocks[m], hat, &mut deltas);
+                            let tau = coupling.line_search(&deltas, dobj, &mut terms);
                             if tau > 0.0 {
                                 coupling.apply(&deltas, dobj, tau);
                                 blocks[m].step_toward(hat, tau);
@@ -1109,22 +1118,24 @@ fn solve_with_pool(
                             // current y.
                             let corrective = greedy_x_given_y(
                                 inst,
-                                &inst.blocks()[m],
+                                data,
                                 &blocks[m].y,
                                 &arena,
                                 &mut greedy_costs,
+                                &mut corrective_buf,
                             );
-                            let (deltas, dobj) = block_delta(
+                            let dobj = block_delta(
                                 inst,
                                 &layout,
-                                &inst.blocks()[m],
+                                data,
                                 &blocks[m],
-                                &corrective,
+                                corrective,
+                                &mut deltas,
                             );
-                            let tau = coupling.line_search(&deltas, dobj);
+                            let tau = coupling.line_search(&deltas, dobj, &mut terms);
                             if tau > 0.0 {
                                 coupling.apply(&deltas, dobj, tau);
-                                blocks[m].step_toward(&corrective, tau);
+                                blocks[m].step_toward(corrective, tau);
                                 block_steps += 1;
                             }
                         }

@@ -1,5 +1,5 @@
-//! Lane backends for the EPF inner loops — the penalty re-sum and the
-//! UFL row evaluation.
+//! Lane backends for the EPF inner loops — the UFL row build and
+//! evaluation.
 //!
 //! Two backends compute **bitwise-identical** results per element:
 //!
@@ -14,7 +14,8 @@
 //! every operation here is either (a) purely elementwise (`axpy`,
 //! `drain_budget`) — the lanes never interact, so lane width is
 //! invisible; (b) a *striped accumulation* (`accum`,
-//! `accum_relu_sub`) where element `i` of the accumulator receives its
+//! `accum_relu_sub`, `accum_min_sub`) where element `i` of the
+//! accumulator receives its
 //! addends in exactly the source order — per-element addition order is
 //! the scalar order, only the interleaving across independent elements
 //! changes; or (c) a `min` reduction (`row_min`, `headroom_min`),
@@ -24,13 +25,13 @@
 //! or an `x - y` with `x >= y` under round-to-nearest, both of which
 //! yield `+0.0` at zero) — so `min` is associative and commutative
 //! *bitwise*, not just numerically. Sum reductions are **never**
-//! reordered: the penalty re-sum ([`gather_sum`]) stays sequential in
-//! path order in both backends (the arena's rebuild invariant), and
-//! neither uses `mul_add` (FMA changes rounding).
+//! reordered (the penalty arena of [`crate::penalty`] sums every path
+//! in path order on both backends), and neither backend uses `mul_add`
+//! (FMA changes rounding).
 //!
 //! The kernel proptests (`tests/kernel_props.rs`) pin all of this:
 //! scalar == chunked bitwise on random nonnegative inputs, and the
-//! batched gather path of [`crate::penalty`] is history-independent.
+//! penalty arena is history- and backend-independent.
 
 /// Lane width of the chunked backend. Eight `f64` lanes = one AVX-512
 /// register or two AVX2 ops — wide enough to saturate stable
@@ -201,6 +202,34 @@ pub fn accum_relu_sub(kernel: Kernel, acc: &mut [f64], s: f64, row: &[f64]) {
     }
 }
 
+/// `acc[i] += min(row[i], alt) − cur` — the SWAP-move evaluation:
+/// one client's cost change for every incoming facility `i` at once,
+/// where `alt` is the client's best service among the facilities that
+/// stay open (`+∞` when none does) and `cur` its current cost.
+#[inline]
+pub fn accum_min_sub(kernel: Kernel, acc: &mut [f64], row: &[f64], alt: f64, cur: f64) {
+    debug_assert_eq!(acc.len(), row.len());
+    match kernel {
+        Kernel::Scalar => {
+            for (a, &r) in acc.iter_mut().zip(row) {
+                *a += r.min(alt) - cur;
+            }
+        }
+        Kernel::Chunked => {
+            let mut ac = acc.chunks_exact_mut(LANES);
+            let mut rc = row.chunks_exact(LANES);
+            for (a, r) in (&mut ac).zip(&mut rc) {
+                for l in 0..LANES {
+                    a[l] += r[l].min(alt) - cur;
+                }
+            }
+            for (a, &r) in ac.into_remainder().iter_mut().zip(rc.remainder()) {
+                *a += r.min(alt) - cur;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Min reductions (exactly reorderable: no NaN, no -0.0 — see module doc).
 // ---------------------------------------------------------------------------
@@ -265,26 +294,6 @@ pub fn headroom_min(kernel: Kernel, row: &[f64], vc: f64, budget: &[f64]) -> f64
     }
 }
 
-// ---------------------------------------------------------------------------
-// Gather sum (sequential in both backends — path order is the invariant).
-// ---------------------------------------------------------------------------
-
-/// `Σ_k w[idx[k]]` in index order. The penalty re-sum: `idx` is one
-/// pair's path (as link indices into the window's contiguous dual
-/// slice `w`). Deliberately sequential in **both** backends — the
-/// arena's rebuild invariant fixes the addition order to path order,
-/// and paths are short (a handful of links); the lane win for the
-/// batched update comes from gathering `w` once per window and
-/// streaming dirty pairs through this, not from reordering the sum.
-#[inline]
-pub fn gather_sum(idx: &[u32], w: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for &l in idx {
-        sum += w[l as usize];
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,6 +352,12 @@ mod tests {
                 accum_relu_sub(*k, &mut a, 4.5, &row);
                 accum_relu_sub(Kernel::Scalar, &mut b, 4.5, &row);
                 assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+                for alt in [2.75, f64::INFINITY] {
+                    let (mut a, mut b) = (vals(n, 56), vals(n, 56));
+                    accum_min_sub(*k, &mut a, &row, alt, 1.5);
+                    accum_min_sub(Kernel::Scalar, &mut b, &row, alt, 1.5);
+                    assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+                }
             }
         });
     }
@@ -380,15 +395,6 @@ mod tests {
                 assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
             }
         });
-    }
-
-    #[test]
-    fn gather_sum_matches_path_order_fold() {
-        let w = vals(20, 7);
-        let idx = [3u32, 0, 19, 7, 3];
-        let want: f64 = idx.iter().map(|&l| w[l as usize]).sum();
-        assert_eq!(gather_sum(&idx, &w).to_bits(), want.to_bits());
-        assert_eq!(gather_sum(&[], &w).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -1,32 +1,43 @@
-//! Flat, incrementally-maintained link-dual penalty matrices — the
-//! innermost data structure of the EPF hot path.
+//! Flat link-dual penalty matrices — the innermost data structure of
+//! the EPF hot path.
 //!
 //! Every UFL block build needs `D_t(i, j) = Σ_{l ∈ P_ij} π_{(l,t)}`:
 //! the link-dual cost of serving client `j` from server `i` during
 //! window `t`. [`PenaltyArena`] keeps all windows in one flat
-//! `Vec<f64>` and updates it *incrementally*: a link → list-of-`(i,j)`
-//! reverse index over `inst.paths` (CSR, built once per solve) maps
-//! each changed dual row to exactly the entries it feeds, and only
-//! those entries are recomputed.
+//! `Vec<f64>` and brings a window up to date with one pass over a
+//! table of `(dst, src, link)` triples, skipping every window none of
+//! whose link duals changed.
 //!
 //! The arena is stored **client-major** — `data[(t·V + j)·V + i]` — so
 //! one client's penalties over all servers form a contiguous slice
 //! ([`PenaltyArena::client_row`]) that `build_ufl_into` streams
 //! through the lane kernels of [`crate::kernel`]. Its size is
-//! `T·V²` floats whatever the library: the coupling rows are per VHO
-//! and per (link, window), never per video (0.2 MB at 49 VHOs, 0.96 MB
-//! at 100, two windows), so it carries no library-scale machinery.
+//! `T·V²` floats and one 12-byte table entry per ordered pair whatever
+//! the library: the coupling rows are per VHO and per (link, window),
+//! never per video (0.07 MB at 49 VHOs, 0.29 MB at 100, two windows),
+//! so it carries no library-scale machinery.
 //!
-//! **Invariant:** a dirty entry is *re-summed from scratch in path
-//! order*, never patched with a `+=` delta — so the arena is always
-//! bitwise identical to a full rebuild under the same duals, whatever
-//! update sequence produced it, and whichever [`Kernel`] backend ran
-//! the batched re-sum (both sum each path sequentially; see
-//! `crate::kernel::gather_sum`). `tests/penalty_props.rs` (and the
-//! determinism contract of [`crate::pool`]) leans on exactly this.
+//! **The prefix recurrence.** `PathSet::shortest_paths` routes along
+//! one BFS tree per server, so paths are prefix-closed: with `l` the
+//! last link of `P_ij` and `p` its tail node, `P_ij = P_ip ++ [l]`, and
+//! `D_t(i, j) = D_t(i, p) + π_{(l,t)}` is *bitwise* the left-to-right
+//! path-order sum — the same additions in the same order
+//! (`D_t(i, i) = 0.0` is never written, and `0.0 + π = π`). The table
+//! lists one triple per ordered pair, shorter paths first, so a single
+//! walk meets every source entry after it was written;
+//! [`PenaltyArena::new`] asserts the prefix property pair by pair.
+//!
+//! **Invariant:** a window is either left alone (no link dual of it
+//! changed bitwise) or recomputed whole from the new duals, never
+//! patched with a `+=` delta — so the arena is a pure function of the
+//! last snapshot: bitwise identical to a from-scratch rebuild, whatever
+//! update sequence produced it and whichever [`Kernel`] backend ran it
+//! (the scalar backend walks `inst.paths` pair by pair, the reference
+//! shape). `tests/penalty_props.rs` (and the determinism contract of
+//! [`crate::pool`]) leans on exactly this.
 
 use crate::instance::MipInstance;
-use crate::kernel::{self, Kernel};
+use crate::kernel::Kernel;
 use crate::potential::{Duals, RowLayout};
 use vod_model::LinkId;
 
@@ -36,7 +47,8 @@ pub enum PenaltyUpdate {
     /// The snapshot is version-identical to the previous one (a clone
     /// of the same `Duals`): nothing was compared or touched.
     SkippedVersion,
-    /// Rows were compared bitwise; `resummed` entries recomputed.
+    /// Rows were compared bitwise; `resummed` entries recomputed (every
+    /// off-diagonal entry of each window with a changed row).
     Applied {
         changed_rows: usize,
         resummed: usize,
@@ -44,7 +56,7 @@ pub enum PenaltyUpdate {
 }
 
 /// Per-window penalty matrices `D_t` in a single flat arena, plus the
-/// machinery to update them incrementally from dual snapshots.
+/// table that recomputes a window from a dual snapshot.
 #[derive(Debug, Clone)]
 pub struct PenaltyArena {
     n_vhos: usize,
@@ -52,93 +64,54 @@ pub struct PenaltyArena {
     n_windows: usize,
     /// `data[(t·V + j)·V + i] = Σ_{l ∈ P_ij} π_{(l,t)}` (client-major).
     data: Vec<f64>,
-    /// Reverse routing index (CSR): for link `l`, the packed `j·V + i`
-    /// pairs whose path `P_ij` traverses `l` are
-    /// `rev_pairs[rev_off[l]..rev_off[l+1]]`.
-    rev_off: Vec<u32>,
-    rev_pairs: Vec<u32>,
-    /// Forward routing index (CSR): for packed pair `j·V + i`, the link
-    /// indices of `P_ij` *in path order* are
-    /// `plinks[plinks_off[pair]..plinks_off[pair+1]]` — the batched
-    /// re-sum streams these against the window's contiguous dual slice.
-    plinks_off: Vec<u32>,
-    plinks: Vec<u32>,
+    /// One `[dst, src, link]` per ordered pair `i ≠ j`, by ascending
+    /// path length: within a window, `data[dst] = data[src] + π_link`
+    /// with `dst = j·V + i`, `src = p·V + i` for the tail `p` of the
+    /// path's last link (the zero diagonal when the path is one hop).
+    steps: Vec<[u32; 3]>,
     /// The dual snapshot the arena currently reflects. Starts as the
     /// all-zero snapshot (version 0, `obj = 1`), matching the zeroed
     /// `data`.
     last: Duals,
-    /// Epoch stamps (one per packed `j·V + i` pair) deduplicating dirty
-    /// pairs fed by several changed links within one window.
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// Reusable dirty-pair buffer for the current window (capacity V²,
-    /// the live prefix length is local to each update — no push, no
-    /// steady-state allocation).
-    dirty: Vec<u32>,
 }
 
 impl PenaltyArena {
-    /// Build the routing indexes and a zeroed arena (which is exactly
+    /// Build the recurrence table and a zeroed arena (which is exactly
     /// the penalty of the all-zero dual snapshot).
     pub fn new(inst: &MipInstance, layout: &RowLayout) -> Self {
         let v = inst.n_vhos();
         assert_eq!(v, layout.n_vhos, "layout does not match instance");
         let n_links = layout.n_links;
-        // Two-pass CSR build: count, prefix-sum, cursor-fill — no
-        // nested Vec, no push in the pair loop.
-        let mut rev_off = vec![0u32; n_links + 1];
-        let mut plinks_off = vec![0u32; v * v + 1];
-        for i in inst.network.vho_ids() {
-            for j in inst.network.vho_ids() {
-                if i != j {
-                    let path = inst.paths.path(i, j);
-                    // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                    let len = u32::try_from(path.len()).expect("path length exceeds u32");
-                    plinks_off[j.index() * v + i.index() + 1] = len;
-                    for &l in path {
-                        rev_off[l.index() + 1] += 1;
-                    }
-                }
-            }
-        }
-        for l in 0..n_links {
-            rev_off[l + 1] += rev_off[l];
-        }
-        for pair in 0..v * v {
-            plinks_off[pair + 1] += plinks_off[pair];
-        }
-        let mut rev_pairs = vec![0u32; rev_off[n_links] as usize];
-        let mut plinks = vec![0u32; plinks_off[v * v] as usize];
-        let mut cursor = rev_off.clone();
-        for i in inst.network.vho_ids() {
-            for j in inst.network.vho_ids() {
-                if i != j {
-                    let pair = u32::try_from(j.index() * v + i.index())
-                        .expect("VHO pair index exceeds u32"); // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                    let base = plinks_off[pair as usize] as usize;
-                    for (k, &l) in inst.paths.path(i, j).iter().enumerate() {
-                        rev_pairs[cursor[l.index()] as usize] = pair;
-                        cursor[l.index()] += 1;
-                        // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                        let li = u32::try_from(l.index()).expect("link index exceeds u32");
-                        plinks[base + k] = li;
-                    }
-                }
-            }
-        }
+        // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
+        let idx = |x: usize| u32::try_from(x).expect("arena index exceeds u32");
+        let pairs = inst
+            .network
+            .vho_ids()
+            .flat_map(|i| inst.network.vho_ids().map(move |j| (i, j)));
+        let mut steps: Vec<(usize, [u32; 3])> = pairs
+            .filter_map(|(i, j)| {
+                let (&last, prefix) = inst.paths.path(i, j).split_last()?;
+                let p = inst.network.link(last).from;
+                // The recurrence's precondition, checked where the
+                // table is built: a routing table that is not
+                // prefix-closed must not price a single block.
+                assert!(
+                    inst.paths.path(i, p) == prefix,
+                    "path {i} -> {j} does not extend path {i} -> {p}: routing is not prefix-closed"
+                );
+                let (dst, src) = (j.index() * v + i.index(), p.index() * v + i.index());
+                Some((prefix.len(), [idx(dst), idx(src), idx(last.index())]))
+            })
+            .collect();
+        // Stable: equal-length pairs keep their (i, j) scan order.
+        steps.sort_by_key(|&(len, _)| len);
         Self {
             n_vhos: v,
             n_links,
             n_windows: layout.n_windows,
             data: vec![0.0; layout.n_windows * v * v],
-            rev_off,
-            rev_pairs,
-            plinks_off,
-            plinks,
+            steps: steps.into_iter().map(|(_, step)| step).collect(),
             last: Duals::new(vec![0.0; layout.n_rows()], 1.0),
-            stamp: vec![0; v * v],
-            epoch: 0,
-            dirty: vec![0; v * v],
         }
     }
 
@@ -158,14 +131,13 @@ impl PenaltyArena {
     /// Bring the arena up to date with `duals`.
     ///
     /// Fast paths, in order: (1) same snapshot version as the last
-    /// applied update → return immediately; (2) per-(link, window)
-    /// bitwise row comparison → only rows whose dual actually changed
-    /// mark entries dirty. Dirty entries are re-summed from scratch in
-    /// path order (see the module invariant): the scalar backend walks
-    /// `inst.paths` with per-link row lookups (the reference shape),
-    /// the lane backend streams the CSR link lists against the
-    /// window's contiguous dual slice — same additions, same order,
-    /// batched memory access.
+    /// applied update → return immediately; (2) a window none of whose
+    /// link duals changed bitwise is left alone. Every other window is
+    /// recomputed whole (see the module invariant): the scalar backend
+    /// sums each pair's path in `inst.paths` link by link (the
+    /// reference shape), the lane backend walks the recurrence table
+    /// against the window's contiguous dual slice — same additions,
+    /// same order, one add per entry.
     pub fn update(
         &mut self,
         inst: &MipInstance,
@@ -181,68 +153,41 @@ impl PenaltyArena {
         let mut changed_rows = 0usize;
         let mut resummed = 0usize;
         for t in 0..self.n_windows {
-            self.epoch = self.epoch.wrapping_add(1);
-            if self.epoch == 0 {
-                // u32 wrap-around: reset stamps so stale epochs cannot
-                // collide (unreachable in practice, cheap to guard).
-                self.stamp.fill(0);
-                self.epoch = 1;
+            // The window's link-dual rows are one contiguous slice of
+            // the dual vector (`link_row(l, t) = disk_rows + t·L + l`).
+            let w0 = layout.link_row(LinkId::from_index(0), t);
+            let w = &duals.rows[w0..w0 + self.n_links];
+            let changed = w
+                .iter()
+                .zip(&self.last.rows[w0..w0 + self.n_links])
+                .filter(|(new, old)| new.to_bits() != old.to_bits())
+                .count();
+            if changed == 0 {
+                continue;
             }
-            let mut dirty_len = 0usize;
-            for l in 0..self.n_links {
-                let row = layout.link_row(LinkId::from_index(l), t);
-                if duals.rows[row].to_bits() == self.last.rows[row].to_bits() {
-                    continue;
-                }
-                changed_rows += 1;
-                let (s, e) = (self.rev_off[l] as usize, self.rev_off[l + 1] as usize);
-                for &pair in &self.rev_pairs[s..e] {
-                    if self.stamp[pair as usize] != self.epoch {
-                        self.stamp[pair as usize] = self.epoch;
-                        self.dirty[dirty_len] = pair;
-                        dirty_len += 1;
-                    }
-                }
-            }
-            let base = t * v * v;
+            changed_rows += changed;
+            resummed += self.steps.len();
+            let window = &mut self.data[t * v * v..(t + 1) * v * v];
             match kernel {
                 Kernel::Scalar => {
-                    for &pair in &self.dirty[..dirty_len] {
-                        let (j, i) = (pair as usize / v, pair as usize % v);
-                        // lint:allow(raw-index): the packed pair index is dense
-                        // over VHO indices by construction of the reverse index
-                        let iv = vod_model::VhoId::from_index(i);
-                        // lint:allow(raw-index): same dense-pair decoding
-                        let jv = vod_model::VhoId::from_index(j);
-                        let sum: f64 = inst
-                            .paths
-                            .path(iv, jv)
-                            .iter()
-                            .map(|&l| duals.rows[layout.link_row(l, t)])
-                            .sum();
-                        self.data[base + pair as usize] = sum;
+                    for i in inst.network.vho_ids() {
+                        for j in inst.network.vho_ids() {
+                            let path = inst.paths.path(i, j);
+                            if !path.is_empty() {
+                                window[j.index() * v + i.index()] = path
+                                    .iter()
+                                    .map(|&l| duals.rows[layout.link_row(l, t)])
+                                    .sum();
+                            }
+                        }
                     }
                 }
                 Kernel::Chunked => {
-                    // Gather once: the window's link-dual rows are one
-                    // contiguous slice of the dual vector
-                    // (`link_row(l, t) = disk_rows + t·L + l`). Stream
-                    // every dirty pair's path through it and scatter
-                    // the sums back — `w[l]` is bitwise the same value
-                    // the scalar path reads via `link_row`, summed in
-                    // the same path order.
-                    let w0 = layout.link_row(LinkId::from_index(0), t);
-                    let w = &duals.rows[w0..w0 + self.n_links];
-                    for &pair in &self.dirty[..dirty_len] {
-                        let (s, e) = (
-                            self.plinks_off[pair as usize] as usize,
-                            self.plinks_off[pair as usize + 1] as usize,
-                        );
-                        self.data[base + pair as usize] = kernel::gather_sum(&self.plinks[s..e], w);
+                    for &[dst, src, link] in &self.steps {
+                        window[dst as usize] = window[src as usize] + w[link as usize];
                     }
                 }
             }
-            resummed += dirty_len;
         }
         // Carry the caller's version so a later update with a clone of
         // the same snapshot hits the version fast path.
@@ -289,14 +234,8 @@ impl PenaltyArena {
     /// `EpfStats::approx_bytes`).
     pub fn approx_bytes(&self) -> usize {
         self.data.capacity() * 8
-            + (self.rev_off.capacity()
-                + self.rev_pairs.capacity()
-                + self.plinks_off.capacity()
-                + self.plinks.capacity())
-                * 4
+            + self.steps.capacity() * std::mem::size_of::<[u32; 3]>()
             + self.last.rows.capacity() * 8
-            + self.stamp.capacity() * 4
-            + self.dirty.capacity() * 4
     }
 }
 
@@ -417,16 +356,12 @@ mod tests {
         let v = inst.n_vhos();
         for &k in Kernel::all() {
             let mut arena = PenaltyArena::for_duals(&inst, &layout, &duals, k);
-            // Perturb a couple of link rows (and one disk row, which
+            // Perturb one link row of window 0 (and one disk row, which
             // must not affect penalties at all).
             let mut perturbed = duals.clone();
             perturbed.rows[0] *= 3.0; // disk row
             let link_row0 = layout.link_row(LinkId::new(0), 0);
             perturbed.rows[link_row0] += 0.125;
-            if layout.n_windows > 1 {
-                let r = layout.link_row(LinkId::new(1), 1);
-                perturbed.rows[r] *= 0.5;
-            }
             perturbed.bump_version();
             let upd = arena.update(&inst, &layout, &perturbed, k);
             let fresh = PenaltyArena::for_duals(&inst, &layout, &perturbed, k);
@@ -440,24 +375,19 @@ mod tests {
                     );
                 }
             }
-            match upd {
+            // Only the touched link row counts, and only its window is
+            // recomputed (every off-diagonal entry of it).
+            assert!(
+                layout.n_windows > 1,
+                "fixture must have an untouched window"
+            );
+            assert_eq!(
+                upd,
                 PenaltyUpdate::Applied {
-                    changed_rows,
-                    resummed,
-                } => {
-                    // Only the touched link rows count; the resummed
-                    // pairs are exactly those routed over the changed
-                    // links.
-                    assert!((1..=2).contains(&changed_rows), "{changed_rows}");
-                    assert!(resummed > 0);
-                    let total_entries = layout.n_windows * v * v;
-                    assert!(
-                        resummed < total_entries,
-                        "incremental update resummed everything ({resummed}/{total_entries})"
-                    );
+                    changed_rows: 1,
+                    resummed: v * (v - 1),
                 }
-                other => panic!("expected Applied, got {other:?}"),
-            }
+            );
         }
     }
 
@@ -479,6 +409,19 @@ mod tests {
             }
             other => panic!("expected Applied, got {other:?}"),
         }
+    }
+
+    /// The recurrence's precondition is checked, not assumed: a routing
+    /// table computed on another graph (same node and link counts) does
+    /// not extend its own prefixes over this network's links.
+    #[test]
+    #[should_panic(expected = "routing is not prefix-closed")]
+    fn foreign_routing_table_is_refused() {
+        let (mut inst, layout, _) = setup();
+        let other = vod_net::topologies::mesh_backbone(6, 9, 43);
+        assert_eq!(other.num_links(), inst.network.num_links());
+        inst.paths = vod_net::PathSet::shortest_paths(&other);
+        let _ = PenaltyArena::new(&inst, &layout);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! never contended in the write path because the pool's callers only
 //! update duals while no jobs are in flight.
 
-use crate::block::{UflProblem, UflScratch};
+use crate::block::{UflProblem, UflScratch, UflSolution};
 use crate::epf::{block_delta, build_ufl_into};
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
@@ -124,7 +124,8 @@ where
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum JobKind {
     /// Lagrangized UFL heuristic minimizer (the Frank-Wolfe direction),
-    /// returned as the `hat` block the line search steps toward.
+    /// returned flat: the caller materialises the `hat` block the line
+    /// search steps toward into its own reused buffer.
     Solve,
     /// Per-block lower bound: dual ascent, or the exact block LP
     /// (`exact: true` — the polish's hybrid certification subset).
@@ -137,16 +138,18 @@ pub(crate) enum JobKind {
 }
 
 enum JobOutput {
-    Solutions(Vec<BlockSolution>),
+    Solutions(Vec<UflSolution>),
     Bounds(Vec<f64>),
     Polish(Vec<(f64, Vec<(usize, f64)>)>),
 }
 
-/// Per-thread reusable state: one UFL build buffer + solver scratch.
+/// Per-thread reusable state: one UFL build buffer + solver scratch,
+/// and the row list of a polish item's usage.
 #[derive(Default)]
 struct BlockScratch {
     ufl: UflProblem,
     search: UflScratch,
+    rows: Vec<(usize, f64)>,
 }
 
 /// The dispatch state every thread of the pool reads and writes under
@@ -282,9 +285,8 @@ impl<'env> WorkerPool<'env> {
         self.arena.read().expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
     }
 
-    /// Heuristic UFL minimizers for `items` as `hat` blocks, in item
-    /// order.
-    pub(crate) fn solve(&self, items: &[usize]) -> Vec<BlockSolution> {
+    /// Heuristic UFL minimizers for `items`, in item order.
+    pub(crate) fn solve(&self, items: &[usize]) -> Vec<UflSolution> {
         let mut all = Vec::with_capacity(items.len());
         self.run(items, JobKind::Solve, |o| match o {
             JobOutput::Solutions(mut v) => all.append(&mut v),
@@ -480,10 +482,9 @@ fn exec_job(
                         &mut scratch.ufl,
                         kernel,
                     );
-                    let sol = scratch
+                    scratch
                         .ufl
-                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
-                    BlockSolution::from_ufl(&sol)
+                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel)
                 })
                 .collect(),
         ),
@@ -540,8 +541,8 @@ fn exec_job(
                         if let Some((lb, hat)) =
                             crate::direct::exact_block_lp_solution(&scratch.ufl)
                         {
-                            let (usage, _dobj) = block_delta(inst, layout, data, &empty, &hat);
-                            return (lb, usage);
+                            block_delta(inst, layout, data, &empty, &hat, &mut scratch.rows);
+                            return (lb, scratch.rows.clone());
                         }
                     }
                     let lb = if exact {
@@ -555,8 +556,8 @@ fn exec_job(
                         .ufl
                         .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
                     let hat = BlockSolution::from_ufl(&sol);
-                    let (usage, _dobj) = block_delta(inst, layout, data, &empty, &hat);
-                    (lb, usage)
+                    block_delta(inst, layout, data, &empty, &hat, &mut scratch.rows);
+                    (lb, scratch.rows.clone())
                 })
                 .collect(),
         ),
@@ -594,7 +595,7 @@ mod tests {
         })
     }
 
-    type Sweep = (Vec<BlockSolution>, Vec<u64>, Vec<(u64, Vec<(usize, u64)>)>);
+    type Sweep = (Vec<UflSolution>, Vec<u64>, Vec<(u64, Vec<(usize, u64)>)>);
 
     /// All three job kinds over `items`, floats as bits.
     fn sweep(pool: &WorkerPool<'_>, items: &[usize]) -> Sweep {

@@ -288,18 +288,23 @@ impl Coupling {
     ///
     /// `Φ(τ)` is a sum of exponentials of affine functions, hence
     /// strictly convex in `τ`; rows not touched by `d` are constants
-    /// and are skipped. Solved by bisection on the derivative.
-    pub fn line_search(&self, deltas: &[(usize, f64)], dobj: f64) -> f64 {
+    /// and are skipped. Solved by bisection on the derivative. `terms`
+    /// is caller-owned scratch (overwritten), so a loop of searches
+    /// allocates nothing.
+    pub fn line_search(
+        &self,
+        deltas: &[(usize, f64)],
+        dobj: f64,
+        terms: &mut Vec<(f64, f64)>,
+    ) -> f64 {
         // Build (u, s) pairs: term = exp(u + τ·s), derivative s·exp(·).
-        let mut terms: Vec<(f64, f64)> = Vec::with_capacity(deltas.len() + 1);
-        for &(row, d) in deltas {
-            if d != 0.0 {
-                terms.push((
-                    self.alpha * self.rel_infeas(row),
-                    self.alpha * d / self.caps[row],
-                ));
-            }
-        }
+        terms.clear();
+        terms.extend(deltas.iter().filter(|&&(_, d)| d != 0.0).map(|&(row, d)| {
+            (
+                self.alpha * self.rel_infeas(row),
+                self.alpha * d / self.caps[row],
+            )
+        }));
         if let Some(b) = self.target {
             if dobj != 0.0 {
                 terms.push((self.alpha * self.r0(), self.alpha * dobj / b));
@@ -422,11 +427,11 @@ mod tests {
         let c = simple();
         // Direction that unloads the violated row 1 fully.
         let deltas = [(1usize, -15.0)];
-        let tau = c.line_search(&deltas, 0.0);
+        let tau = c.line_search(&deltas, 0.0, &mut Vec::new());
         assert!(tau > 0.9, "should take (nearly) the full step, got {tau}");
         // Direction that overloads row 0 severely: refuse.
         let bad = [(0usize, 1e9)];
-        assert_eq!(c.line_search(&bad, 0.0), 0.0);
+        assert_eq!(c.line_search(&bad, 0.0, &mut Vec::new()), 0.0);
     }
 
     #[test]
@@ -434,7 +439,7 @@ mod tests {
         let c = simple();
         // Trade-off: relieve row 1 but overload row 0 at full step.
         let deltas = [(1usize, -15.0), (0usize, 40.0)];
-        let tau = c.line_search(&deltas, 0.0);
+        let tau = c.line_search(&deltas, 0.0, &mut Vec::new());
         assert!(
             tau > 0.05 && tau < 0.95,
             "interior step expected, got {tau}"
@@ -471,7 +476,7 @@ mod tests {
         assert_eq!(c.duals().obj, 0.0);
         assert_eq!(c.r0(), f64::NEG_INFINITY);
         // Objective changes don't affect the line search.
-        assert_eq!(c.line_search(&[], 100.0), 0.0);
+        assert_eq!(c.line_search(&[], 100.0, &mut Vec::new()), 0.0);
     }
 
     #[test]

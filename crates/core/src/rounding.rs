@@ -12,12 +12,14 @@
 //! provably-good-in-practice integer block solutions the paper uses.
 
 use crate::block::{UflProblem, UflScratch};
-use crate::epf::{block_delta, build_ufl_into, caps_of, compute_state, layout_of};
+use crate::epf::{
+    block_delta, build_ufl_into, caps_of, compute_state, greedy_x_given_y, layout_of,
+};
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
 use crate::penalty::PenaltyArena;
 use crate::potential::Coupling;
-use crate::solution::{BlockSolution, FractionalSolution, Placement};
+use crate::solution::{BlockBuf, BlockSolution, FractionalSolution, Placement};
 
 /// Statistics of one rounding pass.
 #[derive(Debug, Clone)]
@@ -58,6 +60,7 @@ pub fn round_solution(
     let mut arena = PenaltyArena::new(inst, &layout);
     let mut ufl = UflProblem::default();
     let mut scratch = UflScratch::default();
+    let mut deltas: Vec<(usize, f64)> = Vec::new();
     // `m` indexes `inst.blocks()` and `blocks` (mutated below) in
     // lockstep, so a range loop is the honest shape here.
     #[allow(clippy::needless_range_loop)]
@@ -79,15 +82,15 @@ pub fn round_solution(
             y: Vec::new(),
             x: vec![Vec::new(); data.clients.len()],
         };
-        let (deltas_out, dobj_out) = block_delta(inst, &layout, data, &blocks[m], &empty);
-        coupling.apply(&deltas_out, dobj_out, 1.0);
+        let dobj_out = block_delta(inst, &layout, data, &blocks[m], &empty, &mut deltas);
+        coupling.apply(&deltas, dobj_out, 1.0);
 
         let duals_now = coupling.duals();
         build_ufl_into(inst, &layout, data, &duals_now, &arena, &mut ufl, kernel);
         let cand = ufl.solve_local_search_with_kernel(&mut scratch, kernel);
         let hat = BlockSolution::from_ufl(&cand);
-        let (deltas_in, dobj_in) = block_delta(inst, &layout, data, &empty, &hat);
-        coupling.apply(&deltas_in, dobj_in, 1.0);
+        let dobj_in = block_delta(inst, &layout, data, &empty, &hat, &mut deltas);
+        coupling.apply(&deltas, dobj_in, 1.0);
         blocks[m] = hat;
     }
 
@@ -111,9 +114,10 @@ pub fn round_solution(
         coupling.set_state(usage, obj);
         arena.update(inst, &layout, &coupling.duals(), kernel);
         let mut costs = Vec::new();
+        let mut buf = BlockBuf::default();
         for (m, data) in inst.blocks().iter().enumerate() {
-            let better = crate::epf::greedy_x_given_y(inst, data, &blocks[m].y, &arena, &mut costs);
-            blocks[m].x = better.x;
+            let better = greedy_x_given_y(inst, data, &blocks[m].y, &arena, &mut costs, &mut buf);
+            blocks[m].x.clone_from(&better.x);
         }
     }
 

@@ -15,7 +15,7 @@ pub const INT_TOL: f64 = 1e-6;
 /// One video's (possibly fractional) solution: its `y_i^m` values and,
 /// for each block client (same order as `VideoBlock::clients`), the
 /// serving distribution `x_{·j}^m`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockSolution {
     /// Sparse `(i, y_i)` with `y_i > 0`, sorted by VHO.
     pub y: Vec<(VhoId, f64)>,
@@ -23,20 +23,19 @@ pub struct BlockSolution {
     pub x: Vec<Vec<(VhoId, f64)>>,
 }
 
+/// The entry "all of it at UFL facility `i`".
+fn full_at(i: usize) -> (VhoId, f64) {
+    // lint:allow(raw-index): UFL solutions index facilities densely
+    (VhoId::from_index(i), 1.0)
+}
+
 impl BlockSolution {
     /// The all-at-one-facility solution used both as the initial point
     /// and as the shape of every UFL candidate.
     pub fn from_ufl(sol: &UflSolution) -> Self {
-        let mut y: Vec<(VhoId, f64)> =
-            // lint:allow(raw-index): UFL solutions index facilities densely
-            sol.open.iter().map(|&i| (VhoId::from_index(i), 1.0)).collect();
+        let mut y: Vec<(VhoId, f64)> = sol.open.iter().map(|&i| full_at(i)).collect();
         y.sort_by_key(|&(i, _)| i);
-        let x = sol
-            .assign
-            .iter()
-            // lint:allow(raw-index): UFL solutions index facilities densely
-            .map(|&i| vec![(VhoId::from_index(i), 1.0)])
-            .collect();
+        let x = sol.assign.iter().map(|&i| vec![full_at(i)]).collect();
         Self { y, x }
     }
 
@@ -93,6 +92,47 @@ impl BlockSolution {
                 }
             }
         }
+    }
+}
+
+/// A reusable [`BlockSolution`] for directions that live only until
+/// the next block: the EPF step-apply path materialises every UFL
+/// candidate and every corrective re-routing into one of these instead
+/// of allocating `C + 2` vectors per block. Client lists beyond the
+/// current block's count are parked in `spare`, so shrinking and
+/// regrowing from block to block frees and allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct BlockBuf {
+    block: BlockSolution,
+    spare: Vec<Vec<(VhoId, f64)>>,
+}
+
+impl BlockBuf {
+    /// The buffer as a block of exactly `n_clients` client lists, all
+    /// contents stale: the caller overwrites `y` and every list.
+    pub(crate) fn with_clients(&mut self, n_clients: usize) -> &mut BlockSolution {
+        let x = &mut self.block.x;
+        if x.len() > n_clients {
+            self.spare.extend(x.drain(n_clients..));
+        } else {
+            let keep = self.spare.len().saturating_sub(n_clients - x.len());
+            x.extend(self.spare.drain(keep..));
+            x.resize_with(n_clients, Vec::new);
+        }
+        &mut self.block
+    }
+
+    /// Overwrite with the block [`BlockSolution::from_ufl`] would build.
+    pub(crate) fn set_from_ufl(&mut self, sol: &UflSolution) -> &BlockSolution {
+        let block = self.with_clients(sol.assign.len());
+        block.y.clear();
+        block.y.extend(sol.open.iter().map(|&i| full_at(i)));
+        block.y.sort_by_key(|&(i, _)| i);
+        for (dist, &i) in block.x.iter_mut().zip(&sol.assign) {
+            dist.clear();
+            dist.resize(1, full_at(i));
+        }
+        block
     }
 }
 
@@ -430,6 +470,28 @@ mod tests {
         assert!(bs(&[(0, 1.0), (3, 1.0)], vec![]).is_integral());
         assert!(bs(&[(0, 1.0 - 1e-9)], vec![]).is_integral());
         assert!(!bs(&[(0, 0.5)], vec![]).is_integral());
+    }
+
+    #[test]
+    fn block_buf_rebuilds_from_ufl_blocks_of_any_size() {
+        // Shrink, regrow past the old size, shrink to nothing: every
+        // time the buffer reads exactly what `from_ufl` builds, and the
+        // parked client lists come back instead of fresh ones.
+        let mut buf = BlockBuf::default();
+        let sols = [
+            (vec![1, 4], vec![4, 1, 1, 4, 1]),
+            (vec![2], vec![2, 2]),
+            (vec![0, 3, 5], vec![5, 0, 3, 3, 0, 5, 5]),
+            (vec![6], vec![]),
+            (vec![1, 2], vec![2, 1, 2]),
+        ];
+        let mut lists_held = 0;
+        for (open, assign) in sols {
+            let sol = UflSolution { open, assign };
+            assert_eq!(buf.set_from_ufl(&sol), &BlockSolution::from_ufl(&sol));
+            lists_held = lists_held.max(sol.assign.len());
+            assert_eq!(buf.block.x.len() + buf.spare.len(), lists_held);
+        }
     }
 
     #[test]

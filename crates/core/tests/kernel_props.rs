@@ -4,11 +4,12 @@
 //! inputs (finite, nonnegative, no `-0.0`), at three levels —
 //!
 //! 1. the raw kernel ops (`axpy`, `accum`, `accum_relu_sub`,
-//!    `row_min`, `headroom_min`, `drain_budget`),
+//!    `accum_min_sub`, `row_min`, `headroom_min`, `drain_budget`),
 //! 2. whole UFL block solves and dual-ascent bounds
 //!    ([`UflProblem::solve_local_search_with_kernel`] /
-//!    [`UflProblem::dual_ascent_bound_with_kernel`]), and
-//! 3. the batched penalty-arena gather path, whose incremental updates
+//!    [`UflProblem::dual_ascent_bound_with_kernel`]) — on continuous
+//!    costs and on small cost grids, where value ties are the norm, and
+//! 3. the penalty arena's recurrence walk, whose incremental updates
 //!    must be history-independent and land bitwise on a `Scalar`
 //!    from-scratch rebuild whatever backend maintained them.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
@@ -50,6 +51,18 @@ fn setup() -> &'static (MipInstance, RowLayout) {
         };
         (inst, layout)
     })
+}
+
+/// Deterministic `u64` stream (SplitMix64) from a seed.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 }
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -102,12 +115,17 @@ proptest! {
             kernel::accum(k, &mut accum_acc, &b);
             let mut relu_acc = a.clone();
             kernel::accum_relu_sub(k, &mut relu_acc, vc, &b);
+            // `alt` finite and +∞ (a swap out of the only open facility).
+            let mut min_acc = a.clone();
+            kernel::accum_min_sub(k, &mut min_acc, &b, vc, delta);
+            kernel::accum_min_sub(k, &mut min_acc, &b, f64::INFINITY, w);
             let mut budget = a.clone();
             kernel::drain_budget(k, &mut budget, &b, vc, delta);
             (
                 axpy_acc,
                 accum_acc,
                 relu_acc,
+                min_acc,
                 budget,
                 kernel::row_min(k, &b),
                 kernel::headroom_min(k, &b, vc, &a),
@@ -119,9 +137,10 @@ proptest! {
             assert_bits_eq(&base.0, &got.0, "axpy");
             assert_bits_eq(&base.1, &got.1, "accum");
             assert_bits_eq(&base.2, &got.2, "accum_relu_sub");
-            assert_bits_eq(&base.3, &got.3, "drain_budget");
-            prop_assert_eq!(base.4.to_bits(), got.4.to_bits(), "row_min");
-            prop_assert_eq!(base.5.to_bits(), got.5.to_bits(), "headroom_min");
+            assert_bits_eq(&base.3, &got.3, "accum_min_sub");
+            assert_bits_eq(&base.4, &got.4, "drain_budget");
+            prop_assert_eq!(base.5.to_bits(), got.5.to_bits(), "row_min");
+            prop_assert_eq!(base.6.to_bits(), got.6.to_bits(), "headroom_min");
         }
     }
 
@@ -176,12 +195,51 @@ proptest! {
         }
     }
 
-    /// Batched penalty gather: an arena maintained incrementally on any
+    /// The full search where it can actually break. Continuous costs
+    /// never tie, and a tie is the only place a top-2 cache and a fresh
+    /// ascending scan can disagree on *which* facility they pick: draw
+    /// service costs from a 4-value grid and opening costs from a
+    /// 3-value grid, at up to mesh100 width, and compare the add / drop
+    /// / swap search across backends.
+    #[test]
+    fn ufl_full_search_matches_scalar_under_value_ties(
+        n_fac in 1usize..101,
+        n_clients in 0usize..41,
+        seed in 0u64..100_000,
+    ) {
+        let mut next = splitmix(seed);
+        let mut pick = |grid: &[f64]| grid[usize::try_from(next() % grid.len() as u64).unwrap()];
+        // Opening costs scale with the client count so that neither
+        // "open everything" nor "open one" is trivially optimal.
+        let open_unit = 0.25 * (n_clients as f64 + 1.0);
+        let facility: Vec<f64> = (0..n_fac)
+            .map(|_| open_unit * pick(&[0.0, 1.0, 2.0]))
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n_clients)
+            .map(|_| (0..n_fac).map(|_| pick(&[0.0, 1.0, 2.0, 5.0])).collect())
+            .collect();
+        let ufl = UflProblem::from_rows(facility, rows);
+
+        let mut scratch = UflScratch::default();
+        let base = ufl.solve_local_search_with_kernel(&mut scratch, Kernel::Scalar);
+        for &k in Kernel::all() {
+            let sol = ufl.solve_local_search_with_kernel(&mut scratch, k);
+            prop_assert_eq!(&sol.open, &base.open, "open set ({})", k.name());
+            prop_assert_eq!(&sol.assign, &base.assign, "assignment ({})", k.name());
+            prop_assert_eq!(
+                ufl.cost(&sol).to_bits(),
+                ufl.cost(&base).to_bits(),
+                "cost ({})", k.name()
+            );
+        }
+    }
+
+    /// Penalty recurrence: an arena maintained incrementally on any
     /// lane backend, through an arbitrary detour of snapshots, lands
     /// bitwise on the Scalar from-scratch rebuild of the final duals —
-    /// the gather path is history-independent and backend-independent.
+    /// the table walk is history-independent and backend-independent.
     #[test]
-    fn penalty_gather_is_history_and_backend_independent(
+    fn penalty_walk_is_history_and_backend_independent(
         scale in 0.25f64..3.0,
         detours in prop::collection::vec((0usize..1000, 0.1f64..2.0), 0..6),
     ) {

@@ -3,12 +3,12 @@
 //! must be bitwise identical to a from-scratch rebuild under the final
 //! duals, and both to the naive per-entry path-order sum written out
 //! below — on both kernel backends. This is the invariant
-//! (`crates/core/src/penalty.rs`: dirty entries are re-summed in path
-//! order, never patched with deltas) that lets the EPF hot path reuse
-//! one flat arena across tens of thousands of dual snapshots without
-//! ever drifting from the reference semantics. Every `(window, client)`
-//! row is checked, including clients with no demand in the window,
-//! which no hot path reads.
+//! (`crates/core/src/penalty.rs`: a window is recomputed whole along
+//! the prefix recurrence, never patched with deltas) that lets the EPF
+//! hot path reuse one flat arena across tens of thousands of dual
+//! snapshots without ever drifting from the reference semantics. Every
+//! `(window, client)` row is checked, including clients with no demand
+//! in the window, which no hot path reads.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -16,14 +16,19 @@ use vod_core::penalty::PenaltyArena;
 use vod_core::potential::{Duals, RowLayout};
 use vod_core::Kernel;
 use vod_core::{DiskConfig, MipInstance};
-use vod_model::Mbps;
-use vod_net::topologies;
+use vod_model::{Mbps, VhoId};
+use vod_net::graph::make_nodes;
+use vod_net::{topologies, Network};
 use vod_trace::{
     analysis, generate_trace, synthesize_library, DemandInput, LibraryConfig, TraceConfig,
 };
 
 fn build_instance(n_vhos: usize, n_videos: usize, seed: u64) -> (MipInstance, RowLayout) {
-    let mut net = topologies::mesh_backbone(n_vhos, n_vhos * 3 / 2, seed);
+    let net = topologies::mesh_backbone(n_vhos, n_vhos * 3 / 2, seed);
+    instance_on(net, n_videos, seed)
+}
+
+fn instance_on(mut net: Network, n_videos: usize, seed: u64) -> (MipInstance, RowLayout) {
     net.set_uniform_capacity(Mbps::from_gbps(1.0));
     let catalog = synthesize_library(&LibraryConfig::default_for(n_videos, 7, seed));
     let trace = generate_trace(
@@ -166,6 +171,55 @@ fn idle_client_rows_are_maintained() {
         duals.bump_version();
         arena.update(&inst, &layout, &duals, k);
         assert_arena_is_naive(&inst, &layout, &arena, &duals, k.name());
+    }
+}
+
+/// A `w × h` grid: between two nodes `dx` columns and `dy` rows apart
+/// there are `C(dx + dy, dx)` shortest routes for BFS to choose from.
+fn grid(w: usize, h: usize) -> Network {
+    let id = |x: usize, y: usize| VhoId::from_index(y * w + x);
+    let mut edges = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            if x + 1 < w {
+                edges.push((id(x, y), id(x + 1, y)));
+            }
+            if y + 1 < h {
+                edges.push((id(x, y), id(x, y + 1)));
+            }
+        }
+    }
+    Network::from_undirected_edges(make_nodes(&vec![1.0; w * h]), &edges, Mbps::from_gbps(1.0))
+}
+
+/// Topologies with many equal-length alternatives (a grid; the
+/// antipodal pairs of an even ring): the recurrence must follow the
+/// tie-broken BFS trees the routing table actually holds.
+#[test]
+fn tie_broken_bfs_trees_match_the_naive_sum() {
+    for (net, what) in [
+        (grid(4, 3), "grid(4, 3)"),
+        (topologies::ring(8), "ring(8)"),
+        (topologies::ring(3), "ring(3)"),
+    ] {
+        let (inst, layout) = instance_on(net, 40, 33);
+        let n_rows = layout.n_rows();
+        for &k in Kernel::all() {
+            let mut duals = Duals::new((0..n_rows).map(|r| 0.25 + (r % 7) as f64).collect(), 1.0);
+            let mut arena = PenaltyArena::for_duals(&inst, &layout, &duals, k);
+            assert_arena_is_naive(&inst, &layout, &arena, &duals, what);
+            // One link row of one window, then every third row.
+            duals.rows[layout.n_vhos + 1] += 0.5;
+            duals.bump_version();
+            arena.update(&inst, &layout, &duals, k);
+            assert_arena_matches_rebuild(&inst, &layout, &arena, &duals, k);
+            for row in duals.rows.iter_mut().skip(layout.n_vhos).step_by(3) {
+                *row *= 1.75;
+            }
+            duals.bump_version();
+            arena.update(&inst, &layout, &duals, k);
+            assert_arena_matches_rebuild(&inst, &layout, &arena, &duals, k);
+        }
     }
 }
 

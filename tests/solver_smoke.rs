@@ -1,12 +1,14 @@
 //! Tier-1 smoke of the solver layer: one small mesh instance solved at
 //! 1, 2 and 5 compute threads (5: more than a CI box has cores, and
 //! than a pass's ragged last chunk has parts), plus one kill-and-resume
-//! on the worker pool — all bit for bit the single-thread solve. The full
-//! matrices live in `crates/core/tests/{determinism,checkpoint_resume}.rs`.
+//! on the worker pool — all bit for bit the single-thread solve — and
+//! the same solve and rounding on the scalar reference kernel. The full
+//! matrices live in
+//! `crates/core/tests/{determinism,checkpoint_resume,kernel_props}.rs`.
 #![allow(clippy::unwrap_used)]
 
 use vodplace::core::{
-    solve_placement_checkpointed, solve_resumable, CheckpointSpec, PlacementOutput,
+    solve_placement_checkpointed, solve_resumable, CheckpointSpec, Kernel, PlacementOutput,
     SolverCheckpoint,
 };
 use vodplace::net::topologies;
@@ -90,4 +92,23 @@ fn thread_count_and_resume_do_not_move_a_bit() {
     let mid = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).unwrap();
     let resumed = solve_resumable(&inst, &config(2), &mid, None).unwrap();
     assert_identical(&one, &resumed, "resumed, threads = 2");
+}
+
+/// Rounding across backends: the full add / drop / swap search and the
+/// penalty arena run their lane arms by default and their reference
+/// arms under `Kernel::Scalar`; the rounded placement must not tell.
+#[test]
+fn scalar_kernel_rounds_to_the_same_placement() {
+    let inst = instance();
+    let lane = solve_placement(&inst, &config(1)).unwrap();
+    assert!(
+        lane.rounding.videos_rounded > 0,
+        "fixture must leave fractional videos for the rounding search"
+    );
+    let scalar_cfg = EpfConfig {
+        kernel: Kernel::Scalar,
+        ..config(1)
+    };
+    let scalar = solve_placement(&inst, &scalar_cfg).unwrap();
+    assert_identical(&lane, &scalar, "kernel = scalar");
 }
