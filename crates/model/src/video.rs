@@ -198,6 +198,16 @@ mod tests {
         assert_eq!(mk(0, VideoClass::Clip).bitrate(), Mbps::new(2.0));
     }
 
+    /// `vod-sim` keeps one stream-end queue per class, indexed by
+    /// `class as usize`: `ALL` must list the classes in discriminant
+    /// order with no gaps.
+    #[test]
+    fn all_lists_classes_in_discriminant_order() {
+        for (k, class) in VideoClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, k);
+        }
+    }
+
     #[test]
     fn catalog_total_size() {
         let c = Catalog::new(vec![mk(0, VideoClass::Movie), mk(1, VideoClass::Show)]);

@@ -1,22 +1,25 @@
 //! The simulation engine: trace replay with exact link-load accounting.
 //!
 //! Hot-path structure (see DESIGN.md "Simulator performance
-//! architecture"): link loads live in an implicit tournament tree so
-//! stream add/remove are O(log L) with the running max a root read;
-//! caches are statically-dispatched dense slabs ([`CacheImpl`]); and
-//! evictions reuse one scratch vector across the whole replay. All of
-//! it is bit-for-bit compatible with the original O(L)-rescan,
+//! architecture"): an event costs O(1) in links and active streams.
+//! Link loads are a flat vector plus the running peak of the open
+//! bucket, rescanned once per bucket boundary ([`Loads`]); stream ends
+//! wait in one FIFO per video length class ([`Ends`]); caches are
+//! statically-dispatched dense slabs ([`CacheImpl`]); and evictions
+//! reuse one scratch vector across the whole replay. All of it is
+//! bit-for-bit compatible with the original O(L)-rescan,
 //! `BTreeMap`-cache implementation — `SimReport` at a fixed seed is
-//! byte-identical, which the determinism and property tests pin.
+//! byte-identical, which the determinism and property tests and
+//! `tests/sim_smoke.rs` pin.
 
 use crate::cache::{Cache, CacheImpl, CacheKind, CacheStats, InsertOutcome};
 use crate::faults::{FaultSchedule, FaultState};
 use rand::Rng;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use vod_core::Placement;
 use vod_model::narrow;
 use vod_model::rng::derive_rng;
-use vod_model::{Catalog, SimTime, VhoId, VideoId};
+use vod_model::{Catalog, LinkId, SimTime, VhoId, VideoClass, VideoId};
 use vod_net::{Network, PathSet};
 use vod_trace::Trace;
 
@@ -160,13 +163,15 @@ pub struct SimFinalState {
     pub cache_contents: Vec<Vec<VideoId>>,
 }
 
-/// A stream-end event (min-heap by time; `seq` keeps ordering stable).
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A stream-end event, popped in ascending `(time, seq)` order; `seq`
+/// is unique, so equal timestamps end in start order.
+#[derive(Debug, PartialEq, Eq)]
 struct EndEvent {
     time: SimTime,
     seq: u64,
     video: VideoId,
-    /// Links to unload (empty for local service).
+    /// Serving VHO; equals `client` for a stream served from the local
+    /// cache, which loads no link.
     server: VhoId,
     client: VhoId,
     unpin_server_cache: bool,
@@ -176,21 +181,76 @@ struct EndEvent {
     measured: bool,
 }
 
-/// Per-link load levels with the running maximum maintained in an
-/// implicit tournament (segment) tree: leaves hold link loads, each
-/// internal node the max of its two children, so add/remove cost
-/// O(log L) per touched link and the current max is a root read. This
-/// replaces an epsilon-guarded O(L) rescan per stream end (and its
-/// `1e-9` "touched the max" heuristic). `f64::max` is exact selection
-/// — the root equals a linear fold over the links bit-for-bit, so the
-/// reported series are unchanged.
+/// Pending stream ends: one FIFO per video length class instead of a
+/// priority queue. A stream ends `class.duration_secs()` after its
+/// request, requests arrive in non-decreasing time order
+/// (`Trace::new` sorts) and `seq` only grows, so the ends of one class
+/// are generated already sorted by `(time, seq)` and the next end
+/// overall is the least of at most four fronts.
+#[derive(Default)]
+struct Ends {
+    queues: [VecDeque<EndEvent>; VideoClass::ALL.len()],
+}
+
+impl Ends {
+    /// Queue a stream of `class`. A duration that stopped being a
+    /// function of the class alone fails here instead of silently
+    /// mis-ordering the replay.
+    fn push(&mut self, class: VideoClass, ev: EndEvent) {
+        let q = &mut self.queues[class as usize];
+        assert!(
+            q.back().is_none_or(|b| (b.time, b.seq) < (ev.time, ev.seq)),
+            "stream ends of class {class:?} must be queued in (time, seq) order"
+        );
+        q.push_back(ev);
+    }
+
+    /// Time of the earliest pending end and the queue holding it.
+    #[inline]
+    fn peek(&self) -> Option<(SimTime, usize)> {
+        let fronts = self.queues.iter().enumerate();
+        let fronts = fronts.filter_map(|(k, q)| q.front().map(|e| (e.time, e.seq, k)));
+        fronts.min().map(|(t, _, k)| (t, k))
+    }
+
+    /// Take the front of queue `k`, as returned by [`Ends::peek`].
+    #[inline]
+    fn pop(&mut self, k: usize) -> Option<EndEvent> {
+        self.queues[k].pop_front()
+    }
+
+    /// Drop every pending end `keep` rejects, visiting them class by
+    /// class in queue order; the survivors stay sorted.
+    fn retain(&mut self, mut keep: impl FnMut(&EndEvent) -> bool) {
+        for q in &mut self.queues {
+            q.retain(&mut keep);
+        }
+    }
+}
+
+/// Per-link load levels and the two bucket series integrated from
+/// them. Only the series need the max over links, so none is kept
+/// between bucket boundaries: `cur_peak` is the peak of the open
+/// bucket `cur_b`, written to `peaks` when the clock leaves it.
+///
+/// A bucket's peak is the max, over the events touching it, of the
+/// global max before each event's change. Within a bucket only an
+/// `add` can raise the global max, and only to a level it just wrote,
+/// so that equals the max of the levels carried into the bucket (one
+/// O(L) scan per boundary) and every level an `add` wrote during it
+/// (one compare per link). `f64::max` is exact selection: the series
+/// are bit-for-bit those of a linear rescan at every event.
 struct Loads {
-    /// 1-indexed implicit binary tree; leaves at `leaf_base..`.
-    tree: Vec<f64>,
-    leaf_base: usize,
+    level: Vec<f64>,
     current_total: f64,
     last_event: u64,
     bucket_secs: u64,
+    /// Bucket containing `last_event`; may lie past `peaks` while the
+    /// drain runs beyond the horizon.
+    cur_b: usize,
+    /// First second after bucket `cur_b`.
+    cur_end: u64,
+    cur_peak: f64,
     peaks: Vec<f64>,
     volumes_gb: Vec<f64>,
 }
@@ -198,42 +258,54 @@ struct Loads {
 impl Loads {
     fn new(n_links: usize, horizon: SimTime, bucket_secs: u64) -> Self {
         let n_buckets = narrow::usize_from(horizon.secs().div_ceil(bucket_secs)).max(1);
-        let leaf_base = n_links.next_power_of_two().max(1);
         Self {
-            tree: vec![0.0; 2 * leaf_base],
-            leaf_base,
+            level: vec![0.0; n_links],
             current_total: 0.0,
             last_event: 0,
             bucket_secs,
+            cur_b: 0,
+            cur_end: bucket_secs,
+            cur_peak: 0.0,
             peaks: vec![0.0; n_buckets],
             volumes_gb: vec![0.0; n_buckets],
         }
     }
 
-    /// Current max load over all links.
-    #[inline]
+    /// Current max load over all links (a linear fold).
     fn max(&self) -> f64 {
-        self.tree[1]
+        self.level.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Current load on one link (leaf read; used by admission control).
+    /// Current load on one link (used by admission control).
     #[inline]
-    fn level(&self, l: vod_model::LinkId) -> f64 {
-        self.tree[self.leaf_base + l.index()]
-    }
-
-    /// Recompute ancestors of leaf `i` after its value changed.
-    #[inline]
-    fn pull_up(&mut self, mut i: usize) {
-        while i > 1 {
-            i /= 2;
-            self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
-        }
+    fn level(&self, l: LinkId) -> f64 {
+        self.level[l.index()]
     }
 
     /// Integrate the piecewise-constant load level from the previous
-    /// event up to `now` into the bucket series.
+    /// event up to `now` into the bucket series. A `now` that is not
+    /// later is ignored: closing at the horizon after a drain that ran
+    /// past it must not move the clock backwards.
+    #[inline]
     fn advance(&mut self, now: u64) {
+        if now >= self.cur_end {
+            self.roll(now);
+        } else if now > self.last_event {
+            if let Some(v) = self.volumes_gb.get_mut(self.cur_b) {
+                *v += self.current_total * (now - self.last_event) as f64 / 8000.0;
+            }
+            self.last_event = now;
+        }
+    }
+
+    /// `advance` across bucket boundaries: `cur_b` closes with its
+    /// running peak; the event at `now` has not changed any level yet,
+    /// so every later bucket up to the one containing `now` starts
+    /// from `carried` — also when a stream ends exactly on a boundary.
+    #[cold]
+    fn roll(&mut self, now: u64) {
+        let carried = self.max();
+        let mut peak = self.cur_peak;
         let mut t = self.last_event;
         while t < now {
             let b = narrow::usize_from(t / self.bucket_secs);
@@ -241,40 +313,49 @@ impl Loads {
                 break;
             }
             let seg_end = ((b as u64 + 1) * self.bucket_secs).min(now);
-            self.peaks[b] = self.peaks[b].max(self.max());
+            self.peaks[b] = self.peaks[b].max(peak);
             // Mb/s × s = Mb; /8000 → GB.
             self.volumes_gb[b] += self.current_total * (seg_end - t) as f64 / 8000.0;
             t = seg_end;
+            peak = carried;
         }
         self.last_event = now;
-        // The new level also counts toward the bucket containing `now`.
-        let b = narrow::usize_from(now / self.bucket_secs);
-        if b < self.peaks.len() {
-            self.peaks[b] = self.peaks[b].max(self.max());
+        self.cur_b = narrow::usize_from(now / self.bucket_secs);
+        self.cur_end = (self.cur_b as u64 + 1) * self.bucket_secs;
+        self.cur_peak = carried;
+    }
+
+    /// End the replay at `horizon`: integrate up to it (a no-op when
+    /// the drain already ran past it) and fold the open bucket's peak.
+    fn close(&mut self, horizon: u64) {
+        self.advance(horizon);
+        if let Some(p) = self.peaks.get_mut(self.cur_b) {
+            *p = p.max(self.cur_peak);
         }
     }
 
-    fn add(&mut self, links: &[vod_model::LinkId], rate: f64) {
+    fn add(&mut self, links: &[LinkId], rate: f64) {
         for &l in links {
-            let i = self.leaf_base + l.index();
-            self.tree[i] += rate;
-            self.pull_up(i);
+            let v = &mut self.level[l.index()];
+            *v += rate;
+            if *v > self.cur_peak {
+                self.cur_peak = *v;
+            }
         }
         self.current_total += rate * links.len() as f64;
     }
 
-    fn remove(&mut self, links: &[vod_model::LinkId], rate: f64) {
+    fn remove(&mut self, links: &[LinkId], rate: f64) {
         for &l in links {
-            let i = self.leaf_base + l.index();
+            let v = &mut self.level[l.index()];
             #[cfg(feature = "audit")]
             assert!(
-                self.tree[i] - rate >= -1e-6,
+                *v - rate >= -1e-6,
                 "audit: link {} load would go negative ({} - {rate})",
                 l.index(),
-                self.tree[i],
+                *v,
             );
-            self.tree[i] = (self.tree[i] - rate).max(0.0);
-            self.pull_up(i);
+            *v = (*v - rate).max(0.0);
         }
         self.current_total = (self.current_total - rate * links.len() as f64).max(0.0);
     }
@@ -296,49 +377,65 @@ fn audit_video_holders(m: VideoId, cached_holders: &[Vec<VhoId>], caches: &[Opti
     }
 }
 
+/// Release what a stream held when it ends or is killed: its link
+/// load (none for a stream served from the local cache) and its cache
+/// pins. The caller has advanced `loads` to the instant of release.
+fn release(
+    ev: &EndEvent,
+    paths: &PathSet,
+    catalog: &Catalog,
+    loads: &mut Loads,
+    caches: &mut [Option<CacheImpl>],
+) {
+    if ev.server != ev.client {
+        loads.remove(
+            paths.path(ev.server, ev.client),
+            catalog.video(ev.video).bitrate().value(),
+        );
+    }
+    if ev.unpin_server_cache {
+        if let Some(c) = caches[ev.server.index()].as_mut() {
+            c.unpin(ev.video);
+        }
+    }
+    if ev.unpin_client_cache {
+        if let Some(c) = caches[ev.client.index()].as_mut() {
+            c.unpin(ev.video);
+        }
+    }
+}
+
 /// Kill every active remote stream whose server or route a
 /// just-started fault took down: release its link load at `now`,
-/// undo its cache pins, and drop it from the end-event heap. Returns
+/// undo its cache pins, and drop it from the pending ends. Returns
 /// the number of measured streams interrupted. Only called on
 /// disruptive transitions, so the fault-free path never pays for it.
-#[allow(clippy::too_many_arguments)]
+///
+/// The dead streams are visited class by class, not in end-time
+/// order, and no report can tell: the killed count is a sum, unpins
+/// are reference-count decrements, and every link level and
+/// `current_total` is a sum of multiples of the one 2 Mb/s bitrate all
+/// videos stream at (`Video::bitrate`), exact in `f64` in any order.
 fn interrupt_dead_streams(
     now: SimTime,
-    ends: &mut BinaryHeap<std::cmp::Reverse<EndEvent>>,
+    ends: &mut Ends,
     fstate: &FaultState<'_>,
     paths: &PathSet,
     catalog: &Catalog,
     loads: &mut Loads,
     caches: &mut [Option<CacheImpl>],
-    survivors: &mut Vec<EndEvent>,
 ) -> u64 {
     loads.advance(now.secs());
-    survivors.clear();
     let mut killed = 0u64;
-    for std::cmp::Reverse(ev) in std::mem::take(ends).into_vec() {
+    ends.retain(|ev| {
         let dead = ev.server != ev.client
             && (!fstate.vho_up(ev.server) || !fstate.path_alive(paths.path(ev.server, ev.client)));
-        if !dead {
-            survivors.push(ev);
-            continue;
+        if dead {
+            killed += u64::from(ev.measured);
+            release(ev, paths, catalog, loads, caches);
         }
-        killed += u64::from(ev.measured);
-        loads.remove(
-            paths.path(ev.server, ev.client),
-            catalog.video(ev.video).bitrate().value(),
-        );
-        if ev.unpin_server_cache {
-            if let Some(c) = caches[ev.server.index()].as_mut() {
-                c.unpin(ev.video);
-            }
-        }
-        if ev.unpin_client_cache {
-            if let Some(c) = caches[ev.client.index()].as_mut() {
-                c.unpin(ev.video);
-            }
-        }
-    }
-    ends.extend(survivors.drain(..).map(std::cmp::Reverse));
+        !dead
+    });
     killed
 }
 
@@ -389,7 +486,6 @@ pub fn simulate_with_final(
     // branch below off the replay's hot path.
     let faulted = cfg.faults.is_active();
     let mut fstate = FaultState::new(&cfg.faults, net);
-    let mut interrupt_scratch: Vec<EndEvent> = Vec::new();
 
     // Pinned holders per video, sorted.
     let mut pinned_holders: Vec<Vec<VhoId>> = vec![Vec::new(); n_videos];
@@ -416,7 +512,7 @@ pub fn simulate_with_final(
     let mut evicted: Vec<VideoId> = Vec::new();
 
     let mut loads = Loads::new(net.num_links(), trace.horizon(), cfg.bucket_secs);
-    let mut ends: BinaryHeap<std::cmp::Reverse<EndEvent>> = BinaryHeap::new();
+    let mut ends = Ends::default();
     let mut rng = derive_rng(cfg.seed, 0x517_EC0);
     let mut seq = 0u64;
 
@@ -429,24 +525,6 @@ pub fn simulate_with_final(
     let mut denied_capacity = 0u64;
     let mut interrupted_streams = 0u64;
 
-    let finish = |ev: EndEvent, loads: &mut Loads, caches: &mut Vec<Option<CacheImpl>>| {
-        loads.advance(ev.time.secs());
-        if ev.server != ev.client {
-            let path = paths.path(ev.server, ev.client);
-            loads.remove(path, catalog.video(ev.video).bitrate().value());
-        }
-        if ev.unpin_server_cache {
-            if let Some(c) = caches[ev.server.index()].as_mut() {
-                c.unpin(ev.video);
-            }
-        }
-        if ev.unpin_client_cache {
-            if let Some(c) = caches[ev.client.index()].as_mut() {
-                c.unpin(ev.video);
-            }
-        }
-    };
-
     for r in trace.requests() {
         // Complete ended streams and apply due fault transitions in
         // time order. With an empty schedule `peek_time()` is always
@@ -454,11 +532,11 @@ pub fn simulate_with_final(
         // equal timestamps stream ends run first, so a stream ending
         // the instant a fault begins is not interrupted.
         loop {
-            let next_end = ends.peek().map(|e| e.0.time);
+            let next_end = ends.peek();
             let transition_due = match (next_end, fstate.peek_time()) {
                 (_, None) => false,
                 (None, Some(tt)) => tt <= r.time,
-                (Some(te), Some(tt)) => tt <= r.time && tt < te,
+                (Some((te, _)), Some(tt)) => tt <= r.time && tt < te,
             };
             if transition_due {
                 let (t, disruptive) = fstate.apply_next();
@@ -471,17 +549,17 @@ pub fn simulate_with_final(
                         catalog,
                         &mut loads,
                         &mut caches,
-                        &mut interrupt_scratch,
                     );
                 }
                 continue;
             }
-            match ends.peek() {
-                Some(e) if e.0.time <= r.time => {
-                    let Some(std::cmp::Reverse(ev)) = ends.pop() else {
+            match next_end {
+                Some((te, k)) if te <= r.time => {
+                    let Some(ev) = ends.pop(k) else {
                         break;
                     };
-                    finish(ev, &mut loads, &mut caches);
+                    loads.advance(ev.time.secs());
+                    release(&ev, paths, catalog, &mut loads, &mut caches);
                 }
                 _ => break,
             }
@@ -522,7 +600,7 @@ pub fn simulate_with_final(
                             served_local_cached += 1;
                         }
                         seq += 1;
-                        ends.push(std::cmp::Reverse(EndEvent {
+                        let end = EndEvent {
                             time: end_time,
                             seq,
                             video: m,
@@ -531,7 +609,8 @@ pub fn simulate_with_final(
                             unpin_server_cache: false,
                             unpin_client_cache: true,
                             measured,
-                        }));
+                        };
+                        ends.push(video.class, end);
                         continue;
                     }
                 }
@@ -658,7 +737,7 @@ pub fn simulate_with_final(
             }
 
             seq += 1;
-            ends.push(std::cmp::Reverse(EndEvent {
+            let end = EndEvent {
                 time: end_time,
                 seq,
                 video: m,
@@ -667,7 +746,8 @@ pub fn simulate_with_final(
                 unpin_server_cache: server_cached,
                 unpin_client_cache: unpin_client,
                 measured,
-            }));
+            };
+            ends.push(video.class, end);
         }
     }
 
@@ -676,10 +756,10 @@ pub fn simulate_with_final(
     // Once no streams remain, pending transitions cannot affect the
     // report and are skipped.
     loop {
-        let next_end = ends.peek().map(|e| e.0.time);
+        let next_end = ends.peek();
         let transition_due = match (next_end, fstate.peek_time()) {
             (_, None) | (None, Some(_)) => false,
-            (Some(te), Some(tt)) => tt < te,
+            (Some((te, _)), Some(tt)) => tt < te,
         };
         if transition_due {
             let (t, disruptive) = fstate.apply_next();
@@ -692,17 +772,17 @@ pub fn simulate_with_final(
                     catalog,
                     &mut loads,
                     &mut caches,
-                    &mut interrupt_scratch,
                 );
             }
             continue;
         }
-        let Some(std::cmp::Reverse(ev)) = ends.pop() else {
+        let Some(ev) = next_end.and_then(|(_, k)| ends.pop(k)) else {
             break;
         };
-        finish(ev, &mut loads, &mut caches);
+        loads.advance(ev.time.secs());
+        release(&ev, paths, catalog, &mut loads, &mut caches);
     }
-    loads.advance(trace.horizon().secs());
+    loads.close(trace.horizon().secs());
 
     #[cfg(feature = "audit")]
     {
@@ -767,7 +847,7 @@ pub fn simulate_with_final(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_model::{Video, VideoClass, VideoKind};
+    use vod_model::{Video, VideoKind};
     use vod_net::topologies;
     use vod_trace::Request;
 
@@ -1071,7 +1151,6 @@ mod tests {
     // ---- fault-injection behaviour ----------------------------------
 
     use crate::faults::{FaultEvent, FaultKind, FaultSchedule};
-    use vod_model::LinkId;
 
     fn fault_cfg(events: Vec<FaultEvent>, admission: bool) -> SimConfig {
         SimConfig {
@@ -1252,5 +1331,236 @@ mod tests {
         assert_eq!(rep.peak_link_mbps, base.peak_link_mbps);
         assert_eq!(rep.transfer_gb, base.transfer_gb);
         assert_eq!(rep.denied(), 0);
+    }
+
+    // ---- oracles for `Loads` and `Ends` ------------------------------
+
+    use proptest::prelude::*;
+
+    /// Reference for [`Loads`]: the implementation it replaced, with
+    /// the global max folded linearly at every call and the old
+    /// `advance` loop verbatim.
+    struct RescanLoads {
+        level: Vec<f64>,
+        current_total: f64,
+        last_event: u64,
+        bucket_secs: u64,
+        peaks: Vec<f64>,
+        volumes_gb: Vec<f64>,
+    }
+
+    impl RescanLoads {
+        fn max(&self) -> f64 {
+            self.level.iter().copied().fold(0.0, f64::max)
+        }
+
+        fn advance(&mut self, now: u64) {
+            let mut t = self.last_event;
+            while t < now {
+                let b = (t / self.bucket_secs) as usize;
+                if b >= self.peaks.len() {
+                    break;
+                }
+                let seg_end = ((b as u64 + 1) * self.bucket_secs).min(now);
+                self.peaks[b] = self.peaks[b].max(self.max());
+                self.volumes_gb[b] += self.current_total * (seg_end - t) as f64 / 8000.0;
+                t = seg_end;
+            }
+            self.last_event = now;
+            let b = (now / self.bucket_secs) as usize;
+            if b < self.peaks.len() {
+                self.peaks[b] = self.peaks[b].max(self.max());
+            }
+        }
+
+        fn add(&mut self, links: &[LinkId], rate: f64) {
+            for &l in links {
+                self.level[l.index()] += rate;
+            }
+            self.current_total += rate * links.len() as f64;
+        }
+
+        fn remove(&mut self, links: &[LinkId], rate: f64) {
+            for &l in links {
+                self.level[l.index()] = (self.level[l.index()] - rate).max(0.0);
+            }
+            self.current_total = (self.current_total - rate * links.len() as f64).max(0.0);
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const N_LINKS: usize = 6;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random add / remove / advance scripts in the engine's call
+        /// pattern — one `advance` per event, then only adds or only
+        /// removes — give bitwise the peaks and volumes of a rescan at
+        /// every call. The time steps cover several events in one
+        /// second, events exactly on a bucket boundary, gaps over three
+        /// and more buckets and events past the horizon; the closing
+        /// call comes with the clock before, at and past the horizon.
+        #[test]
+        fn loads_match_a_rescan_at_every_event(
+            bucket_secs_pick in 0usize..4,
+            horizon in 1_500u64..2_500,
+            drain in any::<bool>(),
+            steps in prop::collection::vec((0u8..8, 1u64..90, 0u8..5, 1usize..64), 1..100),
+        ) {
+            // 1 s buckets, an odd length, the default, and one bucket
+            // longer than the horizon.
+            let bucket_secs = [1, 77, 300, 5_000][bucket_secs_pick];
+            let mut fast = Loads::new(N_LINKS, SimTime::new(horizon), bucket_secs);
+            let mut slow = RescanLoads {
+                level: vec![0.0; N_LINKS],
+                current_total: 0.0,
+                last_event: 0,
+                bucket_secs,
+                peaks: vec![0.0; fast.peaks.len()],
+                volumes_gb: vec![0.0; fast.peaks.len()],
+            };
+            let mut active: Vec<(Vec<LinkId>, f64)> = Vec::new();
+            let mut now = 0u64;
+            for (gap, dt, op, mask) in steps {
+                now = match gap {
+                    0 | 1 => now,
+                    2 => (now / bucket_secs + 1) * bucket_secs,
+                    3 => now + 3 * bucket_secs + dt,
+                    _ => now + dt,
+                };
+                fast.advance(now);
+                slow.advance(now);
+                if op == 0 && !active.is_empty() {
+                    // One or two streams end (or are killed) at once.
+                    for _ in 0..1 + mask % 2 {
+                        if active.is_empty() {
+                            break;
+                        }
+                        let (links, rate) = active.swap_remove(mask % active.len());
+                        fast.remove(&links, rate);
+                        slow.remove(&links, rate);
+                    }
+                } else {
+                    // One stream starts, or a flash crowd's two copies.
+                    let links: Vec<LinkId> = (0..N_LINKS)
+                        .filter(|l| mask >> l & 1 == 1)
+                        .map(|l| LinkId::new(l as u32))
+                        .collect();
+                    // Dyadic rates: a drained script leaves exactly zero
+                    // load, as the engine's 2 Mb/s streams do.
+                    let rate = [2.0, 0.5, 1.25][mask % 3];
+                    for _ in 0..1 + usize::from(op == 4) {
+                        fast.add(&links, rate);
+                        slow.add(&links, rate);
+                        active.push((links.clone(), rate));
+                    }
+                }
+                prop_assert_eq!(fast.max().to_bits(), slow.max().to_bits());
+            }
+            // The engine closes only after every stream has ended. Once
+            // the clock has left the reported buckets the old closing
+            // call would book whatever load is left into the last
+            // bucket (see `close_does_not_move_the_clock_back`), so
+            // there the script drains first, as the engine does.
+            if drain || now / bucket_secs >= fast.peaks.len() as u64 {
+                for (k, (links, rate)) in active.drain(..).enumerate() {
+                    now += [0, 1, bucket_secs][k % 3];
+                    fast.advance(now);
+                    slow.advance(now);
+                    fast.remove(&links, rate);
+                    slow.remove(&links, rate);
+                }
+            }
+            fast.close(horizon);
+            slow.advance(horizon);
+            prop_assert_eq!(bits(&fast.peaks), bits(&slow.peaks));
+            prop_assert_eq!(bits(&fast.volumes_gb), bits(&slow.volumes_gb));
+        }
+
+        /// Ends queued the way the engine queues them — request times
+        /// non-decreasing, any mix of the four length classes, due ends
+        /// popped before each request — come out sorted by
+        /// `(time, seq)`, also after a `retain` dropped some of them.
+        #[test]
+        fn ends_pop_in_time_then_seq_order(
+            requests in prop::collection::vec((0u64..6, 0usize..4, any::<bool>()), 1..200),
+            retain_at in 0usize..200,
+        ) {
+            let mut ends = Ends::default();
+            let mut queued: Vec<(SimTime, u64)> = Vec::new();
+            let mut popped: Vec<(SimTime, u64)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (seq, &(dt, class, same_second)) in (1u64..).zip(&requests) {
+                // Steps of 150 s divide every class length, so ends
+                // of different classes often tie on time.
+                if !same_second {
+                    now = now + dt * 150;
+                }
+                while let Some((te, k)) = ends.peek().filter(|&(te, _)| te <= now) {
+                    let ev = ends.pop(k).unwrap();
+                    prop_assert_eq!(ev.time, te);
+                    popped.push((ev.time, ev.seq));
+                }
+                if seq as usize == retain_at {
+                    ends.retain(|ev| ev.seq % 3 != 0);
+                    queued.retain(|&(t, s)| s % 3 != 0 || popped.contains(&(t, s)));
+                }
+                let class = VideoClass::ALL[class];
+                let time = now + class.duration_secs();
+                ends.push(class, end_event(time, seq));
+                queued.push((time, seq));
+            }
+            while let Some((_, k)) = ends.peek() {
+                let ev = ends.pop(k).unwrap();
+                popped.push((ev.time, ev.seq));
+            }
+            queued.sort();
+            prop_assert_eq!(popped, queued);
+        }
+    }
+
+    fn end_event(time: SimTime, seq: u64) -> EndEvent {
+        EndEvent {
+            time,
+            seq,
+            video: VideoId::new(0),
+            server: VhoId::new(0),
+            client: VhoId::new(1),
+            unpin_server_cache: false,
+            unpin_client_cache: false,
+            measured: true,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be queued in (time, seq) order")]
+    fn out_of_order_end_is_refused() {
+        let mut ends = Ends::default();
+        ends.push(VideoClass::Show, end_event(SimTime::new(3_700), 1));
+        // Same class, earlier end: a per-video duration would do this.
+        ends.push(VideoClass::Show, end_event(SimTime::new(3_600), 2));
+    }
+
+    #[test]
+    fn close_does_not_move_the_clock_back() {
+        // Four 300 s buckets; the last one covers 900..1200.
+        let mut loads = Loads::new(1, SimTime::new(1_000), 300);
+        let link = [LinkId::new(0)];
+        loads.advance(950);
+        loads.add(&link, 2.0);
+        // The drain runs past the horizon and (in a script, never in
+        // the engine) load is still rising there.
+        loads.advance(1_300);
+        loads.add(&link, 2.0);
+        loads.close(1_000);
+        assert_eq!(loads.last_event, 1_300);
+        assert_eq!(loads.peaks, vec![0.0, 0.0, 0.0, 2.0]);
+        // 2 Mb/s over 950..1200, the part of the stream inside the
+        // reported buckets.
+        assert_eq!(loads.volumes_gb[3], 2.0 * 250.0 / 8000.0);
     }
 }
