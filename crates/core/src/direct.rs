@@ -7,10 +7,23 @@
 //! would hand the problem to CPLEX. It exists (a) to validate the EPF
 //! solver against exact optima on small instances and (b) as the
 //! baseline of the Table III scalability comparison.
+//!
+//! The same simplex also certifies single blocks:
+//! [`exact_block_lp`] / [`exact_block_lp_solution`] return the exact
+//! LP minimum of one video's UFL block, which the Lagrangian bound of
+//! the Appendix (eq. 13) is defined on. A block is **not** handed over
+//! as its full `F^m` model (`C + nC + n` rows for `C` clients and `n`
+//! VHOs, a 5 MB tableau at 23 × 23, two phases): `x` is projected out
+//! and the remaining LP in `y` is solved from its dual, `C + n` rows
+//! with a feasible slack basis — the same optimum at about a tenth of
+//! the cost. The derivation sits on `solve_projected`, the read-back
+//! and what counts as a failed one on `map_back`; the full block model
+//! lives on only as the oracle of `tests/block_bounds.rs`.
 
-use crate::block::UflScratch;
+use crate::block::{UflProblem, UflScratch};
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
+use crate::solution::BlockSolution;
 use vod_lp::{Cmp, LinearProgram};
 
 /// The direct formulation plus the variable index maps needed to read
@@ -128,29 +141,174 @@ pub fn build_direct_lp(inst: &MipInstance) -> DirectLp {
     DirectLp { lp, y_vars, x_vars }
 }
 
-/// Exact LP optimum of a single UFL block (tiny dense simplex) — used
-/// to validate/tighten the per-block dual-ascent bounds on small
-/// networks.
-pub fn exact_block_lp(p: &crate::block::UflProblem) -> f64 {
-    let n = p.facility_cost.len();
+/// Residual allowed when the projected block LP's optimum is mapped
+/// back to a primal point (fill shortfall: absolute; price against the
+/// LP value: relative). The simplex stops at reduced costs above
+/// `−1e-9`, and `Σ_i y_i − 1` *is* the reduced cost of `σ`, so a healthy
+/// optimum sits two orders of magnitude inside this.
+const MAP_BACK_TOL: f64 = 1e-7;
+
+/// The block LP with `x` projected out, solved from its dual side.
+/// Returns the LP optimum and the optimal `y` (dense, one entry per
+/// facility); `None` when the simplex fails.
+///
+/// **The model.** The block relaxation is
+/// `min Σ_i f_i y_i + Σ_c Σ_i s_ci x_ci` over
+/// `F^m = {Σ_i x_ci = 1, 0 ≤ x_ci ≤ y_i ≤ 1}`. For fixed `y` the clients
+/// decouple and client `c` pays the greedy fill of its cheapest open
+/// fractions; by LP duality of that fill,
+/// `g_c(y) = max_v [ v − Σ_i (v − s_ci)⁺ y_i ]`. The bracket is concave
+/// and piecewise linear in `v` with breakpoints at the `s_ck` and slope
+/// `1 − Σ_{i: s_ci < v} y_i`, which ends at `1 − Σ_i y_i`: as long as
+/// `Σ_i y_i ≥ 1` the maximum sits on a breakpoint, so
+/// `g_c(y) = max_k [ s_ck − Σ_i (s_ck − s_ci)⁺ y_i ]` **exactly** — `n`
+/// cuts per client describe `g_c`, nothing is relaxed. Without
+/// `Σ_i y_i ≥ 1` the bracket grows without bound in `v` (the fill cannot
+/// reach 1), which no finite set of cuts says: the full model gets the
+/// row for free from `Σ x = 1, x ≤ y`, the projected one must state it.
+/// The block LP is therefore
+/// `min Σ_i f_i y_i + Σ_c θ_c` over `θ_c ≥` those cuts, `Σ_i y_i ≥ 1`,
+/// `0 ≤ y ≤ 1`.
+///
+/// **Its dual** — what is actually built. With `lo_c = min_k s_ck` the
+/// cut at the cheapest facility reads `θ_c ≥ lo_c`; shifting
+/// `θ_c = lo_c + θ'_c`, `θ'_c ≥ 0` turns the dual's `Σ_k λ_ck = 1` into
+/// `≤ 1` and makes every column with `s_ck = lo_c` a zero-objective
+/// column that can be dropped:
+///
+/// ```text
+/// max  Σ_c lo_c + Σ_{c,k} (s_ck − lo_c)·λ_ck + σ − Σ_i u_i
+/// s.t. Σ_k λ_ck ≤ 1                                  (client c; skipped when its row is constant)
+///      Σ_{c,k} (s_ck − s_ci)⁺·λ_ck + σ − u_i ≤ f_i    (facility i)        λ, σ, u ≥ 0
+/// ```
+///
+/// `C + n` rows where the full model has `C + nC + n`. Every row is
+/// `≤` with a right-hand side of `1` or `f_i ≥ 0`, so the slack basis
+/// is feasible and the two-phase simplex never runs its phase 1.
+///
+/// **Reading the primal back.** The facility rows' prices are the
+/// optimal `y` ([`vod_lp::LpSolution::duals`] reports them for the
+/// minimisation `min −(…)`, hence negated); [`map_back`] recovers `x`.
+fn solve_projected(p: &UflProblem) -> Option<(f64, Vec<f64>)> {
+    let n = p.n_facilities();
+    if p.n_clients() == 0 {
+        // `min Σ f_i y_i` over `Σ y ≥ 1`: the cheapest facility, the
+        // first one on ties.
+        let (i, &f) = p
+            .facility_cost
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))?;
+        let mut y = vec![0.0; n];
+        y[i] = 1.0;
+        return Some((f, y));
+    }
     let mut lp = LinearProgram::new();
-    let ys: Vec<usize> = (0..n)
-        .map(|i| lp.add_var(p.facility_cost[i], Some(1.0)))
+    let mut lo_sum = 0.0;
+    let mut client_rows = 0;
+    let mut facility: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|_| Vec::with_capacity(p.n_clients() * (n - 1) + 2))
         .collect();
     for row in p.service_rows() {
-        let xv: Vec<usize> = (0..n).map(|i| lp.add_var(row[i], None)).collect();
-        lp.add_constraint(xv.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-        for i in 0..n {
-            lp.add_constraint(vec![(xv[i], 1.0), (ys[i], -1.0)], Cmp::Le, 0.0);
+        let lo = row.iter().copied().fold(f64::INFINITY, f64::min);
+        lo_sum += lo;
+        let mut cuts = Vec::with_capacity(n - 1);
+        for &at in row.iter().filter(|&&at| at > lo) {
+            let lambda = lp.add_var(lo - at, None);
+            cuts.push((lambda, 1.0));
+            for (terms, &s) in facility.iter_mut().zip(row) {
+                if at > s {
+                    terms.push((lambda, at - s));
+                }
+            }
+        }
+        if !cuts.is_empty() {
+            lp.add_constraint(cuts, Cmp::Le, 1.0);
+            client_rows += 1;
         }
     }
-    if p.n_clients() == 0 {
-        lp.add_constraint(ys.iter().map(|&v| (v, 1.0)).collect(), Cmp::Ge, 1.0);
+    let sigma = lp.add_var(-1.0, None);
+    for (mut terms, &f) in facility.into_iter().zip(&p.facility_cost) {
+        terms.push((sigma, 1.0));
+        terms.push((lp.add_var(1.0, None), -1.0));
+        lp.add_constraint(terms, Cmp::Le, f);
     }
-    match vod_lp::solve_lp(&lp) {
-        Ok(s) => s.objective,
+    let s = vod_lp::solve_lp(&lp).ok()?;
+    let y = s.duals[client_rows..].iter().map(|&price| -price).collect();
+    Some((lo_sum - s.objective, y))
+}
+
+/// Map an optimum of [`solve_projected`] back to a point of `F^m` and
+/// check the residual. `x` is the greedy fill of each client's
+/// cheapest facilities up to their `y` — the exact inner minimiser for
+/// that `y`, so `(bound, usage of the point)` is a true subgradient
+/// pair of the Lagrangian dual. A fill that cannot reach 1, or a point
+/// whose price differs from the LP value beyond [`MAP_BACK_TOL`], is a
+/// *failed* map-back: `None`, never a patched-up point. Under the
+/// `audit` feature both residuals and `x ≤ y ≤ 1` are asserted instead.
+fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
+    // lint:allow(raw-index): LP rows are dense over VHO indices
+    let vho = vod_model::VhoId::from_index;
+    let mut price: f64 = y.iter().zip(&p.facility_cost).map(|(y, f)| y * f).sum();
+    let mut short = (1.0 - y.iter().sum::<f64>()).max(0.0);
+    let mut order: Vec<usize> = (0..y.len()).collect();
+    let x: Vec<Vec<(vod_model::VhoId, f64)>> = p
+        .service_rows()
+        .map(|row| {
+            order.sort_unstable_by(|&a, &b| row[a].total_cmp(&row[b]).then(a.cmp(&b)));
+            let mut left = 1.0f64;
+            let mut shares = Vec::new();
+            for &i in &order {
+                let take = y[i].min(left);
+                if take > 1e-12 {
+                    price += row[i] * take;
+                    left -= take;
+                    shares.push((vho(i), take));
+                }
+            }
+            short = short.max(left);
+            shares.sort_unstable_by_key(|&(i, _)| i);
+            shares
+        })
+        .collect();
+    let y = (0..y.len())
+        .filter(|&i| y[i] > 1e-12)
+        .map(|i| (vho(i), y[i]))
+        .collect();
+    let point = BlockSolution { y, x };
+    // Relative, with magnitudes below 1 read as 1: the simplex's own
+    // tolerances are absolute, so an optimum of exactly 0 may come back
+    // as round-off.
+    let ok =
+        short <= MAP_BACK_TOL && (price - bound).abs() <= MAP_BACK_TOL * price.max(bound).max(1.0);
+    #[cfg(feature = "audit")]
+    {
+        assert!(
+            ok,
+            "audit failed at block LP map-back: fill short by {short}, point priced at \
+             {price} against the LP value {bound}"
+        );
+        let stored = point.y.iter().chain(point.x.iter().flatten());
+        for &(i, v) in stored {
+            assert!(
+                v <= point.y_at(i).min(1.0 + MAP_BACK_TOL),
+                "audit failed at block LP map-back: {v} at VHO {} exceeds y or 1",
+                i.index()
+            );
+        }
+    }
+    ok.then_some(point)
+}
+
+/// Exact LP optimum of a single UFL block — the block minimum the
+/// Lagrangian bound of the Appendix (eq. 13) asks for, where dual
+/// ascent only lower-bounds it: the block LP with `x` projected out,
+/// see the module docs.
+pub fn exact_block_lp(p: &UflProblem) -> f64 {
+    match solve_projected(p) {
+        Some((bound, _)) => bound,
         // Fall back to the always-valid combinatorial bound.
-        Err(_) => p.dual_ascent_bound_with_kernel(&mut UflScratch::default(), Kernel::default()),
+        None => p.dual_ascent_bound_with_kernel(&mut UflScratch::default(), Kernel::default()),
     }
 }
 
@@ -159,46 +317,12 @@ pub fn exact_block_lp(p: &crate::block::UflProblem) -> f64 {
 /// Lagrangian dual instead of approximating them with the heuristic
 /// minimizer's usage — at a dual kink the two can disagree badly
 /// enough that ascent on the heuristic direction goes downhill.
-/// Returns `None` when the simplex fails; callers fall back to the
-/// heuristic bound/minimizer pair.
-pub fn exact_block_lp_solution(
-    p: &crate::block::UflProblem,
-) -> Option<(f64, crate::solution::BlockSolution)> {
-    let n = p.facility_cost.len();
-    let mut lp = LinearProgram::new();
-    let ys: Vec<usize> = (0..n)
-        .map(|i| lp.add_var(p.facility_cost[i], Some(1.0)))
-        .collect();
-    for row in p.service_rows() {
-        let xv: Vec<usize> = (0..n).map(|i| lp.add_var(row[i], None)).collect();
-        lp.add_constraint(xv.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-        for i in 0..n {
-            lp.add_constraint(vec![(xv[i], 1.0), (ys[i], -1.0)], Cmp::Le, 0.0);
-        }
-    }
-    if p.n_clients() == 0 {
-        lp.add_constraint(ys.iter().map(|&v| (v, 1.0)).collect(), Cmp::Ge, 1.0);
-    }
-    let s = vod_lp::solve_lp(&lp).ok()?;
-    // Variable order mirrors the build above: `y` first, then one
-    // dense VHO-row of `x` per client.
-    let y: Vec<(vod_model::VhoId, f64)> = (0..n)
-        .filter(|&i| s.x[i] > 1e-12)
-        // lint:allow(raw-index): LP columns are dense over VHO indices
-        .map(|i| (vod_model::VhoId::from_index(i), s.x[i]))
-        .collect();
-    let x: Vec<Vec<(vod_model::VhoId, f64)>> = (0..p.n_clients())
-        .map(|c| {
-            (0..n)
-                .filter_map(|i| {
-                    let v = s.x[n * (c + 1) + i];
-                    // lint:allow(raw-index): same dense column order
-                    (v > 1e-12).then(|| (vod_model::VhoId::from_index(i), v))
-                })
-                .collect()
-        })
-        .collect();
-    Some((s.objective, crate::solution::BlockSolution { y, x }))
+/// Returns `None` when the simplex fails or the mapped-back point
+/// misses its residual check (fill short of 1, or priced off the LP
+/// value); callers fall back to the heuristic bound/minimizer pair.
+pub fn exact_block_lp_solution(p: &UflProblem) -> Option<(f64, BlockSolution)> {
+    let (bound, y) = solve_projected(p)?;
+    Some((bound, map_back(p, bound, &y)?))
 }
 
 #[cfg(test)]

@@ -90,13 +90,18 @@ pub struct EpfConfig {
     /// it never loosens per-run feasibility.
     pub gap_limit: Option<f64>,
     /// Iteration budget of the *exact certification* stage of the
-    /// final lower-bound polish: each iteration evaluates the
-    /// Lagrangian with exact per-block LPs ([`crate::direct`]) on the
-    /// calibrated loose-block subset (plus one full exact calibration
-    /// sweep), ascending from the best heuristic multipliers. 0
-    /// disables the stage (heuristic dual-ascent bounds only — the
-    /// right choice above ~10⁴ blocks, where block LPs dominate wall
-    /// time).
+    /// final lower-bound polish: one sweep of exact per-block LPs
+    /// ([`crate::direct`]) at the best heuristic multipliers, then this
+    /// many ascent iterations that each re-solve every block's LP and
+    /// step along the LP minimizers' usage. Any value above 0 also
+    /// certifies each failed `FEAS(B)` run with one such sweep. 0
+    /// disables both (dual-ascent bounds only). A sweep costs one block
+    /// LP per video — ≈ 0.1 ms each at 23 VHOs, tens of dual ascents —
+    /// so the stage is priced in sweeps × blocks: measured on the
+    /// 2-core reference box, 16 iterations add ≈ 1 s to a 2 s solve at
+    /// 1 000 videos / 23 VHOs and 44 s to a 15 s solve at 5 000 / 49,
+    /// where they take the certified gap from 51 % to 14 %
+    /// (EXPERIMENTS.md "Large-library scale ladder").
     pub exact_cert: usize,
 }
 
@@ -430,8 +435,17 @@ pub(crate) fn greedy_x_given_y<'a>(
 }
 
 /// Lagrangian lower bound `LR(λ̄)` with the smoothed duals (Appendix,
-/// eq. (13)): per-block dual-ascent bounds in scaled units, then
+/// eq. (13)): per-block bounds in scaled units, then
 /// `LR = (Σ_k scaledLB_k − Σ_rows π̄_r·b_r) / π̄_0`.
+///
+/// Block bounds are dual ascent, or with `exact`
+/// `max(dual ascent, exact block LP)` — both valid per-block bounds, so
+/// the mix is valid. The exact form is the certificate that converts a
+/// failed `FEAS(B)` run's *uncertified* `lo` lift into a certified
+/// lower bound: the run's own terminal duals typically prove a bound
+/// within a fraction of a percent of the infeasible target `B`, which
+/// is what lets the bisection close a ≤2 % certified gap instead of
+/// reporting `converged: false` with a loose heuristic bound.
 ///
 /// Retargets the shared penalty arena at `smoothed`; when the smoothed
 /// duals are version-identical to the arena's snapshot (nothing moved
@@ -442,42 +456,18 @@ fn lagrangian_bound(
     smoothed: &Duals,
     pool: &WorkerPool<'_>,
     idx_all: &[usize],
+    exact: bool,
 ) -> Option<f64> {
     if smoothed.obj <= 0.0 {
         return None;
     }
     pool.update_penalty(smoothed);
-    let bounds = pool.dual_bounds(idx_all);
+    let bounds = if exact {
+        pool.exact_bounds(idx_all)
+    } else {
+        pool.dual_bounds(idx_all)
+    };
     let scaled_sum: f64 = bounds.iter().sum();
-    let penalty_mass: f64 = (0..layout.n_rows())
-        .map(|r| smoothed.rows[r] * coupling.cap(r))
-        .sum();
-    Some((scaled_sum - penalty_mass) / smoothed.obj)
-}
-
-/// Exact-certified Lagrangian bound at the smoothed duals: as
-/// [`lagrangian_bound`], but every block bound is
-/// `max(dual-ascent, exact block LP)` — both valid per-block bounds,
-/// so the mix is valid. This is the certificate that converts a failed
-/// `FEAS(B)` run's *uncertified* `lo` lift into a certified lower
-/// bound: the run's own terminal duals typically prove a bound within
-/// a fraction of a percent of the infeasible target `B`, which is what
-/// lets the bisection close a ≤2 % certified gap instead of reporting
-/// `converged: false` with a loose heuristic bound.
-fn exact_lagrangian(
-    layout: &RowLayout,
-    coupling: &Coupling,
-    smoothed: &Duals,
-    pool: &WorkerPool<'_>,
-    idx_all: &[usize],
-) -> Option<f64> {
-    if smoothed.obj <= 0.0 {
-        return None;
-    }
-    pool.update_penalty(smoothed);
-    let heur = pool.dual_bounds(idx_all);
-    let exact = pool.exact_bounds(idx_all);
-    let scaled_sum: f64 = heur.iter().zip(&exact).map(|(&h, &e)| h.max(e)).sum();
     let penalty_mass: f64 = (0..layout.n_rows())
         .map(|r| smoothed.rows[r] * coupling.cap(r))
         .sum();
@@ -1175,7 +1165,7 @@ fn solve_with_pool(
                     // shows up mid-run.
                     if run.track_lb && run.local_pass % cfg.lb_every.max(1) == 0 {
                         if let Some(lr) =
-                            lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all)
+                            lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all, false)
                         {
                             if lr > run.lb_run {
                                 run.lb_run = lr;
@@ -1282,7 +1272,7 @@ fn solve_with_pool(
                         );
                     }
                     if let Some(lr) =
-                        lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all)
+                        lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all, false)
                     {
                         lb = lb.max(lr);
                     }
@@ -1357,9 +1347,9 @@ fn solve_with_pool(
                             // smoothed duals lands close to the
                             // infeasible target.
                             if cfg.exact_cert > 0 {
-                                if let Some(lr) =
-                                    exact_lagrangian(&layout, &coupling, &smoothed, pool, &idx_all)
-                                {
+                                if let Some(lr) = lagrangian_bound(
+                                    &layout, &coupling, &smoothed, pool, &idx_all, true,
+                                ) {
                                     if lr > lb {
                                         lb = lr;
                                     }

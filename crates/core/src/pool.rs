@@ -127,8 +127,8 @@ pub(crate) enum JobKind {
     /// returned flat: the caller materialises the `hat` block the line
     /// search steps toward into its own reused buffer.
     Solve,
-    /// Per-block lower bound: dual ascent, or the exact block LP
-    /// (`exact: true` — the polish's hybrid certification subset).
+    /// Per-block lower bound: dual ascent, or (`exact: true`) the
+    /// larger of it and the exact block LP, from one UFL build.
     DualBound { exact: bool },
     /// Polish sweep: valid bound + heuristic minimizer's resource usage.
     Polish { exact: bool },
@@ -300,10 +300,10 @@ impl<'env> WorkerPool<'env> {
         self.bounds(items, false)
     }
 
-    /// Exact per-block LP bounds for `items`, in item order — the
-    /// polish's hybrid certification path (orders of magnitude more
-    /// expensive per block than [`WorkerPool::dual_bounds`]; callers
-    /// restrict `items` to the calibrated loose subset).
+    /// `max(dual ascent, exact block LP)` per block of `items`, in item
+    /// order — both valid block bounds, so the mix is one. A block LP
+    /// costs tens of dual ascents (≈ 0.1 ms against a few µs on a
+    /// 23-VHO network).
     pub(crate) fn exact_bounds(&self, items: &[usize]) -> Vec<f64> {
         self.bounds(items, true)
     }
@@ -501,12 +501,15 @@ fn exec_job(
                         &mut scratch.ufl,
                         kernel,
                     );
+                    let ascent = scratch
+                        .ufl
+                        .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
                     if exact {
-                        crate::direct::exact_block_lp(&scratch.ufl)
+                        // Guards the certificate against round-off in
+                        // the LP value: both are valid block bounds.
+                        ascent.max(crate::direct::exact_block_lp(&scratch.ufl))
                     } else {
-                        scratch
-                            .ufl
-                            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel)
+                        ascent
                     }
                 })
                 .collect(),
@@ -536,7 +539,8 @@ fn exec_job(
                     // the heuristic's: the pair (exact bound, exact
                     // argmin) is what makes the polish's certification
                     // direction a true subgradient of the Lagrangian
-                    // dual.
+                    // dual. A block whose LP or map-back fails keeps
+                    // the heuristic pair below.
                     if exact {
                         if let Some((lb, hat)) =
                             crate::direct::exact_block_lp_solution(&scratch.ufl)
@@ -545,13 +549,9 @@ fn exec_job(
                             return (lb, scratch.rows.clone());
                         }
                     }
-                    let lb = if exact {
-                        crate::direct::exact_block_lp(&scratch.ufl)
-                    } else {
-                        scratch
-                            .ufl
-                            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel)
-                    };
+                    let lb = scratch
+                        .ufl
+                        .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
                     let sol = scratch
                         .ufl
                         .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);

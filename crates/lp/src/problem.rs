@@ -169,6 +169,15 @@ pub struct LpSolution {
     pub x: Vec<f64>,
     pub objective: f64,
     pub iterations: usize,
+    /// One price per [`LinearProgram::add_constraint`] row, in call
+    /// order (variable upper bounds have none): `∂ objective / ∂ rhs`
+    /// of the *minimisation* at this optimum, read off the reduced cost
+    /// of the row's slack (artificial for `=`) column. So `≤` rows
+    /// price at `≤ 0`, `≥` rows at `≥ 0`, `=` rows either way, a row
+    /// with slack left at 0, and `c_j − Σ_r duals[r]·a_rj ≥ 0` for
+    /// every variable below its upper bound. A maximisation stated as
+    /// `min −f` reports the textbook shadow prices negated.
+    pub duals: Vec<f64>,
 }
 
 #[cfg(test)]

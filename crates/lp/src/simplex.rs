@@ -148,6 +148,7 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
             x: vec![0.0; n],
             objective: 0.0,
             iterations: 0,
+            duals: Vec::new(),
         });
     }
     let m = rows.len();
@@ -190,6 +191,9 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
     // Build the tableau.
     let mut a = vec![vec![0.0; cols + 1]; m];
     let mut basis = vec![usize::MAX; m];
+    // Per row, the column whose final reduced cost carries the row's
+    // dual, and the factor (slack sense, row flip) that undoes its sign.
+    let mut price = vec![(0usize, 0.0f64); m];
     let mut next_slack = n;
     let mut next_art = art_start;
     for (r, (row, plan)) in rows.iter().zip(&plans).enumerate() {
@@ -203,11 +207,15 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
             if s > 0 {
                 basis[r] = next_slack;
             }
+            price[r] = (next_slack, -sign * s as f64);
             next_slack += 1;
         }
         if plan.artificial {
             a[r][next_art] = 1.0;
             basis[r] = next_art;
+            if plan.slack.is_none() {
+                price[r] = (next_art, -sign);
+            }
             next_art += 1;
         }
         debug_assert!(basis[r] != usize::MAX);
@@ -285,10 +293,17 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
         }
     }
     let objective = lp.objective_value(&x);
+    // The bound rows `all_rows` appended come last: their prices are
+    // not reported.
+    let duals = price[..lp.num_constraints()]
+        .iter()
+        .map(|&(col, undo)| undo * t.cost[col])
+        .collect();
     Ok(LpSolution {
         x,
         objective,
         iterations: t.iterations,
+        duals,
     })
 }
 
@@ -314,6 +329,136 @@ mod tests {
         assert_close(s.objective, -36.0);
         assert_close(s.x[x], 2.0);
         assert_close(s.x[y], 6.0);
+    }
+
+    #[test]
+    fn textbook_duals_up_to_the_minimisation_sign() {
+        // Same LP: the textbook shadow prices of the maximisation are
+        // (0, 3/2, 1); stated as `min −3x − 5y` they come back negated.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(-3.0, None);
+        let y = lp.add_var(-5.0, None);
+        lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 4.0);
+        lp.add_constraint(vec![(y, 2.0)], Cmp::Le, 12.0);
+        lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
+        let s = solve_lp(&lp).unwrap();
+        assert_eq!(s.duals.len(), 3);
+        assert_close(s.duals[0], 0.0);
+        assert_close(s.duals[1], -1.5);
+        assert_close(s.duals[2], -1.0);
+    }
+
+    /// Seeded LPs built around a known feasible point: `≤` / `≥` / `=`
+    /// rows, right-hand sides of either sign (so rows get flipped),
+    /// upper-bounded variables (the only ones with a negative cost, so
+    /// the LP stays bounded) and the first equality stated twice.
+    /// Strong duality — bound duals are the negative reduced costs of
+    /// variables at their bound — pins every price at once; dual
+    /// feasibility, the sign per row sense and complementary slackness
+    /// are checked separately so a failure says which one broke.
+    #[test]
+    fn duals_certify_the_optimum_on_a_seeded_family() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut senses = [0usize; 3];
+        let mut flipped = 0;
+        for case in 0..300 {
+            let n = rng.gen_range(1..7usize);
+            let m = rng.gen_range(1..6usize);
+            let mut lp = LinearProgram::new();
+            let mut ub = Vec::new();
+            let mut at = Vec::new(); // the planted feasible point
+            for _ in 0..n {
+                let bounded = rng.gen_bool(0.5);
+                let cost = if bounded {
+                    rng.gen_range(-4.0..4.0f64)
+                } else {
+                    rng.gen_range(0.0..4.0f64)
+                };
+                let cap = bounded.then(|| rng.gen_range(0.5..3.0f64));
+                lp.add_var(cost, cap);
+                at.push(rng.gen_range(0.0..cap.unwrap_or(3.0)));
+                ub.push(cap);
+            }
+            let mut first_eq: Option<(Vec<(usize, f64)>, f64)> = None;
+            for _ in 0..m {
+                let terms: Vec<(usize, f64)> = (0..n)
+                    .map(|v| (v, rng.gen_range(-3.0..3.0f64), rng.gen_bool(0.7)))
+                    .filter_map(|(v, coef, used)| used.then_some((v, coef)))
+                    .collect();
+                let lhs: f64 = terms.iter().map(|&(v, c)| c * at[v]).sum();
+                let room = if rng.gen_bool(0.3) {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..2.0f64)
+                };
+                let (cmp, rhs) = match rng.gen_range(0..3usize) {
+                    0 => (Cmp::Le, lhs + room),
+                    1 => (Cmp::Ge, lhs - room),
+                    _ => (Cmp::Eq, lhs),
+                };
+                if cmp == Cmp::Eq && first_eq.is_none() {
+                    first_eq = Some((terms.clone(), rhs));
+                }
+                lp.add_constraint(terms, cmp, rhs);
+            }
+            if let Some((terms, rhs)) = first_eq {
+                lp.add_constraint(terms, Cmp::Eq, rhs);
+            }
+            let s = solve_lp(&lp).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(s.duals.len(), lp.num_constraints(), "case {case}");
+            assert!(lp.max_violation(&s.x) < 1e-7, "case {case}");
+
+            let mut dual_value = 0.0;
+            for (row, &pi) in lp.rows().iter().zip(&s.duals) {
+                let lhs: f64 = row.terms.iter().map(|&(v, c)| c * s.x[v]).sum();
+                match row.cmp {
+                    Cmp::Le => assert!(pi <= 1e-9, "case {case}: <= row priced at {pi}"),
+                    Cmp::Ge => assert!(pi >= -1e-9, "case {case}: >= row priced at {pi}"),
+                    Cmp::Eq => {}
+                }
+                assert!(
+                    (lhs - row.rhs).abs() < 1e-7 || pi.abs() < 1e-7,
+                    "case {case}: slack {} on a row priced at {pi}",
+                    lhs - row.rhs
+                );
+                dual_value += pi * row.rhs;
+                senses[row.cmp as usize] += 1;
+                flipped += usize::from(row.rhs < 0.0);
+            }
+            for (v, &cap) in ub.iter().enumerate() {
+                let priced: f64 = lp
+                    .rows()
+                    .iter()
+                    .zip(&s.duals)
+                    .flat_map(|(row, &pi)| row.terms.iter().map(move |&(w, c)| (w, pi * c)))
+                    .filter(|&(w, _)| w == v)
+                    .map(|(_, t)| t)
+                    .sum();
+                let reduced = lp.objective()[v] - priced;
+                let at_bound = cap.is_some_and(|u| s.x[v] > u - 1e-7);
+                assert!(
+                    at_bound || reduced >= -1e-7,
+                    "case {case}: var {v} below its bound has reduced cost {reduced}"
+                );
+                assert!(
+                    s.x[v] < 1e-7 || reduced <= 1e-7,
+                    "case {case}: var {v} = {} has reduced cost {reduced}",
+                    s.x[v]
+                );
+                if let Some(u) = cap {
+                    dual_value += reduced.min(0.0) * u;
+                }
+            }
+            assert!(
+                (dual_value - s.objective).abs() < 1e-6 * (1.0 + s.objective.abs()),
+                "case {case}: dual value {dual_value} vs objective {}",
+                s.objective
+            );
+        }
+        // The family really covers what it says it covers.
+        assert!(senses.iter().all(|&k| k > 100), "{senses:?}");
+        assert!(flipped > 100, "{flipped} flipped rows");
     }
 
     #[test]

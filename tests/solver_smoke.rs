@@ -5,6 +5,8 @@
 //! the same solve and rounding on the scalar reference kernel. The full
 //! matrices live in
 //! `crates/core/tests/{determinism,checkpoint_resume,kernel_props}.rs`.
+//! Last, the exact certification stage on an instance small enough for
+//! the direct LP: heuristic bound < certified bound ≤ `LP*` ≤ objective.
 #![allow(clippy::unwrap_used)]
 
 use vodplace::core::{
@@ -17,10 +19,18 @@ use vodplace::prelude::*;
 const SEED: u64 = 73;
 
 fn instance() -> MipInstance {
+    instance_of(70, 600.0, 1.0)
+}
+
+fn instance_of(videos: usize, requests_per_day: f64, link_gbps: f64) -> MipInstance {
     let mut net = topologies::mesh_backbone(6, 9, SEED);
-    net.set_uniform_capacity(Mbps::from_gbps(1.0));
-    let catalog = synthesize_library(&LibraryConfig::default_for(70, 7, SEED));
-    let trace = generate_trace(&catalog, &net, &TraceConfig::default_for(600.0, 7, SEED));
+    net.set_uniform_capacity(Mbps::from_gbps(link_gbps));
+    let catalog = synthesize_library(&LibraryConfig::default_for(videos, 7, SEED));
+    let trace = generate_trace(
+        &catalog,
+        &net,
+        &TraceConfig::default_for(requests_per_day, 7, SEED),
+    );
     let windows = vodplace::trace::analysis::select_peak_windows(&trace, &catalog, 3600, 2);
     let demand = DemandInput::from_trace(&trace, &catalog, net.num_nodes(), windows);
     MipInstance::new(
@@ -111,4 +121,48 @@ fn scalar_kernel_rounds_to_the_same_placement() {
     };
     let scalar = solve_placement(&inst, &scalar_cfg).unwrap();
     assert_identical(&lane, &scalar, "kernel = scalar");
+}
+
+/// The certification stage against the direct LP, ROADMAP 5(c)'s
+/// sandwich in miniature: exact block LPs must lift the polished bound
+/// above the dual-ascent one and never past `LP*` — a bound above `LP*`
+/// is a bug, not slack — and thread count must not move a bit of it.
+#[test]
+fn exact_certification_lifts_the_bound_and_stays_under_the_lp_optimum() {
+    let inst = instance_of(18, 150.0, 0.3);
+    let direct = vodplace::core::direct::build_direct_lp(&inst);
+    let lp_star = vodplace::lp::solve_lp(&direct.lp).unwrap().objective;
+    let solve = |exact_cert, threads| {
+        let cfg = EpfConfig {
+            max_passes: 60,
+            epsilon: 0.02,
+            polish_iters: 6,
+            exact_cert,
+            threads,
+            seed: SEED,
+            ..Default::default()
+        };
+        vodplace::core::solve_fractional(&inst, &cfg).1
+    };
+    let heuristic = solve(0, 1);
+    let certified = solve(2, 1);
+    assert!(
+        heuristic.lower_bound < certified.lower_bound,
+        "exact block LPs did not lift the bound: {} vs {}",
+        heuristic.lower_bound,
+        certified.lower_bound
+    );
+    assert!(
+        certified.lower_bound <= lp_star * (1.0 + 1e-9),
+        "certified bound {} above LP* {lp_star}",
+        certified.lower_bound
+    );
+    assert!(
+        lp_star <= certified.objective * 1.02,
+        "LP* {lp_star} above the 2 %-feasible objective {}",
+        certified.objective
+    );
+    let two = solve(2, 2);
+    assert_eq!(certified.lower_bound.to_bits(), two.lower_bound.to_bits());
+    assert_eq!(certified.objective.to_bits(), two.objective.to_bits());
 }
