@@ -73,7 +73,7 @@ fn run(
         );
         let pc = prev.as_ref().map(|p| PlacementCost {
             weight: 1.0,
-            previous: Some(p.holder_lists()),
+            previous: Some(p.holder_lists().to_vec()),
             // lint:allow(raw-index): update transfers are anchored at VHO 0 by convention
             origin: VhoId::new(0),
         });

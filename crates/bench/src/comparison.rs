@@ -112,7 +112,7 @@ pub fn run_comparison(s: &Scenario, d: &Defaults, top_k: usize) -> Vec<StrategyO
         );
         let pc = prev.as_ref().map(|p| PlacementCost {
             weight: 1.0,
-            previous: Some(p.holder_lists()),
+            previous: Some(p.holder_lists().to_vec()),
             // lint:allow(raw-index): update transfers are anchored at VHO 0 by convention
             origin: VhoId::new(0),
         });

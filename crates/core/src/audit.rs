@@ -477,7 +477,7 @@ mod tests {
     fn lost_copy_is_flagged() {
         let (inst, frac, gamma) = solved();
         let (placement, _) = round_solution(&inst, &frac, gamma, crate::kernel::Kernel::Chunked);
-        let mut stores = placement.holder_lists();
+        let mut stores = placement.holder_lists().to_vec();
         stores[0].clear();
         let broken = Placement::from_stores(inst.n_vhos(), stores);
         let report = check_placement(&inst, &broken, 1.0);

@@ -22,10 +22,11 @@
 //! wall-clock — `wall_limit` budgets deliberately restart on resume
 //! (only `step_limit` is part of the deterministic contract).
 //!
-//! Serialization is JSON via `vod-json`, with every `f64` and `u64`
-//! encoded as its exact bit pattern in hex ([`vod_json::snapshot`]) —
-//! a decimal float round-trip would break bit-identity. Decoding never
-//! panics: every malformed field is a typed [`CheckpointError`], and
+//! Serialization is JSON through the field-list codec of
+//! [`vod_json::wire`], which writes every `f64` and `u64` as its exact
+//! bit pattern in hex — a decimal float round-trip would break
+//! bit-identity. Decoding never panics: every malformed field is a
+//! typed [`CheckpointError`] naming its path, and
 //! [`SolverCheckpoint::validate_for`] cross-checks the state against
 //! the instance and config before the solver will touch it.
 
@@ -33,10 +34,8 @@ use crate::epf::{EpfConfig, RunState};
 use crate::instance::MipInstance;
 use crate::solution::{BlockSolution, FractionalSolution, Placement};
 use std::fmt;
-use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, u64_bits_value, u64_from_bits_value,
-};
-use vod_json::Value;
+use vod_json::wire::{dec_pair, dec_seq, enc_seq, field, Wire, WireError};
+use vod_json::{wire_record, Value};
 use vod_model::VhoId;
 
 /// Snapshot-container kind tag for solver checkpoints.
@@ -65,6 +64,12 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        Self::new(e.to_string())
+    }
+}
 
 /// Complete EPF solver state at a pass boundary.
 #[derive(Debug, Clone)]
@@ -110,7 +115,7 @@ impl SolverCheckpoint {
     /// `vod_json::snapshot` container for on-disk durability).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_value().to_string_pretty().into_bytes()
+        self.enc().to_string_pretty().into_bytes()
     }
 
     /// Deserialize a checkpoint payload. Structural problems come back
@@ -120,134 +125,7 @@ impl SolverCheckpoint {
             std::str::from_utf8(bytes).map_err(|_| CheckpointError::new("payload is not UTF-8"))?;
         let value = Value::parse(text)
             .map_err(|e| CheckpointError::new(format!("payload is not valid JSON: {e}")))?;
-        Self::from_value(&value)
-    }
-
-    fn to_value(&self) -> Value {
-        let f64_arr = |xs: &[f64]| Value::Arr(xs.iter().map(|&x| f64_bits_value(x)).collect());
-        let num = |x: usize| Value::Num(x as f64);
-        let blocks_v = |bs: &[BlockSolution]| Value::Arr(bs.iter().map(block_to_value).collect());
-        Value::Obj(vec![
-            ("fingerprint".into(), u64_bits_value(self.fingerprint)),
-            ("global_pass".into(), u64_bits_value(self.global_pass)),
-            ("passes_done".into(), num(self.passes_done)),
-            ("block_steps".into(), u64_bits_value(self.block_steps)),
-            ("lb".into(), f64_bits_value(self.lb)),
-            ("ub".into(), f64_bits_value(self.ub)),
-            ("lo".into(), f64_bits_value(self.lo)),
-            (
-                "target".into(),
-                match self.target {
-                    Some(b) => f64_bits_value(b),
-                    None => Value::Null,
-                },
-            ),
-            ("delta".into(), f64_bits_value(self.delta)),
-            ("usage".into(), f64_arr(&self.usage)),
-            ("obj".into(), f64_bits_value(self.obj)),
-            ("smoothed_rows".into(), f64_arr(&self.smoothed_rows)),
-            ("smoothed_obj".into(), f64_bits_value(self.smoothed_obj)),
-            (
-                "order".into(),
-                Value::Arr(self.order.iter().map(|&i| num(i)).collect()),
-            ),
-            (
-                "run".into(),
-                Value::Obj(vec![
-                    ("local_pass".into(), num(self.run.local_pass)),
-                    ("budget".into(), num(self.run.budget)),
-                    ("snap_delta".into(), f64_bits_value(self.run.snap_delta)),
-                    ("track_lb".into(), Value::Bool(self.run.track_lb)),
-                    ("lb_run".into(), f64_bits_value(self.run.lb_run)),
-                ]),
-            ),
-            ("blocks".into(), blocks_v(&self.blocks)),
-            ("zstar".into(), blocks_v(&self.zstar)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, CheckpointError> {
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| CheckpointError::new(format!("missing field {key:?}")))
-        };
-        let f = |key: &str| -> Result<f64, CheckpointError> {
-            f64_from_bits_value(field(key)?, key).map_err(|e| CheckpointError::new(e.to_string()))
-        };
-        let u = |key: &str| -> Result<u64, CheckpointError> {
-            u64_from_bits_value(field(key)?, key).map_err(|e| CheckpointError::new(e.to_string()))
-        };
-        let n = |key: &str| -> Result<usize, CheckpointError> {
-            field(key)?
-                .as_usize()
-                .ok_or_else(|| CheckpointError::new(format!("{key}: expected an integer")))
-        };
-        let f64_vec = |key: &str| -> Result<Vec<f64>, CheckpointError> {
-            field(key)?
-                .as_arr()
-                .ok_or_else(|| CheckpointError::new(format!("{key}: expected an array")))?
-                .iter()
-                .map(|x| {
-                    f64_from_bits_value(x, key).map_err(|e| CheckpointError::new(e.to_string()))
-                })
-                .collect()
-        };
-        let target = match field("target")? {
-            Value::Null => None,
-            other => Some(
-                f64_from_bits_value(other, "target")
-                    .map_err(|e| CheckpointError::new(e.to_string()))?,
-            ),
-        };
-        let order = field("order")?
-            .as_arr()
-            .ok_or_else(|| CheckpointError::new("order: expected an array"))?
-            .iter()
-            .map(|x| {
-                x.as_usize()
-                    .ok_or_else(|| CheckpointError::new("order: expected integers"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        let run_v = field("run")?;
-        let run_field = |key: &str| {
-            run_v
-                .get(key)
-                .ok_or_else(|| CheckpointError::new(format!("missing field run.{key}")))
-        };
-        let run = RunState {
-            local_pass: run_field("local_pass")?
-                .as_usize()
-                .ok_or_else(|| CheckpointError::new("run.local_pass: expected an integer"))?,
-            budget: run_field("budget")?
-                .as_usize()
-                .ok_or_else(|| CheckpointError::new("run.budget: expected an integer"))?,
-            snap_delta: f64_from_bits_value(run_field("snap_delta")?, "run.snap_delta")
-                .map_err(|e| CheckpointError::new(e.to_string()))?,
-            track_lb: run_field("track_lb")?
-                .as_bool()
-                .ok_or_else(|| CheckpointError::new("run.track_lb: expected a bool"))?,
-            lb_run: f64_from_bits_value(run_field("lb_run")?, "run.lb_run")
-                .map_err(|e| CheckpointError::new(e.to_string()))?,
-        };
-        Ok(Self {
-            fingerprint: u("fingerprint")?,
-            global_pass: u("global_pass")?,
-            passes_done: n("passes_done")?,
-            block_steps: u("block_steps")?,
-            lb: f("lb")?,
-            ub: f("ub")?,
-            lo: f("lo")?,
-            target,
-            delta: f("delta")?,
-            usage: f64_vec("usage")?,
-            obj: f("obj")?,
-            smoothed_rows: f64_vec("smoothed_rows")?,
-            smoothed_obj: f("smoothed_obj")?,
-            order,
-            run,
-            blocks: blocks_from_value(field("blocks")?, "blocks")?,
-            zstar: blocks_from_value(field("zstar")?, "zstar")?,
-        })
+        Ok(Self::dec(&value)?)
     }
 
     /// Public form of [`Self::validate_for`]: would this checkpoint
@@ -355,63 +233,72 @@ fn validate_blocks(
     Ok(())
 }
 
-fn block_to_value(b: &BlockSolution) -> Value {
-    let pairs = |ps: &[(VhoId, f64)]| {
-        Value::Arr(
-            ps.iter()
-                .map(|&(i, x)| Value::Arr(vec![Value::Num(i.index() as f64), f64_bits_value(x)]))
-                .collect(),
-        )
-    };
-    Value::Obj(vec![
-        ("y".into(), pairs(&b.y)),
-        (
-            "x".into(),
-            Value::Arr(b.x.iter().map(|d| pairs(d)).collect()),
-        ),
-    ])
+wire_record!(RunState {
+    local_pass,
+    budget,
+    snap_delta,
+    track_lb,
+    lb_run
+});
+
+wire_record!(SolverCheckpoint {
+    fingerprint,
+    global_pass,
+    passes_done,
+    block_steps,
+    lb,
+    ub,
+    lo,
+    target,
+    delta,
+    usage,
+    obj,
+    smoothed_rows,
+    smoothed_obj,
+    order,
+    run,
+    blocks,
+    zstar,
+});
+
+wire_record!(BlockSolution {
+    y: with(dist_enc, dist_dec),
+    x: with(dists_enc, dists_dec),
+});
+
+wire_record!(FractionalSolution {
+    blocks,
+    objective,
+    max_violation,
+    lower_bound
+});
+
+// `VhoId` cannot implement `Wire` (see `vod_json::wire`): it travels as
+// a `u16`-ranged `Num` through these adapters.
+
+fn vho_enc(i: &VhoId) -> Value {
+    i.index().enc()
 }
 
-fn pairs_from_value(v: &Value, what: &str) -> Result<Vec<(VhoId, f64)>, CheckpointError> {
-    v.as_arr()
-        .ok_or_else(|| CheckpointError::new(format!("{what}: expected an array")))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                CheckpointError::new(format!("{what}: expected [id, bits] pairs"))
-            })?;
-            let idx = items[0]
-                .as_usize()
-                .filter(|&i| u16::try_from(i).is_ok())
-                .ok_or_else(|| CheckpointError::new(format!("{what}: VHO id out of range")))?;
-            let x = f64_from_bits_value(&items[1], what)
-                .map_err(|e| CheckpointError::new(e.to_string()))?;
-            // lint:allow(raw-index): deserializing persisted VHO ids, range-checked above
-            Ok((VhoId::from_index(idx), x))
-        })
-        .collect()
+fn vho_dec(v: &Value) -> Result<VhoId, WireError> {
+    u16::dec(v).map(VhoId::new)
 }
 
-fn blocks_from_value(v: &Value, what: &str) -> Result<Vec<BlockSolution>, CheckpointError> {
-    v.as_arr()
-        .ok_or_else(|| CheckpointError::new(format!("{what}: expected an array")))?
-        .iter()
-        .map(|bv| {
-            let y = pairs_from_value(
-                bv.get("y")
-                    .ok_or_else(|| CheckpointError::new(format!("{what}: block missing y")))?,
-                what,
-            )?;
-            let x = bv
-                .get("x")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| CheckpointError::new(format!("{what}: block missing x")))?
-                .iter()
-                .map(|d| pairs_from_value(d, what))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(BlockSolution { y, x })
-        })
-        .collect()
+/// A sparse `(VHO, weight)` list as `[[id, bits], …]`.
+fn dist_enc(d: &[(VhoId, f64)]) -> Value {
+    enc_seq(d, |(i, x)| Value::Arr(vec![vho_enc(i), x.enc()]))
+}
+
+fn dist_dec(v: &Value) -> Result<Vec<(VhoId, f64)>, WireError> {
+    dec_seq(v, |pair| dec_pair(pair, vho_dec, f64::dec))
+}
+
+fn dists_enc(ds: &[Vec<(VhoId, f64)>]) -> Value {
+    enc_seq(ds, |d| dist_enc(d))
+}
+
+fn dists_dec(v: &Value) -> Result<Vec<Vec<(VhoId, f64)>>, WireError> {
+    dec_seq(v, dist_dec)
 }
 
 /// Serialize a fractional solution — the solve→round stage boundary of
@@ -419,15 +306,7 @@ fn blocks_from_value(v: &Value, what: &str) -> Result<Vec<BlockSolution>, Checkp
 /// does not force a re-solve.
 #[must_use]
 pub fn fractional_to_value(f: &FractionalSolution) -> Value {
-    Value::Obj(vec![
-        (
-            "blocks".into(),
-            Value::Arr(f.blocks.iter().map(block_to_value).collect()),
-        ),
-        ("objective".into(), f64_bits_value(f.objective)),
-        ("max_violation".into(), f64_bits_value(f.max_violation)),
-        ("lower_bound".into(), f64_bits_value(f.lower_bound)),
-    ])
+    f.enc()
 }
 
 /// Decode a persisted fractional solution, shape-validated against the
@@ -436,115 +315,64 @@ pub fn fractional_from_value(
     v: &Value,
     inst: &MipInstance,
 ) -> Result<FractionalSolution, CheckpointError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| CheckpointError::new(format!("missing field {key:?}")))
-    };
-    let f = |key: &str| -> Result<f64, CheckpointError> {
-        f64_from_bits_value(field(key)?, key).map_err(|e| CheckpointError::new(e.to_string()))
-    };
-    let blocks = blocks_from_value(field("blocks")?, "blocks")?;
-    validate_blocks(&blocks, "blocks", inst, inst.n_vhos()).map_err(CheckpointError::new)?;
-    Ok(FractionalSolution {
-        blocks,
-        objective: f("objective")?,
-        max_violation: f("max_violation")?,
-        lower_bound: f("lower_bound")?,
-    })
+    let f = FractionalSolution::dec(v)?;
+    validate_fractional(&f, inst)?;
+    Ok(f)
 }
 
-/// Serialize a (rounded, integral) placement including its serving
-/// routing, so a restored placement drives the simulator identically.
+/// Shape-check a decoded fractional solution against the instance it
+/// is about to be rounded for.
+pub fn validate_fractional(
+    f: &FractionalSolution,
+    inst: &MipInstance,
+) -> Result<(), CheckpointError> {
+    validate_blocks(&f.blocks, "blocks", inst, inst.n_vhos()).map_err(CheckpointError::new)
+}
+
+/// A (rounded, integral) placement including its serving routing, so a
+/// restored placement drives the simulator identically. Every index is
+/// validated against the declared shape on decode.
+impl Wire for Placement {
+    fn enc(&self) -> Value {
+        let routing = enc_seq(self.routing_lists(), |clients| {
+            enc_seq(clients, |(j, dist)| {
+                Value::Arr(vec![vho_enc(j), dist_enc(dist)])
+            })
+        });
+        Value::Obj(vec![
+            ("n_vhos".into(), self.n_vhos().enc()),
+            (
+                "stores".into(),
+                enc_seq(self.holder_lists(), |h| enc_seq(h, vho_enc)),
+            ),
+            ("routing".into(), routing),
+        ])
+    }
+
+    fn dec(v: &Value) -> Result<Self, WireError> {
+        let n_vhos = field(v, "n_vhos", |n| match u16::dec(n)? {
+            0 => Err(WireError::new("expected at least one VHO")),
+            n => Ok(usize::from(n)),
+        })?;
+        let stores = field(v, "stores", |s| dec_seq(s, |h| dec_seq(h, vho_dec)))?;
+        let routing = field(v, "routing", |r| {
+            dec_seq(r, |clients| {
+                dec_seq(clients, |entry| dec_pair(entry, vho_dec, dist_dec))
+            })
+        })?;
+        Placement::from_parts(n_vhos, stores, routing).map_err(WireError::new)
+    }
+}
+
+/// [`Placement`]'s wire form; `placement_fingerprint` hashes its text.
 #[must_use]
 pub fn placement_to_value(p: &Placement) -> Value {
-    let ids = |holders: &[VhoId]| {
-        Value::Arr(
-            holders
-                .iter()
-                .map(|i| Value::Num(i.index() as f64))
-                .collect(),
-        )
-    };
-    let pairs = |ps: &[(VhoId, f64)]| {
-        Value::Arr(
-            ps.iter()
-                .map(|&(i, x)| Value::Arr(vec![Value::Num(i.index() as f64), f64_bits_value(x)]))
-                .collect(),
-        )
-    };
-    let routing = p
-        .routing_lists()
-        .iter()
-        .map(|clients| {
-            Value::Arr(
-                clients
-                    .iter()
-                    .map(|(j, dist)| Value::Arr(vec![Value::Num(j.index() as f64), pairs(dist)]))
-                    .collect(),
-            )
-        })
-        .collect();
-    Value::Obj(vec![
-        ("n_vhos".into(), Value::Num(p.n_vhos() as f64)),
-        (
-            "stores".into(),
-            Value::Arr(p.holder_lists().iter().map(|h| ids(h)).collect()),
-        ),
-        ("routing".into(), Value::Arr(routing)),
-    ])
+    p.enc()
 }
 
-/// Decode a persisted placement. Every index is validated against the
-/// declared shape; malformed payloads are typed errors.
+/// Decode a persisted placement; malformed payloads are typed errors.
 pub fn placement_from_value(v: &Value) -> Result<Placement, CheckpointError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| CheckpointError::new(format!("missing field {key:?}")))
-    };
-    let n_vhos = field("n_vhos")?
-        .as_usize()
-        .filter(|&n| n > 0 && u16::try_from(n).is_ok())
-        .ok_or_else(|| CheckpointError::new("n_vhos: expected a u16-ranged integer"))?;
-    let vho = |x: &Value, what: &str| -> Result<VhoId, CheckpointError> {
-        x.as_usize()
-            .filter(|&i| u16::try_from(i).is_ok())
-            // lint:allow(raw-index): deserializing persisted VHO ids, range-checked above
-            .map(VhoId::from_index)
-            .ok_or_else(|| CheckpointError::new(format!("{what}: VHO id out of range")))
-    };
-    let stores = field("stores")?
-        .as_arr()
-        .ok_or_else(|| CheckpointError::new("stores: expected an array"))?
-        .iter()
-        .map(|hv| {
-            hv.as_arr()
-                .ok_or_else(|| CheckpointError::new("stores: expected id arrays"))?
-                .iter()
-                .map(|x| vho(x, "stores"))
-                .collect::<Result<Vec<VhoId>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let routing = field("routing")?
-        .as_arr()
-        .ok_or_else(|| CheckpointError::new("routing: expected an array"))?
-        .iter()
-        .map(|cv| {
-            cv.as_arr()
-                .ok_or_else(|| CheckpointError::new("routing: expected client arrays"))?
-                .iter()
-                .map(|entry| {
-                    let items = entry.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                        CheckpointError::new("routing: expected [client, dist] pairs")
-                    })?;
-                    Ok((
-                        vho(&items[0], "routing")?,
-                        pairs_from_value(&items[1], "routing")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, CheckpointError>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Placement::from_parts(n_vhos, stores, routing).map_err(CheckpointError::new)
+    Ok(Placement::dec(v)?)
 }
 
 /// Fingerprint of every config field and instance dimension that
@@ -678,7 +506,7 @@ mod tests {
         assert!(SolverCheckpoint::from_bytes(b"{}").is_err());
         assert!(SolverCheckpoint::from_bytes(&[0xFF, 0xFE]).is_err());
         // Valid JSON, wrong field type.
-        let mut ck = sample().to_value();
+        let mut ck = sample().enc();
         if let Value::Obj(fields) = &mut ck {
             for (k, v) in fields.iter_mut() {
                 if k == "delta" {
@@ -686,7 +514,7 @@ mod tests {
                 }
             }
         }
-        let err = SolverCheckpoint::from_value(&ck).unwrap_err();
+        let err = SolverCheckpoint::dec(&ck).unwrap_err();
         assert!(err.to_string().contains("delta"), "{err}");
     }
 }

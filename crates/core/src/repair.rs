@@ -101,7 +101,7 @@ pub fn repair_placement(
     assert_eq!(dark.len(), n_vhos, "dark mask must cover the VHO axis");
     assert_eq!(disks.len(), n_vhos, "disk budgets must cover the VHO axis");
 
-    let mut stores = deployed.holder_lists();
+    let mut stores = deployed.holder_lists().to_vec();
     let mut rehomed = Vec::new();
     let mut evicted = Vec::new();
 

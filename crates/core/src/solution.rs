@@ -331,12 +331,12 @@ impl Placement {
     }
 
     /// Per-video holder lists (for feeding `PlacementCost::previous`).
-    pub fn holder_lists(&self) -> Vec<Vec<VhoId>> {
-        self.stores.clone()
+    pub fn holder_lists(&self) -> &[Vec<VhoId>] {
+        &self.stores
     }
 
     /// The serving-distribution routing, per video (for persistence —
-    /// see [`crate::checkpoint::placement_to_value`]).
+    /// see `impl Wire for Placement` in [`crate::checkpoint`]).
     pub fn routing_lists(&self) -> &[Vec<(VhoId, ServingDist)>] {
         &self.routing
     }

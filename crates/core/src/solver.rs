@@ -334,7 +334,7 @@ mod tests {
     fn update_cost_term_discourages_migration() {
         // First solve without history.
         let (inst, base) = pipeline(42, None);
-        let prev = base.placement.holder_lists();
+        let prev = base.placement.holder_lists().to_vec();
         // Re-solve with a strong stay-where-you-are incentive.
         let pc = PlacementCost {
             weight: 50.0,

@@ -1,12 +1,15 @@
-//! Minimal JSON support for result files and scenario persistence.
+//! Minimal JSON support for result files and durable state.
 //!
 //! The workspace cannot depend on `serde`/`serde_json` (the build
 //! environment is fully offline), and its serialization needs are
-//! small: write experiment payloads under `results/` and round-trip
-//! [`Network`]-style structs. This crate provides a [`Value`] tree, a
-//! strict recursive-descent parser, a deterministic pretty printer, and
-//! a [`ToJson`] conversion trait for the payload shapes the bench
-//! binaries produce.
+//! small: write experiment payloads under `results/`, and persist the
+//! service's state and the solver's checkpoints so a later process
+//! reads back the same bits. This crate provides a [`Value`] tree, a
+//! strict recursive-descent parser, a deterministic pretty printer, a
+//! one-way [`ToJson`] conversion for the payload shapes the bench
+//! binaries produce, the two-way [`wire`] codec every durable payload
+//! is written with, the checksummed atomic [`snapshot`] container
+//! those payloads travel in, and the injectable I/O [`faults`] shim.
 //!
 //! Determinism notes:
 //! - objects are ordered `Vec<(String, Value)>`, so key order is
@@ -28,6 +31,7 @@ use std::fmt::Write as _;
 
 pub mod faults;
 pub mod snapshot;
+pub mod wire;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]

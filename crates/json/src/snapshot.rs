@@ -407,25 +407,26 @@ pub fn u64_bits_value(x: u64) -> Value {
     Value::Str(format!("{x:016x}"))
 }
 
-fn hex_u64(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    let malformed = || SnapshotError::Malformed {
-        what: format!("{what}: expected a 16-digit hex string"),
-    };
-    let s = v.as_str().ok_or_else(malformed)?;
-    if s.len() != 16 {
-        return Err(malformed());
-    }
-    u64::from_str_radix(s, 16).map_err(|_| malformed())
+/// The one hex form [`u64_bits_value`] writes: exactly 16 digits of
+/// `[0-9a-f]`. Stricter than `u64::from_str_radix`, which also takes a
+/// sign and upper case — two texts for one value, where resume
+/// identity is argued from "the encoding is canonical".
+pub(crate) fn hex_u64(v: &Value) -> Option<u64> {
+    let s = v.as_str()?;
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    u64::from_str_radix(s, 16).ok().filter(|_| canonical)
 }
 
 /// Decode an [`f64_bits_value`]-encoded float.
 pub fn f64_from_bits_value(v: &Value, what: &str) -> Result<f64, SnapshotError> {
-    hex_u64(v, what).map(f64::from_bits)
+    u64_from_bits_value(v, what).map(f64::from_bits)
 }
 
 /// Decode a [`u64_bits_value`]-encoded integer.
 pub fn u64_from_bits_value(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    hex_u64(v, what)
+    hex_u64(v).ok_or_else(|| SnapshotError::Malformed {
+        what: format!("{what}: expected a 16-digit hex string"),
+    })
 }
 
 #[cfg(test)]
@@ -590,6 +591,9 @@ mod tests {
         for v in [
             Value::Str("zz".to_string()),
             Value::Str("0123".to_string()),
+            // `from_str_radix` would take these two: 15 and 255.
+            Value::Str("+00000000000000f".to_string()),
+            Value::Str("00000000000000FF".to_string()),
             Value::Num(1.0),
             Value::Null,
         ] {

@@ -81,26 +81,18 @@ impl Network {
             assert_eq!(l.id.index(), idx, "links must be in id order");
             assert!(l.from != l.to, "self-loop link {}", l.id);
         }
-        let mut net = Self {
-            nodes,
-            links,
-            adjacency: Vec::new(),
-        };
-        net.rebuild_adjacency();
-        net
-    }
-
-    /// Recompute the adjacency index (needed after deserialization,
-    /// since adjacency is derived state and not serialized).
-    pub fn rebuild_adjacency(&mut self) {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for l in &self.links {
-            adj[l.from.index()].push((l.to, l.id));
+        let mut adjacency = vec![Vec::new(); nodes.len()];
+        for l in &links {
+            adjacency[l.from.index()].push((l.to, l.id));
         }
-        for list in &mut adj {
+        for list in &mut adjacency {
             list.sort();
         }
-        self.adjacency = adj;
+        Self {
+            nodes,
+            links,
+            adjacency,
+        }
     }
 
     #[inline]
@@ -194,9 +186,9 @@ impl Network {
         count == self.nodes.len()
     }
 
-    /// Serialize to JSON (used to persist experiment scenarios). The
-    /// derived adjacency index is not serialized; [`Network::from_json`]
-    /// rebuilds it.
+    /// The canonical JSON text of the network: nodes and links in id
+    /// order, without the derived adjacency index. The topology and
+    /// delta tests compare networks by this text.
     pub fn to_json(&self) -> String {
         let nodes = Value::Arr(
             self.nodes
@@ -224,71 +216,6 @@ impl Network {
                 .collect(),
         );
         obj(vec![("nodes", nodes), ("links", links)]).to_string_pretty()
-    }
-
-    /// Deserialize from JSON produced by [`Network::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, vod_json::JsonError> {
-        let doc = Value::parse(s)?;
-        let missing = |what: &str| vod_json::JsonError {
-            offset: 0,
-            message: format!("network JSON missing or malformed: {what}"),
-        };
-        let node_of = |v: &Value| -> Result<Node, vod_json::JsonError> {
-            Ok(Node {
-                id: VhoId::from_index(
-                    v.get("id")
-                        .and_then(Value::as_usize)
-                        .ok_or_else(|| missing("node id"))?,
-                ),
-                name: v
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| missing("node name"))?
-                    .to_string(),
-                population: v
-                    .get("population")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| missing("node population"))?,
-            })
-        };
-        let link_of = |v: &Value| -> Result<Link, vod_json::JsonError> {
-            let index = |key: &str| {
-                v.get(key)
-                    .and_then(Value::as_usize)
-                    .ok_or_else(|| missing("link field"))
-            };
-            Ok(Link {
-                id: LinkId::from_index(index("id")?),
-                from: VhoId::from_index(index("from")?),
-                to: VhoId::from_index(index("to")?),
-                capacity: Mbps::new(
-                    v.get("capacity")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| missing("link capacity"))?,
-                ),
-            })
-        };
-        let nodes = doc
-            .get("nodes")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| missing("nodes array"))?
-            .iter()
-            .map(node_of)
-            .collect::<Result<Vec<_>, _>>()?;
-        let links = doc
-            .get("links")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| missing("links array"))?
-            .iter()
-            .map(link_of)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut net = Network {
-            nodes,
-            links,
-            adjacency: Vec::new(),
-        };
-        net.rebuild_adjacency();
-        Ok(net)
     }
 }
 
@@ -360,17 +287,6 @@ mod tests {
     #[test]
     fn population_totals() {
         assert_eq!(triangle().total_population(), 6.0);
-    }
-
-    #[test]
-    fn json_roundtrip_restores_adjacency() {
-        let net = triangle();
-        let restored = Network::from_json(&net.to_json()).unwrap();
-        assert_eq!(restored.num_links(), net.num_links());
-        assert_eq!(
-            restored.neighbors(VhoId::new(0)),
-            net.neighbors(VhoId::new(0))
-        );
     }
 
     #[test]

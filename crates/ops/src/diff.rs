@@ -27,7 +27,8 @@
 //! [`Placement::from_parts`] enforces.
 
 use vod_core::Placement;
-use vod_json::Value;
+use vod_json::wire::{Wire, WireError};
+use vod_json::{wire_record, Value};
 use vod_model::VideoId;
 
 /// One postponed migration: `video` still needs `copies` transfers to
@@ -39,30 +40,21 @@ pub struct DeferredMigration {
     pub since_cycle: usize,
 }
 
-impl DeferredMigration {
-    pub(crate) fn to_value(self) -> Value {
-        Value::Obj(vec![
-            ("video".into(), Value::Num(self.video.index() as f64)),
-            ("copies".into(), Value::Num(self.copies as f64)),
-            ("since_cycle".into(), Value::Num(self.since_cycle as f64)),
-        ])
-    }
+wire_record!(DeferredMigration {
+    video: with(video_enc, video_dec),
+    copies,
+    since_cycle,
+});
 
-    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
-        let u = |key: &str| -> Result<usize, String> {
-            v.get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("deferred.{key}: expected an int"))
-        };
-        let m = u("video")?;
-        let raw =
-            u32::try_from(m).map_err(|_| format!("deferred.video: index {m} overflows u32"))?;
-        Ok(Self {
-            video: VideoId::new(raw),
-            copies: u("copies")?,
-            since_cycle: u("since_cycle")?,
-        })
-    }
+// `VideoId` cannot implement `Wire` (see `vod_json::wire`): it travels
+// as a `u32`-ranged `Num` through these adapters.
+
+fn video_enc(m: &VideoId) -> Value {
+    m.index().enc()
+}
+
+fn video_dec(v: &Value) -> Result<VideoId, WireError> {
+    u32::dec(v).map(VideoId::new)
 }
 
 /// Result of applying the churn cap to one cycle's target placement.
@@ -445,7 +437,7 @@ mod tests {
             copies: 3,
             since_cycle: 11,
         };
-        assert_eq!(DeferredMigration::from_value(&d.to_value()).unwrap(), d);
-        assert!(DeferredMigration::from_value(&Value::Null).is_err());
+        assert_eq!(DeferredMigration::dec(&d.enc()).unwrap(), d);
+        assert!(DeferredMigration::dec(&Value::Null).is_err());
     }
 }

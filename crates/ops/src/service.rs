@@ -34,20 +34,20 @@
 //! placements byte-identical to the uninterrupted twin's.
 
 use std::path::PathBuf;
-use vod_core::checkpoint::{
-    fractional_from_value, fractional_to_value, CHECKPOINT_KIND, CHECKPOINT_VERSION,
-};
+use vod_core::checkpoint::{validate_fractional, CHECKPOINT_KIND, CHECKPOINT_VERSION};
 use vod_core::rounding::round_solution;
 use vod_core::{
     remap_checkpoint, repair_placement, solve_cycle_fractional, CheckpointSpec, DiskConfig,
-    EpfConfig, MipInstance, Placement, PlacementCost, ResumeKind, SolverCheckpoint,
+    EpfConfig, FractionalSolution, MipInstance, Placement, PlacementCost, ResumeKind,
+    SolverCheckpoint,
 };
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
 use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, fnv1a64, read_json_snapshot, read_snapshot,
-    u64_bits_value, u64_from_bits_value, write_json_snapshot, write_snapshot_atomic, SnapshotError,
+    fnv1a64, read_json_snapshot, read_snapshot, write_json_snapshot, write_snapshot_atomic,
+    SnapshotError,
 };
-use vod_json::Value;
+use vod_json::wire::{field, Wire, WireError};
+use vod_json::{wire_record, Value};
 use vod_model::rng::derive_seed;
 use vod_model::time::DAY;
 use vod_model::{
@@ -59,8 +59,7 @@ use vod_trace::Trace;
 
 use crate::diff::{apply_churn_cap, DeferredMigration};
 use crate::state::{
-    reason_from_value, reason_to_value, sim_from_value, sim_to_value, DegradeReason, OpsError,
-    SimSummary, StageId, FRACTIONAL_KIND, FRACTIONAL_VERSION,
+    DegradeReason, OpsError, SimSummary, StageId, FRACTIONAL_KIND, FRACTIONAL_VERSION,
 };
 use crate::supervise::{recorded_backoff, RecoveryAction, Watchdog};
 
@@ -251,6 +250,26 @@ pub struct ServiceRecord {
     pub rejections: Vec<String>,
 }
 
+wire_record!(ServiceRecord {
+    cycle,
+    degraded,
+    recoveries,
+    attempts,
+    backoff_ms,
+    solver_resumes,
+    placement_fnv,
+    objective,
+    lower_bound,
+    moved,
+    deferred,
+    denied,
+    denial_rate,
+    stale,
+    sim,
+    repairs,
+    rejections,
+});
+
 /// Complete durable service state (persisted after every transition).
 #[derive(Debug, Clone)]
 pub struct ServiceState {
@@ -326,331 +345,82 @@ impl ServiceState {
         }
     }
 
+    /// The `service.state` payload: the field list below, as an object.
     pub fn to_value(&self) -> Value {
-        use vod_core::checkpoint::placement_to_value;
-        let record_v = |r: &ServiceRecord| {
-            Value::Obj(vec![
-                ("cycle".into(), Value::Num(r.cycle as f64)),
-                (
-                    "degraded".into(),
-                    r.degraded.as_ref().map_or(Value::Null, reason_to_value),
-                ),
-                (
-                    "recoveries".into(),
-                    Value::Arr(
-                        r.recoveries
-                            .iter()
-                            .map(|a| Value::Str(a.name().into()))
-                            .collect(),
-                    ),
-                ),
-                ("attempts".into(), Value::Num(f64::from(r.attempts))),
-                ("backoff_ms".into(), u64_bits_value(r.backoff_ms)),
-                (
-                    "solver_resumes".into(),
-                    Value::Num(f64::from(r.solver_resumes)),
-                ),
-                ("placement_fnv".into(), u64_bits_value(r.placement_fnv)),
-                (
-                    "objective".into(),
-                    r.objective.map_or(Value::Null, f64_bits_value),
-                ),
-                (
-                    "lower_bound".into(),
-                    r.lower_bound.map_or(Value::Null, f64_bits_value),
-                ),
-                ("moved".into(), Value::Num(r.moved as f64)),
-                ("deferred".into(), Value::Num(r.deferred as f64)),
-                ("denied".into(), u64_bits_value(r.denied)),
-                (
-                    "denial_rate".into(),
-                    r.denial_rate.map_or(Value::Null, f64_bits_value),
-                ),
-                ("stale".into(), Value::Bool(r.stale)),
-                (
-                    "sim".into(),
-                    r.sim.as_ref().map_or(Value::Null, sim_to_value),
-                ),
-                (
-                    "repairs".into(),
-                    Value::Arr(r.repairs.iter().map(|&f| u64_bits_value(f)).collect()),
-                ),
-                (
-                    "rejections".into(),
-                    Value::Arr(r.rejections.iter().map(|s| Value::Str(s.clone())).collect()),
-                ),
-            ])
-        };
-        Value::Obj(vec![
-            ("seed".into(), u64_bits_value(self.seed)),
-            ("cycle".into(), Value::Num(self.cycle as f64)),
-            ("stage".into(), Value::Str(self.stage.name().into())),
-            (
-                "attempts_done".into(),
-                Value::Num(f64::from(self.attempts_done)),
-            ),
-            (
-                "cycle_attempts".into(),
-                Value::Num(f64::from(self.cycle_attempts)),
-            ),
-            (
-                "cycle_backoff_ms".into(),
-                u64_bits_value(self.cycle_backoff_ms),
-            ),
-            (
-                "cycle_solver_resumes".into(),
-                Value::Num(f64::from(self.cycle_solver_resumes)),
-            ),
-            (
-                "cycle_recoveries".into(),
-                Value::Arr(
-                    self.cycle_recoveries
-                        .iter()
-                        .map(|a| Value::Str(a.name().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "deployed".into(),
-                self.deployed.as_ref().map_or(Value::Null, |(c, p)| {
-                    Value::Obj(vec![
-                        ("cycle".into(), Value::Num(*c as f64)),
-                        ("placement".into(), placement_to_value(p)),
-                    ])
-                }),
-            ),
-            (
-                "target".into(),
-                self.target.as_ref().map_or(Value::Null, placement_to_value),
-            ),
-            (
-                "target_objective".into(),
-                self.target_objective.map_or(Value::Null, f64_bits_value),
-            ),
-            (
-                "target_lower_bound".into(),
-                self.target_lower_bound.map_or(Value::Null, f64_bits_value),
-            ),
-            (
-                "pending_moved".into(),
-                Value::Num(self.pending_moved as f64),
-            ),
-            (
-                "pending_sim".into(),
-                self.pending_sim.as_ref().map_or(Value::Null, sim_to_value),
-            ),
-            ("pending_denied".into(), u64_bits_value(self.pending_denied)),
-            (
-                "pending_denial".into(),
-                self.pending_denial.map_or(Value::Null, f64_bits_value),
-            ),
-            (
-                "deferred".into(),
-                Value::Arr(self.deferred.iter().map(|d| d.to_value()).collect()),
-            ),
-            (
-                "records".into(),
-                Value::Arr(self.records.iter().map(record_v).collect()),
-            ),
-            ("resumes".into(), u64_bits_value(self.resumes)),
-            ("cold_restarts".into(), u64_bits_value(self.cold_restarts)),
-            ("stale_serves".into(), u64_bits_value(self.stale_serves)),
-            (
-                "deltas_applied".into(),
-                Value::Num(self.deltas_applied as f64),
-            ),
-            (
-                "snapshot_failures".into(),
-                u64_bits_value(self.snapshot_failures),
-            ),
-            (
-                "cycle_repairs".into(),
-                Value::Arr(
-                    self.cycle_repairs
-                        .iter()
-                        .map(|&f| u64_bits_value(f))
-                        .collect(),
-                ),
-            ),
-            (
-                "cycle_rejections".into(),
-                Value::Arr(
-                    self.cycle_rejections
-                        .iter()
-                        .map(|s| Value::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
+        self.enc()
     }
 
     /// Decode a persisted state; any malformed field is a typed error
-    /// string and the caller cold-restarts.
+    /// string naming its path and the caller cold-restarts.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        use vod_core::checkpoint::placement_from_value;
-        let field = |key: &str| -> Result<&Value, String> {
-            v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let num_u32 = |x: &Value, what: &str| -> Result<u32, String> {
-            x.as_usize()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("{what}: expected a u32"))
-        };
-        let recoveries_of = |x: &Value, what: &str| -> Result<Vec<RecoveryAction>, String> {
-            x.as_arr()
-                .ok_or_else(|| format!("{what}: expected an array"))?
-                .iter()
-                .map(|a| {
-                    a.as_str()
-                        .and_then(RecoveryAction::from_name)
-                        .ok_or_else(|| format!("{what}: unknown recovery action"))
-                })
-                .collect()
-        };
-        let opt_f64 = |x: &Value, what: &str| -> Result<Option<f64>, String> {
-            match x {
-                Value::Null => Ok(None),
-                other => f64_from_bits_value(other, what)
-                    .map(Some)
-                    .map_err(|e| e.to_string()),
-            }
-        };
-        let u64s_of = |x: &Value, what: &str| -> Result<Vec<u64>, String> {
-            x.as_arr()
-                .ok_or_else(|| format!("{what}: expected an array"))?
-                .iter()
-                .map(|f| u64_from_bits_value(f, what).map_err(|e| e.to_string()))
-                .collect()
-        };
-        let strs_of = |x: &Value, what: &str| -> Result<Vec<String>, String> {
-            x.as_arr()
-                .ok_or_else(|| format!("{what}: expected an array"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("{what}: expected strings"))
-                })
-                .collect()
-        };
-        let records = field("records")?
-            .as_arr()
-            .ok_or("records: expected an array")?
-            .iter()
-            .map(|r| -> Result<ServiceRecord, String> {
-                let rf = |key: &str| -> Result<&Value, String> {
-                    r.get(key).ok_or_else(|| format!("records.{key}: missing"))
-                };
-                Ok(ServiceRecord {
-                    cycle: rf("cycle")?
-                        .as_usize()
-                        .ok_or("records.cycle: expected int")?,
-                    degraded: match rf("degraded")? {
-                        Value::Null => None,
-                        other => Some(reason_from_value(other)?),
-                    },
-                    recoveries: recoveries_of(rf("recoveries")?, "records.recoveries")?,
-                    attempts: num_u32(rf("attempts")?, "records.attempts")?,
-                    backoff_ms: u64_from_bits_value(rf("backoff_ms")?, "backoff_ms")
-                        .map_err(|e| e.to_string())?,
-                    solver_resumes: num_u32(rf("solver_resumes")?, "records.solver_resumes")?,
-                    placement_fnv: u64_from_bits_value(rf("placement_fnv")?, "placement_fnv")
-                        .map_err(|e| e.to_string())?,
-                    objective: opt_f64(rf("objective")?, "records.objective")?,
-                    lower_bound: opt_f64(rf("lower_bound")?, "records.lower_bound")?,
-                    moved: rf("moved")?
-                        .as_usize()
-                        .ok_or("records.moved: expected int")?,
-                    deferred: rf("deferred")?
-                        .as_usize()
-                        .ok_or("records.deferred: expected int")?,
-                    denied: u64_from_bits_value(rf("denied")?, "denied")
-                        .map_err(|e| e.to_string())?,
-                    denial_rate: opt_f64(rf("denial_rate")?, "records.denial_rate")?,
-                    stale: rf("stale")?
-                        .as_bool()
-                        .ok_or("records.stale: expected bool")?,
-                    sim: match rf("sim")? {
-                        Value::Null => None,
-                        other => Some(sim_from_value(other, "records.sim")?),
-                    },
-                    repairs: u64s_of(rf("repairs")?, "records.repairs")?,
-                    rejections: strs_of(rf("rejections")?, "records.rejections")?,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let deferred = field("deferred")?
-            .as_arr()
-            .ok_or("deferred: expected an array")?
-            .iter()
-            .map(DeferredMigration::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            seed: u64_from_bits_value(field("seed")?, "seed").map_err(|e| e.to_string())?,
-            cycle: field("cycle")?.as_usize().ok_or("cycle: expected int")?,
-            stage: field("stage")?
-                .as_str()
-                .and_then(StageId::from_name)
-                .ok_or("stage: unknown stage name")?,
-            attempts_done: num_u32(field("attempts_done")?, "attempts_done")?,
-            cycle_attempts: num_u32(field("cycle_attempts")?, "cycle_attempts")?,
-            cycle_backoff_ms: u64_from_bits_value(field("cycle_backoff_ms")?, "cycle_backoff_ms")
-                .map_err(|e| e.to_string())?,
-            cycle_solver_resumes: num_u32(field("cycle_solver_resumes")?, "cycle_solver_resumes")?,
-            cycle_recoveries: recoveries_of(field("cycle_recoveries")?, "cycle_recoveries")?,
-            deployed: match field("deployed")? {
-                Value::Null => None,
-                other => {
-                    let c = other
-                        .get("cycle")
-                        .and_then(Value::as_usize)
-                        .ok_or("deployed.cycle: expected int")?;
-                    let p = placement_from_value(
-                        other
-                            .get("placement")
-                            .ok_or("deployed.placement: missing")?,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    Some((c, p))
-                }
-            },
-            target: match field("target")? {
-                Value::Null => None,
-                other => Some(placement_from_value(other).map_err(|e| e.to_string())?),
-            },
-            target_objective: opt_f64(field("target_objective")?, "target_objective")?,
-            target_lower_bound: opt_f64(field("target_lower_bound")?, "target_lower_bound")?,
-            pending_moved: field("pending_moved")?
-                .as_usize()
-                .ok_or("pending_moved: expected int")?,
-            pending_sim: match field("pending_sim")? {
-                Value::Null => None,
-                other => Some(sim_from_value(other, "pending_sim")?),
-            },
-            pending_denied: u64_from_bits_value(field("pending_denied")?, "pending_denied")
-                .map_err(|e| e.to_string())?,
-            pending_denial: opt_f64(field("pending_denial")?, "pending_denial")?,
-            deferred,
-            records,
-            resumes: u64_from_bits_value(field("resumes")?, "resumes")
-                .map_err(|e| e.to_string())?,
-            cold_restarts: u64_from_bits_value(field("cold_restarts")?, "cold_restarts")
-                .map_err(|e| e.to_string())?,
-            stale_serves: u64_from_bits_value(field("stale_serves")?, "stale_serves")
-                .map_err(|e| e.to_string())?,
-            deltas_applied: field("deltas_applied")?
-                .as_usize()
-                .ok_or("deltas_applied: expected int")?,
-            snapshot_failures: u64_from_bits_value(
-                field("snapshot_failures")?,
-                "snapshot_failures",
-            )
-            .map_err(|e| e.to_string())?,
-            cycle_repairs: u64s_of(field("cycle_repairs")?, "cycle_repairs")?,
-            cycle_rejections: strs_of(field("cycle_rejections")?, "cycle_rejections")?,
-        })
+        Self::dec(v).map_err(|e| e.to_string())
     }
 }
+
+wire_record!(ServiceState {
+    seed,
+    cycle,
+    stage,
+    attempts_done,
+    cycle_attempts,
+    cycle_backoff_ms,
+    cycle_solver_resumes,
+    cycle_recoveries,
+    deployed: with(deployed_enc, deployed_dec),
+    target,
+    target_objective,
+    target_lower_bound,
+    pending_moved,
+    pending_sim,
+    pending_denied,
+    pending_denial,
+    deferred,
+    records,
+    resumes,
+    cold_restarts,
+    stale_serves,
+    deltas_applied,
+    snapshot_failures,
+    cycle_repairs,
+    cycle_rejections,
+});
+
+/// `deployed` is a pair in memory and `{cycle, placement}` on the wire.
+fn deployed_enc(d: &Option<(usize, Placement)>) -> Value {
+    d.as_ref().map_or(Value::Null, |(cycle, placement)| {
+        Value::Obj(vec![
+            ("cycle".into(), cycle.enc()),
+            ("placement".into(), placement.enc()),
+        ])
+    })
+}
+
+fn deployed_dec(v: &Value) -> Result<Option<(usize, Placement)>, WireError> {
+    match v {
+        Value::Null => Ok(None),
+        d => Ok(Some((
+            field(d, "cycle", Wire::dec)?,
+            field(d, "placement", Wire::dec)?,
+        ))),
+    }
+}
+
+/// The solve→round artifact (`fractional.snap`): the fractional
+/// solution with the cycle and solver configuration it was solved for,
+/// so the round stage never rounds a stale one.
+struct FractionalArtifact {
+    cycle: usize,
+    config: u64,
+    lower_bound: f64,
+    fractional: FractionalSolution,
+}
+
+wire_record!(FractionalArtifact {
+    cycle,
+    config,
+    lower_bound,
+    fractional
+});
 
 /// The supervised service loop. Construct with
 /// [`Service::resume_or_start`], drive with [`Service::step`] or
@@ -1118,15 +888,13 @@ impl Service {
                     }
                     ResumeKind::WarmStart | ResumeKind::Cold => {}
                 }
-                let payload = Value::Obj(vec![
-                    ("cycle".into(), Value::Num(cycle as f64)),
-                    (
-                        "config".into(),
-                        u64_bits_value(epf_config_token(&self.epf_for_cycle(cycle))),
-                    ),
-                    ("lower_bound".into(), f64_bits_value(stats.lower_bound)),
-                    ("fractional".into(), fractional_to_value(&frac)),
-                ]);
+                let payload = FractionalArtifact {
+                    cycle,
+                    config: epf_config_token(&epf),
+                    lower_bound: stats.lower_bound,
+                    fractional: frac,
+                }
+                .enc();
                 // Disk trouble must not fail the stage: on a write
                 // error the round stage consumes the payload from
                 // memory, and a crash before the retry lands falls
@@ -1160,12 +928,9 @@ impl Service {
         let inst = self.instance_for(cycle);
         let token = epf_config_token(&self.epf_for_cycle(cycle));
         let check = |v: &Value| {
-            let same_cycle = v.get("cycle")?.as_usize()? == cycle;
-            let same_cfg = u64_from_bits_value(v.get("config")?, "config").ok()? == token;
-            if !(same_cycle && same_cfg) {
-                return None;
-            }
-            fractional_from_value(v.get("fractional")?, &inst).ok()
+            let a = FractionalArtifact::dec(v).ok()?;
+            let fresh = a.cycle == cycle && a.config == token;
+            (fresh && validate_fractional(&a.fractional, &inst).is_ok()).then_some(a.fractional)
         };
         // Durable snapshot first; the in-memory copy is the fallback a
         // faulted disk leaves behind (same cycle/config gate applies).
@@ -1522,7 +1287,7 @@ impl Service {
         );
         let pc = self.state.deployed.as_ref().map(|(_, p)| PlacementCost {
             weight: 1.0,
-            previous: Some(p.holder_lists()),
+            previous: Some(p.holder_lists().to_vec()),
             // lint:allow(raw-index): update transfers are anchored at VHO 0 by convention
             origin: VhoId::new(0),
         });
@@ -1657,11 +1422,7 @@ fn apply_world_delta(cur: &mut OpsWorld, dark: &mut [bool], delta: &WorldDelta) 
 /// serialization — the identity every kill/resume twin check compares.
 #[must_use]
 pub fn placement_fingerprint(p: &Placement) -> u64 {
-    fnv1a64(
-        vod_core::checkpoint::placement_to_value(p)
-            .to_string_pretty()
-            .as_bytes(),
-    )
+    fnv1a64(p.enc().to_string_pretty().as_bytes())
 }
 
 /// Fingerprint of everything that shapes a solve trajectory, so a

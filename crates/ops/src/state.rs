@@ -1,5 +1,5 @@
 //! The vocabulary of the durable service state: stage ids, typed
-//! degradation reasons, the per-cycle sim summary, and their codecs.
+//! degradation reasons, the per-cycle sim summary, and their wire forms.
 //!
 //! The state itself is one [`crate::ServiceState`] value, persisted
 //! after every stage transition as a checksummed `vod_json::snapshot`
@@ -11,10 +11,7 @@
 //! degrades to recomputing a stage, never to a wrong answer.
 
 use std::fmt;
-use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, u64_bits_value, u64_from_bits_value,
-};
-use vod_json::Value;
+use vod_json::{wire_names, wire_record, wire_tagged};
 
 /// Snapshot-container kind tag for the persisted fractional solution
 /// (the solve→round stage boundary).
@@ -68,6 +65,8 @@ impl fmt::Display for StageId {
         f.write_str(self.name())
     }
 }
+
+wire_names!(StageId);
 
 /// Why a cycle fell back to the previous validated placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,129 +122,12 @@ impl fmt::Display for DegradeReason {
     }
 }
 
-/// Serialize a degradation reason.
-pub(crate) fn reason_to_value(r: &DegradeReason) -> Value {
-    match r {
-        DegradeReason::StageFailed {
-            stage,
-            attempts,
-            last_error,
-        } => Value::Obj(vec![
-            ("kind".into(), Value::Str("stage-failed".into())),
-            ("stage".into(), Value::Str(stage.name().into())),
-            ("attempts".into(), Value::Num(f64::from(*attempts))),
-            ("last_error".into(), Value::Str(last_error.clone())),
-        ]),
-        DegradeReason::ValidationFailed { what } => Value::Obj(vec![
-            ("kind".into(), Value::Str("validation-failed".into())),
-            ("what".into(), Value::Str(what.clone())),
-        ]),
-        DegradeReason::Stalled {
-            stage,
-            ticks,
-            budget,
-        } => Value::Obj(vec![
-            ("kind".into(), Value::Str("stalled".into())),
-            ("stage".into(), Value::Str(stage.name().into())),
-            ("ticks".into(), u64_bits_value(*ticks)),
-            ("budget".into(), u64_bits_value(*budget)),
-        ]),
-        DegradeReason::SnapshotUnavailable { failures, what } => Value::Obj(vec![
-            ("kind".into(), Value::Str("snapshot-unavailable".into())),
-            ("failures".into(), u64_bits_value(*failures)),
-            ("what".into(), Value::Str(what.clone())),
-        ]),
-    }
-}
-
-/// Decode a degradation reason; unknown kinds are typed errors.
-pub(crate) fn reason_from_value(x: &Value) -> Result<DegradeReason, String> {
-    let kind = x
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or("degraded.kind: expected a string")?;
-    let stage_of = || {
-        x.get("stage")
-            .and_then(Value::as_str)
-            .and_then(StageId::from_name)
-            .ok_or("degraded.stage: unknown stage")
-    };
-    match kind {
-        "stage-failed" => Ok(DegradeReason::StageFailed {
-            stage: stage_of()?,
-            attempts: x
-                .get("attempts")
-                .and_then(Value::as_usize)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("degraded.attempts: expected a u32")?,
-            last_error: x
-                .get("last_error")
-                .and_then(Value::as_str)
-                .ok_or("degraded.last_error: expected a string")?
-                .to_string(),
-        }),
-        "validation-failed" => Ok(DegradeReason::ValidationFailed {
-            what: x
-                .get("what")
-                .and_then(Value::as_str)
-                .ok_or("degraded.what: expected a string")?
-                .to_string(),
-        }),
-        "stalled" => Ok(DegradeReason::Stalled {
-            stage: stage_of()?,
-            ticks: u64_from_bits_value(x.get("ticks").ok_or("degraded.ticks: missing")?, "ticks")
-                .map_err(|e| e.to_string())?,
-            budget: u64_from_bits_value(
-                x.get("budget").ok_or("degraded.budget: missing")?,
-                "budget",
-            )
-            .map_err(|e| e.to_string())?,
-        }),
-        "snapshot-unavailable" => Ok(DegradeReason::SnapshotUnavailable {
-            failures: u64_from_bits_value(
-                x.get("failures").ok_or("degraded.failures: missing")?,
-                "failures",
-            )
-            .map_err(|e| e.to_string())?,
-            what: x
-                .get("what")
-                .and_then(Value::as_str)
-                .ok_or("degraded.what: expected a string")?
-                .to_string(),
-        }),
-        other => Err(format!("degraded.kind: unknown kind {other:?}")),
-    }
-}
-
-/// Serialize a cycle's simulation summary.
-pub(crate) fn sim_to_value(s: &SimSummary) -> Value {
-    Value::Obj(vec![
-        ("max_gbps".into(), f64_bits_value(s.max_gbps)),
-        ("local_frac".into(), f64_bits_value(s.local_frac)),
-        ("total_requests".into(), u64_bits_value(s.total_requests)),
-    ])
-}
-
-/// Decode a simulation summary.
-pub(crate) fn sim_from_value(x: &Value, what: &str) -> Result<SimSummary, String> {
-    let f = |key: &str| -> Result<f64, String> {
-        f64_from_bits_value(
-            x.get(key).ok_or_else(|| format!("{what}.{key}: missing"))?,
-            key,
-        )
-        .map_err(|e| e.to_string())
-    };
-    Ok(SimSummary {
-        max_gbps: f("max_gbps")?,
-        local_frac: f("local_frac")?,
-        total_requests: u64_from_bits_value(
-            x.get("total_requests")
-                .ok_or_else(|| format!("{what}.total_requests: missing"))?,
-            "total_requests",
-        )
-        .map_err(|e| e.to_string())?,
-    })
-}
+wire_tagged!(DegradeReason {
+    "stage-failed" => StageFailed { stage, attempts, last_error },
+    "validation-failed" => ValidationFailed { what },
+    "stalled" => Stalled { stage, ticks, budget },
+    "snapshot-unavailable" => SnapshotUnavailable { failures, what },
+});
 
 /// Why the service refused to start. Once running it never aborts:
 /// cycle-level trouble degrades, storage trouble is served from memory.
@@ -277,9 +159,16 @@ pub struct SimSummary {
     pub total_requests: u64,
 }
 
+wire_record!(SimSummary {
+    max_gbps,
+    local_frac,
+    total_requests
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_json::wire::Wire;
 
     #[test]
     fn every_degrade_reason_round_trips() {
@@ -302,7 +191,7 @@ mod tests {
                 what: "persist service state: snapshot io error".into(),
             },
         ] {
-            assert_eq!(reason_from_value(&reason_to_value(&r)).unwrap(), r);
+            assert_eq!(DegradeReason::dec(&r.enc()).unwrap(), r);
         }
     }
 

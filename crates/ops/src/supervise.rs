@@ -85,6 +85,8 @@ impl std::fmt::Display for RecoveryAction {
     }
 }
 
+vod_json::wire_names!(RecoveryAction);
+
 /// Deterministic stall detector. A wall-clock watchdog would break the
 /// bitwise resume-identity contract, so this one counts *supervision
 /// ticks* — one per `step` call — against a per-cycle budget. A cycle

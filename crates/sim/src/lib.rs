@@ -36,7 +36,6 @@ pub mod cache;
 pub mod engine;
 pub mod faults;
 pub mod setups;
-pub mod snapshot;
 
 pub use batch::{default_threads, simulate_batch, SimJob};
 pub use cache::{Cache, CacheImpl, CacheKind, CacheStats, LfuCache, LrfuCache, LruCache};
@@ -47,4 +46,3 @@ pub use faults::{FaultConfigError, FaultEvent, FaultKind, FaultSchedule};
 pub use setups::{
     mip_vho_configs, origin_vho_configs, random_single_vho_configs, top_k_vho_configs,
 };
-pub use snapshot::{read_schedule, schedule_from_value, schedule_to_value, write_schedule};

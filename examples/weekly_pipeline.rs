@@ -57,7 +57,7 @@ fn main() {
         // (eq. (11) with w = 1).
         let placement_cost = prev.as_ref().map(|p| PlacementCost {
             weight: 1.0,
-            previous: Some(p.holder_lists()),
+            previous: Some(p.holder_lists().to_vec()),
             origin: VhoId::new(0),
         });
         let instance = MipInstance::new(
