@@ -51,8 +51,15 @@ pub struct EpfConfig {
     pub feasibility_only: bool,
     /// Compute the Lagrangian lower bound every this many passes.
     pub lb_every: usize,
-    /// Iterations of the final subgradient polish of the lower bound
-    /// (0 disables it).
+    /// Upper limit on the sweeps of the heuristic stage of the final
+    /// lower-bound polish (0 disables the whole polish, exact stage
+    /// included). A sweep is one UFL build + dual ascent + local
+    /// search per video — about the block work of two passes — and
+    /// runs *after* the last pass: `max_passes` and `step_limit` do
+    /// not count it. What bounds the stage besides this limit is its
+    /// stall stop: it ends after 10 consecutive sweeps without a new
+    /// best (see `polish_bound`) — the first 10, in two solves of
+    /// three measured so far.
     pub polish_iters: usize,
     pub seed: u64,
     /// Optional wall-clock budget. When exceeded, the solver stops at
@@ -74,7 +81,10 @@ pub struct EpfConfig {
     /// checkpoint/resume (the pass counter is checkpointed), so
     /// budgeted runs stay byte-reproducible. When both limits are set,
     /// whichever trips first wins. Benchmarks use `step_limit`;
-    /// `wall_limit` is for latency-capped operation.
+    /// `wall_limit` is for latency-capped operation. The budget covers
+    /// passes only: the final lower-bound polish runs after the last
+    /// one, bounded by `polish_iters` / `exact_cert` and its stall stop
+    /// ([`EpfStats::polish_sweeps`] reports what it took).
     pub step_limit: Option<u64>,
     /// Lane backend for the hot penalty/UFL kernels
     /// ([`crate::kernel`]). Every backend is bitwise-identical per
@@ -93,11 +103,14 @@ pub struct EpfConfig {
     /// final lower-bound polish: one sweep of exact per-block LPs
     /// ([`crate::direct`]) at the best heuristic multipliers, then this
     /// many ascent iterations that each re-solve every block's LP and
-    /// step along the LP minimizers' usage. Any value above 0 also
-    /// certifies each failed `FEAS(B)` run with one such sweep. 0
-    /// disables both (dual-ascent bounds only). A sweep costs one block
-    /// LP per video — ≈ 0.1 ms each at 23 VHOs, tens of dual ascents —
-    /// so the stage is priced in sweeps × blocks: measured on the
+    /// step along the LP minimizers' usage. It is an upper limit: the
+    /// stage shares the heuristic stage's stall stop (10 consecutive
+    /// sweeps without a new best; measured pauses are 3 at most), and
+    /// like that stage it sits outside the pass budget. Any value
+    /// above 0 also certifies each failed `FEAS(B)` run with one such
+    /// sweep. 0 disables both (dual-ascent bounds only). A sweep costs
+    /// one block LP per video — ≈ 0.1 ms each at 23 VHOs, tens of dual
+    /// ascents — so the stage is priced in sweeps × blocks: measured on the
     /// 2-core reference box, 16 iterations add ≈ 1 s to a 2 s solve at
     /// 1 000 videos / 23 VHOs and 44 s to a 15 s solve at 5 000 / 49,
     /// where they take the certified gap from 51 % to 14 %
@@ -141,7 +154,11 @@ impl EpfConfig {
     /// of global passes so one hard cycle can never starve the next.
     /// An existing (tighter) `step_limit` is kept — the budget only
     /// ever shrinks the work, and in passes (not wall time) so the
-    /// cutoff lands on the same pass on every machine.
+    /// cutoff lands on the same pass on every machine. The final
+    /// lower-bound polish is *not* inside this budget: a budgeted
+    /// solve still pays up to `1 + polish_iters` heuristic sweeps
+    /// (`1 + 10` when the stage never improves, the usual case) and
+    /// `1 + exact_cert` exact ones after its last pass.
     pub fn budgeted(&self, steps: u64) -> Self {
         Self {
             step_limit: Some(self.step_limit.map_or(steps, |s| s.min(steps))),
@@ -172,6 +189,11 @@ impl EpfConfig {
 pub struct EpfStats {
     pub passes: usize,
     pub block_steps: u64,
+    /// Block sweeps of the final lower-bound polish, all stages, seed
+    /// evaluations included (0 when it did not run). They sit outside
+    /// `passes` and `block_steps`; like those, the count is the same
+    /// on every machine, at every thread count and across a resume.
+    pub polish_sweeps: u64,
     pub lower_bound: f64,
     pub objective: f64,
     pub max_violation: f64,
@@ -480,74 +502,90 @@ fn lagrangian_bound(
 /// while filling `rel` with the ν-space subgradient (the dimensionless
 /// relative violation of each row under the block minimizers).
 ///
-/// `exact_set` lists blocks whose heuristic dual-ascent bound is
-/// additionally replaced by `max(heuristic, exact block LP)` — both
-/// are valid per-block lower bounds, so the mix is a valid global
-/// bound at any subset (the hybrid certification trick: exact LPs only
-/// where the heuristic is loose).
-#[allow(clippy::too_many_arguments)]
+/// `exact` upgrades the whole sweep: exact block-LP bounds *and* the LP
+/// minimizers' usage, so the returned `rel` is a true subgradient of
+/// the Lagrangian dual rather than the heuristic minimizer's
+/// approximation of it.
 fn polish_eval(
     coupling: &Coupling,
     pool: &WorkerPool<'_>,
     idx_all: &[usize],
     nu: &[f64],
-    exact_set: &[usize],
+    exact: bool,
     duals: &mut Duals,
     rel: &mut [f64],
-    per: &mut [f64],
 ) -> f64 {
     for (r, d) in duals.rows.iter_mut().enumerate() {
         *d = nu[r] / coupling.cap(r);
     }
     duals.bump_version();
     pool.update_penalty(duals);
-    // A full exact set upgrades the whole sweep: exact bounds *and*
-    // exact-minimizer usage, so the returned `rel` is a true
-    // subgradient of the Lagrangian dual rather than the heuristic
-    // minimizer's approximation of it.
-    let full_exact = exact_set.len() == idx_all.len();
-    let results = pool.polish_sweep(idx_all, full_exact);
-    for (slot, (lb, _)) in per.iter_mut().zip(&results) {
-        *slot = *lb;
-    }
-    if !full_exact && !exact_set.is_empty() {
-        let exact = pool.exact_bounds(exact_set);
-        for (&m, &e) in exact_set.iter().zip(&exact) {
-            if e > per[m] {
-                per[m] = e;
-            }
-        }
-    }
+    let sweep = pool.polish_sweep(idx_all, exact);
     rel.fill(-1.0); // gradient in ν-space
-    for (_, usage) in &results {
-        for &(row, u) in usage {
-            rel[row] += u / coupling.cap(row);
-        }
+    for &(row, u) in &sweep.usage {
+        rel[row] += u / coupling.cap(row);
     }
-    per.iter().sum::<f64>() - nu.iter().sum::<f64>()
+    sweep.bounds.iter().sum::<f64>() - nu.iter().sum::<f64>()
 }
 
-/// Final lower-bound polish: monotone-guarded subgradient ascent on the
-/// Lagrangian dual `g(μ) = Σ_k min_{z∈F^k} (c + μA)z − μ·b` over
-/// `μ ≥ 0`, seeded with the smoothed duals the EPF loop ended on.
+/// Consecutive sweeps without a new best after which a stage of
+/// [`polish_bound`] ends. Measured on Table III rows at seeds 3 and 11
+/// (EXPERIMENTS.md "Where the polish's sweeps went"): in 40 of 40
+/// solves without an exact stage — `ladder-5k`, the twelve
+/// `service-week` cycles, the 5000/tiscali quality row, 24 rows of
+/// 100–1000 videos — the heuristic stage either never beats its seed
+/// evaluation (26: all 120, or 40, sweeps fruitless) or climbs to a
+/// value still under the bound the passes already hold (14), so no
+/// sweep after the seed evaluation bought a reported digit and any
+/// stall length returns the same bits. The 16-sweep exact stages of
+/// the quality rows improve on almost every sweep and pause for 3 at
+/// most. 10 clears that pause with room, is the heuristic budget of
+/// the `certify-10x100` benchmark shape (which therefore runs exactly
+/// as before), and cuts a fruitless 120-sweep stage to 1 + 10. What it
+/// gives up: a heuristic climb that resumes after a longer pause
+/// (pauses of 16–81 sweeps were seen) — worth nothing in those 40
+/// solves, and with an exact stage behind it a different starting
+/// point for that stage, not a worse one (6 of 10 small rows moved by
+/// −1.6 to +2.3 %, 4 of them up).
+const POLISH_STALL: usize = 10;
+
+/// Final lower-bound polish: subgradient ascent on the Lagrangian dual
+/// `g(μ) = Σ_k min_{z∈F^k} (c + μA)z − μ·b` over `μ ≥ 0`, seeded with
+/// the smoothed duals the EPF loop ended on. Returns the best value
+/// seen and the number of block sweeps it took (every evaluation, the
+/// seed's included).
 ///
 /// The ascent works in *capacity-normalized* coordinates `ν_r = μ_r·b_r`
 /// with exponentiated-gradient steps (multiplicative updates adapt
 /// price magnitudes geometrically, which matters because the EPF seed
-/// can be off by orders of magnitude). Unlike a free-running
-/// subgradient scheme, the iterate is leashed to the best point seen:
-/// any step that loses more than 3 % of the best value — or sustained
-/// non-improvement — resets to the best iterate with a smaller step, so
-/// the returned bound can never fall below the seed's own evaluation
-/// (the failure mode that used to throw away a good seed entirely).
+/// can be off by orders of magnitude). The iterate wanders with the
+/// diminishing step `θ_k = θ₀/√k` — the step is never shrunk for any
+/// other reason — and the best value seen is kept; every iterate's
+/// value is a valid global bound, so the result can never fall below
+/// the seed's own evaluation. One leash: an iterate that falls under
+/// 85 % of the best value restarts the wander from the best point.
 ///
-/// Two stages: `cfg.polish_iters` iterations with the cheap per-block
-/// dual-ascent bounds, then — when `cfg.exact_cert > 0` — an exact
-/// certification stage: one full exact-block-LP sweep calibrates which
-/// blocks the heuristic underestimates, and `exact_cert` further ascent
-/// iterations evaluate exact LPs on that subset only (valid at any
-/// subset, see [`polish_eval`]). Every iterate's value is a valid
-/// global bound, so the best value seen is returned.
+/// Two stages. The first runs up to `cfg.polish_iters` sweeps with the
+/// cheap per-block dual-ascent bounds and the heuristic minimizers'
+/// usage as its direction. The second, when `cfg.exact_cert > 0`,
+/// re-evaluates the best point with an exact block LP on every block
+/// (which can only raise it) and runs up to `cfg.exact_cert` further
+/// sweeps of exact LPs, stepping along the LP minimizers' usage.
+///
+/// **Stall stop.** Either stage ends early once [`POLISH_STALL`]
+/// consecutive sweeps of it have failed to raise the best value (the
+/// seed evaluation and the exact stage's opening sweep are not
+/// counted; the count restarts with each stage and on each
+/// improvement). A stage that never improves leaves the best point
+/// where it found it, so stopping it early hands the next stage — or
+/// the caller — exactly what the full budget would have: no returned
+/// bit can differ. A heuristic stage that has improved and then stalls
+/// gives up whatever a later sweep might still have found: without an
+/// exact stage that has been worth nothing so far (its best stayed
+/// under the caller's `lb`), with one it moves the point the exact
+/// stage starts from and so the certificate, up as often as down
+/// ([`POLISH_STALL`] has the counts). The caller takes `lb.max(·)` over
+/// a valid bound either way.
 fn polish_bound(
     layout: &RowLayout,
     coupling: &Coupling,
@@ -556,33 +594,26 @@ fn polish_bound(
     pool: &WorkerPool<'_>,
     idx_all: &[usize],
     trace: bool,
-) -> f64 {
+) -> (f64, u64) {
     if start.obj <= 0.0 {
-        return f64::NEG_INFINITY;
+        return (f64::NEG_INFINITY, 0);
     }
     let n_rows = layout.n_rows();
     // Normalized multipliers ν_r = (π_r/π_0)·b_r.
-    let seed_nu: Vec<f64> = (0..n_rows)
+    let mut nu: Vec<f64> = (0..n_rows)
         .map(|r| (start.rows[r] / start.obj) * coupling.cap(r))
         .collect();
-    // Iteration-invariant buffers: the trial duals (rows mutated in
-    // place, version bumped so the arena never skips the retarget),
-    // the ν-space gradient, and the per-block bound scratch.
+    // The trial duals (rows mutated in place, version bumped so the
+    // arena never skips the retarget) and the ν-space gradient.
     let mut duals = Duals::new(vec![0.0; n_rows], 1.0);
     let mut rel = vec![-1.0f64; n_rows];
-    let mut per = vec![0.0f64; idx_all.len()];
+    let mut sweeps = 0u64;
+    let mut eval = |nu: &[f64], exact: bool, rel: &mut [f64]| {
+        sweeps += 1;
+        polish_eval(coupling, pool, idx_all, nu, exact, &mut duals, rel)
+    };
 
-    let mut nu = seed_nu.clone();
-    let mut best = polish_eval(
-        coupling,
-        pool,
-        idx_all,
-        &nu,
-        &[],
-        &mut duals,
-        &mut rel,
-        &mut per,
-    );
+    let mut best = eval(&nu, false, &mut rel);
     let mut best_nu = nu.clone();
     let mut best_rel = rel.clone();
 
@@ -597,9 +628,8 @@ fn polish_bound(
     };
 
     for stage in 0..2 {
-        let (iters, exact_set): (usize, &[usize]) = if stage == 0 {
-            (cfg.polish_iters, &[])
-        } else {
+        let exact = stage == 1;
+        let iters = if exact {
             if cfg.exact_cert == 0 {
                 break;
             }
@@ -612,10 +642,7 @@ fn polish_bound(
             // first full-exact evaluation at the best point itself
             // lifts `best` (it can only raise per-block bounds).
             nu.copy_from_slice(&best_nu);
-            best = polish_eval(
-                coupling, pool, idx_all, &nu, idx_all, &mut duals, &mut rel, &mut per,
-            )
-            .max(best);
+            best = eval(&nu, true, &mut rel).max(best);
             if trace {
                 eprintln!(
                     "polish: exact stage on all {} blocks (best={best:.2})",
@@ -623,7 +650,9 @@ fn polish_bound(
                 );
             }
             best_rel.copy_from_slice(&rel);
-            (cfg.exact_cert, idx_all)
+            cfg.exact_cert
+        } else {
+            cfg.polish_iters
         };
         nu.copy_from_slice(&best_nu);
         rel.copy_from_slice(&best_rel);
@@ -635,13 +664,15 @@ fn polish_bound(
         // value seen (every iterate is a valid bound) — climbs through
         // the kinks instead. One leash only: a catastrophic drop (>15 %
         // of best) restarts the wander from the best point.
-        let theta0 = if stage == 0 { 0.2f64 } else { 0.05f64 };
+        let theta0 = if exact { 0.05f64 } else { 0.2f64 };
+        let mut stalled = 0;
         for it in 0..iters {
+            if stalled == POLISH_STALL {
+                break;
+            }
             let theta = theta0 / ((it + 1) as f64).sqrt();
             step(&mut nu, &rel, theta);
-            let g = polish_eval(
-                coupling, pool, idx_all, &nu, exact_set, &mut duals, &mut rel, &mut per,
-            );
+            let g = eval(&nu, exact, &mut rel);
             if trace {
                 eprintln!("polish[{stage}]: g={g:.2} best={best:.2} theta={theta:.4}");
             }
@@ -649,13 +680,17 @@ fn polish_bound(
                 best = g;
                 best_nu.copy_from_slice(&nu);
                 best_rel.copy_from_slice(&rel);
-            } else if g < best * 0.85 {
-                nu.copy_from_slice(&best_nu);
-                rel.copy_from_slice(&best_rel);
+                stalled = 0;
+            } else {
+                stalled += 1;
+                if g < best * 0.85 {
+                    nu.copy_from_slice(&best_nu);
+                    rel.copy_from_slice(&best_rel);
+                }
             }
         }
     }
-    best
+    (best, sweeps)
 }
 
 /// Approximate solver working-set bytes (reported in Table III):
@@ -1030,7 +1065,8 @@ fn solve_with_pool(
                   lb: f64,
                   converged: bool,
                   passes_done: usize,
-                  block_steps: u64| {
+                  block_steps: u64,
+                  polish_sweeps: u64| {
         let mut coupling_final = Coupling::new(layout, caps_of(inst, &layout), cfg.gamma, None);
         let (usage, objective) = crate::shard::state(inst, &layout, &blocks, threads);
         coupling_final.set_state(usage, objective);
@@ -1058,6 +1094,7 @@ fn solve_with_pool(
             EpfStats {
                 passes: passes_done,
                 block_steps,
+                polish_sweeps,
                 lower_bound: lb,
                 objective,
                 max_violation,
@@ -1269,6 +1306,7 @@ fn solve_with_pool(
                             outcome == RunOutcome::Reached,
                             passes_done,
                             block_steps,
+                            0,
                         );
                     }
                     if let Some(lr) =
@@ -1279,12 +1317,15 @@ fn solve_with_pool(
                     if outcome != RunOutcome::Reached {
                         // Couldn't even reach ε-feasibility: certify
                         // what we have.
+                        let mut polish_sweeps = 0;
                         if cfg.polish_iters > 0 {
-                            lb = lb.max(polish_bound(
+                            let (polished, sweeps) = polish_bound(
                                 &layout, &coupling, &smoothed, cfg, pool, &idx_all, trace,
-                            ));
+                            );
+                            polish_sweeps = sweeps;
+                            lb = lb.max(polished);
                         }
-                        return finish(blocks, lb, false, passes_done, block_steps);
+                        return finish(blocks, lb, false, passes_done, block_steps, polish_sweeps);
                     }
                     // --- Enter phase 2: bisection on the target B. ---
                     ub = coupling.objective();
@@ -1382,15 +1423,24 @@ fn solve_with_pool(
                 let pinched = ub <= lo * (1.0 + cert);
                 if converged || out_of_budget || pinched {
                     // Certification polish: tighten the Lagrangian
-                    // bound by monotone subgradient ascent from the
-                    // (now well-tuned) EPF duals.
+                    // bound by subgradient ascent from the (now
+                    // well-tuned) EPF duals.
+                    let mut polish_sweeps = 0;
                     if !converged && cfg.polish_iters > 0 {
-                        let polished =
+                        let (polished, sweeps) =
                             polish_bound(&layout, &coupling, &smoothed, cfg, pool, &idx_all, trace);
+                        polish_sweeps = sweeps;
                         lb = lb.max(polished);
                         converged = ub <= (1.0 + cert) * lb + 1e-9;
                     }
-                    return finish(zstar, lb, converged, passes_done, block_steps);
+                    return finish(
+                        zstar,
+                        lb,
+                        converged,
+                        passes_done,
+                        block_steps,
+                        polish_sweeps,
+                    );
                 }
                 let b = (lo * ub).sqrt().min(ub / (1.0 + 1.5 * cfg.epsilon)).max(lo);
                 coupling.set_target(b);

@@ -46,7 +46,7 @@ use crate::instance::MipInstance;
 use crate::kernel::Kernel;
 use crate::penalty::{PenaltyArena, PenaltyUpdate};
 use crate::potential::{Duals, RowLayout};
-use crate::solution::BlockSolution;
+use crate::solution::BlockBuf;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -130,7 +130,8 @@ pub(crate) enum JobKind {
     /// Per-block lower bound: dual ascent, or (`exact: true`) the
     /// larger of it and the exact block LP, from one UFL build.
     DualBound { exact: bool },
-    /// Polish sweep: valid bound + heuristic minimizer's resource usage.
+    /// Polish sweep: valid bound + minimizer's resource usage — the
+    /// heuristic minimizer's, or (`exact: true`) the block LP's.
     Polish { exact: bool },
     /// Panics on the given item: the panic-propagation test's job.
     #[cfg(test)]
@@ -140,15 +141,28 @@ pub(crate) enum JobKind {
 enum JobOutput {
     Solutions(Vec<UflSolution>),
     Bounds(Vec<f64>),
-    Polish(Vec<(f64, Vec<(usize, f64)>)>),
+    Polish(PolishSweep),
+}
+
+/// One polish sweep over some blocks: the valid bound of each, in item
+/// order, and the minimizers' coupling-row usage as one list — item
+/// after item, rows ascending within an item — which is the order the
+/// caller sums it in.
+#[derive(Debug, Default)]
+pub(crate) struct PolishSweep {
+    pub(crate) bounds: Vec<f64>,
+    pub(crate) usage: Vec<(usize, f64)>,
 }
 
 /// Per-thread reusable state: one UFL build buffer + solver scratch,
-/// and the row list of a polish item's usage.
+/// and a polish item's minimizer, the all-zero block its usage is
+/// taken against, and that usage's row list.
 #[derive(Default)]
 struct BlockScratch {
     ufl: UflProblem,
     search: UflScratch,
+    hat: BlockBuf,
+    empty: BlockBuf,
     rows: Vec<(usize, f64)>,
 }
 
@@ -317,15 +331,15 @@ impl<'env> WorkerPool<'env> {
         all
     }
 
-    /// Polish sweep: `(valid bound, minimizer resource usage)` per item.
-    pub(crate) fn polish_sweep(
-        &self,
-        items: &[usize],
-        exact: bool,
-    ) -> Vec<(f64, Vec<(usize, f64)>)> {
-        let mut all = Vec::with_capacity(items.len());
+    /// Polish sweep over `items`: valid bounds and minimizer usage.
+    pub(crate) fn polish_sweep(&self, items: &[usize], exact: bool) -> PolishSweep {
+        let mut all = PolishSweep::default();
+        all.bounds.reserve(items.len());
         self.run(items, JobKind::Polish { exact }, |o| match o {
-            JobOutput::Polish(mut v) => all.append(&mut v),
+            JobOutput::Polish(mut part) => {
+                all.bounds.append(&mut part.bounds);
+                all.usage.append(&mut part.usage);
+            }
             _ => unreachable!("Polish job returned a non-Polish output"), // lint:allow(no-panic-hot-path): exec_job pairs Polish with Polish
         });
         all
@@ -514,8 +528,9 @@ fn exec_job(
                 })
                 .collect(),
         ),
-        JobKind::Polish { exact } => JobOutput::Polish(
-            items
+        JobKind::Polish { exact } => {
+            let mut usage = Vec::new();
+            let bounds = items
                 .iter()
                 .map(|&m| {
                     let data = &inst.blocks()[m];
@@ -528,39 +543,41 @@ fn exec_job(
                         &mut scratch.ufl,
                         kernel,
                     );
-                    // Both solvers run on this build: fuse their
-                    // seeding passes (column sums + row minima).
-                    scratch.ufl.precompute_lane_aux(kernel);
-                    let empty = BlockSolution {
-                        y: Vec::new(),
-                        x: vec![Vec::new(); data.clients.len()],
-                    };
+                    let empty = scratch.empty.set_empty(data.clients.len());
                     // Exact mode wants the LP *minimizer's* usage, not
                     // the heuristic's: the pair (exact bound, exact
                     // argmin) is what makes the polish's certification
                     // direction a true subgradient of the Lagrangian
-                    // dual. A block whose LP or map-back fails keeps
-                    // the heuristic pair below.
-                    if exact {
-                        if let Some((lb, hat)) =
-                            crate::direct::exact_block_lp_solution(&scratch.ufl)
-                        {
-                            block_delta(inst, layout, data, &empty, &hat, &mut scratch.rows);
-                            return (lb, scratch.rows.clone());
-                        }
-                    }
-                    let lb = scratch
-                        .ufl
-                        .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
-                    let sol = scratch
-                        .ufl
-                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
-                    let hat = BlockSolution::from_ufl(&sol);
-                    block_delta(inst, layout, data, &empty, &hat, &mut scratch.rows);
-                    (lb, scratch.rows.clone())
+                    // dual. A block whose LP or map-back fails takes
+                    // the heuristic pair.
+                    let certified = if exact {
+                        crate::direct::exact_block_lp_solution(&scratch.ufl)
+                    } else {
+                        None
+                    };
+                    let lb = if let Some((lb, hat)) = &certified {
+                        block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
+                        *lb
+                    } else {
+                        // Both solvers run on this build: fuse their
+                        // seeding passes (column sums + row minima).
+                        scratch.ufl.precompute_lane_aux(kernel);
+                        let lb = scratch
+                            .ufl
+                            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
+                        let sol = scratch
+                            .ufl
+                            .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
+                        let hat = scratch.hat.set_from_ufl(&sol);
+                        block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
+                        lb
+                    };
+                    usage.extend_from_slice(&scratch.rows);
+                    lb
                 })
-                .collect(),
-        ),
+                .collect();
+            JobOutput::Polish(PolishSweep { bounds, usage })
+        }
         #[cfg(test)]
         JobKind::PanicOn(bad) => {
             assert!(!items.contains(&bad), "planted job panic on item {bad}");
@@ -595,20 +612,19 @@ mod tests {
         })
     }
 
-    type Sweep = (Vec<UflSolution>, Vec<u64>, Vec<(u64, Vec<(usize, u64)>)>);
+    type Sweep = (Vec<UflSolution>, Vec<u64>, Vec<u64>, Vec<(usize, u64)>);
 
     /// All three job kinds over `items`, floats as bits.
     fn sweep(pool: &WorkerPool<'_>, items: &[usize]) -> Sweep {
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
-        let polish = pool
-            .polish_sweep(items, false)
-            .into_iter()
-            .map(|(lb, usage)| {
-                let usage = usage.into_iter().map(|(r, u)| (r, u.to_bits())).collect();
-                (lb.to_bits(), usage)
-            })
-            .collect();
-        (pool.solve(items), bits(pool.dual_bounds(items)), polish)
+        let polish = pool.polish_sweep(items, false);
+        let usage = polish.usage.into_iter().map(|(r, u)| (r, u.to_bits()));
+        (
+            pool.solve(items),
+            bits(pool.dual_bounds(items)),
+            bits(polish.bounds),
+            usage.collect(),
+        )
     }
 
     /// Parts come back in part order whatever the thread count: item

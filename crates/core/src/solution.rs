@@ -122,6 +122,16 @@ impl BlockBuf {
         &mut self.block
     }
 
+    /// Overwrite with the all-zero block of `n_clients` clients: the
+    /// `cur` against which [`crate::epf::block_delta`] returns a
+    /// candidate's whole usage.
+    pub(crate) fn set_empty(&mut self, n_clients: usize) -> &BlockSolution {
+        let block = self.with_clients(n_clients);
+        block.y.clear();
+        block.x.iter_mut().for_each(Vec::clear);
+        block
+    }
+
     /// Overwrite with the block [`BlockSolution::from_ufl`] would build.
     pub(crate) fn set_from_ufl(&mut self, sol: &UflSolution) -> &BlockSolution {
         let block = self.with_clients(sol.assign.len());

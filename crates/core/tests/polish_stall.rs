@@ -19,7 +19,10 @@
 //! A change to the polish's schedule has to leave all of them alone.
 #![allow(clippy::unwrap_used)]
 
-use vod_core::{solve_fractional, DiskConfig, EpfConfig, EpfStats, MipInstance};
+use vod_core::{
+    solve_fractional, solve_placement_checkpointed, solve_resumable, CheckpointSpec, DiskConfig,
+    EpfConfig, EpfStats, MipInstance, SolverCheckpoint,
+};
 use vod_net::{topologies, Network};
 use vod_trace::{synthesize_library, synthetic_demand, LibraryConfig, TraceConfig};
 
@@ -177,4 +180,109 @@ fn seeded_solves_keep_their_bits() {
         }
     }
     assert!(misses.is_empty(), "{}", misses.join("\n"));
+}
+
+// ---------------------------------------------------------------------
+// With the stall stop (PR 23): `EpfStats::polish_sweeps` makes the
+// polish's schedule observable without a clock.
+// ---------------------------------------------------------------------
+
+/// `POLISH_STALL` of `crates/core/src/epf.rs`: consecutive sweeps
+/// without a new best that end a stage.
+const STALL: u64 = 10;
+
+/// Sweeps per case: a stage that never improves is its seed evaluation
+/// and STALL fruitless sweeps (of a budget of 120), budgets at or under
+/// the stall run in full (10 + 3 and their two opening evaluations), a
+/// climb runs until it pauses for STALL sweeps, and the exact stage is
+/// counted from zero whatever the heuristic stage before it did. A
+/// stall counter that survives an improvement ends the climb of
+/// `exact_after_a_climb` early, one that survives into the exact stage
+/// ends `exact_after_a_stall` and `certify_shape` before their first
+/// exact step: both move the pinned lower bounds above as well as
+/// these counts.
+#[test]
+fn polish_sweeps_of_every_case() {
+    let want = [
+        1 + STALL,
+        11,
+        39,
+        1 + 120 + 1 + 8,
+        1 + STALL + 1 + 8,
+        1 + 10 + 1 + 3,
+        12,
+    ];
+    let got: Vec<u64> = cases()
+        .iter()
+        .map(|case| {
+            solve_fractional(&case.instance(), &case.cfg)
+                .1
+                .polish_sweeps
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// The polish runs on the worker pool: a second thread must not move a
+/// sweep or a bit (a stalled exact-free solve, and both stages).
+#[test]
+fn thread_count_moves_neither_sweeps_nor_bits() {
+    for case in [long_climb(11, (0, 0, 0)), exact_after_a_stall()] {
+        let inst = case.instance();
+        let solve = |threads| {
+            solve_fractional(
+                &inst,
+                &EpfConfig {
+                    threads,
+                    ..case.cfg.clone()
+                },
+            )
+            .1
+        };
+        let (one, two) = (solve(1), solve(2));
+        assert_eq!(one.polish_sweeps, two.polish_sweeps, "{}", case.name);
+        assert_eq!(key(&one), key(&two), "{}", case.name);
+    }
+}
+
+/// The polish runs after the last pass, from state the checkpoint
+/// carries: a solve resumed from a mid-run checkpoint polishes exactly
+/// as the uninterrupted one does.
+#[test]
+fn a_resumed_solve_polishes_like_the_uninterrupted_one() {
+    let case = exact_after_a_stall();
+    let inst = case.instance();
+    let mut snaps: Vec<Vec<u8>> = Vec::new();
+    let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
+    let spec = CheckpointSpec {
+        every: 7,
+        sink: &mut sink,
+    };
+    let full = solve_placement_checkpointed(&inst, &case.cfg, spec).unwrap();
+    assert_eq!(key(&full.epf), case.want);
+    let mid = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).unwrap();
+    let resumed = solve_resumable(&inst, &case.cfg, &mid, None).unwrap();
+    assert_eq!(resumed.epf.polish_sweeps, full.epf.polish_sweeps);
+    assert_eq!(key(&resumed.epf), key(&full.epf));
+}
+
+/// What the stop gives up, pinned so it stays visible: on 150/sprint
+/// (120 passes, `exact_cert 8`, seed 3) the heuristic stage's climb
+/// resumes after a 16-sweep pause, so the stall cuts it (22 sweeps
+/// instead of 130) and the exact stage starts from an earlier point.
+/// The result is still a certificate, 1.6 % under the 619.54 the full
+/// 120-sweep stage led to; of six such rows measured four moved up
+/// (EXPERIMENTS.md "Where the polish's sweeps went").
+#[test]
+fn a_climb_cut_by_the_stall_still_certifies() {
+    let cfg = cfg(3, 120, 120, 8);
+    let inst = instance(150, &topologies::sprint(), cfg.seed);
+    let (_, stats) = solve_fractional(&inst, &cfg);
+    // The passes are the parent's; only the polish differs.
+    assert_eq!(stats.objective.to_bits(), 0x40898265d6d1a446);
+    assert_eq!(stats.block_steps, 13199);
+    assert_eq!(stats.polish_sweeps, 1 + 12 + 1 + 8);
+    let full_budget = 619.54;
+    assert!(stats.lower_bound < stats.objective);
+    assert!(stats.lower_bound > 0.98 * full_budget && stats.lower_bound < full_budget);
 }
