@@ -111,6 +111,66 @@ mod tests {
     }
 
     #[test]
+    fn matches_restricted_on_a_nested_window_in_every_direction() {
+        // The trace handed to `advance` is itself a window that starts
+        // past its parent's index 0, as the service's history window
+        // is after the first cycle.
+        let full = trace(400);
+        let t = full.restricted(TimeWindow::new(SimTime::new(120), SimTime::new(520)));
+        assert!(t.len() < full.len() && t[0].time >= SimTime::new(120));
+        let mut win = StreamingWindow::new();
+        let spans = [
+            (120, 220), // forward
+            (220, 320),
+            (320, 420),
+            (320, 420), // repeated
+            (320, 420),
+            (200, 300), // backward
+            (120, 200),
+            (0, 130),   // overhangs the window's start
+            (500, 600), // overhangs its end
+            (520, 600), // wholly past it
+            (0, 120),   // wholly before it
+            (0, 600),   // everything
+            (300, 300), // empty
+        ];
+        for (s, e) in spans {
+            let w = TimeWindow::new(SimTime::new(s), SimTime::new(e));
+            let got = win.advance(&t, w);
+            assert_same(&got, &t.restricted(w));
+            // And both equal the parent restricted to the overlap.
+            let clip = TimeWindow::new(SimTime::new(s.max(120)), SimTime::new(e.clamp(120, 520)));
+            assert_eq!(
+                got.requests(),
+                full.restricted(clip).requests(),
+                "[{s}, {e})"
+            );
+        }
+    }
+
+    #[test]
+    fn an_advanced_window_can_be_advanced_and_restricted_again() {
+        let t = trace(300);
+        let mut outer = StreamingWindow::new();
+        let mut inner = StreamingWindow::new();
+        for day in 0..4u64 {
+            let big = TimeWindow::new(SimTime::new(day * 100), SimTime::new(day * 100 + 300));
+            let week = outer.advance(&t, big);
+            for step in [0u64, 1, 2, 1, 1] {
+                let small = TimeWindow::new(
+                    SimTime::new(day * 100 + step * 100),
+                    SimTime::new(day * 100 + step * 100 + 100),
+                );
+                let got = inner.advance(&week, small);
+                assert_same(&got, &week.restricted(small));
+                assert_same(&got, &t.restricted(small));
+                assert_eq!(got.slice(small), got.requests());
+                assert_eq!(got.bucket_counts(50).iter().sum::<u64>(), got.len() as u64);
+            }
+        }
+    }
+
+    #[test]
     fn empty_trace_and_empty_windows() {
         let t = Trace::new(SimTime::new(10), vec![]);
         let mut win = StreamingWindow::new();

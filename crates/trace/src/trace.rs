@@ -155,6 +155,121 @@ mod tests {
         let _ = Trace::new(SimTime::new(10), vec![req(10, 0, 0)]);
     }
 
+    /// Ten-second grid, two requests per tick: `(t, vho 0)`, `(t, vho 1)`.
+    fn grid(horizon: u64) -> Trace {
+        let reqs = (0..horizon / 10)
+            .flat_map(|i| [req(i * 10, 0, i as u32), req(i * 10, 1, i as u32)])
+            .collect();
+        Trace::new(SimTime::new(horizon), reqs)
+    }
+
+    fn win(s: u64, e: u64) -> TimeWindow {
+        TimeWindow::new(SimTime::new(s), SimTime::new(e))
+    }
+
+    #[test]
+    fn a_window_that_starts_past_index_zero_answers_like_its_own_trace() {
+        let t = grid(200);
+        let w = t.restricted(win(50, 120));
+        // What a window is: the requests in [start, end), absolute
+        // timestamps, horizon clipped to the window's end.
+        let expect: Vec<Request> = t
+            .requests()
+            .iter()
+            .copied()
+            .filter(|r| (50..120).contains(&r.time.secs()))
+            .collect();
+        assert_eq!(expect.len(), 14);
+        assert_eq!(w.requests(), &expect[..]);
+        assert_eq!(w.len(), 14);
+        assert!(!w.is_empty());
+        assert_eq!(w.horizon(), SimTime::new(120));
+        // `Index` counts from the window's first request, not the
+        // parent's.
+        assert_eq!(w[0], req(50, 0, 5));
+        assert_eq!(w[1], req(50, 1, 5));
+        assert_eq!(w[13], req(110, 1, 11));
+        // `slice` searches inside the window only.
+        assert_eq!(w.slice(win(0, 200)), &expect[..]);
+        assert_eq!(w.slice(win(60, 80)), &expect[2..6]);
+        assert_eq!(w.slice(win(0, 50)), &[]);
+        assert_eq!(w.slice(win(120, 200)), &[]);
+        // `bucket_counts` spans [0, horizon) in absolute time: the
+        // buckets before the window's start exist and are empty.
+        assert_eq!(w.bucket_counts(30), vec![0, 2, 6, 6]);
+        assert_eq!(w.bucket_counts(50), vec![0, 10, 4]);
+    }
+
+    #[test]
+    fn restricting_a_window_equals_restricting_the_parent_to_the_overlap() {
+        let t = grid(300);
+        let outer = t.restricted(win(40, 210));
+        for (s, e) in [
+            (40, 210),
+            (0, 300),
+            (100, 150),
+            (0, 100),
+            (150, 300),
+            (45, 46),
+            (205, 215),
+        ] {
+            let nested = outer.restricted(win(s, e));
+            let direct = t.restricted(win(s.max(40), e.min(210)));
+            assert_eq!(nested.requests(), direct.requests(), "[{s}, {e})");
+            assert_eq!(nested.horizon(), direct.horizon(), "[{s}, {e})");
+            assert_eq!(nested.len(), direct.len());
+        }
+        // Three levels deep, each starting past its parent's index 0.
+        let inner = outer.restricted(win(80, 180)).restricted(win(100, 130));
+        assert_eq!(inner.requests(), t.slice(win(100, 130)));
+        assert_eq!(inner[0], req(100, 0, 10));
+        assert_eq!(inner.horizon(), SimTime::new(130));
+        assert_eq!(inner.bucket_counts(100), vec![0, 6]);
+    }
+
+    #[test]
+    fn empty_and_out_of_range_windows() {
+        let t = grid(100);
+        // Empty by construction, inside the data.
+        let e = t.restricted(win(30, 30));
+        assert!(e.is_empty());
+        assert_eq!(e.len(), 0);
+        assert_eq!(e.requests(), &[]);
+        assert_eq!(e.horizon(), SimTime::new(30));
+        assert_eq!(e.bucket_counts(10), vec![0, 0, 0]);
+        assert_eq!(e.slice(win(0, 100)), &[]);
+        // Between two ticks: no request, non-empty span.
+        let gap = t.restricted(win(31, 39));
+        assert!(gap.is_empty());
+        assert_eq!(gap.horizon(), SimTime::new(39));
+        // Wholly past the data: the horizon stays the trace's own.
+        let past = t.restricted(win(100, 500));
+        assert!(past.is_empty());
+        assert_eq!(past.horizon(), SimTime::new(100));
+        // Overhanging the end: clipped to what exists.
+        let over = t.restricted(win(80, 500));
+        assert_eq!(over.len(), 4);
+        assert_eq!(over.horizon(), SimTime::new(100));
+        assert_eq!(over[0], req(80, 0, 8));
+        // A window of an empty window, and of an empty trace.
+        assert!(e.restricted(win(0, 100)).is_empty());
+        assert_eq!(e.restricted(win(0, 100)).horizon(), SimTime::new(30));
+        let none = Trace::new(SimTime::new(50), vec![]);
+        let w = none.restricted(win(10, 20));
+        assert!(w.is_empty());
+        assert_eq!(w.horizon(), SimTime::new(20));
+        assert_eq!(w.bucket_counts(10), vec![0, 0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn indexing_past_a_window_panics_even_when_the_parent_has_more() {
+        let t = grid(100);
+        let w = t.restricted(win(20, 40));
+        assert_eq!(w.len(), 4);
+        let _ = w[4];
+    }
+
     #[test]
     fn empty_trace_is_fine() {
         let t = Trace::new(SimTime::new(100), vec![]);
