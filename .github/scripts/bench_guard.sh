@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # One guard of the benchmark-harness CI job.
 #
-#   bench_guard.sh <workload> <seconds> '<python condition over m>' '<what a miss means>'
+#   bench_guard.sh <workload> <seconds> '<python condition over m>' '<what a miss means>' [trace]
 #
-# Runs <workload> traced at seed 3 and evaluates the condition over
-# `m` (metric name -> value of that run). Both sides of a condition come
-# from the same run, so the speed of the box cancels. An incorrect run
-# fails at once; a missed condition is re-timed up to twice to shrug off
-# scheduler noise before the guard fails.
+# Runs <workload> at seed 3 — traced unless [trace] is 0 — and evaluates
+# the condition over `m` (metric name -> value of that run: every
+# per-layer metric when traced, the three end-to-end ones when not).
+# Both sides of a ratio come from the same run, so the speed of the box
+# cancels. An incorrect run fails at once; a missed condition is
+# re-timed up to twice to shrug off scheduler noise before the guard
+# fails.
 set -u -o pipefail
-workload=$1 seconds=$2 condition=$3 miss=$4
+workload=$1 seconds=$2 condition=$3 miss=$4 trace=${5:-1}
 for attempt in 1 2 3; do
   line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload "$workload" --seed 3 --seconds "$seconds" --trace 1 | tail -n 1) \
+    --workload "$workload" --seed 3 --seconds "$seconds" --trace "$trace" | tail -n 1) \
     || { echo "benchmark run failed: $line"; exit 1; }
   rc=0
   python3 -c '

@@ -34,7 +34,7 @@ use crate::epf::{EpfConfig, RunState};
 use crate::instance::MipInstance;
 use crate::solution::{BlockSolution, FractionalSolution, Placement};
 use std::fmt;
-use vod_json::wire::{dec_pair, dec_seq, enc_seq, field, Wire, WireError};
+use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, field, Sink, Wire, WireError};
 use vod_json::{wire_record, Value};
 use vod_model::VhoId;
 
@@ -115,7 +115,7 @@ impl SolverCheckpoint {
     /// `vod_json::snapshot` container for on-disk durability).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.enc().to_string_pretty().into_bytes()
+        self.text().into_bytes()
     }
 
     /// Deserialize a checkpoint payload. Structural problems come back
@@ -276,8 +276,8 @@ wire_record!(FractionalSolution {
 // `VhoId` cannot implement `Wire` (see `vod_json::wire`): it travels as
 // a `u16`-ranged `Num` through these adapters.
 
-fn vho_enc(i: &VhoId) -> Value {
-    i.index().enc()
+fn vho_enc<S: Sink>(i: &VhoId, out: &mut S) {
+    i.index().emit(out);
 }
 
 fn vho_dec(v: &Value) -> Result<VhoId, WireError> {
@@ -285,16 +285,18 @@ fn vho_dec(v: &Value) -> Result<VhoId, WireError> {
 }
 
 /// A sparse `(VHO, weight)` list as `[[id, bits], …]`.
-fn dist_enc(d: &[(VhoId, f64)]) -> Value {
-    enc_seq(d, |(i, x)| Value::Arr(vec![vho_enc(i), x.enc()]))
+fn dist_enc<S: Sink>(d: &[(VhoId, f64)], out: &mut S) {
+    enc_seq(d, out, |(i, x), out| {
+        enc_pair(out, |out| vho_enc(i, out), |out| x.emit(out));
+    });
 }
 
 fn dist_dec(v: &Value) -> Result<Vec<(VhoId, f64)>, WireError> {
     dec_seq(v, |pair| dec_pair(pair, vho_dec, f64::dec))
 }
 
-fn dists_enc(ds: &[Vec<(VhoId, f64)>]) -> Value {
-    enc_seq(ds, |d| dist_enc(d))
+fn dists_enc<S: Sink>(ds: &[Vec<(VhoId, f64)>], out: &mut S) {
+    enc_seq(ds, out, |d, out| dist_enc(d, out));
 }
 
 fn dists_dec(v: &Value) -> Result<Vec<Vec<(VhoId, f64)>>, WireError> {
@@ -333,20 +335,19 @@ pub fn validate_fractional(
 /// restored placement drives the simulator identically. Every index is
 /// validated against the declared shape on decode.
 impl Wire for Placement {
-    fn enc(&self) -> Value {
-        let routing = enc_seq(self.routing_lists(), |clients| {
-            enc_seq(clients, |(j, dist)| {
-                Value::Arr(vec![vho_enc(j), dist_enc(dist)])
-            })
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.begin_obj();
+        out.key("n_vhos");
+        self.n_vhos().emit(out);
+        out.key("stores");
+        enc_seq(self.holder_lists(), out, |h, out| enc_seq(h, out, vho_enc));
+        out.key("routing");
+        enc_seq(self.routing_lists(), out, |clients, out| {
+            enc_seq(clients, out, |(j, dist), out| {
+                enc_pair(out, |out| vho_enc(j, out), |out| dist_enc(dist, out));
+            });
         });
-        Value::Obj(vec![
-            ("n_vhos".into(), self.n_vhos().enc()),
-            (
-                "stores".into(),
-                enc_seq(self.holder_lists(), |h| enc_seq(h, vho_enc)),
-            ),
-            ("routing".into(), routing),
-        ])
+        out.end_obj();
     }
 
     fn dec(v: &Value) -> Result<Self, WireError> {

@@ -1,14 +1,16 @@
 //! Streaming demand windows for the long-running placement service.
 //!
-//! A one-shot pipeline can afford [`Trace::restricted`] once per run —
-//! two binary searches plus a clone. A *service* re-estimates demand
-//! every cycle over windows that only ever slide forward, so this
-//! module keeps monotone cursors into the live trace and advances them
-//! incrementally: over a whole service run each cursor walks every
-//! request at most once per direction (amortized O(1) per cycle for
-//! the forward-sliding service pattern), and the produced window
-//! traces are identical to `Trace::restricted` — pinned by test, so
-//! the service and the one-shot pipeline estimate from the same bytes.
+//! A window of a trace is a view ([`Trace::restricted`]): it shares the
+//! trace's storage, so nothing is copied or re-sorted whoever makes it.
+//! What is left to save is the search. A one-shot pipeline finds a
+//! window's ends with two binary searches; a *service* re-estimates
+//! demand every cycle over windows that only ever slide forward, so
+//! this module keeps monotone cursors into the live trace and advances
+//! them incrementally: over a whole service run each cursor walks every
+//! request at most once per direction (amortized O(1) per cycle for the
+//! forward-sliding service pattern), and the produced window is the one
+//! `Trace::restricted` returns — pinned by test, so the service and the
+//! one-shot pipeline estimate from the same requests.
 
 use vod_model::TimeWindow;
 use vod_trace::Trace;
@@ -32,11 +34,11 @@ impl StreamingWindow {
         Self::default()
     }
 
-    /// Slide the cursors to `window` and return the restricted trace
-    /// for it, bit-identical to `trace.restricted(window)`. Windows
-    /// normally advance monotonically; a regression is still answered
-    /// correctly (the cursors walk backwards), it just costs the
-    /// amortization.
+    /// Slide the cursors to `window` and return the view of `trace`
+    /// for it — the same requests, in the same storage, as
+    /// `trace.restricted(window)`. Windows normally advance
+    /// monotonically; a regression is still answered correctly (the
+    /// cursors walk backwards), it just costs the amortization.
     pub fn advance(&mut self, trace: &Trace, window: TimeWindow) -> Trace {
         let reqs = trace.requests();
         // Tolerate a shorter trace than last time (fresh world after a
@@ -55,8 +57,7 @@ impl StreamingWindow {
         while self.hi < reqs.len() && reqs[self.hi].time < window.end {
             self.hi += 1;
         }
-        let hi = self.hi.max(self.lo);
-        Trace::new(trace.horizon().min(window.end), reqs[self.lo..hi].to_vec())
+        trace.window_at(self.lo..self.hi.max(self.lo), window)
     }
 }
 
@@ -167,6 +168,19 @@ mod tests {
                 assert_eq!(got.slice(small), got.requests());
                 assert_eq!(got.bucket_counts(50).iter().sum::<u64>(), got.len() as u64);
             }
+        }
+    }
+
+    #[test]
+    fn an_advanced_window_shares_the_trace_it_was_cut_from() {
+        let t = trace(200);
+        let mut win = StreamingWindow::new();
+        for (s, e) in [(0, 100), (100, 300), (50, 250), (50, 250)] {
+            let w = TimeWindow::new(SimTime::new(s), SimTime::new(e));
+            let got = win.advance(&t, w);
+            // Same allocation, at the offset `restricted` finds.
+            assert_eq!(got.requests().as_ptr(), t.slice(w).as_ptr());
+            assert_eq!(got.requests().as_ptr(), t.restricted(w).requests().as_ptr());
         }
     }
 

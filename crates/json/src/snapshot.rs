@@ -137,8 +137,8 @@ fn encode(kind: &str, version: u32, payload: &[u8]) -> Result<Vec<u8>, SnapshotE
 }
 
 /// Decode a snapshot container, checking magic, kind, version and
-/// checksum. Returns the payload bytes.
-pub fn decode(bytes: &[u8], kind: &str, version: u32) -> Result<Vec<u8>, SnapshotError> {
+/// checksum. Returns the payload: the tail of `bytes`, not a copy.
+pub fn decode<'a>(bytes: &'a [u8], kind: &str, version: u32) -> Result<&'a [u8], SnapshotError> {
     let need = |n: usize| -> Result<(), SnapshotError> {
         if bytes.len() < n {
             Err(SnapshotError::Truncated {
@@ -217,7 +217,7 @@ pub fn decode(bytes: &[u8], kind: &str, version: u32) -> Result<Vec<u8>, Snapsho
             found: actual,
         });
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
 /// Sibling temp path for the atomic write: `<file>.<pid>-<n>.tmp` in
@@ -360,8 +360,12 @@ fn read_all(path: &Path) -> Result<Vec<u8>, SnapshotError> {
 
 /// Read and verify a snapshot, returning the payload bytes.
 pub fn read_snapshot(path: &Path, kind: &str, version: u32) -> Result<Vec<u8>, SnapshotError> {
-    let bytes = read_all(path)?;
-    decode(&bytes, kind, version)
+    let mut bytes = read_all(path)?;
+    let header = bytes.len() - decode(&bytes, kind, version)?.len();
+    // The file buffer becomes the payload: the header is cut off its
+    // front, no second buffer.
+    bytes.drain(..header);
+    Ok(bytes)
 }
 
 /// Write a [`Value`] payload as a checksummed snapshot.
@@ -376,11 +380,12 @@ pub fn write_json_snapshot(
 
 /// Read a snapshot whose payload is a JSON document.
 pub fn read_json_snapshot(path: &Path, kind: &str, version: u32) -> Result<Value, SnapshotError> {
-    let payload = read_snapshot(path, kind, version)?;
-    let text = String::from_utf8(payload).map_err(|_| SnapshotError::Malformed {
+    let bytes = read_all(path)?;
+    let payload = decode(&bytes, kind, version)?;
+    let text = std::str::from_utf8(payload).map_err(|_| SnapshotError::Malformed {
         what: "payload is not UTF-8".to_string(),
     })?;
-    Value::parse(&text).map_err(|e: JsonError| SnapshotError::Malformed {
+    Value::parse(text).map_err(|e: JsonError| SnapshotError::Malformed {
         what: format!("payload is not valid JSON: {e}"),
     })
 }

@@ -1,7 +1,8 @@
-//! The wire codec's two properties, checked once for every payload
-//! that is written with it: a value survives encode → decode, and a
-//! document damaged at any single node decodes to an error that names
-//! that node — never a panic, never the original value.
+//! The wire codec's properties, checked once for every payload that is
+//! written with it: a value survives encode → decode, a document
+//! damaged at any single node decodes to an error that names that node
+//! — never a panic, never the original value — and the text an encoder
+//! streams is the text its document prints.
 //!
 //! The sample record nests every form the codec has: all primitive
 //! types, `Option`, `Vec`, pairs, a `wire_record!` inside another, a
@@ -11,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
 use proptest::prelude::*;
-use vod_json::wire::{dec_pair, dec_seq, enc_seq, Wire, WireError};
+use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
 use vod_json::{wire_names, wire_record, wire_tagged, Value};
 
 /// An `f64` that compares by bit pattern, so NaN payloads and `-0.0`
@@ -26,8 +27,8 @@ impl PartialEq for Bits {
 }
 
 impl Wire for Bits {
-    fn enc(&self) -> Value {
-        self.0.enc()
+    fn emit<S: Sink>(&self, out: &mut S) {
+        self.0.emit(out);
     }
     fn dec(v: &Value) -> Result<Self, WireError> {
         f64::dec(v).map(Bits)
@@ -76,8 +77,8 @@ wire_tagged!(Event {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Id(u16);
 
-fn id_enc(i: &Id) -> Value {
-    i.0.enc()
+fn id_enc<S: Sink>(i: &Id, out: &mut S) {
+    i.0.emit(out);
 }
 
 fn id_dec(v: &Value) -> Result<Id, WireError> {
@@ -86,8 +87,10 @@ fn id_dec(v: &Value) -> Result<Id, WireError> {
 
 type Route = Vec<(Id, Bits)>;
 
-fn route_enc(r: &Route) -> Value {
-    enc_seq(r, |(i, x)| Value::Arr(vec![id_enc(i), x.enc()]))
+fn route_enc<S: Sink>(r: &Route, out: &mut S) {
+    enc_seq(r, out, |(i, x), out| {
+        enc_pair(out, |out| id_enc(i, out), |out| x.emit(out));
+    });
 }
 
 fn route_dec(v: &Value) -> Result<Route, WireError> {
@@ -383,6 +386,135 @@ proptest! {
             }
         }
     }
+}
+
+/// A hand-written form no macro produces: the empty object.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Hole;
+
+impl Wire for Hole {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.begin_obj();
+        out.end_obj();
+    }
+    fn dec(v: &Value) -> Result<Self, WireError> {
+        match v {
+            Value::Obj(fields) if fields.is_empty() => Ok(Hole),
+            _ => Err(WireError::new("expected an empty object")),
+        }
+    }
+}
+
+/// A record around the sample whose containers may be empty anywhere:
+/// first, last, in a row, and directly inside one another.
+#[derive(Debug, Clone, PartialEq)]
+struct Nest {
+    holes: Vec<Hole>,
+    lists: Vec<Vec<u32>>,
+    hole: Hole,
+    sample: Sample,
+    gap: Option<Hole>,
+    texts: Vec<String>,
+    tail: Vec<Option<Vec<Hole>>>,
+}
+
+wire_record!(Nest {
+    holes,
+    lists,
+    hole,
+    sample,
+    gap,
+    texts,
+    tail
+});
+
+fn nest_of(picks: &[u64]) -> Nest {
+    let pick = |i: usize| picks[i % picks.len()];
+    let text = |i: usize| match pick(i) % 5 {
+        0 => String::new(),
+        1 => "q\"uote \\ back/slash".to_string(),
+        2 => "line\nfeed\ttab\rreturn".to_string(),
+        3 => format!("ctl {} {}", '\u{1}', '\u{1f}'),
+        _ => format!("π → 😀 {}", pick(i + 1)),
+    };
+    Nest {
+        holes: vec![Hole; (pick(0) % 3) as usize],
+        lists: (0..pick(1) % 4)
+            .map(|i| (0..pick(2 + i as usize) % 3).map(|k| k as u32).collect())
+            .collect(),
+        hole: Hole,
+        sample: sample_of(picks),
+        gap: (pick(3) % 2 == 0).then_some(Hole),
+        texts: (0..pick(4) % 4).map(|i| text(5 + i as usize)).collect(),
+        tail: (0..pick(9) % 4)
+            .map(|i| match pick(10 + i as usize) % 3 {
+                0 => None,
+                1 => Some(Vec::new()),
+                _ => Some(vec![Hole; 2]),
+            })
+            .collect(),
+    }
+}
+
+/// The property: what `emit` streams into the text sink is what the
+/// document `emit` builds in the tree sink prints.
+fn streams_what_it_prints<T: Wire>(x: &T) -> Result<(), TestCaseError> {
+    prop_assert_eq!(x.text(), x.enc().to_string_pretty());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_streamed_text_is_the_printed_document(
+        picks in prop::collection::vec(any::<u64>(), 16..64),
+    ) {
+        // Every `Wire` type at the document root...
+        let p = picks[0];
+        streams_what_it_prints(&p)?;
+        streams_what_it_prints(&f64::from_bits(p))?;
+        streams_what_it_prints(&((p % 9_000_000_000_000_000) as usize))?;
+        streams_what_it_prints(&(p as u32))?;
+        streams_what_it_prints(&(p as u16))?;
+        streams_what_it_prints(&(p % 2 == 0))?;
+        streams_what_it_prints(&format!("a \"b\"\n\\ {p} \u{7} é"))?;
+        streams_what_it_prints(&String::new())?;
+        streams_what_it_prints(&None::<u64>)?;
+        streams_what_it_prints(&Some(p))?;
+        streams_what_it_prints(&Vec::<u64>::new())?;
+        streams_what_it_prints(&picks)?;
+        streams_what_it_prints(&(p as u32, Bits(f64::from_bits(p))))?;
+        streams_what_it_prints(&vec![Vec::<u32>::new(); (p % 3) as usize])?;
+        streams_what_it_prints(&Color::ALL[(p % 3) as usize])?;
+        streams_what_it_prints(&Event::Idle {})?;
+        streams_what_it_prints(&Hole)?;
+        // ...and nested in records.
+        let x = sample_of(&picks);
+        streams_what_it_prints(&x.leaf)?;
+        streams_what_it_prints(&x)?;
+        let nest = nest_of(&picks);
+        streams_what_it_prints(&nest)?;
+        prop_assert_eq!(Nest::dec(&Value::parse(&nest.text()).unwrap()), Ok(nest));
+    }
+}
+
+#[test]
+fn empty_containers_stream_closed_on_one_line() {
+    let nest = nest_of(&[0, 2, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0]);
+    assert!(nest.holes.is_empty() && nest.lists == [vec![], vec![0]]);
+    let text = nest.text();
+    assert!(
+        text.starts_with("{\n  \"holes\": [],\n  \"lists\": [\n    [],\n    [\n      0\n    ]\n  ],\n  \"hole\": {},\n  \"sample\": {\n"),
+        "{text}"
+    );
+    assert!(
+        text.ends_with(
+            "  \"gap\": null,\n  \"texts\": [],\n  \"tail\": [\n    [],\n    null\n  ]\n}"
+        ),
+        "{text}"
+    );
+    assert_eq!(text, nest.enc().to_string_pretty());
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //! [`Placement::from_parts`] enforces.
 
 use vod_core::Placement;
-use vod_json::wire::{Wire, WireError};
+use vod_json::wire::{Sink, Wire, WireError};
 use vod_json::{wire_record, Value};
 use vod_model::VideoId;
 
@@ -49,8 +49,8 @@ wire_record!(DeferredMigration {
 // `VideoId` cannot implement `Wire` (see `vod_json::wire`): it travels
 // as a `u32`-ranged `Num` through these adapters.
 
-fn video_enc(m: &VideoId) -> Value {
-    m.index().enc()
+fn video_enc<S: Sink>(m: &VideoId, out: &mut S) {
+    m.index().emit(out);
 }
 
 fn video_dec(v: &Value) -> Result<VideoId, WireError> {

@@ -9,7 +9,10 @@
 //! multi-cycle loop that
 //!
 //! 1. feeds a streaming demand estimator from the live trace window
-//!    ([`vod_estimate::StreamingWindow`] — amortized O(1) per cycle),
+//!    ([`vod_estimate::StreamingWindow`]: a window is a view of the one
+//!    trace in memory, found by cursors that only slide — nothing is
+//!    copied or re-sorted) and builds the cycle's [`MipInstance`] from
+//!    it once, for all four stages that read it,
 //! 2. incrementally re-solves each cycle via the warm-start ladder
 //!    ([`vod_core::solve_cycle_fractional`]) under a per-cycle
 //!    deterministic pass budget ([`EpfConfig::budgeted`]),
@@ -34,6 +37,7 @@
 //! placements byte-identical to the uninterrupted twin's.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use vod_core::checkpoint::{validate_fractional, CHECKPOINT_KIND, CHECKPOINT_VERSION};
 use vod_core::rounding::round_solution;
 use vod_core::{
@@ -43,10 +47,9 @@ use vod_core::{
 };
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
 use vod_json::snapshot::{
-    fnv1a64, read_json_snapshot, read_snapshot, write_json_snapshot, write_snapshot_atomic,
-    SnapshotError,
+    fnv1a64, read_json_snapshot, read_snapshot, write_snapshot_atomic, SnapshotError,
 };
-use vod_json::wire::{field, Wire, WireError};
+use vod_json::wire::{field, Sink, Wire, WireError};
 use vod_json::{wire_record, Value};
 use vod_model::rng::derive_seed;
 use vod_model::time::DAY;
@@ -83,8 +86,9 @@ const SERVICE_CYCLE_SALT: u64 = 0x5EBF;
 
 /// The world the service re-optimizes against: topology (with link
 /// capacities already set), routing, library, the full request trace,
-/// and the physical disk inventory. The service clones it and evolves
-/// its copy through [`vod_net::WorldDelta`]s between cycles.
+/// and the physical disk inventory. The service clones it — the trace
+/// is a view, so the clone shares the requests — and evolves its copy
+/// through [`vod_net::WorldDelta`]s between cycles.
 #[derive(Debug, Clone)]
 pub struct OpsWorld {
     pub net: Network,
@@ -386,13 +390,16 @@ wire_record!(ServiceState {
 });
 
 /// `deployed` is a pair in memory and `{cycle, placement}` on the wire.
-fn deployed_enc(d: &Option<(usize, Placement)>) -> Value {
-    d.as_ref().map_or(Value::Null, |(cycle, placement)| {
-        Value::Obj(vec![
-            ("cycle".into(), cycle.enc()),
-            ("placement".into(), placement.enc()),
-        ])
-    })
+fn deployed_enc<S: Sink>(d: &Option<(usize, Placement)>, out: &mut S) {
+    let Some((cycle, placement)) = d else {
+        return out.null();
+    };
+    out.begin_obj();
+    out.key("cycle");
+    cycle.emit(out);
+    out.key("placement");
+    placement.emit(out);
+    out.end_obj();
 }
 
 fn deployed_dec(v: &Value) -> Result<Option<(usize, Placement)>, WireError> {
@@ -441,6 +448,13 @@ pub struct Service {
     /// History / period trace cursors (amortized O(1) window slides).
     history_win: StreamingWindow,
     period_win: StreamingWindow,
+    /// The MIP instance of the cycle it is tagged with, built by the
+    /// first stage that asks ([`Service::instance_for`]). It is a pure
+    /// function of the cycle, the evolved world (applied deltas, dark
+    /// mask) and the deployed placement (the migration anchor), so it
+    /// is dropped wherever one of those changes. Not durable: a resumed
+    /// process rebuilds the identical instance.
+    instance: Option<(usize, Arc<MipInstance>)>,
     fired_kills: Vec<usize>,
     fired_stage_kills: Vec<(usize, StageId)>,
     /// True while the durable snapshots lag the in-memory state (disk
@@ -453,7 +467,7 @@ pub struct Service {
     /// failed, so the round stage can proceed without the disk. Not
     /// durable on purpose: a crash falls back to the retreat-to-solve
     /// recompute, which is deterministic.
-    mem_fractional: Option<Value>,
+    mem_fractional: Option<FractionalArtifact>,
 }
 
 impl std::fmt::Debug for Service {
@@ -589,6 +603,7 @@ impl Service {
             watchdog,
             history_win: StreamingWindow::new(),
             period_win: StreamingWindow::new(),
+            instance: None,
             fired_kills: Vec::new(),
             fired_stage_kills: Vec::new(),
             dirty: false,
@@ -709,6 +724,8 @@ impl Service {
         let Some(delta) = self.cfg.cycle_deltas.get(index).cloned() else {
             return Ok(StepOutcome::Finished); // unreachable: index came from pending_delta
         };
+        // The world changes under any instance built so far...
+        self.instance = None;
         apply_world_delta(&mut self.cur, &mut self.dark, &delta);
         // Warm solver state: a capacity-only delta re-blesses the
         // mid-solve checkpoint via the remap rules (primal iterate
@@ -759,7 +776,7 @@ impl Service {
                     Ok(churned) => {
                         self.state.pending_moved += churned.moved;
                         self.state.deferred = churned.deferred;
-                        self.state.deployed = Some((deployed_cycle, churned.placement));
+                        self.set_deployed(deployed_cycle, churned.placement);
                     }
                     // Repair preserves the video axis by construction,
                     // so the diff cannot reject shapes; degrade rather
@@ -774,6 +791,10 @@ impl Service {
                 self.push_recovery(RecoveryAction::WarmRemap);
             }
         }
+        // ...and the remap above may have built one mid-delta, against
+        // the placement the repair has since replaced: no instance
+        // outlives a delta.
+        self.instance = None;
         self.state.deltas_applied = index + 1;
         self.persist()?;
         Ok(StepOutcome::DeltaApplied { cycle, index })
@@ -840,12 +861,11 @@ impl Service {
                 &ck.to_bytes(),
             );
         };
-        let warm = self.state.deployed.as_ref().map(|(_, p)| p.clone());
         let result = solve_cycle_fractional(
             &inst,
             &epf,
             prior.as_ref(),
-            warm.as_ref(),
+            self.state.deployed.as_ref().map(|(_, p)| p),
             Some(CheckpointSpec {
                 every,
                 sink: &mut sink,
@@ -888,28 +908,27 @@ impl Service {
                     }
                     ResumeKind::WarmStart | ResumeKind::Cold => {}
                 }
-                let payload = FractionalArtifact {
+                let artifact = FractionalArtifact {
                     cycle,
                     config: epf_config_token(&epf),
                     lower_bound: stats.lower_bound,
                     fractional: frac,
-                }
-                .enc();
+                };
                 // Disk trouble must not fail the stage: on a write
-                // error the round stage consumes the payload from
+                // error the round stage consumes the artifact from
                 // memory, and a crash before the retry lands falls
                 // back to the deterministic retreat-to-solve
                 // recompute.
-                match write_json_snapshot(
+                match write_snapshot_atomic(
                     &self.fractional_path(),
                     FRACTIONAL_KIND,
                     FRACTIONAL_VERSION,
-                    &payload,
+                    artifact.text().as_bytes(),
                 ) {
                     Ok(()) => self.mem_fractional = None,
                     Err(e) => {
                         self.note_snapshot_failure(format!("persist fractional: {e}"));
-                        self.mem_fractional = Some(payload);
+                        self.mem_fractional = Some(artifact);
                     }
                 }
                 let _ = std::fs::remove_file(&ckpt_path);
@@ -927,23 +946,27 @@ impl Service {
     fn step_round(&mut self, cycle: usize) -> Result<StepOutcome, OpsError> {
         let inst = self.instance_for(cycle);
         let token = epf_config_token(&self.epf_for_cycle(cycle));
-        let check = |v: &Value| {
-            let a = FractionalArtifact::dec(v).ok()?;
-            let fresh = a.cycle == cycle && a.config == token;
-            (fresh && validate_fractional(&a.fractional, &inst).is_ok()).then_some(a.fractional)
+        let fresh = |a: &&FractionalArtifact| {
+            a.cycle == cycle
+                && a.config == token
+                && validate_fractional(&a.fractional, &inst).is_ok()
         };
         // Durable snapshot first; the in-memory copy is the fallback a
         // faulted disk leaves behind (same cycle/config gate applies).
-        let frac = read_json_snapshot(&self.fractional_path(), FRACTIONAL_KIND, FRACTIONAL_VERSION)
-            .ok()
-            .and_then(|v| check(&v))
-            .or_else(|| self.mem_fractional.as_ref().and_then(check));
-        let Some(frac) = frac else {
+        let durable =
+            read_json_snapshot(&self.fractional_path(), FRACTIONAL_KIND, FRACTIONAL_VERSION)
+                .ok()
+                .and_then(|v| FractionalArtifact::dec(&v).ok());
+        let artifact = durable
+            .as_ref()
+            .filter(fresh)
+            .or_else(|| self.mem_fractional.as_ref().filter(fresh));
+        let Some(artifact) = artifact else {
             let _ = std::fs::remove_file(self.fractional_path());
             return self.retreat(StageId::Solve, StageId::Round, cycle);
         };
         let epf = self.epf_for_cycle(cycle);
-        let (placement, stats) = round_solution(&inst, &frac, epf.gamma, epf.kernel);
+        let (placement, stats) = round_solution(&inst, &artifact.fractional, epf.gamma, epf.kernel);
         self.state.target = Some(placement);
         self.state.target_objective = Some(stats.objective);
         self.advance(StageId::Validate)?;
@@ -954,23 +977,21 @@ impl Service {
     }
 
     fn step_validate(&mut self, cycle: usize) -> Result<StepOutcome, OpsError> {
-        let Some(target) = self.state.target.clone() else {
+        let inst = self.instance_for(cycle);
+        let Some(target) = self.state.target.as_ref() else {
             return self.retreat(StageId::Round, StageId::Validate, cycle);
         };
-        let inst = self.instance_for(cycle);
         // The strict serviceability gate applies to the full target;
         // the churn-capped hybrid may transiently double-occupy disk
         // during the migration window (see `crate::diff`).
-        if let Err(what) = serviceable(&target, &inst, self.cfg.ops.validate_tol) {
+        if let Err(what) = serviceable(target, &inst, self.cfg.ops.validate_tol) {
             return self.degrade(DegradeReason::ValidationFailed { what });
         }
-        match &self.state.deployed {
-            None => {
-                // Bootstrap deployment: there is nothing serving yet,
-                // so the churn cap (an *update* bandwidth bound) does
-                // not apply — the initial fill is an offline bulk load.
-                self.state.deployed = Some((cycle, target));
-            }
+        let deploy = match &self.state.deployed {
+            // Bootstrap deployment: there is nothing serving yet, so
+            // the churn cap (an *update* bandwidth bound) does not
+            // apply — the initial fill is an offline bulk load.
+            None => target.clone(),
             Some((_, prev)) => {
                 // Repair migrations executed at the cycle boundary
                 // already consumed part of this cycle's budget.
@@ -978,16 +999,17 @@ impl Service {
                     .cfg
                     .churn_cap
                     .map(|c| c.saturating_sub(self.state.pending_moved));
-                let plan = match apply_churn_cap(prev, &target, budget, &self.state.deferred, cycle)
+                let plan = match apply_churn_cap(prev, target, budget, &self.state.deferred, cycle)
                 {
                     Ok(plan) => plan,
                     Err(what) => return self.degrade(DegradeReason::ValidationFailed { what }),
                 };
                 self.state.pending_moved += plan.moved;
                 self.state.deferred = plan.deferred;
-                self.state.deployed = Some((cycle, plan.placement));
+                plan.placement
             }
-        }
+        };
+        self.set_deployed(cycle, deploy);
         self.advance(StageId::Simulate)?;
         Ok(StepOutcome::StageDone {
             cycle,
@@ -1182,6 +1204,7 @@ impl Service {
         self.state.cycle += 1;
         self.state.stage = StageId::Estimate;
         self.watchdog.reset();
+        self.instance = None;
         self.mem_fractional = None;
         let _ = std::fs::remove_file(self.solver_ckpt_path());
         let _ = std::fs::remove_file(self.fractional_path());
@@ -1196,11 +1219,11 @@ impl Service {
     /// durable state current again — replaying from an older snapshot
     /// is deterministic, so nothing is lost but recomputation.
     fn persist(&mut self) -> Result<(), OpsError> {
-        match write_json_snapshot(
+        match write_snapshot_atomic(
             &self.cfg.ops.state_dir.join("service.state"),
             SERVICE_KIND,
             SERVICE_VERSION,
-            &self.state.to_value(),
+            self.state.text().as_bytes(),
         ) {
             Ok(()) => {
                 self.dirty = false;
@@ -1226,6 +1249,13 @@ impl Service {
             self.cfg.ops.backoff_base_ms,
         );
         self.last_snapshot_error = Some(what);
+    }
+
+    /// Put `placement` into service. It anchors the migration cost of
+    /// every later instance, so the one built so far goes.
+    fn set_deployed(&mut self, cycle: usize, placement: Placement) {
+        self.state.deployed = Some((cycle, placement));
+        self.instance = None;
     }
 
     fn deployed_fingerprint(&self) -> u64 {
@@ -1260,12 +1290,18 @@ impl Service {
         caps
     }
 
-    /// Rebuild the cycle's MIP instance from the streaming windows.
-    /// Pure function of the (delta-evolved) world, the dark mask, the
-    /// cycle index and the deployed placement (the migration anchor),
-    /// so every attempt and every resumed process sees the identical
-    /// instance.
-    fn instance_for(&mut self, cycle: usize) -> MipInstance {
+    /// The cycle's MIP instance: built from the streaming windows by
+    /// the first caller of a cycle, shared with the later ones. Pure
+    /// function of the (delta-evolved) world, the dark mask, the cycle
+    /// index and the deployed placement (the migration anchor), so
+    /// every stage, every attempt and every resumed process sees the
+    /// identical instance.
+    fn instance_for(&mut self, cycle: usize) -> Arc<MipInstance> {
+        if let Some((built_for, inst)) = &self.instance {
+            if *built_for == cycle {
+                return Arc::clone(inst);
+            }
+        }
         let (day, end) = self.window_of(cycle);
         let history = self.history_win.advance(
             &self.cur.trace,
@@ -1292,7 +1328,7 @@ impl Service {
             origin: VhoId::new(0),
         });
         let disks = DiskConfig::Explicit(self.mip_caps());
-        MipInstance::new(
+        let inst = Arc::new(MipInstance::new(
             self.cur.net.clone(),
             self.cur.catalog.clone(),
             demand,
@@ -1300,7 +1336,9 @@ impl Service {
             1.0,
             0.0,
             pc.as_ref(),
-        )
+        ));
+        self.instance = Some((cycle, Arc::clone(&inst)));
+        inst
     }
 
     /// Per-cycle solver config: derived seed (service-distinct salt)
@@ -1422,7 +1460,7 @@ fn apply_world_delta(cur: &mut OpsWorld, dark: &mut [bool], delta: &WorldDelta) 
 /// serialization — the identity every kill/resume twin check compares.
 #[must_use]
 pub fn placement_fingerprint(p: &Placement) -> u64 {
-    fnv1a64(p.enc().to_string_pretty().as_bytes())
+    fnv1a64(p.text().as_bytes())
 }
 
 /// Fingerprint of everything that shapes a solve trajectory, so a
@@ -1587,6 +1625,15 @@ mod tests {
             placement_fingerprint(&p),
             placement_fingerprint(&st.deployed.unwrap().1)
         );
+    }
+
+    #[test]
+    fn the_state_file_holds_the_text_of_to_value() {
+        // `persist` streams the state to text; the goldens and the
+        // benchmark's probes read the document `to_value` builds.
+        for st in [sample_state(), ServiceState::fresh(7)] {
+            assert_eq!(st.text(), st.to_value().to_string_pretty());
+        }
     }
 
     #[test]

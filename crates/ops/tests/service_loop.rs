@@ -14,11 +14,11 @@
 use std::path::PathBuf;
 use vod_core::{DiskConfig, EpfConfig};
 use vod_estimate::{EstimateConfig, EstimatorKind};
-use vod_model::{Mbps, SimTime, VhoId};
+use vod_model::{LinkId, Mbps, SimTime, VhoId};
 use vod_net::{topologies, PathSet};
 use vod_ops::{
-    apply_churn_cap, DegradeReason, OpsConfig, OpsError, OpsWorld, RecoveryAction, Service,
-    ServiceConfig, ServicePlan, ServiceState, StageId, StepOutcome,
+    apply_churn_cap, DegradeReason, DeltaOp, OpsConfig, OpsError, OpsWorld, RecoveryAction,
+    Service, ServiceConfig, ServicePlan, ServiceState, StageId, StepOutcome, WorldDelta,
 };
 use vod_sim::{FaultEvent, FaultKind, FaultSchedule};
 use vod_trace::{generate_trace, synthesize_library, LibraryConfig, TraceConfig};
@@ -538,5 +538,92 @@ fn seed_mismatch_is_refused_and_foreign_faults_rejected() {
     match Service::resume_or_start(&w, bad, ServicePlan::default()) {
         Err(OpsError::Invalid { what }) => assert!(what.contains("fault"), "{what}"),
         other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
+#[test]
+fn the_service_shares_the_trace_of_the_world_it_was_given() {
+    let w = world(53);
+    let s = Service::resume_or_start(&w, config(53, fresh_dir("shared")), ServicePlan::default())
+        .unwrap();
+    // The service evolves its own copy of the world, but a trace is a
+    // view: the copy reads the caller's requests, it does not hold a
+    // second set.
+    assert_eq!(s.world().trace.len(), w.trace.len());
+    assert_eq!(
+        s.world().trace.requests().as_ptr(),
+        w.trace.requests().as_ptr()
+    );
+}
+
+#[test]
+fn a_delta_after_the_cycles_instance_was_built_is_seen_by_the_solve() {
+    // The cycle's instance is built once and shared by its stages. The
+    // only thing that builds one *before* a delta of the same cycle is
+    // the delta before it, when a solver checkpoint is there to remap.
+    // So: leave a checkpoint behind (die mid-solve in cycle 0, lose the
+    // state file), then restart under a schedule with two deltas due at
+    // cycle 0. The first delta builds cycle 0's instance; the second
+    // takes VHO 1's storage away. Estimate and solve run after both and
+    // must see both.
+    let w = world(54);
+    let dir = fresh_dir("late_delta");
+    let plan = ServicePlan {
+        kill_mid_solve: vec![(0, 1)],
+        ..ServicePlan::default()
+    };
+    let mut dying = Service::resume_or_start(&w, config(54, dir.clone()), plan).unwrap();
+    while !matches!(dying.step().unwrap(), StepOutcome::SimulatedCrash { .. }) {}
+    drop(dying);
+    assert!(dir.join("solver.ckpt").exists());
+    std::fs::remove_file(dir.join("service.state")).unwrap();
+
+    let mut cfg = config(54, dir);
+    cfg.cycle_deltas = vec![
+        WorldDelta {
+            cycle: 0,
+            seed: 0xE1,
+            ops: vec![DeltaOp::ScaleLink {
+                link: LinkId::new(0),
+                factor: 0.5,
+            }],
+        },
+        WorldDelta {
+            cycle: 0,
+            seed: 0xE2,
+            ops: vec![DeltaOp::DecommissionVho { vho: VhoId::new(1) }],
+        },
+    ];
+    let mut s = Service::resume_or_start(&w, cfg, ServicePlan::default()).unwrap();
+    let mut outcomes = Vec::new();
+    while s.state().cycle == 0 {
+        outcomes.push(s.step().unwrap());
+    }
+    assert_eq!(
+        outcomes[..4],
+        [
+            StepOutcome::DeltaApplied { cycle: 0, index: 0 },
+            StepOutcome::DeltaApplied { cycle: 0, index: 1 },
+            StepOutcome::StageDone {
+                cycle: 0,
+                stage: StageId::Estimate
+            },
+            StepOutcome::StageDone {
+                cycle: 0,
+                stage: StageId::Solve
+            },
+        ]
+    );
+    assert!(s.dark_mask()[1]);
+    let record = &s.state().records[0];
+    assert!(record.degraded.is_none(), "{:?}", record.degraded);
+    // A solve against the pre-decommission instance would have used
+    // VHO 1's disk like any other (and validated against that same
+    // instance); the one that saw the delta stores nothing there.
+    let (_, deployed) = s.state().deployed.as_ref().unwrap();
+    let dark = VhoId::new(1);
+    for (m, holders) in deployed.holder_lists().iter().enumerate() {
+        assert!(!holders.is_empty());
+        assert!(!holders.contains(&dark), "video {m} placed on dark VHO 1");
     }
 }

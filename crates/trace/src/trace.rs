@@ -1,5 +1,7 @@
 //! Request traces: the raw input of every experiment.
 
+use std::ops::Range;
+use std::sync::Arc;
 use vod_model::narrow;
 use vod_model::{SimTime, TimeWindow, VhoId, VideoId};
 
@@ -14,10 +16,19 @@ pub struct Request {
 }
 
 /// A time-sorted sequence of requests over a fixed horizon.
+///
+/// A trace is a *view*: shared, immutable storage plus the index range
+/// of it this trace covers. [`Trace::new`] sorts once and owns the whole
+/// range; `clone` and [`Trace::restricted`] are O(1) and share the
+/// storage, so a window of a 1.5 M-request trace costs three words, not
+/// a copy of its requests.
 #[derive(Debug, Clone)]
 pub struct Trace {
     horizon: SimTime,
-    requests: Vec<Request>,
+    // `Arc<Vec<_>>`, not `Arc<[_]>`: converting the freshly sorted
+    // `Vec` into an `Arc<[_]>` would copy every request once more.
+    storage: Arc<Vec<Request>>,
+    range: Range<usize>,
 }
 
 impl Trace {
@@ -29,7 +40,11 @@ impl Trace {
             requests.last().is_none_or(|r| r.time < horizon),
             "request beyond trace horizon"
         );
-        Self { horizon, requests }
+        Self {
+            horizon,
+            range: 0..requests.len(),
+            storage: Arc::new(requests),
+        }
     }
 
     #[inline]
@@ -39,25 +54,32 @@ impl Trace {
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.range.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.range.is_empty()
     }
 
     #[inline]
     pub fn requests(&self) -> &[Request] {
-        &self.requests
+        &self.storage[self.range.clone()]
     }
 
     /// Requests with `start <= time < end` (binary search on the sorted
-    /// vector).
+    /// requests).
     pub fn slice(&self, window: TimeWindow) -> &[Request] {
-        let lo = self.requests.partition_point(|r| r.time < window.start);
-        let hi = self.requests.partition_point(|r| r.time < window.end);
-        &self.requests[lo..hi]
+        &self.requests()[self.positions(window)]
+    }
+
+    /// Positions, within [`Trace::requests`], of the requests inside
+    /// `window`.
+    fn positions(&self, window: TimeWindow) -> Range<usize> {
+        let reqs = self.requests();
+        let lo = reqs.partition_point(|r| r.time < window.start);
+        let hi = reqs.partition_point(|r| r.time < window.end);
+        lo..hi
     }
 
     /// Requests per consecutive bucket of `bucket_secs` over the whole
@@ -66,18 +88,35 @@ impl Trace {
         assert!(bucket_secs > 0);
         let n = self.horizon.secs().div_ceil(bucket_secs);
         let mut counts = vec![0u64; narrow::usize_from(n)];
-        for r in &self.requests {
+        for r in self.requests() {
             counts[narrow::usize_from(r.time.secs() / bucket_secs)] += 1;
         }
         counts
     }
 
     /// Restrict to a sub-range (e.g., the evaluation weeks after the
-    /// warm-up period), keeping absolute timestamps.
+    /// warm-up period), keeping absolute timestamps. Two binary
+    /// searches; the result shares this trace's storage.
     pub fn restricted(&self, window: TimeWindow) -> Trace {
+        self.window_at(self.positions(window), window)
+    }
+
+    /// The view [`Trace::restricted`] returns for `window`, given the
+    /// positions (within [`Trace::requests`]) of the requests inside it
+    /// — for callers that track those positions themselves instead of
+    /// searching for them. Panics when a request at `positions` lies
+    /// outside `window`.
+    pub fn window_at(&self, positions: Range<usize>, window: TimeWindow) -> Trace {
+        let inside = &self.requests()[positions.clone()];
+        assert!(
+            inside.first().is_none_or(|r| r.time >= window.start)
+                && inside.last().is_none_or(|r| r.time < window.end),
+            "positions reach outside the window"
+        );
         Trace {
             horizon: self.horizon.min(window.end),
-            requests: self.slice(window).to_vec(),
+            storage: Arc::clone(&self.storage),
+            range: self.range.start + positions.start..self.range.start + positions.end,
         }
     }
 }
@@ -85,7 +124,7 @@ impl Trace {
 impl std::ops::Index<usize> for Trace {
     type Output = Request;
     fn index(&self, i: usize) -> &Request {
-        &self.requests[i]
+        &self.requests()[i]
     }
 }
 
@@ -268,6 +307,33 @@ mod tests {
         let w = t.restricted(win(20, 40));
         assert_eq!(w.len(), 4);
         let _ = w[4];
+    }
+
+    #[test]
+    fn clones_and_windows_share_the_requests_they_view() {
+        let t = grid(200);
+        let base = t.requests().as_ptr();
+        assert_eq!(t.clone().requests().as_ptr(), base);
+        // Ticks 0..50 hold ten requests, so the window starts at
+        // position 10 of the same allocation, and a window of it at 14.
+        let w = t.restricted(win(50, 120));
+        assert_eq!(w.requests().as_ptr(), base.wrapping_add(10));
+        let inner = w.restricted(win(70, 90));
+        assert_eq!(inner.requests().as_ptr(), base.wrapping_add(14));
+        assert_eq!(inner.clone().requests().as_ptr(), base.wrapping_add(14));
+        // A view keeps the storage alive on its own.
+        drop((t, w));
+        assert_eq!(
+            inner.requests(),
+            &[req(70, 0, 7), req(70, 1, 7), req(80, 0, 8), req(80, 1, 8)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the window")]
+    fn a_window_cannot_be_given_requests_it_does_not_cover() {
+        let t = grid(100);
+        let _ = t.window_at(0..6, win(10, 30));
     }
 
     #[test]
