@@ -45,14 +45,14 @@ pub use report::Finding;
 
 /// The deterministic-output sinks: every function transitively called
 /// from one of these must be free of nondeterminism sources and
-/// panics. Solver entry points (plain, checkpointed, resumable),
-/// simulator entry points, LP rounding, and the snapshot writers.
-pub const DEFAULT_ROOTS: [&str; 12] = [
+/// panics. The solve entry point and its two wrappers the harness
+/// calls, simulator entry points, LP rounding, and the snapshot
+/// writers. A root is a simple name: `solve` also roots
+/// `WorkerPool::solve`, which the free `solve` reaches anyway.
+pub const DEFAULT_ROOTS: [&str; 10] = [
+    "solve",
     "solve_placement",
-    "solve_placement_checkpointed",
-    "solve_resumable",
-    "solve_fractional_checkpointed",
-    "resolve_from",
+    "solve_fractional",
     "simulate",
     "simulate_with_final",
     "simulate_batch",
@@ -355,13 +355,13 @@ mod tests {
     fn blessed_function_table_silences_matching_kind_only() {
         let files = [src(
             "crates/x/src/lib.rs",
-            "pub fn solve_fractional_driven() {
+            "pub fn solve() {
                  let start = std::time::Instant::now();
                  let map = std::collections::HashMap::new();
                  consume(start, map);
              }",
         )];
-        let r = analyze_sources(&files, &["solve_fractional_driven"]);
+        let r = analyze_sources(&files, &["solve"]);
         // wall-clock is blessed for this function; hash-order is not.
         assert!(
             r.findings

@@ -4,7 +4,7 @@
 //! inventory ([`crate::items`]), the call graph ([`crate::graph`]),
 //! and the reachable set computed from the **sink roots** — the
 //! functions whose output the paper's evaluation promises is
-//! bit-identical across runs (`solve_placement*`, `simulate*`,
+//! bit-identical across runs (`solve` and its wrappers, `simulate*`,
 //! `round_solution`, and the snapshot writers).
 //!
 //! 1. **determinism-taint** — a nondeterminism *source* (wall clock,
@@ -94,16 +94,10 @@ const ALLOC_PATTERNS: &[(&str, &[&str])] = &[
 /// is rendered into the README's sources/sinks table.
 pub const BLESSED: &[(&str, &str, &str, &str)] = &[
     (
-        "solve_fractional_driven",
+        "solve",
         "determinism-taint",
         "wall-clock",
         "solver wall time is reported in EpfStats and never feeds back into the optimization",
-    ),
-    (
-        "solve_with_pool",
-        "determinism-taint",
-        "env-read",
-        "EPF_TRACE is read once per solve and gates stderr diagnostics only; it never feeds a decision",
     ),
     (
         "read_snapshot",

@@ -180,13 +180,10 @@ mod tests {
         Finding {
             rule: "determinism-taint",
             kind: "wall-clock".to_string(),
-            file: "crates/core/src/epf.rs".to_string(),
+            file: "crates/core/src/solver.rs".to_string(),
             line: 42,
-            function: "epf::solve_fractional_driven".to_string(),
-            chain: vec![
-                "solve_placement".to_string(),
-                "solve_fractional_driven".to_string(),
-            ],
+            function: "solver::solve".to_string(),
+            chain: vec!["solve_placement".to_string(), "solver::solve".to_string()],
             message: "quote \" and backslash \\ survive".to_string(),
         }
     }
@@ -199,7 +196,7 @@ mod tests {
         assert_eq!(k1, f.key());
         assert_eq!(
             k1,
-            "determinism-taint|crates/core/src/epf.rs|epf::solve_fractional_driven|wall-clock"
+            "determinism-taint|crates/core/src/solver.rs|solver::solve|wall-clock"
         );
     }
 
@@ -229,7 +226,7 @@ mod tests {
         let text = render_json(&[sample()]);
         assert!(text.contains("quote \\\" and backslash \\\\ survive"));
         assert!(text.contains("\"line\": 42"));
-        assert!(text.contains("\"chain\": [\"solve_placement\", \"solve_fractional_driven\"]"));
+        assert!(text.contains("\"chain\": [\"solve_placement\", \"solver::solve\"]"));
     }
 
     #[test]

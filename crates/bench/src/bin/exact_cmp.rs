@@ -1,7 +1,7 @@
 use rand::Rng;
 use vod_core::direct::build_direct_lp;
-use vod_core::epf::{solve_fractional, EpfConfig};
 use vod_core::instance::{DiskConfig, MipInstance};
+use vod_core::{solve_fractional, EpfConfig};
 use vod_model::{Catalog, Mbps, SimTime, TimeWindow, VhoId, Video, VideoClass, VideoId, VideoKind};
 use vod_trace::{DemandInput, DemandMatrix};
 

@@ -1,8 +1,8 @@
 //! Exact-LP validation on a trace-driven instance (like the unit-test
 //! instances but sized for the dense simplex).
 use vod_core::direct::build_direct_lp;
-use vod_core::epf::{solve_fractional, EpfConfig};
 use vod_core::instance::{DiskConfig, MipInstance};
+use vod_core::{solve_fractional, EpfConfig};
 use vod_model::Mbps;
 use vod_trace::{
     analysis, generate_trace, synthesize_library, DemandInput, LibraryConfig, TraceConfig,

@@ -9,10 +9,10 @@
 //! this binary asserts it, so the sweep doubles as a determinism check
 //! for the fault layer.
 //!
-//! A final repair step re-solves the k=2 VHO-outage scenario with
-//! `resolve_from` (warm start from the healthy placement, failed
-//! disks scaled to zero via `CapacityOverrides`) and records how many
-//! copies the repair migrates and the gap it achieves.
+//! A final repair step re-solves the k=2 VHO-outage scenario with a
+//! warm `solve` (started from the healthy placement, failed disks
+//! scaled to zero via `CapacityOverrides`) and records how many copies
+//! the repair migrates and the gap it achieves.
 //!
 //! The JSON deliberately contains no wall times or thread counts, so
 //! the file is byte-identical across machines and thread counts at a
@@ -20,7 +20,7 @@
 //!
 //! Scales: `--quick` (CI smoke), default, `--full`.
 use vod_bench::{fmt, save_results, Defaults, Scale, Scenario, Table};
-use vod_core::{resolve_from, solve_placement, CapacityOverrides};
+use vod_core::{solve, solve_placement, CapacityOverrides, Hooks, Start};
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind};
 use vod_json::{obj, ToJson, Value};
 use vod_model::{LinkId, Mbps, SimTime};
@@ -246,8 +246,14 @@ fn main() {
     let degraded = core_scn
         .instance_with(&s.mip_disk(&d), Mbps::from_gbps(d.link_gbps), &overrides)
         .expect("overrides validated above");
-    let repair = resolve_from(&degraded, &mip_placement, &s.probe_config())
-        .expect("degraded instance is well-formed");
+    let cfg = s.probe_config();
+    let warm = Start {
+        prior: None,
+        warm: Some(&mip_placement),
+    };
+    let repair = solve(&degraded, &cfg, warm, Hooks::default())
+        .expect("degraded instance is well-formed")
+        .rounded(&degraded, &cfg);
     let migrated = repair.placement.migration_copies_from(&mip_placement);
 
     let mut table = Table::new(

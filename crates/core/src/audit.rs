@@ -397,8 +397,9 @@ pub fn check_placement(inst: &MipInstance, placement: &Placement, rel_tol: f64) 
 mod tests {
     use super::*;
     use crate::epf::tests::small_instance;
-    use crate::epf::{solve_fractional, EpfConfig};
+    use crate::epf::EpfConfig;
     use crate::rounding::round_solution;
+    use crate::solver::solve_fractional;
 
     fn solved() -> (MipInstance, FractionalSolution, f64) {
         let inst = small_instance(50, 2.0, 1.0, 31);

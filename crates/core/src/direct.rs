@@ -328,9 +328,10 @@ pub fn exact_block_lp_solution(p: &UflProblem) -> Option<(f64, BlockSolution)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epf::{solve_fractional, EpfConfig};
+    use crate::epf::EpfConfig;
     use crate::instance::DiskConfig;
     use crate::rounding::round_solution;
+    use crate::solver::solve_fractional;
     use vod_model::{Mbps, SimTime, TimeWindow, VhoId, VideoId};
     use vod_net::topologies;
     use vod_trace::{DemandInput, DemandMatrix};

@@ -24,7 +24,6 @@ use crate::pool::WorkerPool;
 use crate::potential::{Coupling, Duals, RowLayout};
 use crate::solution::{initial_block, BlockBuf, BlockSolution, FractionalSolution, Placement};
 use rand::seq::SliceRandom;
-use std::sync::RwLock;
 use std::time::{Duration, Instant};
 use vod_model::rng::derive_rng;
 
@@ -348,24 +347,24 @@ pub(crate) fn build_ufl_into(
     out: &mut UflProblem,
     kernel: Kernel,
 ) {
-    let v = inst.n_vhos();
     out.reset();
-    out.facility_cost.extend((0..v).map(|i| {
-        let fo = data.facility_obj_cost.get(i).copied().unwrap_or(0.0);
-        // lint:allow(raw-index): dual/penalty rows are dense over VHO indices
-        let disk_dual = duals.rows[layout.disk_row(vod_model::VhoId::from_index(i))];
+    out.facility_cost.extend(inst.network.vho_ids().map(|iv| {
+        let fo = data
+            .facility_obj_cost
+            .get(iv.index())
+            .copied()
+            .unwrap_or(0.0);
+        let disk_dual = duals.rows[layout.disk_row(iv)];
         duals.obj * fo + disk_dual * data.size_gb
     }));
     for client in &data.clients {
         let j = client.j.index();
         match kernel {
-            Kernel::Scalar => out.push_service_row((0..v).map(|i| {
-                // lint:allow(raw-index): dual/penalty rows are dense over VHO indices
-                let iv = vod_model::VhoId::from_index(i);
+            Kernel::Scalar => out.push_service_row(inst.network.vho_ids().map(|iv| {
                 let mut cost = duals.obj * client.demand_gb * inst.cost(iv, client.j);
                 for (t, &rate) in client.rate.iter().enumerate() {
                     if rate != 0.0 {
-                        cost += rate * arena.at(t, i, j);
+                        cost += rate * arena.at(t, iv.index(), j);
                     }
                 }
                 cost
@@ -593,7 +592,7 @@ fn polish_bound(
     cfg: &EpfConfig,
     pool: &WorkerPool<'_>,
     idx_all: &[usize],
-    trace: bool,
+    hooks: &mut Hooks<'_>,
 ) -> (f64, u64) {
     if start.obj <= 0.0 {
         return (f64::NEG_INFINITY, 0);
@@ -610,7 +609,9 @@ fn polish_bound(
     let mut sweeps = 0u64;
     let mut eval = |nu: &[f64], exact: bool, rel: &mut [f64]| {
         sweeps += 1;
-        polish_eval(coupling, pool, idx_all, nu, exact, &mut duals, rel)
+        let value = polish_eval(coupling, pool, idx_all, nu, exact, &mut duals, rel);
+        hooks.emit(|| SolveEvent::Polish { exact, value });
+        value
     };
 
     let mut best = eval(&nu, false, &mut rel);
@@ -643,12 +644,6 @@ fn polish_bound(
             // lifts `best` (it can only raise per-block bounds).
             nu.copy_from_slice(&best_nu);
             best = eval(&nu, true, &mut rel).max(best);
-            if trace {
-                eprintln!(
-                    "polish: exact stage on all {} blocks (best={best:.2})",
-                    idx_all.len()
-                );
-            }
             best_rel.copy_from_slice(&rel);
             cfg.exact_cert
         } else {
@@ -673,9 +668,6 @@ fn polish_bound(
             let theta = theta0 / ((it + 1) as f64).sqrt();
             step(&mut nu, &rel, theta);
             let g = eval(&nu, exact, &mut rel);
-            if trace {
-                eprintln!("polish[{stage}]: g={g:.2} best={best:.2} theta={theta:.4}");
-            }
             if g > best {
                 best = g;
                 best_nu.copy_from_slice(&nu);
@@ -737,24 +729,6 @@ fn approx_bytes(
     sol + data + layout.n_rows() * 16 + arena_bytes + threads * per_scratch
 }
 
-/// Solve the LP relaxation with the EPF method (Algorithm 1), returning
-/// the ε-feasible, ε-optimal fractional solution and statistics.
-pub fn solve_fractional(inst: &MipInstance, cfg: &EpfConfig) -> (FractionalSolution, EpfStats) {
-    solve_fractional_seeded(inst, cfg, None)
-}
-
-/// As [`solve_fractional`], but optionally warm-started from a
-/// previous placement: each video's block begins at its old holders
-/// (greedily re-routed) instead of the cold single-copy start. Used by
-/// `solver::resolve_from` to repair a placement after a fault.
-pub(crate) fn solve_fractional_seeded(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    warm: Option<&Placement>,
-) -> (FractionalSolution, EpfStats) {
-    solve_fractional_driven(inst, cfg, warm, None, None)
-}
-
 /// Loop state of one fixed-target FEAS run — the control-flow half of
 /// the checkpointable solver state (the numeric half lives in the
 /// coupling, the smoothed duals, and the block vectors; see
@@ -797,38 +771,83 @@ impl std::fmt::Debug for CheckpointSpec<'_> {
     }
 }
 
-/// The full-control entry: warm start, checkpoint resume, and periodic
-/// checkpoint emission. `resume` must have been validated against
-/// `(inst, cfg)` by the caller (`solver::solve_resumable` does); the
-/// solver itself only debug-asserts shapes.
-pub(crate) fn solve_fractional_driven(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    warm: Option<&Placement>,
-    resume: Option<&SolverCheckpoint>,
-    ckpt: Option<CheckpointSpec<'_>>,
-) -> (FractionalSolution, EpfStats) {
-    // lint:allow(wall-clock): solver wall time is reported in EpfStats
-    // and never feeds back into the optimization, so it cannot break
-    // run-to-run determinism of the placement itself.
-    let start = Instant::now();
-    let n = inst.n_videos();
-    assert!(n > 0, "instance has no videos");
-    assert!(cfg.epsilon > 0.0 && cfg.rho < 1.0 && cfg.lb_every > 0);
-    let layout = layout_of(inst);
-    let threads = cfg.effective_threads(n);
-    // The penalty arena and the worker pool live for the whole solve:
-    // workers borrow both the instance and the arena, so the arena is
-    // created first and the pool inside one scope wrapping the solver
-    // body (see `crate::pool` for the determinism contract). On resume
-    // the arena starts fresh and is rebuilt at the first chunk's dual
-    // snapshot — bitwise-equal to the incremental updates it replaces,
-    // by the arena's rebuild invariant (`tests/penalty_props.rs`).
-    let arena = RwLock::new(PenaltyArena::new(inst, &layout));
-    std::thread::scope(|scope| {
-        let pool = WorkerPool::new(scope, threads, inst, layout, &arena, cfg.kernel);
-        solve_with_pool(inst, cfg, layout, &pool, start, warm, resume, ckpt)
-    })
+/// Where a solve starts: a mid-solve checkpoint to resume, a previous
+/// placement to warm-start from, or neither (cold).
+/// [`crate::solver::solve`] states which one wins.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Start<'a> {
+    pub prior: Option<&'a SolverCheckpoint>,
+    pub warm: Option<&'a Placement>,
+}
+
+/// What a solve hands out while it runs: checkpoints and its
+/// [`SolveEvent`]s, in order. Neither feeds back into the solve.
+#[derive(Default)]
+pub struct Hooks<'a> {
+    pub checkpoint: Option<CheckpointSpec<'a>>,
+    pub observe: Option<&'a mut dyn FnMut(&SolveEvent)>,
+}
+
+impl Hooks<'_> {
+    /// Hand the observer the event `make` builds (built only for one).
+    fn emit(&mut self, make: impl FnOnce() -> SolveEvent) {
+        if let Some(observe) = self.observe.as_mut() {
+            observe(&make());
+        }
+    }
+}
+
+impl std::fmt::Debug for Hooks<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Hooks")
+            .field("checkpoint", &self.checkpoint)
+            .finish_non_exhaustive()
+    }
+}
+
+/// How a fixed-target FEAS run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// δ(z) ≤ ε reached.
+    Reached,
+    /// No measurable progress over a stall window.
+    Stalled,
+    /// Pass budget exhausted.
+    Budget,
+}
+
+/// One step of a solve, as [`Hooks::observe`] sees it. The stream is
+/// as deterministic as the solve: the same at every thread count, and a
+/// solve resumed from a checkpoint emits the uninterrupted solve's
+/// events after the checkpoint's pass.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SolveEvent {
+    /// Global pass `pass` (from 1) ended. Its run's stop test compares
+    /// `dz` = `δ(z)` = `max(δ_c, r_0)` with ε next; `violation` is
+    /// `δ_c(z)`, `target` the run's `B` (`None` in phase 1).
+    Pass {
+        pass: u64,
+        dz: f64,
+        violation: f64,
+        objective: f64,
+        target: Option<f64>,
+        block_steps: u64,
+    },
+    /// A FEAS run ended; the bounds are those before its outcome is
+    /// folded in.
+    RunEnd {
+        pass: u64,
+        outcome: RunOutcome,
+        budget: usize,
+        target: Option<f64>,
+        ub: f64,
+        lb: f64,
+        lo: f64,
+    },
+    /// One block sweep of the final lower-bound polish — each one
+    /// [`EpfStats::polish_sweeps`] counts — and the dual `value` it
+    /// evaluated, with exact block LPs or dual ascent.
+    Polish { exact: bool, value: f64 },
 }
 
 /// Warm-start block for one video: open every surviving previous
@@ -882,39 +901,22 @@ fn warm_block(
 /// passes bitwise-identically: the shuffle RNG re-derives from
 /// `(seed, global_pass)`, the penalty arena rebuild equals its
 /// incremental updates, and every inter-run transition is a pure
-/// function of the captured state.
-// One extra arg over clippy's threshold: the resume/checkpoint pair
-// belongs at this lowest level, where the loop state lives.
-#[allow(clippy::too_many_arguments)]
-fn solve_with_pool(
+/// function of the captured state. [`crate::solver::solve`] has
+/// validated `start.prior`; the loop only debug-asserts it.
+pub(crate) fn solve_with_pool(
     inst: &MipInstance,
     cfg: &EpfConfig,
     layout: RowLayout,
     pool: &WorkerPool<'_>,
-    start: Instant,
-    warm: Option<&Placement>,
-    resume: Option<&SolverCheckpoint>,
-    mut ckpt: Option<CheckpointSpec<'_>>,
+    clock: Instant,
+    start: Start<'_>,
+    mut hooks: Hooks<'_>,
 ) -> (FractionalSolution, EpfStats) {
     let n = inst.n_videos();
     let threads = cfg.effective_threads(n);
     let idx_all: Vec<usize> = (0..n).collect();
     let chunk_size = cfg.chunk_size.clamp(1, n.max(1));
     let fingerprint = crate::checkpoint::config_fingerprint(cfg, inst);
-    // Stderr convergence diagnostics (`EPF_TRACE=1`), read once per
-    // solve; the flag gates `eprintln!` only and feeds no decision.
-    let trace = std::env::var_os("EPF_TRACE").is_some();
-
-    /// Outcome of one fixed-target FEAS run.
-    #[derive(PartialEq, Clone, Copy, Debug)]
-    enum RunOutcome {
-        /// δ(z) ≤ ε reached.
-        Reached,
-        /// No measurable progress over a stall window.
-        Stalled,
-        /// Pass budget exhausted.
-        Budget,
-    }
 
     /// Control state between ticks of the solver loop. Only `Run` is
     /// ever checkpointed; the other states are transient transitions.
@@ -952,7 +954,7 @@ fn solve_with_pool(
         mut ub,
         mut lo,
         run0,
-    ) = match resume {
+    ) = match start.prior {
         None => {
             // Initial solution: warm-started from a previous placement
             // when given, otherwise each video at its biggest client.
@@ -960,7 +962,7 @@ fn solve_with_pool(
             // thread-count invariant by construction.
             let blocks: Vec<BlockSolution> = crate::shard::build_blocks(threads, n, |m| {
                 let b = &inst.blocks()[m];
-                match warm {
+                match start.warm {
                     // A warm placement may be *shorter* than the
                     // instance (append-only catalog growth): tail
                     // videos have no history and open cold.
@@ -1050,7 +1052,7 @@ fn solve_with_pool(
     // Opt-in budgets, both checked at pass boundaries only: the wall
     // clock restarts on resume (operational latency cap), the step
     // budget is the checkpointed pass counter (deterministic).
-    let over_wall = || cfg.wall_limit.is_some_and(|w| start.elapsed() >= w);
+    let over_wall = || cfg.wall_limit.is_some_and(|w| clock.elapsed() >= w);
     let over_steps = |gp: u64| cfg.step_limit.is_some_and(|s| gp >= s);
     // Step-apply scratch, reused across all chunks: the two candidate
     // directions of a block, its coupling-row delta, the line search's
@@ -1099,7 +1101,7 @@ fn solve_with_pool(
                 objective,
                 max_violation,
                 converged,
-                wall: start.elapsed(),
+                wall: clock.elapsed(),
                 approx_bytes: bytes,
             },
         )
@@ -1211,17 +1213,14 @@ fn solve_with_pool(
                     }
 
                     let dz = coupling.delta_z().max(coupling.delta_c());
-                    if trace {
-                        eprintln!(
-                            "pass {}: viol={:.5} r0={:.5} obj={:.2} B={:?} steps={}",
-                            global_pass,
-                            coupling.delta_c(),
-                            coupling.r0(),
-                            coupling.objective(),
-                            coupling.target(),
-                            block_steps
-                        );
-                    }
+                    hooks.emit(|| SolveEvent::Pass {
+                        pass: global_pass,
+                        dz,
+                        violation: coupling.delta_c(),
+                        objective: coupling.objective(),
+                        target: coupling.target(),
+                        block_steps,
+                    });
                     if dz <= cfg.epsilon {
                         Phase::RunDone {
                             outcome: RunOutcome::Reached,
@@ -1257,7 +1256,7 @@ fn solve_with_pool(
                         // just ended are not checkpointed — the
                         // transition logic below is a pure function of
                         // the last in-run checkpoint and replays.
-                        if let Some(spec) = ckpt.as_mut() {
+                        if let Some(spec) = hooks.checkpoint.as_mut() {
                             if spec.every > 0 && global_pass % spec.every == 0 {
                                 (spec.sink)(SolverCheckpoint {
                                     fingerprint,
@@ -1290,12 +1289,15 @@ fn solve_with_pool(
                 lb_run,
                 budget,
             } => {
-                if trace {
-                    eprintln!(
-                        "run done: outcome={outcome:?} budget={budget} B={:?} ub={ub:.2} lb={lb:.2} lo={lo:.2} pass={global_pass}",
-                        coupling.target()
-                    );
-                }
+                hooks.emit(|| SolveEvent::RunEnd {
+                    pass: global_pass,
+                    outcome,
+                    budget,
+                    target: coupling.target(),
+                    ub,
+                    lb,
+                    lo,
+                });
                 if coupling.target().is_none() {
                     // Phase 1 ended (`lb_run` tracked nothing: no
                     // objective row means LR is unavailable).
@@ -1320,7 +1322,7 @@ fn solve_with_pool(
                         let mut polish_sweeps = 0;
                         if cfg.polish_iters > 0 {
                             let (polished, sweeps) = polish_bound(
-                                &layout, &coupling, &smoothed, cfg, pool, &idx_all, trace,
+                                &layout, &coupling, &smoothed, cfg, pool, &idx_all, &mut hooks,
                             );
                             polish_sweeps = sweeps;
                             lb = lb.max(polished);
@@ -1427,8 +1429,9 @@ fn solve_with_pool(
                     // well-tuned) EPF duals.
                     let mut polish_sweeps = 0;
                     if !converged && cfg.polish_iters > 0 {
-                        let (polished, sweeps) =
-                            polish_bound(&layout, &coupling, &smoothed, cfg, pool, &idx_all, trace);
+                        let (polished, sweeps) = polish_bound(
+                            &layout, &coupling, &smoothed, cfg, pool, &idx_all, &mut hooks,
+                        );
                         polish_sweeps = sweeps;
                         lb = lb.max(polished);
                         converged = ub <= (1.0 + cert) * lb + 1e-9;
@@ -1462,6 +1465,7 @@ fn solve_with_pool(
 pub(crate) mod tests {
     use super::*;
     use crate::instance::DiskConfig;
+    use crate::solver::solve_fractional;
     use vod_model::Mbps;
     use vod_net::topologies;
     use vod_trace::{

@@ -1,14 +1,14 @@
 //! Typed failure modes of the placement pipeline.
 //!
-//! The solver entry points ([`crate::solver::solve_placement`],
-//! [`crate::solver::resolve_from`], the [`crate::feasibility`]
-//! scenario builders) return these instead of panicking: an
-//! operational system re-solving placements after a fault cannot
-//! afford an abort, and a typed error distinguishes "your inputs are
-//! wrong" from "the instance genuinely has no feasible placement".
-//! A solve that runs out of budget is *not* an error — it returns the
-//! best incumbent with `converged = false` and its feasibility/
-//! optimality gaps reported in the stats.
+//! [`crate::solver::solve`] (and every wrapper over it, the
+//! [`crate::feasibility`] scenario builders included) returns these
+//! instead of panicking: an operational system re-solving placements
+//! after a fault cannot afford an abort, and a typed error distinguishes
+//! "your inputs are wrong" from "the instance genuinely has no feasible
+//! placement". Two outcomes are *not* errors: a solve that runs out of
+//! budget returns the best incumbent with `converged = false` and its
+//! gaps in the stats, and a checkpoint that does not fit the solve is
+//! discarded and reported as [`crate::solver::ResumeKind::Rejected`].
 
 use std::fmt;
 
@@ -27,15 +27,11 @@ pub enum SolveError {
     /// A scenario capacity override is malformed (NaN/negative scale,
     /// unknown link or VHO).
     InvalidOverride { what: String },
-    /// A warm-start placement does not match the instance shape.
+    /// A warm-start placement covers more videos than the instance.
     MismatchedWarmStart {
         prev_videos: usize,
         instance_videos: usize,
     },
-    /// A solver checkpoint cannot resume this (instance, config) pair:
-    /// fingerprint mismatch, wrong shapes, or internally inconsistent
-    /// state (see [`crate::checkpoint::SolverCheckpoint::validate_for`]).
-    MismatchedCheckpoint { what: String },
 }
 
 impl fmt::Display for SolveError {
@@ -52,9 +48,6 @@ impl fmt::Display for SolveError {
                 f,
                 "warm-start placement covers {prev_videos} videos but the instance has {instance_videos}"
             ),
-            Self::MismatchedCheckpoint { what } => {
-                write!(f, "checkpoint does not match this solve: {what}")
-            }
         }
     }
 }
@@ -93,12 +86,6 @@ mod tests {
                     instance_videos: 20,
                 },
                 "10",
-            ),
-            (
-                SolveError::MismatchedCheckpoint {
-                    what: "config fingerprint mismatch".into(),
-                },
-                "fingerprint",
             ),
         ];
         for (err, needle) in cases {

@@ -5,21 +5,20 @@
 //! its pass budget. Binary searches over the disk multiplier or the
 //! uniform link capacity trace out the paper's trade-off curves.
 
-use crate::epf::{solve_fractional, EpfConfig};
+use crate::epf::{EpfConfig, Hooks, Start};
 use crate::error::SolveError;
 use crate::instance::{DiskConfig, MipInstance};
+use crate::solver::solve;
 use vod_model::{Gigabytes, LinkId, Mbps, VhoId};
 use vod_net::Network;
 use vod_trace::DemandInput;
 
 /// Whether the given instance admits an ε-feasible fractional solution
-/// within the solver's pass budget.
+/// within the solver's pass budget. An instance or config [`solve`]
+/// rejects is not feasible.
 pub fn is_feasible(inst: &MipInstance, cfg: &EpfConfig) -> bool {
-    if inst.quick_feasibility_check().is_err() {
-        return false;
-    }
-    let (_, stats) = solve_fractional(inst, &cfg.feasibility());
-    stats.converged
+    solve(inst, &cfg.feasibility(), Start::default(), Hooks::default())
+        .is_ok_and(|s| s.stats.converged)
 }
 
 /// Everything needed to rebuild instances while sweeping one knob.
@@ -75,8 +74,8 @@ impl Scenario<'_> {
 
     /// Build an instance with validated per-link / per-VHO capacity
     /// overrides applied on top of the uniform settings — the entry
-    /// point for fault-repair re-solves (`solver::resolve_from` after
-    /// a VHO outage or link cut).
+    /// point for fault-repair re-solves (a warm `solver::solve` after a
+    /// VHO outage or link cut).
     pub fn instance_with(
         &self,
         disk: &DiskConfig,

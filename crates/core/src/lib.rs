@@ -17,6 +17,9 @@
 //! 3. **feasibility searches** ([`feasibility`]) — the binary-search
 //!    wrappers behind the disk/bandwidth trade-off experiments.
 //!
+//! Every solve goes through [`solve`]: cold, warm or resumed
+//! ([`Start`]), observed through [`Hooks`].
+//!
 //! A *direct* (non-decomposed) formulation ([`direct`]) feeds the
 //! generic simplex baseline of `vod-lp`, standing in for CPLEX in the
 //! Table III comparison and for exact-optimum validation.
@@ -51,7 +54,7 @@ pub mod solver;
 
 pub use audit::{AuditReport, Violation};
 pub use checkpoint::{CheckpointError, SolverCheckpoint};
-pub use epf::{solve_fractional, CheckpointSpec, EpfConfig, EpfStats};
+pub use epf::{CheckpointSpec, EpfConfig, EpfStats, Hooks, RunOutcome, SolveEvent, Start};
 pub use error::SolveError;
 pub use feasibility::{CapacityOverrides, Scenario};
 pub use instance::{DiskConfig, MipInstance, PlacementCost};
@@ -63,6 +66,6 @@ pub use repair::{repair_placement, RepairMove, RepairPlan};
 pub use rounding::RoundingStats;
 pub use solution::{BlockSolution, FractionalSolution, Placement};
 pub use solver::{
-    resolve_from, solve_cycle_fractional, solve_fractional_checkpointed, solve_placement,
-    solve_placement_checkpointed, solve_resumable, PlacementOutput, ResumeKind,
+    solve, solve_fractional, solve_fractional_checkpointed, solve_placement, PlacementOutput,
+    ResumeKind, Solved,
 };

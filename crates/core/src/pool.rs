@@ -591,7 +591,8 @@ mod tests {
     use super::*;
     use crate::epf::layout_of;
     use crate::epf::tests::small_instance;
-    use crate::epf::{solve_fractional, EpfConfig};
+    use crate::epf::EpfConfig;
+    use crate::solver::solve_fractional;
 
     /// Run `body` against a pool of `threads` over `inst`, its arena
     /// priced at non-trivial duals so every block sees link penalties.

@@ -278,8 +278,9 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epf::{solve_fractional, EpfConfig};
+    use crate::epf::EpfConfig;
     use crate::instance::DiskConfig;
+    use crate::solver::solve_fractional;
     use vod_model::{Mbps, VideoId};
     use vod_net::topologies;
     use vod_trace::{

@@ -1,21 +1,22 @@
-//! The end-to-end placement pipeline: EPF fractional solve + rounding.
-//!
-//! Both entry points return `Result` with a typed [`SolveError`]:
-//! malformed configs and provably-infeasible instances are rejected up
-//! front, while budget-limited solves come back `Ok` with
-//! `epf.converged == false` and honest gap statistics — an operational
-//! re-solve loop must never abort. [`resolve_from`] warm-starts from a
-//! previous placement, modeling the paper's incremental placement
-//! updates (Section VII-H / eq. (11)) after a fault or demand shift.
+//! The one solve entry point: the EPF decomposition (Section V-C), run
+//! cold, warm from the last placement (Section VII-H, eq. (11)) or
+//! resumed from a checkpoint — [`solve`] — and its rounding into a
+//! placement (Section V-D), [`Solved::rounded`]. Bad input is a typed
+//! [`SolveError`]; a budget-limited solve is `Ok` with
+//! `converged == false` and honest gaps — a re-solve loop never aborts.
+//! [`solve_placement`], [`solve_fractional`] and
+//! [`solve_fractional_checkpointed`] are one-expression wrappers the
+//! benchmark harness calls (until ROADMAP 5-A).
 
-use crate::checkpoint::SolverCheckpoint;
-use crate::epf::{
-    solve_fractional_driven, solve_fractional_seeded, CheckpointSpec, EpfConfig, EpfStats,
-};
+use crate::epf::{layout_of, solve_with_pool, CheckpointSpec, EpfConfig, EpfStats, Hooks, Start};
 use crate::error::SolveError;
 use crate::instance::MipInstance;
+use crate::penalty::PenaltyArena;
+use crate::pool::WorkerPool;
 use crate::rounding::{round_solution, RoundingStats};
 use crate::solution::{FractionalSolution, Placement};
+use std::sync::RwLock;
+use std::time::Instant;
 
 /// Result of a complete placement computation.
 #[derive(Debug, Clone)]
@@ -48,145 +49,7 @@ impl PlacementOutput {
     }
 }
 
-/// Reject out-of-domain solver parameters before any work happens.
-fn validate(inst: &MipInstance, cfg: &EpfConfig) -> Result<(), SolveError> {
-    if inst.n_videos() == 0 {
-        return Err(SolveError::EmptyInstance);
-    }
-    let bad = |what: String| Err(SolveError::InvalidConfig { what });
-    if !cfg.epsilon.is_finite() || cfg.epsilon <= 0.0 {
-        return bad(format!(
-            "epsilon must be finite and > 0 (got {})",
-            cfg.epsilon
-        ));
-    }
-    if !cfg.gamma.is_finite() || cfg.gamma <= 0.0 {
-        return bad(format!("gamma must be finite and > 0 (got {})", cfg.gamma));
-    }
-    if !cfg.rho.is_finite() || !(0.0..1.0).contains(&cfg.rho) {
-        return bad(format!("rho must be in [0, 1) (got {})", cfg.rho));
-    }
-    if cfg.lb_every == 0 {
-        return bad("lb_every must be >= 1".to_string());
-    }
-    if cfg.max_passes == 0 {
-        return bad("max_passes must be >= 1".to_string());
-    }
-    inst.quick_feasibility_check()
-        .map_err(|reason| SolveError::Infeasible { reason })
-}
-
-/// Solve the placement MIP end-to-end: LP relaxation via the EPF
-/// decomposition (Section V-C), then the sequential integer rounding
-/// pass (Section V-D).
-pub fn solve_placement(inst: &MipInstance, cfg: &EpfConfig) -> Result<PlacementOutput, SolveError> {
-    validate(inst, cfg)?;
-    let (fractional, epf) = solve_fractional_seeded(inst, cfg, None);
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
-    Ok(PlacementOutput {
-        placement,
-        fractional,
-        epf,
-        rounding,
-    })
-}
-
-/// Re-solve after the world changed (a fault, a demand shift, a new
-/// library week), warm-starting from `prev`: every video's block opens
-/// at its previous holders and the EPF passes repair from there, so
-/// mild perturbations converge in far fewer passes than a cold solve.
-/// Pair with a [`crate::instance::PlacementCost`]-carrying instance to
-/// also *charge* for migrations (eq. (11)).
-pub fn resolve_from(
-    inst: &MipInstance,
-    prev: &Placement,
-    cfg: &EpfConfig,
-) -> Result<PlacementOutput, SolveError> {
-    validate(inst, cfg)?;
-    if prev.n_videos() != inst.n_videos() {
-        return Err(SolveError::MismatchedWarmStart {
-            prev_videos: prev.n_videos(),
-            instance_videos: inst.n_videos(),
-        });
-    }
-    let (fractional, epf) = solve_fractional_seeded(inst, cfg, Some(prev));
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
-    Ok(PlacementOutput {
-        placement,
-        fractional,
-        epf,
-        rounding,
-    })
-}
-
-/// [`solve_placement`] with periodic [`SolverCheckpoint`] emission:
-/// every `spec.every` global passes that survive a pass boundary, the
-/// complete resumable solver state is handed to `spec.sink`. Feed the
-/// last such checkpoint to [`solve_resumable`] after a crash and the
-/// final placement is bitwise-identical to the uninterrupted run.
-pub fn solve_placement_checkpointed(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    spec: CheckpointSpec<'_>,
-) -> Result<PlacementOutput, SolveError> {
-    validate(inst, cfg)?;
-    let (fractional, epf) = solve_fractional_driven(inst, cfg, None, None, Some(spec));
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
-    Ok(PlacementOutput {
-        placement,
-        fractional,
-        epf,
-        rounding,
-    })
-}
-
-/// Continue an interrupted solve from a checkpoint. The checkpoint is
-/// validated against this (instance, config) pair first — a stale or
-/// mismatched one is a typed [`SolveError::MismatchedCheckpoint`],
-/// never a corrupt resume. Optionally keeps emitting new checkpoints.
-pub fn solve_resumable(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    ckpt: &SolverCheckpoint,
-    spec: Option<CheckpointSpec<'_>>,
-) -> Result<PlacementOutput, SolveError> {
-    validate(inst, cfg)?;
-    ckpt.validate_for(inst, cfg)
-        .map_err(|what| SolveError::MismatchedCheckpoint { what })?;
-    let (fractional, epf) = solve_fractional_driven(inst, cfg, None, Some(ckpt), spec);
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
-    Ok(PlacementOutput {
-        placement,
-        fractional,
-        epf,
-        rounding,
-    })
-}
-
-/// Fractional-only variant of [`solve_placement_checkpointed`] for
-/// pipelines that round in a separate (separately checkpointed) stage.
-/// `warm` optionally seeds the blocks from a previous placement, as in
-/// [`resolve_from`].
-pub fn solve_fractional_checkpointed(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    warm: Option<&Placement>,
-    spec: CheckpointSpec<'_>,
-) -> Result<(FractionalSolution, EpfStats), SolveError> {
-    validate(inst, cfg)?;
-    if let Some(prev) = warm {
-        if prev.n_videos() != inst.n_videos() {
-            return Err(SolveError::MismatchedWarmStart {
-                prev_videos: prev.n_videos(),
-                instance_videos: inst.n_videos(),
-            });
-        }
-    }
-    Ok(solve_fractional_driven(inst, cfg, warm, None, Some(spec)))
-}
-
-/// How a cycle's fractional solve actually started — reported by
-/// [`solve_cycle_fractional`] so a supervising service loop can log
+/// How a solve actually started, so a supervising service loop can log
 /// its recovery action instead of guessing from side effects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeKind {
@@ -216,59 +79,149 @@ impl ResumeKind {
     }
 }
 
-/// One service-cycle fractional solve with the warm-resume ladder
-/// folded in: a validated `prior` checkpoint resumes mid-solve; a
-/// stale or mismatched one is *discarded* (the caller deletes the
-/// durable file when the returned kind is not
-/// [`ResumeKind::Checkpoint`]), the typed validation reason is
-/// surfaced as [`ResumeKind::Rejected`], and the solve falls through
-/// to a cold trajectory seeded from `warm` — never a hard error,
-/// because the resume contract guarantees both legs land on the same
-/// bits as the uninterrupted run.
-///
-/// A `warm` placement *shorter* than the instance's video axis is
-/// accepted: the world's catalog is append-only, so the missing tail
-/// videos simply open at their initial blocks (no history to carry).
-/// A warm placement *longer* than the instance is a genuine shape
-/// mismatch and is rejected.
-pub fn solve_cycle_fractional(
+/// What [`solve`] returns: the fractional solution, its statistics and
+/// how the solve started.
+#[derive(Debug, Clone)]
+pub struct Solved {
+    pub fractional: FractionalSolution,
+    pub stats: EpfStats,
+    pub kind: ResumeKind,
+}
+
+impl Solved {
+    /// Round the fractional solution into a placement (Section V-D).
+    pub fn rounded(self, inst: &MipInstance, cfg: &EpfConfig) -> PlacementOutput {
+        let (placement, rounding) = round_solution(inst, &self.fractional, cfg.gamma, cfg.kernel);
+        PlacementOutput {
+            placement,
+            fractional: self.fractional,
+            epf: self.stats,
+            rounding,
+        }
+    }
+}
+
+/// Reject out-of-domain input before any work happens.
+fn validate(
     inst: &MipInstance,
     cfg: &EpfConfig,
-    prior: Option<&SolverCheckpoint>,
     warm: Option<&Placement>,
-    spec: Option<CheckpointSpec<'_>>,
-) -> Result<(FractionalSolution, EpfStats, ResumeKind), SolveError> {
-    validate(inst, cfg)?;
-    let mut rejected: Option<String> = None;
-    if let Some(ckpt) = prior {
-        match ckpt.validate_for(inst, cfg) {
-            Ok(()) => {
-                let (frac, epf) = solve_fractional_driven(inst, cfg, None, Some(ckpt), spec);
-                return Ok((frac, epf, ResumeKind::Checkpoint));
-            }
-            Err(reason) => rejected = Some(reason),
-        }
+) -> Result<(), SolveError> {
+    if inst.n_videos() == 0 {
+        return Err(SolveError::EmptyInstance);
     }
-    if let Some(prev) = warm {
-        if prev.n_videos() > inst.n_videos() {
-            return Err(SolveError::MismatchedWarmStart {
-                prev_videos: prev.n_videos(),
-                instance_videos: inst.n_videos(),
-            });
-        }
-        let (frac, epf) = solve_fractional_driven(inst, cfg, Some(prev), None, spec);
-        let kind = match rejected {
-            Some(reason) => ResumeKind::Rejected { reason },
-            None => ResumeKind::WarmStart,
-        };
-        return Ok((frac, epf, kind));
+    if let Some(prev) = warm.filter(|p| p.n_videos() > inst.n_videos()) {
+        return Err(SolveError::MismatchedWarmStart {
+            prev_videos: prev.n_videos(),
+            instance_videos: inst.n_videos(),
+        });
     }
-    let (frac, epf) = solve_fractional_driven(inst, cfg, None, None, spec);
-    let kind = match rejected {
-        Some(reason) => ResumeKind::Rejected { reason },
-        None => ResumeKind::Cold,
+    let bad = |what: String| Err(SolveError::InvalidConfig { what });
+    if !cfg.epsilon.is_finite() || cfg.epsilon <= 0.0 {
+        return bad(format!(
+            "epsilon must be finite and > 0 (got {})",
+            cfg.epsilon
+        ));
+    }
+    if !cfg.gamma.is_finite() || cfg.gamma <= 0.0 {
+        return bad(format!("gamma must be finite and > 0 (got {})", cfg.gamma));
+    }
+    if !cfg.rho.is_finite() || !(0.0..1.0).contains(&cfg.rho) {
+        return bad(format!("rho must be in [0, 1) (got {})", cfg.rho));
+    }
+    if cfg.lb_every == 0 {
+        return bad("lb_every must be >= 1".to_string());
+    }
+    if cfg.max_passes == 0 {
+        return bad("max_passes must be >= 1".to_string());
+    }
+    inst.quick_feasibility_check()
+        .map_err(|reason| SolveError::Infeasible { reason })
+}
+
+/// Solve the LP relaxation with the EPF decomposition (Algorithm 1):
+/// the ε-feasible, ε-optimal fractional solution and its statistics.
+///
+/// A `start.prior` that validates for `(inst, cfg)` resumes mid-solve
+/// on the uninterrupted solve's bits; one that does not is discarded,
+/// never an error, and reported as [`ResumeKind::Rejected`]. Otherwise
+/// each video's block opens at its `start.warm` holders, or cold. The
+/// catalog is append-only, so a shorter `warm` is accepted (tail videos
+/// open cold) and a longer one is [`SolveError::MismatchedWarmStart`].
+pub fn solve(
+    inst: &MipInstance,
+    cfg: &EpfConfig,
+    start: Start<'_>,
+    hooks: Hooks<'_>,
+) -> Result<Solved, SolveError> {
+    validate(inst, cfg, start.warm)?;
+    let verdict = start.prior.map(|ck| (ck, ck.validate_for(inst, cfg)));
+    let (prior, kind) = match (verdict, start.warm) {
+        (Some((ck, Ok(()))), _) => (Some(ck), ResumeKind::Checkpoint),
+        (Some((_, Err(reason))), _) => (None, ResumeKind::Rejected { reason }),
+        (None, Some(_)) => (None, ResumeKind::WarmStart),
+        (None, None) => (None, ResumeKind::Cold),
     };
-    Ok((frac, epf, kind))
+    // lint:allow(wall-clock): solver wall time is reported in EpfStats
+    // and never feeds back into the optimization.
+    let clock = Instant::now();
+    let layout = layout_of(inst);
+    // The pool's workers borrow the arena for the whole solve (see
+    // `crate::pool`). On resume it starts fresh and is rebuilt at the
+    // first chunk's dual snapshot, bitwise-equal to the incremental
+    // updates it replaces (`tests/penalty_props.rs`).
+    let arena = RwLock::new(PenaltyArena::new(inst, &layout));
+    let (fractional, stats) = std::thread::scope(|scope| {
+        let threads = cfg.effective_threads(inst.n_videos());
+        let pool = WorkerPool::new(scope, threads, inst, layout, &arena, cfg.kernel);
+        let start = Start { prior, ..start };
+        solve_with_pool(inst, cfg, layout, &pool, clock, start, hooks)
+    });
+    Ok(Solved {
+        fractional,
+        stats,
+        kind,
+    })
+}
+
+/// Cold [`solve`] plus rounding: the placement MIP end to end.
+pub fn solve_placement(inst: &MipInstance, cfg: &EpfConfig) -> Result<PlacementOutput, SolveError> {
+    solve(inst, cfg, Start::default(), Hooks::default()).map(|s| s.rounded(inst, cfg))
+}
+
+/// Cold [`solve`], fractional half only, as a tuple.
+///
+/// # Panics
+///
+/// On every [`SolveError`]. The benchmark harness calls this form
+/// (until ROADMAP 5-A moves it to [`solve`]); library code calls
+/// [`solve`].
+pub fn solve_fractional(inst: &MipInstance, cfg: &EpfConfig) -> (FractionalSolution, EpfStats) {
+    match solve(inst, cfg, Start::default(), Hooks::default()) {
+        Ok(s) => (s.fractional, s.stats),
+        // lint:allow(no-panic-hot-path): the documented contract of the harness's wrapper
+        Err(e) => panic!("solve_fractional: {e}"),
+    }
+}
+
+/// A [`solve`] from `warm` that emits checkpoints: the benchmark
+/// harness's checkpoint probe, until ROADMAP 5-A moves it to [`solve`].
+pub fn solve_fractional_checkpointed(
+    inst: &MipInstance,
+    cfg: &EpfConfig,
+    warm: Option<&Placement>,
+    spec: CheckpointSpec<'_>,
+) -> Result<(FractionalSolution, EpfStats), SolveError> {
+    solve(
+        inst,
+        cfg,
+        Start { prior: None, warm },
+        Hooks {
+            checkpoint: Some(spec),
+            observe: None,
+        },
+    )
+    .map(|s| (s.fractional, s.stats))
 }
 
 #[cfg(test)]
@@ -450,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_from_repairs_a_previous_placement() {
+    fn a_warm_solve_repairs_a_previous_placement() {
         let (inst, base) = pipeline(46, None);
         let cfg = EpfConfig {
             max_passes: 100,
@@ -460,7 +413,13 @@ mod tests {
         // Warm re-solve of the *same* instance: must succeed and stay
         // close to the previous placement (the warm blocks start
         // there), with quality no worse than a fresh solve's tolerance.
-        let out = resolve_from(&inst, &base.placement, &cfg).expect("warm re-solve");
+        let warm = Start {
+            prior: None,
+            warm: Some(&base.placement),
+        };
+        let solved = solve(&inst, &cfg, warm, Hooks::default()).expect("warm re-solve");
+        assert_eq!(solved.kind, ResumeKind::WarmStart);
+        let out = solved.rounded(&inst, &cfg);
         assert_eq!(out.placement.n_videos(), inst.n_videos());
         assert!(out.feasibility_gap() <= base.feasibility_gap() + 0.05);
         let moved = out.placement.migration_copies_from(&base.placement);
@@ -477,16 +436,33 @@ mod tests {
         );
     }
 
+    /// One warm-start rule: the catalog is append-only, so a warm
+    /// placement shorter than the instance seeds its head and the tail
+    /// opens cold; a longer one is a typed error.
     #[test]
-    fn resolve_from_rejects_mismatched_shapes() {
-        let (inst, base) = pipeline(47, None);
-        let tiny = Placement::from_stores(inst.n_vhos(), vec![vec![vod_model::VhoId::new(0)]; 3]);
-        let err = resolve_from(&inst, &tiny, &EpfConfig::default()).expect_err("must reject");
-        assert!(
-            matches!(err, crate::error::SolveError::MismatchedWarmStart { .. }),
-            "{err}"
+    fn a_shorter_warm_start_is_accepted_and_a_longer_one_is_an_error() {
+        let (inst, _) = pipeline(47, None);
+        let n = inst.n_videos();
+        let solve_from = |videos: usize| {
+            let warm = Placement::from_stores(inst.n_vhos(), vec![vec![VhoId::new(0)]; videos]);
+            let start = Start {
+                prior: None,
+                warm: Some(&warm),
+            };
+            let cfg = EpfConfig {
+                max_passes: 5,
+                ..Default::default()
+            };
+            solve(&inst, &cfg, start, Hooks::default()).map(|s| s.kind)
+        };
+        assert_eq!(solve_from(3), Ok(ResumeKind::WarmStart));
+        assert_eq!(
+            solve_from(n + 1),
+            Err(SolveError::MismatchedWarmStart {
+                prev_videos: n + 1,
+                instance_videos: n,
+            })
         );
-        let _ = base;
     }
 
     #[test]

@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vod_core::{
-    solve_placement_checkpointed, solve_resumable, CheckpointSpec, EpfConfig, MipInstance,
-    SolveError, SolverCheckpoint,
+    solve, CheckpointSpec, EpfConfig, Hooks, MipInstance, ResumeKind, SolverCheckpoint, Start,
 };
 use vod_core::{DiskConfig, PlacementOutput};
 use vod_model::Mbps;
@@ -70,15 +69,16 @@ fn baselines() -> &'static Vec<Baseline> {
                 let cfg = config(seed);
                 let mut snaps: Vec<Vec<u8>> = Vec::new();
                 let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
-                let full = solve_placement_checkpointed(
-                    &inst,
-                    &cfg,
-                    CheckpointSpec {
+                let hooks = Hooks {
+                    checkpoint: Some(CheckpointSpec {
                         every: CKPT_EVERY,
                         sink: &mut sink,
-                    },
-                )
-                .expect("baseline solve");
+                    }),
+                    observe: None,
+                };
+                let full = solve(&inst, &cfg, Start::default(), hooks)
+                    .expect("baseline solve")
+                    .rounded(&inst, &cfg);
                 assert!(
                     !snaps.is_empty(),
                     "baseline (topology {topology}, seed {seed}) emitted no checkpoints"
@@ -88,6 +88,26 @@ fn baselines() -> &'static Vec<Baseline> {
         }
         out
     })
+}
+
+/// Resume `ck` on `inst`, rounded; the solve must say it resumed.
+fn resume(
+    inst: &MipInstance,
+    cfg: &EpfConfig,
+    ck: &SolverCheckpoint,
+    checkpoint: Option<CheckpointSpec<'_>>,
+) -> PlacementOutput {
+    let start = Start {
+        prior: Some(ck),
+        warm: None,
+    };
+    let hooks = Hooks {
+        checkpoint,
+        observe: None,
+    };
+    let solved = solve(inst, cfg, start, hooks).expect("resume solve");
+    assert_eq!(solved.kind, ResumeKind::Checkpoint);
+    solved.rounded(inst, cfg)
 }
 
 fn assert_identical(a: &PlacementOutput, b: &PlacementOutput) {
@@ -126,24 +146,41 @@ fn resume_from_mid_checkpoint_matches_continuous_run() {
     for (i, (inst, full, snaps)) in baselines().iter().enumerate() {
         let seed = SEEDS[i % 2];
         let ck = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).expect("decode checkpoint");
-        let resumed = solve_resumable(inst, &config(seed), &ck, None).expect("resume solve");
+        let resumed = resume(inst, &config(seed), &ck, None);
         assert_identical(full, &resumed);
     }
 }
 
-/// A checkpoint from one (config, instance) pair must not resume a
-/// different one: typed error, not a silently-wrong solve.
+/// A checkpoint from one (config, instance) pair never resumes a
+/// different one, and is never an error: the solve reports it
+/// `Rejected` and lands on exactly the bits of the same solve without
+/// it — so nothing of it was silently resumed.
 #[test]
-fn mismatched_checkpoint_is_a_typed_error() {
+fn mismatched_checkpoint_is_rejected_and_not_resumed() {
     let (inst, _, snaps) = &baselines()[0];
     let ck = SolverCheckpoint::from_bytes(&snaps[0]).expect("decode checkpoint");
     let mut other = config(SEEDS[0]);
     other.seed ^= 0x5A5A;
-    let err = solve_resumable(inst, &other, &ck, None).expect_err("must reject");
-    assert!(
-        matches!(err, SolveError::MismatchedCheckpoint { .. }),
-        "{err}"
-    );
+    let start = Start {
+        prior: Some(&ck),
+        warm: None,
+    };
+    let with = solve(inst, &other, start, Hooks::default()).expect("rejection is not an error");
+    match &with.kind {
+        ResumeKind::Rejected { reason } => assert!(reason.contains("fingerprint"), "{reason}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let without = solve(inst, &other, Start::default(), Hooks::default()).unwrap();
+    assert_eq!(without.kind, ResumeKind::Cold);
+    let key = |s: &vod_core::Solved| {
+        (
+            s.stats.objective.to_bits(),
+            s.stats.lower_bound.to_bits(),
+            s.stats.passes,
+            s.stats.block_steps,
+        )
+    };
+    assert_eq!(key(&with), key(&without));
 }
 
 /// Truncating a serialized checkpoint yields a typed snapshot error.
@@ -173,7 +210,7 @@ proptest! {
         let (inst, full, snaps) = &baselines()[combo];
         let seed = SEEDS[combo % 2];
         let ck = SolverCheckpoint::from_bytes(&snaps[pick % snaps.len()]).unwrap();
-        let resumed = solve_resumable(inst, &config(seed), &ck, None).unwrap();
+        let resumed = resume(inst, &config(seed), &ck, None);
         assert_identical(full, &resumed);
     }
 }
@@ -207,7 +244,7 @@ fn resumed_runs_keep_checkpointing() {
         every: CKPT_EVERY,
         sink: &mut sink,
     };
-    solve_resumable(inst, &config(SEEDS[1]), &ck, Some(spec)).expect("resume solve");
+    resume(inst, &config(SEEDS[1]), &ck, Some(spec));
     assert!(
         later.iter().all(|&p| p > first_pass),
         "resumed checkpoints must continue the pass numbering"

@@ -20,8 +20,8 @@
 #![allow(clippy::unwrap_used)]
 
 use vod_core::{
-    solve_fractional, solve_placement_checkpointed, solve_resumable, CheckpointSpec, DiskConfig,
-    EpfConfig, EpfStats, MipInstance, SolverCheckpoint,
+    solve, solve_fractional, CheckpointSpec, DiskConfig, EpfConfig, EpfStats, Hooks, MipInstance,
+    SolverCheckpoint, Start,
 };
 use vod_net::{topologies, Network};
 use vod_trace::{synthesize_library, synthetic_demand, LibraryConfig, TraceConfig};
@@ -254,14 +254,25 @@ fn a_resumed_solve_polishes_like_the_uninterrupted_one() {
     let inst = case.instance();
     let mut snaps: Vec<Vec<u8>> = Vec::new();
     let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
-    let spec = CheckpointSpec {
-        every: 7,
-        sink: &mut sink,
+    let hooks = Hooks {
+        checkpoint: Some(CheckpointSpec {
+            every: 7,
+            sink: &mut sink,
+        }),
+        observe: None,
     };
-    let full = solve_placement_checkpointed(&inst, &case.cfg, spec).unwrap();
+    let full = solve(&inst, &case.cfg, Start::default(), hooks)
+        .unwrap()
+        .rounded(&inst, &case.cfg);
     assert_eq!(key(&full.epf), case.want);
     let mid = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).unwrap();
-    let resumed = solve_resumable(&inst, &case.cfg, &mid, None).unwrap();
+    let start = Start {
+        prior: Some(&mid),
+        warm: None,
+    };
+    let resumed = solve(&inst, &case.cfg, start, Hooks::default())
+        .unwrap()
+        .rounded(&inst, &case.cfg);
     assert_eq!(resumed.epf.polish_sweeps, full.epf.polish_sweeps);
     assert_eq!(key(&resumed.epf), key(&full.epf));
 }

@@ -2,16 +2,16 @@
 //! captured before a *capacity-only* delta is rejected verbatim (the
 //! fingerprint moved), remaps cleanly, and resumes deterministically;
 //! an *axis-changing* delta (catalog growth) is a typed
-//! [`RemapError::AxisChanged`]; and `solve_cycle_fractional` now
-//! surfaces the discarded-checkpoint path as `ResumeKind::Rejected`
-//! with the validation reason instead of silently cold-solving.
+//! [`RemapError::AxisChanged`]; and `solve` surfaces the
+//! discarded-checkpoint path as `ResumeKind::Rejected` with the
+//! validation reason instead of silently cold-solving.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use vod_core::remap::{remap_checkpoint, remap_fractional, RemapError};
 use vod_core::{
-    solve_cycle_fractional, solve_resumable, CheckpointSpec, EpfConfig, MipInstance, ResumeKind,
-    SolveError, SolverCheckpoint,
+    solve, CheckpointSpec, EpfConfig, Hooks, MipInstance, ResumeKind, Solved, SolverCheckpoint,
+    Start,
 };
 use vod_core::{DiskConfig, Placement};
 use vod_model::{Catalog, LinkId, Mbps, Video, VideoClass, VideoId, VideoKind};
@@ -21,6 +21,16 @@ use vod_trace::{
 };
 
 const SEED: u64 = 31;
+
+/// `solve` from `prior` and `warm`, without hooks.
+fn solve_from(
+    inst: &MipInstance,
+    cfg: &EpfConfig,
+    prior: Option<&SolverCheckpoint>,
+    warm: Option<&Placement>,
+) -> Solved {
+    solve(inst, cfg, Start { prior, warm }, Hooks::default()).unwrap()
+}
 
 fn base_net() -> Network {
     let mut net = topologies::mesh_backbone(6, 9, SEED);
@@ -72,17 +82,14 @@ fn config() -> EpfConfig {
 fn mid_solve_checkpoint(inst: &MipInstance, cfg: &EpfConfig) -> SolverCheckpoint {
     let mut snaps: Vec<Vec<u8>> = Vec::new();
     let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
-    let _ = solve_cycle_fractional(
-        inst,
-        cfg,
-        None,
-        None,
-        Some(CheckpointSpec {
+    let hooks = Hooks {
+        checkpoint: Some(CheckpointSpec {
             every: 3,
             sink: &mut sink,
         }),
-    )
-    .unwrap();
+        observe: None,
+    };
+    solve(inst, cfg, Start::default(), hooks).unwrap();
     assert!(!snaps.is_empty(), "solve must emit checkpoints");
     SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).unwrap()
 }
@@ -116,28 +123,40 @@ fn capacity_only_delta_remaps_and_resumes() {
     delta.apply_links(&mut net);
     let moved = instance_on(net, 0);
 
-    // The raw checkpoint is now foreign: typed rejection, not a panic.
-    let err = solve_resumable(&moved, &cfg, &ckpt, None).expect_err("must reject");
-    assert!(
-        matches!(err, SolveError::MismatchedCheckpoint { ref what } if what.contains("fingerprint")),
-        "{err}"
-    );
+    // The raw checkpoint is now foreign: rejected with its reason, and
+    // not resumed — the solve is bit for bit the one without it.
+    let rejected = solve_from(&moved, &cfg, Some(&ckpt), None);
+    match &rejected.kind {
+        ResumeKind::Rejected { reason } => assert!(reason.contains("fingerprint"), "{reason}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let cold = solve_from(&moved, &cfg, None, None);
+    let key = |s: &Solved| {
+        (
+            s.stats.objective.to_bits(),
+            s.stats.lower_bound.to_bits(),
+            s.stats.passes,
+            s.stats.block_steps,
+        )
+    };
+    assert_eq!(key(&rejected), key(&cold));
 
     // Remapped, it validates and resumes — and the dual bound was
     // dropped to neutral while the primal pass counter survived.
     let remapped = remap_checkpoint(ckpt.clone(), &moved, &cfg).expect("capacity-only must remap");
     assert_eq!(remapped.pass(), ckpt.pass());
-    let (frac_a, _, kind) =
-        solve_cycle_fractional(&moved, &cfg, Some(&remapped), None, None).unwrap();
-    assert_eq!(kind, ResumeKind::Checkpoint, "remap must warm-resume");
+    let a = solve_from(&moved, &cfg, Some(&remapped), None);
+    assert_eq!(a.kind, ResumeKind::Checkpoint, "remap must warm-resume");
 
     // Determinism: remap + resume twice lands on identical bits.
     let remapped2 = remap_checkpoint(ckpt, &moved, &cfg).unwrap();
-    let (frac_b, _, _) =
-        solve_cycle_fractional(&moved, &cfg, Some(&remapped2), None, None).unwrap();
-    assert_eq!(frac_a.objective.to_bits(), frac_b.objective.to_bits());
-    for (a, b) in frac_a.blocks.iter().zip(&frac_b.blocks) {
-        assert_eq!(a.y, b.y);
+    let b = solve_from(&moved, &cfg, Some(&remapped2), None);
+    assert_eq!(
+        a.fractional.objective.to_bits(),
+        b.fractional.objective.to_bits()
+    );
+    for (x, y) in a.fractional.blocks.iter().zip(&b.fractional.blocks) {
+        assert_eq!(x.y, y.y);
     }
 }
 
@@ -157,7 +176,7 @@ fn catalog_growth_is_a_typed_axis_invalidation() {
 fn fractional_remap_follows_the_same_rules() {
     let cfg = config();
     let base = instance_on(base_net(), 0);
-    let (frac, _, _) = solve_cycle_fractional(&base, &cfg, None, None, None).unwrap();
+    let frac = solve_from(&base, &cfg, None, None).fractional;
 
     let mut net = base_net();
     capacity_delta().apply_links(&mut net);
@@ -185,7 +204,7 @@ fn rejected_checkpoints_surface_their_reason() {
 
     // Foreign checkpoint + no warm placement: falls through to a cold
     // trajectory but reports the typed rejection.
-    let (_, _, kind) = solve_cycle_fractional(&moved, &cfg, Some(&ckpt), None, None).unwrap();
+    let kind = solve_from(&moved, &cfg, Some(&ckpt), None).kind;
     match kind {
         ResumeKind::Rejected { ref reason } => {
             assert!(reason.contains("fingerprint"), "{reason}");
@@ -201,12 +220,11 @@ fn rejected_checkpoints_surface_their_reason() {
             .map(|_| vec![vod_model::VhoId::new(0)])
             .collect(),
     );
-    let (_, _, kind) =
-        solve_cycle_fractional(&moved, &cfg, Some(&ckpt), Some(&warm), None).unwrap();
+    let kind = solve_from(&moved, &cfg, Some(&ckpt), Some(&warm)).kind;
     assert!(matches!(kind, ResumeKind::Rejected { .. }));
 
     // A *shorter* warm placement (append-only growth) is accepted.
     let grown = instance_on(base_net(), 4);
-    let (_, _, kind) = solve_cycle_fractional(&grown, &cfg, None, Some(&warm), None).unwrap();
+    let kind = solve_from(&grown, &cfg, None, Some(&warm)).kind;
     assert_eq!(kind, ResumeKind::WarmStart);
 }

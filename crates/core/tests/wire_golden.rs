@@ -23,8 +23,8 @@ use vod_core::checkpoint::{
     fractional_from_value, fractional_to_value, placement_from_value, placement_to_value,
 };
 use vod_core::{
-    solve_fractional_checkpointed, CheckpointSpec, DiskConfig, EpfConfig, FractionalSolution,
-    MipInstance, Placement, SolverCheckpoint,
+    CheckpointSpec, DiskConfig, EpfConfig, FractionalSolution, Hooks, MipInstance, Placement,
+    SolverCheckpoint, Start,
 };
 use vod_json::wire::{field, Wire};
 use vod_json::{strip_layout, Value};
@@ -79,11 +79,16 @@ fn solve(inst: &MipInstance) -> (Vec<SolverCheckpoint>, FractionalSolution) {
     };
     let mut snaps = Vec::new();
     let mut sink = |ck: SolverCheckpoint| snaps.push(ck);
-    let spec = CheckpointSpec {
-        every: 1,
-        sink: &mut sink,
+    let hooks = Hooks {
+        checkpoint: Some(CheckpointSpec {
+            every: 1,
+            sink: &mut sink,
+        }),
+        observe: None,
     };
-    let (frac, _) = solve_fractional_checkpointed(inst, &cfg, None, spec).unwrap();
+    let frac = vod_core::solve(inst, &cfg, Start::default(), hooks)
+        .unwrap()
+        .fractional;
     (snaps, frac)
 }
 

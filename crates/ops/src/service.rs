@@ -13,9 +13,10 @@
 //!    trace in memory, found by cursors that only slide — nothing is
 //!    copied or re-sorted) and builds the cycle's [`MipInstance`] from
 //!    it once, for all four stages that read it,
-//! 2. incrementally re-solves each cycle via the warm-start ladder
-//!    ([`vod_core::solve_cycle_fractional`]) under a per-cycle
-//!    deterministic pass budget ([`EpfConfig::budgeted`]),
+//! 2. incrementally re-solves each cycle with one [`vod_core::solve`]
+//!    — resumed from the cycle's checkpoint, else warm from the
+//!    deployed placement — under a per-cycle deterministic pass budget
+//!    ([`EpfConfig::budgeted`]),
 //! 3. deploys migration-cost-aware diffs under a churn cap
 //!    ([`crate::diff::apply_churn_cap`]) — excess copies become typed
 //!    [`DeferredMigration`]s that drain oldest-first in later cycles,
@@ -41,9 +42,9 @@ use std::sync::Arc;
 use vod_core::checkpoint::{validate_fractional, CHECKPOINT_KIND, CHECKPOINT_VERSION};
 use vod_core::rounding::round_solution;
 use vod_core::{
-    remap_checkpoint, repair_placement, solve_cycle_fractional, CheckpointSpec, DiskConfig,
-    EpfConfig, FractionalSolution, MipInstance, Placement, PlacementCost, ResumeKind,
-    SolverCheckpoint,
+    remap_checkpoint, repair_placement, solve, CheckpointSpec, DiskConfig, EpfConfig,
+    FractionalSolution, Hooks, MipInstance, Placement, PlacementCost, ResumeKind, Solved,
+    SolverCheckpoint, Start,
 };
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
 use vod_json::snapshot::{
@@ -861,18 +862,23 @@ impl Service {
                 &ck.to_bytes(),
             );
         };
-        let result = solve_cycle_fractional(
-            &inst,
-            &epf,
-            prior.as_ref(),
-            self.state.deployed.as_ref().map(|(_, p)| p),
-            Some(CheckpointSpec {
+        let start = Start {
+            prior: prior.as_ref(),
+            warm: self.state.deployed.as_ref().map(|(_, p)| p),
+        };
+        let hooks = Hooks {
+            checkpoint: Some(CheckpointSpec {
                 every,
                 sink: &mut sink,
             }),
-        );
-        match result {
-            Ok((frac, stats, kind)) => {
+            observe: None,
+        };
+        match solve(&inst, &epf, start, hooks) {
+            Ok(Solved {
+                fractional: frac,
+                stats,
+                kind,
+            }) => {
                 if killed {
                     // Nothing after the last surviving checkpoint is
                     // persisted — including this (discarded) result.

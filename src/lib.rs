@@ -46,6 +46,10 @@
 //!     .expect("well-formed instance");
 //! assert_eq!(out.placement.n_videos(), instance.n_videos());
 //! ```
+//!
+//! `solve_placement` is a cold [`core::solve`] plus rounding. Call
+//! `solve` itself to warm-start from a previous placement, resume a
+//! checkpoint, or observe the solve's per-pass events.
 
 #![cfg_attr(
     test,

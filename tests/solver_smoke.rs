@@ -1,8 +1,9 @@
 //! Tier-1 smoke of the solver layer: one small mesh instance solved at
 //! 1, 2 and 5 compute threads (5: more than a CI box has cores, and
 //! than a pass's ragged last chunk has parts), plus one kill-and-resume
-//! on the worker pool — all bit for bit the single-thread solve — and
-//! the same solve and rounding on the scalar reference kernel. The full
+//! on the worker pool — all bit for bit the single-thread solve, event
+//! stream included — and the same solve and rounding on the scalar
+//! reference kernel. The full
 //! matrices live in
 //! `crates/core/tests/{determinism,checkpoint_resume,kernel_props}.rs`.
 //! Last, the exact certification stage on an instance small enough for
@@ -10,8 +11,8 @@
 #![allow(clippy::unwrap_used)]
 
 use vodplace::core::{
-    solve_placement_checkpointed, solve_resumable, CheckpointSpec, Kernel, PlacementOutput,
-    SolverCheckpoint,
+    solve, CheckpointSpec, Hooks, Kernel, PlacementOutput, ResumeKind, SolveEvent,
+    SolverCheckpoint, Start,
 };
 use vodplace::net::topologies;
 use vodplace::prelude::*;
@@ -47,6 +48,8 @@ fn instance_of(videos: usize, requests_per_day: f64, link_gbps: f64) -> MipInsta
 fn config(threads: usize) -> EpfConfig {
     EpfConfig {
         max_passes: 45,
+        // Both polish stages run, so the event stream covers both.
+        exact_cert: 2,
         threads,
         seed: SEED,
         ..Default::default()
@@ -78,30 +81,84 @@ fn assert_identical(a: &PlacementOutput, b: &PlacementOutput, what: &str) {
     );
 }
 
+/// `solve` with an observer attached, rounded, and the events it saw.
+fn observed(
+    inst: &MipInstance,
+    cfg: &EpfConfig,
+    start: Start<'_>,
+) -> (PlacementOutput, ResumeKind, Vec<SolveEvent>) {
+    let mut events = Vec::new();
+    let mut observe = |e: &SolveEvent| events.push(e.clone());
+    let hooks = Hooks {
+        checkpoint: None,
+        observe: Some(&mut observe),
+    };
+    let solved = solve(inst, cfg, start, hooks).unwrap();
+    let kind = solved.kind.clone();
+    (solved.rounded(inst, cfg), kind, events)
+}
+
 #[test]
 fn thread_count_and_resume_do_not_move_a_bit() {
     let inst = instance();
     let one = solve_placement(&inst, &config(1)).unwrap();
     assert!(one.epf.block_steps > 0 && one.epf.lower_bound > 0.0);
+
+    // The observer sees every pass once, in order, and every polish
+    // sweep `polish_sweeps` counts — and watching moves no bit.
+    let (watched, _, stream) = observed(&inst, &config(1), Start::default());
+    assert_identical(&one, &watched, "with an observer");
+    let passes: Vec<u64> = stream
+        .iter()
+        .filter_map(|e| match e {
+            SolveEvent::Pass { pass, .. } => Some(*pass),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(passes, (1..=one.epf.passes as u64).collect::<Vec<_>>());
+    let sweeps = stream
+        .iter()
+        .filter(|e| matches!(e, SolveEvent::Polish { .. }))
+        .count();
+    assert!(one.epf.polish_sweeps > 0, "fixture must polish");
+    assert_eq!(sweeps as u64, one.epf.polish_sweeps);
+
     for threads in [2, 5] {
-        let many = solve_placement(&inst, &config(threads)).unwrap();
+        let (many, _, many_stream) = observed(&inst, &config(threads), Start::default());
         assert_identical(&one, &many, &format!("threads = {threads}"));
+        assert!(many_stream == stream, "event stream, threads = {threads}");
     }
 
     // Kill at a mid-run checkpoint, resume from its bytes at two
-    // threads: the tail of the run replays on the worker pool.
+    // threads: the tail of the run replays on the worker pool, and its
+    // events are the uninterrupted stream's after the checkpoint's pass.
     let mut snaps: Vec<Vec<u8>> = Vec::new();
     let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
-    let spec = CheckpointSpec {
-        every: 5,
-        sink: &mut sink,
+    let hooks = Hooks {
+        checkpoint: Some(CheckpointSpec {
+            every: 5,
+            sink: &mut sink,
+        }),
+        observe: None,
     };
-    let full = solve_placement_checkpointed(&inst, &config(2), spec).unwrap();
+    let full = solve(&inst, &config(2), Start::default(), hooks)
+        .unwrap()
+        .rounded(&inst, &config(2));
     assert_identical(&one, &full, "checkpointed, threads = 2");
     assert!(snaps.len() >= 2, "{} checkpoints", snaps.len());
     let mid = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).unwrap();
-    let resumed = solve_resumable(&inst, &config(2), &mid, None).unwrap();
+    let start = Start {
+        prior: Some(&mid),
+        warm: None,
+    };
+    let (resumed, kind, tail) = observed(&inst, &config(2), start);
+    assert_eq!(kind, ResumeKind::Checkpoint);
     assert_identical(&one, &resumed, "resumed, threads = 2");
+    let at = stream
+        .iter()
+        .position(|e| matches!(e, SolveEvent::Pass { pass, .. } if *pass == mid.pass()))
+        .unwrap();
+    assert!(tail == stream[at + 1..], "event stream after a resume");
 }
 
 /// Rounding across backends: the full add / drop / swap search and the
