@@ -12,8 +12,9 @@
 //! sequentially, each with an exact 1-D line search against the live
 //! potential. After each pass the scale `δ` shrinks to the current
 //! max infeasibility, the smoothed duals are updated, and a Lagrangian
-//! lower-bound pass (per-block dual ascent) both certifies quality and
-//! raises the objective target `B` of `FEAS(B)`.
+//! lower-bound sweep (per-block dual ascent) both certifies quality and
+//! raises the objective target `B` of `FEAS(B)`; the pool's idle workers
+//! price that sweep while the next pass runs.
 
 use crate::block::UflProblem;
 use crate::checkpoint::SolverCheckpoint;
@@ -166,11 +167,10 @@ impl EpfConfig {
     }
 
     /// Compute threads for a solve over `n_blocks` video blocks, the
-    /// calling thread included (it runs part 0 of every dispatch, so
-    /// `N` spawns `N − 1` workers): the configured (or available)
-    /// count, capped at the block count — a thread beyond that could
-    /// never receive a chunk part and would only spin and sleep for the
-    /// whole solve.
+    /// calling thread included (it claims items of every dispatch
+    /// itself, so `N` spawns `N − 1` workers): the configured (or
+    /// available) count, capped at the block count — a chunk never has
+    /// an item for a thread beyond that.
     pub fn effective_threads(&self, n_blocks: usize) -> usize {
         let base = if self.threads > 0 {
             self.threads
@@ -200,7 +200,8 @@ pub struct EpfStats {
     pub converged: bool,
     pub wall: Duration,
     /// Approximate peak working-set bytes of solver state (block
-    /// solutions + instance block data + potential rows).
+    /// solutions + instance block data + potential rows + the pool's
+    /// arenas and scratch; see `approx_bytes`).
     pub approx_bytes: usize,
 }
 
@@ -455,9 +456,10 @@ pub(crate) fn greedy_x_given_y<'a>(
     block
 }
 
-/// Lagrangian lower bound `LR(λ̄)` with the smoothed duals (Appendix,
-/// eq. (13)): per-block bounds in scaled units, then
-/// `LR = (Σ_k scaledLB_k − Σ_rows π̄_r·b_r) / π̄_0`.
+/// Start the Lagrangian lower bound `LR(λ̄)` with the smoothed duals
+/// (Appendix, eq. (13)): per-block bounds in scaled units, then
+/// `LR = (Σ_k scaledLB_k − Σ_rows π̄_r·b_r) / π̄_0`. `None` when
+/// `π̄_0 = 0` (phase 1 has no objective row).
 ///
 /// Block bounds are dual ascent, or with `exact`
 /// `max(dual ascent, exact block LP)` — both valid per-block bounds, so
@@ -468,36 +470,59 @@ pub(crate) fn greedy_x_given_y<'a>(
 /// is what lets the bisection close a ≤2 % certified gap instead of
 /// reporting `converged: false` with a loose heuristic bound.
 ///
-/// Retargets the shared penalty arena at `smoothed`; when the smoothed
-/// duals are version-identical to the arena's snapshot (nothing moved
-/// since the last bound), the rebuild is skipped outright.
+/// The block sweep runs on the pool's own bound arena, retargeted at
+/// `smoothed` (skipped outright when they are version-identical to its
+/// snapshot), and in the background: the pool's idle workers price it
+/// while the caller goes on, and [`PendingBound::finish`] collects it.
+/// The dispatch arena is never touched.
 fn lagrangian_bound(
     layout: &RowLayout,
     coupling: &Coupling,
     smoothed: &Duals,
     pool: &WorkerPool<'_>,
-    idx_all: &[usize],
     exact: bool,
-) -> Option<f64> {
+) -> Option<PendingBound> {
     if smoothed.obj <= 0.0 {
         return None;
     }
-    pool.update_penalty(smoothed);
-    let bounds = if exact {
-        pool.exact_bounds(idx_all)
-    } else {
-        pool.dual_bounds(idx_all)
-    };
-    let scaled_sum: f64 = bounds.iter().sum();
+    pool.start_bounds(smoothed, exact);
     let penalty_mass: f64 = (0..layout.n_rows())
         .map(|r| smoothed.rows[r] * coupling.cap(r))
         .sum();
-    Some((scaled_sum - penalty_mass) / smoothed.obj)
+    Some(PendingBound {
+        penalty_mass,
+        obj: smoothed.obj,
+    })
+}
+
+/// A [`lagrangian_bound`] whose block sweep is in flight on the pool:
+/// what turns the sweep's block sum into `LR`.
+struct PendingBound {
+    penalty_mass: f64,
+    obj: f64,
+}
+
+impl PendingBound {
+    /// Wait for the sweep and return `LR`.
+    fn finish(self, pool: &WorkerPool<'_>) -> f64 {
+        (pool.finish_bounds() - self.penalty_mass) / self.obj
+    }
+}
+
+/// Fold the bound in flight, if any, into `lb_run` — the `max` it
+/// would have taken at once had it been priced inline. Bounds fold in
+/// the order they were started, so every folded value keeps its bits.
+fn fold_bound(lb_run: &mut f64, in_flight: &mut Option<PendingBound>, pool: &WorkerPool<'_>) {
+    if let Some(lr) = in_flight.take().map(|b| b.finish(pool)) {
+        if lr > *lb_run {
+            *lb_run = lr;
+        }
+    }
 }
 
 /// One evaluation of the Lagrangian dual at capacity-normalized
-/// multipliers `ν` (`ν_r = μ_r·b_r`): retargets the arena, runs one
-/// parallel block sweep, and returns `g(ν) = Σ_k bound_k − Σ_r ν_r`
+/// multipliers `ν` (`ν_r = μ_r·b_r`): retargets the dispatch arena,
+/// runs one parallel block sweep, and returns `g(ν) = Σ_k bound_k − Σ_r ν_r`
 /// while filling `rel` with the ν-space subgradient (the dimensionless
 /// relative violation of each row under the block minimizers).
 ///
@@ -686,8 +711,9 @@ fn polish_bound(
 }
 
 /// Approximate solver working-set bytes (reported in Table III):
-/// block solutions + instance block data + potential rows + the flat
-/// penalty arena + per-thread UFL build/search scratch.
+/// block solutions + instance block data + potential rows + the pool's
+/// two flat penalty arenas (dispatch and bound) and its per-block bound
+/// values + per-thread UFL build/search scratch.
 fn approx_bytes(
     inst: &MipInstance,
     blocks: &[BlockSolution],
@@ -974,12 +1000,12 @@ pub(crate) fn solve_with_pool(
             });
 
             // Trivial lower bound LR(0): per-block dual ascent with
-            // zero multipliers (pure objective UFL). The fresh arena is
-            // already the zero-dual penalty, so the update only
+            // zero multipliers (pure objective UFL). The fresh bound
+            // arena is already the zero-dual penalty, so the start only
             // retargets its snapshot.
             let zero_duals = Duals::new(vec![0.0; layout.n_rows()], 1.0);
-            pool.update_penalty(&zero_duals);
-            let lb0: f64 = pool.dual_bounds(&idx_all).iter().sum();
+            pool.start_bounds(&zero_duals, false);
+            let lb0 = pool.finish_bounds();
 
             let (usage, obj0) = crate::shard::state(inst, &layout, &blocks, threads);
             let mut coupling = Coupling::new(layout, caps_of(inst, &layout), cfg.gamma, None);
@@ -1062,6 +1088,11 @@ pub(crate) fn solve_with_pool(
     let mut deltas: Vec<(usize, f64)> = Vec::new();
     let mut terms: Vec<(f64, f64)> = Vec::new();
     let mut greedy_costs: Vec<(f64, vod_model::VhoId, f64)> = Vec::new();
+    // Pass p's bound sweep, started after its dual smoothing and priced
+    // by idle workers during pass p + 1. It is folded into the run's
+    // `lb_run` before the next sweep starts, before a checkpoint
+    // captures the run, and when the run ends — never checkpointed.
+    let mut in_flight: Option<PendingBound> = None;
 
     let finish = |blocks: Vec<BlockSolution>,
                   lb: f64,
@@ -1073,13 +1104,7 @@ pub(crate) fn solve_with_pool(
         let (usage, objective) = crate::shard::state(inst, &layout, &blocks, threads);
         coupling_final.set_state(usage, objective);
         let max_violation = coupling_final.delta_c().max(0.0);
-        let bytes = approx_bytes(
-            inst,
-            &blocks,
-            &layout,
-            pool.penalty().approx_bytes(),
-            threads,
-        );
+        let bytes = approx_bytes(inst, &blocks, &layout, pool.arena_bytes(), threads);
         let frac = FractionalSolution {
             blocks,
             objective,
@@ -1201,15 +1226,11 @@ pub(crate) fn solve_with_pool(
 
                     // Sample the Lagrangian bound along the trajectory
                     // — the duals wander, and the best bound often
-                    // shows up mid-run.
+                    // shows up mid-run. The sweep runs during the next
+                    // pass; the previous one is folded first.
                     if run.track_lb && run.local_pass % cfg.lb_every.max(1) == 0 {
-                        if let Some(lr) =
-                            lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all, false)
-                        {
-                            if lr > run.lb_run {
-                                run.lb_run = lr;
-                            }
-                        }
+                        fold_bound(&mut run.lb_run, &mut in_flight, pool);
+                        in_flight = lagrangian_bound(&layout, &coupling, &smoothed, pool, false);
                     }
 
                     let dz = coupling.delta_z().max(coupling.delta_c());
@@ -1258,6 +1279,7 @@ pub(crate) fn solve_with_pool(
                         // the last in-run checkpoint and replays.
                         if let Some(spec) = hooks.checkpoint.as_mut() {
                             if spec.every > 0 && global_pass % spec.every == 0 {
+                                fold_bound(&mut run.lb_run, &mut in_flight, pool);
                                 (spec.sink)(SolverCheckpoint {
                                     fingerprint,
                                     global_pass,
@@ -1286,9 +1308,12 @@ pub(crate) fn solve_with_pool(
 
             Phase::RunDone {
                 outcome,
-                lb_run,
+                mut lb_run,
                 budget,
             } => {
+                // Every way out of a run — reached, stalled, out of
+                // budget or wall — comes through here.
+                fold_bound(&mut lb_run, &mut in_flight, pool);
                 hooks.emit(|| SolveEvent::RunEnd {
                     pass: global_pass,
                     outcome,
@@ -1311,8 +1336,8 @@ pub(crate) fn solve_with_pool(
                             0,
                         );
                     }
-                    if let Some(lr) =
-                        lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all, false)
+                    if let Some(lr) = lagrangian_bound(&layout, &coupling, &smoothed, pool, false)
+                        .map(|b| b.finish(pool))
                     {
                         lb = lb.max(lr);
                     }
@@ -1390,9 +1415,10 @@ pub(crate) fn solve_with_pool(
                             // smoothed duals lands close to the
                             // infeasible target.
                             if cfg.exact_cert > 0 {
-                                if let Some(lr) = lagrangian_bound(
-                                    &layout, &coupling, &smoothed, pool, &idx_all, true,
-                                ) {
+                                if let Some(lr) =
+                                    lagrangian_bound(&layout, &coupling, &smoothed, pool, true)
+                                        .map(|b| b.finish(pool))
+                                {
                                     if lr > lb {
                                         lb = lr;
                                     }

@@ -1,44 +1,63 @@
 //! Persistent worker pool for the EPF block solves.
 //!
 //! A solve dispatches thousands of small jobs (a 32-block chunk is
-//! ≈ 160 µs of UFL work), so the pool is a fork-join sized for that:
-//! `threads = N` keeps N − 1 long-lived workers and **the calling
-//! thread executes part 0 itself**. A dispatch copies the index list
-//! into one reused shared buffer, bumps an epoch, runs its own part,
-//! and reads the other parts back out of pre-sized per-worker slots.
-//! Every thread owns a [`BlockScratch`] (a reusable [`UflProblem`]
-//! buffer plus [`UflScratch`]), so the dispatch machinery itself
-//! allocates nothing in the steady state.
+//! ≈ 160 µs of UFL work) and, once per pass, one library-wide bound
+//! sweep. `threads = N` keeps N − 1 long-lived workers; the calling
+//! thread is the N-th and works on every dispatch itself. Every thread
+//! owns a [`BlockScratch`] (a reusable [`UflProblem`] buffer plus
+//! [`UflScratch`]) and a [`Claims`] buffer, so neither a dispatch nor a
+//! sweep allocates in the steady state beyond the outputs themselves.
 //!
-//! **Handoff.** Both directions spin, then block: a worker polls the
-//! epoch counter for [`SPIN_BUDGET`] iterations before it sleeps on the
-//! `work` condvar, and the caller polls the open-parts counter the same
-//! way before it sleeps on `done`. Back-to-back chunk dispatches
-//! therefore meet a hot worker, while an oversubscribed box falls back
-//! to plain blocking instead of burning a core. The budget is an
-//! iteration count, not a duration: the solver reads no clock. All job
-//! data travels under the board mutex, and both counters change only
-//! under it; polling them lock-free only says "look now".
+//! **Items are claimed one at a time.** A dispatch (`Solve`, `Polish`)
+//! copies the index list into one reused shared buffer, resets a claim
+//! counter and bumps an epoch. The caller and every worker that sees
+//! the epoch while items are left take the next position from the
+//! counter, run that item, and record `(position, output)` in their own
+//! claims; the caller then reads every thread's claims back **in item
+//! order**. A thread that draws cheap items simply draws more of them.
 //!
-//! **Determinism contract.** Part `k` is the `k`-th contiguous slice of
-//! the request, its output lands in slot `k`, and slots are read back
-//! *in part order*; the per-part work — `exec_job` — is the exact code
-//! the inline single-threaded path runs. Whichever thread finishes
-//! first, the caller observes the same outputs in the same order, built
-//! from the same [`PenaltyArena`] snapshot; `threads = 1` and
-//! `threads = N` are therefore byte-identical by construction (pinned
-//! by the `determinism` integration test).
+//! **Bound sweeps run in the background.** [`WorkerPool::start_bounds`]
+//! retargets a second penalty arena, the *bound arena*, at the duals to
+//! price and publishes blocks `0..n`. A worker with no dispatch to run
+//! claims bound items one at a time and checks the epoch between items,
+//! so a chunk dispatch waits at most one item for it — the sweep fills
+//! the time the caller spends applying steps serially.
+//! [`WorkerPool::finish_bounds`] has the caller claim whatever is left,
+//! waits for the items still in flight, and returns the per-block values
+//! summed in block order. With no workers every item runs there, inline.
 //!
-//! **Panics.** A worker that unwinds flags the board on its way out
-//! and wakes the caller, which re-raises; dropping the pool (also while
-//! the caller itself unwinds) tells every worker to exit, so the
-//! enclosing scope always joins.
+//! **Handoff.** Both directions spin, then block: an idle worker polls
+//! the epoch and the bound counter for [`SPIN_BUDGET`] iterations before
+//! it sleeps on the `work` condvar, and the caller polls the joined
+//! workers (or the delivered bound items) the same way before it sleeps
+//! on `done`. Back-to-back chunk dispatches therefore meet a hot worker,
+//! while an oversubscribed box falls back to plain blocking instead of
+//! burning a core. The budget is an iteration count, not a duration:
+//! the solver reads no clock. Dispatch data travels under the board
+//! mutex; the counters that announce work change only under it, so a
+//! check-then-wait under the mutex cannot miss one, and polling them
+//! lock-free only says "look now".
 //!
-//! The penalty arena is shared through an `RwLock`: the main thread
-//! write-locks between dispatches ([`WorkerPool::update_penalty`]),
-//! every thread read-locks for the duration of its part. The lock is
-//! never contended in the write path because the pool's callers only
-//! update duals while no jobs are in flight.
+//! **Determinism contract.** An item's output is a function of the item
+//! and the arena snapshot it reads — every item overwrites the scratch
+//! it uses, and the per-item work (`exec_item`, `block_bound`) is the
+//! same code on every thread. Outputs are read back by position and
+//! bound values by block, whichever thread claimed them and in whatever
+//! order; `threads = 1` and `threads = N` are therefore byte-identical
+//! by construction (pinned by the `determinism` integration test).
+//!
+//! **Panics.** A worker that unwinds flags the board on its way out and
+//! wakes the caller, which re-raises at its next wait — for a dispatch
+//! or for a sweep; dropping the pool (also while the caller itself
+//! unwinds) tells every worker to exit, so the enclosing scope always
+//! joins.
+//!
+//! **Locks.** The main arena is write-locked by the caller between
+//! dispatches ([`WorkerPool::update_penalty`]) and read-locked by every
+//! thread while it claims a dispatch's items. The bound arena is
+//! write-locked by `start_bounds`, which only runs with no sweep in
+//! flight, and read-locked per bound item. Neither write ever waits on
+//! a reader.
 
 use crate::block::{UflProblem, UflScratch, UflSolution};
 use crate::epf::{block_delta, build_ufl_into};
@@ -48,7 +67,7 @@ use crate::penalty::{PenaltyArena, PenaltyUpdate};
 use crate::potential::{Duals, RowLayout};
 use crate::solution::BlockBuf;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
@@ -56,23 +75,25 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockRead
 /// Measured on the 2-core reference box (`mesh100` blocks, 3–5 µs of
 /// UFL work per item): a handoff to a spinning worker costs ≈ 3 µs, so
 /// under four items the split saves less than it costs. Dispatches that
-/// small are only a pass's ragged last chunk, which always meets a hot
-/// worker.
+/// small are only a pass's ragged last chunk.
 const PARALLEL_MIN: usize = 4;
 
 /// Iterations either side of a handoff polls its counter before it
 /// blocks. An iteration is one load plus `spin_loop` (≈ 11 ns on the
 /// reference box, up to ≈ 50 ns where `PAUSE` is slow), so the budget
-/// spans the ≈ 170 µs a worker idles while the caller applies a chunk's
-/// steps serially — at 2¹² a worker is asleep again before the next
-/// chunk and `mesh100-9k` loses 8 % — and still bounds what a thread
-/// can burn per dispatch to a fraction of a scheduler slice.
+/// spans ≈ 180 µs: longer than the ≈ 90 µs the caller spends applying a
+/// chunk's steps serially on `mesh100-9k`, which a worker with no bound
+/// item left to claim — all of phase 1, and the rest of a pass once its
+/// sweep is done — spends waiting for the next chunk. At 2¹² that
+/// worker would be asleep again before the chunk arrives. It still
+/// bounds what a thread can burn per wait to a fraction of a scheduler
+/// slice.
 const SPIN_BUDGET: u32 = 1 << 14;
 
 /// Every this many iterations a spinner yields its core instead: free
 /// when the box has a core per thread, and on an oversubscribed one
 /// (tests run 8 threads on 2 cores) it hands the core to a thread with
-/// a part to run rather than spinning in front of it.
+/// an item to run rather than spinning in front of it.
 const YIELD_EVERY: u32 = 128;
 
 /// Fan `f` over `items` on up to `threads` scoped workers and return
@@ -120,28 +141,19 @@ where
     })
 }
 
-/// What to do with each block index of a job.
+/// What a dispatch runs on each of its items.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum JobKind {
     /// Lagrangized UFL heuristic minimizer (the Frank-Wolfe direction),
     /// returned flat: the caller materialises the `hat` block the line
     /// search steps toward into its own reused buffer.
     Solve,
-    /// Per-block lower bound: dual ascent, or (`exact: true`) the
-    /// larger of it and the exact block LP, from one UFL build.
-    DualBound { exact: bool },
     /// Polish sweep: valid bound + minimizer's resource usage — the
     /// heuristic minimizer's, or (`exact: true`) the block LP's.
     Polish { exact: bool },
-    /// Panics on the given item: the panic-propagation test's job.
+    /// Panics on the given item: the panic-propagation tests' job.
     #[cfg(test)]
     PanicOn(usize),
-}
-
-enum JobOutput {
-    Solutions(Vec<UflSolution>),
-    Bounds(Vec<f64>),
-    Polish(PolishSweep),
 }
 
 /// One polish sweep over some blocks: the valid bound of each, in item
@@ -166,17 +178,36 @@ struct BlockScratch {
     rows: Vec<(usize, f64)>,
 }
 
+/// One thread's share of a dispatch: every item it claimed, as its
+/// position in the dispatch and its output, in claim order. Emptied by
+/// the read-back and reused, never freed.
+#[derive(Default)]
+struct Claims {
+    solutions: Vec<(usize, UflSolution)>,
+    /// `Polish`: position, valid bound, and the end of the item's rows
+    /// in `usage` (they start where the previous claim's rows end).
+    polish: Vec<(usize, f64, usize)>,
+    usage: Vec<(usize, f64)>,
+}
+
+impl Claims {
+    fn clear(&mut self) {
+        self.solutions.clear();
+        self.polish.clear();
+        self.usage.clear();
+    }
+}
+
 /// The dispatch state every thread of the pool reads and writes under
-/// one mutex. Holds are a few dozen instructions (publish, copy a
-/// part's indices out, store an output), never a job.
+/// one mutex. Holds are a few dozen instructions (publish, copy the
+/// item list, deliver claims) or the caller's read-back, never a job.
 struct Board {
     kind: JobKind,
     /// The current dispatch's item list (reused buffer).
     items: Vec<usize>,
-    /// Items per part: part `k` is `items[k·per .. (k+1)·per]`, clipped.
-    per: usize,
-    /// Slot `k − 1` receives worker `k`'s output.
-    slots: Vec<Option<JobOutput>>,
+    /// Thread `k`'s claims (the caller is thread 0) while the caller
+    /// reads a dispatch back; worker `k` swaps its own in on delivery.
+    slots: Vec<Claims>,
     /// Set when the pool is dropped: workers exit.
     shutdown: bool,
     /// Set by a worker that is unwinding: the caller re-raises.
@@ -185,24 +216,53 @@ struct Board {
 
 struct Shared {
     board: Mutex<Board>,
-    /// Workers sleep here for a new epoch or shutdown.
+    /// Idle workers sleep here for a new epoch, a bound sweep or
+    /// shutdown.
     work: Condvar,
-    /// The caller sleeps here for the last open part or a worker panic.
+    /// The caller sleeps here for the last joined worker, the last
+    /// bound item or a worker panic.
     done: Condvar,
-    /// Dispatch counter; a worker runs its part once per new value.
+    /// Dispatch counter; a worker looks at each new value once.
     /// Written only under the board mutex, so a check-then-wait under
     /// the mutex cannot miss a bump; spinners poll it without the lock
     /// as a hint to go and look (the board's data is published by the
     /// mutex, not by this store).
     epoch: AtomicU64,
-    /// Worker parts not yet delivered (the caller's part 0 excluded);
-    /// same discipline as `epoch`.
-    open: AtomicUsize,
+    /// The current dispatch's next unclaimed position. `Relaxed`: it
+    /// only hands out positions; the dispatch it counts for is
+    /// published (and the counter reset) under the board mutex.
+    next: AtomicUsize,
+    /// Workers that joined the current dispatch and have not delivered;
+    /// changed only under the board mutex, which also carries the
+    /// delivered claims.
+    joined: AtomicUsize,
+    /// The bound sweep's next unclaimed block, `n` or more when none is
+    /// left. Reset to 0 with `Release` (under the board mutex) once the
+    /// bound arena and `bound_exact` are in place; every claim is an
+    /// `Acquire`, so the claimer sees them.
+    bound_next: AtomicUsize,
+    /// Bound items of the current sweep delivered so far: a `Release`
+    /// increment after each value is stored, read with `Acquire` by the
+    /// caller before it reads the values.
+    bound_done: AtomicUsize,
+    /// The current sweep's mode, published by the `bound_next` reset.
+    bound_exact: AtomicBool,
+    /// Block `m`'s bound from the current sweep, as bits, published by
+    /// the `bound_done` increment.
+    bound_values: Vec<AtomicU64>,
+    /// A bound item that panics: the panic-propagation test's plant.
+    #[cfg(test)]
+    bound_panic_on: AtomicUsize,
 }
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Board> {
         self.board.lock().expect("pool board lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a pool thread panicked mid-update; re-raise it
+    }
+
+    /// Whether the bound sweep has a block left to claim.
+    fn bounds_open(&self) -> bool {
+        self.bound_next.load(Ordering::Relaxed) < self.bound_values.len()
     }
 }
 
@@ -227,170 +287,411 @@ fn spin_until(ready: impl Fn() -> bool) {
     }
 }
 
-/// A pool of long-lived block-solver workers tied to one solve.
-pub(crate) struct WorkerPool<'env> {
+fn read(arena: &RwLock<PenaltyArena>) -> RwLockReadGuard<'_, PenaltyArena> {
+    arena.read().expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
+}
+
+/// What every thread of the pool reads: the instance, the two penalty
+/// arenas and the kernel.
+#[derive(Clone, Copy)]
+struct Env<'env> {
     inst: &'env MipInstance,
     layout: RowLayout,
     arena: &'env RwLock<PenaltyArena>,
+    bound_arena: &'env RwLock<PenaltyArena>,
     kernel: Kernel,
+}
+
+impl Env<'_> {
+    /// Claim positions of `items` from `next` until none is left, and
+    /// run each claimed item into `claims`.
+    fn claim(
+        &self,
+        kind: JobKind,
+        items: &[usize],
+        next: &AtomicUsize,
+        scratch: &mut BlockScratch,
+        claims: &mut Claims,
+    ) {
+        let arena = read(self.arena);
+        loop {
+            let pos = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&m) = items.get(pos) else {
+                return;
+            };
+            self.exec_item(&arena, kind, m, pos, scratch, claims);
+        }
+    }
+
+    /// Claim and price one block of the bound sweep; `false` when no
+    /// block is left to claim.
+    fn bound_item(&self, shared: &Shared, scratch: &mut BlockScratch) -> bool {
+        let n = shared.bound_values.len();
+        // Acquire: whoever reset the counter published the arena and
+        // the mode before it.
+        let m = shared.bound_next.fetch_add(1, Ordering::Acquire);
+        if m >= n {
+            return false;
+        }
+        #[cfg(test)]
+        assert!(
+            m != shared.bound_panic_on.load(Ordering::Relaxed),
+            "planted bound panic on block {m}"
+        );
+        let exact = shared.bound_exact.load(Ordering::Relaxed);
+        let value = self.block_bound(&read(self.bound_arena), m, exact, scratch);
+        shared.bound_values[m].store(value.to_bits(), Ordering::Relaxed);
+        if shared.bound_done.fetch_add(1, Ordering::Release) + 1 == n {
+            let _board = shared.lock();
+            shared.done.notify_one();
+        }
+        true
+    }
+
+    /// Block `m`'s Lagrangian lower bound at `arena`'s snapshot, from
+    /// one UFL build: dual ascent, or (`exact`) the larger of it and
+    /// the exact block LP — both valid block bounds, so the mix is one.
+    /// A block LP costs tens of dual ascents (≈ 0.1 ms against a few µs
+    /// on a 23-VHO network).
+    fn block_bound(
+        &self,
+        arena: &PenaltyArena,
+        m: usize,
+        exact: bool,
+        scratch: &mut BlockScratch,
+    ) -> f64 {
+        let (inst, layout, kernel) = (self.inst, &self.layout, self.kernel);
+        let data = &inst.blocks()[m];
+        build_ufl_into(
+            inst,
+            layout,
+            data,
+            arena.duals(),
+            arena,
+            &mut scratch.ufl,
+            kernel,
+        );
+        let ascent = scratch
+            .ufl
+            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
+        if exact {
+            // Guards the certificate against round-off in the LP value:
+            // both are valid block bounds.
+            ascent.max(crate::direct::exact_block_lp(&scratch.ufl))
+        } else {
+            ascent
+        }
+    }
+
+    /// The single per-item job body — run identically by every thread,
+    /// which is what makes thread count invisible to results.
+    fn exec_item(
+        &self,
+        arena: &PenaltyArena,
+        kind: JobKind,
+        m: usize,
+        pos: usize,
+        scratch: &mut BlockScratch,
+        claims: &mut Claims,
+    ) {
+        let (inst, layout, kernel) = (self.inst, &self.layout, self.kernel);
+        let data = &inst.blocks()[m];
+        build_ufl_into(
+            inst,
+            layout,
+            data,
+            arena.duals(),
+            arena,
+            &mut scratch.ufl,
+            kernel,
+        );
+        match kind {
+            JobKind::Solve => {
+                let sol = scratch
+                    .ufl
+                    .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
+                claims.solutions.push((pos, sol));
+            }
+            JobKind::Polish { exact } => {
+                let empty = scratch.empty.set_empty(data.clients.len());
+                // Exact mode wants the LP *minimizer's* usage, not the
+                // heuristic's: the pair (exact bound, exact argmin) is
+                // what makes the polish's certification direction a
+                // true subgradient of the Lagrangian dual. A block
+                // whose LP or map-back fails takes the heuristic pair.
+                let certified = if exact {
+                    crate::direct::exact_block_lp_solution(&scratch.ufl)
+                } else {
+                    None
+                };
+                let lb = if let Some((lb, hat)) = &certified {
+                    block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
+                    *lb
+                } else {
+                    // Both solvers run on this build: fuse their
+                    // seeding passes (column sums + row minima).
+                    scratch.ufl.precompute_lane_aux(kernel);
+                    let lb = scratch
+                        .ufl
+                        .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
+                    let sol = scratch
+                        .ufl
+                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
+                    let hat = scratch.hat.set_from_ufl(&sol);
+                    block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
+                    lb
+                };
+                claims.usage.extend_from_slice(&scratch.rows);
+                claims.polish.push((pos, lb, claims.usage.len()));
+            }
+            #[cfg(test)]
+            JobKind::PanicOn(bad) => assert!(m != bad, "planted job panic on item {bad}"),
+        }
+    }
+}
+
+/// A pool of long-lived block-solver workers tied to one solve.
+pub(crate) struct WorkerPool<'env> {
+    env: Env<'env>,
     shared: Arc<Shared>,
-    /// Worker count (`threads − 1`); 0 runs every dispatch inline.
+    /// Worker count (`threads − 1`); 0 runs every item on the caller.
     workers: usize,
-    /// The calling thread's scratch: part 0 and every inline dispatch.
-    own: RefCell<BlockScratch>,
+    /// The calling thread's scratch and claims.
+    own: RefCell<(BlockScratch, Claims)>,
 }
 
 impl<'env> WorkerPool<'env> {
     /// A pool of `threads` compute threads: the caller plus
     /// `threads − 1` workers spawned on `scope` (none when
-    /// `threads <= 1`; every dispatch then runs inline). Workers exit
-    /// when the pool is dropped, which must happen before the scope
-    /// ends.
+    /// `threads <= 1`; everything then runs inline). `arena` prices the
+    /// dispatches, `bound_arena` the bound sweeps; both are the
+    /// caller's to keep for the whole solve. Workers exit when the pool
+    /// is dropped, which must happen before the scope ends.
     pub(crate) fn new<'scope>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         threads: usize,
         inst: &'env MipInstance,
         layout: RowLayout,
         arena: &'env RwLock<PenaltyArena>,
+        bound_arena: &'env RwLock<PenaltyArena>,
         kernel: Kernel,
     ) -> Self {
         let workers = threads.saturating_sub(1);
+        let n = inst.n_videos();
         let shared = Arc::new(Shared {
             board: Mutex::new(Board {
                 kind: JobKind::Solve,
                 items: Vec::new(),
-                per: 1,
-                slots: (0..workers).map(|_| None).collect(),
+                slots: (0..=workers).map(|_| Claims::default()).collect(),
                 shutdown: false,
                 panicked: false,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
             epoch: AtomicU64::new(0),
-            open: AtomicUsize::new(0),
+            next: AtomicUsize::new(0),
+            joined: AtomicUsize::new(0),
+            bound_next: AtomicUsize::new(n),
+            bound_done: AtomicUsize::new(n),
+            bound_exact: AtomicBool::new(false),
+            bound_values: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            #[cfg(test)]
+            bound_panic_on: AtomicUsize::new(usize::MAX),
         });
-        for part in 1..=workers {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(part, &shared, inst, layout, arena, kernel));
-        }
-        Self {
+        let env = Env {
             inst,
             layout,
             arena,
+            bound_arena,
             kernel,
+        };
+        for k in 1..=workers {
+            let shared = Arc::clone(&shared);
+            scope.spawn(move || worker_loop(k, &shared, env));
+        }
+        Self {
+            env,
             shared,
             workers,
-            own: RefCell::new(BlockScratch::default()),
+            own: RefCell::default(),
         }
     }
 
-    /// Bring the shared penalty arena up to date with `duals` (between
+    /// Bring the dispatch arena up to date with `duals` (between
     /// dispatches only; see the module-level lock discipline).
     pub(crate) fn update_penalty(&self, duals: &Duals) -> PenaltyUpdate {
-        self.arena
+        let Env {
+            inst,
+            layout,
+            kernel,
+            ..
+        } = self.env;
+        self.env
+            .arena
             .write()
             .expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
-            .update(self.inst, &self.layout, duals, self.kernel)
+            .update(inst, &layout, duals, kernel)
     }
 
-    /// Read access to the current penalty arena (callers must drop the
+    /// Read access to the current dispatch arena (callers must drop the
     /// guard before the next [`WorkerPool::update_penalty`]).
     pub(crate) fn penalty(&self) -> RwLockReadGuard<'_, PenaltyArena> {
-        self.arena.read().expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
+        read(self.env.arena)
+    }
+
+    /// Approximate heap bytes of the two arenas and the bound sweep's
+    /// per-block values (reported through `EpfStats::approx_bytes`).
+    pub(crate) fn arena_bytes(&self) -> usize {
+        read(self.env.arena).approx_bytes()
+            + read(self.env.bound_arena).approx_bytes()
+            + self.shared.bound_values.len() * std::mem::size_of::<AtomicU64>()
     }
 
     /// Heuristic UFL minimizers for `items`, in item order.
     pub(crate) fn solve(&self, items: &[usize]) -> Vec<UflSolution> {
-        let mut all = Vec::with_capacity(items.len());
-        self.run(items, JobKind::Solve, |o| match o {
-            JobOutput::Solutions(mut v) => all.append(&mut v),
-            _ => unreachable!("Solve job returned a non-Solutions output"), // lint:allow(no-panic-hot-path): exec_job pairs Solve with Solutions
-        });
-        all
-    }
-
-    /// Per-block dual-ascent bounds for `items`, in item order.
-    pub(crate) fn dual_bounds(&self, items: &[usize]) -> Vec<f64> {
-        self.bounds(items, false)
-    }
-
-    /// `max(dual ascent, exact block LP)` per block of `items`, in item
-    /// order — both valid block bounds, so the mix is one. A block LP
-    /// costs tens of dual ascents (≈ 0.1 ms against a few µs on a
-    /// 23-VHO network).
-    pub(crate) fn exact_bounds(&self, items: &[usize]) -> Vec<f64> {
-        self.bounds(items, true)
-    }
-
-    fn bounds(&self, items: &[usize], exact: bool) -> Vec<f64> {
-        let mut all = Vec::with_capacity(items.len());
-        self.run(items, JobKind::DualBound { exact }, |o| match o {
-            JobOutput::Bounds(mut v) => all.append(&mut v),
-            _ => unreachable!("DualBound job returned a non-Bounds output"), // lint:allow(no-panic-hot-path): exec_job pairs DualBound with Bounds
-        });
-        all
+        self.run(items, JobKind::Solve, |slots| {
+            let mut all = Vec::with_capacity(items.len());
+            for claims in slots {
+                all.append(&mut claims.solutions);
+            }
+            all.sort_unstable_by_key(|&(pos, _)| pos);
+            all.into_iter().map(|(_, sol)| sol).collect()
+        })
     }
 
     /// Polish sweep over `items`: valid bounds and minimizer usage.
     pub(crate) fn polish_sweep(&self, items: &[usize], exact: bool) -> PolishSweep {
-        let mut all = PolishSweep::default();
-        all.bounds.reserve(items.len());
-        self.run(items, JobKind::Polish { exact }, |o| match o {
-            JobOutput::Polish(mut part) => {
-                all.bounds.append(&mut part.bounds);
-                all.usage.append(&mut part.usage);
+        self.run(items, JobKind::Polish { exact }, |slots| {
+            let mut sweep = PolishSweep {
+                bounds: vec![0.0; items.len()],
+                usage: Vec::with_capacity(slots.iter().map(|c| c.usage.len()).sum()),
+            };
+            // Where each position's rows sit: (thread, start, end).
+            let mut spans = vec![(0, 0, 0); items.len()];
+            for (k, claims) in slots.iter().enumerate() {
+                let mut start = 0;
+                for &(pos, lb, end) in &claims.polish {
+                    sweep.bounds[pos] = lb;
+                    spans[pos] = (k, start, end);
+                    start = end;
+                }
             }
-            _ => unreachable!("Polish job returned a non-Polish output"), // lint:allow(no-panic-hot-path): exec_job pairs Polish with Polish
-        });
-        all
+            for (k, start, end) in spans {
+                sweep.usage.extend_from_slice(&slots[k].usage[start..end]);
+            }
+            sweep
+        })
     }
 
-    /// One part's job on the calling thread.
-    fn exec_own(&self, kind: JobKind, items: &[usize]) -> JobOutput {
-        let arena = self.penalty();
-        let mut scratch = self.own.borrow_mut();
-        exec_job(
-            self.inst,
-            &self.layout,
-            &arena,
-            self.kernel,
-            kind,
-            items,
-            &mut scratch,
-        )
-    }
-
-    /// Dispatch `items` (split into contiguous parts, one per thread,
-    /// part 0 on the caller) and hand the part outputs to `sink` **in
-    /// part order** — the determinism contract's reassembly step.
-    fn run(&self, items: &[usize], kind: JobKind, mut sink: impl FnMut(JobOutput)) {
-        if self.workers == 0 || items.len() < PARALLEL_MIN {
-            sink(self.exec_own(kind, items));
-            return;
-        }
+    /// Run `kind` on every item of `items` — each claimed by the caller
+    /// or by a worker that joined — and hand every thread's claims to
+    /// `read_back`, which reassembles them **in item order**: the
+    /// determinism contract's read-back step. The claims are emptied
+    /// afterwards, whatever `read_back` left in them.
+    fn run<R>(
+        &self,
+        items: &[usize],
+        kind: JobKind,
+        read_back: impl FnOnce(&mut [Claims]) -> R,
+    ) -> R {
+        let mut own = self.own.borrow_mut();
+        let (scratch, claims) = &mut *own;
         let shared = &*self.shared;
-        let per = items.len().div_ceil(self.workers + 1);
-        let worker_parts = items.len().div_ceil(per) - 1;
+        if self.workers == 0 || items.len() < PARALLEL_MIN {
+            self.env
+                .claim(kind, items, &AtomicUsize::new(0), scratch, claims);
+            let out = read_back(std::slice::from_mut(claims));
+            claims.clear();
+            return out;
+        }
         {
             let mut board = shared.lock();
             board.kind = kind;
             board.items.clear();
             board.items.extend_from_slice(items);
-            board.per = per;
-            shared.open.store(worker_parts, Ordering::Release);
+            shared.next.store(0, Ordering::Relaxed);
             shared.epoch.fetch_add(1, Ordering::Release);
         }
         shared.work.notify_all();
-        sink(self.exec_own(kind, &items[..per]));
-        spin_until(|| shared.open.load(Ordering::Acquire) == 0);
+        self.env.claim(kind, items, &shared.next, scratch, claims);
+        spin_until(|| shared.joined.load(Ordering::Acquire) == 0);
         let mut board = shared.lock();
-        while shared.open.load(Ordering::Acquire) > 0 && !board.panicked {
+        while shared.joined.load(Ordering::Acquire) > 0 && !board.panicked {
             board = wait(&shared.done, board);
         }
         assert!(!board.panicked, "solver worker panicked");
-        for slot in &mut board.slots[..worker_parts] {
-            sink(slot.take().expect("worker part missing")); // lint:allow(no-panic-hot-path): open == 0 means every dispatched part was delivered
+        std::mem::swap(&mut board.slots[0], claims);
+        let out = read_back(&mut board.slots);
+        board.slots.iter_mut().for_each(Claims::clear);
+        std::mem::swap(&mut board.slots[0], claims);
+        out
+    }
+
+    /// Start pricing every block's Lagrangian lower bound at `duals`:
+    /// retarget the bound arena at them and publish blocks `0..n` to
+    /// the workers. Each block's bound is dual ascent or, with `exact`,
+    /// the larger of it and the exact block LP. The sweep runs while
+    /// the caller does other work; [`WorkerPool::finish_bounds`] ends
+    /// it, and must come before the next start.
+    pub(crate) fn start_bounds(&self, duals: &Duals, exact: bool) {
+        let Env {
+            inst,
+            layout,
+            kernel,
+            ..
+        } = self.env;
+        let shared = &*self.shared;
+        assert!(
+            shared.bound_done.load(Ordering::Acquire) == shared.bound_values.len(),
+            "a bound sweep is still in flight"
+        );
+        self.env
+            .bound_arena
+            .write()
+            .expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
+            .update(inst, &layout, duals, kernel);
+        shared.bound_exact.store(exact, Ordering::Relaxed);
+        shared.bound_done.store(0, Ordering::Relaxed);
+        {
+            let _board = shared.lock();
+            shared.bound_next.store(0, Ordering::Release);
         }
+        shared.work.notify_all();
+    }
+
+    /// End the sweep [`WorkerPool::start_bounds`] began: the caller
+    /// claims whatever is left, then waits — spinning first, then
+    /// blocking — for the items still in flight. Returns the per-block
+    /// bounds summed in block order, and re-raises a worker's panic.
+    pub(crate) fn finish_bounds(&self) -> f64 {
+        let shared = &*self.shared;
+        let n = shared.bound_values.len();
+        {
+            let mut own = self.own.borrow_mut();
+            while self.env.bound_item(shared, &mut own.0) {}
+        }
+        spin_until(|| shared.bound_done.load(Ordering::Acquire) == n);
+        let mut board = shared.lock();
+        while shared.bound_done.load(Ordering::Acquire) < n && !board.panicked {
+            board = wait(&shared.done, board);
+        }
+        assert!(!board.panicked, "solver worker panicked");
+        drop(board);
+        shared
+            .bound_values
+            .iter()
+            .map(|v| f64::from_bits(v.load(Ordering::Relaxed)))
+            .sum()
+    }
+
+    /// The last finished sweep's bound of every block, in block order.
+    #[cfg(test)]
+    fn bound_values(&self) -> Vec<f64> {
+        let values = &self.shared.bound_values;
+        values
+            .iter()
+            .map(|v| f64::from_bits(v.load(Ordering::Relaxed)))
+            .collect()
     }
 }
 
@@ -410,7 +711,7 @@ impl Drop for WorkerPool<'_> {
 }
 
 /// Flags the board when its worker unwinds, so the caller stops
-/// waiting for a part that will never arrive.
+/// waiting for claims or bound items that will never arrive.
 struct PanicFlag<'a>(&'a Shared);
 
 impl Drop for PanicFlag<'_> {
@@ -424,164 +725,55 @@ impl Drop for PanicFlag<'_> {
     }
 }
 
-/// Worker `part` (1-based: the caller is part 0): run that part of
-/// every dispatch until the pool shuts down.
-fn worker_loop(
-    part: usize,
-    shared: &Shared,
-    inst: &MipInstance,
-    layout: RowLayout,
-    arena: &RwLock<PenaltyArena>,
-    kernel: Kernel,
-) {
+/// Worker `k` (1-based: the caller is thread 0): join every dispatch
+/// that still has items left when it looks, claim bound items while
+/// there is no dispatch to run, and sleep when there is neither, until
+/// the pool shuts down.
+fn worker_loop(k: usize, shared: &Shared, env: Env<'_>) {
     let _flag = PanicFlag(shared);
     let mut scratch = BlockScratch::default();
+    let mut claims = Claims::default();
     let mut items: Vec<usize> = Vec::new();
     let mut seen = 0u64;
     loop {
-        spin_until(|| shared.epoch.load(Ordering::Acquire) != seen);
+        spin_until(|| shared.epoch.load(Ordering::Acquire) != seen || shared.bounds_open());
         let kind = {
             let mut board = shared.lock();
-            while shared.epoch.load(Ordering::Acquire) == seen && !board.shutdown {
+            while shared.epoch.load(Ordering::Acquire) == seen
+                && !shared.bounds_open()
+                && !board.shutdown
+            {
                 board = wait(&shared.work, board);
             }
             if board.shutdown {
                 return;
             }
-            seen = shared.epoch.load(Ordering::Acquire);
-            let n = board.items.len();
-            let (lo, hi) = ((part * board.per).min(n), ((part + 1) * board.per).min(n));
-            items.clear();
-            items.extend_from_slice(&board.items[lo..hi]);
-            board.kind
+            let epoch = shared.epoch.load(Ordering::Acquire);
+            // Join only while items are left: the caller waits for
+            // every worker that joined, and for no other.
+            let join = epoch != seen && shared.next.load(Ordering::Relaxed) < board.items.len();
+            seen = epoch;
+            if join {
+                shared.joined.fetch_add(1, Ordering::Relaxed);
+                items.clear();
+                items.extend_from_slice(&board.items);
+                Some(board.kind)
+            } else {
+                None
+            }
         };
-        if items.is_empty() {
-            continue; // fewer parts than threads this dispatch
-        }
-        let out = {
-            let arena = arena.read().expect("penalty arena lock poisoned"); // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
-            exec_job(inst, &layout, &arena, kernel, kind, &items, &mut scratch)
-        };
-        let mut board = shared.lock();
-        board.slots[part - 1] = Some(out);
-        if shared.open.fetch_sub(1, Ordering::AcqRel) == 1 {
-            drop(board);
-            shared.done.notify_one();
-        }
-    }
-}
-
-/// The single shared job body — run identically by workers and by the
-/// inline path, which is what makes thread count invisible to results.
-fn exec_job(
-    inst: &MipInstance,
-    layout: &RowLayout,
-    arena: &PenaltyArena,
-    kernel: Kernel,
-    kind: JobKind,
-    items: &[usize],
-    scratch: &mut BlockScratch,
-) -> JobOutput {
-    match kind {
-        JobKind::Solve => JobOutput::Solutions(
-            items
-                .iter()
-                .map(|&m| {
-                    build_ufl_into(
-                        inst,
-                        layout,
-                        &inst.blocks()[m],
-                        arena.duals(),
-                        arena,
-                        &mut scratch.ufl,
-                        kernel,
-                    );
-                    scratch
-                        .ufl
-                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel)
-                })
-                .collect(),
-        ),
-        JobKind::DualBound { exact } => JobOutput::Bounds(
-            items
-                .iter()
-                .map(|&m| {
-                    build_ufl_into(
-                        inst,
-                        layout,
-                        &inst.blocks()[m],
-                        arena.duals(),
-                        arena,
-                        &mut scratch.ufl,
-                        kernel,
-                    );
-                    let ascent = scratch
-                        .ufl
-                        .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
-                    if exact {
-                        // Guards the certificate against round-off in
-                        // the LP value: both are valid block bounds.
-                        ascent.max(crate::direct::exact_block_lp(&scratch.ufl))
-                    } else {
-                        ascent
-                    }
-                })
-                .collect(),
-        ),
-        JobKind::Polish { exact } => {
-            let mut usage = Vec::new();
-            let bounds = items
-                .iter()
-                .map(|&m| {
-                    let data = &inst.blocks()[m];
-                    build_ufl_into(
-                        inst,
-                        layout,
-                        data,
-                        arena.duals(),
-                        arena,
-                        &mut scratch.ufl,
-                        kernel,
-                    );
-                    let empty = scratch.empty.set_empty(data.clients.len());
-                    // Exact mode wants the LP *minimizer's* usage, not
-                    // the heuristic's: the pair (exact bound, exact
-                    // argmin) is what makes the polish's certification
-                    // direction a true subgradient of the Lagrangian
-                    // dual. A block whose LP or map-back fails takes
-                    // the heuristic pair.
-                    let certified = if exact {
-                        crate::direct::exact_block_lp_solution(&scratch.ufl)
-                    } else {
-                        None
-                    };
-                    let lb = if let Some((lb, hat)) = &certified {
-                        block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
-                        *lb
-                    } else {
-                        // Both solvers run on this build: fuse their
-                        // seeding passes (column sums + row minima).
-                        scratch.ufl.precompute_lane_aux(kernel);
-                        let lb = scratch
-                            .ufl
-                            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
-                        let sol = scratch
-                            .ufl
-                            .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
-                        let hat = scratch.hat.set_from_ufl(&sol);
-                        block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
-                        lb
-                    };
-                    usage.extend_from_slice(&scratch.rows);
-                    lb
-                })
-                .collect();
-            JobOutput::Polish(PolishSweep { bounds, usage })
-        }
-        #[cfg(test)]
-        JobKind::PanicOn(bad) => {
-            assert!(!items.contains(&bad), "planted job panic on item {bad}");
-            JobOutput::Bounds(items.iter().map(|&m| m as f64).collect())
+        if let Some(kind) = kind {
+            env.claim(kind, &items, &shared.next, &mut scratch, &mut claims);
+            let mut board = shared.lock();
+            std::mem::swap(&mut board.slots[k], &mut claims);
+            if shared.joined.fetch_sub(1, Ordering::AcqRel) == 1 {
+                drop(board);
+                shared.done.notify_one();
+            }
+        } else {
+            while shared.epoch.load(Ordering::Acquire) == seen
+                && env.bound_item(shared, &mut scratch)
+            {}
         }
     }
 }
@@ -593,9 +785,27 @@ mod tests {
     use crate::epf::tests::small_instance;
     use crate::epf::EpfConfig;
     use crate::solver::solve_fractional;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Run `body` against a pool of `threads` over `inst`, its arena
-    /// priced at non-trivial duals so every block sees link penalties.
+    /// Dispatch duals: non-trivial, so every block sees link penalties.
+    fn dispatch_duals(layout: &RowLayout) -> Duals {
+        let rows = (0..layout.n_rows())
+            .map(|r| 0.25 + (r % 7) as f64 * 0.5)
+            .collect();
+        Duals::new(rows, 1.0)
+    }
+
+    /// Bound duals, unlike the dispatch ones, so a sweep priced on the
+    /// wrong arena shows.
+    fn bound_duals(layout: &RowLayout) -> Duals {
+        let rows = (0..layout.n_rows())
+            .map(|r| 0.1 + (r % 5) as f64 * 0.3)
+            .collect();
+        Duals::new(rows, 1.0)
+    }
+
+    /// Run `body` against a pool of `threads` over `inst`, its dispatch
+    /// arena priced at [`dispatch_duals`].
     fn with_pool<R>(
         inst: &MipInstance,
         threads: usize,
@@ -603,29 +813,30 @@ mod tests {
     ) -> R {
         let layout = layout_of(inst);
         let arena = RwLock::new(PenaltyArena::new(inst, &layout));
-        let rows = (0..layout.n_rows())
-            .map(|r| 0.25 + (r % 7) as f64 * 0.5)
-            .collect();
+        let bound_arena = RwLock::new(PenaltyArena::new(inst, &layout));
         std::thread::scope(|scope| {
-            let pool = WorkerPool::new(scope, threads, inst, layout, &arena, Kernel::default());
-            pool.update_penalty(&Duals::new(rows, 1.0));
+            let pool = WorkerPool::new(
+                scope,
+                threads,
+                inst,
+                layout,
+                &arena,
+                &bound_arena,
+                Kernel::default(),
+            );
+            pool.update_penalty(&dispatch_duals(&layout));
             body(&pool)
         })
     }
 
-    type Sweep = (Vec<UflSolution>, Vec<u64>, Vec<u64>, Vec<(usize, u64)>);
+    type Sweep = (Vec<UflSolution>, Vec<u64>, Vec<(usize, u64)>);
 
-    /// All three job kinds over `items`, floats as bits.
+    /// Both dispatch kinds over `items`, floats as bits.
     fn sweep(pool: &WorkerPool<'_>, items: &[usize]) -> Sweep {
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
         let polish = pool.polish_sweep(items, false);
+        let bounds = polish.bounds.into_iter().map(f64::to_bits);
         let usage = polish.usage.into_iter().map(|(r, u)| (r, u.to_bits()));
-        (
-            pool.solve(items),
-            bits(pool.dual_bounds(items)),
-            bits(polish.bounds),
-            usage.collect(),
-        )
+        (pool.solve(items), bounds.collect(), usage.collect())
     }
 
     /// Parts come back in part order whatever the thread count: item
@@ -656,9 +867,70 @@ mod tests {
         }
     }
 
+    /// Every block's bound priced on its own, in block order: the
+    /// reference a sweep must match bit for bit.
+    fn reference_bounds(inst: &MipInstance, duals: &Duals, exact: bool) -> Vec<u64> {
+        let layout = layout_of(inst);
+        let kernel = Kernel::default();
+        let arena = PenaltyArena::for_duals(inst, &layout, duals, kernel);
+        let mut ufl = UflProblem::default();
+        let mut search = UflScratch::default();
+        inst.blocks()
+            .iter()
+            .map(|data| {
+                build_ufl_into(inst, &layout, data, duals, &arena, &mut ufl, kernel);
+                let ascent = ufl.dual_ascent_bound_with_kernel(&mut search, kernel);
+                let bound = if exact {
+                    ascent.max(crate::direct::exact_block_lp(&ufl))
+                } else {
+                    ascent
+                };
+                bound.to_bits()
+            })
+            .collect()
+    }
+
+    /// A bound sweep returns every block's bound — dual ascent, or its
+    /// max with the exact block LP — and their block-order sum, at every
+    /// thread count: finished back to back, and finished after `Solve`
+    /// and `Polish` dispatches ran while it was in flight (which must
+    /// not move a bit of theirs either).
+    #[test]
+    fn bound_sweeps_match_the_per_block_reference_at_every_thread_count() {
+        let inst = small_instance(61, 2.0, 1.0, 9);
+        let duals = bound_duals(&layout_of(&inst));
+        let items: Vec<usize> = (0..61).map(|k| (k * 23 + 5) % 61).collect();
+        let chunks = [&items[..31], &items[31..], &items[..3]];
+        let plain: Vec<Sweep> = with_pool(&inst, 1, |pool| {
+            chunks.iter().map(|chunk| sweep(pool, chunk)).collect()
+        });
+        for exact in [false, true] {
+            let want = reference_bounds(&inst, &duals, exact);
+            let want_sum: f64 = want.iter().map(|&b| f64::from_bits(b)).sum();
+            for threads in [1usize, 2, 3, 8] {
+                let what = format!("threads={threads} exact={exact}");
+                with_pool(&inst, threads, |pool| {
+                    let check = |sum: f64, how: &str| {
+                        let got: Vec<u64> =
+                            pool.bound_values().into_iter().map(f64::to_bits).collect();
+                        assert_eq!(got, want, "{what}, {how}");
+                        assert_eq!(sum.to_bits(), want_sum.to_bits(), "{what}, {how}");
+                    };
+                    pool.start_bounds(&duals, exact);
+                    check(pool.finish_bounds(), "back to back");
+                    pool.start_bounds(&duals, exact);
+                    for (chunk, plain) in chunks.iter().zip(&plain) {
+                        assert_eq!(&sweep(pool, chunk), plain, "{what}, dispatch");
+                    }
+                    check(pool.finish_bounds(), "interleaved");
+                });
+            }
+        }
+    }
+
     /// Eight threads on a 60-video instance (more threads than cores
-    /// on any CI box, parts of four blocks): the handoff must fall back
-    /// to blocking and finish, bit for bit the single-thread solve.
+    /// on any CI box): the handoff must fall back to blocking and
+    /// finish, bit for bit the single-thread solve.
     #[test]
     fn oversubscribed_solve_finishes_and_matches_one_thread() {
         let inst = small_instance(60, 2.0, 1.0, 6);
@@ -680,28 +952,70 @@ mod tests {
         assert_eq!(f1.blocks, f8.blocks);
     }
 
-    /// Item 31 of 32 is worker 1's at two threads: its panic must reach
-    /// the caller as a panic (and the scope must still join), not leave
-    /// the caller waiting on the part forever.
-    #[test]
-    #[should_panic(expected = "solver worker panicked")]
-    fn worker_panic_reaches_the_caller() {
-        let inst = small_instance(40, 2.0, 1.0, 9);
-        let items: Vec<usize> = (0..32).collect();
-        with_pool(&inst, 2, |pool| {
-            pool.run(&items, JobKind::PanicOn(31), |_| {})
-        });
+    /// The message of the panic `body` must raise.
+    fn panic_of(body: impl FnOnce()) -> String {
+        let payload =
+            catch_unwind(AssertUnwindSafe(body)).expect_err("no panic reached the caller");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
     }
 
-    /// The mirror case: the caller's own part 0 panics while workers
-    /// run theirs; dropping the pool on unwind must release them.
+    /// A planted panic in a dispatch item reaches the caller — as its
+    /// own panic when the caller claimed the item, as `solver worker
+    /// panicked` when a worker did — and the scope still joins, so a
+    /// caller's panic released the workers and a worker's did not leave
+    /// the caller waiting for its claims.
     #[test]
-    #[should_panic(expected = "planted job panic on item 0")]
-    fn caller_panic_releases_the_workers() {
+    fn a_planted_dispatch_panic_reaches_the_caller() {
         let inst = small_instance(40, 2.0, 1.0, 9);
         let items: Vec<usize> = (0..32).collect();
-        with_pool(&inst, 3, |pool| {
-            pool.run(&items, JobKind::PanicOn(0), |_| {})
-        });
+        for threads in [2usize, 3, 8] {
+            for bad in [0, 31] {
+                let message = panic_of(|| {
+                    with_pool(&inst, threads, |pool| {
+                        pool.run(&items, JobKind::PanicOn(bad), |_| {})
+                    })
+                });
+                assert!(
+                    message == format!("planted job panic on item {bad}")
+                        || message == "solver worker panicked",
+                    "threads={threads} bad={bad}: {message}"
+                );
+            }
+        }
+    }
+
+    /// A planted panic in a bound item reaches the caller at
+    /// `finish_bounds` instead of leaving it waiting for a value that
+    /// will never arrive. With workers, the caller leaves every block
+    /// to them until one panics, so the planted block is a worker's.
+    #[test]
+    fn a_planted_bound_panic_reaches_the_caller() {
+        let inst = small_instance(40, 2.0, 1.0, 9);
+        let duals = bound_duals(&layout_of(&inst));
+        for threads in [1usize, 2, 3, 8] {
+            for bad in [0, 39] {
+                let message = panic_of(|| {
+                    with_pool(&inst, threads, |pool| {
+                        let shared = &*pool.shared;
+                        shared.bound_panic_on.store(bad, Ordering::Relaxed);
+                        pool.start_bounds(&duals, false);
+                        while threads > 1 && shared.bounds_open() && !shared.lock().panicked {
+                            std::thread::yield_now();
+                        }
+                        pool.finish_bounds();
+                    })
+                });
+                let want = if threads == 1 {
+                    format!("planted bound panic on block {bad}")
+                } else {
+                    "solver worker panicked".to_string()
+                };
+                assert_eq!(message, want, "threads={threads} bad={bad}");
+            }
+        }
     }
 }

@@ -166,14 +166,24 @@ pub fn solve(
     // and never feeds back into the optimization.
     let clock = Instant::now();
     let layout = layout_of(inst);
-    // The pool's workers borrow the arena for the whole solve (see
-    // `crate::pool`). On resume it starts fresh and is rebuilt at the
-    // first chunk's dual snapshot, bitwise-equal to the incremental
-    // updates it replaces (`tests/penalty_props.rs`).
+    // The pool's workers borrow both arenas for the whole solve (see
+    // `crate::pool`): one prices the chunk and polish dispatches, the
+    // other every Lagrangian bound sweep. On resume they start fresh
+    // and are rebuilt at their first dual snapshot, bitwise-equal to
+    // the incremental updates they replace (`tests/penalty_props.rs`).
     let arena = RwLock::new(PenaltyArena::new(inst, &layout));
+    let bound_arena = RwLock::new(PenaltyArena::new(inst, &layout));
     let (fractional, stats) = std::thread::scope(|scope| {
         let threads = cfg.effective_threads(inst.n_videos());
-        let pool = WorkerPool::new(scope, threads, inst, layout, &arena, cfg.kernel);
+        let pool = WorkerPool::new(
+            scope,
+            threads,
+            inst,
+            layout,
+            &arena,
+            &bound_arena,
+            cfg.kernel,
+        );
         let start = Start { prior, ..start };
         solve_with_pool(inst, cfg, layout, &pool, clock, start, hooks)
     });

@@ -151,6 +151,58 @@ fn resume_from_mid_checkpoint_matches_continuous_run() {
     }
 }
 
+/// A checkpoint at every pass boundary: each pass's Lagrangian bound
+/// sweep may still be in flight on the pool when the pass ends, and it
+/// must be folded into `run.lb_run` before the capture. The stream is
+/// the same bytes at one thread and at two, pinned by a fingerprint of
+/// the solver that priced each bound inline, and emitting it moves no
+/// bit of the result.
+#[test]
+fn checkpoints_at_every_pass_fold_the_bound_in_flight() {
+    const STREAM_FNV: u64 = 0xad4c_1788_5d25_54c8;
+    let inst = instance(0, SEEDS[0]);
+    let run = |threads: usize, every: u64| {
+        let cfg = EpfConfig {
+            threads,
+            ..config(SEEDS[0])
+        };
+        let mut snaps: Vec<Vec<u8>> = Vec::new();
+        let mut sink = |ck: SolverCheckpoint| snaps.push(ck.to_bytes());
+        let hooks = Hooks {
+            checkpoint: Some(CheckpointSpec {
+                every,
+                sink: &mut sink,
+            }),
+            observe: None,
+        };
+        let out = solve(&inst, &cfg, Start::default(), hooks)
+            .expect("checkpointed solve")
+            .rounded(&inst, &cfg);
+        (out, snaps)
+    };
+    let (one, one_snaps) = run(1, 1);
+    let (two, two_snaps) = run(2, 1);
+    let (plain, none) = run(2, 0);
+    assert!(
+        none.is_empty() && one_snaps.len() >= 20,
+        "{} checkpoints",
+        one_snaps.len()
+    );
+    assert!(
+        one_snaps == two_snaps,
+        "checkpoint bytes differ across thread counts"
+    );
+    assert_identical(&plain, &one);
+    assert_identical(&plain, &two);
+    let stream = one_snaps.iter().fold(0u64, |h, s| {
+        h.rotate_left(5) ^ vod_json::snapshot::fnv1a64(s)
+    });
+    assert_eq!(
+        stream, STREAM_FNV,
+        "checkpoint stream moved: {stream:#018x}"
+    );
+}
+
 /// A checkpoint from one (config, instance) pair never resumes a
 /// different one, and is never an error: the solve reports it
 /// `Rejected` and lands on exactly the bits of the same solve without
