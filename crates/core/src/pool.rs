@@ -49,8 +49,8 @@
 //! **Panics.** A worker that unwinds flags the board on its way out and
 //! wakes the caller, which re-raises at its next wait — for a dispatch
 //! or for a sweep; dropping the pool (also while the caller itself
-//! unwinds) tells every worker to exit, so the enclosing scope always
-//! joins.
+//! unwinds) closes a sweep still in flight and tells every worker to
+//! exit after the item it is on, so the enclosing scope always joins.
 //!
 //! **Locks.** The main arena is write-locked by the caller between
 //! dispatches ([`WorkerPool::update_penalty`]) and read-locked by every
@@ -61,7 +61,7 @@
 
 use crate::block::{UflProblem, UflScratch, UflSolution};
 use crate::epf::{block_delta, build_ufl_into};
-use crate::instance::MipInstance;
+use crate::instance::{MipInstance, VideoBlock};
 use crate::kernel::Kernel;
 use crate::penalty::{PenaltyArena, PenaltyUpdate};
 use crate::potential::{Duals, RowLayout};
@@ -151,9 +151,15 @@ pub(crate) enum JobKind {
     /// Polish sweep: valid bound + minimizer's resource usage — the
     /// heuristic minimizer's, or (`exact: true`) the block LP's.
     Polish { exact: bool },
-    /// Panics on the given item: the panic-propagation tests' job.
+    /// The panic-propagation tests' plants (see
+    /// `WorkerPool::caller_claims`): a worker panics on every item it
+    /// claims, and the caller claims none.
     #[cfg(test)]
-    PanicOn(usize),
+    WorkerPanic,
+    /// The caller panics once the dispatch is out, while the workers
+    /// build its items.
+    #[cfg(test)]
+    CallerPanic,
 }
 
 /// One polish sweep over some blocks: the valid bound of each, in item
@@ -302,7 +308,28 @@ struct Env<'env> {
     kernel: Kernel,
 }
 
-impl Env<'_> {
+impl<'env> Env<'env> {
+    /// Build block `m`'s UFL at `arena`'s snapshot into `scratch` — the
+    /// start of every per-item body — and return the block's data.
+    fn build(
+        &self,
+        arena: &PenaltyArena,
+        m: usize,
+        scratch: &mut BlockScratch,
+    ) -> &'env VideoBlock {
+        let data = &self.inst.blocks()[m];
+        build_ufl_into(
+            self.inst,
+            &self.layout,
+            data,
+            arena.duals(),
+            arena,
+            &mut scratch.ufl,
+            self.kernel,
+        );
+        data
+    }
+
     /// Claim positions of `items` from `next` until none is left, and
     /// run each claimed item into `claims`.
     fn claim(
@@ -360,20 +387,10 @@ impl Env<'_> {
         exact: bool,
         scratch: &mut BlockScratch,
     ) -> f64 {
-        let (inst, layout, kernel) = (self.inst, &self.layout, self.kernel);
-        let data = &inst.blocks()[m];
-        build_ufl_into(
-            inst,
-            layout,
-            data,
-            arena.duals(),
-            arena,
-            &mut scratch.ufl,
-            kernel,
-        );
+        self.build(arena, m, scratch);
         let ascent = scratch
             .ufl
-            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel);
+            .dual_ascent_bound_with_kernel(&mut scratch.search, self.kernel);
         if exact {
             // Guards the certificate against round-off in the LP value:
             // both are valid block bounds.
@@ -395,16 +412,7 @@ impl Env<'_> {
         claims: &mut Claims,
     ) {
         let (inst, layout, kernel) = (self.inst, &self.layout, self.kernel);
-        let data = &inst.blocks()[m];
-        build_ufl_into(
-            inst,
-            layout,
-            data,
-            arena.duals(),
-            arena,
-            &mut scratch.ufl,
-            kernel,
-        );
+        let data = self.build(arena, m, scratch);
         match kind {
             JobKind::Solve => {
                 let sol = scratch
@@ -445,7 +453,9 @@ impl Env<'_> {
                 claims.polish.push((pos, lb, claims.usage.len()));
             }
             #[cfg(test)]
-            JobKind::PanicOn(bad) => assert!(m != bad, "planted job panic on item {bad}"),
+            JobKind::WorkerPanic => panic!("planted worker panic on item {m}"), // lint:allow(no-panic-hot-path): test-only plant, compiled out of every solve
+            #[cfg(test)]
+            JobKind::CallerPanic => {}
         }
     }
 }
@@ -613,7 +623,9 @@ impl<'env> WorkerPool<'env> {
             shared.epoch.fetch_add(1, Ordering::Release);
         }
         shared.work.notify_all();
-        self.env.claim(kind, items, &shared.next, scratch, claims);
+        if self.caller_claims(kind) {
+            self.env.claim(kind, items, &shared.next, scratch, claims);
+        }
         spin_until(|| shared.joined.load(Ordering::Acquire) == 0);
         let mut board = shared.lock();
         while shared.joined.load(Ordering::Acquire) > 0 && !board.panicked {
@@ -625,6 +637,27 @@ impl<'env> WorkerPool<'env> {
         board.slots.iter_mut().for_each(Claims::clear);
         std::mem::swap(&mut board.slots[0], claims);
         out
+    }
+
+    /// Whether the caller claims items of the dispatch it just
+    /// published: always, but for the panic-propagation tests' plants.
+    /// On `CallerPanic` it panics instead; on `WorkerPanic` it waits
+    /// for a worker to panic, so that `run`'s wait for the joined
+    /// workers has to end on the panic flag.
+    fn caller_claims(&self, kind: JobKind) -> bool {
+        match kind {
+            JobKind::Solve | JobKind::Polish { .. } => true,
+            #[cfg(test)]
+            JobKind::CallerPanic => panic!("planted caller panic"), // lint:allow(no-panic-hot-path): test-only plant, compiled out of every solve
+            #[cfg(test)]
+            JobKind::WorkerPanic => {
+                let mut board = self.shared.lock();
+                while !board.panicked {
+                    board = wait(&self.shared.done, board);
+                }
+                false
+            }
+        }
     }
 
     /// Start pricing every block's Lagrangian lower bound at `duals`:
@@ -699,12 +732,14 @@ impl Drop for WorkerPool<'_> {
     fn drop(&mut self) {
         // Also runs while the caller unwinds, so never panic here: a
         // poisoned board still takes the flag.
-        let mut board = self
-            .shared
-            .board
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let shared = &*self.shared;
+        let mut board = shared.board.lock().unwrap_or_else(PoisonError::into_inner);
         board.shutdown = true;
+        // A sweep still in flight (the caller is unwinding) is never
+        // read: close it, so a worker stops after the item it is on.
+        shared
+            .bound_next
+            .store(shared.bound_values.len(), Ordering::Relaxed);
         drop(board);
         self.shared.work.notify_all();
     }
@@ -963,28 +998,38 @@ mod tests {
             .unwrap_or_default()
     }
 
-    /// A planted panic in a dispatch item reaches the caller — as its
-    /// own panic when the caller claimed the item, as `solver worker
-    /// panicked` when a worker did — and the scope still joins, so a
-    /// caller's panic released the workers and a worker's did not leave
-    /// the caller waiting for its claims.
+    /// A worker that panics mid-dispatch reaches the caller as `solver
+    /// worker panicked` instead of leaving it waiting for claims that
+    /// will never arrive: the caller claims nothing, so its wait for
+    /// the joined workers can only end on the panic flag.
     #[test]
-    fn a_planted_dispatch_panic_reaches_the_caller() {
+    fn worker_panic_reaches_the_caller() {
         let inst = small_instance(40, 2.0, 1.0, 9);
         let items: Vec<usize> = (0..32).collect();
         for threads in [2usize, 3, 8] {
-            for bad in [0, 31] {
-                let message = panic_of(|| {
-                    with_pool(&inst, threads, |pool| {
-                        pool.run(&items, JobKind::PanicOn(bad), |_| {})
-                    })
-                });
-                assert!(
-                    message == format!("planted job panic on item {bad}")
-                        || message == "solver worker panicked",
-                    "threads={threads} bad={bad}: {message}"
-                );
-            }
+            let message = panic_of(|| {
+                with_pool(&inst, threads, |pool| {
+                    pool.run(&items, JobKind::WorkerPanic, |_| {})
+                })
+            });
+            assert_eq!(message, "solver worker panicked", "threads={threads}");
+        }
+    }
+
+    /// The mirror case: the caller panics while the workers run the
+    /// dispatch's items; dropping the pool on unwind must release them,
+    /// or the scope never joins.
+    #[test]
+    fn caller_panic_releases_the_workers() {
+        let inst = small_instance(40, 2.0, 1.0, 9);
+        let items: Vec<usize> = (0..32).collect();
+        for threads in [2usize, 3, 8] {
+            let message = panic_of(|| {
+                with_pool(&inst, threads, |pool| {
+                    pool.run(&items, JobKind::CallerPanic, |_| {})
+                })
+            });
+            assert_eq!(message, "planted caller panic", "threads={threads}");
         }
     }
 
