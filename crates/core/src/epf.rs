@@ -270,37 +270,99 @@ fn merge_sparse<'a>(
     })
 }
 
+/// Caller-owned row accumulator for [`block_delta`]: a running sum per
+/// coupling row, dense, plus the rows touched so far, sorted once when
+/// the delta is complete. Reused across blocks, it allocates only when
+/// the row count grows.
+#[derive(Debug, Default)]
+pub(crate) struct RowAcc {
+    /// Running sum per row, `+0.0` between deltas: a row's first addend
+    /// `val` lands on `0.0 + val`, the seed of the sorted map this
+    /// replaced (`or_insert(0.0) += val`), which differs from `val` at
+    /// `val == -0.0`.
+    sums: Vec<f64>,
+    /// Whether a row has an addend in the current delta.
+    hit: Vec<bool>,
+    /// The touched rows in `touched[..len]`; one slot longer than the
+    /// row count, so that a bump writes its row unconditionally.
+    touched: Vec<usize>,
+    len: usize,
+    /// The finished delta: `(row, sum)`, rows ascending.
+    rows: Vec<(usize, f64)>,
+}
+
+impl RowAcc {
+    /// Bytes one accumulator holds at `n_rows` coupling rows: the dense
+    /// sums, flags and touched slots.
+    pub(crate) fn approx_bytes(n_rows: usize) -> usize {
+        n_rows
+            * (std::mem::size_of::<f64>()
+                + std::mem::size_of::<bool>()
+                + std::mem::size_of::<usize>())
+    }
+
+    /// The last finished delta, rows ascending.
+    pub(crate) fn rows(&self) -> &[(usize, f64)] {
+        &self.rows
+    }
+
+    fn begin(&mut self, n_rows: usize) {
+        if self.sums.len() < n_rows {
+            self.sums.resize(n_rows, 0.0);
+            self.hit.resize(n_rows, false);
+            self.touched.resize(n_rows + 1, 0);
+        }
+        self.len = 0;
+        self.rows.clear();
+    }
+
+    /// Branch-free: the row is always written to the next touched slot,
+    /// and the slot is kept only on the row's first addend.
+    #[inline]
+    fn bump(&mut self, row: usize, val: f64) {
+        self.sums[row] += val;
+        self.touched[self.len] = row;
+        self.len += usize::from(!self.hit[row]);
+        self.hit[row] = true;
+    }
+
+    /// Sort the touched rows, emit them, and leave their sums and flags
+    /// as `begin` expects them.
+    fn finish(&mut self) {
+        let touched = &mut self.touched[..self.len];
+        touched.sort_unstable();
+        let (sums, hit) = (&mut self.sums, &mut self.hit);
+        self.rows.extend(touched.iter().map(|&row| {
+            hit[row] = false;
+            (row, std::mem::replace(&mut sums[row], 0.0))
+        }));
+    }
+}
+
 /// Full-step resource/objective delta of replacing `cur` by `hat` in
-/// block `data` (scaled by τ at application time): fills `acc` with the
-/// touched coupling rows, ascending, and returns the objective delta.
+/// block `data` (scaled by τ at application time): leaves the touched
+/// coupling rows in `acc` ([`RowAcc::rows`], ascending) and returns the
+/// objective delta.
+///
+/// Exactness premise: each row's sum takes its addends in scan order
+/// (`y` first, then clients in order, ids ascending, windows, path
+/// links) from a `0.0 + first` seed, and a row with any addend is
+/// listed even when its sum is 0 — so the rows, their order and every
+/// bit match the sorted-map accumulator this replaces.
 pub(crate) fn block_delta(
     inst: &MipInstance,
     layout: &RowLayout,
     data: &VideoBlock,
     cur: &BlockSolution,
     hat: &BlockSolution,
-    acc: &mut Vec<(usize, f64)>,
+    acc: &mut RowAcc,
 ) -> f64 {
-    // Row-sorted sparse accumulator in caller-owned scratch: a block
-    // delta touches a handful of rows, so binary-search insertion into
-    // a flat vec beats a fresh BTreeMap (node allocation per row) while
-    // keeping the exact same per-row accumulation order (scan order)
-    // and the exact same row-ascending output order.
-    acc.clear();
-    let bump = |acc: &mut Vec<(usize, f64)>, row: usize, val: f64| {
-        match acc.binary_search_by_key(&row, |e| e.0) {
-            Ok(pos) => acc[pos].1 += val,
-            // `0.0 + val`, not `val`: the BTreeMap this replaces
-            // seeded entries with `or_insert(0.0) += val`, and the
-            // two differ bitwise at `val == -0.0`.
-            Err(pos) => acc.insert(pos, (row, 0.0 + val)),
-        }
-    };
+    acc.begin(layout.n_rows());
     let mut dobj = 0.0;
     for (i, old, new) in merge_sparse(&cur.y, &hat.y) {
         let d = new - old;
         if d != 0.0 {
-            bump(acc, layout.disk_row(i), data.size_gb * d);
+            acc.bump(layout.disk_row(i), data.size_gb * d);
             if let Some(&fo) = data.facility_obj_cost.get(i.index()) {
                 dobj += fo * d;
             }
@@ -316,12 +378,13 @@ pub(crate) fn block_delta(
             for (t, &rate) in client.rate.iter().enumerate() {
                 if rate != 0.0 {
                     for &l in inst.paths.path(i, client.j) {
-                        bump(acc, layout.link_row(l, t), rate * d);
+                        acc.bump(layout.link_row(l, t), rate * d);
                     }
                 }
             }
         }
     }
+    acc.finish();
     dobj
 }
 
@@ -648,13 +711,15 @@ fn polish_bound(
 /// Approximate solver working-set bytes (reported in Table III):
 /// block solutions + instance block data + potential rows + the pool's
 /// two flat penalty arenas (dispatch and bound) and its per-block bound
-/// values + per-thread UFL build/search scratch.
+/// values + per-thread UFL build/search scratch + `accumulators`
+/// [`RowAcc`]s.
 fn approx_bytes(
     inst: &MipInstance,
     blocks: &[BlockSolution],
     layout: &RowLayout,
     arena_bytes: usize,
     threads: usize,
+    accumulators: usize,
 ) -> usize {
     let tuple = std::mem::size_of::<(vod_model::VhoId, f64)>();
     let sol: usize = blocks
@@ -687,7 +752,11 @@ fn approx_bytes(
     let per_scratch = (max_clients * v + v) * 8
         + (v + max_clients) * 8
         + crate::block::UflScratch::approx_bytes(v, max_clients);
-    sol + data + layout.n_rows() * 16 + arena_bytes + threads * per_scratch
+    sol + data
+        + layout.n_rows() * 16
+        + arena_bytes
+        + threads * per_scratch
+        + accumulators * RowAcc::approx_bytes(layout.n_rows())
 }
 
 /// Loop state of one fixed-target FEAS run — the control-flow half of
@@ -1020,7 +1089,7 @@ pub(crate) fn solve_with_pool(
     // terms and the greedy re-routing's cost list.
     let mut hat_buf = BlockBuf::default();
     let mut corrective_buf = BlockBuf::default();
-    let mut deltas: Vec<(usize, f64)> = Vec::new();
+    let mut deltas = RowAcc::default();
     let mut terms: Vec<(f64, f64)> = Vec::new();
     let mut greedy_costs: Vec<(f64, vod_model::VhoId, f64)> = Vec::new();
     // Pass p's bound sweep, started after its dual smoothing and priced
@@ -1039,7 +1108,17 @@ pub(crate) fn solve_with_pool(
         let (usage, objective) = crate::shard::state(inst, &layout, &blocks, threads);
         coupling_final.set_state(usage, objective);
         let max_violation = coupling_final.delta_c().max(0.0);
-        let bytes = approx_bytes(inst, &blocks, &layout, pool.arena_bytes(), threads);
+        // The step apply's accumulator, and one per compute thread once
+        // the polish has run.
+        let accumulators = 1 + if cfg.exact_cert > 0 { threads } else { 0 };
+        let bytes = approx_bytes(
+            inst,
+            &blocks,
+            &layout,
+            pool.arena_bytes(),
+            threads,
+            accumulators,
+        );
         let frac = FractionalSolution {
             blocks,
             objective,
@@ -1097,9 +1176,9 @@ pub(crate) fn solve_with_pool(
                             let hat = hat_buf.set_from_ufl(sol);
                             let dobj =
                                 block_delta(inst, &layout, data, &blocks[m], hat, &mut deltas);
-                            let tau = coupling.line_search(&deltas, dobj, &mut terms);
+                            let tau = coupling.line_search(deltas.rows(), dobj, &mut terms);
                             if tau > 0.0 {
-                                coupling.apply(&deltas, dobj, tau);
+                                coupling.apply(deltas.rows(), dobj, tau);
                                 blocks[m].step_toward(hat, tau);
                                 block_steps += 1;
                             }
@@ -1121,9 +1200,9 @@ pub(crate) fn solve_with_pool(
                                 corrective,
                                 &mut deltas,
                             );
-                            let tau = coupling.line_search(&deltas, dobj, &mut terms);
+                            let tau = coupling.line_search(deltas.rows(), dobj, &mut terms);
                             if tau > 0.0 {
-                                coupling.apply(&deltas, dobj, tau);
+                                coupling.apply(deltas.rows(), dobj, tau);
                                 blocks[m].step_toward(corrective, tau);
                                 block_steps += 1;
                             }
@@ -1454,6 +1533,122 @@ pub(crate) mod tests {
             0.0,
             None,
         )
+    }
+
+    /// `block_delta`'s scan with the sorted-map accumulator its dense
+    /// one replaces, as the oracle of `RowAcc`; also counts the `-0.0`
+    /// addends.
+    fn block_delta_btree(
+        inst: &MipInstance,
+        layout: &RowLayout,
+        data: &VideoBlock,
+        cur: &BlockSolution,
+        hat: &BlockSolution,
+    ) -> (Vec<(usize, f64)>, f64, usize) {
+        let mut acc = std::collections::BTreeMap::new();
+        let mut neg_zero = 0;
+        let mut dobj = 0.0;
+        for (i, old, new) in merge_sparse(&cur.y, &hat.y) {
+            let d = new - old;
+            if d != 0.0 {
+                *acc.entry(layout.disk_row(i)).or_insert(0.0) += data.size_gb * d;
+                if let Some(&fo) = data.facility_obj_cost.get(i.index()) {
+                    dobj += fo * d;
+                }
+            }
+        }
+        for (c_idx, client) in data.clients.iter().enumerate() {
+            for (i, old, new) in merge_sparse(&cur.x[c_idx], &hat.x[c_idx]) {
+                let d = new - old;
+                if d == 0.0 {
+                    continue;
+                }
+                dobj += client.demand_gb * inst.cost(i, client.j) * d;
+                for (t, &rate) in client.rate.iter().enumerate() {
+                    if rate != 0.0 {
+                        for &l in inst.paths.path(i, client.j) {
+                            let val = rate * d;
+                            neg_zero += usize::from(val.to_bits() == (-0.0f64).to_bits());
+                            *acc.entry(layout.link_row(l, t)).or_insert(0.0) += val;
+                        }
+                    }
+                }
+            }
+        }
+        (acc.into_iter().collect(), dobj, neg_zero)
+    }
+
+    /// A random block over `v` VHOs: dyadic fractions, so that addends
+    /// cancel exactly on shared links, and the smallest subnormal, so
+    /// that `rate · d` underflows to `±0.0`.
+    fn random_block(rng: &mut rand::rngs::StdRng, v: usize, clients: usize) -> BlockSolution {
+        use rand::Rng;
+        let tiny = f64::from_bits(1);
+        let entry = |rng: &mut rand::rngs::StdRng| -> Vec<(vod_model::VhoId, f64)> {
+            let mut ids: Vec<usize> = (0..v).filter(|_| rng.gen_range(0..3u32) == 0).collect();
+            if ids.is_empty() {
+                ids.push(rng.gen_range(0..v));
+            }
+            ids.into_iter()
+                .map(|i| {
+                    let val = match rng.gen_range(0..6u32) {
+                        0 => tiny,
+                        1 => 1.0,
+                        k => f64::from(k) * 0.125,
+                    };
+                    // lint:allow(raw-index): draws random ids over the instance's dense VHO range
+                    (vod_model::VhoId::from_index(i), val)
+                })
+                .collect()
+        };
+        BlockSolution {
+            y: entry(rng),
+            x: (0..clients).map(|_| entry(rng)).collect(),
+        }
+    }
+
+    #[test]
+    fn dense_accumulator_matches_the_sorted_map() {
+        use rand::Rng;
+        let inst = small_instance(40, 2.0, 1.0, 12);
+        let layout = layout_of(&inst);
+        let v = inst.network.num_nodes();
+        let mut rng = vod_model::rng::rng_from_seed(12);
+        let mut acc = RowAcc::default();
+        let (mut neg_zero, mut zero_sums) = (0usize, 0usize);
+        for case in 0..3000 {
+            let mut data = inst.blocks()[case % inst.n_videos()].clone();
+            // Rates below 1/2 turn a `d` of one subnormal into a `-0.0`
+            // addend.
+            for c in &mut data.clients {
+                for r in c.rate.iter_mut().filter(|r| **r != 0.0) {
+                    *r = [0.25, 1.0, 3.0][rng.gen_range(0..3usize)];
+                }
+            }
+            let cur = random_block(&mut rng, v, data.clients.len());
+            let hat = if rng.gen_range(0..4u32) == 0 {
+                BlockSolution {
+                    y: Vec::new(),
+                    x: vec![Vec::new(); data.clients.len()],
+                }
+            } else {
+                random_block(&mut rng, v, data.clients.len())
+            };
+            let dobj = block_delta(&inst, &layout, &data, &cur, &hat, &mut acc);
+            let (want, want_obj, nz) = block_delta_btree(&inst, &layout, &data, &cur, &hat);
+            let bits = |rows: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                rows.iter().map(|&(r, x)| (r, x.to_bits())).collect()
+            };
+            assert_eq!(bits(acc.rows()), bits(&want), "case {case}");
+            assert_eq!(dobj.to_bits(), want_obj.to_bits(), "case {case}");
+            zero_sums += want.iter().filter(|e| e.1 == 0.0).count();
+            neg_zero += nz;
+        }
+        // Both edge cases must occur: listed rows that sum to 0, and
+        // `-0.0` addends (a `val` seed instead of `0.0 + val` turns a
+        // row whose first addend is `-0.0` into `-0.0`).
+        assert!(zero_sums > 100, "{zero_sums} rows summing to 0");
+        assert!(neg_zero > 100, "{neg_zero} -0.0 addends");
     }
 
     #[test]

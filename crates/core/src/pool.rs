@@ -60,7 +60,7 @@
 //! a reader.
 
 use crate::block::{UflProblem, UflScratch, UflSolution};
-use crate::epf::{block_delta, build_ufl_into};
+use crate::epf::{block_delta, build_ufl_into, RowAcc};
 use crate::instance::{MipInstance, VideoBlock};
 use crate::kernel::Kernel;
 use crate::penalty::{PenaltyArena, PenaltyUpdate};
@@ -175,14 +175,14 @@ pub(crate) struct PolishSweep {
 
 /// Per-thread reusable state: one UFL build buffer + solver scratch,
 /// and a polish item's minimizer, the all-zero block its usage is
-/// taken against, and that usage's row list.
+/// taken against, and the accumulator of that usage's rows.
 #[derive(Default)]
 struct BlockScratch {
     ufl: UflProblem,
     search: UflScratch,
     hat: BlockBuf,
     empty: BlockBuf,
-    rows: Vec<(usize, f64)>,
+    rows: RowAcc,
 }
 
 /// One thread's share of a dispatch: every item it claimed, as its
@@ -446,7 +446,7 @@ impl<'env> Env<'env> {
                     block_delta(inst, layout, data, empty, hat, &mut scratch.rows);
                     lb
                 };
-                claims.usage.extend_from_slice(&scratch.rows);
+                claims.usage.extend_from_slice(scratch.rows.rows());
                 claims.polish.push((pos, lb, claims.usage.len()));
             }
             #[cfg(test)]

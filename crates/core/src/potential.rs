@@ -288,9 +288,16 @@ impl Coupling {
     ///
     /// `Φ(τ)` is a sum of exponentials of affine functions, hence
     /// strictly convex in `τ`; rows not touched by `d` are constants
-    /// and are skipped. Solved by bisection on the derivative. `terms`
-    /// is caller-owned scratch (overwritten), so a loop of searches
-    /// allocates nothing.
+    /// and are skipped. `terms` is caller-owned scratch (overwritten),
+    /// so a loop of searches allocates nothing.
+    ///
+    /// Exactness premise: the result is, bit for bit, that of 60
+    /// bisection steps over `[0, 1]` on the computed derivative
+    /// `D̃(τ) = Σ s·exp(min(u + τ·s, 60))`, summed in term order, after
+    /// the exits at `D̃(0) ≥ 0` and `D̃(1) ≤ 0`. Only the steps near the
+    /// root evaluate `D̃`; the others are decided by a certified bracket
+    /// whose soundness needs IEEE round-to-nearest arithmetic and an
+    /// `exp` within a few ulps — see `bisect` below.
     pub fn line_search(
         &self,
         deltas: &[(usize, f64)],
@@ -310,31 +317,7 @@ impl Coupling {
                 terms.push((self.alpha * self.r0(), self.alpha * dobj / b));
             }
         }
-        if terms.is_empty() {
-            return 0.0;
-        }
-        let dphi = |tau: f64| -> f64 {
-            terms
-                .iter()
-                .map(|&(u, s)| s * cexp(u + tau * s))
-                .sum::<f64>()
-        };
-        if dphi(0.0) >= 0.0 {
-            return 0.0;
-        }
-        if dphi(1.0) <= 0.0 {
-            return 1.0;
-        }
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if dphi(mid) < 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        bisect(terms)
     }
 
     /// Apply a step of size `tau` along `d`.
@@ -350,6 +333,222 @@ impl Coupling {
         }
         self.obj += tau * dobj;
     }
+}
+
+/// Most probes [`bracket`] spends before it stops: past the first few,
+/// a probe costs as much as the bisection evaluations it could save.
+const MAX_PROBES: usize = 6;
+
+/// Root of the line search's derivative on `[0, 1]`, decided exactly as
+/// 60 bisection steps on `dphi` (the `D̃` below) decide it.
+///
+/// The bisection's result depends only on the sign of `D̃(mid)` at each
+/// of its mids. Every mid at or below a point `a` certified negative by
+/// [`bracket`] is known to take the `lo = mid` branch, and every mid at
+/// or above a point `b` certified positive the `hi = mid` branch, so
+/// only mids inside `(a, b)` are evaluated. Once `mid` equals `lo` or
+/// `hi`, `lo` and `hi` are adjacent floats (or equal): every later step
+/// leaves the final `0.5·(lo + hi)` at `mid`, whichever way it goes, so
+/// the search stops there.
+///
+/// **Why a certificate is exact.** Write `xᵢ(τ) = min(fl(uᵢ + fl(τ·sᵢ)),
+/// 60)` for the exponent `dphi` computes; rounding is monotone, so
+/// `xᵢ` is monotone in `τ` and the real number `Tᵢ(τ) = sᵢ·exp(xᵢ(τ))`
+/// is non-decreasing in `τ` whatever the sign of `sᵢ`: the positive
+/// part `P(τ)` of `ΣTᵢ` grows and the magnitude `Q(τ)` of its negative
+/// part shrinks. The computed term `sᵢ·exp(xᵢ)` differs from `Tᵢ` by
+/// `exp`'s error (a few ulps) and one rounding, and summing `n` terms
+/// in order adds at most about `(n − 1)·ε/2 · Σ|Tᵢ|`; so
+/// `D̃(τ) = P − Q + E` with `|E| ≤ c·(P + Q) + η`, `c ≈ (n/2 + 5)·ε`, and
+/// `η` an absolute allowance for terms whose exponential underflows.
+/// If `D̃(p) < −(k·M̃(p) + 2η)` with `M̃ ≈ P + Q` and `k = (2n + 16)·ε ≥
+/// 2c`, then `(1 + c)·P(p) < (1 − c)·Q(p) − η`, and for every `τ ≤ p`
+/// the monotone bound gives
+/// `D̃(τ) ≤ (1 + c)·P(τ) − (1 − c)·Q(τ) + η ≤ (1 + c)·P(p) − (1 − c)·Q(p) + η < 0`:
+/// every mid at or below `p` goes to `lo`. The positive side is the
+/// mirror image. The argument needs every value finite; a non-finite
+/// probe drops the bracket and every mid is evaluated.
+fn bisect(terms: &[(f64, f64)]) -> f64 {
+    if terms.is_empty() {
+        return 0.0;
+    }
+    let dphi = |tau: f64| -> f64 {
+        terms
+            .iter()
+            .map(|&(u, s)| s * cexp(u + tau * s))
+            .sum::<f64>()
+    };
+    // The endpoint probes sum the same terms in the same order as
+    // `dphi`; only the sign of a zero sum can differ, which no
+    // comparison with 0 sees.
+    let at0 = probe(terms, 0.0);
+    if at0.d >= 0.0 {
+        return 0.0;
+    }
+    let at1 = probe(terms, 1.0);
+    if at1.d <= 0.0 {
+        return 1.0;
+    }
+    let (a, b) = bracket(terms, at0, at1);
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits() {
+            return mid;
+        }
+        if mid <= a || (mid < b && dphi(mid) < 0.0) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
+/// `D̃(τ)` and what a Newton step on `g(τ) = ln P − ln Q` and the
+/// certificate of [`bisect`] need, from one exponential per term.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    /// The terms `s·e` summed in order: the sum `dphi` forms.
+    d: f64,
+    /// `P` and `Q`: the positive terms, and the magnitudes of the
+    /// negative ones, summed.
+    pos: f64,
+    neg: f64,
+    /// `Σ s²·e` over the positive and over the negative terms, so that
+    /// `g′ = pos2 / pos + neg2 / neg`.
+    pos2: f64,
+    neg2: f64,
+}
+
+impl Probe {
+    fn finite(&self) -> bool {
+        [self.d, self.pos, self.neg, self.pos2, self.neg2]
+            .iter()
+            .all(|v| v.is_finite())
+    }
+}
+
+fn probe(terms: &[(f64, f64)], tau: f64) -> Probe {
+    let mut p = Probe {
+        d: 0.0,
+        pos: 0.0,
+        neg: 0.0,
+        pos2: 0.0,
+        neg2: 0.0,
+    };
+    for &(u, s) in terms {
+        let t = s * cexp(u + tau * s);
+        p.d += t;
+        if s > 0.0 {
+            p.pos += t;
+            p.pos2 += s * t;
+        } else {
+            p.neg -= t;
+            p.neg2 += s * t;
+        }
+    }
+    p
+}
+
+/// A bracket `(a, b)` around the root of `D̃` for [`bisect`]: every
+/// `τ ≤ a` has `D̃(τ) < 0` and every `τ ≥ b` has `D̃(τ) > 0`, certified
+/// as [`bisect`] explains. Found by safeguarded Newton steps on `g(τ) =
+/// ln P − ln Q`, which is linear in `τ` when one row dominates each
+/// side, starting from `at0` / `at1` (the probes at `τ = 0` and `1`),
+/// each aimed just past the root so that consecutive probes land on
+/// alternate sides; `(0, 1)`, which decides nothing, when a probe is
+/// not finite.
+fn bracket(terms: &[(f64, f64)], at0: Probe, at1: Probe) -> (f64, f64) {
+    let n = terms.len() as f64;
+    let k = (2.0 * n + 16.0) * f64::EPSILON;
+    // Underflow allowance: a term whose exponential or product lands
+    // below the normal range is off by at most (4·|s| + 1) units of
+    // the smallest subnormal; this is four times their sum.
+    let floor = 16.0 * (terms.iter().map(|&(_, s)| s.abs()).sum::<f64>() + n) * f64::from_bits(1);
+    let margin = |p: &Probe| k * (p.pos + p.neg) + floor;
+    if !(at0.finite() && at1.finite()) {
+        return (0.0, 1.0);
+    }
+    let (mut a, mut b) = (0.0f64, 1.0f64);
+    // Start from the end whose `g` is nearer 0.
+    let g = |p: &Probe| (p.pos / p.neg).ln();
+    let (mut tau, mut p) = if g(&at0).abs() <= g(&at1).abs() {
+        (0.0, at0)
+    } else {
+        (1.0, at1)
+    };
+    let mut widen = 2.0;
+    for _ in 0..MAX_PROBES {
+        let m = margin(&p);
+        let dg = p.pos2 / p.pos + p.neg2 / p.neg;
+        // First-order half-width, in τ, of the band `|D̃| ≤ margin`.
+        let band = 2.0 * m / (p.pos + p.neg) / dg;
+        let newton = tau - g(&p) / dg;
+        let aim = if p.d < -m {
+            newton + widen * band
+        } else if p.d > m {
+            newton - widen * band
+        } else {
+            // Inside the band: step out on the looser side, further
+            // each time.
+            widen *= 2.0;
+            if b - tau > tau - a {
+                tau + widen * band
+            } else {
+                tau - widen * band
+            }
+        };
+        tau = if a < aim && aim < b {
+            aim
+        } else {
+            0.5 * (a + b)
+        };
+        p = probe(terms, tau);
+        if !p.finite() {
+            return (0.0, 1.0);
+        }
+        let m = margin(&p);
+        if p.d < -m {
+            a = tau;
+        } else if p.d > m {
+            b = tau;
+        }
+        if b - a <= 8.0 * widen * band {
+            break;
+        }
+    }
+    (a, b)
+}
+
+/// The 60-step bisection [`bisect`] replays, kept as its oracle.
+#[cfg(test)]
+fn bisect_reference(terms: &[(f64, f64)]) -> f64 {
+    if terms.is_empty() {
+        return 0.0;
+    }
+    let dphi = |tau: f64| -> f64 {
+        terms
+            .iter()
+            .map(|&(u, s)| s * cexp(u + tau * s))
+            .sum::<f64>()
+    };
+    if dphi(0.0) >= 0.0 {
+        return 0.0;
+    }
+    if dphi(1.0) <= 0.0 {
+        return 1.0;
+    }
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if dphi(mid) < 0.0 {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -453,6 +652,127 @@ mod tests {
         let p = phi_at(tau);
         assert!(p <= phi_at((tau - 0.05).max(0.0)) + 1e-9);
         assert!(p <= phi_at((tau + 0.05).min(1.0)) + 1e-9);
+    }
+
+    /// A seeded line-search case: `n` terms balanced so that the exact
+    /// derivative vanishes at a chosen root — uniform in `[0, 1]`, near
+    /// 0, near 1, on a dyadic mid, or outside `[0, 1]` — then knocked off
+    /// it, pushed past the exponent clamp, or buried under pairs of huge
+    /// near-flat terms that cancel.
+    fn oracle_case(rng: &mut rand::rngs::StdRng) -> Vec<(f64, f64)> {
+        use rand::Rng;
+        let log_uniform =
+            |rng: &mut rand::rngs::StdRng, lo: f64, hi: f64| 10f64.powf(rng.gen_range(lo..hi));
+        let n = (300f64.powf(rng.gen::<f64>()) as usize).clamp(1, 300);
+        let root = match rng.gen_range(0..6u32) {
+            0 => log_uniform(rng, -15.0, -1.0),
+            1 => 1.0 - log_uniform(rng, -15.0, -1.0),
+            2 => {
+                let k = rng.gen_range(1..=52u32);
+                let j = rng.gen_range(0..(1u64 << (k - 1)));
+                (2 * j + 1) as f64 / (1u64 << k) as f64
+            }
+            3 => rng.gen_range(-0.5..1.5),
+            _ => rng.gen::<f64>(),
+        };
+        let mut sw: Vec<(f64, f64)> = (0..n)
+            .map(|i| {
+                let sign = if i % 2 == 0 || rng.gen_range(0..4u32) == 0 {
+                    1.0
+                } else {
+                    -1.0
+                };
+                (
+                    sign * log_uniform(rng, -9.0, 3.0),
+                    log_uniform(rng, -8.0, 8.0),
+                )
+            })
+            .collect();
+        let pos: f64 = sw.iter().filter(|e| e.0 > 0.0).map(|e| e.0 * e.1).sum();
+        let neg: f64 = sw.iter().filter(|e| e.0 < 0.0).map(|e| -e.0 * e.1).sum();
+        if pos > 0.0 && neg > 0.0 {
+            for e in sw.iter_mut().filter(|e| e.0 > 0.0) {
+                e.1 *= neg / pos;
+            }
+        }
+        let mut terms: Vec<(f64, f64)> = sw.iter().map(|&(s, w)| (w.ln() - root * s, s)).collect();
+        match rng.gen_range(0..8u32) {
+            // Past the clamp: a shift that sends many exponents over 60.
+            0 => {
+                let shift = rng.gen_range(20.0..80.0);
+                terms.iter_mut().for_each(|t| t.0 += shift);
+            }
+            // Near-cancelling: huge near-flat pairs of both signs.
+            1 | 2 => {
+                for _ in 0..rng.gen_range(1..=n.min(150)) {
+                    let s = log_uniform(rng, -9.0, -3.0);
+                    let u = rng.gen_range(10.0..60.0);
+                    terms.push((u, s));
+                    terms.push((u, -s));
+                }
+            }
+            // Off the balance point by a relative nudge to one term.
+            3 => {
+                let i = rng.gen_range(0..terms.len());
+                terms[i].0 += log_uniform(rng, -15.0, -3.0);
+            }
+            _ => {}
+        }
+        terms
+    }
+
+    /// `D̃(τ)` as a platform whose `exp` errs by 4 ulps and which sums
+    /// in reverse order might compute it, every term pushed toward
+    /// `+∞` (`up`) or `−∞`: the worst case the certificate of [`bisect`]
+    /// must survive.
+    fn skewed(terms: &[(f64, f64)], tau: f64, up: bool) -> f64 {
+        let nudge = 4.0 * f64::EPSILON;
+        terms
+            .iter()
+            .rev()
+            .map(|&(u, s)| {
+                let t = s * cexp(u + tau * s);
+                t * if (t > 0.0) == up {
+                    1.0 + nudge
+                } else {
+                    1.0 - nudge
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn bisect_replays_the_reference_bit_for_bit() {
+        let mut rng = vod_model::rng::rng_from_seed(0x15EA);
+        let mut interior = 0usize;
+        for case in 0..100_000 {
+            let terms = oracle_case(&mut rng);
+            let want = bisect_reference(&terms);
+            let got = bisect(&terms);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {got:e} vs reference {want:e}, terms {terms:?}"
+            );
+            interior += usize::from(want > 0.0 && want < 1.0);
+            // The bracket must hold beyond this platform's rounding:
+            // its ends are the points the argument is about (0 and 1
+            // are placeholders no mid reaches).
+            let (at0, at1) = (probe(&terms, 0.0), probe(&terms, 1.0));
+            if at0.d < 0.0 && at1.d > 0.0 {
+                let (a, b) = bracket(&terms, at0, at1);
+                assert!(
+                    a <= 0.0 || skewed(&terms, a, true) < 0.0,
+                    "case {case}: certified a = {a:e} is not negative under a 4-ulp exp"
+                );
+                assert!(
+                    b >= 1.0 || skewed(&terms, b, false) > 0.0,
+                    "case {case}: certified b = {b:e} is not positive under a 4-ulp exp"
+                );
+            }
+        }
+        // Most cases must exercise the replay, not the endpoint exits.
+        assert!(interior > 50_000, "{interior} interior roots");
     }
 
     #[test]

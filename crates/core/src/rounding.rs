@@ -13,7 +13,7 @@
 
 use crate::block::{UflProblem, UflScratch};
 use crate::epf::{
-    block_delta, build_ufl_into, caps_of, compute_state, greedy_x_given_y, layout_of,
+    block_delta, build_ufl_into, caps_of, compute_state, greedy_x_given_y, layout_of, RowAcc,
 };
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
@@ -60,7 +60,7 @@ pub fn round_solution(
     let mut arena = PenaltyArena::new(inst, &layout);
     let mut ufl = UflProblem::default();
     let mut scratch = UflScratch::default();
-    let mut deltas: Vec<(usize, f64)> = Vec::new();
+    let mut deltas = RowAcc::default();
     // `m` indexes `inst.blocks()` and `blocks` (mutated below) in
     // lockstep, so a range loop is the honest shape here.
     #[allow(clippy::needless_range_loop)]
@@ -83,14 +83,14 @@ pub fn round_solution(
             x: vec![Vec::new(); data.clients.len()],
         };
         let dobj_out = block_delta(inst, &layout, data, &blocks[m], &empty, &mut deltas);
-        coupling.apply(&deltas, dobj_out, 1.0);
+        coupling.apply(deltas.rows(), dobj_out, 1.0);
 
         let duals_now = coupling.duals();
         build_ufl_into(inst, &layout, data, &duals_now, &arena, &mut ufl, kernel);
         let cand = ufl.solve_local_search_with_kernel(&mut scratch, kernel);
         let hat = BlockSolution::from_ufl(&cand);
         let dobj_in = block_delta(inst, &layout, data, &empty, &hat, &mut deltas);
-        coupling.apply(&deltas, dobj_in, 1.0);
+        coupling.apply(deltas.rows(), dobj_in, 1.0);
         blocks[m] = hat;
     }
 
