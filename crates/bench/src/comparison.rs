@@ -1,23 +1,20 @@
 //! The four-strategy comparison behind Figs. 5, 6 and the headline
 //! claims: MIP placement (weekly re-solves with history estimation and
 //! a 5 % complementary LRU cache) versus Random+LRU, Random+LFU and
-//! Top-K+LRU on identical disks, links and requests.
+//! Top-K+LRU on identical disks, links and requests; and the update
+//! chain behind it and Table VI.
 //!
-//! The weekly MIP solves are serial (each anchors migration cost on the
-//! previous placement); every replay — per-week MIP and the three
-//! full-trace baselines — joins a single `simulate_batch` fan-out, and
-//! the series are stitched back together in week order so the outcome
-//! is byte-identical to the serial loop.
+//! A chain's solves are serial (each anchors migration cost on the
+//! previous placement); its replays then join one `simulate_batch`
+//! fan-out, and the callers aggregate the periods in period order, so
+//! every outcome is byte-identical to a serial loop.
 
-use crate::{Defaults, Scenario};
-use vod_core::{solve_placement, MipInstance, Placement, PlacementCost};
-use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind};
-use vod_model::{SimTime, VhoId};
-use vod_sim::{
-    default_threads, mip_vho_configs, random_single_vho_configs, simulate_batch, top_k_vho_configs,
-    CacheKind, PolicyKind, SimConfig, SimJob, SimReport, VhoConfig,
-};
-use vod_trace::Trace;
+use crate::{replay, Defaults, Deployment, Scenario};
+use vod_core::{Placement, PlacementCost};
+use vod_estimate::EstimatorKind;
+use vod_model::time::DAY;
+use vod_model::VhoId;
+use vod_sim::{random_single_vho_configs, top_k_vho_configs, CacheKind, SimConfig, SimReport};
 
 /// One strategy's measured outcome over the evaluation period.
 #[derive(Debug)]
@@ -48,93 +45,117 @@ impl vod_json::ToJson for StrategyOutcome {
     }
 }
 
-fn outcome_from(name: &str, rep: &SimReport, from_bucket: usize) -> StrategyOutcome {
+/// A strategy's outcome from its replays: each `(lo, hi, report)`
+/// contributes its buckets `lo..hi` (clamped to its series) to the
+/// series and all of its totals.
+pub fn outcome<'a>(
+    name: &str,
+    parts: impl IntoIterator<Item = (usize, usize, &'a SimReport)>,
+) -> StrategyOutcome {
+    let mut peak_series = Vec::new();
+    let mut transfer_series = Vec::new();
+    let mut gb_hops = 0.0;
+    let mut local = 0u64;
+    let mut total_reqs = 0u64;
+    let mut uncachable = 0u64;
+    for (lo, hi, rep) in parts {
+        let span = |v: &[f64]| v[lo.min(v.len())..hi.min(v.len())].to_vec();
+        peak_series.extend(span(&rep.peak_link_mbps));
+        transfer_series.extend(span(&rep.transfer_gb));
+        gb_hops += rep.total_gb_hops;
+        local += rep.served_local_pinned + rep.served_local_cached;
+        total_reqs += rep.total_requests;
+        uncachable += rep.cache.rejections;
+    }
     StrategyOutcome {
         name: name.to_string(),
-        peak_series_mbps: rep.peak_link_mbps[from_bucket.min(rep.peak_link_mbps.len())..].to_vec(),
-        transfer_series_gb: rep.transfer_gb[from_bucket.min(rep.transfer_gb.len())..].to_vec(),
-        max_link_mbps: rep
-            .peak_link_mbps
-            .iter()
-            .skip(from_bucket)
-            .cloned()
-            .fold(0.0, f64::max),
-        total_gb_hops: rep.total_gb_hops,
-        local_fraction: rep.local_fraction(),
-        uncachable: rep.cache.rejections,
+        max_link_mbps: peak_series.iter().cloned().fold(0.0, f64::max),
+        peak_series_mbps: peak_series,
+        transfer_series_gb: transfer_series,
+        total_gb_hops: gb_hops,
+        local_fraction: local as f64 / total_reqs.max(1) as f64,
+        uncachable,
     }
 }
 
-/// One week of the MIP schedule, solved and ready to replay.
-struct WeekPlan {
-    w: u64,
-    future: Trace,
-    vhos: Vec<VhoConfig>,
-    policy: PolicyKind,
+/// One period of an update chain: days `from_day..to_day`, the copies
+/// its re-solve migrated (Section VII-H), and its replay.
+#[derive(Debug)]
+pub struct Period {
+    pub from_day: u64,
+    pub to_day: u64,
+    pub migrated: usize,
+    pub report: SimReport,
 }
 
-/// Run the full comparison. The first `warmup_weeks` weeks warm the
-/// caches (and provide the first demand history); measurements cover
-/// the remaining weeks, with the MIP re-solved weekly from the previous
-/// week's history (Section VII-B).
-pub fn run_comparison(s: &Scenario, d: &Defaults, top_k: usize) -> Vec<StrategyOutcome> {
-    let weeks = s.trace.horizon().secs() / (7 * 86_400);
-    assert!(weeks >= 2, "need at least two weeks of trace");
-    let week_secs = 7 * 86_400u64;
-    let eval_from = SimTime::new(week_secs); // week 0 is warm-up/history
-    let from_bucket = (eval_from.secs() / 300) as usize;
-
-    let mut net = s.net.clone();
-    net.set_uniform_capacity(vod_model::Mbps::from_gbps(d.link_gbps));
-    let full_disks = s.full_disks(d);
-    let est_cfg = EstimateConfig {
-        window_secs: d.window_secs,
-        n_windows: d.n_windows,
-    };
-    let epf = s.epf_config();
-
-    // ---- MIP: weekly re-solves (serial — migration cost chains each
-    // placement to the previous one). The replays join the batch below.
+/// Re-solve the placement every `period_days` from day 7 to the end of
+/// the trace, each period's demand estimated by `estimator` from the
+/// previous 7 days, on the capacity-scaled backbone with the MIP's
+/// share of the disks. Each period deploys its placement with
+/// `cache_frac` of the full disks as LRU cache and replays only its
+/// own days under `cfg`.
+pub fn update_chain(
+    s: &Scenario,
+    d: &Defaults,
+    period_days: u64,
+    estimator: EstimatorKind,
+    cache_frac: f64,
+    cfg: &SimConfig,
+) -> Vec<Period> {
+    let net = s.scaled_net(d);
+    let disks = s.full_disks(d);
+    let horizon_days = s.trace.horizon().secs() / DAY;
     let mut prev: Option<Placement> = None;
-    let mut plans = Vec::new();
-    for w in 1..weeks {
-        let history = s.week(w - 1);
-        let future = s.week(w);
-        let demand = estimate_demand(
-            EstimatorKind::History,
-            &s.catalog,
-            s.net.num_nodes(),
-            &history,
-            &future,
-            w * 7,
-            7,
-            &est_cfg,
-        );
+    let mut solved = Vec::new();
+    let mut day = 7u64; // the first week is history
+    while day < horizon_days {
+        let to_day = (day + period_days).min(horizon_days);
+        let demand = s.estimate(estimator, d, day, to_day);
         let pc = prev.as_ref().map(|p| PlacementCost {
             weight: 1.0,
             previous: Some(p.holder_lists().to_vec()),
             // lint:allow(raw-index): update transfers are anchored at VHO 0 by convention
             origin: VhoId::new(0),
         });
-        let inst = MipInstance::new(
-            net.clone(),
-            s.catalog.clone(),
-            demand,
-            &s.mip_disk(d),
-            1.0,
-            0.0,
-            pc.as_ref(),
-        );
-        let out = solve_placement(&inst, &epf).expect("weekly placement instance is well-formed");
-        let vhos = mip_vho_configs(&out.placement, &full_disks, d.cache_frac, CacheKind::Lru);
-        plans.push(WeekPlan {
-            w,
-            future,
-            vhos,
-            policy: PolicyKind::MipRouting(out.placement.clone()),
-        });
-        prev = Some(out.placement);
+        let (_, placement) = s.place(&net, demand, &s.mip_disk(d), pc.as_ref());
+        let migrated = prev
+            .as_ref()
+            .map_or(0, |p| placement.migration_copies_from(p));
+        let dep = Deployment::mip(placement.clone(), &disks, cache_frac);
+        solved.push((day, to_day, migrated, s.days(day, to_day), dep));
+        prev = Some(placement);
+        day = to_day;
     }
+    let reports = replay(s, cfg, solved.iter().map(|(.., t, dep)| (&net, t, dep)));
+    solved
+        .iter()
+        .zip(reports)
+        .map(|(&(from_day, to_day, migrated, ..), report)| Period {
+            from_day,
+            to_day,
+            migrated,
+            report,
+        })
+        .collect()
+}
+
+/// Run the full comparison. Week 0 warms the caches (and provides the
+/// first demand history); measurements cover the remaining weeks, with
+/// the MIP re-solved weekly from the previous week's history (Section
+/// VII-B).
+pub fn run_comparison(s: &Scenario, d: &Defaults, top_k: usize) -> Vec<StrategyOutcome> {
+    assert!(
+        s.trace.horizon().secs() >= 14 * DAY,
+        "need at least two weeks of trace"
+    );
+    let full_disks = s.full_disks(d);
+
+    // ---- MIP: weekly re-solves, each week replayed on its own.
+    let mip_cfg = SimConfig {
+        seed: s.seed,
+        ..Default::default()
+    };
+    let weeks = update_chain(s, d, 7, EstimatorKind::History, d.cache_frac, &mip_cfg);
 
     // ---- Baselines: static assignment + cache, full-trace run with
     // week 0 as cache warm-up. ----
@@ -144,95 +165,29 @@ pub fn run_comparison(s: &Scenario, d: &Defaults, top_k: usize) -> Vec<StrategyO
             vod_trace::DemandInput::from_trace(&week0, &s.catalog, s.net.num_nodes(), vec![]);
         demand.aggregate.rank_videos()
     };
-    let baselines: Vec<(String, Vec<VhoConfig>)> = vec![
-        (
-            "Random+LRU".to_string(),
-            random_single_vho_configs(&s.catalog, &full_disks, CacheKind::Lru, s.seed),
-        ),
-        (
-            "Random+LFU".to_string(),
-            random_single_vho_configs(&s.catalog, &full_disks, CacheKind::Lfu, s.seed),
-        ),
+    let random = |kind| random_single_vho_configs(&s.catalog, &full_disks, kind, s.seed);
+    let baselines = [
+        ("Random+LRU".to_string(), random(CacheKind::Lru)),
+        ("Random+LFU".to_string(), random(CacheKind::Lfu)),
         (
             format!("Top-{top_k}+LRU"),
             top_k_vho_configs(&s.catalog, &ranked, top_k, &full_disks, s.seed),
         ),
-    ];
-    let baseline_policy = PolicyKind::NearestReplica;
+    ]
+    .map(|(name, vhos)| (name, Deployment::nearest(vhos)));
+    let net = s.scaled_net(d);
+    let runs = baselines.iter().map(|(_, dep)| (&net, &s.trace, dep));
+    let base_reps = replay(s, &s.warmed_sim(), runs);
 
-    // ---- One fan-out over every replay: per-week MIP runs first, the
-    // three baselines after. ----
-    let mip_cfg = SimConfig {
-        seed: s.seed,
-        ..Default::default()
-    };
-    let base_cfg = SimConfig {
-        measure_from: eval_from,
-        seed: s.seed,
-        ..Default::default()
-    };
-    let jobs: Vec<SimJob> = plans
+    // Stitch the MIP weeks back together in week order; the baselines
+    // count from day 7 on (week 0 is warm-up/history).
+    let bucket = |day: u64| ((day * DAY) / 300) as usize;
+    let spans = weeks
         .iter()
-        .map(|p| SimJob {
-            net: &net,
-            paths: &s.paths,
-            catalog: &s.catalog,
-            trace: &p.future,
-            vhos: &p.vhos,
-            policy: &p.policy,
-            cfg: mip_cfg.clone(),
-        })
-        .chain(baselines.iter().map(|(_, vhos)| SimJob {
-            net: &net,
-            paths: &s.paths,
-            catalog: &s.catalog,
-            trace: &s.trace,
-            vhos,
-            policy: &baseline_policy,
-            cfg: base_cfg.clone(),
-        }))
-        .collect();
-    let reps = simulate_batch(&jobs, default_threads());
-    let (mip_reps, base_reps) = reps.split_at(plans.len());
-
-    // Stitch the MIP weeks back together in week order.
-    let mut peak_series = Vec::new();
-    let mut transfer_series = Vec::new();
-    let mut gb_hops = 0.0;
-    let mut local = 0u64;
-    let mut total_reqs = 0u64;
-    let mut uncachable = 0u64;
-    for (plan, rep) in plans.iter().zip(mip_reps) {
-        let lo = ((plan.w * week_secs) / 300) as usize;
-        let hi = (((plan.w + 1) * week_secs) / 300) as usize;
-        peak_series.extend_from_slice(
-            &rep.peak_link_mbps[lo.min(rep.peak_link_mbps.len())..hi.min(rep.peak_link_mbps.len())],
-        );
-        transfer_series.extend_from_slice(
-            &rep.transfer_gb[lo.min(rep.transfer_gb.len())..hi.min(rep.transfer_gb.len())],
-        );
-        gb_hops += rep.total_gb_hops;
-        local += rep.served_local_pinned + rep.served_local_cached;
-        total_reqs += rep.total_requests;
-        uncachable += rep.cache.rejections;
-    }
-    let mip_outcome = StrategyOutcome {
-        name: "MIP".into(),
-        max_link_mbps: peak_series.iter().cloned().fold(0.0, f64::max),
-        peak_series_mbps: peak_series,
-        transfer_series_gb: transfer_series,
-        total_gb_hops: gb_hops,
-        local_fraction: if total_reqs > 0 {
-            local as f64 / total_reqs as f64
-        } else {
-            0.0
-        },
-        uncachable,
-    };
-
-    let mut outcomes = vec![mip_outcome];
-    for ((name, _), rep) in baselines.iter().zip(base_reps) {
-        outcomes.push(outcome_from(name, rep, from_bucket));
+        .map(|p| (bucket(p.from_day), bucket(p.to_day), &p.report));
+    let mut outcomes = vec![outcome("MIP", spans)];
+    for ((name, _), rep) in baselines.iter().zip(&base_reps) {
+        outcomes.push(outcome(name, [(bucket(7), usize::MAX, rep)]));
     }
     outcomes
 }
@@ -245,7 +200,10 @@ mod tests {
     #[test]
     fn comparison_runs_and_mip_wins_on_peak() {
         let s = Scenario::operational(Scale::Quick, 3);
-        let d = Defaults::default();
+        let d = Defaults {
+            link_gbps: 1.0,
+            ..Defaults::for_scale(Scale::Quick)
+        };
         let outcomes = run_comparison(&s, &d, 10);
         assert_eq!(outcomes.len(), 4);
         assert_eq!(outcomes[0].name, "MIP");

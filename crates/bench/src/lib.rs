@@ -1,10 +1,11 @@
 //! Experiment harness shared by every table/figure reproduction.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index). They all build on the same
-//! *operational scenario* — a backbone network, a month-long synthetic
-//! trace with the paper's content mix, and the paper's default
-//! parameters — at one of three scales selected on the command line:
+//! The `paper` bin regenerates the paper's tables and figures, one
+//! function per experiment in [`paper::EXPERIMENTS`] (see DESIGN.md §3
+//! for the index). They all build on the same *operational scenario* —
+//! a backbone network, a month-long synthetic trace with the paper's
+//! content mix, and the paper's default parameters — at one of three
+//! scales selected on the command line:
 //!
 //! - `--quick`: minutes-long CI scale (small network, small library),
 //! - default: the standard reproduction scale,
@@ -12,7 +13,9 @@
 //!   slower, for final numbers.
 //!
 //! Results are printed as Markdown tables (mirroring the paper's rows
-//! and series) and persisted as JSON under `results/`.
+//! and series) and persisted as JSON under `results/`. The tracked
+//! baselines and drills in `src/bin/` share the scenario and the
+//! emitters.
 
 #![cfg_attr(
     test,
@@ -24,12 +27,22 @@
 )]
 
 pub mod comparison;
+pub mod paper;
 use std::path::PathBuf;
-use vod_core::{DiskConfig, EpfConfig};
+use vod_core::feasibility::Scenario as FeasScenario;
+use vod_core::{solve_placement, DiskConfig, EpfConfig, MipInstance, Placement, PlacementCost};
+use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind};
 use vod_json::{obj, ToJson, Value};
-use vod_model::{Catalog, SimTime, TimeWindow};
+use vod_model::{Catalog, Gigabytes, SimTime, TimeWindow};
 use vod_net::{Network, PathSet};
-use vod_trace::{generate_trace, synthesize_library, LibraryConfig, Trace, TraceConfig};
+use vod_sim::{
+    default_threads, mip_vho_configs, simulate_batch, CacheKind, PolicyKind, SimConfig, SimJob,
+    SimReport, VhoConfig,
+};
+use vod_trace::{
+    generate_trace, synthesize_library, synthetic_demand, DemandInput, LibraryConfig, Trace,
+    TraceConfig,
+};
 
 /// Experiment scale, parsed from argv.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,31 +90,23 @@ pub struct Defaults {
     pub n_windows: usize,
 }
 
-impl Default for Defaults {
-    fn default() -> Self {
+impl Defaults {
+    /// The paper's knobs, with the link capacity scaled to each
+    /// scenario's load so that the MIP's bandwidth constraint actually
+    /// binds at peak — the regime the paper evaluates (its 1 Gb/s
+    /// constraint sat right at the MIP's 1.36 Gb/s peak). With slack
+    /// links every placement looks alike.
+    pub fn for_scale(scale: Scale) -> Self {
         Self {
             cache_frac: 0.05,
             disk_ratio: 2.0,
-            link_gbps: 1.0,
-            window_secs: 3600,
-            n_windows: 2,
-        }
-    }
-}
-
-impl Defaults {
-    /// Link capacity scaled to each scenario's load so that the MIP's
-    /// bandwidth constraint actually binds at peak — the regime the
-    /// paper evaluates (its 1 Gb/s constraint sat right at the MIP's
-    /// 1.36 Gb/s peak). With slack links every placement looks alike.
-    pub fn for_scale(scale: Scale) -> Self {
-        Self {
             link_gbps: match scale {
                 Scale::Quick => 0.035,
                 Scale::Default => 0.15,
                 Scale::Full => 0.5,
             },
-            ..Self::default()
+            window_secs: 3600,
+            n_windows: 2,
         }
     }
 }
@@ -153,28 +158,25 @@ impl Scenario {
     /// `wall_limit` is for interactive/operational use where latency
     /// matters more than reproducibility.
     pub fn epf_config(&self) -> EpfConfig {
-        let passes = match self.scale {
+        self.passes(match self.scale {
             Scale::Quick => 200,
             Scale::Default => 400,
             Scale::Full => 600,
-        };
-        EpfConfig {
-            max_passes: passes,
-            step_limit: Some(passes as u64),
-            seed: self.seed,
-            ..Default::default()
-        }
+        })
     }
 
     /// A faster EPF configuration for feasibility probes (binary
     /// searches run dozens of them). Same deterministic budgeting as
     /// [`Scenario::epf_config`].
     pub fn probe_config(&self) -> EpfConfig {
-        let passes = match self.scale {
+        self.passes(match self.scale {
             Scale::Quick => 80,
             Scale::Default => 120,
             Scale::Full => 150,
-        };
+        })
+    }
+
+    fn passes(&self, passes: usize) -> EpfConfig {
         EpfConfig {
             max_passes: passes,
             step_limit: Some(passes as u64),
@@ -185,40 +187,187 @@ impl Scenario {
 
     /// Restrict the trace to week `w` (0-based).
     pub fn week(&self, w: u64) -> Trace {
-        let secs = 7 * 86_400;
+        self.days(7 * w, 7 * (w + 1))
+    }
+
+    /// Restrict the trace to days `from..to` (0-based).
+    pub fn days(&self, from: u64, to: u64) -> Trace {
+        let day = vod_model::time::DAY;
         self.trace.restricted(TimeWindow::new(
-            SimTime::new(w * secs),
-            SimTime::new((w + 1) * secs),
+            SimTime::new(from * day),
+            SimTime::new(to * day),
         ))
     }
 
+    /// The backbone with every link at the scale's capacity
+    /// ([`Defaults::for_scale`]): the network the placements are
+    /// solved and replayed on.
+    pub fn scaled_net(&self, d: &Defaults) -> Network {
+        let mut net = self.net.clone();
+        net.set_uniform_capacity(vod_model::Mbps::from_gbps(d.link_gbps));
+        net
+    }
+
     /// Demand input built from week `w`'s requests with the default
-    /// peak windows.
-    pub fn demand_of_week(&self, w: u64, d: &Defaults) -> vod_trace::DemandInput {
-        let week = self.week(w);
-        let windows = vod_trace::analysis::select_peak_windows(
-            &week,
+    /// peak windows: the perfect estimate of that week.
+    pub fn demand_of_week(&self, w: u64, d: &Defaults) -> DemandInput {
+        self.estimate(EstimatorKind::Perfect, d, 7 * w, 7 * (w + 1))
+    }
+
+    /// Demand for days `from..to` as `kind` estimates it from the 7
+    /// days before (fewer at the start of the trace; Section VI), with
+    /// the default peak windows.
+    pub fn estimate(&self, kind: EstimatorKind, d: &Defaults, from: u64, to: u64) -> DemandInput {
+        let est = EstimateConfig {
+            window_secs: d.window_secs,
+            n_windows: d.n_windows,
+        };
+        estimate_demand(
+            kind,
             &self.catalog,
-            d.window_secs,
-            d.n_windows,
-        );
-        vod_trace::DemandInput::from_trace(&week, &self.catalog, self.net.num_nodes(), windows)
+            self.net.num_nodes(),
+            &self.days(from.saturating_sub(7), from),
+            &self.days(from, to),
+            from,
+            to - from,
+            &est,
+        )
+    }
+
+    /// The replay settings measuring from day 7 on, once week 0 has
+    /// warmed the caches.
+    pub fn warmed_sim(&self) -> SimConfig {
+        SimConfig {
+            measure_from: SimTime::new(7 * vod_model::time::DAY),
+            seed: self.seed,
+            ..Default::default()
+        }
+    }
+
+    /// Solve the placement MIP for this catalog on `net` with the
+    /// paper's transfer cost (α = 1, β = 0) and [`Scenario::epf_config`],
+    /// migration anchored on `anchor` if given; return the instance
+    /// beside the rounded placement.
+    pub fn place(
+        &self,
+        net: &Network,
+        demand: DemandInput,
+        disk: &DiskConfig,
+        anchor: Option<&PlacementCost>,
+    ) -> (MipInstance, Placement) {
+        let catalog = self.catalog.clone();
+        let inst = MipInstance::new(net.clone(), catalog, demand, disk, 1.0, 0.0, anchor);
+        let out = solve_placement(&inst, &self.epf_config()).expect("instance is well-formed");
+        (inst, out.placement)
     }
 
     /// The MIP disk config for the placement share of the disks.
     pub fn mip_disk(&self, d: &Defaults) -> DiskConfig {
-        DiskConfig::UniformRatio {
-            ratio: d.disk_ratio * (1.0 - d.cache_frac),
-        }
+        mip_disk(d.disk_ratio, d.cache_frac)
     }
 
     /// Full per-VHO disks (placement share + cache share).
-    pub fn full_disks(&self, d: &Defaults) -> Vec<vod_model::Gigabytes> {
+    pub fn full_disks(&self, d: &Defaults) -> Vec<Gigabytes> {
         DiskConfig::UniformRatio {
             ratio: d.disk_ratio,
         }
         .capacities(&self.net, self.catalog.total_size())
     }
+}
+
+/// The MIP's share of a `ratio`x aggregate disk when `cache_frac` of
+/// each disk is left to the complementary cache.
+pub fn mip_disk(ratio: f64, cache_frac: f64) -> DiskConfig {
+    DiskConfig::UniformRatio {
+        ratio: ratio * (1.0 - cache_frac),
+    }
+}
+
+/// The feasibility searches' view of `demand` on `net`, with the
+/// paper's transfer cost (α = 1, β = 0).
+pub fn feasibility<'a>(
+    net: &'a Network,
+    catalog: &'a Catalog,
+    demand: &'a DemandInput,
+) -> FeasScenario<'a> {
+    FeasScenario {
+        network: net,
+        catalog,
+        demand,
+        alpha: 1.0,
+        beta: 0.0,
+    }
+}
+
+/// A synthetic one-week instance on `net` for the scaling experiments:
+/// `n_videos` videos, `reqs_per_video · n_videos` requests a day (so
+/// load grows with the library, Section VII-E) and 2x aggregate disk.
+pub fn synthetic(n_videos: usize, reqs_per_video: f64, net: &Network, seed: u64) -> MipInstance {
+    let days = 7;
+    let lib = synthesize_library(&LibraryConfig::default_for(n_videos, days, seed));
+    let tc = TraceConfig::default_for(n_videos as f64 * reqs_per_video, days, seed);
+    let demand = synthetic_demand(&lib, net, &tc);
+    MipInstance::new(
+        net.clone(),
+        lib,
+        demand,
+        &DiskConfig::UniformRatio { ratio: 2.0 },
+        1.0,
+        0.0,
+        None,
+    )
+}
+
+/// What a replay deploys: each VHO's pinned videos and cache, and the
+/// request routing.
+#[derive(Debug)]
+pub struct Deployment {
+    pub vhos: Vec<VhoConfig>,
+    pub policy: PolicyKind,
+}
+
+impl Deployment {
+    /// A MIP placement routed as solved, with `cache_frac` of each of
+    /// `disks` left to a complementary LRU cache.
+    pub fn mip(placement: Placement, disks: &[Gigabytes], cache_frac: f64) -> Self {
+        Self {
+            vhos: mip_vho_configs(&placement, disks, cache_frac, CacheKind::Lru),
+            policy: PolicyKind::MipRouting(placement),
+        }
+    }
+
+    /// Static VHO contents behind nearest-replica routing (the caching
+    /// baselines).
+    pub fn nearest(vhos: Vec<VhoConfig>) -> Self {
+        Self {
+            vhos,
+            policy: PolicyKind::NearestReplica,
+        }
+    }
+}
+
+/// Replay every `(net, trace, deployment)` under `cfg` over the
+/// scenario's paths and catalog, in one `simulate_batch` fan-out over
+/// all cores. Reports come back in input order, so no byte depends on
+/// the thread count.
+pub fn replay<'a>(
+    s: &Scenario,
+    cfg: &SimConfig,
+    runs: impl IntoIterator<Item = (&'a Network, &'a Trace, &'a Deployment)>,
+) -> Vec<SimReport> {
+    let jobs: Vec<SimJob> = runs
+        .into_iter()
+        .map(|(net, trace, dep)| SimJob {
+            net,
+            paths: &s.paths,
+            catalog: &s.catalog,
+            trace,
+            vhos: &dep.vhos,
+            policy: &dep.policy,
+            cfg: cfg.clone(),
+        })
+        .collect();
+    simulate_batch(&jobs, default_threads())
 }
 
 /// A Markdown/JSON result table.
@@ -315,7 +464,7 @@ mod tests {
         assert!(!s.trace.is_empty());
         let wk = s.week(1);
         assert!(wk.len() < s.trace.len());
-        let d = Defaults::default();
+        let d = Defaults::for_scale(Scale::Quick);
         let dem = s.demand_of_week(0, &d);
         assert_eq!(dem.windows.len(), 2);
         assert!(dem.aggregate.total() > 0.0);
