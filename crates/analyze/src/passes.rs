@@ -109,8 +109,9 @@ pub const BLESSED: &[(&str, &str, &str, &str)] = &[
         "read_all",
         "determinism-taint",
         "fs-read",
-        "the single raw-read site every snapshot reader funnels through; it consults the \
-         injectable fault schedule first, and reads are declared input, not ambient state",
+        "the single raw-read site every snapshot reader funnels through, faulted or not; \
+         it takes the read's injected fault as an argument, and reads are declared input, \
+         not ambient state",
     ),
     (
         "read_json_snapshot",

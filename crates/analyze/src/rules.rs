@@ -83,14 +83,14 @@ pub fn snapshot_io_scope(path: &str) -> bool {
         || path.starts_with("crates/bench/src/")
 }
 
-/// Crates whose snapshot I/O must stay *observable by the fault shim*
-/// (`vod_json::faults`): every durable read and write routes through
-/// the `vod_json::snapshot` helpers, whose single raw-I/O sites
-/// consult the shim's seeded schedule — so injected ENOSPC, torn
-/// writes and read-EIO faults exercise exactly the code paths real
-/// disk trouble would. Unlike [`snapshot_io_scope`] this excludes
-/// `crates/bench`: the drill harnesses tear and corrupt files
-/// *deliberately*, simulating external damage the shim must not see.
+/// Crates whose snapshot I/O must stay *faultable* (`vod_json::faults`):
+/// every durable read and write routes through the `vod_json::snapshot`
+/// helpers or a `FaultHandle`'s methods, which share the single raw-I/O
+/// sites that take each operation's injected fault — so injected
+/// ENOSPC, torn writes and read-EIO faults exercise exactly the code
+/// paths real disk trouble would. Unlike [`snapshot_io_scope`] this
+/// excludes `crates/bench`: the drill harnesses tear and corrupt files
+/// *deliberately*, simulating external damage no fault schedule sees.
 pub fn io_fault_shim_scope(path: &str) -> bool {
     path.starts_with("crates/json/src/") || path.starts_with("crates/ops/src/")
 }

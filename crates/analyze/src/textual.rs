@@ -23,7 +23,7 @@
 //! | `dyn-dispatch` | `Box<dyn` | `vod-sim` simulator hot-path modules |
 //! | `no-panic-hot-path` | `panic!` / `unreachable!` / `todo!` / `.unwrap()` / `.expect(` | modules reachable from `simulate` / `solve_placement` |
 //! | `snapshot-io` | `fs::write(` / `File::create(` | `vod-json`, `vod-ops`, `vod-bench` library + bin code (durable artifact writers) |
-//! | `io-fault-shim` | `fs::read(` / `fs::read_to_string(` / `File::open(` / `fs::write(` / `File::create(` | `vod-json`, `vod-ops` library code (snapshot I/O must consult the injectable fault shim) |
+//! | `io-fault-shim` | `fs::read(` / `fs::read_to_string(` / `File::open(` / `fs::write(` / `File::create(` | `vod-json`, `vod-ops` library code (snapshot I/O must go through the raw-I/O sites a `FaultHandle` can fault) |
 //! | `sleep-timer` | `thread::sleep` / `park_timeout` | everywhere except `crates/ops/src/supervise.rs` (the recorded-backoff module) and `crates/bench` |
 
 use crate::lexer::{code_view, comment_view, lex};
@@ -258,10 +258,10 @@ pub fn lint_file_full(path: &str, content: &str) -> TextualOutcome {
                     || code.contains("File::open(")
                     || code.contains("fs::write(")
                     || code.contains("File::create("),
-                "raw file I/O here bypasses the injectable fault shim (vod_json::faults), \
+                "raw file I/O here bypasses injectable I/O faults (vod_json::faults), \
                  so chaos drills can never reach this path; route through the \
-                 vod_json::snapshot helpers, whose single raw-I/O sites consult the \
-                 shim's seeded schedule"
+                 vod_json::snapshot helpers or a FaultHandle's methods, which share \
+                 the single raw-I/O sites that take each operation's fault"
                     .to_string(),
             );
         }

@@ -15,8 +15,8 @@
 //!   mid-solve kills in cycles 0 and 1; the `service.state` file torn
 //!   after the first crash) *plus* an injected snapshot-I/O fault
 //!   storm: scattered ENOSPC, torn partial writes, failed fsync
-//!   barriers and read-EIO faults fired by operation index through the
-//!   [`vod_json::faults`] shim.
+//!   barriers and read-EIO faults fired by operation index through one
+//!   [`vod_json::faults::FaultHandle`] shared by every rebuild.
 //!
 //! Asserts the chaos run's per-cycle deployed placements, denial
 //! counts and feasibility-repair fingerprints are *byte-identical* to
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use vod_bench::{save_results, Defaults, Scale, Scenario};
 use vod_estimate::EstimateConfig;
 use vod_estimate::EstimatorKind;
-use vod_json::faults::{self, FaultPlan as IoFaultPlan, IoFault, ShimHandle};
+use vod_json::faults::{FaultHandle, FaultPlan as IoFaultPlan, IoFault};
 use vod_json::{obj, Value};
 use vod_model::{LinkId, Mbps, VhoId};
 use vod_ops::{
@@ -150,7 +150,6 @@ struct TwinOutcome {
 }
 
 fn run_baseline(w: &OpsWorld, s: &Scenario, dir: &Path) -> TwinOutcome {
-    let _quiet = faults::install(IoFaultPlan::default());
     let mut svc = Service::resume_or_start(w, config(s, dir.to_path_buf()), ServicePlan::default())
         .expect("drill config is valid");
     let mut deltas_seen = 0usize;
@@ -199,43 +198,40 @@ struct ChaosOutcome {
 }
 
 /// The chaos run: drop the service value on every simulated crash and
-/// rebuild it over the same state directory, with the I/O fault shim
-/// installed for the scenario's whole lifetime. Fired kills are
-/// removed from the plan between rebuilds.
+/// rebuild it over the same state directory, every rebuild with a
+/// clone of one I/O fault handle, so the storm's operation indices run
+/// across the scenario's whole lifetime. Fired kills are retired from
+/// the plan between rebuilds.
 fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutcome {
-    let shim: ShimHandle = faults::install(io_storm());
+    let io = FaultHandle::new(io_storm());
     let stages = StageId::ALL;
-    let mut stage_kills: Vec<(usize, StageId)> = (0..3)
-        .map(|c| (c, stages[(c + rotate) % stages.len()]))
-        .collect();
-    let stages_killed: Vec<StageId> = stage_kills.iter().map(|&(_, st)| st).collect();
-    let mut solve_kills: Vec<(usize, u64)> = vec![(0, 1), (1, 1)];
+    let mut plan = ServicePlan {
+        kill_at_stage: (0..3)
+            .map(|c| (c, stages[(c + rotate) % stages.len()]))
+            .collect(),
+        kill_mid_solve: vec![(0, 1), (1, 1)],
+        io: io.clone(),
+        ..ServicePlan::default()
+    };
+    let stages_killed: Vec<StageId> = plan.kill_at_stage.iter().map(|&(_, st)| st).collect();
     let mut crashes = 0u64;
     let mut torn = false;
     let mut deltas_seen = 0usize;
     loop {
-        let mut svc = Service::resume_or_start(
-            w,
-            config(s, dir.to_path_buf()),
-            ServicePlan {
-                fail: Vec::new(),
-                kill_at_stage: stage_kills.clone(),
-                kill_mid_solve: solve_kills.clone(),
-            },
-        )
-        .expect("drill config is valid");
+        let mut svc = Service::resume_or_start(w, config(s, dir.to_path_buf()), plan.clone())
+            .expect("drill config is valid");
         let crashed_at = loop {
             match svc
                 .step()
                 .expect("reconfig trouble degrades, it never aborts")
             {
-                StepOutcome::SimulatedCrash { cycle } => break Some(cycle),
+                StepOutcome::SimulatedCrash { cycle, kill } => break Some((cycle, kill)),
                 StepOutcome::DeltaApplied { .. } => deltas_seen += 1,
                 StepOutcome::Finished => break None,
                 _ => {}
             }
         };
-        let Some(cycle) = crashed_at else {
+        let Some((cycle, kill)) = crashed_at else {
             return ChaosOutcome {
                 twin: TwinOutcome {
                     state: svc.state().clone(),
@@ -244,18 +240,13 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
                     dark_vho1: svc.dark_mask()[1],
                 },
                 crashes,
-                io_writes_seen: shim.writes_seen(),
-                io_reads_seen: shim.reads_seen(),
+                io_writes_seen: io.writes_seen(),
+                io_reads_seen: io.reads_seen(),
                 stages_killed,
             };
         };
         crashes += 1;
-        let stage = svc.state().stage;
-        if stage_kills.contains(&(cycle, stage)) {
-            stage_kills.retain(|&k| k != (cycle, stage));
-        } else {
-            solve_kills.retain(|&(c, _)| c != cycle);
-        }
+        plan.retire(cycle, kill);
         if !torn {
             // Torn write after the first crash: the rebuild must cold
             // restart and replay the delta schedule deterministically.

@@ -30,7 +30,7 @@ use vod_json::{obj, Value};
 use vod_model::rng::derive_seed;
 use vod_model::{LinkId, Mbps, SimTime, VhoId};
 use vod_ops::{
-    DegradeReason, OpsConfig, OpsWorld, RecoveryAction, Service, ServiceConfig, ServicePlan,
+    DegradeReason, Kill, OpsConfig, OpsWorld, RecoveryAction, Service, ServiceConfig, ServicePlan,
     ServiceRecord, ServiceState, StageId, StepOutcome,
 };
 use vod_sim::{FaultEvent, FaultKind, FaultSchedule};
@@ -160,7 +160,7 @@ struct ChaosOutcome {
 
 /// The chaos run: drop the service value on every simulated crash and
 /// rebuild it over the same state directory, corrupting the durable
-/// artifacts along the way. Fired kills are removed from the plan
+/// artifacts along the way. Fired kills are retired from the plan
 /// between rebuilds — each crash site fires exactly once.
 fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutcome {
     let stages = StageId::ALL;
@@ -172,38 +172,34 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
             (c, stages[usize::try_from(pick).expect("pick < 5")], 0)
         })
         .collect();
-    // A stage-boundary kill in every cycle; the stage index rotates
-    // with the drill seed so the matrix covers all five stages.
-    let mut stage_kills: Vec<(usize, StageId)> = (0..3)
-        .map(|c| (c, stages[(c + rotate) % stages.len()]))
-        .collect();
-    let stages_killed: Vec<StageId> = stage_kills.iter().map(|&(_, st)| st).collect();
-    // Mid-solve kills in cycles 0 and 1, each after one surviving
-    // checkpoint emission.
-    let mut solve_kills: Vec<(usize, u64)> = vec![(0, 1), (1, 1)];
+    let mut plan = ServicePlan {
+        fail,
+        // A stage-boundary kill in every cycle; the stage index rotates
+        // with the drill seed so the matrix covers all five stages.
+        kill_at_stage: (0..3)
+            .map(|c| (c, stages[(c + rotate) % stages.len()]))
+            .collect(),
+        // Mid-solve kills in cycles 0 and 1, each after one surviving
+        // checkpoint emission.
+        kill_mid_solve: vec![(0, 1), (1, 1)],
+        ..ServicePlan::default()
+    };
+    let stages_killed: Vec<StageId> = plan.kill_at_stage.iter().map(|&(_, st)| st).collect();
     let mut crashes = 0u64;
     let mut torn = false;
     let mut planted = false;
     let mut stash: Vec<u8> = Vec::new();
     loop {
-        let mut svc = Service::resume_or_start(
-            w,
-            config(s, w, dir.to_path_buf()),
-            ServicePlan {
-                fail: fail.clone(),
-                kill_at_stage: stage_kills.clone(),
-                kill_mid_solve: solve_kills.clone(),
-            },
-        )
-        .expect("service config is valid");
+        let mut svc = Service::resume_or_start(w, config(s, w, dir.to_path_buf()), plan.clone())
+            .expect("service config is valid");
         let crashed_at = loop {
             match svc.step().expect("cycle trouble degrades, it never aborts") {
-                StepOutcome::SimulatedCrash { cycle } => break Some(cycle),
+                StepOutcome::SimulatedCrash { cycle, kill } => break Some((cycle, kill)),
                 StepOutcome::Finished => break None,
                 _ => {}
             }
         };
-        let Some(cycle) = crashed_at else {
+        let Some((cycle, kill)) = crashed_at else {
             return ChaosOutcome {
                 state: svc.state().clone(),
                 crashes,
@@ -213,14 +209,8 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
             };
         };
         crashes += 1;
-        // A kill fires before anything runs, so the durable stage
-        // still names the crash site: disambiguate stage kills from
-        // mid-solve kills and retire the one that fired.
-        let stage = svc.state().stage;
-        if stage_kills.contains(&(cycle, stage)) {
-            stage_kills.retain(|&k| k != (cycle, stage));
-        } else {
-            solve_kills.retain(|&(c, _)| c != cycle);
+        plan.retire(cycle, kill);
+        if let Kill::MidSolve { .. } = kill {
             if cycle == 0 {
                 // Stash the surviving cycle-0 checkpoint: it becomes
                 // the *foreign* checkpoint planted over cycle 1's.

@@ -2,31 +2,32 @@
 //!
 //! Storage robustness drills need to answer "what happens when the disk
 //! fails *here*?" without root privileges, loopback filesystems, or a
-//! genuinely full disk. This module puts a process-global, seedable
-//! fault schedule in front of every snapshot read and write: the
-//! service and its tests keep calling the ordinary [`crate::snapshot`]
-//! API, and an installed [`FaultPlan`] decides which operation fails
-//! with which `errno`.
+//! genuinely full disk. A [`FaultPlan`] is a fault schedule;
+//! [`FaultHandle::new`] puts it in force, and the handle's
+//! `write_snapshot_atomic`, `read_snapshot` and `read_json_snapshot`
+//! are the [`crate::snapshot`] functions of those names with the
+//! schedule deciding which operation fails with which `errno`. The free
+//! functions fault nothing: only I/O handed a handle fails on purpose.
 //!
 //! Design constraints:
 //! - **deterministic** — faults fire by *operation index* (the Nth
-//!   write, the Mth read while the shim is installed), never by clock
-//!   or randomness, so chaos twins replay bit-identically;
-//! - **near-zero default cost** — with no shim installed each hook is
-//!   one uncontended mutex lock per snapshot op, and snapshot I/O is
-//!   rare by construction (one durable step per service transition);
-//! - **process-global, test-serialized** — [`install`] holds a global
-//!   gate for the lifetime of the returned [`ShimHandle`], so
-//!   concurrent `#[test]`s cannot interleave their schedules.
+//!   write, the Mth read through the handle), never by clock or
+//!   randomness, so chaos twins replay bit-identically;
+//! - **scoped** — the schedule and its counters live in the handle, not
+//!   in the process, so two services or two tests with their own
+//!   handles never see each other's faults or counts. Clones share the
+//!   counters: a drill that hands a clone to every rebuilt service
+//!   counts across constructions, crashes and rebuilds.
 //!
-//! The shim only fronts the snapshot container code in this crate
-//! ([`crate::snapshot`]); the `xtask` lint rule `io-fault-shim` denies
-//! snapshot-adjacent code paths that would bypass it with direct
-//! `std::fs` calls.
+//! Faulted and plain calls share the one raw-write and the one raw-read
+//! site of [`crate::snapshot`], which take the operation's fault as an
+//! argument; the `xtask` lint rule `io-fault-shim` denies snapshot-adjacent
+//! code paths that would bypass them with direct `std::fs` calls.
 
 use std::fmt;
 use std::io;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One injectable storage fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,46 +47,28 @@ pub enum IoFault {
     ReadEio,
 }
 
-impl IoFault {
-    /// Stable lower-case tag, used in drill records and logs.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            IoFault::WriteEnospc => "write-enospc",
-            IoFault::WritePartial { .. } => "write-partial",
-            IoFault::FsyncFail => "fsync-fail",
-            IoFault::ReadEio => "read-eio",
-        }
-    }
-
-    /// True for faults that may fire on the write path.
-    #[must_use]
-    pub fn is_write_fault(self) -> bool {
-        !matches!(self, IoFault::ReadEio)
-    }
-}
-
+/// Stable lower-case tags, used in drill records and logs.
 impl fmt::Display for IoFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            IoFault::WriteEnospc => f.write_str("write-enospc"),
             IoFault::WritePartial { keep } => write!(f, "write-partial(keep={keep})"),
-            other => f.write_str(other.name()),
+            IoFault::FsyncFail => f.write_str("fsync-fail"),
+            IoFault::ReadEio => f.write_str("read-eio"),
         }
     }
 }
 
 /// A deterministic fault schedule, addressed by operation index.
 ///
-/// Indices count operations *since the shim was installed*: write index
-/// `n` is the `n`-th call to [`crate::snapshot::write_atomic`] (every
-/// snapshot writer funnels through it), read index `m` the `m`-th
-/// snapshot read ([`crate::snapshot::read_snapshot`] or
-/// [`crate::snapshot::read_json_snapshot`]). Unmentioned indices
-/// succeed.
+/// Indices count operations through one [`FaultHandle`] and its clones:
+/// write index `n` is the `n`-th `write_snapshot_atomic`, read index `m`
+/// the `m`-th `read_snapshot` or `read_json_snapshot`. Unmentioned
+/// indices succeed.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// `(write op index, fault)` pairs; each fault must satisfy
-    /// [`IoFault::is_write_fault`].
+    /// `(write op index, fault)` pairs; no fault may be
+    /// [`IoFault::ReadEio`].
     pub writes: Vec<(u64, IoFault)>,
     /// Read op indices that fail with `EIO`.
     pub reads: Vec<u64>,
@@ -111,103 +94,64 @@ impl FaultPlan {
     }
 }
 
-struct Shim {
+/// A [`FaultPlan`] in force, with the count of operations it has seen.
+/// Clones share the counters. The default handle faults nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FaultHandle(Arc<Schedule>);
+
+#[derive(Debug, Default)]
+struct Schedule {
     plan: FaultPlan,
-    writes_seen: u64,
-    reads_seen: u64,
+    writes_seen: AtomicU64,
+    reads_seen: AtomicU64,
 }
 
-static GATE: Mutex<()> = Mutex::new(());
-static SHIM: Mutex<Option<Shim>> = Mutex::new(None);
-
-fn shim_slot() -> MutexGuard<'static, Option<Shim>> {
-    // A panicking test must not wedge every later drill: the slot holds
-    // plain data, so the poison flag carries no integrity meaning.
-    SHIM.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Exclusive handle on the installed fault schedule. Dropping it (or a
-/// panic unwinding past it) uninstalls the shim and releases the global
-/// gate, so a failed test cannot leak faults into the next one.
-pub struct ShimHandle {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl fmt::Debug for ShimHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShimHandle")
-            .field("writes_seen", &self.writes_seen())
-            .field("reads_seen", &self.reads_seen())
-            .finish()
+impl FaultHandle {
+    /// Put `plan` in force, with both counters at zero.
+    ///
+    /// # Panics
+    /// If `plan.writes` schedules [`IoFault::ReadEio`] on the write path —
+    /// that is a malformed drill, not a runtime condition.
+    #[must_use]
+    pub fn new(plan: FaultPlan) -> Self {
+        for &(at, fault) in &plan.writes {
+            assert!(
+                fault != IoFault::ReadEio,
+                "fault plan schedules {fault} at write op {at}, but it is not a write fault"
+            );
+        }
+        let schedule = Schedule {
+            plan,
+            ..Schedule::default()
+        };
+        FaultHandle(Arc::new(schedule))
     }
-}
 
-impl ShimHandle {
-    /// Write operations observed since [`install`].
+    /// Write operations through this handle and its clones.
     #[must_use]
     pub fn writes_seen(&self) -> u64 {
-        shim_slot().as_ref().map_or(0, |s| s.writes_seen)
+        self.0.writes_seen.load(Ordering::Relaxed)
     }
 
-    /// Read operations observed since [`install`].
+    /// Read operations through this handle and its clones.
     #[must_use]
     pub fn reads_seen(&self) -> u64 {
-        shim_slot().as_ref().map_or(0, |s| s.reads_seen)
+        self.0.reads_seen.load(Ordering::Relaxed)
     }
-}
 
-impl Drop for ShimHandle {
-    fn drop(&mut self) {
-        *shim_slot() = None;
+    /// Count the next write operation and return its fault.
+    pub(crate) fn next_write(&self) -> Option<IoFault> {
+        let at = self.0.writes_seen.fetch_add(1, Ordering::Relaxed);
+        let writes = &self.0.plan.writes;
+        writes.iter().find(|(idx, _)| *idx == at).map(|&(_, f)| f)
     }
-}
 
-/// Install a fault schedule, returning the RAII handle that keeps it
-/// active. Blocks until any previously installed shim is dropped.
-///
-/// # Panics
-/// If `plan.writes` schedules [`IoFault::ReadEio`] on the write path —
-/// that is a malformed drill, not a runtime condition.
-#[must_use]
-pub fn install(plan: FaultPlan) -> ShimHandle {
-    for &(at, fault) in &plan.writes {
-        assert!(
-            fault.is_write_fault(),
-            "fault plan schedules {fault} at write op {at}, but it is not a write fault"
-        );
+    /// Count the next read operation and return its fault.
+    pub(crate) fn next_read(&self) -> Option<IoFault> {
+        let at = self.0.reads_seen.fetch_add(1, Ordering::Relaxed);
+        let fails = self.0.plan.reads.contains(&at);
+        fails.then_some(IoFault::ReadEio)
     }
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    *shim_slot() = Some(Shim {
-        plan,
-        writes_seen: 0,
-        reads_seen: 0,
-    });
-    ShimHandle { _gate: gate }
-}
-
-/// Consult the schedule for the next write operation.
-pub(crate) fn on_write() -> Option<IoFault> {
-    let mut slot = shim_slot();
-    let shim = slot.as_mut()?;
-    let at = shim.writes_seen;
-    shim.writes_seen += 1;
-    shim.plan
-        .writes
-        .iter()
-        .find(|(idx, _)| *idx == at)
-        .map(|&(_, fault)| fault)
-}
-
-/// Consult the schedule for the next read operation.
-pub(crate) fn on_read() -> Option<io::Error> {
-    let mut slot = shim_slot();
-    let shim = slot.as_mut()?;
-    let at = shim.reads_seen;
-    shim.reads_seen += 1;
-    shim.plan
-        .reads
-        .contains(&at)
-        .then(|| io::Error::from_raw_os_error(libc_eio()))
 }
 
 /// `ENOSPC` as an [`io::Error`] (errno 28 on Linux).
@@ -215,14 +159,9 @@ pub(crate) fn enospc() -> io::Error {
     io::Error::from_raw_os_error(28)
 }
 
-/// `EIO` errno (5 on Linux).
-fn libc_eio() -> i32 {
-    5
-}
-
-/// `EIO` as an [`io::Error`].
+/// `EIO` as an [`io::Error`] (errno 5 on Linux).
 pub(crate) fn eio() -> io::Error {
-    io::Error::from_raw_os_error(libc_eio())
+    io::Error::from_raw_os_error(5)
 }
 
 #[cfg(test)]
@@ -230,42 +169,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn faults_fire_by_operation_index_and_clear_on_drop() {
-        {
-            let handle = install(FaultPlan {
-                writes: vec![(1, IoFault::WriteEnospc)],
-                reads: vec![0],
-            });
-            assert!(on_write().is_none(), "write 0 is clean");
-            assert_eq!(on_write(), Some(IoFault::WriteEnospc), "write 1 faults");
-            assert!(on_write().is_none(), "write 2 is clean again");
-            assert_eq!(on_read().map(|e| e.raw_os_error()), Some(Some(5)));
-            assert!(on_read().is_none());
-            assert_eq!(handle.writes_seen(), 3);
-            assert_eq!(handle.reads_seen(), 2);
-        }
-        // Uninstalled: everything succeeds and nothing is counted.
-        assert!(on_write().is_none());
-        assert!(on_read().is_none());
+    fn faults_fire_by_operation_index_and_clones_share_counters() {
+        let handle = FaultHandle::new(FaultPlan {
+            writes: vec![(1, IoFault::WriteEnospc)],
+            reads: vec![0],
+        });
+        let clone = handle.clone();
+        assert!(handle.next_write().is_none(), "write 0 is clean");
+        assert_eq!(
+            clone.next_write(),
+            Some(IoFault::WriteEnospc),
+            "write 1 faults"
+        );
+        assert!(handle.next_write().is_none(), "write 2 is clean again");
+        assert_eq!(clone.next_read(), Some(IoFault::ReadEio));
+        assert!(handle.next_read().is_none());
+        assert_eq!((clone.writes_seen(), clone.reads_seen()), (3, 2));
+        // Another handle of the same plan keeps its own count.
+        let other = FaultHandle::new(FaultPlan::one_read(0));
+        assert_eq!(other.next_read(), Some(IoFault::ReadEio));
+        assert_eq!((handle.reads_seen(), other.reads_seen()), (2, 1));
+        // The default handle faults nothing.
+        let none = FaultHandle::default();
+        assert!(none.next_write().is_none() && none.next_read().is_none());
     }
 
     #[test]
     fn errnos_and_names_are_stable() {
         assert_eq!(enospc().raw_os_error(), Some(28));
         assert_eq!(eio().raw_os_error(), Some(5));
-        assert_eq!(IoFault::WriteEnospc.name(), "write-enospc");
+        assert_eq!(IoFault::WriteEnospc.to_string(), "write-enospc");
         assert_eq!(
             IoFault::WritePartial { keep: 7 }.to_string(),
             "write-partial(keep=7)"
         );
-        assert_eq!(IoFault::FsyncFail.name(), "fsync-fail");
-        assert_eq!(IoFault::ReadEio.name(), "read-eio");
-        assert!(!IoFault::ReadEio.is_write_fault());
+        assert_eq!(IoFault::FsyncFail.to_string(), "fsync-fail");
+        assert_eq!(IoFault::ReadEio.to_string(), "read-eio");
     }
 
     #[test]
     #[should_panic(expected = "not a write fault")]
     fn read_faults_on_the_write_path_are_a_malformed_drill() {
-        let _ = install(FaultPlan::one_write(0, IoFault::ReadEio));
+        let _ = FaultHandle::new(FaultPlan::one_write(0, IoFault::ReadEio));
     }
 }

@@ -9,7 +9,7 @@
 //! one-way [`ToJson`] conversion for the payload shapes the bench
 //! binaries produce, the two-way [`wire`] codec every durable payload
 //! is written with, the checksummed atomic [`snapshot`] container
-//! those payloads travel in, and the injectable I/O [`faults`] shim.
+//! those payloads travel in, and the scoped I/O [`faults`] handles.
 //!
 //! Determinism notes:
 //! - objects are ordered `Vec<(String, Value)>`, so key order is

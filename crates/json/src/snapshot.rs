@@ -42,6 +42,7 @@
 //! direct `File::create`/`fs::write` on snapshot paths is denied
 //! elsewhere in the workspace.
 
+use crate::faults::{FaultHandle, IoFault};
 use crate::{JsonError, Value};
 use std::fmt;
 use std::io::Write as _;
@@ -286,38 +287,40 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// the directory. On success a reader at any instant — after a crash or
 /// a power loss too — sees either the old complete file or the new
 /// complete file, never a partial write. On *any* failure — real or
-/// injected via [`crate::faults`] — the temp file is removed
+/// injected through a [`FaultHandle`] — the temp file is removed
 /// best-effort, so a failed write leaves the destination untouched and
 /// no stray `*.tmp` behind.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    write_parts(path, &[bytes])
+    write_parts(path, &[bytes], None)
 }
 
 /// [`write_atomic`] of the concatenation of `parts`, which is never
 /// built: a snapshot's header and payload go to the file one after the
-/// other.
-fn write_parts(path: &Path, parts: &[&[u8]]) -> Result<(), SnapshotError> {
+/// other. `fault` is this write's injected fault, if any.
+fn write_parts(path: &Path, parts: &[&[u8]], fault: Option<IoFault>) -> Result<(), SnapshotError> {
     let tmp = tmp_path(path);
-    let result = write_parts_inner(path, &tmp, parts);
+    let result = write_parts_inner(path, &tmp, parts, fault);
     if result.is_err() {
         // Best-effort: the partial temp file is garbage whether the
         // failure was a short write or a failed rename. Ignoring the
         // secondary error is deliberate — the primary one is reported.
-        // (Removal deliberately bypasses the fault shim, which hooks
-        // only reads and writes: an injected fault must never make its
-        // own debris uncollectable.)
+        // (Removal is never faulted: an injected fault must never make
+        // its own debris uncollectable.)
         let _ = std::fs::remove_file(&tmp);
     }
     result
 }
 
-fn write_parts_inner(path: &Path, tmp: &Path, parts: &[&[u8]]) -> Result<(), SnapshotError> {
-    use crate::faults::IoFault;
+fn write_parts_inner(
+    path: &Path,
+    tmp: &Path,
+    parts: &[&[u8]],
+    fault: Option<IoFault>,
+) -> Result<(), SnapshotError> {
     let io_err = |p: &Path, source: std::io::Error| SnapshotError::Io {
         path: p.to_path_buf(),
         source,
     };
-    let fault = crate::faults::on_write();
     if fault == Some(IoFault::WriteEnospc) {
         return Err(io_err(tmp, crate::faults::enospc()));
     }
@@ -329,8 +332,8 @@ fn write_parts_inner(path: &Path, tmp: &Path, parts: &[&[u8]]) -> Result<(), Sna
     };
     // lint:allow(snapshot-io): this IS the atomic write helper every
     // other snapshot/results writer is required to route through.
-    // lint:allow(io-fault-shim): and the shim hook above is its fault
-    // schedule, so the raw calls here are the single sanctioned set.
+    // lint:allow(io-fault-shim): and `fault` above is this write's
+    // injected fault, so the raw calls here are the single sanctioned set.
     let mut file = std::fs::File::create(tmp).map_err(|e| io_err(tmp, e))?;
     for part in parts {
         let n = part.len().min(room);
@@ -353,7 +356,7 @@ fn write_parts_inner(path: &Path, tmp: &Path, parts: &[&[u8]]) -> Result<(), Sna
         _ => Path::new("."),
     };
     // lint:allow(io-fault-shim): the directory is opened only to be
-    // synced, as the last step of the write the shim was consulted for.
+    // synced, as the last step of the write `fault` was drawn for.
     // lint:allow(determinism-taint): nothing is read from the handle;
     // its one use is the directory barrier, so no byte reaches a payload.
     let dir_handle = std::fs::File::open(dir).map_err(|e| io_err(dir, e))?;
@@ -367,30 +370,33 @@ pub fn write_snapshot_atomic(
     version: u32,
     payload: &[u8],
 ) -> Result<(), SnapshotError> {
-    write_parts(path, &[&header(kind, version, payload)?, payload])
+    write_parts(path, &[&header(kind, version, payload)?, payload], None)
 }
 
-/// Snapshot read with the fault schedule consulted first: an injected
-/// `EIO` surfaces exactly like an unreadable sector would.
-fn read_all(path: &Path) -> Result<Vec<u8>, SnapshotError> {
+/// The snapshot read: `fault` (this read's injected fault, if any)
+/// fails it with `EIO` exactly like an unreadable sector would.
+fn read_all(path: &Path, fault: Option<IoFault>) -> Result<Vec<u8>, SnapshotError> {
     let io_err = |source: std::io::Error| SnapshotError::Io {
         path: path.to_path_buf(),
         source,
     };
-    if let Some(e) = crate::faults::on_read() {
-        return Err(io_err(e));
+    if fault == Some(IoFault::ReadEio) {
+        return Err(io_err(crate::faults::eio()));
     }
-    // lint:allow(io-fault-shim): the shim hook above IS this read's
-    // fault schedule; every snapshot reader funnels through here.
+    // lint:allow(io-fault-shim): `fault` above IS this read's injected
+    // fault; every snapshot reader funnels through here.
     std::fs::read(path).map_err(io_err)
 }
 
 /// Read and verify a snapshot, returning the payload bytes.
 pub fn read_snapshot(path: &Path, kind: &str, version: u32) -> Result<Vec<u8>, SnapshotError> {
-    let mut bytes = read_all(path)?;
+    payload_of(read_all(path, None)?, kind, version)
+}
+
+/// The payload of a snapshot file's bytes: the header is cut off the
+/// front of the file buffer, no second buffer.
+fn payload_of(mut bytes: Vec<u8>, kind: &str, version: u32) -> Result<Vec<u8>, SnapshotError> {
     let header = bytes.len() - decode(&bytes, kind, version)?.len();
-    // The file buffer becomes the payload: the header is cut off its
-    // front, no second buffer.
     bytes.drain(..header);
     Ok(bytes)
 }
@@ -407,14 +413,54 @@ pub fn write_json_snapshot(
 
 /// Read a snapshot whose payload is a JSON document.
 pub fn read_json_snapshot(path: &Path, kind: &str, version: u32) -> Result<Value, SnapshotError> {
-    let bytes = read_all(path)?;
-    let payload = decode(&bytes, kind, version)?;
+    json_of(&read_all(path, None)?, kind, version)
+}
+
+/// The JSON document of a snapshot file's bytes.
+fn json_of(bytes: &[u8], kind: &str, version: u32) -> Result<Value, SnapshotError> {
+    let payload = decode(bytes, kind, version)?;
     let text = std::str::from_utf8(payload).map_err(|_| SnapshotError::Malformed {
         what: "payload is not UTF-8".to_string(),
     })?;
     Value::parse(text).map_err(|e: JsonError| SnapshotError::Malformed {
         what: format!("payload is not valid JSON: {e}"),
     })
+}
+
+/// The snapshot functions under a fault schedule: each call is one
+/// operation of the handle's count, failed when its plan says so.
+impl FaultHandle {
+    /// [`write_snapshot_atomic`], faulted by this handle's schedule.
+    pub fn write_snapshot_atomic(
+        &self,
+        path: &Path,
+        kind: &str,
+        version: u32,
+        payload: &[u8],
+    ) -> Result<(), SnapshotError> {
+        let header = header(kind, version, payload)?;
+        write_parts(path, &[&header, payload], self.next_write())
+    }
+
+    /// [`read_snapshot`], faulted by this handle's schedule.
+    pub fn read_snapshot(
+        &self,
+        path: &Path,
+        kind: &str,
+        version: u32,
+    ) -> Result<Vec<u8>, SnapshotError> {
+        payload_of(read_all(path, self.next_read())?, kind, version)
+    }
+
+    /// [`read_json_snapshot`], faulted by this handle's schedule.
+    pub fn read_json_snapshot(
+        &self,
+        path: &Path,
+        kind: &str,
+        version: u32,
+    ) -> Result<Value, SnapshotError> {
+        json_of(&read_all(path, self.next_read())?, kind, version)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -515,9 +561,6 @@ mod tests {
 
     #[test]
     fn concurrent_writers_of_one_path_never_collide() {
-        // Hold the fault-shim gate (empty plan) so a fault drill running
-        // beside this test cannot inject into these writes.
-        let _io = crate::faults::install(crate::faults::FaultPlan::default());
         let path = tmp_dir().join("contended.snap");
         let payload = |t: usize, i: usize| format!("writer {t} round {i}").into_bytes();
         std::thread::scope(|scope| {

@@ -46,8 +46,8 @@ pub mod supervise;
 
 pub use diff::{apply_churn_cap, ChurnPlan, DeferredMigration};
 pub use service::{
-    placement_fingerprint, OpsConfig, OpsWorld, Service, ServiceConfig, ServicePlan, ServiceRecord,
-    ServiceState, StepOutcome, SERVICE_KIND, SERVICE_VERSION,
+    placement_fingerprint, Kill, OpsConfig, OpsWorld, Service, ServiceConfig, ServicePlan,
+    ServiceRecord, ServiceState, StepOutcome, SERVICE_KIND, SERVICE_VERSION,
 };
 pub use state::{DegradeReason, OpsError, SimSummary, StageId, FRACTIONAL_KIND};
 pub use supervise::{deployment_sleep, recorded_backoff, RecoveryAction, Watchdog};

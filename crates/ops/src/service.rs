@@ -47,9 +47,8 @@ use vod_core::{
     SolverCheckpoint, Start,
 };
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
-use vod_json::snapshot::{
-    fnv1a64, read_json_snapshot, read_snapshot, write_snapshot_atomic, SnapshotError,
-};
+use vod_json::faults::FaultHandle;
+use vod_json::snapshot::{fnv1a64, SnapshotError};
 use vod_json::wire::{field, Sink, Wire, WireError};
 use vod_json::{wire_record, Value};
 use vod_model::rng::derive_seed;
@@ -154,11 +153,11 @@ pub enum StepOutcome {
     /// The cycle exhausted a stage's retries (or failed validation)
     /// and fell back to the last-good placement.
     CycleDegraded { cycle: usize },
-    /// A [`ServicePlan`] kill fired. The durable state is that of a
-    /// killed process; stepping again (or constructing a fresh service
-    /// over the same state dir) resumes from it — mid-solve from the
-    /// last surviving checkpoint.
-    SimulatedCrash { cycle: usize },
+    /// The [`ServicePlan`] kill `kill` fired. The durable state is that
+    /// of a killed process; stepping again (or constructing a fresh
+    /// service over the same state dir) resumes from it — mid-solve
+    /// from the last surviving checkpoint.
+    SimulatedCrash { cycle: usize, kill: Kill },
     /// A scheduled [`vod_net::WorldDelta`] was applied: the world
     /// mutated, the deployed placement was repaired under the churn
     /// cap, and the delta counter advanced — one durable transition.
@@ -166,6 +165,16 @@ pub enum StepOutcome {
     DeltaApplied { cycle: usize, index: usize },
     /// All cycles are closed.
     Finished,
+}
+
+/// Which [`ServicePlan`] kill a [`StepOutcome::SimulatedCrash`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kill {
+    /// A `kill_at_stage` entry: the process died before this stage ran.
+    AtStage(StageId),
+    /// A `kill_mid_solve` entry: the process died after `keep`
+    /// checkpoint emissions of the solve.
+    MidSolve { keep: u64 },
 }
 
 /// Service parameters: the schedule plus the deployment knobs (churn
@@ -195,7 +204,8 @@ pub struct ServiceConfig {
 }
 
 /// Deterministic chaos injection for drills: forced stage failures,
-/// process kills at stage boundaries, and mid-solve kills.
+/// process kills at stage boundaries, mid-solve kills, and snapshot I/O
+/// faults. The default injects nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ServicePlan {
     /// `(cycle, stage, attempt)` triples that fail with an injected
@@ -212,6 +222,21 @@ pub struct ServicePlan {
     /// then exactly what a process killed at that instant leaves
     /// behind. Fires at most once per cycle per `Service` value.
     pub kill_mid_solve: Vec<(usize, u64)>,
+    /// The fault schedule of every snapshot read and write in the state
+    /// dir. Clones share its counters: a drill that hands one clone to
+    /// each rebuilt service counts I/O across all of them.
+    pub io: FaultHandle,
+}
+
+impl ServicePlan {
+    /// Drop the kill that fired in `cycle`, so a service rebuilt from
+    /// this plan runs past it, as a restarted process would.
+    pub fn retire(&mut self, cycle: usize, kill: Kill) {
+        match kill {
+            Kill::AtStage(stage) => self.kill_at_stage.retain(|&k| k != (cycle, stage)),
+            Kill::MidSolve { .. } => self.kill_mid_solve.retain(|&(c, _)| c != cycle),
+        }
+    }
 }
 
 /// One closed service cycle: the ledger row `BENCH_service.json`
@@ -430,6 +455,46 @@ wire_record!(FractionalArtifact {
     fractional
 });
 
+/// One snapshot file of a state dir: file name, container kind and
+/// payload version.
+#[derive(Debug, Clone, Copy)]
+struct Snap(&'static str, &'static str, u32);
+
+impl Snap {
+    const STATE: Snap = Snap("service.state", SERVICE_KIND, SERVICE_VERSION);
+    const CHECKPOINT: Snap = Snap("solver.ckpt", CHECKPOINT_KIND, CHECKPOINT_VERSION);
+    const FRACTIONAL: Snap = Snap("fractional.snap", FRACTIONAL_KIND, FRACTIONAL_VERSION);
+}
+
+/// The service's state dir: every snapshot read, write and removal of
+/// the service goes through here, the reads and writes under the
+/// plan's fault handle.
+struct StateDir {
+    root: PathBuf,
+    io: FaultHandle,
+}
+
+impl StateDir {
+    fn read(&self, Snap(name, kind, version): Snap) -> Result<Vec<u8>, SnapshotError> {
+        self.io.read_snapshot(&self.root.join(name), kind, version)
+    }
+
+    fn read_json(&self, Snap(name, kind, version): Snap) -> Result<Value, SnapshotError> {
+        self.io
+            .read_json_snapshot(&self.root.join(name), kind, version)
+    }
+
+    fn write(&self, Snap(name, kind, version): Snap, payload: &[u8]) -> Result<(), SnapshotError> {
+        self.io
+            .write_snapshot_atomic(&self.root.join(name), kind, version, payload)
+    }
+
+    /// Best-effort: a file that is already gone is what was asked for.
+    fn remove(&self, Snap(name, ..): Snap) {
+        let _ = std::fs::remove_file(self.root.join(name));
+    }
+}
+
 /// The supervised service loop. Construct with
 /// [`Service::resume_or_start`], drive with [`Service::step`] or
 /// [`Service::run`].
@@ -443,7 +508,10 @@ pub struct Service {
     /// under the churn cap.
     dark: Vec<bool>,
     cfg: ServiceConfig,
+    /// What is left to inject: a kill is retired once it fires, and the
+    /// I/O faults moved to `dir`.
     plan: ServicePlan,
+    dir: StateDir,
     state: ServiceState,
     watchdog: Watchdog,
     /// History / period trace cursors (amortized O(1) window slides).
@@ -456,8 +524,6 @@ pub struct Service {
     /// is dropped wherever one of those changes. Not durable: a resumed
     /// process rebuilds the identical instance.
     instance: Option<(usize, Arc<MipInstance>)>,
-    fired_kills: Vec<usize>,
-    fired_stage_kills: Vec<(usize, StageId)>,
     /// True while the durable snapshots lag the in-memory state (disk
     /// faults). The service keeps serving and every later transition
     /// retries the full write; a crash while dirty loses only replayable
@@ -489,7 +555,7 @@ impl Service {
     pub fn resume_or_start(
         world: &OpsWorld,
         cfg: ServiceConfig,
-        plan: ServicePlan,
+        mut plan: ServicePlan,
     ) -> Result<Self, OpsError> {
         let invalid = |what: String| Err(OpsError::Invalid { what });
         if cfg.ops.start_day < 7 {
@@ -542,14 +608,17 @@ impl Service {
         std::fs::create_dir_all(&cfg.ops.state_dir).map_err(|e| OpsError::Io {
             what: format!("create {}: {e}", cfg.ops.state_dir.display()),
         })?;
-        let path = cfg.ops.state_dir.join("service.state");
+        let dir = StateDir {
+            root: cfg.ops.state_dir.clone(),
+            io: std::mem::take(&mut plan.io),
+        };
         let seed = cfg.ops.epf.seed;
         let cold = || {
             let mut st = ServiceState::fresh(seed);
             st.cold_restarts = 1;
             st
         };
-        let state = match read_json_snapshot(&path, SERVICE_KIND, SERVICE_VERSION) {
+        let state = match dir.read_json(Snap::STATE) {
             Ok(v) => match ServiceState::from_value(&v) {
                 Ok(mut st) if st.seed == seed => {
                     st.resumes += 1;
@@ -558,7 +627,7 @@ impl Service {
                 Ok(st) => {
                     return invalid(format!(
                         "state file {} belongs to seed {:#x}, config has {:#x}",
-                        path.display(),
+                        dir.root.join(Snap::STATE.0).display(),
                         st.seed,
                         seed
                     ))
@@ -600,13 +669,12 @@ impl Service {
             dark,
             cfg,
             plan,
+            dir,
             state,
             watchdog,
             history_win: StreamingWindow::new(),
             period_win: StreamingWindow::new(),
             instance: None,
-            fired_kills: Vec::new(),
-            fired_stage_kills: Vec::new(),
             dirty: false,
             last_snapshot_error: None,
             mem_fractional: None,
@@ -662,15 +730,14 @@ impl Service {
         }
         let cycle = self.state.cycle;
         let stage = self.state.stage;
-        if self.plan.kill_at_stage.contains(&(cycle, stage))
-            && !self.fired_stage_kills.contains(&(cycle, stage))
-        {
+        if self.plan.kill_at_stage.contains(&(cycle, stage)) {
             // The process dies before the stage runs: nothing executes,
             // nothing mutates, nothing persists. The next step (or a
             // rebuilt service over the same state dir) re-runs the
             // stage from the identical durable state.
-            self.fired_stage_kills.push((cycle, stage));
-            return Ok(StepOutcome::SimulatedCrash { cycle });
+            let kill = Kill::AtStage(stage);
+            self.plan.retire(cycle, kill);
+            return Ok(StepOutcome::SimulatedCrash { cycle, kill });
         }
         // World deltas land at cycle boundaries, before the first stage
         // runs. One delta per step (its own durable transition); the
@@ -733,8 +800,7 @@ impl Service {
         // kept, dual bound reset); anything else discards it and the
         // solve stage falls through to a warm start off the deployed
         // placement.
-        let ckpt_path = self.solver_ckpt_path();
-        if let Ok(bytes) = read_snapshot(&ckpt_path, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
+        if let Ok(bytes) = self.dir.read(Snap::CHECKPOINT) {
             let inst = self.instance_for(cycle);
             let epf = self.epf_for_cycle(cycle);
             let remapped = SolverCheckpoint::from_bytes(&bytes)
@@ -742,16 +808,9 @@ impl Service {
                 .and_then(|ck| remap_checkpoint(ck, &inst, &epf).ok());
             match remapped {
                 Some(ck) => {
-                    let _ = write_snapshot_atomic(
-                        &ckpt_path,
-                        CHECKPOINT_KIND,
-                        CHECKPOINT_VERSION,
-                        &ck.to_bytes(),
-                    );
+                    let _ = self.dir.write(Snap::CHECKPOINT, &ck.to_bytes());
                 }
-                None => {
-                    let _ = std::fs::remove_file(&ckpt_path);
-                }
+                None => self.dir.remove(Snap::CHECKPOINT),
             }
         }
         // Feasibility repair of the placement that is *serving right
@@ -825,14 +884,13 @@ impl Service {
     fn step_solve(&mut self, cycle: usize) -> Result<StepOutcome, OpsError> {
         let inst = self.instance_for(cycle);
         let epf = self.epf_for_cycle(cycle);
-        let ckpt_path = self.solver_ckpt_path();
         let kill_at = self
             .plan
             .kill_mid_solve
             .iter()
-            .find(|(c, _)| *c == cycle && !self.fired_kills.contains(c))
+            .find(|(c, _)| *c == cycle)
             .map(|&(_, keep)| keep);
-        let prior = match read_snapshot(&ckpt_path, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
+        let prior = match self.dir.read(Snap::CHECKPOINT) {
             Ok(bytes) => SolverCheckpoint::from_bytes(&bytes).ok(),
             // Missing, truncated or checksum-corrupt checkpoint: the
             // solve restarts cold. Durability lost, not correctness.
@@ -841,6 +899,7 @@ impl Service {
         let mut emitted: u64 = 0;
         let mut killed = false;
         let every = self.cfg.ops.checkpoint_every;
+        let dir = &self.dir;
         let mut sink = |ck: SolverCheckpoint| {
             if killed {
                 return;
@@ -855,12 +914,7 @@ impl Service {
             // A failed checkpoint write degrades crash recovery (the
             // resume point stays older) but never correctness, so it
             // is deliberately not a solve failure.
-            let _ = write_snapshot_atomic(
-                &ckpt_path,
-                CHECKPOINT_KIND,
-                CHECKPOINT_VERSION,
-                &ck.to_bytes(),
-            );
+            let _ = dir.write(Snap::CHECKPOINT, &ck.to_bytes());
         };
         let start = Start {
             prior: prior.as_ref(),
@@ -879,11 +933,12 @@ impl Service {
                 stats,
                 kind,
             }) => {
-                if killed {
+                if let Some(keep) = kill_at.filter(|_| killed) {
                     // Nothing after the last surviving checkpoint is
                     // persisted — including this (discarded) result.
-                    self.fired_kills.push(cycle);
-                    return Ok(StepOutcome::SimulatedCrash { cycle });
+                    let kill = Kill::MidSolve { keep };
+                    self.plan.retire(cycle, kill);
+                    return Ok(StepOutcome::SimulatedCrash { cycle, kill });
                 }
                 match kind {
                     ResumeKind::Checkpoint => {
@@ -909,7 +964,7 @@ impl Service {
                         self.state
                             .cycle_rejections
                             .push(format!("{verdict}: {reason}"));
-                        let _ = std::fs::remove_file(&ckpt_path);
+                        self.dir.remove(Snap::CHECKPOINT);
                         self.push_recovery(RecoveryAction::ColdSolve);
                     }
                     ResumeKind::WarmStart | ResumeKind::Cold => {}
@@ -925,19 +980,17 @@ impl Service {
                 // memory, and a crash before the retry lands falls
                 // back to the deterministic retreat-to-solve
                 // recompute.
-                match write_snapshot_atomic(
-                    &self.fractional_path(),
-                    FRACTIONAL_KIND,
-                    FRACTIONAL_VERSION,
-                    artifact.compact().as_bytes(),
-                ) {
+                match self
+                    .dir
+                    .write(Snap::FRACTIONAL, artifact.compact().as_bytes())
+                {
                     Ok(()) => self.mem_fractional = None,
                     Err(e) => {
                         self.note_snapshot_failure(format!("persist fractional: {e}"));
                         self.mem_fractional = Some(artifact);
                     }
                 }
-                let _ = std::fs::remove_file(&ckpt_path);
+                self.dir.remove(Snap::CHECKPOINT);
                 self.state.target_lower_bound = Some(stats.lower_bound);
                 self.advance(StageId::Round)?;
                 Ok(StepOutcome::StageDone {
@@ -959,16 +1012,17 @@ impl Service {
         };
         // Durable snapshot first; the in-memory copy is the fallback a
         // faulted disk leaves behind (same cycle/config gate applies).
-        let durable =
-            read_json_snapshot(&self.fractional_path(), FRACTIONAL_KIND, FRACTIONAL_VERSION)
-                .ok()
-                .and_then(|v| FractionalArtifact::dec(&v).ok());
+        let durable = self
+            .dir
+            .read_json(Snap::FRACTIONAL)
+            .ok()
+            .and_then(|v| FractionalArtifact::dec(&v).ok());
         let artifact = durable
             .as_ref()
             .filter(fresh)
             .or_else(|| self.mem_fractional.as_ref().filter(fresh));
         let Some(artifact) = artifact else {
-            let _ = std::fs::remove_file(self.fractional_path());
+            self.dir.remove(Snap::FRACTIONAL);
             return self.retreat(StageId::Solve, StageId::Round, cycle);
         };
         let epf = self.epf_for_cycle(cycle);
@@ -1040,27 +1094,7 @@ impl Service {
             failures: self.state.snapshot_failures,
             what: self.last_snapshot_error.clone().unwrap_or_default(),
         });
-        let record = ServiceRecord {
-            cycle,
-            degraded,
-            recoveries: std::mem::take(&mut self.state.cycle_recoveries),
-            attempts: self.state.cycle_attempts,
-            backoff_ms: self.state.cycle_backoff_ms,
-            solver_resumes: self.state.cycle_solver_resumes,
-            placement_fnv: self.deployed_fingerprint(),
-            objective: self.state.target_objective,
-            lower_bound: self.state.target_lower_bound,
-            moved: self.state.pending_moved,
-            deferred: self.state.deferred.len(),
-            denied: self.state.pending_denied,
-            denial_rate: self.state.pending_denial,
-            stale: false,
-            sim: self.state.pending_sim.clone(),
-            repairs: std::mem::take(&mut self.state.cycle_repairs),
-            rejections: std::mem::take(&mut self.state.cycle_rejections),
-        };
-        self.state.records.push(record);
-        self.close_cycle()?;
+        self.close_cycle(degraded)?;
         Ok(StepOutcome::StageDone {
             cycle,
             stage: StageId::Simulate,
@@ -1109,35 +1143,17 @@ impl Service {
     /// path here.
     fn degrade(&mut self, reason: DegradeReason) -> Result<StepOutcome, OpsError> {
         let cycle = self.state.cycle;
-        let record = match self.state.deployed.clone() {
+        // The cycle's own target, if any, is not what serves.
+        self.state.target_objective = None;
+        self.state.target_lower_bound = None;
+        match self.state.deployed.clone() {
             Some((_, deployed)) => {
                 self.push_recovery(RecoveryAction::LastGood);
-                let (sim, denied, denial) = if self.cfg.ops.simulate {
-                    let (s, d, r) = self.replay_window(cycle, &deployed);
-                    (Some(s), d, Some(r))
-                } else {
-                    (None, 0, None)
-                };
-                ServiceRecord {
-                    cycle,
-                    degraded: Some(reason),
-                    recoveries: std::mem::take(&mut self.state.cycle_recoveries),
-                    attempts: self.state.cycle_attempts,
-                    backoff_ms: self.state.cycle_backoff_ms,
-                    solver_resumes: self.state.cycle_solver_resumes,
-                    placement_fnv: self.deployed_fingerprint(),
-                    objective: None,
-                    lower_bound: None,
-                    // Boundary repairs may have moved copies even though
-                    // the cycle itself degraded.
-                    moved: self.state.pending_moved,
-                    deferred: self.state.deferred.len(),
-                    denied,
-                    denial_rate: denial,
-                    stale: false,
-                    sim,
-                    repairs: std::mem::take(&mut self.state.cycle_repairs),
-                    rejections: std::mem::take(&mut self.state.cycle_rejections),
+                if self.cfg.ops.simulate {
+                    let (sim, denied, denial) = self.replay_window(cycle, &deployed);
+                    self.state.pending_sim = Some(sim);
+                    self.state.pending_denied = denied;
+                    self.state.pending_denial = Some(denial);
                 }
             }
             None => {
@@ -1147,30 +1163,11 @@ impl Service {
                 self.state.stale_serves += 1;
                 let (day, end) = self.window_of(cycle);
                 let window = TimeWindow::new(SimTime::new(day * DAY), SimTime::new(end * DAY));
-                let denied = self.cur.trace.slice(window).len() as u64;
-                ServiceRecord {
-                    cycle,
-                    degraded: Some(reason),
-                    recoveries: std::mem::take(&mut self.state.cycle_recoveries),
-                    attempts: self.state.cycle_attempts,
-                    backoff_ms: self.state.cycle_backoff_ms,
-                    solver_resumes: self.state.cycle_solver_resumes,
-                    placement_fnv: 0,
-                    objective: None,
-                    lower_bound: None,
-                    moved: 0,
-                    deferred: self.state.deferred.len(),
-                    denied,
-                    denial_rate: Some(1.0),
-                    stale: true,
-                    sim: None,
-                    repairs: std::mem::take(&mut self.state.cycle_repairs),
-                    rejections: std::mem::take(&mut self.state.cycle_rejections),
-                }
+                self.state.pending_denied = self.cur.trace.slice(window).len() as u64;
+                self.state.pending_denial = Some(1.0);
             }
-        };
-        self.state.records.push(record);
-        self.close_cycle()?;
+        }
+        self.close_cycle(Some(reason))?;
         Ok(StepOutcome::CycleDegraded { cycle })
     }
 
@@ -1192,28 +1189,48 @@ impl Service {
         self.persist()
     }
 
-    fn close_cycle(&mut self) -> Result<(), OpsError> {
+    /// Append the cycle's ledger row, from what the cycle accumulated,
+    /// and start the next cycle. Boundary repairs count in `moved` even
+    /// when the cycle itself degraded; a window served with nothing
+    /// deployed is `stale`.
+    fn close_cycle(&mut self, degraded: Option<DegradeReason>) -> Result<(), OpsError> {
+        let record = ServiceRecord {
+            cycle: self.state.cycle,
+            degraded,
+            recoveries: std::mem::take(&mut self.state.cycle_recoveries),
+            attempts: self.state.cycle_attempts,
+            backoff_ms: self.state.cycle_backoff_ms,
+            solver_resumes: self.state.cycle_solver_resumes,
+            placement_fnv: self.deployed_fingerprint(),
+            objective: self.state.target_objective,
+            lower_bound: self.state.target_lower_bound,
+            moved: self.state.pending_moved,
+            deferred: self.state.deferred.len(),
+            denied: self.state.pending_denied,
+            denial_rate: self.state.pending_denial,
+            stale: self.state.deployed.is_none(),
+            sim: self.state.pending_sim.take(),
+            repairs: std::mem::take(&mut self.state.cycle_repairs),
+            rejections: std::mem::take(&mut self.state.cycle_rejections),
+        };
+        self.state.records.push(record);
         self.state.target = None;
         self.state.target_objective = None;
         self.state.target_lower_bound = None;
         self.state.pending_moved = 0;
-        self.state.pending_sim = None;
         self.state.pending_denied = 0;
         self.state.pending_denial = None;
         self.state.attempts_done = 0;
         self.state.cycle_attempts = 0;
         self.state.cycle_backoff_ms = 0;
         self.state.cycle_solver_resumes = 0;
-        self.state.cycle_recoveries.clear();
-        self.state.cycle_repairs.clear();
-        self.state.cycle_rejections.clear();
         self.state.cycle += 1;
         self.state.stage = StageId::Estimate;
         self.watchdog.reset();
         self.instance = None;
         self.mem_fractional = None;
-        let _ = std::fs::remove_file(self.solver_ckpt_path());
-        let _ = std::fs::remove_file(self.fractional_path());
+        self.dir.remove(Snap::CHECKPOINT);
+        self.dir.remove(Snap::FRACTIONAL);
         self.persist()
     }
 
@@ -1225,12 +1242,7 @@ impl Service {
     /// durable state current again — replaying from an older snapshot
     /// is deterministic, so nothing is lost but recomputation.
     fn persist(&mut self) -> Result<(), OpsError> {
-        match write_snapshot_atomic(
-            &self.cfg.ops.state_dir.join("service.state"),
-            SERVICE_KIND,
-            SERVICE_VERSION,
-            self.state.compact().as_bytes(),
-        ) {
+        match self.dir.write(Snap::STATE, self.state.compact().as_bytes()) {
             Ok(()) => {
                 self.dirty = false;
                 self.last_snapshot_error = None;
@@ -1401,14 +1413,6 @@ impl Service {
             total_requests: rep.total_requests,
         };
         (sim, rep.denied(), rep.denial_rate())
-    }
-
-    fn solver_ckpt_path(&self) -> PathBuf {
-        self.cfg.ops.state_dir.join("solver.ckpt")
-    }
-
-    fn fractional_path(&self) -> PathBuf {
-        self.cfg.ops.state_dir.join("fractional.snap")
     }
 }
 

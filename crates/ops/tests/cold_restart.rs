@@ -8,20 +8,21 @@
 //! A state file written under a different seed must be refused
 //! outright.
 //!
-//! The second half drills the *injectable I/O fault shim*
+//! The second half drills *injectable I/O faults*
 //! ([`vod_json::faults`]): ENOSPC, torn partial writes, failed fsync
 //! barriers and read EIO, each asserting the atomic-write contract —
 //! a failed write leaves the previous snapshot intact and no `*.tmp`
 //! debris — and that the service degrades an unreadable state file
-//! into a typed cold restart. Every test in this binary holds the
-//! shim gate (even with an empty plan) so a test's fault schedule can
-//! never leak into a concurrently running neighbour.
+//! into a typed cold restart. Each fault schedule is a handle passed to
+//! the I/O it faults, so tests running side by side never see each
+//! other's faults, and two services stepped in turn on one thread keep
+//! separate counts.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
 use std::path::{Path, PathBuf};
 use vod_core::{DiskConfig, EpfConfig};
 use vod_estimate::{EstimateConfig, EstimatorKind};
-use vod_json::faults::{self, FaultPlan as IoFaultPlan, IoFault, ShimHandle};
+use vod_json::faults::{FaultHandle, FaultPlan as IoFaultPlan, IoFault};
 use vod_json::snapshot::{fnv1a64, read_snapshot, write_snapshot_atomic, SnapshotError};
 use vod_model::Mbps;
 use vod_net::{topologies, PathSet};
@@ -29,14 +30,8 @@ use vod_ops::{
     OpsConfig, OpsError, OpsWorld, Service, ServiceConfig, ServicePlan, StepOutcome, SERVICE_KIND,
     SERVICE_VERSION,
 };
+use vod_sim::FaultSchedule;
 use vod_trace::{generate_trace, synthesize_library, LibraryConfig, TraceConfig};
-
-/// Hold the process-global shim gate with no faults scheduled: the
-/// test's own snapshot I/O runs clean, and no other test can install
-/// faults underneath it.
-fn io_quiet() -> ShimHandle {
-    faults::install(IoFaultPlan::default())
-}
 
 /// Snapshot container header for the `ops-service` kind: 8B magic +
 /// 1B kind-len + 11B kind + 4B version + 8B payload-len + 8B checksum.
@@ -108,7 +103,6 @@ fn partial_state(dir: &Path, seed: u64, w: &OpsWorld, steps: usize) -> Vec<u8> {
 
 #[test]
 fn torn_header_writes_at_every_offset_cold_restart() {
-    let _io = io_quiet();
     let w = world(60);
     let dir = fresh_dir("torn");
     let clean = partial_state(&dir, 60, &w, 3);
@@ -150,7 +144,6 @@ fn torn_header_writes_at_every_offset_cold_restart() {
 
 #[test]
 fn container_versions_resume_or_cold_restart() {
-    let _io = io_quiet();
     let w = world(64);
     let dir = fresh_dir("versions");
     let clean = partial_state(&dir, 64, &w, 3);
@@ -185,7 +178,6 @@ fn container_versions_resume_or_cold_restart() {
 
 #[test]
 fn replay_after_torn_write_matches_uninterrupted_run() {
-    let _io = io_quiet();
     let w = world(61);
 
     let mut base = start(&w, 61, &fresh_dir("torn_base")).unwrap();
@@ -212,7 +204,6 @@ fn replay_after_torn_write_matches_uninterrupted_run() {
 
 #[test]
 fn seed_mismatch_refuses_to_clobber_foreign_state() {
-    let _io = io_quiet();
     let w = world(62);
     let dir = fresh_dir("seed");
     let _ = partial_state(&dir, 62, &w, 2);
@@ -230,8 +221,9 @@ fn seed_mismatch_refuses_to_clobber_foreign_state() {
 }
 
 // ---------------------------------------------------------------------------
-// Injectable I/O fault shim: the atomic-write contract under ENOSPC,
-// torn partial writes and failed durability barriers.
+// Injectable I/O faults: the atomic-write contract under ENOSPC, torn
+// partial writes and failed durability barriers, and schedules scoped
+// to the service they are handed to.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -255,17 +247,17 @@ fn injected_write_faults_leave_previous_snapshot_intact() {
     ];
     for fault in cases {
         write_snapshot_atomic(&path, SERVICE_KIND, SERVICE_VERSION, b"previous payload").unwrap();
-        let shim = faults::install(IoFaultPlan::one_write(0, fault));
-        let err = write_snapshot_atomic(
-            &path,
-            SERVICE_KIND,
-            SERVICE_VERSION,
-            b"NEW payload, never visible",
-        )
-        .expect_err("the injected fault must fail the write");
+        let io = FaultHandle::new(IoFaultPlan::one_write(0, fault));
+        let err = io
+            .write_snapshot_atomic(
+                &path,
+                SERVICE_KIND,
+                SERVICE_VERSION,
+                b"NEW payload, never visible",
+            )
+            .expect_err("the injected fault must fail the write");
         assert!(matches!(err, SnapshotError::Io { .. }), "{fault}: {err}");
-        assert_eq!(shim.writes_seen(), 1, "{fault}");
-        drop(shim);
+        assert_eq!(io.writes_seen(), 1, "{fault}");
         let debris: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -280,29 +272,114 @@ fn injected_write_faults_leave_previous_snapshot_intact() {
     }
 }
 
+/// A service over `dir` whose snapshot I/O runs under `plan`, and the
+/// handle that counts it.
+fn faulted(w: &OpsWorld, seed: u64, dir: &Path, plan: IoFaultPlan) -> (Service, FaultHandle) {
+    let mut cfg = config(seed, dir.to_path_buf());
+    cfg.ops.simulate = true;
+    let admission = FaultSchedule {
+        admission: true,
+        ..FaultSchedule::default()
+    };
+    cfg.cycle_faults = vec![(0, admission.clone()), (1, admission)];
+    let io = FaultHandle::new(plan);
+    let plan = ServicePlan {
+        io: io.clone(),
+        ..ServicePlan::default()
+    };
+    (Service::resume_or_start(w, cfg, plan).unwrap(), io)
+}
+
 #[test]
 fn injected_read_eio_cold_restarts_then_heals() {
     let w = world(65);
     let dir = fresh_dir("io_read_eio");
-    {
-        let _io = io_quiet();
-        let _ = partial_state(&dir, 65, &w, 3);
-    }
+    let _ = partial_state(&dir, 65, &w, 3);
     // Unreadable sector under service.state: the resume degrades to a
     // typed cold restart instead of propagating or panicking.
-    let shim = faults::install(IoFaultPlan::one_read(0));
-    let p = start(&w, 65, &dir).unwrap();
+    let (p, io) = faulted(&w, 65, &dir, IoFaultPlan::one_read(0));
     assert_eq!(
         p.state().cold_restarts,
         1,
         "read EIO must cold-restart, not resume garbage"
     );
+    assert_eq!(io.reads_seen(), 1, "the constructor reads the state once");
     drop(p);
-    drop(shim);
     // The sector heals before the cold restart persisted over it? No —
     // the cold constructor already rewrote the state. A fresh resume
     // continues from the cold-restarted state cleanly.
-    let _io = io_quiet();
     let p2 = start(&w, 65, &dir).unwrap();
     assert!(p2.state().resumes >= 1);
+}
+
+/// What one faulted run yields: placement fingerprints and denials per
+/// cycle, then the handle's write and read counts.
+fn outcome(s: &Service, io: &FaultHandle) -> (Vec<u64>, Vec<u64>, u64, u64) {
+    let records = &s.state().records;
+    (
+        records.iter().map(|r| r.placement_fnv).collect(),
+        records.iter().map(|r| r.denied).collect(),
+        io.writes_seen(),
+        io.reads_seen(),
+    )
+}
+
+#[test]
+fn two_services_stepped_in_turn_keep_their_own_fault_schedules() {
+    // Different write and read indices in each schedule: one counter
+    // shared by both services would fire them at the wrong operations.
+    let cases = || {
+        [
+            (
+                66,
+                IoFaultPlan {
+                    writes: vec![(1, IoFault::WriteEnospc), (4, IoFault::FsyncFail)],
+                    reads: vec![1],
+                },
+            ),
+            (
+                67,
+                IoFaultPlan {
+                    writes: vec![
+                        (0, IoFault::WritePartial { keep: 9 }),
+                        (2, IoFault::WriteEnospc),
+                    ],
+                    reads: vec![0, 2],
+                },
+            ),
+        ]
+    };
+    // Links thin enough that admission control denies requests.
+    let worlds = [world(66), world(67)].map(|mut w| {
+        w.net.set_uniform_capacity(Mbps::from_gbps(0.01));
+        w
+    });
+    let solo: Vec<_> = cases()
+        .into_iter()
+        .zip(&worlds)
+        .map(|((seed, plan), w)| {
+            let (mut s, io) = faulted(w, seed, &fresh_dir(&format!("solo_{seed}")), plan);
+            s.run().unwrap();
+            outcome(&s, &io)
+        })
+        .collect();
+
+    let [(seed_a, plan_a), (seed_b, plan_b)] = cases();
+    let (mut a, io_a) = faulted(&worlds[0], seed_a, &fresh_dir("turns_a"), plan_a);
+    let (mut b, io_b) = faulted(&worlds[1], seed_b, &fresh_dir("turns_b"), plan_b);
+    let (mut a_done, mut b_done) = (false, false);
+    while !(a_done && b_done) {
+        a_done = a_done || a.step().unwrap() == StepOutcome::Finished;
+        b_done = b_done || b.step().unwrap() == StepOutcome::Finished;
+    }
+    for (who, s) in [("a", &a), ("b", &b)] {
+        assert_eq!(s.state().records.len(), 2, "{who}");
+        assert!(
+            s.state().snapshot_failures > 0,
+            "{who}: no write fault fired"
+        );
+        assert!(s.state().records.iter().any(|r| r.denied > 0), "{who}");
+    }
+    assert_eq!(outcome(&a, &io_a), solo[0], "service a vs its solo run");
+    assert_eq!(outcome(&b, &io_b), solo[1], "service b vs its solo run");
 }

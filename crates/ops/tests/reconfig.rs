@@ -4,9 +4,8 @@
 //! warm-state remapping across compatible deltas, typed checkpoint
 //! rejection, and injected snapshot-I/O fault storms — all while the
 //! service re-converges byte-identically to an undisturbed twin and
-//! never aborts. Every test holds the process-global I/O shim gate
-//! (even with an empty plan) so fault schedules cannot leak between
-//! concurrently running tests.
+//! never aborts. A fault schedule is a handle in the faulted service's
+//! plan, so it cannot leak into a concurrently running test.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
@@ -16,7 +15,7 @@
 use std::path::PathBuf;
 use vod_core::{DiskConfig, EpfConfig};
 use vod_estimate::{EstimateConfig, EstimatorKind};
-use vod_json::faults::{self, FaultPlan as IoFaultPlan, IoFault, ShimHandle};
+use vod_json::faults::{FaultHandle, FaultPlan as IoFaultPlan, IoFault};
 use vod_model::{Gigabytes, LinkId, Mbps, VhoId};
 use vod_net::{topologies, PathSet};
 use vod_ops::{
@@ -24,11 +23,6 @@ use vod_ops::{
     ServicePlan, ServiceState, StageId, StepOutcome, WorldDelta,
 };
 use vod_trace::{generate_trace, synthesize_library, LibraryConfig, TraceConfig};
-
-/// Hold the shim gate with no faults scheduled.
-fn io_quiet() -> ShimHandle {
-    faults::install(IoFaultPlan::default())
-}
 
 fn world(seed: u64) -> OpsWorld {
     let mut net = topologies::mesh_backbone(6, 9, seed);
@@ -115,7 +109,6 @@ fn storm_deltas() -> Vec<WorldDelta> {
 
 #[test]
 fn deltas_apply_between_cycles_with_repair_and_warm_remap() {
-    let _io = io_quiet();
     let w = world(70);
     let mut cfg = config(70, fresh_dir("apply"));
     cfg.cycle_deltas = storm_deltas();
@@ -176,7 +169,6 @@ fn deltas_apply_between_cycles_with_repair_and_warm_remap() {
 
 #[test]
 fn delta_schedule_is_validated_up_front() {
-    let _io = io_quiet();
     let w = world(71);
 
     // Out of order by cycle: refused before any state is touched.
@@ -221,7 +213,6 @@ fn delta_schedule_is_validated_up_front() {
 
 #[test]
 fn delta_storms_with_kills_and_torn_state_reconverge_identically() {
-    let _io = io_quiet();
     let w = world(73);
     let mut base_cfg = config(73, fresh_dir("storm_base"));
     base_cfg.cycle_deltas = storm_deltas();
@@ -236,30 +227,23 @@ fn delta_storms_with_kills_and_torn_state_reconverge_identically() {
     // Chaos twin: same deltas and cap, plus stage-boundary kills, a
     // mid-solve kill, and a torn state file after the first crash.
     let dir = fresh_dir("storm_chaos");
-    let mut stage_kills = vec![(1usize, StageId::Solve), (2usize, StageId::Validate)];
-    let mut solve_kills = vec![(2usize, 1u64)];
+    let mut plan = ServicePlan {
+        kill_at_stage: vec![(1, StageId::Solve), (2, StageId::Validate)],
+        kill_mid_solve: vec![(2, 1)],
+        ..ServicePlan::default()
+    };
     let mut torn = false;
     let mut crashes = 0usize;
     let st = loop {
-        let plan = ServicePlan {
-            fail: Vec::new(),
-            kill_at_stage: stage_kills.clone(),
-            kill_mid_solve: solve_kills.clone(),
-        };
         let mut cfg = config(73, dir.clone());
         cfg.cycle_deltas = storm_deltas();
         cfg.churn_cap = Some(3);
-        let mut s = Service::resume_or_start(&w, cfg, plan).unwrap();
+        let mut s = Service::resume_or_start(&w, cfg, plan.clone()).unwrap();
         let mut crashed = false;
         loop {
             match s.step().unwrap() {
-                StepOutcome::SimulatedCrash { cycle } => {
-                    let stg = s.state().stage;
-                    if stage_kills.contains(&(cycle, stg)) {
-                        stage_kills.retain(|&k| k != (cycle, stg));
-                    } else {
-                        solve_kills.retain(|(c, _)| *c != cycle);
-                    }
+                StepOutcome::SimulatedCrash { cycle, kill } => {
+                    plan.retire(cycle, kill);
                     crashed = true;
                     crashes += 1;
                     break;
@@ -310,7 +294,6 @@ fn delta_storms_with_kills_and_torn_state_reconverge_identically() {
 fn snapshot_fault_storm_degrades_but_reconverges() {
     let w = world(74);
     let clean = {
-        let _io = io_quiet();
         let mut cfg = config(74, fresh_dir("iostorm_base"));
         cfg.cycle_deltas = storm_deltas();
         Service::resume_or_start(&w, cfg, ServicePlan::default())
@@ -337,14 +320,17 @@ fn snapshot_fault_storm_degrades_but_reconverges() {
             .collect(),
         reads: Vec::new(),
     };
-    let shim = faults::install(plan);
+    let io = FaultHandle::new(plan);
     let mut cfg = config(74, fresh_dir("iostorm"));
     cfg.cycle_deltas = storm_deltas();
-    let mut s = Service::resume_or_start(&w, cfg, ServicePlan::default()).unwrap();
+    let plan = ServicePlan {
+        io: io.clone(),
+        ..ServicePlan::default()
+    };
+    let mut s = Service::resume_or_start(&w, cfg, plan).unwrap();
     assert!(s.is_dirty(), "the constructor's persist already failed");
     let st = s.run().unwrap().clone();
-    assert!(shim.writes_seen() > 0);
-    drop(shim);
+    assert!(io.writes_seen() > 0);
 
     assert_eq!(fingerprints(&st), fingerprints(&clean));
     assert_eq!(
@@ -374,7 +360,6 @@ fn snapshot_fault_storm_degrades_but_reconverges() {
 
 #[test]
 fn checkpoint_rejection_is_classified_remap_eligible() {
-    let _io = io_quiet();
     let w = world(75);
     let dir = fresh_dir("reject");
 

@@ -366,31 +366,22 @@ fn kills_and_torn_state_resume_to_identical_deployments() {
     // state file after the first crash. Every crash drops the service
     // value and rebuilds it from the durable state alone.
     let dir = fresh_dir("kill_resume");
-    let mut stage_kills = vec![(0usize, StageId::Solve), (2usize, StageId::Validate)];
-    let mut solve_kills = vec![(1usize, 1u64)];
+    let mut plan = ServicePlan {
+        kill_at_stage: vec![(0, StageId::Solve), (2, StageId::Validate)],
+        kill_mid_solve: vec![(1, 1)],
+        ..ServicePlan::default()
+    };
     let mut torn = false;
     let mut crashes = 0usize;
     loop {
-        let plan = ServicePlan {
-            fail: Vec::new(),
-            kill_at_stage: stage_kills.clone(),
-            kill_mid_solve: solve_kills.clone(),
-        };
-        let mut s = Service::resume_or_start(&w, config(47, dir.clone()), plan).unwrap();
+        let mut s = Service::resume_or_start(&w, config(47, dir.clone()), plan.clone()).unwrap();
         let mut crashed = false;
         loop {
             match s.step().unwrap() {
-                StepOutcome::SimulatedCrash { cycle } => {
-                    // Drop whichever kill just fired so the "restart"
-                    // makes progress past it: a stage kill reports with
-                    // the stage still pending, a mid-solve kill leaves
-                    // the solve stage current.
-                    let stg = s.state().stage;
-                    if stage_kills.contains(&(cycle, stg)) {
-                        stage_kills.retain(|&k| k != (cycle, stg));
-                    } else {
-                        solve_kills.retain(|(c, _)| *c != cycle);
-                    }
+                StepOutcome::SimulatedCrash { cycle, kill } => {
+                    // Drop the kill that just fired so the "restart"
+                    // makes progress past it.
+                    plan.retire(cycle, kill);
                     crashed = true;
                     crashes += 1;
                     break;
@@ -442,24 +433,23 @@ fn mid_solve_kills_and_corrupt_artifacts_recover_typed() {
     // (after 2), dropping the service value at each crash and resuming
     // from the durable state alone — a true process death.
     let dir = fresh_dir("corrupt_resume");
-    let mut kills = vec![(0usize, 1u64), (1usize, 2u64)];
-    while !kills.is_empty() {
-        let plan = ServicePlan {
-            kill_mid_solve: kills.clone(),
-            ..ServicePlan::default()
-        };
-        let mut s = Service::resume_or_start(&w, config(55, dir.clone()), plan).unwrap();
+    let mut plan = ServicePlan {
+        kill_mid_solve: vec![(0, 1), (1, 2)],
+        ..ServicePlan::default()
+    };
+    while !plan.kill_mid_solve.is_empty() {
+        let mut s = Service::resume_or_start(&w, config(55, dir.clone()), plan.clone()).unwrap();
         loop {
             match s.step().unwrap() {
-                StepOutcome::SimulatedCrash { cycle } => {
-                    kills.retain(|(c, _)| *c != cycle);
+                StepOutcome::SimulatedCrash { cycle, kill } => {
+                    plan.retire(cycle, kill);
                     break;
                 }
-                StepOutcome::Finished => panic!("kills {kills:?} never fired"),
+                StepOutcome::Finished => panic!("kills {:?} never fired", plan.kill_mid_solve),
                 _ => {}
             }
         }
-        if kills.is_empty() {
+        if plan.kill_mid_solve.is_empty() {
             // Second crash: the first one was resumed from its
             // surviving checkpoint, not re-solved.
             assert_eq!(s.state().resumes, 1);

@@ -250,9 +250,9 @@ mod tests {
     fn flags_direct_writes_in_snapshot_crates() {
         let src = "fn f() {\n    std::fs::write(&path, bytes)?;\n    \
                    let f = std::fs::File::create(&path)?;\n}\n";
-        // In the shim-observable crates a raw write is *two* findings:
-        // it can be torn by a crash (snapshot-io) and the injectable
-        // fault schedule can never reach it (io-fault-shim).
+        // In the faultable crates a raw write is *two* findings: it can
+        // be torn by a crash (snapshot-io) and no injected fault can
+        // ever reach it (io-fault-shim).
         for path in ["crates/json/src/snapshot.rs", "crates/ops/src/service.rs"] {
             let f = lint_file(path, src);
             assert_eq!(
@@ -267,9 +267,9 @@ mod tests {
             );
         }
         // The bench harness writes results files (atomicity still
-        // required) but is outside the fault shim's jurisdiction: the
+        // required) but is outside io-fault-shim's jurisdiction: the
         // drills corrupt files deliberately, simulating external
-        // damage the shim must not see.
+        // damage no fault schedule sees.
         for path in [
             "crates/bench/src/lib.rs",
             "crates/bench/src/bin/service_drill.rs",
@@ -292,7 +292,7 @@ mod tests {
             );
         }
         // Reads are torn-safe, so snapshot-io stays silent; outside the
-        // shim's scope (bench, other crates, test code) so does
+        // faultable crates (bench, other crates, test code) so does
         // io-fault-shim.
         assert!(lint_file("crates/bench/src/bin/service_drill.rs", src).is_empty());
         assert!(lint_file("crates/core/src/epf.rs", src).is_empty());
@@ -300,8 +300,8 @@ mod tests {
         let in_tests = format!("#[cfg(test)]\nmod tests {{\n    {src}\n}}\n");
         assert!(lint_file("crates/json/src/snapshot.rs", &in_tests).is_empty());
         // The sanctioned raw-I/O sites carry a justified allow.
-        let allowed = "// lint:allow(io-fault-shim): the shim hook above IS this read's\n\
-                       // fault schedule; every snapshot reader funnels through here.\n\
+        let allowed = "// lint:allow(io-fault-shim): `fault` above IS this read's\n\
+                       // injected fault; every snapshot reader funnels through here.\n\
                        std::fs::read(path).map_err(io_err)\n";
         assert!(lint_file("crates/json/src/snapshot.rs", allowed).is_empty());
     }
@@ -321,10 +321,9 @@ mod tests {
     #[test]
     fn annotated_atomic_helper_is_allowed() {
         // The one sanctioned raw-write site carries both allows: it IS
-        // the atomic helper and its preceding shim hook IS the fault
-        // schedule.
+        // the atomic helper, and it takes the write's injected fault.
         let src = "// lint:allow(snapshot-io): this IS the atomic write helper\n\
-                   // lint:allow(io-fault-shim): the shim hook above is its schedule\n\
+                   // lint:allow(io-fault-shim): `fault` above is its injected fault\n\
                    std::fs::write(&tmp, bytes)?;\n";
         assert!(lint_file("crates/json/src/snapshot.rs", src).is_empty());
         // One allow alone leaves the other rule firing.

@@ -5,7 +5,7 @@
 
 use vod_json::snapshot::read_json_snapshot;
 use vod_ops::{
-    DeltaOp, OpsConfig, OpsWorld, Service, ServiceConfig, ServicePlan, ServiceState, StageId,
+    DeltaOp, Kill, OpsConfig, OpsWorld, Service, ServiceConfig, ServicePlan, ServiceState, StageId,
     StepOutcome, WorldDelta, SERVICE_KIND, SERVICE_VERSION,
 };
 use vodplace::model::LinkId;
@@ -90,7 +90,11 @@ fn killed_service_resumes_to_its_twins_deployments() {
         ..ServicePlan::default()
     };
     let mut s = Service::resume_or_start(&w, cfg.clone(), plan).unwrap();
-    while s.step().unwrap() != (StepOutcome::SimulatedCrash { cycle: 1 }) {}
+    let crash = StepOutcome::SimulatedCrash {
+        cycle: 1,
+        kill: Kill::AtStage(StageId::Round),
+    };
+    while s.step().unwrap() != crash {}
     drop(s);
     let mut s = Service::resume_or_start(&w, cfg.clone(), ServicePlan::default()).unwrap();
     let st = s.run().unwrap();
