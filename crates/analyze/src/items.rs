@@ -164,13 +164,9 @@ enum Pending {
     Loop,
 }
 
-fn is_test_path(path: &str) -> bool {
-    path.contains("/tests/") || path.starts_with("tests/") || path.contains("/benches/")
-}
-
 /// Extract every `fn` item from a parsed file.
 pub fn extract_fns(pf: &ParsedFile) -> Vec<FnItem> {
-    let file_test = is_test_path(&pf.path);
+    let file_test = crate::rules::test_only_file(&pf.path);
     let mut fns: Vec<FnItem> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending: Option<Pending> = None;

@@ -1,7 +1,6 @@
 //! A total, span-preserving Rust lexer.
 //!
-//! This is the foundation every pass (and the re-hosted `cargo xtask
-//! lint` rules) shares. It is *total*: any input string produces a
+//! This is the foundation every pass shares. It is *total*: any input string produces a
 //! token stream, never a panic, and the spans of the produced tokens
 //! are non-overlapping, strictly increasing, char-boundary aligned,
 //! and together cover every non-whitespace byte of the input. Those
@@ -60,8 +59,8 @@ impl Token {
         src.get(self.start..self.end).unwrap_or("")
     }
 
-    /// Comments are trivia: skipped by the item parser, kept by the
-    /// views so `lint:allow` annotations stay findable.
+    /// Comments are trivia: skipped by the item parser, scanned for
+    /// `lint:allow` annotations.
     pub fn is_trivia(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
@@ -341,56 +340,6 @@ fn lex_char_or_lifetime(c: &mut Cursor<'_>) -> TokenKind {
     }
 }
 
-/// The **code view**: same length and same newline positions as `src`,
-/// but every byte inside comments and string/char literals replaced by
-/// a space. Line-oriented pattern rules run on this — a `panic!(...)`
-/// spelled inside a doc comment or a string literal simply is not
-/// there anymore, while every real code byte keeps its exact column.
-pub fn code_view(src: &str, tokens: &[Token]) -> String {
-    let mut bytes = src.as_bytes().to_vec();
-    for t in tokens {
-        if matches!(
-            t.kind,
-            TokenKind::LineComment | TokenKind::BlockComment | TokenKind::Str | TokenKind::Char
-        ) {
-            for b in bytes.get_mut(t.start..t.end).unwrap_or(&mut []).iter_mut() {
-                if *b != b'\n' {
-                    *b = b' ';
-                }
-            }
-        }
-    }
-    // The masked buffer is valid UTF-8 by construction (token spans lie
-    // on char boundaries), so the lossy conversion is a plain copy.
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// The **comment view**: the complement of [`code_view`] — only
-/// comment bytes survive (newlines are kept everywhere so line numbers
-/// align). `lint:allow(...)` annotations are parsed from this view, so
-/// an "annotation" inside a string literal is inert.
-pub fn comment_view(src: &str, tokens: &[Token]) -> String {
-    let mut bytes: Vec<u8> = src
-        .as_bytes()
-        .iter()
-        .map(|&b| if b == b'\n' { b'\n' } else { b' ' })
-        .collect();
-    for t in tokens {
-        if t.is_trivia() {
-            let span = &src.as_bytes()[t.start..t.end];
-            for (dst, &s) in bytes
-                .get_mut(t.start..t.end)
-                .unwrap_or(&mut [])
-                .iter_mut()
-                .zip(span)
-            {
-                *dst = s;
-            }
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
 /// Byte offsets of line starts; `line_of` maps a span offset to a
 /// 1-based line number with a binary search.
 #[derive(Debug, Clone)]
@@ -542,31 +491,6 @@ mod tests {
         let got = kinds("for i in 0..10 {}");
         let texts: Vec<&str> = got.iter().map(|(_, t)| t.as_str()).collect();
         assert_eq!(texts, ["for", "i", "in", "0", ".", ".", "10", "{", "}"]);
-    }
-
-    #[test]
-    fn code_view_masks_comments_and_strings() {
-        let src = "let s = \"Instant::now()\"; // SystemTime\nlet t = 1; /* HashMap */ f();\n";
-        let toks = lex(src);
-        let view = code_view(src, &toks);
-        assert_eq!(view.len(), src.len());
-        assert!(!view.contains("Instant"));
-        assert!(!view.contains("SystemTime"));
-        assert!(!view.contains("HashMap"));
-        assert!(view.contains("let s ="));
-        assert!(view.contains("f();"));
-        assert_eq!(view.matches('\n').count(), src.matches('\n').count());
-    }
-
-    #[test]
-    fn comment_view_keeps_only_comments() {
-        let src =
-            "let x = 1; // lint:allow(wall-clock): reporting only\n\"lint:allow(raw-index)\";\n";
-        let toks = lex(src);
-        let view = comment_view(src, &toks);
-        assert!(view.contains("lint:allow(wall-clock): reporting only"));
-        assert!(!view.contains("lint:allow(raw-index)"));
-        assert!(!view.contains("let x"));
     }
 
     #[test]

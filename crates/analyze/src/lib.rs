@@ -3,28 +3,29 @@
 //!
 //! The paper's evaluation rests on runs being *reproducible*: identical
 //! inputs and seeds must yield byte-identical placements, simulation
-//! reports, and snapshots. `cargo xtask lint` enforces a first line of
-//! defense with per-line textual rules; this crate is the second line —
-//! a real lexer, a function inventory with an approximate call graph,
-//! and interprocedural passes that track nondeterminism sources,
-//! panics, and hot-loop allocations all the way to the sinks the
-//! evaluation depends on.
+//! reports, and snapshots. Clippy enforces the first line of defense
+//! with type-resolved bans in per-package `clippy.toml` files (see
+//! [`rules`]); this crate is the one custom layer on top — a real
+//! lexer, a function inventory with an approximate call graph,
+//! interprocedural passes that track nondeterminism sources, panics,
+//! and hot-loop allocations all the way to the sinks the evaluation
+//! depends on, and the `nan-unwrap-cmp` token rule clippy cannot hold.
 //!
 //! Pipeline (see DESIGN.md §8):
 //!
 //! ```text
-//! source text ──lex──▶ tokens ──views──▶ code/comment masks
-//!      │                  │
-//!      │                  └─extract_fns─▶ fn inventory ─▶ call graph
-//!      │                                                     │
-//!      └─scan_allows─▶ lint:allow sites                 reachability
-//!                            │                               │
-//!                            ▼                               ▼
-//!                   passes: determinism-taint · panic-reachable ·
-//!                           alloc-in-hot-loop · stale-allow
-//!                            │
-//!                            ▼
-//!              findings ──diff──▶ results/ANALYZE_baseline.json
+//! source text ──lex──▶ tokens ──extract_fns──▶ fn inventory ──▶ call graph
+//!                        │                                          │
+//!                        └──scan_allows──▶ lint:allow +         reachability
+//!                                          #[expect] escapes        │
+//!                                                │                  │
+//!                                                ▼                  ▼
+//!                         passes: determinism-taint · panic-reachable ·
+//!                                 alloc-in-hot-loop · nan-unwrap-cmp ·
+//!                                 stale-allow
+//!                                                │
+//!                                                ▼
+//!                          findings ──diff──▶ results/ANALYZE_baseline.json
 //! ```
 //!
 //! Zero dependencies by design: the analyzer is part of the build's
@@ -37,9 +38,8 @@ pub mod lexer;
 pub mod passes;
 pub mod report;
 pub mod rules;
-pub mod textual;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 pub use report::Finding;
 
@@ -94,11 +94,9 @@ pub fn analyze_sources(sources: &[SourceFile], roots: &[&str]) -> AnalyzeResult 
         if !s.path.ends_with(".rs") || rules::exempt_path(&s.path) {
             continue;
         }
-        allow_map.insert(s.path.clone(), allows::scan_allows(&s.content));
-        files.insert(
-            s.path.clone(),
-            items::ParsedFile::new(s.path.clone(), s.content.clone()),
-        );
+        let pf = items::ParsedFile::new(s.path.clone(), s.content.clone());
+        allow_map.insert(s.path.clone(), allows::scan_allows(&pf));
+        files.insert(s.path.clone(), pf);
     }
 
     // Function inventory + call graph over the whole workspace.
@@ -113,18 +111,8 @@ pub fn analyze_sources(sources: &[SourceFile], roots: &[&str]) -> AnalyzeResult 
     let pass_out = passes::run_passes(&files, &allow_map, &fns, &reach);
     let mut findings = pass_out.findings;
 
-    // Textual layer, run for its allow-consumption record (its own
-    // findings stay the domain of `cargo xtask lint`).
-    let mut textual_consumed: BTreeSet<(String, usize)> = BTreeSet::new();
-    for (path, pf) in &files {
-        let out = textual::lint_file_full(path, &pf.content);
-        for line in out.consumed_allows {
-            textual_consumed.insert((path.clone(), line));
-        }
-    }
-
-    // Stale-allow audit: annotations neither layer consumed, plus
-    // malformed annotations. Test code is exempt end to end.
+    // Stale-allow audit: annotations no pass consumed, plus malformed
+    // annotations. Test code is exempt end to end.
     for (path, al) in &allow_map {
         if rules::test_only_file(path) {
             continue;
@@ -143,11 +131,10 @@ pub fn analyze_sources(sources: &[SourceFile], roots: &[&str]) -> AnalyzeResult 
             });
         }
         for site in &al.sites {
-            let consumed = pass_out
+            if pass_out
                 .consumed_allows
                 .contains(&(path.clone(), site.line))
-                || textual_consumed.contains(&(path.clone(), site.line));
-            if consumed {
+            {
                 continue;
             }
             if let Some(f) = enclosing_fn(&fns, path, site.target_line) {
@@ -186,7 +173,7 @@ pub fn analyze_sources(sources: &[SourceFile], roots: &[&str]) -> AnalyzeResult 
 }
 
 /// Innermost function in `path` whose extent covers 1-based `line`.
-fn enclosing_fn<'f>(
+pub(crate) fn enclosing_fn<'f>(
     fns: &'f [items::FnItem],
     path: &str,
     line: usize,
@@ -257,7 +244,7 @@ mod tests {
         let files = [src(
             "crates/x/src/lib.rs",
             "pub fn entry() {
-                 // lint:allow(wall-clock): leftover from a deleted timer
+                 // lint:allow(determinism-taint): leftover from a deleted timer
                  let x = 1;
                  sink(x);
              }",
@@ -269,7 +256,7 @@ mod tests {
             .filter(|f| f.rule == "stale-allow")
             .collect();
         assert_eq!(stale.len(), 1, "{:?}", r.findings);
-        assert_eq!(stale[0].kind, "unused-wall-clock");
+        assert_eq!(stale[0].kind, "unused-determinism-taint");
         assert_eq!(stale[0].function, "entry");
     }
 
@@ -355,27 +342,75 @@ mod tests {
     fn blessed_function_table_silences_matching_kind_only() {
         let files = [src(
             "crates/x/src/lib.rs",
-            "pub fn solve() {
-                 let start = std::time::Instant::now();
+            "pub fn read_all() {
+                 let bytes = std::fs::read(path);
                  let map = std::collections::HashMap::new();
-                 consume(start, map);
+                 consume(bytes, map);
              }",
         )];
-        let r = analyze_sources(&files, &["solve"]);
-        // wall-clock is blessed for this function; hash-order is not.
-        assert!(
-            r.findings
-                .iter()
-                .all(|f| !(f.rule == "determinism-taint" && f.kind == "wall-clock")),
-            "{:?}",
-            r.findings
+        let r = analyze_sources(&files, &["read_all"]);
+        // fs-read is blessed for this function; hash-order is not.
+        let kinds: Vec<&str> = r.findings.iter().map(|f| f.kind.as_str()).collect();
+        assert_eq!(kinds, ["hash-order"], "{:?}", r.findings);
+    }
+
+    #[test]
+    fn a_clippy_expect_blesses_the_matching_analyzer_rule() {
+        let body = |attr: &str| {
+            format!(
+                "pub fn entry(v: Option<u32>) -> u32 {{
+                     {attr}
+                     let x = v.expect(\"set\");
+                     {attr}
+                     let t = std::time::Instant::now();
+                     keep(t);
+                     x
+                 }}"
+            )
+        };
+        let kinds = |attr: &str| -> Vec<(&'static str, String)> {
+            let r = analyze_sources(&[src("crates/x/src/lib.rs", &body(attr))], &["entry"]);
+            r.findings.into_iter().map(|f| (f.rule, f.kind)).collect()
+        };
+        assert_eq!(
+            kinds(""),
+            [
+                ("panic-reachable", "expect".to_string()),
+                ("determinism-taint", "wall-clock".to_string())
+            ]
         );
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.rule == "determinism-taint" && f.kind == "hash-order"),
-            "{:?}",
-            r.findings
-        );
+        let both = "#[expect(clippy::expect_used, clippy::disallowed_types, reason = \"r\")]";
+        assert!(kinds(both).is_empty());
+        // A lint that maps to no analyzer rule blesses nothing.
+        let other = "#[expect(clippy::float_cmp, reason = \"r\")]";
+        assert_eq!(kinds(other).len(), 2);
+    }
+
+    #[test]
+    fn nan_unwrap_cmp_fires_in_tests_but_not_in_strings_or_comments() {
+        let sort = "fn t(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
+        for path in ["tests/x.rs", "crates/model/src/x.rs", "examples/x.rs"] {
+            let r = analyze_sources(&[src(path, sort)], &[]);
+            assert_eq!(r.findings.len(), 1, "{path}: {:?}", r.findings);
+            assert_eq!(
+                (r.findings[0].rule, r.findings[0].line),
+                ("nan-unwrap-cmp", 1)
+            );
+            assert_eq!(r.findings[0].function, "t");
+        }
+        for decoy in [
+            "fn f() -> &'static str { \"a.partial_cmp(b).unwrap()\" }\n",
+            "fn f() -> &'static str { r#\"partial_cmp \"quoted\" \"# }\n",
+            "/* outer /* partial_cmp */ still comment: partial_cmp */\nfn f() {}\n",
+            "//! `partial_cmp(...).unwrap()` is forbidden.\n/// partial_cmp\nfn f() {}\n",
+        ] {
+            let r = analyze_sources(&[src("tests/x.rs", decoy)], &[]);
+            assert!(r.findings.is_empty(), "{decoy}: {:?}", r.findings);
+        }
+        let allowed = "// lint:allow(nan-unwrap-cmp): inputs are NaN-free by construction\n\
+                       fn t(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some() }\n";
+        assert!(analyze_sources(&[src("crates/x/src/lib.rs", allowed)], &[])
+            .findings
+            .is_empty());
     }
 }

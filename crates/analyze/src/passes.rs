@@ -13,21 +13,27 @@
 //!    taints everything the root produces. Sources are recognized
 //!    token-sequence patterns; the finding carries the shortest call
 //!    chain from the root as evidence.
-//! 2. **panic-reachable** — the interprocedural upgrade of the textual
-//!    `no-panic-hot-path` rule: instead of a hand-maintained module
-//!    list, any `panic!`/`unreachable!`/`todo!`/`.unwrap()`/`.expect(`
-//!    in a reachable function is a finding. `.expect(` with a byte
+//! 2. **panic-reachable** — the interprocedural upgrade of the
+//!    hot-path modules' `#![deny(clippy::expect_used, …)]` headers:
+//!    instead of a hand-maintained module list, any
+//!    `panic!`/`unreachable!`/`todo!`/`.unwrap()`/`.expect(` in a
+//!    reachable function is a finding. `.expect(` with a byte
 //!    literal argument is recognized as the JSON cursor's fallible
 //!    `expect(b'[')` *method* and skipped.
 //! 3. **alloc-in-hot-loop** — inside the PR 2/3 allocation-free-scope
 //!    modules, loop bodies of reachable functions must not allocate
 //!    (`Vec::new`, `vec![]`, `.push`, `.collect`, `.to_vec`,
 //!    `.clone`, `.extend`, `Box::new`, `String` construction).
+//! 4. **nan-unwrap-cmp** — a token rule over every scanned file, test
+//!    code included: `partial_cmp` panics (or silently mis-sorts) on
+//!    NaN; use `f64::total_cmp` or `vod_model::fcmp`.
 //!
-//! Escapes, in order of preference: a `// lint:allow(<rule>): <why>`
-//! annotation on the offending line (shared with the textual layer),
-//! an entry in the [`BLESSED`] function allowlist, or — for accepted
-//! pre-existing debt — the checked-in baseline file.
+//! Escapes, in order of preference: a clippy `#[expect]` covering the
+//! line whose lint maps onto the rule (`crate::rules::CLIPPY_ESCAPES`:
+//! `disallowed_types` for taint, `expect_used` and its kin for
+//! panics), a `// lint:allow(<rule>): <why>` annotation on the
+//! offending line, an entry in the [`BLESSED`] function allowlist, or
+//! — for accepted pre-existing debt — the checked-in baseline file.
 
 use crate::allows::Allows;
 use crate::graph::Reachability;
@@ -38,26 +44,24 @@ use crate::rules::alloc_free_scope;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-/// A nondeterminism source: finding kind, token pattern, and the allow
-/// rule names (besides `determinism-taint`) that bless it, shared with
-/// the textual layer.
-const TAINT_SOURCES: &[(&str, &[&str], &str)] = &[
-    ("wall-clock", &["Instant", ":", ":", "now"], "wall-clock"),
-    ("wall-clock", &["SystemTime"], "wall-clock"),
-    ("hash-order", &["HashMap"], "nondeterministic-map"),
-    ("hash-order", &["HashSet"], "nondeterministic-map"),
-    ("unseeded-rng", &["thread_rng"], ""),
-    ("unseeded-rng", &["from_entropy"], ""),
-    ("unseeded-rng", &["OsRng"], ""),
-    ("thread-id", &["thread", ":", ":", "current"], ""),
-    ("env-read", &["env", ":", ":", "var"], ""),
-    ("env-read", &["env", ":", ":", "vars"], ""),
-    ("env-read", &["env", ":", ":", "var_os"], ""),
-    ("env-read", &["env", ":", ":", "vars_os"], ""),
-    ("fs-read", &["fs", ":", ":", "read"], ""),
-    ("fs-read", &["fs", ":", ":", "read_to_string"], ""),
-    ("fs-read", &["fs", ":", ":", "read_dir"], ""),
-    ("fs-read", &["File", ":", ":", "open"], ""),
+/// A nondeterminism source: finding kind and token pattern.
+const TAINT_SOURCES: &[(&str, &[&str])] = &[
+    ("wall-clock", &["Instant", ":", ":", "now"]),
+    ("wall-clock", &["SystemTime"]),
+    ("hash-order", &["HashMap"]),
+    ("hash-order", &["HashSet"]),
+    ("unseeded-rng", &["thread_rng"]),
+    ("unseeded-rng", &["from_entropy"]),
+    ("unseeded-rng", &["OsRng"]),
+    ("thread-id", &["thread", ":", ":", "current"]),
+    ("env-read", &["env", ":", ":", "var"]),
+    ("env-read", &["env", ":", ":", "vars"]),
+    ("env-read", &["env", ":", ":", "var_os"]),
+    ("env-read", &["env", ":", ":", "vars_os"]),
+    ("fs-read", &["fs", ":", ":", "read"]),
+    ("fs-read", &["fs", ":", ":", "read_to_string"]),
+    ("fs-read", &["fs", ":", ":", "read_dir"]),
+    ("fs-read", &["File", ":", ":", "open"]),
 ];
 
 /// Panic-shaped token patterns. `.expect(` is handled separately for
@@ -92,34 +96,14 @@ const ALLOC_PATTERNS: &[(&str, &[&str])] = &[
 /// function *with a reviewed reason* — unlike the baseline, which only
 /// freezes debt. Keep this table short and each entry defensible; it
 /// is rendered into the README's sources/sinks table.
-pub const BLESSED: &[(&str, &str, &str, &str)] = &[
-    (
-        "solve",
-        "determinism-taint",
-        "wall-clock",
-        "solver wall time is reported in EpfStats and never feeds back into the optimization",
-    ),
-    (
-        "read_snapshot",
-        "determinism-taint",
-        "fs-read",
-        "checkpoint/snapshot reads are part of the solver's declared input, not ambient state",
-    ),
-    (
-        "read_all",
-        "determinism-taint",
-        "fs-read",
-        "the single raw-read site every snapshot reader funnels through, faulted or not; \
-         it takes the read's injected fault as an argument, and reads are declared input, \
-         not ambient state",
-    ),
-    (
-        "read_json_snapshot",
-        "determinism-taint",
-        "fs-read",
-        "checkpoint/snapshot reads are part of the solver's declared input, not ambient state",
-    ),
-];
+pub const BLESSED: &[(&str, &str, &str, &str)] = &[(
+    "read_all",
+    "determinism-taint",
+    "fs-read",
+    "the single raw-read site every snapshot reader funnels through, faulted or not; \
+     it takes the read's injected fault as an argument, and reads are declared input, \
+     not ambient state",
+)];
 
 fn blessed(fn_name: &str, rule: &str, kind: &str) -> bool {
     BLESSED
@@ -133,6 +117,17 @@ fn blessed(fn_name: &str, rule: &str, kind: &str) -> bool {
 pub struct PassOutput {
     pub findings: Vec<Finding>,
     pub consumed_allows: BTreeSet<(String, usize)>,
+}
+
+impl PassOutput {
+    /// Whether `rule` is escaped on `line` of `file`; a comment that
+    /// does so is recorded as consumed for the stale-allow audit.
+    fn escaped(&mut self, file: &str, allows: &Allows, line: usize, rule: &str) -> bool {
+        if let Some(site) = allows.comment_for(line, rule) {
+            self.consumed_allows.insert((file.to_string(), site.line));
+        }
+        allows.is_blessed(line, rule)
+    }
 }
 
 /// Find every occurrence of `pat` (token texts) within `range` of the
@@ -159,6 +154,9 @@ pub fn run_passes(
 ) -> PassOutput {
     let mut out = PassOutput::default();
     let no_allows = Allows::default();
+    for (path, pf) in files {
+        nan_unwrap_cmp(pf, allows.get(path).unwrap_or(&no_allows), fns, &mut out);
+    }
 
     for fn_idx in reach.iter() {
         let f = &fns[fn_idx];
@@ -169,21 +167,12 @@ pub fn run_passes(
         let chain = reach.chain(fns, fn_idx);
 
         // Pass 1: determinism taint.
-        for (kind, pat, extra_allow) in TAINT_SOURCES {
+        for (kind, pat) in TAINT_SOURCES {
             for hit in match_seq(pf, &f.body, pat) {
                 let line = pf.code_line(hit);
-                let mut consumed = false;
-                for rule in ["determinism-taint", *extra_allow] {
-                    if !rule.is_empty() && file_allows.is_blessed(line, rule) {
-                        if let Some(site) =
-                            file_allows.blessed_for_line(line).find(|s| s.rule == rule)
-                        {
-                            out.consumed_allows.insert((f.file.clone(), site.line));
-                        }
-                        consumed = true;
-                    }
-                }
-                if consumed || blessed(&f.name, "determinism-taint", kind) {
+                if out.escaped(&f.file, file_allows, line, "determinism-taint")
+                    || blessed(&f.name, "determinism-taint", kind)
+                {
                     continue;
                 }
                 out.findings.push(Finding {
@@ -223,17 +212,9 @@ pub fn run_passes(
         panic_hits.sort_by_key(|&(_, h)| h);
         for (kind, hit) in panic_hits {
             let line = pf.code_line(hit);
-            let mut consumed = false;
-            for rule in ["panic-reachable", "no-panic-hot-path"] {
-                if file_allows.is_blessed(line, rule) {
-                    if let Some(site) = file_allows.blessed_for_line(line).find(|s| s.rule == rule)
-                    {
-                        out.consumed_allows.insert((f.file.clone(), site.line));
-                    }
-                    consumed = true;
-                }
-            }
-            if consumed || blessed(&f.name, "panic-reachable", kind) {
+            if out.escaped(&f.file, file_allows, line, "panic-reachable")
+                || blessed(&f.name, "panic-reachable", kind)
+            {
                 continue;
             }
             out.findings.push(Finding {
@@ -246,9 +227,13 @@ pub fn run_passes(
                 message: format!(
                     "`{kind}` can tear down a run of `{}` (call chain: {}); degrade with \
                      typed errors instead, or justify the invariant with \
-                     lint:allow(no-panic-hot-path)",
+                     #[expect(clippy::{}, reason = \"…\")]",
                     chain.first().map(String::as_str).unwrap_or("?"),
                     chain.join(" -> "),
+                    match kind {
+                        "unwrap" | "expect" => format!("{kind}_used"),
+                        _ => kind.to_string(),
+                    },
                 ),
             });
         }
@@ -266,16 +251,9 @@ pub fn run_passes(
                     if !seen.insert(((*kind).to_string(), line)) {
                         continue; // nested loop ranges overlap
                     }
-                    if file_allows.is_blessed(line, "alloc-in-hot-loop") {
-                        if let Some(site) = file_allows
-                            .blessed_for_line(line)
-                            .find(|s| s.rule == "alloc-in-hot-loop")
-                        {
-                            out.consumed_allows.insert((f.file.clone(), site.line));
-                        }
-                        continue;
-                    }
-                    if blessed(&f.name, "alloc-in-hot-loop", kind) {
+                    if out.escaped(&f.file, file_allows, line, "alloc-in-hot-loop")
+                        || blessed(&f.name, "alloc-in-hot-loop", kind)
+                    {
                         continue;
                     }
                     out.findings.push(Finding {
@@ -298,4 +276,28 @@ pub fn run_passes(
         }
     }
     out
+}
+
+/// The `nan-unwrap-cmp` token rule: every `partial_cmp` in code (never
+/// in a comment or a string), test code included.
+fn nan_unwrap_cmp(pf: &ParsedFile, allows: &Allows, fns: &[FnItem], out: &mut PassOutput) {
+    for hit in (0..pf.code.len()).filter(|&i| pf.code_text(i) == "partial_cmp") {
+        let line = pf.code_line(hit);
+        if out.escaped(&pf.path, allows, line, "nan-unwrap-cmp") {
+            continue;
+        }
+        let function =
+            crate::enclosing_fn(fns, &pf.path, line).map_or_else(|| "-".to_string(), FnItem::qual);
+        out.findings.push(Finding {
+            rule: "nan-unwrap-cmp",
+            kind: "partial-cmp".to_string(),
+            file: pf.path.clone(),
+            line,
+            function,
+            chain: Vec::new(),
+            message: "partial_cmp panics (or silently mis-sorts) on NaN; use f64::total_cmp \
+                      or vod_model::fcmp"
+                .to_string(),
+        });
+    }
 }

@@ -87,8 +87,11 @@ fn storm_deltas(seed: u64) -> Vec<WorldDelta> {
         WorldDelta {
             cycle: 2,
             seed,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the drill darkens VHO 1 by convention"
+            )]
             ops: vec![
-                // lint:allow(raw-index): the drill darkens VHO 1 by convention
                 DeltaOp::DecommissionVho { vho: VhoId::new(1) },
                 DeltaOp::AppendVideos { count: GROWTH },
             ],
@@ -202,6 +205,10 @@ struct ChaosOutcome {
 /// clone of one I/O fault handle, so the storm's operation indices run
 /// across the scenario's whole lifetime. Fired kills are retired from
 /// the plan between rebuilds.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the chaos run tears, plants and corrupts state files on purpose"
+)]
 fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutcome {
     let io = FaultHandle::new(io_storm());
     let stages = StageId::ALL;
@@ -252,7 +259,6 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
             // restart and replay the delta schedule deterministically.
             let path = dir.join("service.state");
             if let Ok(bytes) = std::fs::read(&path) {
-                // lint:allow(snapshot-io): deliberately tearing the state file to test recovery
                 std::fs::write(&path, &bytes[..bytes.len().min(23)]).expect("tear state file");
                 torn = true;
             }

@@ -68,13 +68,16 @@ fn world(s: &Scenario, d: &Defaults) -> OpsWorld {
 /// backbone link at quarter capacity, demand doubled everywhere, with
 /// admission control on. Identical in both twins — faults may change
 /// what is *denied*, never what is *placed*.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the storm darkens VHO 1 by convention"
+)]
 fn storm(horizon: SimTime) -> FaultSchedule {
     FaultSchedule {
         events: vec![
             FaultEvent {
                 start: SimTime::new(0),
                 end: horizon,
-                // lint:allow(raw-index): the storm darkens VHO 1 by convention
                 kind: FaultKind::VhoOutage { vho: VhoId::new(1) },
             },
             FaultEvent {
@@ -162,6 +165,10 @@ struct ChaosOutcome {
 /// rebuild it over the same state directory, corrupting the durable
 /// artifacts along the way. Fired kills are retired from the plan
 /// between rebuilds — each crash site fires exactly once.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the chaos run tears, plants and corrupts state files on purpose"
+)]
 fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutcome {
     let stages = StageId::ALL;
     // One transient failure per cycle at a seeded stage (attempt 0
@@ -219,7 +226,6 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
                 // Foreign-checkpoint flip: cycle 1 resumes against a
                 // checkpoint written for cycle 0. The validator must
                 // refuse it and fall through to a cold solve.
-                // lint:allow(snapshot-io): deliberately planting a foreign checkpoint
                 std::fs::write(dir.join("solver.ckpt"), &stash).expect("plant checkpoint");
                 planted = true;
             }
@@ -232,7 +238,6 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
             let bytes = std::fs::read(&path).expect("state file exists");
             let cut = usize::try_from(derive_seed(s.seed, 0x7EA2) % SERVICE_HEADER_LEN)
                 .expect("cut < header");
-            // lint:allow(snapshot-io): deliberately tearing the state file to test recovery
             std::fs::write(&path, &bytes[..cut.min(bytes.len())]).expect("tear state file");
             torn = true;
         } else if crashes == 3 {
@@ -244,7 +249,6 @@ fn run_chaos(w: &OpsWorld, s: &Scenario, dir: &Path, rotate: usize) -> ChaosOutc
                 if let Some(b) = bytes.last_mut() {
                     *b ^= 0x20;
                 }
-                // lint:allow(snapshot-io): deliberately corrupting the snapshot to test recovery
                 std::fs::write(&path, &bytes).expect("corrupt fractional snapshot");
             }
         }

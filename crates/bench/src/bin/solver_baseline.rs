@@ -168,7 +168,10 @@ fn identity_key(frac: &FractionalSolution, stats: &EpfStats) -> (u64, u64, usize
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one row per labelled solve, each argument a column"
+)]
 fn row_from(
     label: &str,
     mode: &'static str,

@@ -111,10 +111,13 @@ pub fn update_chain(
     while day < horizon_days {
         let to_day = (day + period_days).min(horizon_days);
         let demand = s.estimate(estimator, d, day, to_day);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "update transfers are anchored at VHO 0 by convention"
+        )]
         let pc = prev.as_ref().map(|p| PlacementCost {
             weight: 1.0,
             previous: Some(p.holder_lists().to_vec()),
-            // lint:allow(raw-index): update transfers are anchored at VHO 0 by convention
             origin: VhoId::new(0),
         });
         let (_, placement) = s.place(&net, demand, &s.mip_disk(d), pc.as_ref());

@@ -17,15 +17,6 @@
 //! baselines and drills in `src/bin/` share the scenario and the
 //! emitters.
 
-#![cfg_attr(
-    test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
-)]
-
 pub mod comparison;
 pub mod paper;
 use std::path::PathBuf;

@@ -697,12 +697,7 @@ pub fn table04(ctx: &Ctx) {
         for r in week0.requests() {
             counts[r.vho.index()] += 1;
         }
-        counts
-            .iter()
-            .enumerate()
-            // lint:allow(raw-index): remaps node indices when subsetting the backbone
-            .map(|(i, &c)| (c, VhoId::from_index(i)))
-            .collect()
+        counts.into_iter().zip(s.net.vho_ids()).collect()
     };
     by_requests.sort_by_key(|&(c, v)| (std::cmp::Reverse(c), v));
     for (name, net) in [
@@ -715,12 +710,8 @@ pub fn table04(ctx: &Ctx) {
         // nodes carry no demand but still contribute storage/links).
         let k = net.num_nodes().min(s.net.num_nodes());
         let keep: Vec<VhoId> = by_requests.iter().take(k).map(|&(_, v)| v).collect();
-        let remap: std::collections::BTreeMap<VhoId, VhoId> = keep
-            .iter()
-            .enumerate()
-            // lint:allow(raw-index): remaps node indices when subsetting the backbone
-            .map(|(new, &old)| (old, VhoId::from_index(new)))
-            .collect();
+        let remap: std::collections::BTreeMap<VhoId, VhoId> =
+            keep.iter().copied().zip(net.vho_ids()).collect();
         let reqs: Vec<Request> = week0
             .requests()
             .iter()

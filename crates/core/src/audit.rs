@@ -342,6 +342,10 @@ pub fn check_placement(inst: &MipInstance, placement: &Placement, rel_tol: f64) 
                 }
             } else {
                 // Nearest-copy service, as in `objective_under`.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "this branch is only taken when `holders` was checked non-empty"
+                )]
                 let near = holders
                     .iter()
                     .copied()
@@ -350,8 +354,6 @@ pub fn check_placement(inst: &MipInstance, placement: &Placement, rel_tol: f64) 
                             .total_cmp(&inst.cost(b, c.j))
                             .then(a.cmp(&b))
                     })
-                    // lint:allow(no-panic-hot-path): this branch is
-                    // only taken when `holders` was checked non-empty.
                     .expect("holders is non-empty");
                 for (t, &rate) in c.rate.iter().enumerate() {
                     if rate != 0.0 {

@@ -34,6 +34,7 @@
 //! with client-row streaming passes — per-element addition order
 //! unchanged, so the trajectory is bitwise-identical to the scalar
 //! reference (pinned by `tests/kernel_props.rs`).
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::kernel::{self, Kernel};
 
@@ -120,8 +121,6 @@ impl UflProblem {
     /// Build from per-client service rows (convenience for tests,
     /// benches and property harnesses; the hot path uses
     /// [`UflProblem::reset`] + [`UflProblem::push_service`] instead).
-    // lint:allow(vec-vec-f64): boundary constructor that immediately
-    // flattens the nested rows into the row-major buffer
     pub fn from_rows(facility_cost: Vec<f64>, rows: Vec<Vec<f64>>) -> Self {
         let n = facility_cost.len();
         let n_clients = rows.len();
@@ -727,10 +726,14 @@ impl UflProblem {
                             for (c, (row, &cur)) in
                                 self.service_rows().zip(assign.iter()).enumerate()
                             {
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "the filter admits i == k2, so the set is never empty"
+                                )]
                                 let best = (0..n)
                                     .filter(|&i| (open[i] && i != k) || i == k2)
                                     .min_by(|&a, &b| row[a].total_cmp(&row[b]))
-                                    .expect("k2 is always available"); // lint:allow(no-panic-hot-path): filter admits i == k2, set never empty
+                                    .expect("k2 is always available");
                                 delta += row[best] - row[cur];
                                 new_assign[c] = best;
                             }
@@ -831,10 +834,11 @@ impl UflProblem {
         let mut open_list: Vec<usize> = (0..n).filter(|&i| open[i] && used[i]).collect();
         if open_list.is_empty() {
             // No clients: keep the cheapest open facility.
+            #[expect(clippy::expect_used, reason = "UFL keeps at least one facility open")]
             let keep = (0..n)
                 .filter(|&i| open[i])
                 .min_by(|&a, &b| self.facility_cost[a].total_cmp(&self.facility_cost[b]))
-                .expect("at least one facility is open"); // lint:allow(no-panic-hot-path): UFL keeps >= 1 facility open
+                .expect("at least one facility is open");
             open_list.push(keep);
         }
         UflSolution {

@@ -280,6 +280,10 @@ fn vho_enc<S: Sink>(i: &VhoId, out: &mut S) {
     i.index().emit(out);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a persisted id is a dense VHO index by format"
+)]
 fn vho_dec(v: &Value) -> Result<VhoId, WireError> {
     u16::dec(v).map(VhoId::new)
 }

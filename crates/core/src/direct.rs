@@ -67,9 +67,11 @@ pub fn build_direct_lp(inst: &MipInstance) -> DirectLp {
             .map(|c| {
                 (0..v)
                     .map(|i| {
-                        let cost = c.demand_gb
-                            // lint:allow(raw-index): LP columns are dense over VHO indices
-                            * inst.cost(vod_model::VhoId::from_index(i), c.j);
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "LP columns are dense over VHO indices"
+                        )]
+                        let cost = c.demand_gb * inst.cost(vod_model::VhoId::from_index(i), c.j);
                         lp.add_var(cost, None)
                     })
                     .collect()
@@ -124,7 +126,10 @@ pub fn build_direct_lp(inst: &MipInstance) -> DirectLp {
                         continue;
                     }
                     for (i, &xv) in x_vars[m][c_idx].iter().enumerate() {
-                        // lint:allow(raw-index): LP columns are dense over VHO indices
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "LP columns are dense over VHO indices"
+                        )]
                         let iv = vod_model::VhoId::from_index(i);
                         if inst.paths.path(iv, client.j).contains(&link.id) {
                             terms.push((xv, rate));
@@ -247,7 +252,10 @@ fn solve_projected(p: &UflProblem) -> Option<(f64, Vec<f64>)> {
 /// *failed* map-back: `None`, never a patched-up point. Under the
 /// `audit` feature both residuals and `x ≤ y ≤ 1` are asserted instead.
 fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
-    // lint:allow(raw-index): LP rows are dense over VHO indices
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "LP rows are dense over VHO indices"
+    )]
     let vho = vod_model::VhoId::from_index;
     let mut price: f64 = y.iter().zip(&p.facility_cost).map(|(y, f)| y * f).sum();
     let mut short = (1.0 - y.iter().sum::<f64>()).max(0.0);

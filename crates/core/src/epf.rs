@@ -15,6 +15,7 @@
 //! lower-bound sweep (per-block dual ascent) both certifies quality and
 //! raises the objective target `B` of `FEAS(B)`; the pool's idle workers
 //! price that sweep while the next pass runs.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::block::UflProblem;
 use crate::checkpoint::SolverCheckpoint;
@@ -25,7 +26,7 @@ use crate::pool::WorkerPool;
 use crate::potential::{Coupling, Duals, RowLayout};
 use crate::solution::{initial_block, BlockBuf, BlockSolution, FractionalSolution, Placement};
 use rand::seq::SliceRandom;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vod_model::rng::derive_rng;
 
 /// Solver parameters (Algorithm 1 line 1).
@@ -938,7 +939,7 @@ pub(crate) fn solve_with_pool(
     cfg: &EpfConfig,
     layout: RowLayout,
     pool: &WorkerPool<'_>,
-    clock: Instant,
+    elapsed: &dyn Fn() -> Duration,
     start: Start<'_>,
     mut hooks: Hooks<'_>,
 ) -> (FractionalSolution, EpfStats) {
@@ -1082,7 +1083,7 @@ pub(crate) fn solve_with_pool(
     // Opt-in budgets, both checked at pass boundaries only: the wall
     // clock restarts on resume (operational latency cap), the step
     // budget is the checkpointed pass counter (deterministic).
-    let over_wall = || cfg.wall_limit.is_some_and(|w| clock.elapsed() >= w);
+    let over_wall = || cfg.wall_limit.is_some_and(|w| elapsed() >= w);
     let over_steps = |gp: u64| cfg.step_limit.is_some_and(|s| gp >= s);
     // Step-apply scratch, reused across all chunks: the two candidate
     // directions of a block, its coupling-row delta, the line search's
@@ -1140,7 +1141,7 @@ pub(crate) fn solve_with_pool(
                 objective,
                 max_violation,
                 converged,
-                wall: clock.elapsed(),
+                wall: elapsed(),
                 approx_bytes: bytes,
             },
         )
@@ -1596,7 +1597,6 @@ pub(crate) mod tests {
                         1 => 1.0,
                         k => f64::from(k) * 0.125,
                     };
-                    // lint:allow(raw-index): draws random ids over the instance's dense VHO range
                     (vod_model::VhoId::from_index(i), val)
                 })
                 .collect()

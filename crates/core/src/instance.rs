@@ -227,7 +227,10 @@ impl MipInstance {
                         .unwrap_or(std::slice::from_ref(&pc.origin));
                     (0..n)
                         .map(|i| {
-                            // lint:allow(raw-index): recovers the id from a dense 0..n_vhos vector index
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "recovers the id from a dense 0..n_vhos vector index"
+                            )]
                             let iv = VhoId::from_index(i);
                             let min_cost = holders
                                 .iter()

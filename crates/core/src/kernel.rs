@@ -32,6 +32,7 @@
 //! The kernel proptests (`tests/kernel_props.rs`) pin all of this:
 //! scalar == chunked bitwise on random nonnegative inputs, and the
 //! penalty arena is history- and backend-independent.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 /// Lane width of the chunked backend. Eight `f64` lanes = one AVX-512
 /// register or two AVX2 ops — wide enough to saturate stable

@@ -35,6 +35,7 @@
 //! (the scalar backend walks `inst.paths` pair by pair, the reference
 //! shape). `tests/penalty_props.rs` (and the determinism contract of
 //! [`crate::pool`]) leans on exactly this.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
@@ -82,7 +83,10 @@ impl PenaltyArena {
         let v = inst.n_vhos();
         assert_eq!(v, layout.n_vhos, "layout does not match instance");
         let n_links = layout.n_links;
-        // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor-only size guard, once per instance"
+        )]
         let idx = |x: usize| u32::try_from(x).expect("arena index exceeds u32");
         let pairs = inst
             .network

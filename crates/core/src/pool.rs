@@ -58,6 +58,7 @@
 //! write-locked by `start_bounds`, which only runs with no sweep in
 //! flight, and read-locked per bound item. Neither write ever waits on
 //! a reader.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::block::{UflProblem, UflScratch, UflSolution};
 use crate::epf::{block_delta, build_ufl_into, RowAcc};
@@ -132,11 +133,18 @@ where
         drop(tx);
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
-            let (i, r) = rx.recv().expect("map_ordered worker hung up"); // lint:allow(no-panic-hot-path): hangup implies a worker panic; re-raise it
+            #[expect(
+                clippy::expect_used,
+                reason = "a hangup implies a worker panic; re-raise it"
+            )]
+            let (i, r) = rx.recv().expect("map_ordered worker hung up");
             out[i] = Some(r);
         }
         out.into_iter()
-            .map(|r| r.expect("map_ordered item missing")) // lint:allow(no-panic-hot-path): every index sent exactly once above
+            .map(
+                #[expect(clippy::expect_used, reason = "every index is sent exactly once above")]
+                |r| r.expect("map_ordered item missing"),
+            )
             .collect()
     })
 }
@@ -263,8 +271,12 @@ struct Shared {
 }
 
 impl Shared {
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned lock implies a pool thread panicked mid-update; re-raise it"
+    )]
     fn lock(&self) -> MutexGuard<'_, Board> {
-        self.board.lock().expect("pool board lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a pool thread panicked mid-update; re-raise it
+        self.board.lock().expect("pool board lock poisoned")
     }
 
     /// Whether the bound sweep has a block left to claim.
@@ -274,8 +286,12 @@ impl Shared {
 }
 
 /// Sleep on `cv`, releasing the board while asleep.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock implies a pool thread panicked mid-update; re-raise it"
+)]
 fn wait<'a>(cv: &Condvar, board: MutexGuard<'a, Board>) -> MutexGuard<'a, Board> {
-    cv.wait(board).expect("pool board lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a pool thread panicked mid-update; re-raise it
+    cv.wait(board).expect("pool board lock poisoned")
 }
 
 /// Poll `ready` for up to [`SPIN_BUDGET`] iterations. Returning early
@@ -294,8 +310,12 @@ fn spin_until(ready: impl Fn() -> bool) {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock implies a pool thread panicked mid-update; re-raise it"
+)]
 fn read(arena: &RwLock<PenaltyArena>) -> RwLockReadGuard<'_, PenaltyArena> {
-    arena.read().expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
+    arena.read().expect("penalty arena lock poisoned")
 }
 
 /// What every thread of the pool reads: the instance, the two penalty
@@ -450,7 +470,7 @@ impl<'env> Env<'env> {
                 claims.polish.push((pos, lb, claims.usage.len()));
             }
             #[cfg(test)]
-            JobKind::WorkerPanic => panic!("planted worker panic on item {m}"), // lint:allow(no-panic-hot-path): test-only plant, compiled out of every solve
+            JobKind::WorkerPanic => panic!("planted worker panic on item {m}"),
             #[cfg(test)]
             JobKind::CallerPanic => {}
         }
@@ -526,6 +546,10 @@ impl<'env> WorkerPool<'env> {
 
     /// Bring the dispatch arena up to date with `duals` (between
     /// dispatches only; see the module-level lock discipline).
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned lock implies a pool thread panicked mid-update; re-raise it"
+    )]
     pub(crate) fn update_penalty(&self, duals: &Duals) -> PenaltyUpdate {
         let Env {
             inst,
@@ -536,7 +560,7 @@ impl<'env> WorkerPool<'env> {
         self.env
             .arena
             .write()
-            .expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
+            .expect("penalty arena lock poisoned")
             .update(inst, &layout, duals, kernel)
     }
 
@@ -646,7 +670,7 @@ impl<'env> WorkerPool<'env> {
         match kind {
             JobKind::Solve | JobKind::Polish => true,
             #[cfg(test)]
-            JobKind::CallerPanic => panic!("planted caller panic"), // lint:allow(no-panic-hot-path): test-only plant, compiled out of every solve
+            JobKind::CallerPanic => panic!("planted caller panic"),
             #[cfg(test)]
             JobKind::WorkerPanic => {
                 let mut board = self.shared.lock();
@@ -676,10 +700,14 @@ impl<'env> WorkerPool<'env> {
             shared.bound_done.load(Ordering::Acquire) == shared.bound_values.len(),
             "a bound sweep is still in flight"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned lock implies a pool thread panicked mid-update; re-raise it"
+        )]
         self.env
             .bound_arena
             .write()
-            .expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
+            .expect("penalty arena lock poisoned")
             .update(inst, &layout, duals, kernel);
         shared.bound_exact.store(exact, Ordering::Relaxed);
         shared.bound_done.store(0, Ordering::Relaxed);

@@ -7,6 +7,7 @@
 //! usage totals, the potential/dual computations
 //! (`π_i = exp(α r_i)/b_i`), and the exact 1-D convex line search used
 //! for every block step.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use vod_model::{LinkId, VhoId};

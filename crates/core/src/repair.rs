@@ -160,8 +160,10 @@ pub fn repair_placement(
             // placement as-is (structurally valid, served degraded).
             continue;
         };
-        // lint:allow(raw-index): t indexes the same dense VHO axis the
-        // placement's store lists use; the id round-trips losslessly.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "t indexes the dense VHO axis of the store lists; the id round-trips losslessly"
+        )]
         let to = VhoId::from_index(t);
         let from = holders[0];
         for &h in holders.iter() {
@@ -180,8 +182,10 @@ pub fn repair_placement(
         loop {
             // Redundant copies pinned here: the video keeps >= 1 copy
             // elsewhere. Largest video first, ties toward lowest id.
-            // lint:allow(raw-index): i walks the dense VHO axis shared
-            // with `dark`/`disks`; the id round-trips losslessly.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "i walks the dense VHO axis of `dark`/`disks`; the id round-trips losslessly"
+            )]
             let vho = VhoId::from_index(i);
             let candidate = stores
                 .iter()
@@ -219,11 +223,12 @@ pub fn repair_placement(
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "passes 1-4 only shrink or re-home sorted store lists and renormalize \
+                  routing over surviving holders, so the parts are valid by construction"
+    )]
     let placement = Placement::from_parts(n_vhos, stores, routing)
-        // lint:allow(no-panic-hot-path): passes 1-4 only ever shrink or
-        // re-home existing sorted store lists and renormalize routing
-        // over surviving holders, so the parts are structurally valid
-        // by construction; a failure here is a repair bug, not input.
         .expect("repair must preserve structural validity");
     RepairPlan {
         placement,

@@ -10,6 +10,7 @@
 //! later videos see the load committed by earlier ones). The
 //! Charikar–Guha-style local search of [`crate::block`] provides the
 //! provably-good-in-practice integer block solutions the paper uses.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::block::{UflProblem, UflScratch};
 use crate::epf::{
@@ -63,7 +64,10 @@ pub fn round_solution(
     let mut deltas = RowAcc::default();
     // `m` indexes `inst.blocks()` and `blocks` (mutated below) in
     // lockstep, so a range loop is the honest shape here.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`m` indexes two parallel vectors, one mutated in the body"
+    )]
     for m in 0..inst.n_videos() {
         if blocks[m].is_integral() {
             continue;
@@ -212,7 +216,10 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
         else {
             break;
         };
-        // lint:allow(raw-index): disk-usage vectors are dense over VHO indices
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "disk-usage vectors are dense over VHO indices"
+        )]
         let over_id = vod_model::VhoId::from_index(over);
         // Candidate 1: drop a multi-copy video (smallest demand served
         // from here first — approximates least removal cost).
@@ -260,7 +267,10 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
         else {
             break; // nowhere to put it — give up on this VHO
         };
-        // lint:allow(raw-index): disk-usage vectors are dense over VHO indices
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "disk-usage vectors are dense over VHO indices"
+        )]
         let target_id = vod_model::VhoId::from_index(target);
         blocks[mi].y.retain(|&(i, _)| i != over_id);
         match blocks[mi].y.binary_search_by_key(&target_id, |&(i, _)| i) {

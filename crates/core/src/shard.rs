@@ -18,6 +18,7 @@
 //! (1 000–5 000 videos) reproduces its pre-sharding objectives
 //! bitwise; only the new 10⁵⁺ ladder rows see a multi-shard
 //! summation tree (and then the same one at every thread count).
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use std::ops::Range;
 

@@ -1,5 +1,6 @@
 //! Solution representations: per-video block solutions (possibly
 //! fractional) and the final integral [`Placement`].
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::block::UflSolution;
 use crate::instance::{MipInstance, VideoBlock};
@@ -24,8 +25,11 @@ pub struct BlockSolution {
 }
 
 /// The entry "all of it at UFL facility `i`".
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UFL solutions index facilities densely"
+)]
 fn full_at(i: usize) -> (VhoId, f64) {
-    // lint:allow(raw-index): UFL solutions index facilities densely
     (VhoId::from_index(i), 1.0)
 }
 
@@ -169,7 +173,8 @@ fn merge_combine(a: &[(VhoId, f64)], b: &[(VhoId, f64)], tau: f64, tol: f64) -> 
                 ib += 1;
                 (vb, tau * xb)
             }
-            (None, None) => unreachable!(), // lint:allow(no-panic-hot-path): loop condition keeps one side Some
+            #[expect(clippy::unreachable, reason = "the loop condition keeps one side Some")]
+            (None, None) => unreachable!(),
         };
         if val > tol {
             out.push((id, val.min(1.0)));
@@ -437,6 +442,11 @@ impl Placement {
 /// the client with the largest demand (or the cheapest facility when
 /// the video has no demand yet), serve everyone from there.
 pub fn initial_block(block: &VideoBlock, n_vhos: usize) -> BlockSolution {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a block with no clients parks its copy at VHO 0, or at its cheapest \
+                  facility, recovered from the dense 0..n_vhos index"
+    )]
     let home = block
         .clients
         .iter()
@@ -444,7 +454,6 @@ pub fn initial_block(block: &VideoBlock, n_vhos: usize) -> BlockSolution {
         .map(|c| c.j)
         .unwrap_or_else(|| {
             if block.facility_obj_cost.is_empty() {
-                // lint:allow(raw-index): degenerate block with no clients parks its copy at VHO 0
                 VhoId::new(0)
             } else {
                 let i = (0..n_vhos)
@@ -452,7 +461,6 @@ pub fn initial_block(block: &VideoBlock, n_vhos: usize) -> BlockSolution {
                         block.facility_obj_cost[a].total_cmp(&block.facility_obj_cost[b])
                     })
                     .unwrap_or(0);
-                // lint:allow(raw-index): recovers the id from a dense 0..n_vhos vector index
                 VhoId::from_index(i)
             }
         });

@@ -7,6 +7,7 @@
 //! [`solve_placement`], [`solve_fractional`] and
 //! [`solve_fractional_checkpointed`] are one-expression wrappers the
 //! benchmark harness calls (until ROADMAP 5-A).
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::epf::{layout_of, solve_with_pool, CheckpointSpec, EpfConfig, EpfStats, Hooks, Start};
 use crate::error::SolveError;
@@ -16,7 +17,6 @@ use crate::pool::WorkerPool;
 use crate::rounding::{round_solution, RoundingStats};
 use crate::solution::{FractionalSolution, Placement};
 use std::sync::RwLock;
-use std::time::Instant;
 
 /// Result of a complete placement computation.
 #[derive(Debug, Clone)]
@@ -162,9 +162,12 @@ pub fn solve(
         (None, Some(_)) => (None, ResumeKind::WarmStart),
         (None, None) => (None, ResumeKind::Cold),
     };
-    // lint:allow(wall-clock): solver wall time is reported in EpfStats
-    // and never feeds back into the optimization.
-    let clock = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "solver wall time is reported in EpfStats and caps `wall_limit`, \
+                  an operational budget; nothing else reads it"
+    )]
+    let clock = std::time::Instant::now();
     let layout = layout_of(inst);
     // The pool's workers borrow both arenas for the whole solve (see
     // `crate::pool`): one prices the chunk and polish dispatches, the
@@ -185,7 +188,7 @@ pub fn solve(
             cfg.kernel,
         );
         let start = Start { prior, ..start };
-        solve_with_pool(inst, cfg, layout, &pool, clock, start, hooks)
+        solve_with_pool(inst, cfg, layout, &pool, &|| clock.elapsed(), start, hooks)
     });
     Ok(Solved {
         fractional,
@@ -209,7 +212,10 @@ pub fn solve_placement(inst: &MipInstance, cfg: &EpfConfig) -> Result<PlacementO
 pub fn solve_fractional(inst: &MipInstance, cfg: &EpfConfig) -> (FractionalSolution, EpfStats) {
     match solve(inst, cfg, Start::default(), Hooks::default()) {
         Ok(s) => (s.fractional, s.stats),
-        // lint:allow(no-panic-hot-path): the documented contract of the harness's wrapper
+        #[expect(
+            clippy::panic,
+            reason = "the documented contract of the harness's wrapper"
+        )]
         Err(e) => panic!("solve_fractional: {e}"),
     }
 }

@@ -3,11 +3,6 @@
 //! whole lint/audit machinery exists to protect: valid solver outputs
 //! always pass the audit, perturbed solutions always fail it, and two
 //! identical runs produce byte-identical placements.
-#![allow(
-    clippy::unwrap_used,
-    clippy::float_cmp,
-    clippy::cast_possible_truncation
-)]
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vod_core::audit;

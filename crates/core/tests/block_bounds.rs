@@ -4,11 +4,7 @@
 //! local-search integer solution must sit just above it. The full
 //! `F^m` model below is the oracle for `vod_core::direct`'s projected
 //! one, which is what the solver runs.
-#![allow(
-    clippy::unwrap_used,
-    clippy::float_cmp,
-    clippy::cast_possible_truncation
-)]
+#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
 use vod_core::block::{UflProblem, UflScratch};
 use vod_core::direct::{exact_block_lp, exact_block_lp_solution};
 use vod_core::Kernel;

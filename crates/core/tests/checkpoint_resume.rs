@@ -7,7 +7,7 @@
 //! step-based (global passes), never wall-clock, which is what makes
 //! this identity machine-independent.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
 
 use proptest::prelude::*;
 use std::sync::OnceLock;

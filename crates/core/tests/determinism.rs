@@ -7,7 +7,6 @@
 //! wall-clock scheduling — never in a single bit of output. These
 //! tests pin that with instances large enough that the parallel
 //! dispatch path actually engages (chunks of ≥ 16 blocks).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
 use vod_core::{DiskConfig, EpfConfig, FractionalSolution, MipInstance};
 use vod_model::Mbps;
 use vod_net::topologies;

@@ -12,7 +12,7 @@
 //! 3. the penalty arena's recurrence walk, whose incremental updates
 //!    must be history-independent and land bitwise on a `Scalar`
 //!    from-scratch rebuild whatever backend maintained them.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vod_core::block::{UflProblem, UflScratch};

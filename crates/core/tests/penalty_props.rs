@@ -9,7 +9,7 @@
 //! snapshots without ever drifting from the reference semantics. Every
 //! `(window, client)` row is checked, including clients with no demand
 //! in the window, which no hot path reads.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(clippy::disallowed_methods, reason = "test code builds raw VhoIds")]
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vod_core::penalty::PenaltyArena;

@@ -19,7 +19,7 @@
 //! their bits and their bounds are re-pinned (EXPERIMENTS.md "The
 //! heuristic stage deleted"): 533.10 → 529.10 on 150/ebone, and
 //! 609.43 → 601.00 on 150/sprint, whose climb the stall stop had cut.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
 
 use vod_core::{
     solve, solve_fractional, CheckpointSpec, DiskConfig, EpfConfig, EpfStats, Hooks, MipInstance,

@@ -6,7 +6,12 @@
 //! discarded-checkpoint path as `ResumeKind::Rejected` with the
 //! validation reason instead of silently cold-solving.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures, pins exact float bits and builds raw VhoIds"
+)]
 
 use vod_core::remap::{remap_checkpoint, remap_fractional, RemapError};
 use vod_core::{

@@ -16,7 +16,11 @@
 //! this instance; a PR that moves them on purpose (and only such a PR)
 //! replaces the files under `tests/golden/` with the `.actual` files a
 //! failing run leaves in the target tmp dir.
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and builds raw VhoIds"
+)]
 
 use std::path::Path;
 use vod_core::checkpoint::{

@@ -18,10 +18,11 @@
 
 #![cfg_attr(
     test,
-    allow(
+    expect(
         clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::disallowed_methods,
+        reason = "test code unwraps its own fixtures, pins exact float bits and builds raw VhoIds"
     )
 )]
 
@@ -64,7 +65,10 @@ impl Default for EstimateConfig {
 /// ground-truth trace of the upcoming period).
 // The argument list mirrors the paper's estimator inputs one-to-one;
 // bundling them into a struct would just rename the problem.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the paper's estimator inputs, one argument each"
+)]
 pub fn estimate_demand(
     kind: EstimatorKind,
     catalog: &Catalog,

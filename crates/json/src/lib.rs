@@ -20,10 +20,10 @@
 
 #![cfg_attr(
     test,
-    allow(
+    expect(
         clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::disallowed_methods,
+        reason = "test code unwraps its own fixtures and reads and writes files directly"
     )
 )]
 
@@ -67,7 +67,11 @@ impl Value {
     /// integer small enough to be represented exactly.
     // Exact-integer check and in-range cast; the comparisons and the
     // cast are the point of this function.
-    #[allow(clippy::float_cmp, clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "an exact-integer check and its guarded cast are the point"
+    )]
     pub fn as_usize(&self) -> Option<usize> {
         match self {
             Value::Num(x) if *x >= 0.0 && x.trunc() == *x && *x < 9.0e15 => Some(*x as usize),
@@ -177,7 +181,11 @@ fn push_indent(out: &mut String, levels: usize) {
 
 // The integer fast path needs an exact-value comparison and an
 // in-range float-to-int cast; both are guarded.
-#[allow(clippy::float_cmp, clippy::cast_possible_truncation)]
+#[expect(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "an exact-integer check and its guarded cast are the point"
+)]
 fn write_number(out: &mut String, x: f64) {
     if !x.is_finite() {
         // serde_json refuses non-finite floats; result tables use NaN

@@ -330,10 +330,11 @@ fn write_parts_inner(
         Some(IoFault::WritePartial { keep }) => keep,
         _ => usize::MAX,
     };
-    // lint:allow(snapshot-io): this IS the atomic write helper every
-    // other snapshot/results writer is required to route through.
-    // lint:allow(io-fault-shim): and `fault` above is this write's
-    // injected fault, so the raw calls here are the single sanctioned set.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the atomic write every snapshot writer routes through, \
+                  and `fault` above is this write's injected fault"
+    )]
     let mut file = std::fs::File::create(tmp).map_err(|e| io_err(tmp, e))?;
     for part in parts {
         let n = part.len().min(room);
@@ -355,8 +356,11 @@ fn write_parts_inner(
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),
     };
-    // lint:allow(io-fault-shim): the directory is opened only to be
-    // synced, as the last step of the write `fault` was drawn for.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the directory is opened only to be synced, as the last step \
+                  of the write `fault` was drawn for"
+    )]
     // lint:allow(determinism-taint): nothing is read from the handle;
     // its one use is the directory barrier, so no byte reaches a payload.
     let dir_handle = std::fs::File::open(dir).map_err(|e| io_err(dir, e))?;
@@ -375,6 +379,10 @@ pub fn write_snapshot_atomic(
 
 /// The snapshot read: `fault` (this read's injected fault, if any)
 /// fails it with `EIO` exactly like an unreadable sector would.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`fault` above is this read's injected fault; every snapshot reader funnels through here"
+)]
 fn read_all(path: &Path, fault: Option<IoFault>) -> Result<Vec<u8>, SnapshotError> {
     let io_err = |source: std::io::Error| SnapshotError::Io {
         path: path.to_path_buf(),
@@ -383,8 +391,6 @@ fn read_all(path: &Path, fault: Option<IoFault>) -> Result<Vec<u8>, SnapshotErro
     if fault == Some(IoFault::ReadEio) {
         return Err(io_err(crate::faults::eio()));
     }
-    // lint:allow(io-fault-shim): `fault` above IS this read's injected
-    // fault; every snapshot reader funnels through here.
     std::fs::read(path).map_err(io_err)
 }
 

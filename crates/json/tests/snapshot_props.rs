@@ -3,7 +3,11 @@
 //! come back as typed errors — never a panic, never a silently-wrong
 //! payload.
 
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and reads and writes files directly"
+)]
 
 use proptest::prelude::*;
 use vod_json::snapshot::{self, SnapshotError};
@@ -56,7 +60,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let bytes = valid_snapshot("prop-kind", 7, &payload);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(clippy::cast_possible_truncation, reason = "a cut point inside a short buffer")]
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         prop_assert!(snapshot::decode(&bytes[..cut.min(bytes.len() - 1)], "prop-kind", 7).is_err());
     }

@@ -10,7 +10,11 @@
 //! `wire_tagged!` enum, a `wire_names!` enum and an id newtype that
 //! travels through `with(…)` adapters like `VhoId` does.
 
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    reason = "test code unwraps its own fixtures and narrows small fixture sizes"
+)]
 
 use proptest::prelude::*;
 use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};

@@ -19,10 +19,11 @@
 
 #![cfg_attr(
     test,
-    allow(
+    expect(
         clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "test code unwraps its own fixtures, pins exact float bits and narrows small fixture sizes"
     )
 )]
 

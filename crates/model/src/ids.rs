@@ -30,10 +30,13 @@ macro_rules! id_newtype {
 
             /// Construct from a `usize` index, panicking on overflow.
             #[inline]
+            #[allow(
+                clippy::expect_used,
+                reason = "id spaces are sized at model construction; an overflowing \
+                          index is a caller bug, not a condition to degrade through \
+                          (an allow: clippy does not lint macro-expanded code)"
+            )]
             pub fn from_index(idx: usize) -> Self {
-                // lint:allow(no-panic-hot-path): id spaces are sized at
-                // model construction; an overflowing index is a caller
-                // bug, not a runtime condition to degrade through.
                 Self(<$inner>::try_from(idx).expect(concat!(stringify!($name), " overflow")))
             }
         }

@@ -14,11 +14,7 @@
 
 #![cfg_attr(
     test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
+    expect(clippy::float_cmp, reason = "test code pins exact float bits")
 )]
 
 pub mod fcmp;

@@ -11,23 +11,27 @@
 /// Integer → `usize` index/count. Lossless on 64-bit targets for
 /// `u64` inputs; panics if the value does not fit.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "loud-failure narrowing is this helper's contract; wrapping silently would corrupt indices"
+)]
 pub fn usize_from<T: TryInto<usize>>(x: T) -> usize
 where
     T::Error: core::fmt::Debug,
 {
-    // lint:allow(no-panic-hot-path): loud-failure narrowing is this
-    // helper's contract — wrapping silently would corrupt indices.
     x.try_into().expect("value exceeds usize::MAX")
 }
 
 /// Integer → `u32` index/count, panicking on overflow.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "loud-failure narrowing is this helper's contract; wrapping silently would corrupt indices"
+)]
 pub fn u32_from<T: TryInto<u32>>(x: T) -> u32
 where
     T::Error: core::fmt::Debug,
 {
-    // lint:allow(no-panic-hot-path): loud-failure narrowing is this
-    // helper's contract — wrapping silently would corrupt indices.
     x.try_into().expect("value exceeds u32::MAX")
 }
 
@@ -44,7 +48,10 @@ where
 /// at `u64::MAX` (Rust float-to-int casts have been saturating since
 /// 1.45 — this helper just spells that contract out once).
 #[inline]
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating float-to-count cast is this helper's contract"
+)]
 pub fn count_u64(x: f64) -> u64 {
     x.max(0.0) as u64
 }
@@ -52,7 +59,10 @@ pub fn count_u64(x: f64) -> u64 {
 /// Nonnegative float → `usize` count, with the same semantics as
 /// [`count_u64`].
 #[inline]
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating float-to-count cast is this helper's contract"
+)]
 pub fn count_usize(x: f64) -> usize {
     x.max(0.0) as usize
 }

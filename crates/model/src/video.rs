@@ -260,7 +260,10 @@ pub fn chunked_catalog(catalog: &Catalog, chunk_gb: f64) -> (Catalog, Vec<VideoI
     for v in catalog.iter() {
         // Chunk counts are tiny (a video is a handful of GB); clamp
         // explicitly rather than rely on the cast's saturating behavior.
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the chunk count is clamped to u32 just before the cast"
+        )]
         let n_chunks = (v.size().value() / chunk_gb)
             .ceil()
             .max(1.0)

@@ -17,11 +17,7 @@
 
 #![cfg_attr(
     test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
+    expect(clippy::float_cmp, reason = "test code pins exact float bits")
 )]
 
 pub mod delta;

@@ -8,6 +8,7 @@
 //! Paths are computed by breadth-first search with deterministic
 //! lowest-id tie-breaking, so two runs of any experiment route
 //! identically.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::graph::Network;
 use std::collections::VecDeque;

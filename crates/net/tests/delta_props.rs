@@ -3,8 +3,6 @@
 //! scale factors, duplicate VHO targets, zero-length appends) are
 //! rejected with typed messages and never panic, well-formed deltas
 //! validate, and the empty delta applies as a bitwise no-op.
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
-
 use proptest::prelude::*;
 use vod_model::{Gigabytes, LinkId, VhoId};
 use vod_net::{topologies, DeltaOp, Network, WorldDelta};
@@ -16,7 +14,6 @@ fn net() -> Network {
 /// Decode one generated op against a world with `n_nodes`/`n_links`.
 /// `kind` selects the op; the `bad` flag (when the malformed branch is
 /// chosen) injects exactly one malformation so we know what to expect.
-#[allow(clippy::too_many_arguments)]
 fn build_op(
     kind: u8,
     bad: bool,

@@ -4,7 +4,6 @@
 //! penalty arena prices `D(i, j) = D(i, p) + π_l` on this (and asserts
 //! it per instance); here it is pinned at the source, for every ordered
 //! pair of every topology the workspace ships or generates.
-#![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 use vod_net::{topologies, Network, PathSet};

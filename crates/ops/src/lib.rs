@@ -32,10 +32,10 @@
 
 #![cfg_attr(
     test,
-    allow(
+    expect(
         clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::disallowed_methods,
+        reason = "test code unwraps its own fixtures and builds raw VhoIds"
     )
 )]
 

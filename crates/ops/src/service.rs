@@ -1339,10 +1339,13 @@ impl Service {
             end - day,
             &self.cur.est,
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "update transfers are anchored at VHO 0 by convention"
+        )]
         let pc = self.state.deployed.as_ref().map(|(_, p)| PlacementCost {
             weight: 1.0,
             previous: Some(p.holder_lists().to_vec()),
-            // lint:allow(raw-index): update transfers are anchored at VHO 0 by convention
             origin: VhoId::new(0),
         });
         let disks = DiskConfig::Explicit(self.mip_caps());
@@ -1444,10 +1447,12 @@ fn apply_world_delta(cur: &mut OpsWorld, dark: &mut [bool], delta: &WorldDelta) 
                 let mut videos: Vec<Video> = cur.catalog.iter().cloned().collect();
                 for k in 0..*count {
                     let mix = derive_seed(delta.seed, (start + k) as u64);
-                    let class = VideoClass::ALL
-                        // lint:allow(no-panic-hot-path): mix % 4 < 4
-                        // always converts, and indexes in ALL's bounds.
-                        [usize::try_from(mix % 4).expect("mod 4 fits in usize")];
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "mix % 4 < 4 always converts, and indexes in ALL's bounds"
+                    )]
+                    let class =
+                        VideoClass::ALL[usize::try_from(mix % 4).expect("mod 4 fits in usize")];
                     videos.push(Video {
                         id: VideoId::from_index(start + k),
                         class,

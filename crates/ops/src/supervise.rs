@@ -135,10 +135,12 @@ impl Watchdog {
 }
 
 /// The one sanctioned real sleep: an operational deployment calls this
-/// with the recorded backoff amounts from the cycle ledger. Kept here
-/// so the `sleep-timer` lint has exactly one allowed home for
-/// `thread::sleep` — everywhere else in the workspace a sleep or timer
-/// read is a determinism finding.
+/// with the recorded backoff amounts from the cycle ledger. Everywhere
+/// else in the workspace `thread::sleep` is a banned method.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one real sleep, fed the recorded backoff amounts"
+)]
 pub fn deployment_sleep(ms: u64) {
     std::thread::sleep(std::time::Duration::from_millis(ms));
 }

@@ -17,7 +17,11 @@
 //! the I/O it faults, so tests running side by side never see each
 //! other's faults, and two services stepped in turn on one thread keep
 //! separate counts.
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and reads and writes files directly"
+)]
 
 use std::path::{Path, PathBuf};
 use vod_core::{DiskConfig, EpfConfig};

@@ -6,10 +6,10 @@
 //! service re-converges byte-identically to an undisturbed twin and
 //! never aborts. A fault schedule is a handle in the faulted service's
 //! plan, so it cannot leak into a concurrently running test.
-#![allow(
+#![expect(
     clippy::unwrap_used,
-    clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and builds raw VhoIds and reads and writes files directly"
 )]
 
 use std::path::PathBuf;

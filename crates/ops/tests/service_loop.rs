@@ -5,10 +5,10 @@
 //! back to the last-good deployment, the watchdog degrades stalled
 //! cycles, and kill/corruption at any point re-converges to the
 //! uninterrupted run's deployments bit for bit.
-#![allow(
+#![expect(
     clippy::unwrap_used,
-    clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and builds raw VhoIds and reads and writes files directly"
 )]
 
 use std::path::PathBuf;

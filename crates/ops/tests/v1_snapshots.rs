@@ -7,7 +7,11 @@
 //! golden values of `wire_golden.rs` here and in `vod-core`. Each must
 //! read back, through the same calls the service makes, to that golden
 //! value. The files are never rewritten.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and reads and writes files directly"
+)]
 
 use std::path::{Path, PathBuf};
 use vod_core::checkpoint::{CHECKPOINT_KIND, CHECKPOINT_VERSION};

@@ -13,7 +13,11 @@
 //! A deliberate format change bumps `SERVICE_VERSION` and replaces the
 //! files under `tests/golden/` with the `.actual` files a failing run
 //! leaves in the target tmp dir.
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and builds raw VhoIds and reads and writes files directly"
+)]
 
 use std::path::Path;
 use vod_core::Placement;

@@ -94,7 +94,7 @@ macro_rules! tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
 
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "tuple fields are bound by their type-parameter names")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
@@ -285,7 +285,7 @@ macro_rules! proptest {
                         $(let $arg = $crate::Strategy::generate(&($strat), __proptest_rng);)+
                         (|| -> ::std::result::Result<(), $crate::TestCaseError> {
                             $body
-                            #[allow(unreachable_code)]
+                            #[allow(unreachable_code, reason = "a test body that always returns early leaves this tail unreachable")]
                             Ok(())
                         })()
                     },

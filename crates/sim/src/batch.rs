@@ -8,6 +8,7 @@
 //! [`vod_core::map_ordered`] reassembles results in job order, a batch
 //! at `threads = N` is byte-identical to the serial loop it replaces
 //! (pinned by `crates/sim/tests/determinism.rs`).
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::engine::{simulate, PolicyKind, SimConfig, SimReport, VhoConfig};
 use vod_model::Catalog;

@@ -25,6 +25,7 @@
 //! key embeds the logical clock, so keys are unique and the scan order
 //! — hence `SimReport` — is bit-for-bit identical to the map-based
 //! implementation.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use vod_model::slab::{IndexList, NIL};

@@ -11,6 +11,7 @@
 //! `BTreeMap`-cache implementation — `SimReport` at a fixed seed is
 //! byte-identical, which the determinism and property tests and
 //! `tests/sim_smoke.rs` pin.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::cache::{Cache, CacheImpl, CacheKind, CacheStats, InsertOutcome};
 use crate::faults::{FaultSchedule, FaultState};
@@ -366,7 +367,10 @@ impl Loads {
 #[cfg(feature = "audit")]
 fn audit_video_holders(m: VideoId, cached_holders: &[Vec<VhoId>], caches: &[Option<CacheImpl>]) {
     for (jj, c) in caches.iter().enumerate() {
-        // lint:allow(raw-index): recovers the id from a dense 0..n_vhos vector index
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "recovers the id from a dense 0..n_vhos vector index"
+        )]
         let id = VhoId::from_index(jj);
         let in_cache = c.as_ref().is_some_and(|c| c.contains(m));
         let in_holders = cached_holders[m.index()].binary_search(&id).is_ok();
@@ -491,7 +495,10 @@ pub fn simulate_with_final(
     let mut pinned_holders: Vec<Vec<VhoId>> = vec![Vec::new(); n_videos];
     for (j, vc) in vhos.iter().enumerate() {
         for &m in &vc.pinned {
-            // lint:allow(raw-index): recovers the id from a dense 0..n_vhos vector index
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "recovers the id from a dense 0..n_vhos vector index"
+            )]
             pinned_holders[m.index()].push(VhoId::from_index(j));
         }
     }

@@ -27,6 +27,7 @@
 //!
 //! Faults clear automatically at their window's end: no state lingers,
 //! new requests immediately route through recovered VHOs/links.
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use vod_model::{LinkId, SimTime, VhoId};
 use vod_net::{Network, PathSet};

@@ -24,10 +24,12 @@
 
 #![cfg_attr(
     test,
-    allow(
+    expect(
         clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::disallowed_methods,
+        reason = "test code unwraps its own fixtures, pins exact float bits, narrows small fixture sizes and builds raw VhoIds"
     )
 )]
 

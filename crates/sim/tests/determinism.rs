@@ -7,7 +7,6 @@
 //! results are reassembled in job order, so `threads = 1` vs
 //! `threads = 4` differ only in scheduling — never in a single bit of
 //! output.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
 use vod_model::Gigabytes;
 use vod_net::PathSet;
 use vod_sim::{

@@ -2,7 +2,10 @@
 //! under arbitrary fault schedules, thread-count invariance of faulted
 //! runs, and the zero-cost guarantee that an empty schedule leaves the
 //! report byte-identical to a fault-free run.
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test code narrows small fixture sizes"
+)]
 use proptest::prelude::*;
 use vod_model::{Gigabytes, LinkId, SimTime};
 use vod_net::PathSet;

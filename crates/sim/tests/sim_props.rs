@@ -2,7 +2,10 @@
 //! invariants: randomized topologies, catalogs, traces, policies and
 //! cache kinds, checked against `simulate_with_final`'s end-of-run
 //! holder sets.
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test code narrows small fixture sizes"
+)]
 use proptest::prelude::*;
 use vod_model::{Gigabytes, VideoId};
 use vod_net::PathSet;

@@ -58,9 +58,13 @@ pub fn working_sets(
                 .iter()
                 .map(|&m| catalog.video(vod_model::VideoId::new(m)).size())
                 .sum();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-VHO working sets are accumulated in a dense vector"
+            )]
+            let vho = VhoId::from_index(j);
             WorkingSet {
-                // lint:allow(raw-index): per-VHO working sets are accumulated in a dense vector
-                vho: VhoId::from_index(j),
+                vho,
                 distinct_videos: set.len(),
                 size,
             }

@@ -223,11 +223,14 @@ pub fn synthetic_demand(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> 
         for _ in 0..n {
             counts[sample_cumulative(&mut rng, &cum)] += 1;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "recovers the id from a dense 0..n_vhos vector index"
+        )]
         let row: Vec<(VhoId, f64)> = counts
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            // lint:allow(raw-index): recovers the id from a dense 0..n_vhos vector index
             .map(|(j, &c)| (VhoId::from_index(j), c as f64))
             .collect();
 

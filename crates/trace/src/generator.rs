@@ -148,9 +148,12 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
             let sec = rng.gen_range(0..HOUR);
             let vho = sample_cumulative(&mut rng, &vho_cum);
             debug_assert!(vho < n_vhos);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "recovers the id from a dense 0..n_vhos vector index"
+            )]
             requests.push(Request {
                 time: SimTime::new(day * DAY + hour * HOUR + sec),
-                // lint:allow(raw-index): recovers the id from a dense 0..n_vhos vector index
                 vho: VhoId::from_index(vho),
                 video: v.id,
             });

@@ -21,13 +21,15 @@
 //! (Fig. 3), per-episode daily request counts (Fig. 4), demand
 //! aggregation `a_j^m`, concurrent-stream profiles `f_j^m(t)`, and
 //! peak-window selection (Section VI-B, Table V).
-
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 #![cfg_attr(
     test,
-    allow(
+    expect(
         clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::disallowed_methods,
+        reason = "test code unwraps its own fixtures, pins exact float bits, narrows small fixture sizes and builds raw VhoIds"
     )
 )]
 

@@ -223,6 +223,10 @@ mod tests {
             .collect();
         eps.sort_by_key(|v| match v.kind {
             VideoKind::SeriesEpisode { episode, .. } => episode,
+            #[expect(
+                clippy::unreachable,
+                reason = "test code: the filter above kept episodes only"
+            )]
             _ => unreachable!(),
         });
         assert_eq!(eps.len(), 4);

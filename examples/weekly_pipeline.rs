@@ -31,6 +31,8 @@ fn main() {
     };
     let week_secs = 7 * 86_400;
     let mut prev: Option<Placement> = None;
+    // Update transfers are anchored at the network's first VHO.
+    let anchor = network.vho_ids().next().expect("the network has VHOs");
 
     for w in 1..weeks {
         let start = w * week_secs;
@@ -58,7 +60,7 @@ fn main() {
         let placement_cost = prev.as_ref().map(|p| PlacementCost {
             weight: 1.0,
             previous: Some(p.holder_lists().to_vec()),
-            origin: VhoId::new(0),
+            origin: anchor,
         });
         let instance = MipInstance::new(
             network.clone(),

@@ -51,15 +51,6 @@
 //! `solve` itself to warm-start from a previous placement, resume a
 //! checkpoint, or observe the solve's per-pass events.
 
-#![cfg_attr(
-    test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
-)]
-
 pub use vod_core as core;
 pub use vod_estimate as estimate;
 pub use vod_lp as lp;

@@ -1,11 +1,6 @@
 //! Cross-crate integration: the full paper pipeline — synthesize a
 //! world, estimate demand, solve the placement MIP, replay the trace —
 //! and the headline comparison against caching.
-#![allow(
-    clippy::unwrap_used,
-    clippy::float_cmp,
-    clippy::cast_possible_truncation
-)]
 use vodplace::prelude::*;
 use vodplace::sim::{mip_vho_configs, random_single_vho_configs};
 

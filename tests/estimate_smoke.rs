@@ -4,8 +4,6 @@
 //! the previous week's top movie's), and the service's window path
 //! (`StreamingWindow::advance`) estimating bit for bit what the batch
 //! path (`Trace::restricted`) estimates, over three sliding weeks.
-#![allow(clippy::unwrap_used)]
-
 use vodplace::estimate::{previous_episode, top_movie, StreamingWindow};
 use vodplace::model::time::DAY;
 use vodplace::model::VideoKind;

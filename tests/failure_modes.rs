@@ -1,8 +1,9 @@
 //! Failure-injection and degenerate-input coverage across crates.
-#![allow(
-    clippy::unwrap_used,
+#![expect(
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    clippy::disallowed_methods,
+    reason = "test code pins exact float bits, narrows small fixture sizes and builds raw VhoIds"
 )]
 use vodplace::prelude::*;
 

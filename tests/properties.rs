@@ -1,9 +1,9 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning crates.
-#![allow(
-    clippy::unwrap_used,
-    clippy::float_cmp,
-    clippy::cast_possible_truncation
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::disallowed_methods,
+    reason = "test code narrows small fixture sizes and builds raw VhoIds"
 )]
 use proptest::prelude::*;
 use vodplace::prelude::*;

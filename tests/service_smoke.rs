@@ -1,7 +1,7 @@
 //! Tier-1 smoke of the ops layer: one short `vod_ops::Service` run with
 //! a churn cap, a link delta and a kill-and-resume, checked against its
 //! unkilled twin. The full matrix lives in `crates/ops/tests`.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
 
 use vod_json::snapshot::read_json_snapshot;
 use vod_ops::{

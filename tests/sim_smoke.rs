@@ -11,7 +11,11 @@
 //! no bit. Re-capture them only for a change that is *meant* to move a
 //! report, and say so. The full matrices live in
 //! `crates/sim/tests/{determinism,fault_props,sim_props}.rs`.
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and builds raw VhoIds"
+)]
 
 use vod_json::snapshot::fnv1a64;
 use vodplace::model::LinkId;

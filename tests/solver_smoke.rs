@@ -8,7 +8,7 @@
 //! `crates/core/tests/{determinism,checkpoint_resume,kernel_props}.rs`.
 //! Last, the exact certification stage on an instance small enough for
 //! the direct LP: heuristic bound < certified bound ≤ `LP*` ≤ objective.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
 
 use vodplace::core::{
     solve, CheckpointSpec, Hooks, Kernel, PlacementOutput, ResumeKind, SolveEvent,
