@@ -714,8 +714,7 @@ pub fn table04(ctx: &Ctx) {
             keep.iter().copied().zip(net.vho_ids()).collect();
         let reqs: Vec<Request> = week0
             .requests()
-            .iter()
-            .filter_map(|r| remap.get(&r.vho).map(|&nv| Request { vho: nv, ..*r }))
+            .filter_map(|r| remap.get(&r.vho).map(|&nv| Request { vho: nv, ..r }))
             .collect();
         let sub_trace = Trace::new(week0.horizon(), reqs);
         let windows = vod_trace::analysis::select_peak_windows(

@@ -4,6 +4,22 @@
 //! `i, j ∈ V` and links `l ∈ L`. Using newtypes instead of bare
 //! integers prevents an entire class of index-mixup bugs in the solver
 //! and simulator, at zero runtime cost.
+//!
+//! The raw field is private and there is no `From<raw>`, so every id
+//! is built through `new` or `from_index` — the two names the
+//! workspace's `disallowed-methods` lists can ban for `VhoId`:
+//!
+//! ```compile_fail
+//! let _ = vod_model::VhoId(3);
+//! ```
+//!
+//! ```compile_fail
+//! let _: vod_model::VhoId = 3u16.into();
+//! ```
+//!
+//! ```compile_fail
+//! let _ = vod_model::VideoId::new(3).0;
+//! ```
 
 use std::fmt;
 
@@ -13,7 +29,7 @@ macro_rules! id_newtype {
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
-        pub struct $name(pub $inner);
+        pub struct $name($inner);
 
         impl $name {
             /// Construct from a raw index.
@@ -44,12 +60,6 @@ macro_rules! id_newtype {
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)
-            }
-        }
-
-        impl From<$inner> for $name {
-            fn from(raw: $inner) -> Self {
-                Self(raw)
             }
         }
     };

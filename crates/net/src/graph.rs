@@ -195,7 +195,7 @@ impl Network {
                 .iter()
                 .map(|n| {
                     obj(vec![
-                        ("id", Value::Num(f64::from(n.id.0))),
+                        ("id", Value::Num(n.id.index() as f64)),
                         ("name", Value::Str(n.name.clone())),
                         ("population", Value::Num(n.population)),
                     ])
@@ -207,9 +207,9 @@ impl Network {
                 .iter()
                 .map(|l| {
                     obj(vec![
-                        ("id", Value::Num(f64::from(l.id.0))),
-                        ("from", Value::Num(f64::from(l.from.0))),
-                        ("to", Value::Num(f64::from(l.to.0))),
+                        ("id", Value::Num(l.id.index() as f64)),
+                        ("from", Value::Num(l.from.index() as f64)),
+                        ("to", Value::Num(l.to.index() as f64)),
                         ("capacity", Value::Num(l.capacity.value())),
                     ])
                 })

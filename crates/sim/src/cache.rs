@@ -397,8 +397,9 @@ impl Cache for LruCache {
             return InsertOutcome::Rejected;
         }
         for &v in evicted.iter() {
-            self.core.evict(v.0);
-            self.order.unlink(v.0);
+            let v = vod_model::narrow::u32_from(v.index());
+            self.core.evict(v);
+            self.order.unlink(v);
         }
         self.core.fill(i, size_gb);
         self.order.push_back(i);
@@ -544,8 +545,9 @@ impl Cache for LfuCache {
             return InsertOutcome::Rejected;
         }
         for &v in evicted.iter() {
-            self.core.evict(v.0);
-            self.remove_from_order(v.0);
+            let v = vod_model::narrow::u32_from(v.index());
+            self.core.evict(v);
+            self.remove_from_order(v);
         }
         self.core.fill(i, size_gb);
         self.file_in_order(i, f);
@@ -867,8 +869,9 @@ impl Cache for LrfuCache {
             return InsertOutcome::Rejected;
         }
         for &v in evicted.iter() {
-            self.core.evict(v.0);
-            self.order.remove(&(self.entry_key[v.0 as usize], v.0));
+            let v = vod_model::narrow::u32_from(v.index());
+            self.core.evict(v);
+            self.order.remove(&(self.entry_key[v as usize], v));
         }
         self.core.fill(i, size_gb);
         let key = Self::key(crf, now);

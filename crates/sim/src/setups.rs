@@ -124,12 +124,10 @@ pub fn top_k_vho_configs(
         .collect();
     let mut pinned: Vec<Vec<VideoId>> = vec![top.clone(); n];
 
-    let in_top: std::collections::BTreeSet<u32> = top.iter().map(|m| m.0).collect();
+    let in_top: std::collections::BTreeSet<VideoId> = top.iter().copied().collect();
     let mut rng = derive_rng(seed, 0x70BC);
-    let mut order: Vec<&vod_model::Video> = catalog
-        .iter()
-        .filter(|v| !in_top.contains(&v.id.0))
-        .collect();
+    let mut order: Vec<&vod_model::Video> =
+        catalog.iter().filter(|v| !in_top.contains(&v.id)).collect();
     order.sort_by(|a, b| {
         b.size()
             .value()

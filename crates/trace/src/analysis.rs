@@ -11,7 +11,7 @@
 use crate::trace::Trace;
 use vod_model::narrow;
 use vod_model::time::{DAY, HOUR};
-use vod_model::{Catalog, Gigabytes, SimTime, TimeWindow, VhoId, VideoKind};
+use vod_model::{Catalog, Gigabytes, SimTime, TimeWindow, VhoId, VideoId, VideoKind};
 
 /// Per-VHO working set measured over one window.
 #[derive(Debug, Clone)]
@@ -46,18 +46,15 @@ pub fn working_sets(
     n_vhos: usize,
     window: TimeWindow,
 ) -> Vec<WorkingSet> {
-    let mut seen: Vec<std::collections::BTreeSet<u32>> =
+    let mut seen: Vec<std::collections::BTreeSet<VideoId>> =
         vec![std::collections::BTreeSet::new(); n_vhos];
     for r in trace.slice(window) {
-        seen[r.vho.index()].insert(r.video.0);
+        seen[r.vho.index()].insert(r.video);
     }
     seen.into_iter()
         .enumerate()
         .map(|(j, set)| {
-            let size = set
-                .iter()
-                .map(|&m| catalog.video(vod_model::VideoId::new(m)).size())
-                .sum();
+            let size = set.iter().map(|&m| catalog.video(m).size()).sum();
             #[expect(
                 clippy::disallowed_methods,
                 reason = "per-VHO working sets are accumulated in a dense vector"
@@ -73,9 +70,9 @@ pub fn working_sets(
 }
 
 /// Cosine similarity between two sparse request-count vectors.
-pub fn cosine(
-    a: &std::collections::BTreeMap<u32, f64>,
-    b: &std::collections::BTreeMap<u32, f64>,
+pub fn cosine<K: Ord>(
+    a: &std::collections::BTreeMap<K, f64>,
+    b: &std::collections::BTreeMap<K, f64>,
 ) -> f64 {
     let dot: f64 = a
         .iter()
@@ -114,13 +111,15 @@ pub fn peak_cosine_similarity(trace: &Trace, n_vhos: usize, window_secs: u64) ->
     let cur = TimeWindow::of_len(SimTime::new(idx * window_secs), window_secs);
     let prev = TimeWindow::of_len(SimTime::new((idx - 1) * window_secs), window_secs);
 
-    let mut cur_vecs: Vec<std::collections::BTreeMap<u32, f64>> = vec![Default::default(); n_vhos];
-    let mut prev_vecs: Vec<std::collections::BTreeMap<u32, f64>> = vec![Default::default(); n_vhos];
+    let mut cur_vecs: Vec<std::collections::BTreeMap<VideoId, f64>> =
+        vec![Default::default(); n_vhos];
+    let mut prev_vecs: Vec<std::collections::BTreeMap<VideoId, f64>> =
+        vec![Default::default(); n_vhos];
     for r in trace.slice(cur) {
-        *cur_vecs[r.vho.index()].entry(r.video.0).or_insert(0.0) += 1.0;
+        *cur_vecs[r.vho.index()].entry(r.video).or_insert(0.0) += 1.0;
     }
     for r in trace.slice(prev) {
-        *prev_vecs[r.vho.index()].entry(r.video.0).or_insert(0.0) += 1.0;
+        *prev_vecs[r.vho.index()].entry(r.video).or_insert(0.0) += 1.0;
     }
     (0..n_vhos)
         .map(|j| cosine(&cur_vecs[j], &prev_vecs[j]))

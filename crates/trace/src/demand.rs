@@ -214,9 +214,7 @@ pub fn synthetic_demand(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> 
         let weights: Vec<f64> = pops
             .iter()
             .enumerate()
-            .map(|(j, &p)| {
-                p * vho_perturbation(cfg.seed, v.id.0, narrow::u16_from(j), cfg.vho_sigma)
-            })
+            .map(|(j, &p)| p * vho_perturbation(cfg.seed, v.id, narrow::u16_from(j), cfg.vho_sigma))
             .collect();
         let cum = cumulative(&weights);
         let mut counts = vec![0u32; n_vhos];

@@ -10,12 +10,12 @@
 //! (Fig. 4).
 
 use crate::stats::{cumulative, poisson, sample_cumulative, standard_normal};
-use crate::trace::{Request, Trace};
+use crate::trace::{pack, Request, Trace, TIME_LIMIT, VHO_LIMIT, VIDEO_LIMIT};
 use rand::Rng;
 use vod_model::narrow;
 use vod_model::rng::{derive_rng, derive_seed};
 use vod_model::time::{DAY, HOUR};
-use vod_model::{Catalog, SimTime, VhoId, Video, VideoKind};
+use vod_model::{Catalog, SimTime, VhoId, Video, VideoId, VideoKind};
 use vod_net::Network;
 
 /// Relative request intensity by day-of-week (trace starts on the
@@ -80,11 +80,14 @@ pub fn age_factor(video: &Video, day: u64, decay: f64) -> f64 {
 /// Deterministic per-(video, VHO) taste multiplier: lognormal with
 /// log-σ `sigma`, derived purely from `(seed, video, vho)` so the trace
 /// generator and the direct demand synthesizer agree exactly.
-pub fn vho_perturbation(seed: u64, video: u32, vho: u16, sigma: f64) -> f64 {
+pub fn vho_perturbation(seed: u64, video: VideoId, vho: u16, sigma: f64) -> f64 {
     if sigma == 0.0 {
         return 1.0;
     }
-    let sub = derive_seed(seed, 0x7A57E ^ ((video as u64) << 16) ^ vho as u64);
+    let sub = derive_seed(
+        seed,
+        0x7A57E ^ ((video.index() as u64) << 16) ^ u64::from(vho),
+    );
     let mut rng = vod_model::rng::rng_from_seed(sub);
     (sigma * standard_normal(&mut rng)).exp()
 }
@@ -109,18 +112,36 @@ pub fn expected_requests(catalog: &Catalog, cfg: &TraceConfig) -> Vec<f64> {
     day_sums.iter().map(|&x| x / z * total).collect()
 }
 
-/// Generate a full request trace.
+/// Generate a full request trace. Panics when the horizon, the
+/// catalog or the network is past a limit of the packed trace
+/// ([`TIME_LIMIT`], [`VIDEO_LIMIT`], [`VHO_LIMIT`]).
 pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Trace {
     assert!(cfg.horizon_days > 0, "horizon must be positive");
     assert!(!catalog.is_empty(), "catalog must not be empty");
     let n_vhos = net.num_nodes();
     let horizon = SimTime::new(cfg.horizon_days * DAY);
+    assert!(
+        horizon.secs() <= TIME_LIMIT,
+        "a {}-day horizon is past the 32-bit time limit",
+        cfg.horizon_days
+    );
+    assert!(
+        catalog.len() <= VIDEO_LIMIT,
+        "{} videos are past the 22-bit video limit",
+        catalog.len()
+    );
+    assert!(
+        n_vhos <= VHO_LIMIT,
+        "{n_vhos} VHOs are past the 10-bit VHO limit"
+    );
     let lambdas = expected_requests(catalog, cfg);
     let hod_cum = cumulative(&HOD_FACTORS);
     let pops: Vec<f64> = net.nodes().iter().map(|n| n.population).collect();
 
     let mut rng = derive_rng(cfg.seed, 0x6E47_11CE);
-    let mut requests = Vec::with_capacity(narrow::count_usize(lambdas.iter().sum::<f64>()) + 1024);
+    // Packed as they are drawn: set-up never holds a `Request` per
+    // request, only the word the trace keeps.
+    let mut words = Vec::with_capacity(narrow::count_usize(lambdas.iter().sum::<f64>()) + 1024);
 
     for (v, &lambda) in catalog.iter().zip(&lambdas) {
         let n = poisson(&mut rng, lambda);
@@ -136,9 +157,7 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
         let vho_weights: Vec<f64> = pops
             .iter()
             .enumerate()
-            .map(|(j, &p)| {
-                p * vho_perturbation(cfg.seed, v.id.0, narrow::u16_from(j), cfg.vho_sigma)
-            })
+            .map(|(j, &p)| p * vho_perturbation(cfg.seed, v.id, narrow::u16_from(j), cfg.vho_sigma))
             .collect();
         let vho_cum = cumulative(&vho_weights);
 
@@ -152,14 +171,14 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
                 clippy::disallowed_methods,
                 reason = "recovers the id from a dense 0..n_vhos vector index"
             )]
-            requests.push(Request {
+            words.push(pack(Request {
                 time: SimTime::new(day * DAY + hour * HOUR + sec),
                 vho: VhoId::from_index(vho),
                 video: v.id,
-            });
+            }));
         }
     }
-    Trace::new(horizon, requests)
+    Trace::from_packed(horizon, words)
 }
 
 #[cfg(test)]
@@ -192,7 +211,7 @@ mod tests {
         let (catalog, net, cfg) = small_world();
         let a = generate_trace(&catalog, &net, &cfg);
         let b = generate_trace(&catalog, &net, &cfg);
-        assert_eq!(a.requests(), b.requests());
+        assert!(a.requests().eq(b.requests()));
     }
 
     #[test]
@@ -262,6 +281,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "past the 32-bit time limit")]
+    fn a_horizon_one_day_past_the_time_limit_panics() {
+        let (catalog, net, mut cfg) = small_world();
+        cfg.horizon_days = TIME_LIMIT / DAY;
+        assert!(cfg.horizon_days * DAY <= TIME_LIMIT);
+        cfg.horizon_days += 1;
+        let _ = generate_trace(&catalog, &net, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 22-bit video limit")]
+    fn a_catalog_one_past_the_video_limit_panics() {
+        let (catalog, net, cfg) = small_world();
+        let first = catalog.iter().next().unwrap().clone();
+        let huge = Catalog::new(
+            (0..=VIDEO_LIMIT)
+                .map(|m| Video {
+                    id: VideoId::from_index(m),
+                    ..first.clone()
+                })
+                .collect(),
+        );
+        let _ = generate_trace(&huge, &net, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 10-bit VHO limit")]
+    fn a_network_one_past_the_vho_limit_panics() {
+        let (catalog, _, cfg) = small_world();
+        let net = Network::from_directed_links(
+            vod_net::graph::make_nodes(&vec![1.0; VHO_LIMIT + 1]),
+            vec![],
+        );
+        let _ = generate_trace(&catalog, &net, &cfg);
+    }
+
+    #[test]
     fn age_factor_shape() {
         let v = Video {
             id: vod_model::VideoId::new(0),
@@ -286,11 +342,11 @@ mod tests {
 
     #[test]
     fn perturbation_deterministic_and_positive() {
-        let a = vho_perturbation(9, 5, 3, 0.5);
-        let b = vho_perturbation(9, 5, 3, 0.5);
+        let a = vho_perturbation(9, VideoId::new(5), 3, 0.5);
+        let b = vho_perturbation(9, VideoId::new(5), 3, 0.5);
         assert_eq!(a, b);
         assert!(a > 0.0);
-        assert_ne!(a, vho_perturbation(9, 5, 4, 0.5));
-        assert_eq!(vho_perturbation(9, 5, 3, 0.0), 1.0);
+        assert_ne!(a, vho_perturbation(9, VideoId::new(5), 4, 0.5));
+        assert_eq!(vho_perturbation(9, VideoId::new(5), 3, 0.0), 1.0);
     }
 }

@@ -119,14 +119,12 @@ fn streaming_windows_estimate_what_restricted_windows_do() {
         let (h, f) = (days(day - 7, day), days(day, day + 7));
         let streamed = (past.advance(&trace, h), next.advance(&trace, f));
         let batch = (trace.restricted(h), trace.restricted(f));
-        assert_eq!(
-            streamed.0.requests(),
-            batch.0.requests(),
+        assert!(
+            streamed.0.requests().eq(batch.0.requests()),
             "history at day {day}"
         );
-        assert_eq!(
-            streamed.1.requests(),
-            batch.1.requests(),
+        assert!(
+            streamed.1.requests().eq(batch.1.requests()),
             "period at day {day}"
         );
         for kind in [
