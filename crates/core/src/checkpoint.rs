@@ -34,8 +34,9 @@ use crate::epf::{EpfConfig, RunState};
 use crate::instance::MipInstance;
 use crate::solution::{BlockSolution, FractionalSolution, Placement};
 use std::fmt;
-use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, field, Sink, Wire, WireError};
-use vod_json::{wire_record, Value};
+use vod_json::reader::Reader;
+use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
+use vod_json::{wire_fields, wire_record, Value};
 use vod_model::VhoId;
 
 /// Snapshot-container kind tag for solver checkpoints.
@@ -118,14 +119,10 @@ impl SolverCheckpoint {
         self.compact().into_bytes()
     }
 
-    /// Deserialize a checkpoint payload. Structural problems come back
-    /// as typed errors — never a panic.
+    /// Deserialize a checkpoint payload, straight from its text.
+    /// Structural problems come back as typed errors — never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| CheckpointError::new("payload is not UTF-8"))?;
-        let value = Value::parse(text)
-            .map_err(|e| CheckpointError::new(format!("payload is not valid JSON: {e}")))?;
-        Ok(Self::dec(&value)?)
+        Ok(Self::from_text(bytes)?)
     }
 
     /// Public form of [`Self::validate_for`]: would this checkpoint
@@ -284,8 +281,8 @@ fn vho_enc<S: Sink>(i: &VhoId, out: &mut S) {
     clippy::disallowed_methods,
     reason = "a persisted id is a dense VHO index by format"
 )]
-fn vho_dec(v: &Value) -> Result<VhoId, WireError> {
-    u16::dec(v).map(VhoId::new)
+fn vho_dec(r: &mut Reader<'_>) -> Result<VhoId, WireError> {
+    u16::read(r).map(VhoId::new)
 }
 
 /// A sparse `(VHO, weight)` list as `[[id, bits], …]`.
@@ -295,16 +292,16 @@ fn dist_enc<S: Sink>(d: &[(VhoId, f64)], out: &mut S) {
     });
 }
 
-fn dist_dec(v: &Value) -> Result<Vec<(VhoId, f64)>, WireError> {
-    dec_seq(v, |pair| dec_pair(pair, vho_dec, f64::dec))
+fn dist_dec(r: &mut Reader<'_>) -> Result<Vec<(VhoId, f64)>, WireError> {
+    dec_seq(r, |r| dec_pair(r, vho_dec, f64::read))
 }
 
 fn dists_enc<S: Sink>(ds: &[Vec<(VhoId, f64)>], out: &mut S) {
     enc_seq(ds, out, |d, out| dist_enc(d, out));
 }
 
-fn dists_dec(v: &Value) -> Result<Vec<Vec<(VhoId, f64)>>, WireError> {
-    dec_seq(v, dist_dec)
+fn dists_dec(r: &mut Reader<'_>) -> Result<Vec<Vec<(VhoId, f64)>>, WireError> {
+    dec_seq(r, dist_dec)
 }
 
 /// Serialize a fractional solution — the solve→round stage boundary of
@@ -313,17 +310,6 @@ fn dists_dec(v: &Value) -> Result<Vec<Vec<(VhoId, f64)>>, WireError> {
 #[must_use]
 pub fn fractional_to_value(f: &FractionalSolution) -> Value {
     f.enc()
-}
-
-/// Decode a persisted fractional solution, shape-validated against the
-/// instance it is about to be rounded for.
-pub fn fractional_from_value(
-    v: &Value,
-    inst: &MipInstance,
-) -> Result<FractionalSolution, CheckpointError> {
-    let f = FractionalSolution::dec(v)?;
-    validate_fractional(&f, inst)?;
-    Ok(f)
 }
 
 /// Shape-check a decoded fractional solution against the instance it
@@ -354,18 +340,16 @@ impl Wire for Placement {
         out.end_obj();
     }
 
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        let n_vhos = field(v, "n_vhos", |n| match u16::dec(n)? {
-            0 => Err(WireError::new("expected at least one VHO")),
-            n => Ok(usize::from(n)),
-        })?;
-        let stores = field(v, "stores", |s| dec_seq(s, |h| dec_seq(h, vho_dec)))?;
-        let routing = field(v, "routing", |r| {
-            dec_seq(r, |clients| {
-                dec_seq(clients, |entry| dec_pair(entry, vho_dec, dist_dec))
-            })
-        })?;
-        Placement::from_parts(n_vhos, stores, routing).map_err(WireError::new)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        wire_fields!(r,
+            n_vhos: |r| match u16::read(r)? {
+                0 => Err(WireError::new("expected at least one VHO")),
+                n => Ok(usize::from(n)),
+            },
+            stores: |r| dec_seq(r, |r| dec_seq(r, vho_dec)),
+            routing: |r| dec_seq(r, |r| dec_seq(r, |r| dec_pair(r, vho_dec, dist_dec)))
+            => Placement::from_parts(n_vhos, stores, routing).map_err(WireError::new)
+        )
     }
 }
 
@@ -373,11 +357,6 @@ impl Wire for Placement {
 #[must_use]
 pub fn placement_to_value(p: &Placement) -> Value {
     p.enc()
-}
-
-/// Decode a persisted placement; malformed payloads are typed errors.
-pub fn placement_from_value(v: &Value) -> Result<Placement, CheckpointError> {
-    Ok(Placement::dec(v)?)
 }
 
 /// Fingerprint of every config field and instance dimension that

@@ -4,8 +4,8 @@
 //! fails *here*?" without root privileges, loopback filesystems, or a
 //! genuinely full disk. A [`FaultPlan`] is a fault schedule;
 //! [`FaultHandle::new`] puts it in force, and the handle's
-//! `write_snapshot_atomic`, `read_snapshot` and `read_json_snapshot`
-//! are the [`crate::snapshot`] functions of those names with the
+//! `write_snapshot_atomic` and `read_snapshot` are the
+//! [`crate::snapshot`] functions of those names with the
 //! schedule deciding which operation fails with which `errno`. The free
 //! functions fault nothing: only I/O handed a handle fails on purpose.
 //!
@@ -63,8 +63,7 @@ impl fmt::Display for IoFault {
 ///
 /// Indices count operations through one [`FaultHandle`] and its clones:
 /// write index `n` is the `n`-th `write_snapshot_atomic`, read index `m`
-/// the `m`-th `read_snapshot` or `read_json_snapshot`. Unmentioned
-/// indices succeed.
+/// the `m`-th `read_snapshot`. Unmentioned indices succeed.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// `(write op index, fault)` pairs; no fault may be

@@ -4,8 +4,9 @@
 //! environment is fully offline), and its serialization needs are
 //! small: write experiment payloads under `results/`, and persist the
 //! service's state and the solver's checkpoints so a later process
-//! reads back the same bits. This crate provides a [`Value`] tree, a
-//! strict recursive-descent parser, a deterministic pretty printer, a
+//! reads back the same bits. This crate provides a [`Value`] tree, the
+//! one strict JSON tokenizer ([`reader`], which [`Value::parse`] and
+//! every wire decoder read through), a deterministic pretty printer, a
 //! one-way [`ToJson`] conversion for the payload shapes the bench
 //! binaries produce, the two-way [`wire`] codec every durable payload
 //! is written with, the checksummed atomic [`snapshot`] container
@@ -27,9 +28,11 @@
     )
 )]
 
+use reader::{Next, Reader};
 use std::fmt::Write as _;
 
 pub mod faults;
+pub mod reader;
 pub mod snapshot;
 pub mod wire;
 
@@ -65,18 +68,8 @@ impl Value {
 
     /// Integer accessor: `Some` only when the number is a non-negative
     /// integer small enough to be represented exactly.
-    // Exact-integer check and in-range cast; the comparisons and the
-    // cast are the point of this function.
-    #[expect(
-        clippy::float_cmp,
-        clippy::cast_possible_truncation,
-        reason = "an exact-integer check and its guarded cast are the point"
-    )]
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Value::Num(x) if *x >= 0.0 && x.trunc() == *x && *x < 9.0e15 => Some(*x as usize),
-            _ => None,
-        }
+        self.as_f64().and_then(exact_usize)
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -101,19 +94,43 @@ impl Value {
     }
 
     /// Parse a JSON document. Strict: exactly one value, no trailing
-    /// garbage, no comments, no trailing commas.
+    /// garbage, no comments, no trailing commas, at most
+    /// [`reader::MAX_DEPTH`] containers deep.
     pub fn parse(s: &str) -> Result<Value, JsonError> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        let mut r = Reader::new(s.as_bytes());
+        let v = Value::read(&mut r)?;
+        r.end()?;
         Ok(v)
+    }
+
+    /// The next value of `r`, as a tree. Recursion is bounded by the
+    /// reader's depth limit.
+    fn read(r: &mut Reader<'_>) -> Result<Value, JsonError> {
+        Ok(match r.peek()? {
+            Next::Null => {
+                r.null()?;
+                Value::Null
+            }
+            Next::Bool => Value::Bool(r.bool()?),
+            Next::Num => Value::Num(r.num()?),
+            Next::Str => Value::Str(r.str()?.into_owned()),
+            Next::Arr => {
+                r.begin_arr()?;
+                let mut items = Vec::new();
+                while r.item()? {
+                    items.push(Value::read(r)?);
+                }
+                Value::Arr(items)
+            }
+            Next::Obj => {
+                r.begin_obj()?;
+                let mut fields = Vec::new();
+                while let Some(key) = r.key()? {
+                    fields.push((key.into_owned(), Value::read(r)?));
+                }
+                Value::Obj(fields)
+            }
+        })
     }
 
     /// Render with two-space indentation and a trailing newline-free
@@ -173,6 +190,19 @@ impl Value {
     }
 }
 
+/// `x` as a `usize` when it is a non-negative integer small enough to
+/// be represented exactly.
+// Exact-integer check and in-range cast; the comparisons and the cast
+// are the point of this function.
+#[expect(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "an exact-integer check and its guarded cast are the point"
+)]
+fn exact_usize(x: f64) -> Option<usize> {
+    (x >= 0.0 && x.trunc() == x && x < 9.0e15).then_some(x as usize)
+}
+
 fn push_indent(out: &mut String, levels: usize) {
     for _ in 0..levels {
         out.push_str("  ");
@@ -230,200 +260,6 @@ impl std::fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
-                self.pos += 1;
-            }
-            if self.pos > start {
-                s.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?,
-                );
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{0008}'),
-                        b'f' => s.push('\u{000C}'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: JSON escapes astral
-                            // chars as two \u escapes.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            s.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                        }
-                        _ => return Err(self.err("unknown escape character")),
-                    }
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let chunk = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
 
 /// Conversion into a [`Value`]. Implemented for the primitive and
 /// container shapes the bench payloads use; experiment-specific structs
@@ -658,6 +494,15 @@ mod tests {
             Value::parse(pretty),
             "same document"
         );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(Value::parse(&deep).is_err());
+        let limit = reader::MAX_DEPTH;
+        let deepest = format!("{}{}", "[".repeat(limit), "]".repeat(limit));
+        assert!(Value::parse(&deepest).is_ok());
     }
 
     #[test]

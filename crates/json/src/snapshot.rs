@@ -417,14 +417,12 @@ pub fn write_json_snapshot(
     write_snapshot_atomic(path, kind, version, value.to_string_pretty().as_bytes())
 }
 
-/// Read a snapshot whose payload is a JSON document.
+/// Read a snapshot whose payload is a JSON document, as a [`Value`].
+/// For tools and tests that want the tree; a typed payload is read from
+/// its text instead ([`crate::wire::Wire::from_text`]).
 pub fn read_json_snapshot(path: &Path, kind: &str, version: u32) -> Result<Value, SnapshotError> {
-    json_of(&read_all(path, None)?, kind, version)
-}
-
-/// The JSON document of a snapshot file's bytes.
-fn json_of(bytes: &[u8], kind: &str, version: u32) -> Result<Value, SnapshotError> {
-    let payload = decode(bytes, kind, version)?;
+    let bytes = read_all(path, None)?;
+    let payload = decode(&bytes, kind, version)?;
     let text = std::str::from_utf8(payload).map_err(|_| SnapshotError::Malformed {
         what: "payload is not UTF-8".to_string(),
     })?;
@@ -457,16 +455,6 @@ impl FaultHandle {
     ) -> Result<Vec<u8>, SnapshotError> {
         payload_of(read_all(path, self.next_read())?, kind, version)
     }
-
-    /// [`read_json_snapshot`], faulted by this handle's schedule.
-    pub fn read_json_snapshot(
-        &self,
-        path: &Path,
-        kind: &str,
-        version: u32,
-    ) -> Result<Value, SnapshotError> {
-        json_of(&read_all(path, self.next_read())?, kind, version)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -495,8 +483,7 @@ pub fn u64_bits_value(x: u64) -> Value {
 /// `[0-9a-f]`. Stricter than `u64::from_str_radix`, which also takes a
 /// sign and upper case — two texts for one value, where resume
 /// identity is argued from "the encoding is canonical".
-pub(crate) fn hex_u64(v: &Value) -> Option<u64> {
-    let s = v.as_str()?;
+pub(crate) fn hex_u64(s: &str) -> Option<u64> {
     let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
     u64::from_str_radix(s, 16).ok().filter(|_| canonical)
 }
@@ -508,9 +495,11 @@ pub fn f64_from_bits_value(v: &Value, what: &str) -> Result<f64, SnapshotError> 
 
 /// Decode a [`u64_bits_value`]-encoded integer.
 pub fn u64_from_bits_value(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    hex_u64(v).ok_or_else(|| SnapshotError::Malformed {
-        what: format!("{what}: expected a 16-digit hex string"),
-    })
+    v.as_str()
+        .and_then(hex_u64)
+        .ok_or_else(|| SnapshotError::Malformed {
+            what: format!("{what}: expected a 16-digit hex string"),
+        })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! writes `{"a": …, "b": …}` and reads the same keys back, so a field is
 //! named once and adding one is one word. A field whose type cannot
 //! implement [`Wire`] here names its two functions instead:
-//! `c: with(enc_fn, dec_fn)`.
+//! `c: with(enc_fn, dec_fn)`, where `dec_fn` reads from a [`Reader`].
 //!
 //! That is how the id newtypes (`VhoId`, `VideoId`) travel. They live in
 //! `vod-model`, which this crate does not depend on, and a new edge
@@ -41,15 +41,34 @@
 //! three are provided methods over `emit`, so a type cannot print one
 //! form and build another.
 //!
+//! Decoding mirrors encoding: one reader and no document. A type reads
+//! its form from the crate's one tokenizer ([`Wire::read`] over a
+//! [`Reader`]), asking for the node it expects next, and
+//! [`Wire::from_text`] is that read over a whole payload — what every
+//! snapshot read calls. A record reads its keys in any order, each into
+//! one slot per listed field; a key it does not list is stepped over
+//! with its syntax checked, and a repeated key keeps its first value,
+//! as [`Value::get`] finds the first. So a read holds the payload's
+//! text and the value being decoded, and nothing else: the tree the
+//! parser used to build first was some 8 times the size of its text.
+//! [`Wire::dec`] remains for callers that already hold a [`Value`]; it
+//! reads that document's compact text.
+//!
 //! Decoding never panics. A [`WireError`] says what was expected and
 //! where: `records[3].sim.max_gbps: expected a 16-digit hex string`.
 //! The path is assembled on the way *out* of a failed decode, one
-//! segment per level, so a successful decode builds no string. Keys a
-//! record does not list are ignored; integrity is the snapshot
-//! container's checksum, not the codec's job.
+//! segment per level, so a successful decode builds no string. The
+//! first error in document order is the one reported, whether it is a
+//! shape error or a syntax error. Keys a record does not list are
+//! ignored; integrity is the snapshot container's checksum, not the
+//! codec's job.
 
+use crate::reader::{Next, Reader};
 use crate::snapshot::{hex_u64, u64_bits_value};
-use crate::{push_indent, write_escaped, write_number, Value};
+use crate::{
+    exact_usize, push_indent, strip_layout, write_escaped, write_number, JsonError, Value,
+};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A type with one JSON form, fixed by the table in the module doc.
@@ -57,7 +76,22 @@ pub trait Wire: Sized {
     /// Write the form into `out`, one event per node.
     fn emit<S: Sink>(&self, out: &mut S);
 
-    fn dec(v: &Value) -> Result<Self, WireError>;
+    /// Read the form of the value that comes next in `r`.
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Decode a whole payload: one value, then nothing but layout.
+    fn from_text(text: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(text);
+        let x = Self::read(&mut r)?;
+        r.end()?;
+        Ok(x)
+    }
+
+    /// Decode a document already built as a [`Value`], by reading its
+    /// compact text. No snapshot read takes this path.
+    fn dec(v: &Value) -> Result<Self, WireError> {
+        Self::from_text(strip_layout(&v.to_string_pretty()).as_bytes())
+    }
 
     /// The form as a document.
     fn enc(&self) -> Value {
@@ -338,7 +372,15 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Decode the value under `key` of object `obj` with `dec`.
+/// A syntax error, reported where the read stood when it met it.
+impl From<JsonError> for WireError {
+    fn from(e: JsonError) -> Self {
+        Self::new(e.to_string())
+    }
+}
+
+/// Decode the value under `key` of the document `obj` with `dec`: for
+/// callers that hold a [`Value`].
 pub fn field<'a, T>(
     obj: &'a Value,
     key: &str,
@@ -351,10 +393,60 @@ pub fn field<'a, T>(
     }
 }
 
-/// The string behind a `Str`.
-pub fn str_of(v: &Value) -> Result<&str, WireError> {
-    v.as_str()
-        .ok_or_else(|| WireError::new("expected a string"))
+/// Read the object that comes next, key by key in document order:
+/// `each` reads or steps over the value under each key.
+pub fn dec_obj<'a>(
+    r: &mut Reader<'a>,
+    mut each: impl FnMut(&str, &mut Reader<'a>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    if r.peek()? != Next::Obj {
+        return Err(WireError::new("expected an object"));
+    }
+    r.begin_obj()?;
+    while let Some(key) = r.key()? {
+        each(&key, r)?;
+    }
+    Ok(())
+}
+
+/// Read the value under `key` into its field's `slot` with `read`, or,
+/// when the key is repeated, step over it: the first value wins.
+pub fn read_field<'a, T>(
+    slot: &mut Option<T>,
+    key: &str,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<(), WireError> {
+    if slot.is_some() {
+        return skip_field(r, key);
+    }
+    *slot = Some(read(r).map_err(|e| e.in_field(key))?);
+    Ok(())
+}
+
+/// Step over the value under `key`, checking its syntax.
+pub fn skip_field(r: &mut Reader<'_>, key: &str) -> Result<(), WireError> {
+    r.skip().map_err(|e| WireError::from(e).in_field(key))
+}
+
+/// The value a field's slot took, or the field is missing.
+pub fn filled<T>(slot: Option<T>, key: &str) -> Result<T, WireError> {
+    slot.ok_or_else(|| WireError::new("missing field").in_field(key))
+}
+
+/// The string that comes next; borrowed from the text when it holds no
+/// escape.
+pub fn str_of<'a>(r: &mut Reader<'a>) -> Result<Cow<'a, str>, WireError> {
+    if r.peek()? != Next::Str {
+        return Err(WireError::new("expected a string"));
+    }
+    Ok(r.str()?)
+}
+
+/// The `"kind"` of the tagged object that comes next, looked up ahead
+/// of the object's other keys; `r` itself does not move.
+pub fn kind_of<'a>(r: &Reader<'a>) -> Result<Cow<'a, str>, WireError> {
+    crate::wire_fields!(&mut r.clone(), kind: str_of => Ok(kind))
 }
 
 /// An array of `enc`-encoded items.
@@ -374,44 +466,61 @@ pub fn enc_pair<S: Sink>(out: &mut S, a: impl FnOnce(&mut S), b: impl FnOnce(&mu
     out.end_arr();
 }
 
-/// Decode an array item by item.
-pub fn dec_seq<T>(
-    v: &Value,
-    dec: impl Fn(&Value) -> Result<T, WireError>,
+/// Read an array item by item.
+pub fn dec_seq<'a, T>(
+    r: &mut Reader<'a>,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
-    v.as_arr()
-        .ok_or_else(|| WireError::new("expected an array"))?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| dec(x).map_err(|e| e.in_index(i)))
-        .collect()
-}
-
-/// Decode an array of exactly two items.
-pub fn dec_pair<A, B>(
-    v: &Value,
-    dec_a: impl FnOnce(&Value) -> Result<A, WireError>,
-    dec_b: impl FnOnce(&Value) -> Result<B, WireError>,
-) -> Result<(A, B), WireError> {
-    match v.as_arr() {
-        Some([a, b]) => Ok((
-            dec_a(a).map_err(|e| e.in_index(0))?,
-            dec_b(b).map_err(|e| e.in_index(1))?,
-        )),
-        _ => Err(WireError::new("expected a 2-element array")),
+    if r.peek()? != Next::Arr {
+        return Err(WireError::new("expected an array"));
     }
+    r.begin_arr()?;
+    let mut items = Vec::new();
+    while r.item()? {
+        items.push(read(r).map_err(|e| e.in_index(items.len()))?);
+    }
+    Ok(items)
 }
 
-fn bits_of(v: &Value) -> Result<u64, WireError> {
-    hex_u64(v).ok_or_else(|| WireError::new("expected a 16-digit hex string"))
+/// Read an array of exactly two items.
+pub fn dec_pair<'a, A, B>(
+    r: &mut Reader<'a>,
+    read_a: impl FnOnce(&mut Reader<'a>) -> Result<A, WireError>,
+    read_b: impl FnOnce(&mut Reader<'a>) -> Result<B, WireError>,
+) -> Result<(A, B), WireError> {
+    let not_a_pair = || WireError::new("expected a 2-element array");
+    if r.peek()? != Next::Arr {
+        return Err(not_a_pair());
+    }
+    r.begin_arr()?;
+    if !r.item()? {
+        return Err(not_a_pair());
+    }
+    let a = read_a(r).map_err(|e| e.in_index(0))?;
+    if !r.item()? {
+        return Err(not_a_pair());
+    }
+    let b = read_b(r).map_err(|e| e.in_index(1))?;
+    if r.item()? {
+        return Err(not_a_pair());
+    }
+    Ok((a, b))
+}
+
+fn bits_of(r: &mut Reader<'_>) -> Result<u64, WireError> {
+    let not_hex = || WireError::new("expected a 16-digit hex string");
+    if r.peek()? != Next::Str {
+        return Err(not_hex());
+    }
+    hex_u64(&r.str()?).ok_or_else(not_hex)
 }
 
 impl Wire for u64 {
     fn emit<S: Sink>(&self, out: &mut S) {
         out.hex(*self);
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        bits_of(v)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        bits_of(r)
     }
 }
 
@@ -419,13 +528,16 @@ impl Wire for f64 {
     fn emit<S: Sink>(&self, out: &mut S) {
         out.hex(self.to_bits());
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        bits_of(v).map(f64::from_bits)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        bits_of(r).map(f64::from_bits)
     }
 }
 
-fn num_of<T: TryFrom<usize>>(v: &Value, what: &str) -> Result<T, WireError> {
-    v.as_usize()
+fn num_of<T: TryFrom<usize>>(r: &mut Reader<'_>, what: &str) -> Result<T, WireError> {
+    if r.peek()? != Next::Num {
+        return Err(WireError::new(what));
+    }
+    exact_usize(r.num()?)
         .and_then(|n| T::try_from(n).ok())
         .ok_or_else(|| WireError::new(what))
 }
@@ -436,8 +548,8 @@ macro_rules! wire_num {
             fn emit<S: Sink>(&self, out: &mut S) {
                 out.num(*self as f64);
             }
-            fn dec(v: &Value) -> Result<Self, WireError> {
-                num_of(v, concat!("expected a ", stringify!($t)))
+            fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                num_of(r, concat!("expected a ", stringify!($t)))
             }
         }
     )*};
@@ -449,8 +561,11 @@ impl Wire for bool {
     fn emit<S: Sink>(&self, out: &mut S) {
         out.bool(*self);
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        v.as_bool().ok_or_else(|| WireError::new("expected a bool"))
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        if r.peek()? != Next::Bool {
+            return Err(WireError::new("expected a bool"));
+        }
+        Ok(r.bool()?)
     }
 }
 
@@ -458,8 +573,8 @@ impl Wire for String {
     fn emit<S: Sink>(&self, out: &mut S) {
         out.str(self);
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        str_of(v).map(str::to_string)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        str_of(r).map(Cow::into_owned)
     }
 }
 
@@ -470,11 +585,12 @@ impl<T: Wire> Wire for Option<T> {
             Some(x) => x.emit(out),
         }
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        match v {
-            Value::Null => Ok(None),
-            some => T::dec(some).map(Some),
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        if r.peek()? == Next::Null {
+            r.null()?;
+            return Ok(None);
         }
+        T::read(r).map(Some)
     }
 }
 
@@ -482,8 +598,8 @@ impl<T: Wire> Wire for Vec<T> {
     fn emit<S: Sink>(&self, out: &mut S) {
         enc_seq(self, out, T::emit);
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        dec_seq(v, T::dec)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        dec_seq(r, T::read)
     }
 }
 
@@ -491,14 +607,15 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn emit<S: Sink>(&self, out: &mut S) {
         enc_pair(out, |out| self.0.emit(out), |out| self.1.emit(out));
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        dec_pair(v, A::dec, B::dec)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        dec_pair(r, A::read, B::read)
     }
 }
 
 /// `wire_record!(T { a, b, c: with(enc_fn, dec_fn) })`: [`Wire`] for
 /// struct `T` as an object whose keys are the listed fields, in order.
-/// `enc_fn: fn(&C, &mut impl Sink)`, `dec_fn: fn(&Value) -> Result<C, WireError>`.
+/// `enc_fn: fn(&C, &mut impl Sink)`,
+/// `dec_fn: fn(&mut Reader) -> Result<C, WireError>`.
 #[macro_export]
 macro_rules! wire_record {
     ($t:ty { $($f:ident $(: with($enc:expr, $dec:expr))?),+ $(,)? }) => {
@@ -511,17 +628,42 @@ macro_rules! wire_record {
                 )+
                 out.end_obj();
             }
-            fn dec(v: &$crate::Value) -> Result<Self, $crate::wire::WireError> {
-                Ok(Self {$(
-                    $f: $crate::wire::field(v, stringify!($f), $crate::wire_record!(@dec $($dec)?))?,
-                )+})
+            fn read(
+                r: &mut $crate::reader::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                $crate::wire_fields!(r, $($f: $crate::wire_record!(@dec $($dec)?)),+
+                    => Ok(Self { $($f),+ }))
             }
         }
     };
     (@enc $x:expr, $out:ident) => { $crate::wire::Wire::emit(&$x, $out) };
     (@enc $x:expr, $out:ident, $enc:expr) => { $enc(&$x, $out) };
-    (@dec) => { $crate::wire::Wire::dec };
+    (@dec) => { $crate::wire::Wire::read };
     (@dec $dec:expr) => { $dec };
+}
+
+/// `wire_fields!(r, a: read_a, b: read_b => build)`: read the object
+/// that comes next in `r` into one slot per listed key, each with its
+/// `read` function, then evaluate `build` with `a` and `b` bound to
+/// what was read. Keys come in any order; unlisted ones are stepped
+/// over, a repeated one keeps its first value, and a missing one
+/// returns its error from the enclosing function. The reader side of
+/// every record, for the forms a macro does not write.
+#[macro_export]
+macro_rules! wire_fields {
+    ($r:expr $(, $f:ident: $read:expr)* $(,)? => $build:expr) => {{
+        $( let mut $f = None; )*
+        $crate::wire::dec_obj($r, |key, r| {
+            $(
+                if key == stringify!($f) {
+                    return $crate::wire::read_field(&mut $f, key, r, $read);
+                }
+            )*
+            $crate::wire::skip_field(r, key)
+        })?;
+        $( let $f = $crate::wire::filled($f, stringify!($f))?; )*
+        $build
+    }};
 }
 
 /// `wire_names!(T)`: [`Wire`] for a unit enum with `name(self) ->
@@ -533,9 +675,9 @@ macro_rules! wire_names {
             fn emit<S: $crate::wire::Sink>(&self, out: &mut S) {
                 out.str(self.name());
             }
-            fn dec(v: &$crate::Value) -> Result<Self, $crate::wire::WireError> {
-                let name = $crate::wire::str_of(v)?;
-                <$t>::from_name(name)
+            fn read(r: &mut $crate::reader::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                let name = $crate::wire::str_of(r)?;
+                <$t>::from_name(&name)
                     .ok_or_else(|| $crate::wire::WireError::new(format!("unknown name {name:?}")))
             }
         }
@@ -544,7 +686,9 @@ macro_rules! wire_names {
 
 /// `wire_tagged!(T { "tag" => Variant { a, b }, … })`: [`Wire`] for an
 /// enum of struct variants, as an object led by `"kind": "tag"` and
-/// followed by the variant's fields in order.
+/// followed by the variant's fields in order. A read finds the kind
+/// first, wherever it stands, then reads the variant's fields as a
+/// record does.
 #[macro_export]
 macro_rules! wire_tagged {
     ($t:ty { $($tag:literal => $variant:ident { $($f:ident),* $(,)? }),+ $(,)? }) => {
@@ -563,11 +707,12 @@ macro_rules! wire_tagged {
                 )+}
                 out.end_obj();
             }
-            fn dec(v: &$crate::Value) -> Result<Self, $crate::wire::WireError> {
-                match $crate::wire::field(v, "kind", $crate::wire::str_of)? {
-                    $($tag => Ok(Self::$variant {$(
-                        $f: $crate::wire::field(v, stringify!($f), $crate::wire::Wire::dec)?,
-                    )*}),)+
+            fn read(
+                r: &mut $crate::reader::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                match &*$crate::wire::kind_of(r)? {
+                    $($tag => $crate::wire_fields!(r $(, $f: $crate::wire::Wire::read)*
+                        => Ok(Self::$variant { $($f),* })),)+
                     other => Err($crate::wire::WireError::new(format!("unknown kind {other:?}"))
                         .in_field("kind")),
                 }

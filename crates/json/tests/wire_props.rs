@@ -3,7 +3,9 @@
 //! damaged at any single node decodes to an error that names that node
 //! — never a panic, never the original value — and the text an encoder
 //! streams is the text its document prints, pretty or with its layout
-//! stripped.
+//! stripped. Every decode reads a text, compact and pretty alike, as
+//! the snapshot reads do; the reader's own cases (keys in any order,
+//! unlisted keys, repeated keys, trailing bytes) close the file.
 //!
 //! The sample record nests every form the codec has: all primitive
 //! types, `Option`, `Vec`, pairs, a `wire_record!` inside another, a
@@ -17,7 +19,8 @@
 )]
 
 use proptest::prelude::*;
-use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
+use vod_json::reader::Reader;
+use vod_json::wire::{dec_obj, dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
 use vod_json::{strip_layout, wire_names, wire_record, wire_tagged, Value};
 
 /// An `f64` that compares by bit pattern, so NaN payloads and `-0.0`
@@ -35,8 +38,8 @@ impl Wire for Bits {
     fn emit<S: Sink>(&self, out: &mut S) {
         self.0.emit(out);
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        f64::dec(v).map(Bits)
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        f64::read(r).map(Bits)
     }
 }
 
@@ -86,8 +89,8 @@ fn id_enc<S: Sink>(i: &Id, out: &mut S) {
     i.0.emit(out);
 }
 
-fn id_dec(v: &Value) -> Result<Id, WireError> {
-    u16::dec(v).map(Id)
+fn id_dec(r: &mut Reader<'_>) -> Result<Id, WireError> {
+    u16::read(r).map(Id)
 }
 
 type Route = Vec<(Id, Bits)>;
@@ -98,8 +101,8 @@ fn route_enc<S: Sink>(r: &Route, out: &mut S) {
     });
 }
 
-fn route_dec(v: &Value) -> Result<Route, WireError> {
-    dec_seq(v, |p| dec_pair(p, id_dec, Bits::dec))
+fn route_dec(r: &mut Reader<'_>) -> Result<Route, WireError> {
+    dec_seq(r, |r| dec_pair(r, id_dec, Bits::read))
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -358,6 +361,18 @@ fn sample_of(picks: &[u64]) -> Sample {
     }
 }
 
+/// A document's two texts: compact, as the snapshots are written, and
+/// pretty, as the goldens are.
+fn texts(v: &Value) -> [String; 2] {
+    let pretty = v.to_string_pretty();
+    [strip_layout(&pretty), pretty]
+}
+
+/// `T` read from both texts of `v`.
+fn read_both<T: Wire>(v: &Value) -> [Result<T, WireError>; 2] {
+    texts(v).map(|text| T::from_text(text.as_bytes()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -366,10 +381,9 @@ proptest! {
         picks in prop::collection::vec(any::<u64>(), 16..64),
     ) {
         let x = sample_of(&picks);
-        let v = x.enc();
-        prop_assert_eq!(Sample::dec(&v), Ok(x.clone()));
-        let parsed = Value::parse(&v.to_string_pretty()).unwrap();
-        prop_assert_eq!(Sample::dec(&parsed), Ok(x));
+        prop_assert_eq!(Sample::from_text(x.compact().as_bytes()), Ok(x.clone()));
+        prop_assert_eq!(Sample::from_text(x.text().as_bytes()), Ok(x.clone()));
+        prop_assert_eq!(Sample::dec(&x.enc()), Ok(x));
     }
 
     #[test]
@@ -378,16 +392,18 @@ proptest! {
     ) {
         let x = sample_of(&picks);
         for (damaged, expect) in mutants(&x.enc(), &sample_shape()) {
-            match (Sample::dec(&damaged), expect) {
-                (Err(e), Some(path)) => prop_assert_eq!(e.path, path, "{}", e.what),
-                (Ok(y), None) => prop_assert!(y != x, "a shorter list decoded to the original"),
-                (got, expect) => prop_assert!(
-                    false,
-                    "expected {:?}, decoded {:?} from {}",
-                    expect,
-                    got,
-                    damaged.to_string_pretty()
-                ),
+            for got in read_both::<Sample>(&damaged) {
+                match (got, &expect) {
+                    (Err(e), Some(path)) => prop_assert_eq!(&e.path, path, "{}", e.what),
+                    (Ok(y), None) => prop_assert!(y != x, "a shorter list decoded to the original"),
+                    (got, expect) => prop_assert!(
+                        false,
+                        "expected {:?}, decoded {:?} from {}",
+                        expect,
+                        got,
+                        damaged.to_string_pretty()
+                    ),
+                }
             }
         }
     }
@@ -402,11 +418,9 @@ impl Wire for Hole {
         out.begin_obj();
         out.end_obj();
     }
-    fn dec(v: &Value) -> Result<Self, WireError> {
-        match v {
-            Value::Obj(fields) if fields.is_empty() => Ok(Hole),
-            _ => Err(WireError::new("expected an empty object")),
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        dec_obj(r, |_, _| Err(WireError::new("expected an empty object")))?;
+        Ok(Hole)
     }
 }
 
@@ -506,8 +520,8 @@ proptest! {
         streams_what_it_prints(&x)?;
         let nest = nest_of(&picks);
         streams_what_it_prints(&nest)?;
-        prop_assert_eq!(Nest::dec(&Value::parse(&nest.text()).unwrap()), Ok(nest.clone()));
-        prop_assert_eq!(Nest::dec(&Value::parse(&nest.compact()).unwrap()), Ok(nest));
+        prop_assert_eq!(Nest::from_text(nest.text().as_bytes()), Ok(nest.clone()));
+        prop_assert_eq!(Nest::from_text(nest.compact().as_bytes()), Ok(nest));
     }
 }
 
@@ -555,10 +569,124 @@ fn an_error_reads_as_path_then_expectation() {
     };
     assert_eq!(leaf[1].0, "x");
     leaf[1].1 = Value::Num(1.0);
-    let err = Sample::dec(&Value::Obj(fields)).unwrap_err();
-    assert_eq!(err.to_string(), "leaf.x: expected a 16-digit hex string");
-    assert_eq!(
-        Sample::dec(&Value::Null).unwrap_err().to_string(),
-        "expected an object"
+    for err in read_both::<Sample>(&Value::Obj(fields)) {
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "leaf.x: expected a 16-digit hex string"
+        );
+    }
+    for err in read_both::<Sample>(&Value::Null) {
+        assert_eq!(err.unwrap_err().to_string(), "expected an object");
+    }
+}
+
+type Field = (String, Value);
+
+/// The sample, its document's fields, and its leaf's fields.
+fn sample_fields() -> (Sample, Vec<Field>, Vec<Field>) {
+    let x = sample_of(&[7, 1, 2, 3, 4, 5, 6, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8]);
+    let Value::Obj(fields) = x.enc() else {
+        panic!("a record encodes as an object");
+    };
+    let Value::Obj(leaf) = fields[0].1.clone() else {
+        panic!("a record encodes as an object");
+    };
+    (x, fields, leaf)
+}
+
+#[test]
+fn keys_read_in_any_order() {
+    let (x, mut fields, mut leaf) = sample_fields();
+    leaf.reverse();
+    fields[0].1 = Value::Obj(leaf);
+    fields.rotate_left(3);
+    fields.swap(0, 2);
+    for got in read_both::<Sample>(&Value::Obj(fields)) {
+        assert_eq!(got, Ok(x.clone()));
+    }
+}
+
+#[test]
+fn unlisted_keys_are_stepped_over_whatever_they_hold() {
+    let (x, mut fields, mut leaf) = sample_fields();
+    let nested =
+        Value::parse(r#"[[1, {"a": [{}, [], {"b": [null, true, "s\"q"]}]}], -2.5e3, {}]"#).unwrap();
+    leaf.insert(0, ("extra".to_string(), nested.clone()));
+    fields[0].1 = Value::Obj(leaf);
+    fields.insert(
+        3,
+        ("more".to_string(), Value::Obj(vec![("x".into(), nested)])),
     );
+    fields.push(("last".to_string(), Value::Str("tail".into())));
+    for got in read_both::<Sample>(&Value::Obj(fields)) {
+        assert_eq!(got, Ok(x.clone()));
+    }
+}
+
+#[test]
+fn a_repeated_key_keeps_its_first_value() {
+    let (x, mut fields, _) = sample_fields();
+    let other = sample_of(&[9, 9, 9, 9, 9, 9, 9, 9]).enc();
+    // A later `leaf` of another value, and one no leaf form accepts.
+    fields.insert(1, ("leaf".to_string(), other.get("leaf").unwrap().clone()));
+    fields.push(("leaf".to_string(), Value::Bool(true)));
+    let doc = Value::Obj(fields);
+    assert_eq!(
+        doc.get("leaf"),
+        Some(&x.leaf.enc()),
+        "the tree finds the first too"
+    );
+    for got in read_both::<Sample>(&doc) {
+        assert_eq!(got, Ok(x.clone()));
+    }
+    // A repeated key is stepped over, but its syntax is still checked.
+    let broken = format!("{},\"leaf\":[1,]}}", x.compact().trim_end_matches('}'));
+    let err = Sample::from_text(broken.as_bytes()).unwrap_err();
+    assert_eq!(err.path, "leaf", "{err}");
+}
+
+#[test]
+fn a_missing_field_keeps_its_path() {
+    let (_, mut fields, mut leaf) = sample_fields();
+    leaf.retain(|(k, _)| k != "x");
+    fields[0].1 = Value::Obj(leaf);
+    for got in read_both::<Sample>(&Value::Obj(fields)) {
+        assert_eq!(got.unwrap_err().to_string(), "leaf.x: missing field");
+    }
+}
+
+#[test]
+fn only_layout_may_follow_the_value() {
+    let (x, ..) = sample_fields();
+    let text = x.compact();
+    let padded = format!(" \n{text}\t\r\n ");
+    assert_eq!(Sample::from_text(padded.as_bytes()), Ok(x.clone()));
+    for tail in ["x", "{}", ",", "\u{0}", " 1"] {
+        let err = Sample::from_text(format!("{text}{tail}").as_bytes()).unwrap_err();
+        assert!(err.what.contains("trailing characters"), "{tail:?}: {err}");
+    }
+    let err = Sample::from_text(&text.as_bytes()[..text.len() - 1]).unwrap_err();
+    assert!(err.what.contains("JSON error"), "{err}");
+}
+
+#[test]
+fn a_tagged_object_reads_its_kind_first_wherever_it_stands() {
+    let event = |text: &str| Event::from_text(text.as_bytes());
+    assert_eq!(
+        event(r#"{"why": "w", "code": 7, "kind": "failed"}"#),
+        Ok(Event::Failed {
+            code: 7,
+            why: "w".to_string()
+        })
+    );
+    assert_eq!(
+        event(r#"{"kind": "idle", "kind": "failed", "note": [{}]}"#),
+        Ok(Event::Idle {})
+    );
+    let err = event(r#"{"kind": "exploded", "code": 7}"#).unwrap_err();
+    assert_eq!(err.to_string(), r#"kind: unknown kind "exploded""#);
+    let err = event(r#"{"code": 7, "why": "w"}"#).unwrap_err();
+    assert_eq!(err.to_string(), "kind: missing field");
+    let err = event(r#"{"kind": "failed", "why": "w"}"#).unwrap_err();
+    assert_eq!(err.to_string(), "code: missing field");
 }

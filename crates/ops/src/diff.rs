@@ -27,8 +27,9 @@
 //! [`Placement::from_parts`] enforces.
 
 use vod_core::Placement;
+use vod_json::reader::Reader;
 use vod_json::wire::{Sink, Wire, WireError};
-use vod_json::{wire_record, Value};
+use vod_json::wire_record;
 use vod_model::VideoId;
 
 /// One postponed migration: `video` still needs `copies` transfers to
@@ -53,8 +54,8 @@ fn video_enc<S: Sink>(m: &VideoId, out: &mut S) {
     m.index().emit(out);
 }
 
-fn video_dec(v: &Value) -> Result<VideoId, WireError> {
-    u32::dec(v).map(VideoId::new)
+fn video_dec(r: &mut Reader<'_>) -> Result<VideoId, WireError> {
+    u32::read(r).map(VideoId::new)
 }
 
 /// Result of applying the churn cap to one cycle's target placement.
@@ -198,6 +199,7 @@ pub fn apply_churn_cap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_json::Value;
     use vod_model::VhoId;
 
     /// Tiny hand-built placements over `n` videos and 4 VHOs; video m

@@ -48,9 +48,10 @@ use vod_core::{
 };
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
 use vod_json::faults::FaultHandle;
+use vod_json::reader::{Next, Reader};
 use vod_json::snapshot::{fnv1a64, SnapshotError};
-use vod_json::wire::{field, Sink, Wire, WireError};
-use vod_json::{wire_record, Value};
+use vod_json::wire::{Sink, Wire, WireError};
+use vod_json::{wire_fields, wire_record, Value};
 use vod_model::rng::derive_seed;
 use vod_model::time::DAY;
 use vod_model::{
@@ -380,8 +381,9 @@ impl ServiceState {
         self.enc()
     }
 
-    /// Decode a persisted state; any malformed field is a typed error
-    /// string naming its path and the caller cold-restarts.
+    /// Decode a state held as a document; any malformed field is a
+    /// typed error string naming its path. The service itself reads
+    /// `service.state` straight from its text ([`Wire::from_text`]).
     pub fn from_value(v: &Value) -> Result<Self, String> {
         Self::dec(v).map_err(|e| e.to_string())
     }
@@ -428,14 +430,12 @@ fn deployed_enc<S: Sink>(d: &Option<(usize, Placement)>, out: &mut S) {
     out.end_obj();
 }
 
-fn deployed_dec(v: &Value) -> Result<Option<(usize, Placement)>, WireError> {
-    match v {
-        Value::Null => Ok(None),
-        d => Ok(Some((
-            field(d, "cycle", Wire::dec)?,
-            field(d, "placement", Wire::dec)?,
-        ))),
+fn deployed_dec(r: &mut Reader<'_>) -> Result<Option<(usize, Placement)>, WireError> {
+    if r.peek()? == Next::Null {
+        r.null()?;
+        return Ok(None);
     }
+    wire_fields!(r, cycle: Wire::read, placement: Wire::read => Ok(Some((cycle, placement))))
 }
 
 /// The solve→round artifact (`fractional.snap`): the fractional
@@ -477,11 +477,6 @@ struct StateDir {
 impl StateDir {
     fn read(&self, Snap(name, kind, version): Snap) -> Result<Vec<u8>, SnapshotError> {
         self.io.read_snapshot(&self.root.join(name), kind, version)
-    }
-
-    fn read_json(&self, Snap(name, kind, version): Snap) -> Result<Value, SnapshotError> {
-        self.io
-            .read_json_snapshot(&self.root.join(name), kind, version)
     }
 
     fn write(&self, Snap(name, kind, version): Snap, payload: &[u8]) -> Result<(), SnapshotError> {
@@ -618,8 +613,8 @@ impl Service {
             st.cold_restarts = 1;
             st
         };
-        let state = match dir.read_json(Snap::STATE) {
-            Ok(v) => match ServiceState::from_value(&v) {
+        let state = match dir.read(Snap::STATE) {
+            Ok(text) => match ServiceState::from_text(&text) {
                 Ok(mut st) if st.seed == seed => {
                     st.resumes += 1;
                     st
@@ -1014,9 +1009,9 @@ impl Service {
         // faulted disk leaves behind (same cycle/config gate applies).
         let durable = self
             .dir
-            .read_json(Snap::FRACTIONAL)
+            .read(Snap::FRACTIONAL)
             .ok()
-            .and_then(|v| FractionalArtifact::dec(&v).ok());
+            .and_then(|text| FractionalArtifact::from_text(&text).ok());
         let artifact = durable
             .as_ref()
             .filter(fresh)

@@ -24,7 +24,7 @@
 )]
 
 use std::path::{Path, PathBuf};
-use vod_core::{DiskConfig, EpfConfig};
+use vod_core::{DiskConfig, EpfConfig, SolverCheckpoint};
 use vod_estimate::{EstimateConfig, EstimatorKind};
 use vod_json::faults::{FaultHandle, FaultPlan as IoFaultPlan, IoFault};
 use vod_json::snapshot::{fnv1a64, read_snapshot, write_snapshot_atomic, SnapshotError};
@@ -178,6 +178,37 @@ fn container_versions_resume_or_cold_restart() {
     let p = start(&w, 64, &dir).unwrap();
     assert_eq!(p.state().cold_restarts, 1, "a VODSNAP3 state cold-restarts");
     assert_eq!(p.state().cycle, 0);
+}
+
+/// A checksum can be forged, so a valid container may carry any
+/// payload. 100 000 open brackets once overflowed the recursive
+/// parser's stack and aborted the process; now every reader stops at
+/// the depth limit with a typed error, and the service cold-restarts.
+#[test]
+fn a_deeply_nested_payload_is_a_typed_error_and_a_cold_restart() {
+    let deep = "[".repeat(100_000);
+    let under_a_key = format!("{{\"seed\":{deep}");
+    let under_an_unlisted_key = format!("{{\"x\":{deep}");
+    assert!(vod_json::Value::parse(&deep).is_err());
+    assert!(vod_json::Value::parse(&under_a_key).is_err());
+    for payload in [&deep, &under_a_key, &under_an_unlisted_key] {
+        assert!(SolverCheckpoint::from_bytes(payload.as_bytes()).is_err());
+    }
+
+    let w = world(65);
+    let dir = fresh_dir("deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("service.state");
+    for payload in [&deep, &under_a_key, &under_an_unlisted_key] {
+        write_snapshot_atomic(&path, SERVICE_KIND, SERVICE_VERSION, payload.as_bytes()).unwrap();
+        let p = start(&w, 65, &dir).unwrap();
+        assert_eq!(
+            p.state().cold_restarts,
+            1,
+            "a deep payload must cold-restart"
+        );
+        assert_eq!(p.state().cycle, 0);
+    }
 }
 
 #[test]

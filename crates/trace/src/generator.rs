@@ -112,6 +112,16 @@ pub fn expected_requests(catalog: &Catalog, cfg: &TraceConfig) -> Vec<f64> {
     day_sums.iter().map(|&x| x / z * total).collect()
 }
 
+/// Words to reserve for a trace of `lambda` expected requests. The
+/// drawn total is Poisson(`lambda`), whose standard deviation is
+/// `sqrt(lambda)`, some 1 200 at 1.4 M requests: `lambda + 1024` was
+/// passed by 4 of seeds 1–12, and the vector then doubled to twice the
+/// trace. Six deviations cover the tail (a draw past them has odds of
+/// about 1e-9) for 0.5 % of the trace at that size.
+fn reservation(lambda: f64) -> usize {
+    narrow::count_usize(lambda + 6.0 * lambda.sqrt()) + 1024
+}
+
 /// Generate a full request trace. Panics when the horizon, the
 /// catalog or the network is past a limit of the packed trace
 /// ([`TIME_LIMIT`], [`VIDEO_LIMIT`], [`VHO_LIMIT`]).
@@ -141,7 +151,7 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
     let mut rng = derive_rng(cfg.seed, 0x6E47_11CE);
     // Packed as they are drawn: set-up never holds a `Request` per
     // request, only the word the trace keeps.
-    let mut words = Vec::with_capacity(narrow::count_usize(lambdas.iter().sum::<f64>()) + 1024);
+    let mut words = Vec::with_capacity(reservation(lambdas.iter().sum()));
 
     for (v, &lambda) in catalog.iter().zip(&lambdas) {
         let n = poisson(&mut rng, lambda);
@@ -192,6 +202,19 @@ mod tests {
         let net = topologies::mesh_backbone(8, 12, 7);
         let cfg = TraceConfig::default_for(3000.0, 14, 7);
         (catalog, net, cfg)
+    }
+
+    #[test]
+    fn a_replay_week_sized_trace_keeps_its_first_reservation() {
+        // `replay-week`'s world at seed 3, whose draw passed the
+        // `lambda + 1024` reservation this one replaced.
+        let catalog = synthesize_library(&LibraryConfig::default_for(500, 14, 3));
+        let net = topologies::backbone55();
+        let cfg = TraceConfig::default_for(100_000.0, 14, 3);
+        let lambda: f64 = expected_requests(&catalog, &cfg).iter().sum();
+        let t = generate_trace(&catalog, &net, &cfg);
+        assert!(t.len() as f64 > lambda + 1024.0, "{} requests", t.len());
+        assert_eq!(t.capacity(), reservation(lambda));
     }
 
     #[test]

@@ -147,6 +147,12 @@ impl Trace {
         time_of(self.words()[i])
     }
 
+    /// The words the storage has room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.storage.capacity()
+    }
+
     /// Whether `other` views the same storage as this trace, so that
     /// neither holds a copy of the other's requests.
     pub fn shares_storage(&self, other: &Trace) -> bool {
