@@ -56,6 +56,59 @@ impl Scale {
     }
 }
 
+/// One entry of a runner's table: the names that select it on the
+/// command line, and what it runs.
+pub type Named<T> = (&'static [&'static str], T);
+
+/// Parse a runner's arguments `[--quick|--full] [name …]` (program
+/// name excluded) against `table`: the scale, and the entries the
+/// names select in table order — every entry when no name is given. An
+/// unknown flag or name, or `--quick` with `--full`, is an error whose
+/// text lists every name.
+pub fn parse_args<T>(
+    prog: &str,
+    table: &'static [Named<T>],
+    args: &[String],
+) -> Result<(Scale, Vec<&'static Named<T>>), String> {
+    let usage = |problem: &str| {
+        let names: Vec<_> = table.iter().flat_map(|(n, _)| n.iter().copied()).collect();
+        format!(
+            "{problem}\nusage: {prog} [--quick|--full] [name …]\nnames: {}",
+            names.join(" ")
+        )
+    };
+    let mut scales = Vec::new();
+    let mut names = Vec::new();
+    for a in args.iter().map(String::as_str) {
+        match a {
+            "--quick" => scales.push(Scale::Quick),
+            "--full" => scales.push(Scale::Full),
+            _ if a.starts_with('-') => return Err(usage(&format!("unknown flag {a}"))),
+            _ if table.iter().any(|(n, _)| n.contains(&a)) => names.push(a),
+            _ => return Err(usage(&format!("unknown name {a}"))),
+        }
+    }
+    scales.dedup();
+    if scales.len() > 1 {
+        return Err(usage("--quick and --full exclude each other"));
+    }
+    let selected = table
+        .iter()
+        .filter(|(n, _)| names.is_empty() || n.iter().any(|s| names.contains(s)))
+        .collect();
+    Ok((scales.pop().unwrap_or(Scale::Default), selected))
+}
+
+/// [`parse_args`] over the process's own arguments; bad arguments
+/// print the error and exit 2.
+pub fn args_or_exit<T>(prog: &str, table: &'static [Named<T>]) -> (Scale, Vec<&'static Named<T>>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(prog, table, &args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 /// The shared operational scenario.
 #[derive(Debug)]
 pub struct Scenario {
@@ -470,6 +523,20 @@ mod tests {
         assert_eq!(fmt(12.345), "12.35");
         assert_eq!(fmt(1235.6), "1236");
         assert_eq!(fmt(0.0), "0");
+    }
+
+    #[test]
+    fn a_runner_selects_in_table_order_and_names_itself_in_errors() {
+        const DRILLS: &[Named<()>] = &[(&["service"], ()), (&["reconfig"], ())];
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (_, picked) =
+            parse_args("drill", DRILLS, &args(&["reconfig", "service"])).expect("valid");
+        let picked: Vec<_> = picked.iter().map(|(n, _)| n[0]).collect();
+        assert_eq!(picked, ["service", "reconfig"]);
+        let err =
+            parse_args("drill", DRILLS, &args(&["--quick", "kill"])).expect_err("unknown name");
+        assert!(err.contains("usage: drill [--quick|--full]"), "{err}");
+        assert!(err.ends_with("names: service reconfig"), "{err}");
     }
 
     #[test]

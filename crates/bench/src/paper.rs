@@ -14,7 +14,7 @@
 
 mod experiments;
 
-use crate::{Defaults, Scale, Scenario};
+use crate::{Defaults, Named, Scale, Scenario};
 use experiments::*;
 use std::cell::OnceCell;
 use vod_core::{MipInstance, Placement};
@@ -54,7 +54,7 @@ impl Ctx {
 
 /// One experiment: the `results/` stems it writes, and the function
 /// that computes, prints and writes them.
-pub type Experiment = (&'static [&'static str], fn(&Ctx));
+pub type Experiment = Named<fn(&Ctx)>;
 
 /// Every experiment, in the paper's order (DESIGN.md §3).
 pub const EXPERIMENTS: &[Experiment] = &[
@@ -79,45 +79,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     (&["rounding_quality"], rounding_quality),
 ];
 
-/// Parse the runner's arguments (program name excluded) into a scale
-/// and the selected experiments in index order. An unknown flag or
-/// name, or `--quick` with `--full`, is an error listing the names.
-pub fn parse_args(args: &[String]) -> Result<(Scale, Vec<&'static Experiment>), String> {
-    let mut scales = Vec::new();
-    let mut names = Vec::new();
-    for a in args.iter().map(String::as_str) {
-        match a {
-            "--quick" => scales.push(Scale::Quick),
-            "--full" => scales.push(Scale::Full),
-            _ if a.starts_with('-') => return Err(usage(&format!("unknown flag {a}"))),
-            _ if stems().any(|s| s == a) => names.push(a),
-            _ => return Err(usage(&format!("unknown experiment {a}"))),
-        }
-    }
-    scales.dedup();
-    if scales.len() > 1 {
-        return Err(usage("--quick and --full exclude each other"));
-    }
-    let selected = EXPERIMENTS
-        .iter()
-        .filter(|(stems, _)| names.is_empty() || stems.iter().any(|s| names.contains(s)))
-        .collect();
-    Ok((scales.pop().unwrap_or(Scale::Default), selected))
-}
-
-/// Every output stem, in index order.
-fn stems() -> impl Iterator<Item = &'static str> {
-    EXPERIMENTS
-        .iter()
-        .flat_map(|(stems, _)| stems.iter().copied())
-}
-
-fn usage(problem: &str) -> String {
-    let names: Vec<_> = stems().collect();
-    let names = names.join(" ");
-    format!("{problem}\nusage: paper [--quick|--full] [name …]\nnames: {names}")
-}
-
 /// Run `selected` in order at `scale`, each under its header.
 pub fn run(scale: Scale, selected: &[&Experiment]) {
     let ctx = Ctx {
@@ -136,8 +97,16 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    fn args(a: &[&str]) -> Vec<String> {
-        a.iter().map(|s| s.to_string()).collect()
+    fn parse_args(a: &[&str]) -> Result<(Scale, Vec<&'static Experiment>), String> {
+        let args: Vec<String> = a.iter().map(|s| s.to_string()).collect();
+        crate::parse_args("paper", EXPERIMENTS, &args)
+    }
+
+    /// Every output stem, in index order.
+    fn stems() -> impl Iterator<Item = &'static str> {
+        EXPERIMENTS
+            .iter()
+            .flat_map(|(stems, _)| stems.iter().copied())
     }
 
     #[test]
@@ -174,12 +143,8 @@ mod tests {
 
     #[test]
     fn names_select_entries_in_index_order() {
-        let (scale, selected) = parse_args(&args(&[
-            "table03_scalability",
-            "--quick",
-            "fig02_working_set",
-        ]))
-        .expect("valid");
+        let (scale, selected) =
+            parse_args(&["table03_scalability", "--quick", "fig02_working_set"]).expect("valid");
         assert_eq!(scale, Scale::Quick);
         let picked: Vec<_> = selected.iter().map(|(s, _)| s[0]).collect();
         assert_eq!(picked, ["fig02_working_set", "table03_scalability"]);
@@ -187,14 +152,14 @@ mod tests {
 
     #[test]
     fn fig06_alone_selects_the_shared_comparison() {
-        let (_, selected) = parse_args(&args(&["fig06_aggregate_transfer"])).expect("valid");
+        let (_, selected) = parse_args(&["fig06_aggregate_transfer"]).expect("valid");
         assert_eq!(selected.len(), 1);
         assert_eq!(
             selected[0].0,
             ["fig05_peak_bandwidth", "fig06_aggregate_transfer"]
         );
-        let (_, both) = parse_args(&args(&["fig05_peak_bandwidth", "fig06_aggregate_transfer"]))
-            .expect("valid");
+        let (_, both) =
+            parse_args(&["fig05_peak_bandwidth", "fig06_aggregate_transfer"]).expect("valid");
         assert_eq!(both.len(), 1, "the shared entry runs once");
     }
 
@@ -206,9 +171,9 @@ mod tests {
             &["--quick", "--full"],
             &["--full", "fig02_working_set", "--quick"],
         ] {
-            let err = parse_args(&args(bad)).expect_err("rejected");
+            let err = parse_args(bad).expect_err("rejected");
             assert!(err.contains("rounding_quality"), "{bad:?}: {err}");
         }
-        assert!(parse_args(&args(&["--full", "--full"])).is_ok());
+        assert!(parse_args(&["--full", "--full"]).is_ok());
     }
 }

@@ -125,14 +125,6 @@ impl SolverCheckpoint {
         Ok(Self::from_text(bytes)?)
     }
 
-    /// Public form of [`Self::validate_for`]: would this checkpoint
-    /// drive a solve of `(inst, cfg)`? Supervisors use it to decide
-    /// between resuming verbatim, remapping ([`crate::remap`]) and
-    /// discarding, without paying for a rejected solve attempt.
-    pub fn validate_against(&self, inst: &MipInstance, cfg: &EpfConfig) -> Result<(), String> {
-        self.validate_for(inst, cfg)
-    }
-
     /// Cross-check this checkpoint against the instance and config it
     /// is about to drive. Everything the solver would otherwise index
     /// with is validated here, so a hostile payload cannot panic it.

@@ -30,16 +30,6 @@ pub enum DiskConfig {
 }
 
 impl DiskConfig {
-    /// The paper's nonuniform split for the 55-VHO backbone: 12 large,
-    /// 19 medium, 24 small.
-    pub fn tiered_55(ratio: f64) -> Self {
-        DiskConfig::Tiered {
-            ratio,
-            n_large: 12,
-            n_medium: 19,
-        }
-    }
-
     /// Materialize per-VHO capacities.
     pub fn capacities(&self, net: &Network, library_size: Gigabytes) -> Vec<Gigabytes> {
         let n = net.num_nodes();

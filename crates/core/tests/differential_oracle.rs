@@ -13,7 +13,9 @@
 //! * on the instances small enough for branch and bound to prove the
 //!   MIP optimum `MIP*`, a rounded placement that violates nothing
 //!   costs at least `MIP*`. A rounding that overfills a disk or a link
-//!   is not a MIP point and may undercut `MIP*`; it is only reported.
+//!   is not a MIP point and may undercut `MIP*`; it is only reported;
+//! * with exact block certificates and more passes, the bound closes
+//!   on `LP*`: within 2 % of it on every one of the 18 instances.
 //!
 //! The run prints each instance's gaps; EXPERIMENTS.md "Differential
 //! oracle" records them as the starting line.
@@ -92,12 +94,62 @@ fn instance(seed: u64, v: usize, videos: u32, windows: usize, ratio: f64) -> Mip
     )
 }
 
-/// Solve `inst` with EPF and round it; check the bound and the
-/// fractional objective against `LP*`. Returns the rounding's
-/// objective and violation, and prints the gaps.
-fn check_against_lp(seed: u64, inst: &MipInstance, lp: f64) -> (f64, f64) {
+/// How [`check_against_lp`] solves, and how close to `LP*` the bound
+/// must then come.
+struct Oracle {
+    max_passes: usize,
+    exact_cert: usize,
+    /// The bound must reach `LP*·(1 − gap)`; `None` checks only that
+    /// it stays under `LP*`.
+    bound_gap: Option<f64>,
+}
+
+/// The oracle's plain run: no exact certificates, so the bound is the
+/// Lagrangian one alone and may sit well below `LP*`.
+const PLAIN: Oracle = Oracle {
+    max_passes: 300,
+    exact_cert: 0,
+    bound_gap: None,
+};
+
+/// Exact block certificates and five times the passes: the certified
+/// bound must come within 2 % of `LP*` (its worst is −1.4 %; −3.6 % at
+/// 300 passes).
+const CERTIFIED: Oracle = Oracle {
+    max_passes: 1500,
+    exact_cert: 32,
+    bound_gap: Some(0.02),
+};
+
+/// The six mid-size instances, checked against `LP*` alone.
+fn lp_instances() -> impl Iterator<Item = (u64, MipInstance)> {
+    (1..=6u64).map(|seed| {
+        let v = 5 + seed as usize % 2;
+        let videos = 8 + 2 * seed as u32;
+        (seed, instance(seed, v, videos, 1 + seed as usize % 2, 1.4))
+    })
+}
+
+/// The twelve instances small enough for branch and bound.
+fn mip_instances() -> impl Iterator<Item = (u64, MipInstance)> {
+    (1..=12u64).map(|seed| {
+        let v = 3 + seed as usize % 2;
+        let videos = 3 + seed as u32 % 3;
+        let ratio = 1.3 + 0.1 * (seed % 6) as f64;
+        (
+            seed,
+            instance(seed, v, videos, 1 + seed as usize % 2, ratio),
+        )
+    })
+}
+
+/// Solve `inst` with EPF as `oracle` says and round it; check the
+/// bound and the fractional objective against `LP*`. Returns the
+/// rounding's objective and violation, and prints the gaps.
+fn check_against_lp(seed: u64, inst: &MipInstance, lp: f64, oracle: &Oracle) -> (f64, f64) {
     let cfg = EpfConfig {
-        max_passes: 300,
+        max_passes: oracle.max_passes,
+        exact_cert: oracle.exact_cert,
         seed,
         ..Default::default()
     };
@@ -122,7 +174,20 @@ fn check_against_lp(seed: u64, inst: &MipInstance, lp: f64) -> (f64, f64) {
         "seed {seed}: fractional objective {} below LP* {lp}",
         frac.objective
     );
+    if let Some(gap) = oracle.bound_gap {
+        assert!(
+            frac.lower_bound >= lp * (1.0 - gap),
+            "seed {seed}: certified bound {} more than {gap} below LP* {lp}",
+            frac.lower_bound
+        );
+    }
     (rounded.objective, rounded.max_violation)
+}
+
+fn lp_optimum(inst: &MipInstance) -> f64 {
+    vod_lp::solve_lp(&build_direct_lp(inst).lp)
+        .unwrap()
+        .objective
 }
 
 fn pct(x: f64, of: f64) -> f64 {
@@ -131,14 +196,9 @@ fn pct(x: f64, of: f64) -> f64 {
 
 #[test]
 fn epf_bound_and_objective_bracket_the_lp_optimum() {
-    for seed in 1..=6u64 {
-        let v = 5 + seed as usize % 2;
-        let videos = 8 + 2 * seed as u32;
-        let inst = instance(seed, v, videos, 1 + seed as usize % 2, 1.4);
-        let lp = vod_lp::solve_lp(&build_direct_lp(&inst).lp)
-            .unwrap()
-            .objective;
-        let (rounded, violation) = check_against_lp(seed, &inst, lp);
+    for (seed, inst) in lp_instances() {
+        let lp = lp_optimum(&inst);
+        let (rounded, violation) = check_against_lp(seed, &inst, lp, &PLAIN);
         eprintln!(
             " | rounded {:+6.2}% of LP* (violation {violation:.4})",
             pct(rounded, lp)
@@ -149,19 +209,10 @@ fn epf_bound_and_objective_bracket_the_lp_optimum() {
 #[test]
 fn a_feasible_rounding_costs_at_least_the_mip_optimum() {
     let mut proven = 0;
-    for seed in 1..=12u64 {
-        let v = 3 + seed as usize % 2;
-        let videos = 3 + seed as u32 % 3;
-        let inst = instance(
-            seed,
-            v,
-            videos,
-            1 + seed as usize % 2,
-            1.3 + 0.1 * (seed % 6) as f64,
-        );
+    for (seed, inst) in mip_instances() {
         let direct = build_direct_lp(&inst);
         let lp = vod_lp::solve_lp(&direct.lp).unwrap().objective;
-        let (rounded, violation) = check_against_lp(seed, &inst, lp);
+        let (rounded, violation) = check_against_lp(seed, &inst, lp, &PLAIN);
         let mip = vod_lp::solve_mip(&direct.lp, &direct.integer_vars(), 2000).unwrap();
         eprintln!(
             " | MIP* {:.3}{} rounded {:+6.2}% of MIP* (violation {violation:.4})",
@@ -185,4 +236,13 @@ fn a_feasible_rounding_costs_at_least_the_mip_optimum() {
         }
     }
     assert!(proven >= 10, "only {proven} MIP optima proven");
+}
+
+#[test]
+fn exact_certification_brings_the_bound_within_two_percent_of_the_lp_optimum() {
+    for (seed, inst) in lp_instances().chain(mip_instances()) {
+        let lp = lp_optimum(&inst);
+        check_against_lp(seed, &inst, lp, &CERTIFIED);
+        eprintln!();
+    }
 }

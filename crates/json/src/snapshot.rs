@@ -464,22 +464,11 @@ impl FaultHandle {
 // values as `null`, so neither `u64` counters above 2^53 nor exact
 // float bit patterns survive a plain `Num` round trip. Checkpoints —
 // whose whole point is byte-identical resume — therefore encode f64s
-// and u64s as fixed-width hex strings of their bit patterns.
+// and u64s as fixed-width hex strings of their bit patterns (the
+// `u64`/`f64` rows of the `wire` codec).
 // ---------------------------------------------------------------------------
 
-/// Encode an `f64` losslessly as its IEEE-754 bit pattern in hex.
-#[must_use]
-pub fn f64_bits_value(x: f64) -> Value {
-    Value::Str(format!("{:016x}", x.to_bits()))
-}
-
-/// Encode a `u64` losslessly as hex.
-#[must_use]
-pub fn u64_bits_value(x: u64) -> Value {
-    Value::Str(format!("{x:016x}"))
-}
-
-/// The one hex form [`u64_bits_value`] writes: exactly 16 digits of
+/// The one hex form the `wire` codec writes: exactly 16 digits of
 /// `[0-9a-f]`. Stricter than `u64::from_str_radix`, which also takes a
 /// sign and upper case — two texts for one value, where resume
 /// identity is argued from "the encoding is canonical".
@@ -488,23 +477,10 @@ pub(crate) fn hex_u64(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok().filter(|_| canonical)
 }
 
-/// Decode an [`f64_bits_value`]-encoded float.
-pub fn f64_from_bits_value(v: &Value, what: &str) -> Result<f64, SnapshotError> {
-    u64_from_bits_value(v, what).map(f64::from_bits)
-}
-
-/// Decode a [`u64_bits_value`]-encoded integer.
-pub fn u64_from_bits_value(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    v.as_str()
-        .and_then(hex_u64)
-        .ok_or_else(|| SnapshotError::Malformed {
-            what: format!("{what}: expected a 16-digit hex string"),
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     /// A whole container in memory: the bytes `write_snapshot_atomic`
     /// puts on disk.
@@ -648,14 +624,10 @@ mod tests {
     #[test]
     fn json_payload_round_trips() {
         let path = tmp_dir().join("doc.snap");
-        let doc = Value::Obj(vec![
-            ("a".to_string(), f64_bits_value(std::f64::consts::PI)),
-            ("b".to_string(), u64_bits_value(u64::MAX - 1)),
-        ]);
+        let doc = (std::f64::consts::PI, u64::MAX - 1).enc();
         write_json_snapshot(&path, "doc", 1, &doc).unwrap();
         let back = read_json_snapshot(&path, "doc", 1).unwrap();
-        let a = f64_from_bits_value(back.get("a").unwrap(), "a").unwrap();
-        let b = u64_from_bits_value(back.get("b").unwrap(), "b").unwrap();
+        let (a, b) = <(f64, u64)>::dec(&back).unwrap();
         assert_eq!(a.to_bits(), std::f64::consts::PI.to_bits());
         assert_eq!(b, u64::MAX - 1);
     }
@@ -670,8 +642,7 @@ mod tests {
             f64::NEG_INFINITY,
             1e-308,
         ] {
-            let v = f64_bits_value(x);
-            let back = f64_from_bits_value(&v, "x").unwrap();
+            let back = f64::from_text(x.compact().as_bytes()).unwrap();
             assert_eq!(back.to_bits(), x.to_bits());
         }
     }
@@ -687,8 +658,8 @@ mod tests {
             Value::Num(1.0),
             Value::Null,
         ] {
-            assert!(f64_from_bits_value(&v, "x").is_err());
-            assert!(u64_from_bits_value(&v, "x").is_err());
+            assert!(f64::dec(&v).is_err());
+            assert!(u64::dec(&v).is_err());
         }
     }
 

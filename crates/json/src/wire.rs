@@ -64,7 +64,7 @@
 //! codec's job.
 
 use crate::reader::{Next, Reader};
-use crate::snapshot::{hex_u64, u64_bits_value};
+use crate::snapshot::hex_u64;
 use crate::{
     exact_usize, push_indent, strip_layout, write_escaped, write_number, JsonError, Value,
 };
@@ -302,7 +302,7 @@ impl Sink for Tree {
         self.put(Value::Str(s.to_string()));
     }
     fn hex(&mut self, bits: u64) {
-        self.put(u64_bits_value(bits));
+        self.put(Value::Str(format!("{bits:016x}")));
     }
     fn begin_arr(&mut self) {
         self.begin(Value::Arr(Vec::new()));

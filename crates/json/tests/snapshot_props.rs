@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use vod_json::snapshot::{self, SnapshotError};
+use vod_json::wire::Wire;
 use vod_json::Value;
 
 /// Encode a snapshot via the public file API (temp file round trip).
@@ -88,27 +89,17 @@ proptest! {
         n in 0u64..1000,
         mutations in prop::collection::vec((0usize..4096, 1u8..=255), 1..3),
     ) {
-        let doc = Value::Obj(vec![
-            ("n".to_string(), snapshot::u64_bits_value(n)),
-            ("x".to_string(), snapshot::f64_bits_value(n as f64 / 7.0)),
-        ]);
-        let mut bytes = doc.to_string_pretty().into_bytes();
+        let mut bytes = (n, n as f64 / 7.0).text().into_bytes();
         for &(pos, x) in &mutations {
             let at = pos % bytes.len();
             bytes[at] ^= x;
         }
-        // Mutated JSON either fails to parse (typed JsonError) or
-        // parses to some value; decoding the hex fields then either
-        // fails typed or round-trips. No path may panic.
-        if let Ok(text) = std::str::from_utf8(&bytes) {
-            if let Ok(v) = Value::parse(text) {
-                if let Some(field) = v.get("n") {
-                    let _ = snapshot::u64_from_bits_value(field, "n");
-                }
-                if let Some(field) = v.get("x") {
-                    let _ = snapshot::f64_from_bits_value(field, "x");
-                }
-            }
+        // Mutated JSON either fails to decode with a typed WireError
+        // or decodes to a pair; no path may panic. A decoded pair was
+        // read from well-formed JSON, so the parser takes the text too.
+        if <(u64, f64)>::from_text(&bytes).is_ok() {
+            let text = std::str::from_utf8(&bytes);
+            prop_assert!(text.is_ok_and(|t| Value::parse(t).is_ok()));
         }
     }
 }

@@ -26,8 +26,8 @@
 //!   [`ServiceRecord`]. A cycle can degrade; the service never aborts.
 //!
 //! The service never reads a clock: interrupted and uninterrupted runs
-//! are bit-for-bit comparable, which is what the `service_drill` and
-//! `reconfig_drill` bench harnesses assert over a seeded
+//! are bit-for-bit comparable, which is what `vod-bench`'s chaos drills,
+//! `drill service` and `drill reconfig`, assert over a seeded
 //! kill/corruption/I/O-fault matrix.
 
 #![cfg_attr(
@@ -50,7 +50,7 @@ pub use service::{
     ServiceRecord, ServiceState, StepOutcome, SERVICE_KIND, SERVICE_VERSION,
 };
 pub use state::{DegradeReason, OpsError, SimSummary, StageId, FRACTIONAL_KIND};
-pub use supervise::{deployment_sleep, recorded_backoff, RecoveryAction, Watchdog};
+pub use supervise::{recorded_backoff, RecoveryAction, Watchdog};
 // Re-exported so service callers can build [`ServiceConfig::cycle_deltas`]
 // without importing vod-net directly.
 pub use vod_net::{DeltaOp, WorldDelta};

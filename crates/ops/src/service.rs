@@ -27,7 +27,7 @@
 //!    last-good placement → stale-serve with denial accounting. A
 //!    cycle can *degrade*; the service never aborts.
 //!
-//! Determinism contract (pinned by the `service_drill` bench): the
+//! Determinism contract (pinned by the `drill service` bench): the
 //! service never reads a clock and never sleeps — retry backoff is
 //! computed from seeded jitter and *recorded* in the cycle ledger (a
 //! deployment would sleep those amounts; tests and benches must not) —
@@ -254,7 +254,8 @@ pub struct ServiceRecord {
     pub backoff_ms: u64,
     pub solver_resumes: u32,
     /// Fingerprint of the placement *serving* at cycle close (the
-    /// post-churn-cap deployment) — the chaos drill's identity anchor.
+    /// post-churn-cap deployment) — the identity anchor of both chaos
+    /// drills, `drill service` and `drill reconfig`.
     pub placement_fnv: u64,
     /// Rounded objective of the cycle's full target (pre-churn-cap).
     pub objective: Option<f64>,
@@ -274,7 +275,7 @@ pub struct ServiceRecord {
     pub sim: Option<SimSummary>,
     /// Fingerprints of the feasibility-repair plans executed this cycle
     /// (one per applied world delta that required repair) — the
-    /// reconfig drill's identity anchor for repair behaviour.
+    /// identity anchor of `drill reconfig` for repair behaviour.
     pub repairs: Vec<u64>,
     /// Typed solver-checkpoint rejections surfaced this cycle, each
     /// prefixed `remap-eligible:` or `foreign:`.

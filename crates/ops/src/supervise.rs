@@ -5,18 +5,18 @@
 //! Determinism contract: the supervisor never reads a clock and never
 //! sleeps. Backoff is *computed* from seeded jitter and recorded in the
 //! cycle ledger; the cycle watchdog counts supervision ticks, not
-//! seconds. The only sanctioned real sleep in the workspace is
-//! [`deployment_sleep`] below — the `sleep-timer` lint pins every
-//! other `thread::sleep`/timer read as a finding.
+//! seconds. The service records backoff and never sleeps; a deployment
+//! that wants to wait sleeps the recorded amounts itself. The
+//! `sleep-timer` ban pins every `thread::sleep`/`park_timeout` in the
+//! library crates as a finding.
 
 use crate::state::StageId;
 use vod_model::rng::derive_seed;
 
 /// Recorded exponential backoff with deterministic seeded jitter: a
 /// pure function of the `(seed, cycle, stage, attempt)` coordinate, so
-/// twin runs record byte-identical retry delays. Never slept in tests or
-/// benches — a deployment passes the returned amount to
-/// [`deployment_sleep`].
+/// twin runs record byte-identical retry delays. Never slept here — a
+/// deployment that wants to wait sleeps the returned amount itself.
 #[must_use]
 pub fn recorded_backoff(
     seed: u64,
@@ -132,17 +132,6 @@ impl Watchdog {
     pub fn budget(&self) -> u64 {
         self.budget
     }
-}
-
-/// The one sanctioned real sleep: an operational deployment calls this
-/// with the recorded backoff amounts from the cycle ledger. Everywhere
-/// else in the workspace `thread::sleep` is a banned method.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the one real sleep, fed the recorded backoff amounts"
-)]
-pub fn deployment_sleep(ms: u64) {
-    std::thread::sleep(std::time::Duration::from_millis(ms));
 }
 
 #[cfg(test)]

@@ -158,12 +158,6 @@ impl Cache for CacheImpl {
     }
 }
 
-/// Create a cache of the given kind (slabs grow on demand; the
-/// simulator uses [`CacheImpl::with_video_hint`] to pre-size them).
-pub fn make_cache(kind: CacheKind, capacity_gb: f64) -> CacheImpl {
-    CacheImpl::new(kind, capacity_gb)
-}
-
 /// One dense slab slot; `present == false` slots are holes whose
 /// policy memory (LFU frequency, LRFU CRF) lives on in the side
 /// arrays, mirroring the original implementation's behaviour of
