@@ -10,7 +10,9 @@
 //! (Fig. 4).
 
 use crate::stats::{cumulative, poisson, sample_cumulative, standard_normal};
-use crate::trace::{pack, Request, Trace, TIME_LIMIT, VHO_LIMIT, VIDEO_LIMIT};
+use crate::trace::{
+    pack, sort_by_time, time_key, Request, Trace, TIME_LIMIT, VHO_LIMIT, VIDEO_LIMIT,
+};
 use rand::Rng;
 use vod_model::narrow;
 use vod_model::rng::{derive_rng, derive_seed};
@@ -92,46 +94,177 @@ pub fn vho_perturbation(seed: u64, video: VideoId, vho: u16, sigma: f64) -> f64 
     (sigma * standard_normal(&mut rng)).exp()
 }
 
-/// Per-video expected total request count over the horizon, for the
-/// given total budget. Shared by trace generation and direct demand
-/// synthesis. Returns `(per-video expectation, per-video per-day
-/// weights flattened)` — day weights are recomputed cheaply on demand
-/// for sampling instead of being returned for every video.
-pub fn expected_requests(catalog: &Catalog, cfg: &TraceConfig) -> Vec<f64> {
-    let days = cfg.horizon_days;
-    let mut day_sums: Vec<f64> = Vec::with_capacity(catalog.len());
-    for v in catalog.iter() {
-        let s: f64 = (0..days)
-            .map(|d| DOW_FACTORS[(d % 7) as usize] * age_factor(v, d, cfg.new_release_decay))
-            .sum();
-        day_sums.push(v.weight * s);
-    }
-    let z: f64 = day_sums.iter().sum();
-    assert!(z > 0.0, "catalog has no requestable mass over the horizon");
-    let total = cfg.requests_per_day * days as f64;
-    day_sums.iter().map(|&x| x / z * total).collect()
+/// Relative intensity of `video` on `day`: its day-of-week factor times
+/// its age factor.
+fn day_weight(video: &Video, day: u64, decay: f64) -> f64 {
+    DOW_FACTORS[(day % 7) as usize] * age_factor(video, day, decay)
 }
 
-/// Words to reserve for a trace of `lambda` expected requests. The
-/// drawn total is Poisson(`lambda`), whose standard deviation is
-/// `sqrt(lambda)`, some 1 200 at 1.4 M requests: `lambda + 1024` was
-/// passed by 4 of seeds 1–12, and the vector then doubled to twice the
-/// trace. Six deviations cover the tail (a draw past them has odds of
-/// about 1e-9) for 0.5 % of the trace at that size.
-fn reservation(lambda: f64) -> usize {
-    narrow::count_usize(lambda + 6.0 * lambda.sqrt()) + 1024
+/// Per-video expected total request count over the horizon, for the
+/// given total budget. Shared by trace generation and direct demand
+/// synthesis.
+pub fn expected_requests(catalog: &Catalog, cfg: &TraceConfig) -> Vec<f64> {
+    expectations(catalog, cfg).0
+}
+
+/// Expected request counts over the horizon, per video and per day,
+/// from one pass over every video's day weights. Each sums to the
+/// budget: by Poisson thinning, day `d` expects
+/// `sum_v lambda_v * w_v(d) / sum_d' w_v(d')`.
+fn expectations(catalog: &Catalog, cfg: &TraceConfig) -> (Vec<f64>, Vec<f64>) {
+    let days = cfg.horizon_days;
+    let mut per_video: Vec<f64> = Vec::with_capacity(catalog.len());
+    let mut per_day = vec![0.0; narrow::usize_from(days)];
+    for v in catalog.iter() {
+        let mut s = 0.0;
+        for (d, day) in (0..days).zip(&mut per_day) {
+            let w = day_weight(v, d, cfg.new_release_decay);
+            s += w;
+            *day += v.weight * w;
+        }
+        per_video.push(v.weight * s);
+    }
+    let z: f64 = per_video.iter().sum();
+    assert!(z > 0.0, "catalog has no requestable mass over the horizon");
+    let total = cfg.requests_per_day * days as f64;
+    for x in per_video.iter_mut().chain(&mut per_day) {
+        *x = *x / z * total;
+    }
+    (per_video, per_day)
+}
+
+/// Words a day's segment holds past six standard deviations of its
+/// Poisson count, so that a day expecting next to nothing still has
+/// room.
+const SEGMENT_SLACK: usize = 16;
+
+/// The trace while it is drawn: one reservation split into a segment
+/// per day and a spill. Each segment holds its day's words in draw
+/// order; a word whose segment is full goes to the spill, also in draw
+/// order. [`Days::assemble`] turns this into the trace's storage.
+struct Days {
+    words: Vec<u64>,
+    /// Segment `d` is `starts[d]..starts[d + 1]` of `words`.
+    starts: Vec<usize>,
+    /// Words drawn into each segment so far.
+    filled: Vec<usize>,
+    spill: Vec<u64>,
+}
+
+impl Days {
+    fn with_capacities(caps: impl IntoIterator<Item = usize>) -> Self {
+        let mut starts = vec![0];
+        let mut end = 0;
+        for cap in caps {
+            end += cap;
+            starts.push(end);
+        }
+        Self {
+            words: vec![0; end],
+            filled: vec![0; starts.len() - 1],
+            starts,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Segments for days expecting `lambdas` requests each. A day's
+    /// count is Poisson, whose standard deviation is `sqrt(lambda)`;
+    /// six of them cover the tail (a day past them has odds of about
+    /// 1e-9), so the spill is all but always empty.
+    fn for_expectations(lambdas: &[f64]) -> Self {
+        Self::with_capacities(
+            lambdas
+                .iter()
+                .map(|&l| narrow::count_usize(l + 6.0 * l.sqrt()) + SEGMENT_SLACK),
+        )
+    }
+
+    /// Draw `word`, whose time lies in `day`.
+    #[inline]
+    fn push(&mut self, day: usize, word: u64) {
+        debug_assert_eq!(time_key(word) / DAY, day as u64);
+        let at = self.starts[day] + self.filled[day];
+        if at < self.starts[day + 1] {
+            self.words[at] = word;
+            self.filled[day] += 1;
+        } else {
+            self.spill.push(word);
+        }
+    }
+
+    /// The drawn words sorted stably on time: ordered by (time, draw
+    /// index), which is what a stable sort of the draw order on time
+    /// returns. Each segment is sorted on its 17-bit second of the day
+    /// by two counting passes through one day-sized scratch, the second
+    /// writing the day straight to its place behind the days before it;
+    /// the cost is O(words + days x buckets). Only a spill falls back
+    /// to a stable sort of the whole trace, which is still exact:
+    /// within a day every segment word was drawn before every spilled
+    /// one.
+    fn assemble(self) -> Vec<u64> {
+        let Days {
+            mut words,
+            starts,
+            filled,
+            spill,
+        } = self;
+        let mut scratch = vec![0; filled.iter().copied().max().unwrap_or(0)];
+        let mut end = 0;
+        for ((d, &n), &start) in filled.iter().enumerate().zip(&starts) {
+            let base = d as u64 * DAY;
+            let day = &mut scratch[..n];
+            scatter::<512>(&words[start..start + n], day, base, 0);
+            // `end <= start`, and the segment is in `day` by now, so
+            // this may overwrite it but nothing of a later day.
+            scatter::<256>(day, &mut words[end..end + n], base, 9);
+            end += n;
+        }
+        words.truncate(end);
+        if !spill.is_empty() {
+            words.extend(spill);
+            sort_by_time(&mut words);
+        }
+        words
+    }
+}
+
+/// One stable counting pass of a radix sort on the second of the day
+/// (a word's time less `base`): `from` into `to` on the `B`-bit digit
+/// of it that starts at bit `shift`.
+fn scatter<const B: usize>(from: &[u64], to: &mut [u64], base: u64, shift: u32) {
+    let digit = |w: u64| narrow::usize_from((time_key(w) - base) >> shift) & (B - 1);
+    let mut at = [0usize; B];
+    for &w in from {
+        at[digit(w)] += 1;
+    }
+    let mut sum = 0;
+    for a in &mut at {
+        (sum, *a) = (sum + *a, sum);
+    }
+    for &w in from {
+        let k = digit(w);
+        to[at[k]] = w;
+        at[k] += 1;
+    }
 }
 
 /// Generate a full request trace. Panics when the horizon, the
 /// catalog or the network is past a limit of the packed trace
 /// ([`TIME_LIMIT`], [`VIDEO_LIMIT`], [`VHO_LIMIT`]).
 pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Trace {
+    let days = draw(catalog, net, cfg);
+    Trace::from_packed(SimTime::new(cfg.horizon_days * DAY), days.assemble())
+}
+
+/// Every request of the trace, packed as it is drawn into its day's
+/// segment: set-up never holds a `Request` per request, only the word
+/// the trace keeps.
+fn draw(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Days {
     assert!(cfg.horizon_days > 0, "horizon must be positive");
     assert!(!catalog.is_empty(), "catalog must not be empty");
     let n_vhos = net.num_nodes();
-    let horizon = SimTime::new(cfg.horizon_days * DAY);
     assert!(
-        horizon.secs() <= TIME_LIMIT,
+        cfg.horizon_days * DAY <= TIME_LIMIT,
         "a {}-day horizon is past the 32-bit time limit",
         cfg.horizon_days
     );
@@ -144,14 +277,12 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
         n_vhos <= VHO_LIMIT,
         "{n_vhos} VHOs are past the 10-bit VHO limit"
     );
-    let lambdas = expected_requests(catalog, cfg);
+    let (lambdas, per_day) = expectations(catalog, cfg);
     let hod_cum = cumulative(&HOD_FACTORS);
     let pops: Vec<f64> = net.nodes().iter().map(|n| n.population).collect();
 
     let mut rng = derive_rng(cfg.seed, 0x6E47_11CE);
-    // Packed as they are drawn: set-up never holds a `Request` per
-    // request, only the word the trace keeps.
-    let mut words = Vec::with_capacity(reservation(lambdas.iter().sum()));
+    let mut days = Days::for_expectations(&per_day);
 
     for (v, &lambda) in catalog.iter().zip(&lambdas) {
         let n = poisson(&mut rng, lambda);
@@ -160,7 +291,7 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
         }
         // Per-day weight table for this video.
         let day_weights: Vec<f64> = (0..cfg.horizon_days)
-            .map(|d| DOW_FACTORS[(d % 7) as usize] * age_factor(v, d, cfg.new_release_decay))
+            .map(|d| day_weight(v, d, cfg.new_release_decay))
             .collect();
         let day_cum = cumulative(&day_weights);
         // Per-VHO weight table for this video.
@@ -172,7 +303,7 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
         let vho_cum = cumulative(&vho_weights);
 
         for _ in 0..n {
-            let day = sample_cumulative(&mut rng, &day_cum) as u64;
+            let day = sample_cumulative(&mut rng, &day_cum);
             let hour = sample_cumulative(&mut rng, &hod_cum) as u64;
             let sec = rng.gen_range(0..HOUR);
             let vho = sample_cumulative(&mut rng, &vho_cum);
@@ -181,20 +312,22 @@ pub fn generate_trace(catalog: &Catalog, net: &Network, cfg: &TraceConfig) -> Tr
                 clippy::disallowed_methods,
                 reason = "recovers the id from a dense 0..n_vhos vector index"
             )]
-            words.push(pack(Request {
-                time: SimTime::new(day * DAY + hour * HOUR + sec),
+            let word = pack(Request {
+                time: SimTime::new(day as u64 * DAY + hour * HOUR + sec),
                 vho: VhoId::from_index(vho),
                 video: v.id,
-            }));
+            });
+            days.push(day, word);
         }
     }
-    Trace::from_packed(horizon, words)
+    days
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::{synthesize_library, LibraryConfig};
+    use proptest::prelude::*;
     use vod_net::topologies;
 
     fn small_world() -> (Catalog, Network, TraceConfig) {
@@ -205,16 +338,97 @@ mod tests {
     }
 
     #[test]
-    fn a_replay_week_sized_trace_keeps_its_first_reservation() {
-        // `replay-week`'s world at seed 3, whose draw passed the
-        // `lambda + 1024` reservation this one replaced.
+    fn no_day_of_a_replay_week_sized_trace_spills() {
+        // `replay-week`'s world at seed 3, whose draw lies 1.2
+        // standard deviations above its expected 1.4 M requests.
         let catalog = synthesize_library(&LibraryConfig::default_for(500, 14, 3));
         let net = topologies::backbone55();
         let cfg = TraceConfig::default_for(100_000.0, 14, 3);
-        let lambda: f64 = expected_requests(&catalog, &cfg).iter().sum();
-        let t = generate_trace(&catalog, &net, &cfg);
-        assert!(t.len() as f64 > lambda + 1024.0, "{} requests", t.len());
-        assert_eq!(t.capacity(), reservation(lambda));
+        let days = draw(&catalog, &net, &cfg);
+        assert!(days.spill.is_empty(), "{} words spilled", days.spill.len());
+        assert_eq!(days.filled.iter().sum::<usize>(), 1_401_469);
+        let (_, per_day) = expectations(&catalog, &cfg);
+        assert!((per_day.iter().sum::<f64>() - 1_400_000.0).abs() < 1e-3);
+    }
+
+    /// A stable sort on time of `draws`, in draw order, next to what
+    /// [`Days`] with segments of `caps` words assembles from them.
+    fn assembled(caps: &[usize], draws: &[Request]) -> (Vec<u64>, Vec<u64>, usize) {
+        let mut days = Days::with_capacities(caps.iter().copied());
+        for &r in draws {
+            days.push(narrow::usize_from(r.time.day()), pack(r));
+        }
+        let spilled = days.spill.len();
+        let mut expect = draws.to_vec();
+        expect.sort_by_key(|r| r.time);
+        (
+            days.assemble(),
+            expect.into_iter().map(pack).collect(),
+            spilled,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn assembled_days_equal_a_stable_sort_of_the_draws(
+            caps in prop::collection::vec(0usize..8, 1..7),
+            draws in prop::collection::vec(
+                (0u64..7, 0usize..7, 0u64..DAY, (0usize..VIDEO_LIMIT, 0usize..VHO_LIMIT)),
+                0..80,
+            ),
+        ) {
+            // Six of seven seconds come from five fixed ones, the first
+            // and last second of the day among them, so seconds shared
+            // by several draws are the rule. A day drawn more often
+            // than its segment holds spills; a day drawn not at all
+            // stays empty.
+            let n_days = caps.len() as u64;
+            let draws: Vec<Request> = draws
+                .iter()
+                .map(|&(day, edge, sec, (video, vho))| Request {
+                    time: SimTime::new(
+                        day % n_days * DAY
+                            + [0, DAY - 1, 1, DAY - 2, DAY / 2].get(edge).copied().unwrap_or(sec),
+                    ),
+                    vho: VhoId::from_index(vho),
+                    video: VideoId::from_index(video),
+                })
+                .collect();
+            let (got, expect, _) = assembled(&caps, &draws);
+            prop_assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn a_day_past_its_segment_spills_behind_the_same_second() {
+        // Day 1's segment takes two words; its other four spill. Three
+        // of the six share second 0 of the day and two share its last
+        // second, so the spill path must keep draw order inside both.
+        let r = |t: u64, m: u32| Request {
+            time: SimTime::new(t),
+            vho: VhoId::new(0),
+            video: VideoId::new(m),
+        };
+        let draws = [
+            r(DAY + 5, 0),
+            r(DAY, 1),
+            r(2 * DAY - 1, 2),
+            r(DAY, 3),
+            r(2 * DAY - 1, 4),
+            r(3, 5),
+            r(DAY, 6),
+            r(2 * DAY + 7, 7),
+        ];
+        let (got, expect, spilled) = assembled(&[3, 2, 0, 4], &draws);
+        assert_eq!(spilled, 5);
+        assert_eq!(got, expect);
+        let t = Trace::from_packed(SimTime::new(4 * DAY), got);
+        let videos: Vec<usize> = t.requests().map(|r| r.video.index()).collect();
+        assert_eq!(videos, [5, 1, 3, 6, 0, 2, 4, 7]);
+        // Nothing drawn: every day empty, no words.
+        assert!(assembled(&[4, 0, 4], &[]).0.is_empty());
     }
 
     #[test]

@@ -45,9 +45,23 @@ pub(crate) fn pack(r: Request) -> u64 {
     time << TIME_SHIFT | (video as u64) << VHO_BITS | vho as u64
 }
 
+/// The time field of a packed word, in seconds: the key a trace is
+/// sorted on.
+#[inline]
+pub(crate) fn time_key(word: u64) -> u64 {
+    word >> TIME_SHIFT
+}
+
 #[inline]
 fn time_of(word: u64) -> SimTime {
-    SimTime::new(word >> TIME_SHIFT)
+    SimTime::new(time_key(word))
+}
+
+/// Sort packed words stably on their time alone: a sort on the whole
+/// word would also order same-second requests by video and VHO, and
+/// every replay depends on their generation order.
+pub(crate) fn sort_by_time(words: &mut [u64]) {
+    words.sort_by_key(|&w| time_key(w));
 }
 
 #[inline]
@@ -88,15 +102,19 @@ impl Trace {
     /// a request lies at or past `horizon` or past one of the packing
     /// limits.
     pub fn new(horizon: SimTime, requests: Vec<Request>) -> Self {
-        Self::from_packed(horizon, requests.into_iter().map(pack).collect())
+        let mut words: Vec<u64> = requests.into_iter().map(pack).collect();
+        sort_by_time(&mut words);
+        Self::from_packed(horizon, words)
     }
 
-    /// [`Trace::new`] over requests already packed by [`pack`].
-    pub(crate) fn from_packed(horizon: SimTime, mut words: Vec<u64>) -> Self {
-        // On the time field alone: a sort on the whole word would also
-        // order same-second requests by video and VHO, and every replay
-        // depends on their generation order.
-        words.sort_by_key(|&w| w >> TIME_SHIFT);
+    /// A trace over words already packed by [`pack`] and in time order,
+    /// as [`sort_by_time`] leaves them. Checks the order in one pass
+    /// and panics when a word is out of it or at or past `horizon`.
+    pub(crate) fn from_packed(horizon: SimTime, words: Vec<u64>) -> Self {
+        assert!(
+            words.windows(2).all(|p| time_key(p[0]) <= time_key(p[1])),
+            "packed requests out of time order"
+        );
         assert!(
             words.last().is_none_or(|&w| time_of(w) < horizon),
             "request beyond trace horizon"
@@ -145,12 +163,6 @@ impl Trace {
     #[inline]
     pub fn time_at(&self, i: usize) -> SimTime {
         time_of(self.words()[i])
-    }
-
-    /// The words the storage has room for.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.storage.capacity()
     }
 
     /// Whether `other` views the same storage as this trace, so that
@@ -416,6 +428,15 @@ mod tests {
         let r = t.restricted(TimeWindow::new(SimTime::new(30), SimTime::new(60)));
         assert_eq!(r.len(), 3);
         assert_eq!(r.get(0).time, SimTime::new(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    fn packed_words_out_of_time_order_are_refused() {
+        let _ = Trace::from_packed(
+            SimTime::new(100),
+            vec![pack(req(20, 0, 0)), pack(req(10, 0, 1))],
+        );
     }
 
     #[test]
