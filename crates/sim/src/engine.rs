@@ -184,13 +184,19 @@ struct EndEvent {
 
 /// Pending stream ends: one FIFO per video length class instead of a
 /// priority queue. A stream ends `class.duration_secs()` after its
-/// request, requests arrive in non-decreasing time order
-/// (`Trace::new` sorts) and `seq` only grows, so the ends of one class
-/// are generated already sorted by `(time, seq)` and the next end
-/// overall is the least of at most four fronts.
+/// request, requests arrive in non-decreasing time order (every
+/// `Trace` is in time order: `Trace::new` sorts, `Trace::from_packed`
+/// checks) and `seq` only grows, so the ends of one class are generated
+/// already sorted by `(time, seq)` and the next end overall is the
+/// least of at most four fronts. That least front is cached: a push
+/// can only change it when it fills an empty queue, and `pop` and
+/// `retain` rescan the four fronts, so `peek` is one load.
 #[derive(Default)]
 struct Ends {
     queues: [VecDeque<EndEvent>; VideoClass::ALL.len()],
+    /// `(time, seq, queue)` of the least front; `None` when all queues
+    /// are empty.
+    least: Option<(SimTime, u64, usize)>,
 }
 
 impl Ends {
@@ -198,26 +204,41 @@ impl Ends {
     /// function of the class alone fails here instead of silently
     /// mis-ordering the replay.
     fn push(&mut self, class: VideoClass, ev: EndEvent) {
-        let q = &mut self.queues[class as usize];
+        let k = class as usize;
+        let q = &mut self.queues[k];
         assert!(
             q.back().is_none_or(|b| (b.time, b.seq) < (ev.time, ev.seq)),
             "stream ends of class {class:?} must be queued in (time, seq) order"
         );
+        if q.is_empty() {
+            let front = (ev.time, ev.seq, k);
+            if self.least.is_none_or(|least| front < least) {
+                self.least = Some(front);
+            }
+        }
         q.push_back(ev);
     }
 
     /// Time of the earliest pending end and the queue holding it.
     #[inline]
     fn peek(&self) -> Option<(SimTime, usize)> {
+        self.least.map(|(t, _, k)| (t, k))
+    }
+
+    /// The least `(time, seq, queue)` over the four fronts.
+    fn scan(&self) -> Option<(SimTime, u64, usize)> {
         let fronts = self.queues.iter().enumerate();
-        let fronts = fronts.filter_map(|(k, q)| q.front().map(|e| (e.time, e.seq, k)));
-        fronts.min().map(|(t, _, k)| (t, k))
+        fronts
+            .filter_map(|(k, q)| q.front().map(|e| (e.time, e.seq, k)))
+            .min()
     }
 
     /// Take the front of queue `k`, as returned by [`Ends::peek`].
     #[inline]
     fn pop(&mut self, k: usize) -> Option<EndEvent> {
-        self.queues[k].pop_front()
+        let ev = self.queues[k].pop_front();
+        self.least = self.scan();
+        ev
     }
 
     /// Drop every pending end `keep` rejects, visiting them class by
@@ -226,7 +247,190 @@ impl Ends {
         for q in &mut self.queues {
             q.retain(&mut keep);
         }
+        self.least = self.scan();
     }
+}
+
+/// Marks a table word that holds nothing: a (video, client) with no
+/// serving distribution, or a video pinned nowhere.
+const NONE: u32 = u32::MAX;
+/// Routing word: the low 31 bits index [`Routing::rows`].
+const MANY: u32 = 1 << 31;
+/// Routing word of a one-server distribution: the server pins the video.
+const PINNED: u32 = 1 << 30;
+/// The low 16 bits of a one-server routing word or a [`near_key`]: a
+/// VHO's index.
+const ID: u32 = 0xFFFF;
+
+/// The placement's serving distributions `x_ij^m` compiled for one
+/// replay: one word per (video, client), at `m · n_vhos + j`. The word
+/// is [`NONE`] for a client the solve gave no distribution; for a
+/// one-server distribution it holds the server and whether it is in
+/// the replay's pinned set; otherwise it is [`MANY`] plus the index of
+/// a flat row of `(server, weight, pinned)` entries. Nearly every row
+/// the solver emits has one server, so a draw is usually one load.
+struct Routing {
+    n_vhos: usize,
+    vho_ids: Vec<VhoId>,
+    cells: Vec<u32>,
+    rows: Vec<Row>,
+    entries: Vec<RowEntry>,
+}
+
+/// A distribution of two or more servers: `entries[start..end]` in the
+/// placement's order, and their weight summed in that order.
+struct Row {
+    start: u32,
+    end: u32,
+    total: f64,
+}
+
+struct RowEntry {
+    server: VhoId,
+    weight: f64,
+    pinned: bool,
+}
+
+/// The outcome of one routing draw.
+#[derive(Debug, PartialEq)]
+enum Pick {
+    /// The placement has no distribution for this (video, client).
+    Unrouted,
+    /// The draw chose this server, which pins the video.
+    Pinned(VhoId),
+    /// The draw chose a server outside the video's pinned set.
+    Unpinned,
+}
+
+impl Routing {
+    /// Compile `placement`'s routing against the replay's pinned sets;
+    /// `vho_ids` lists the network's VHOs in index order.
+    fn compile(placement: &Placement, pinned_holders: &[Vec<VhoId>], vho_ids: &[VhoId]) -> Self {
+        let n_vhos = vho_ids.len();
+        // Every routed (video, client) in video, then client order: its
+        // cell, its distribution and the video's pinned set.
+        let routed = || {
+            let lists = placement.routing_lists().iter().zip(pinned_holders);
+            lists.enumerate().flat_map(move |(m, (clients, pinned))| {
+                let clients = clients.iter().filter(move |(j, _)| j.index() < n_vhos);
+                clients.map(move |(j, dist)| (m * n_vhos + j.index(), dist.as_slice(), pinned))
+            })
+        };
+        let many = || routed().filter(|(_, dist, _)| dist.len() > 1);
+        let entries: Vec<RowEntry> = many()
+            .flat_map(|(_, dist, pinned)| {
+                dist.iter().map(|&(server, weight)| RowEntry {
+                    server,
+                    weight,
+                    pinned: pinned.binary_search(&server).is_ok(),
+                })
+            })
+            .collect();
+        let rows: Vec<Row> = many()
+            .scan(0, |end: &mut u32, (_, dist, _)| {
+                let start = *end;
+                *end += narrow::u32_from(dist.len());
+                let total = dist.iter().map(|&(_, w)| w).sum();
+                Some(Row {
+                    start,
+                    end: *end,
+                    total,
+                })
+            })
+            .collect();
+        assert!(
+            rows.len() < (MANY - 1) as usize,
+            "routing rows overflow the word"
+        );
+
+        let mut cells = vec![NONE; pinned_holders.len() * n_vhos];
+        let mut row = 0;
+        for (cell, dist, pinned) in routed() {
+            cells[cell] = match *dist {
+                [] => NONE,
+                [(i, _)] if pinned.binary_search(&i).is_ok() => {
+                    narrow::u32_from(i.index()) | PINNED
+                }
+                [(i, _)] => narrow::u32_from(i.index()),
+                _ => {
+                    row += 1;
+                    MANY | (row - 1)
+                }
+            };
+        }
+        Self {
+            n_vhos,
+            vho_ids: vho_ids.to_vec(),
+            cells,
+            rows,
+            entries,
+        }
+    }
+
+    /// Draw the server for a request of `m` at `j` (Section V-B): one
+    /// uniform draw scaled by the row's total, then the first entry
+    /// whose weight covers what is left. A one-server row still draws,
+    /// and `r · w ≤ w` for every `r` in `[0, 1)`, so the walk would
+    /// stop at its only entry.
+    #[inline]
+    fn draw(&self, m: VideoId, j: VhoId, rng: &mut impl Rng) -> Pick {
+        let cell = self.cells[m.index() * self.n_vhos + j.index()];
+        if cell == NONE {
+            return Pick::Unrouted;
+        }
+        if cell & MANY == 0 {
+            let _: f64 = rng.gen();
+            return match cell & PINNED {
+                0 => Pick::Unpinned,
+                _ => Pick::Pinned(self.vho_ids[narrow::usize_from(cell & ID)]),
+            };
+        }
+        let row = &self.rows[narrow::usize_from(cell & !MANY)];
+        let dist = &self.entries[narrow::usize_from(row.start)..narrow::usize_from(row.end)];
+        let mut pick = rng.gen::<f64>() * row.total;
+        let mut chosen = &dist[0];
+        for e in dist {
+            if pick <= e.weight {
+                chosen = e;
+                break;
+            }
+            pick -= e.weight;
+        }
+        if chosen.pinned {
+            Pick::Pinned(chosen.server)
+        } else {
+            Pick::Unpinned
+        }
+    }
+}
+
+/// `(hops, id)` of server `i` for client `j` as one word that orders
+/// as the pair does (both fit 16 bits: `VhoId` is a `u16`).
+#[inline]
+fn near_key(paths: &PathSet, i: VhoId, j: VhoId) -> u32 {
+    narrow::u32_from(paths.hops(i, j)) << 16 | narrow::u32_from(i.index())
+}
+
+/// Per (video, client), at `m · n_vhos + j`: the [`near_key`] of the
+/// video's nearest pinned holder, [`NONE`] when it is pinned nowhere.
+/// The pinned sets never change during a replay, so the nearest
+/// replica is the lesser of this word and the keys of the video's
+/// cached holders.
+fn nearest_pinned(paths: &PathSet, pinned_holders: &[Vec<VhoId>], vho_ids: &[VhoId]) -> Vec<u32> {
+    // Ids and hop counts then stay below 0xFFFF, so no key is `NONE`.
+    assert!(
+        vho_ids.len() <= usize::from(u16::MAX),
+        "VHO ids overflow the key"
+    );
+    let n_vhos = vho_ids.len();
+    let mut keys = vec![NONE; pinned_holders.len() * n_vhos];
+    for (m, pinned) in pinned_holders.iter().enumerate() {
+        for (k, &j) in vho_ids.iter().enumerate() {
+            let key = pinned.iter().map(|&i| near_key(paths, i, j)).min();
+            keys[m * n_vhos + k] = key.unwrap_or(NONE);
+        }
+    }
+    keys
 }
 
 /// Per-link load levels and the two bucket series integrated from
@@ -492,20 +696,31 @@ pub fn simulate_with_final(
     let mut fstate = FaultState::new(&cfg.faults, net);
 
     // Pinned holders per video, sorted.
+    let vho_ids: Vec<VhoId> = net.vho_ids().collect();
     let mut pinned_holders: Vec<Vec<VhoId>> = vec![Vec::new(); n_videos];
-    for (j, vc) in vhos.iter().enumerate() {
+    for (&j, vc) in vho_ids.iter().zip(vhos) {
         for &m in &vc.pinned {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "recovers the id from a dense 0..n_vhos vector index"
-            )]
-            pinned_holders[m.index()].push(VhoId::from_index(j));
+            pinned_holders[m.index()].push(j);
         }
     }
     for h in &mut pinned_holders {
         h.sort();
         h.dedup();
     }
+    // The lookup tables are built once, before the request loop. The
+    // nearest-pinned one serves fault-free runs that send every remote
+    // request to the nearest replica. Under faults a holder's
+    // usability changes with the clock, and under MIP routing few
+    // remote requests fall back to `nearest` (0.7 % in `replay-week`'s
+    // LRU replay), so both scan every holder instead.
+    let routing = match policy {
+        PolicyKind::MipRouting(placement) => {
+            Some(Routing::compile(placement, &pinned_holders, &vho_ids))
+        }
+        PolicyKind::NearestReplica => None,
+    };
+    let near_pinned =
+        (!faulted && routing.is_none()).then(|| nearest_pinned(paths, &pinned_holders, &vho_ids));
     // Dynamic cache holders per video, kept sorted.
     let mut cached_holders: Vec<Vec<VhoId>> = vec![Vec::new(); n_videos];
     let mut caches: Vec<Option<CacheImpl>> = vhos
@@ -625,47 +840,35 @@ pub fn simulate_with_final(
 
             // 3) Remote service: pick a surviving server (failover to
             // the next-cheapest reachable replica under faults).
-            let pinned = &pinned_holders[m.index()];
             let cached = &cached_holders[m.index()];
             let nearest = || -> Option<VhoId> {
-                pinned
+                let Some(near_pinned) = &near_pinned else {
+                    let pinned = &pinned_holders[m.index()];
+                    return pinned
+                        .iter()
+                        .chain(cached.iter())
+                        .copied()
+                        .filter(|&i| !faulted || fstate.server_usable(i, j, paths))
+                        .min_by_key(|&i| (paths.hops(i, j), i));
+                };
+                // The least key over pinned ∪ cached is the lesser of
+                // the two sets' least keys.
+                let best = cached
                     .iter()
-                    .chain(cached.iter())
-                    .copied()
-                    .filter(|&i| !faulted || fstate.server_usable(i, j, paths))
-                    .min_by_key(|&i| (paths.hops(i, j), i))
+                    .map(|&i| near_key(paths, i, j))
+                    .fold(near_pinned[m.index() * n_vhos + j.index()], u32::min);
+                (best != NONE).then(|| vho_ids[narrow::usize_from(best & ID)])
             };
-            let server = match policy {
-                PolicyKind::MipRouting(placement) => {
-                    match placement.serving_distribution(m, j) {
-                        Some(dist) => {
-                            // Weighted random server choice (Section V-B);
-                            // guard against a distribution entry whose
-                            // holder disappeared (shouldn't happen when the
-                            // placement matches the pinned sets) or is
-                            // currently down/cut off.
-                            let total: f64 = dist.iter().map(|&(_, w)| w).sum();
-                            let mut pick = rng.gen::<f64>() * total;
-                            let mut chosen = dist[0].0;
-                            for &(i, w) in dist {
-                                if pick <= w {
-                                    chosen = i;
-                                    break;
-                                }
-                                pick -= w;
-                            }
-                            if pinned_holders[m.index()].binary_search(&chosen).is_ok()
-                                && (!faulted || fstate.server_usable(chosen, j, paths))
-                            {
-                                Some(chosen)
-                            } else {
-                                nearest()
-                            }
-                        }
-                        None => nearest(),
-                    }
-                }
-                PolicyKind::NearestReplica => nearest(),
+            // Weighted random server choice (Section V-B), guarded
+            // against a drawn server that does not pin the video
+            // (a placement that does not match the pinned sets) or is
+            // currently down or cut off.
+            let server = match &routing {
+                Some(routing) => match routing.draw(m, j, &mut rng) {
+                    Pick::Pinned(i) if !faulted || fstate.server_usable(i, j, paths) => Some(i),
+                    _ => nearest(),
+                },
+                None => nearest(),
             };
             // No reachable replica anywhere: a counted denial, never
             // an abort — malformed placements and total outages both
@@ -934,18 +1137,17 @@ mod tests {
         );
         assert_eq!(rep.served_remote, 1);
         assert_eq!(rep.max_link_mbps, 2.0);
-        assert_eq!(rep.total_gb_hops, 2.0); // 1 GB × 2 hops
-                                            // During the stream (first hour = 12 buckets) the peak is 2.
+        // GB×hops counts the nominal size: 1 GB × 2 hops.
+        assert_eq!(rep.total_gb_hops, 2.0);
+        // During the stream (first hour = 12 buckets) the peak is 2.
         assert_eq!(rep.peak_link_mbps[0], 2.0);
         assert_eq!(rep.peak_link_mbps[11], 2.0);
         // After the stream ends, load returns to zero.
         assert_eq!(*rep.peak_link_mbps.last().unwrap(), 0.0);
-        // Total transferred volume: 2 Mb/s × 3600 s × 2 links / 8000
-        // = 1.8 GB... wait: 2*3600*2/8000 = 1.8; GB×hop counts 1 GB ×
-        // 2 hops = 2 GB because size (1 GB = 8000 Mb at 2 Mb/s =
-        // 4000 s?) — the video is 1 h at 2 Mb/s = 0.9 GB of stream
-        // volume vs a nominal 1 GB size; both are reported, volumes
-        // from the wire, gb_hops from the nominal size.
+        // The transfer series counts what the wire carried: 2 Mb/s for
+        // 3 600 s on each of 2 links is 2 · 3600 · 2 / 8000 = 1.8 GB
+        // (one hour at 2 Mb/s is 0.9 GB of stream, under the 1 GB
+        // nominal size).
         let vol: f64 = rep.transfer_gb.iter().sum();
         assert!((vol - 1.8).abs() < 1e-9, "wire volume {vol}");
     }
@@ -1343,6 +1545,7 @@ mod tests {
     // ---- oracles for `Loads` and `Ends` ------------------------------
 
     use proptest::prelude::*;
+    use vod_core::solution::ServingDist;
 
     /// Reference for [`Loads`]: the implementation it replaced, with
     /// the global max folded linearly at every call and the old
@@ -1491,7 +1694,9 @@ mod tests {
         /// Ends queued the way the engine queues them — request times
         /// non-decreasing, any mix of the four length classes, due ends
         /// popped before each request — come out sorted by
-        /// `(time, seq)`, also after a `retain` dropped some of them.
+        /// `(time, seq)`, also after a `retain` dropped some of them;
+        /// and after every push, pop and `retain` the cached least
+        /// front `peek` returns is a fresh scan's.
         #[test]
         fn ends_pop_in_time_then_seq_order(
             requests in prop::collection::vec((0u64..6, 0usize..4, any::<bool>()), 1..200),
@@ -1510,23 +1715,128 @@ mod tests {
                 while let Some((te, k)) = ends.peek().filter(|&(te, _)| te <= now) {
                     let ev = ends.pop(k).unwrap();
                     prop_assert_eq!(ev.time, te);
+                    prop_assert_eq!(ends.peek(), scanned_front(&ends));
                     popped.push((ev.time, ev.seq));
                 }
                 if seq as usize == retain_at {
                     ends.retain(|ev| ev.seq % 3 != 0);
+                    prop_assert_eq!(ends.peek(), scanned_front(&ends));
                     queued.retain(|&(t, s)| s % 3 != 0 || popped.contains(&(t, s)));
                 }
                 let class = VideoClass::ALL[class];
                 let time = now + class.duration_secs();
                 ends.push(class, end_event(time, seq));
+                prop_assert_eq!(ends.peek(), scanned_front(&ends));
                 queued.push((time, seq));
             }
             while let Some((_, k)) = ends.peek() {
                 let ev = ends.pop(k).unwrap();
+                prop_assert_eq!(ends.peek(), scanned_front(&ends));
                 popped.push((ev.time, ev.seq));
             }
             queued.sort();
             prop_assert_eq!(popped, queued);
+        }
+
+        /// The compiled routing table draws what the distribution walk
+        /// it replaced drew, and leaves the RNG in the same state:
+        /// clients with no distribution or an empty one, one-server
+        /// and many-server rows, zero weights (all-zero rows too), and
+        /// drawn servers inside and outside the pinned set.
+        #[test]
+        fn routing_table_draws_what_the_distribution_walk_drew(
+            n_vhos in 1usize..6,
+            n_videos in 1usize..5,
+            shapes in prop::collection::vec(
+                (0u8..4, prop::collection::vec((0usize..8, 0u8..3, 0.0f64..2.0), 1..5)),
+                20..21,
+            ),
+            pins in prop::collection::vec(any::<bool>(), 20..21),
+            draws in prop::collection::vec((0usize..5, 0usize..6), 1..80),
+            seed in any::<u64>(),
+        ) {
+            let ids: Vec<VhoId> = vod_model::ids::all_vhos(n_vhos).collect();
+            let mut routing = Vec::new();
+            let mut pinned = Vec::new();
+            for m in 0..n_videos {
+                let mut clients = Vec::new();
+                for (k, &j) in ids.iter().enumerate() {
+                    let (kind, entries) = &shapes[m * n_vhos + k];
+                    let dist: ServingDist = entries
+                        .iter()
+                        .map(|&(i, w, x)| (ids[i % n_vhos], [0.0, 1.0, x][usize::from(w)]))
+                        .collect();
+                    match kind {
+                        0 => continue,
+                        1 => clients.push((j, Vec::new())),
+                        2 => clients.push((j, dist[..1].to_vec())),
+                        _ => clients.push((j, dist)),
+                    }
+                }
+                routing.push(clients);
+                pinned.push(
+                    ids.iter()
+                        .zip(&pins[m * n_vhos..])
+                        .filter_map(|(&i, &p)| p.then_some(i))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            let stores = vec![ids[..1].to_vec(); n_videos];
+            let placement = Placement::from_parts(n_vhos, stores, routing).unwrap();
+            let table = Routing::compile(&placement, &pinned, &ids);
+            let mut fast = derive_rng(seed, 1);
+            let mut slow = fast.clone();
+            for (m, j) in draws {
+                let m = VideoId::new((m % n_videos) as u32);
+                let j = ids[j % n_vhos];
+                let drawn = table.draw(m, j, &mut fast);
+                prop_assert_eq!(drawn, walk_distribution(&placement, &pinned, m, j, &mut slow));
+                prop_assert_eq!(&fast, &slow);
+            }
+        }
+    }
+
+    /// `peek` recomputed by a fresh scan: the least `(time, seq)` front.
+    fn scanned_front(ends: &Ends) -> Option<(SimTime, usize)> {
+        let mut least: Option<(SimTime, u64, usize)> = None;
+        for (k, q) in ends.queues.iter().enumerate() {
+            if let Some(e) = q.front() {
+                if least.is_none_or(|(t, s, _)| (e.time, e.seq) < (t, s)) {
+                    least = Some((e.time, e.seq, k));
+                }
+            }
+        }
+        least.map(|(t, _, k)| (t, k))
+    }
+
+    /// Reference for [`Routing::draw`]: the server choice `simulate`
+    /// made before the table, verbatim — a binary search for the
+    /// client's distribution, the weighted walk over it and a binary
+    /// search of the pinned set.
+    fn walk_distribution(
+        placement: &Placement,
+        pinned_holders: &[Vec<VhoId>],
+        m: VideoId,
+        j: VhoId,
+        rng: &mut impl Rng,
+    ) -> Pick {
+        let Some(dist) = placement.serving_distribution(m, j) else {
+            return Pick::Unrouted;
+        };
+        let total: f64 = dist.iter().map(|&(_, w)| w).sum();
+        let mut pick = rng.gen::<f64>() * total;
+        let mut chosen = dist[0].0;
+        for &(i, w) in dist {
+            if pick <= w {
+                chosen = i;
+                break;
+            }
+            pick -= w;
+        }
+        if pinned_holders[m.index()].binary_search(&chosen).is_ok() {
+            Pick::Pinned(chosen)
+        } else {
+            Pick::Unpinned
         }
     }
 
