@@ -14,12 +14,12 @@
 //! counters and fingerprints, no wall times — and removes its state
 //! dirs once it passes.
 use std::path::{Path, PathBuf};
-use vod_bench::{save_results, Defaults, Named, Scale, Scenario};
-use vod_estimate::{EstimateConfig, EstimatorKind};
+use vod_bench::{fresh_dir, save_results, Defaults, Named, Scale, Scenario};
+use vod_estimate::EstimatorKind;
 use vod_json::faults::{FaultHandle, FaultPlan as IoFaultPlan, IoFault};
 use vod_json::{obj, ToJson, Value};
 use vod_model::rng::derive_seed;
-use vod_model::{LinkId, Mbps, SimTime, VhoId};
+use vod_model::{LinkId, SimTime, VhoId};
 use vod_ops::{
     DegradeReason, DeltaOp, Kill, OpsConfig, OpsWorld, RecoveryAction, Service, ServiceConfig,
     ServicePlan, ServiceRecord, ServiceState, StageId, StepOutcome, WorldDelta, SERVICE_KIND,
@@ -89,23 +89,6 @@ const DRILLS: &[Named<Drill>] = &[
     ),
 ];
 
-fn world(s: &Scenario, d: &Defaults) -> OpsWorld {
-    let mut net = s.net.clone();
-    net.set_uniform_capacity(Mbps::from_gbps(d.link_gbps));
-    OpsWorld {
-        net,
-        paths: s.paths.clone(),
-        catalog: s.catalog.clone(),
-        trace: s.trace.clone(),
-        disks: s.full_disks(d),
-        mip_disk: s.mip_disk(d),
-        est: EstimateConfig {
-            window_secs: d.window_secs,
-            n_windows: d.n_windows,
-        },
-    }
-}
-
 fn config(s: &Scenario, dir: PathBuf, (cycle_faults, cycle_deltas): Storm) -> ServiceConfig {
     let epf = s.epf_config();
     // Budget each cycle at 3/4 of the scenario's pass limit: tight
@@ -132,12 +115,6 @@ fn config(s: &Scenario, dir: PathBuf, (cycle_faults, cycle_deltas): Storm) -> Se
         cycle_faults,
         cycle_deltas,
     }
-}
-
-fn fresh_dir(drill: &str, tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vod_{drill}_drill_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn fingerprints(st: &ServiceState) -> Vec<u64> {
@@ -239,10 +216,10 @@ fn run(name: &str, d: &Drill, scale: Scale) {
 
     for (rotate, &seed) in d.seeds.iter().enumerate() {
         let s = Scenario::operational(scale, seed);
-        let w = world(&s, &Defaults::for_scale(s.scale));
+        let w = s.ops_world(&Defaults::for_scale(s.scale));
         let grown = w.catalog.len() + d.growth.unwrap_or(0);
         let mut cfg = |tag: &str| {
-            dirs.push(fresh_dir(name, &format!("{tag}_{seed}")));
+            dirs.push(fresh_dir(&format!("{name}_drill_{tag}_{seed}")));
             config(&s, dirs[dirs.len() - 1].clone(), (d.storm)(&s, &w))
         };
 

@@ -19,14 +19,14 @@
 //! fixed seed.
 //!
 //! Scales: `--quick` (CI smoke), default, `--full`.
-use vod_bench::{fmt, save_results, Defaults, Scale, Scenario, Table};
-use vod_core::{solve, solve_placement, CapacityOverrides, Hooks, Start};
-use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind};
+use vod_bench::{feasibility, fmt, save_results, Defaults, Deployment, Scale, Scenario, Table};
+use vod_core::{solve, CapacityOverrides, Hooks, Start};
+use vod_estimate::EstimatorKind;
 use vod_json::{obj, ToJson, Value};
 use vod_model::{LinkId, Mbps, SimTime};
 use vod_sim::{
-    default_threads, mip_vho_configs, random_single_vho_configs, simulate_batch, CacheKind,
-    FaultEvent, FaultKind, FaultSchedule, PolicyKind, SimConfig, SimJob, SimReport, VhoConfig,
+    default_threads, random_single_vho_configs, simulate_batch, CacheKind, FaultEvent, FaultKind,
+    FaultSchedule, SimConfig, SimJob, SimReport,
 };
 
 /// Which element class the sweep degrades.
@@ -131,66 +131,40 @@ fn main() {
     let scale = Scale::from_args();
     let s = Scenario::operational(scale, 2010);
     let d = Defaults::for_scale(scale);
-    let mut net = s.net.clone();
-    net.set_uniform_capacity(Mbps::from_gbps(d.link_gbps));
+    let net = s.scaled_net(&d);
     let full_disks = s.full_disks(&d);
-    let history = s.week(0);
     let future = s.week(1);
-    let est = EstimateConfig {
-        window_secs: d.window_secs,
-        n_windows: d.n_windows,
-    };
 
     // ---- Healthy placement (MIP) and the Random+LRU baseline. ----
-    let demand = estimate_demand(
-        EstimatorKind::History,
-        &s.catalog,
-        s.net.num_nodes(),
-        &history,
-        &future,
-        7,
-        7,
-        &est,
-    );
-    let inst = vod_core::MipInstance::new(
-        net.clone(),
-        s.catalog.clone(),
-        demand.clone(),
+    let (inst, mip_placement) = s.place(
+        &net,
+        s.estimate(EstimatorKind::History, &d, 7, 14),
         &s.mip_disk(&d),
-        1.0,
-        0.0,
-        None,
     );
-    let out = solve_placement(&inst, &s.epf_config()).expect("scenario instance is well-formed");
-    let mip_placement = out.placement.clone();
-    let policies: Vec<(String, Vec<VhoConfig>, PolicyKind)> = vec![
+    let random = random_single_vho_configs(&s.catalog, &full_disks, CacheKind::Lru, s.seed);
+    let policies = [
         (
-            "MIP+LRU".to_string(),
-            mip_vho_configs(&out.placement, &full_disks, d.cache_frac, CacheKind::Lru),
-            PolicyKind::MipRouting(out.placement),
+            "MIP+LRU",
+            Deployment::mip(mip_placement.clone(), &full_disks, d.cache_frac),
         ),
-        (
-            "Random+LRU".to_string(),
-            random_single_vho_configs(&s.catalog, &full_disks, CacheKind::Lru, s.seed),
-            PolicyKind::NearestReplica,
-        ),
+        ("Random+LRU", Deployment::nearest(random)),
     ];
 
     // ---- The sweep grid: policy × fault mode × k. ----
     let ks = [0usize, 1, 2, 3, 4];
-    let mut labels: Vec<(String, &'static str, usize)> = Vec::new();
+    let mut labels: Vec<(&str, &'static str, usize)> = Vec::new();
     let mut jobs: Vec<SimJob> = Vec::new();
-    for (name, vhos, policy) in &policies {
+    for (name, dep) in &policies {
         for mode in [Mode::VhoOutage, Mode::LinkCut] {
             for &k in &ks {
-                labels.push((name.clone(), mode.label(), k));
+                labels.push((name, mode.label(), k));
                 jobs.push(SimJob {
                     net: &net,
                     paths: &s.paths,
                     catalog: &s.catalog,
                     trace: &future,
-                    vhos,
-                    policy,
+                    vhos: &dep.vhos,
+                    policy: &dep.policy,
                     cfg: SimConfig {
                         measure_from: SimTime::new(7 * 86_400),
                         seed: s.seed,
@@ -218,7 +192,7 @@ fn main() {
         .iter()
         .zip(&serial_reps)
         .map(|((policy, mode, k), rep)| Row {
-            policy: policy.clone(),
+            policy: policy.to_string(),
             mode,
             k: *k,
             requests: rep.total_requests,
@@ -232,13 +206,7 @@ fn main() {
 
     // ---- Repair: warm re-solve of the k=2 VHO-outage world. ----
     let failed: Vec<vod_model::VhoId> = s.net.vho_ids().take(2).collect();
-    let core_scn = vod_core::feasibility::Scenario {
-        network: &net,
-        catalog: &s.catalog,
-        demand: &demand,
-        alpha: 1.0,
-        beta: 0.0,
-    };
+    let core_scn = feasibility(&net, &s.catalog, &inst.demand);
     let overrides = CapacityOverrides {
         link_scale: Vec::new(),
         disk_scale: failed.iter().map(|&v| (v, 0.0)).collect(),

@@ -4,16 +4,17 @@
 //! Top-K+LRU on identical disks, links and requests; and the update
 //! chain behind it and Table VI.
 //!
-//! A chain's solves are serial (each anchors migration cost on the
-//! previous placement); its replays then join one `simulate_batch`
-//! fan-out, and the callers aggregate the periods in period order, so
-//! every outcome is byte-identical to a serial loop.
+//! A chain's updates are the service's serial cycles (each anchors
+//! migration cost on the placement deployed before it); its replays
+//! then join one `simulate_batch` fan-out, and the callers aggregate
+//! the periods in period order, so every outcome is byte-identical to
+//! a serial loop.
 
-use crate::{replay, Defaults, Deployment, Scenario};
-use vod_core::{Placement, PlacementCost};
+use crate::{fresh_dir, replay, Defaults, Deployment, Scenario};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vod_estimate::EstimatorKind;
 use vod_model::time::DAY;
-use vod_model::VhoId;
+use vod_ops::{OpsConfig, Service, ServiceConfig, ServicePlan, StageId, StepOutcome};
 use vod_sim::{random_single_vho_configs, top_k_vho_configs, CacheKind, SimConfig, SimReport};
 
 /// One strategy's measured outcome over the evaluation period.
@@ -79,7 +80,7 @@ pub fn outcome<'a>(
 }
 
 /// One period of an update chain: days `from_day..to_day`, the copies
-/// its re-solve migrated (Section VII-H), and its replay.
+/// its update migrated (Section VII-H), and its replay.
 #[derive(Debug)]
 pub struct Period {
     pub from_day: u64,
@@ -88,12 +89,15 @@ pub struct Period {
     pub report: SimReport,
 }
 
-/// Re-solve the placement every `period_days` from day 7 to the end of
-/// the trace, each period's demand estimated by `estimator` from the
-/// previous 7 days, on the capacity-scaled backbone with the MIP's
-/// share of the disks. Each period deploys its placement with
-/// `cache_frac` of the full disks as LRU cache and replays only its
-/// own days under `cfg`.
+/// Run the update pipeline the service ships, [`vod_ops::Service`],
+/// updating the placement every `period_days` from day 7 to the end of
+/// the trace: each period's demand estimated by `estimator` from the
+/// previous 7 days, solved warm from the deployed placement on the
+/// capacity-scaled backbone with the MIP's share of the disks, and
+/// deployed whole. Each period's placement runs with `cache_frac` of
+/// the full disks as LRU cache and replays only its own days under
+/// `cfg`. A cycle that degrades panics: it would replay the last-good
+/// placement as if it were the period's own.
 pub fn update_chain(
     s: &Scenario,
     d: &Defaults,
@@ -102,41 +106,62 @@ pub fn update_chain(
     cache_frac: f64,
     cfg: &SimConfig,
 ) -> Vec<Period> {
-    let net = s.scaled_net(d);
-    let disks = s.full_disks(d);
+    static CHAINS: AtomicUsize = AtomicUsize::new(0);
+    let chain = CHAINS.fetch_add(1, Ordering::Relaxed);
+    let dir = fresh_dir(&format!("update_chain_{chain}"));
+    let w = s.ops_world(d);
+    let svc_cfg = ServiceConfig {
+        ops: OpsConfig {
+            cycles: usize::MAX, // clamped to the trace horizon
+            period_days,
+            start_day: 7, // the first week is history
+            estimator,
+            epf: s.epf_config(),
+            max_attempts: 1,
+            checkpoint_every: 0,
+            backoff_base_ms: 0,
+            validate_tol: 1e-6,
+            simulate: false,
+            state_dir: dir.clone(),
+        },
+        churn_cap: None,
+        cycle_step_budget: None,
+        watchdog_budget: 64, // a clean cycle ticks five times
+        cycle_faults: Vec::new(),
+        cycle_deltas: Vec::new(),
+    };
+    let mut svc = Service::resume_or_start(&w, svc_cfg, ServicePlan::default())
+        .expect("update chain config is valid");
     let horizon_days = s.trace.horizon().secs() / DAY;
-    let mut prev: Option<Placement> = None;
-    let mut solved = Vec::new();
-    let mut day = 7u64; // the first week is history
-    while day < horizon_days {
-        let to_day = (day + period_days).min(horizon_days);
-        let demand = s.estimate(estimator, d, day, to_day);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "update transfers are anchored at VHO 0 by convention"
-        )]
-        let pc = prev.as_ref().map(|p| PlacementCost {
-            weight: 1.0,
-            previous: Some(p.holder_lists().to_vec()),
-            origin: VhoId::new(0),
-        });
-        let (_, placement) = s.place(&net, demand, &s.mip_disk(d), pc.as_ref());
-        let migrated = prev
-            .as_ref()
-            .map_or(0, |p| placement.migration_copies_from(p));
-        let dep = Deployment::mip(placement.clone(), &disks, cache_frac);
-        solved.push((day, to_day, migrated, s.days(day, to_day), dep));
-        prev = Some(placement);
-        day = to_day;
+    let mut deployed = Vec::new();
+    let mut day = 7u64;
+    loop {
+        match svc.step().expect("an update cycle never aborts") {
+            StepOutcome::StageDone {
+                stage: StageId::Validate,
+                ..
+            } => {
+                let (_, p) = svc.state().deployed.clone().expect("validate deployed");
+                let to_day = (day + period_days).min(horizon_days);
+                let dep = Deployment::mip(p, &w.disks, cache_frac);
+                deployed.push((day, to_day, s.days(day, to_day), dep));
+                day = to_day;
+            }
+            StepOutcome::StageDone { .. } => {}
+            StepOutcome::Finished => break,
+            other => panic!("update chain at day {day}: {other:?}"),
+        }
     }
-    let reports = replay(s, cfg, solved.iter().map(|(.., t, dep)| (&net, t, dep)));
-    solved
+    let _ = std::fs::remove_dir_all(&dir);
+    let reports = replay(s, cfg, deployed.iter().map(|(.., t, dep)| (&w.net, t, dep)));
+    deployed
         .iter()
+        .zip(&svc.state().records)
         .zip(reports)
-        .map(|(&(from_day, to_day, migrated, ..), report)| Period {
+        .map(|((&(from_day, to_day, ..), r), report)| Period {
             from_day,
             to_day,
-            migrated,
+            migrated: r.moved,
             report,
         })
         .collect()
@@ -199,6 +224,52 @@ pub fn run_comparison(s: &Scenario, d: &Defaults, top_k: usize) -> Vec<StrategyO
 mod tests {
     use super::*;
     use crate::Scale;
+
+    /// An 11-day world smaller than the quick scenario: 6 VHOs, 120
+    /// videos.
+    fn small_scenario() -> Scenario {
+        let (seed, days) = (3, 11);
+        let net = vod_net::topologies::mesh_backbone(6, 9, seed);
+        let lib = vod_trace::LibraryConfig::default_for(120, days, seed);
+        let catalog = vod_trace::synthesize_library(&lib);
+        let tc = vod_trace::TraceConfig::default_for(1_500.0, days, seed);
+        Scenario {
+            paths: vod_net::PathSet::shortest_paths(&net),
+            trace: vod_trace::generate_trace(&catalog, &net, &tc),
+            net,
+            catalog,
+            scale: Scale::Quick,
+            seed,
+        }
+    }
+
+    #[test]
+    fn concurrent_chains_agree_and_tile_the_trace() {
+        let s = small_scenario();
+        let d = Defaults::for_scale(Scale::Quick);
+        let cfg = SimConfig::default();
+        let chain = || update_chain(&s, &d, 2, EstimatorKind::History, 0.0, &cfg);
+        let (a, b) = std::thread::scope(|sc| {
+            let a = sc.spawn(chain);
+            let b = sc.spawn(chain);
+            (a.join().expect("chain a"), b.join().expect("chain b"))
+        });
+        let bits = |ps: &[Period]| -> Vec<_> {
+            ps.iter()
+                .map(|p| (p.migrated, p.report.total_gb_hops.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert!(a.iter().any(|p| p.migrated > 0), "no update moved a copy");
+        let mut day = 7;
+        for p in &a {
+            assert_eq!(p.from_day, day, "periods must tile the trace");
+            day = p.to_day;
+            let reqs = s.days(p.from_day, p.to_day).len() as u64;
+            assert_eq!(p.report.total_requests, reqs, "days {}..{day}", p.from_day);
+        }
+        assert_eq!(day, s.trace.horizon().secs() / DAY);
+    }
 
     #[test]
     fn comparison_runs_and_mip_wins_on_peak() {

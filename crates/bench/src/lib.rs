@@ -21,11 +21,12 @@ pub mod comparison;
 pub mod paper;
 use std::path::PathBuf;
 use vod_core::feasibility::Scenario as FeasScenario;
-use vod_core::{solve_placement, DiskConfig, EpfConfig, MipInstance, Placement, PlacementCost};
+use vod_core::{solve_placement, DiskConfig, EpfConfig, MipInstance, Placement};
 use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind};
 use vod_json::{obj, ToJson, Value};
 use vod_model::{Catalog, Gigabytes, SimTime, TimeWindow};
 use vod_net::{Network, PathSet};
+use vod_ops::OpsWorld;
 use vod_sim::{
     default_threads, mip_vho_configs, simulate_batch, CacheKind, PolicyKind, SimConfig, SimJob,
     SimReport, VhoConfig,
@@ -153,6 +154,14 @@ impl Defaults {
             n_windows: 2,
         }
     }
+
+    /// The estimators' peak windows.
+    pub fn estimate_config(&self) -> EstimateConfig {
+        EstimateConfig {
+            window_secs: self.window_secs,
+            n_windows: self.n_windows,
+        }
+    }
 }
 
 impl Scenario {
@@ -262,10 +271,6 @@ impl Scenario {
     /// days before (fewer at the start of the trace; Section VI), with
     /// the default peak windows.
     pub fn estimate(&self, kind: EstimatorKind, d: &Defaults, from: u64, to: u64) -> DemandInput {
-        let est = EstimateConfig {
-            window_secs: d.window_secs,
-            n_windows: d.n_windows,
-        };
         estimate_demand(
             kind,
             &self.catalog,
@@ -274,8 +279,23 @@ impl Scenario {
             &self.days(from, to),
             from,
             to - from,
-            &est,
+            &d.estimate_config(),
         )
+    }
+
+    /// The service's world: the capacity-scaled backbone, the full
+    /// disks with the MIP's share as its budget, and the default peak
+    /// windows.
+    pub fn ops_world(&self, d: &Defaults) -> OpsWorld {
+        OpsWorld {
+            net: self.scaled_net(d),
+            paths: self.paths.clone(),
+            catalog: self.catalog.clone(),
+            trace: self.trace.clone(),
+            disks: self.full_disks(d),
+            mip_disk: self.mip_disk(d),
+            est: d.estimate_config(),
+        }
     }
 
     /// The replay settings measuring from day 7 on, once week 0 has
@@ -289,18 +309,16 @@ impl Scenario {
     }
 
     /// Solve the placement MIP for this catalog on `net` with the
-    /// paper's transfer cost (α = 1, β = 0) and [`Scenario::epf_config`],
-    /// migration anchored on `anchor` if given; return the instance
-    /// beside the rounded placement.
+    /// paper's transfer cost (α = 1, β = 0) and [`Scenario::epf_config`];
+    /// return the instance beside the rounded placement.
     pub fn place(
         &self,
         net: &Network,
         demand: DemandInput,
         disk: &DiskConfig,
-        anchor: Option<&PlacementCost>,
     ) -> (MipInstance, Placement) {
         let catalog = self.catalog.clone();
-        let inst = MipInstance::new(net.clone(), catalog, demand, disk, 1.0, 0.0, anchor);
+        let inst = MipInstance::new(net.clone(), catalog, demand, disk, 1.0, 0.0, None);
         let out = solve_placement(&inst, &self.epf_config()).expect("instance is well-formed");
         (inst, out.placement)
     }
@@ -481,6 +499,13 @@ pub fn save_results<T: ToJson + ?Sized>(name: &str, payload: &T) {
 pub fn results_dir() -> PathBuf {
     // The bins run from the workspace root via `cargo run`.
     PathBuf::from(std::env::var("VODPLACE_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
+}
+
+/// An empty state dir `vod_<name>_<pid>` under the temp dir.
+pub fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vod_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Format a float with sensible precision for tables.

@@ -42,12 +42,7 @@ impl Ctx {
         self.week0.get_or_init(|| {
             let s = self.scenario();
             let d = Defaults::for_scale(self.scale);
-            s.place(
-                &s.scaled_net(&d),
-                s.demand_of_week(0, &d),
-                &s.mip_disk(&d),
-                None,
-            )
+            s.place(&s.scaled_net(&d), s.demand_of_week(0, &d), &s.mip_disk(&d))
         })
     }
 }

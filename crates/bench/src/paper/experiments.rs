@@ -384,7 +384,7 @@ pub fn fig10(ctx: &Ctx) {
     let six = mip_disk(6.0, d.cache_frac);
     let placements = [
         (d.disk_ratio, ctx.week0().1.clone()),
-        (6.0, s.place(&net, s.demand_of_week(0, &d), &six, None).1),
+        (6.0, s.place(&net, s.demand_of_week(0, &d), &six).1),
     ];
     let deployments = placements.map(|(ratio, placement)| {
         let disks = DiskConfig::UniformRatio { ratio }.capacities(&net, s.catalog.total_size());
@@ -494,7 +494,7 @@ pub fn fig12(ctx: &Ctx) {
     let fracs = [0.0, 0.05, 0.10, 0.15, 0.25];
     let deployments = fracs.map(|frac| {
         let disk = mip_disk(d.disk_ratio, frac);
-        let (_, placement) = s.place(&net, demand.clone(), &disk, None);
+        let (_, placement) = s.place(&net, demand.clone(), &disk);
         Deployment::mip(placement, &full_disks, frac)
     });
     let runs = deployments.iter().map(|dep| (&net, &future, dep));
@@ -796,7 +796,7 @@ pub fn table05(ctx: &Ctx) {
         let feasible = cap.map(|cap| {
             let mut net = s.net.clone();
             net.set_uniform_capacity(cap);
-            let (_, placement) = s.place(&net, demand, &s.mip_disk(&d), None);
+            let (_, placement) = s.place(&net, demand, &s.mip_disk(&d));
             (cap, windows, net, Deployment::mip(placement, &disks, 0.0))
         });
         rows.push((label, feasible));

@@ -1078,7 +1078,7 @@ impl Service {
             let Some((_, deployed)) = self.state.deployed.clone() else {
                 return self.retreat(StageId::Validate, StageId::Simulate, cycle);
             };
-            let (sim, denied, denial) = self.replay_window(cycle, &deployed);
+            let (sim, denied, denial) = self.replay_window(cycle, deployed);
             self.state.pending_sim = Some(sim);
             self.state.pending_denied = denied;
             self.state.pending_denial = Some(denial);
@@ -1146,7 +1146,7 @@ impl Service {
             Some((_, deployed)) => {
                 self.push_recovery(RecoveryAction::LastGood);
                 if self.cfg.ops.simulate {
-                    let (sim, denied, denial) = self.replay_window(cycle, &deployed);
+                    let (sim, denied, denial) = self.replay_window(cycle, deployed);
                     self.state.pending_sim = Some(sim);
                     self.state.pending_denied = denied;
                     self.state.pending_denial = Some(denial);
@@ -1372,9 +1372,10 @@ impl Service {
     }
 
     /// Replay the cycle's period window against `placement`, injecting
-    /// the cycle's fault schedule (if any). Returns the sim summary
-    /// plus denial accounting.
-    fn replay_window(&mut self, cycle: usize, placement: &Placement) -> (SimSummary, u64, f64) {
+    /// the cycle's fault schedule (if any). The placement moves into
+    /// the replay's routing policy. Returns the sim summary plus denial
+    /// accounting.
+    fn replay_window(&mut self, cycle: usize, placement: Placement) -> (SimSummary, u64, f64) {
         let (day, end) = self.window_of(cycle);
         let future = self.period_win.advance(
             &self.cur.trace,
@@ -1389,8 +1390,8 @@ impl Service {
         // A dark VHO replays with its zeroed sim disk but keeps serving
         // whatever leftover copies the churn-capped repair has not yet
         // drained — graceful decommission, not a cliff.
-        let vhos = mip_vho_configs(placement, &self.cur.disks, 0.0, CacheKind::Lru);
-        let policy = PolicyKind::MipRouting(placement.clone());
+        let vhos = mip_vho_configs(&placement, &self.cur.disks, 0.0, CacheKind::Lru);
+        let policy = PolicyKind::MipRouting(placement);
         let rep = simulate(
             &self.cur.net,
             &self.cur.paths,
