@@ -190,10 +190,10 @@ pub fn check_blocks(inst: &MipInstance, blocks: &[BlockSolution], tol: f64) -> A
     let mut violations = Vec::new();
     for (b, data) in blocks.iter().zip(inst.blocks()) {
         let video = data.video.index();
-        if b.x.len() != data.clients.len() {
+        if b.n_clients() != data.clients.len() {
             violations.push(Violation::ClientCount {
                 video,
-                got: b.x.len(),
+                got: b.n_clients(),
                 want: data.clients.len(),
             });
             continue;
@@ -207,7 +207,7 @@ pub fn check_blocks(inst: &MipInstance, blocks: &[BlockSolution], tol: f64) -> A
                 });
             }
         }
-        for (client, dist) in b.x.iter().enumerate() {
+        for (client, dist) in b.dists().enumerate() {
             let mut total = 0.0;
             for &(i, x) in dist {
                 total += x;
@@ -429,15 +429,18 @@ mod tests {
     #[test]
     fn broken_distribution_mass_is_flagged() {
         let (inst, mut frac, _) = solved();
-        let dist = frac
+        let (b, c) = frac
             .blocks
-            .iter_mut()
-            .flat_map(|b| b.x.iter_mut())
-            .find(|d| !d.is_empty())
+            .iter()
+            .enumerate()
+            .find_map(|(m, b)| b.dists().position(|d| !d.is_empty()).map(|c| (m, c)))
             .expect("some client exists");
-        for e in dist.iter_mut() {
-            e.1 *= 0.5;
-        }
+        let halved: Vec<_> = frac.blocks[b]
+            .dist(c)
+            .iter()
+            .map(|&(i, x)| (i, x * 0.5))
+            .collect();
+        frac.blocks[b].set_dist(c, &halved);
         let report = check_blocks(&inst, &frac.blocks, INT_TOL);
         assert!(report
             .violations
@@ -449,9 +452,9 @@ mod tests {
     fn broken_dominance_is_flagged() {
         let (inst, mut frac, _) = solved();
         let b = &mut frac.blocks[0];
-        let (i, _) = b.x[0][0];
+        let (i, _) = b.dist(0)[0];
         // Route everything through one VHO while capping its y below.
-        b.x[0] = vec![(i, 1.0)];
+        b.set_dist(0, &[(i, 1.0)]);
         if let Ok(k) = b.y.binary_search_by_key(&i, |&(v, _)| v) {
             b.y[k].1 = 0.25;
         }

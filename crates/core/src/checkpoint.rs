@@ -35,7 +35,7 @@ use crate::instance::MipInstance;
 use crate::solution::{BlockSolution, FractionalSolution, Placement};
 use std::fmt;
 use vod_json::reader::Reader;
-use vod_json::wire::{dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
+use vod_json::wire::{dec_each, dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
 use vod_json::{wire_fields, wire_record, Value};
 use vod_model::VhoId;
 
@@ -206,14 +206,14 @@ fn validate_blocks(
         if b.y.is_empty() || !sorted_in_range(&b.y) {
             return Err(format!("{what}[{m}].y is empty, unsorted, or out of range"));
         }
-        if b.x.len() != data.clients.len() {
+        if b.n_clients() != data.clients.len() {
             return Err(format!(
                 "{what}[{m}] has {} client rows, instance block has {}",
-                b.x.len(),
+                b.n_clients(),
                 data.clients.len()
             ));
         }
-        for dist in &b.x {
+        for dist in b.dists() {
             if !sorted_in_range(dist) {
                 return Err(format!("{what}[{m}].x is unsorted or out of range"));
             }
@@ -250,10 +250,30 @@ wire_record!(SolverCheckpoint {
     zstar,
 });
 
-wire_record!(BlockSolution {
-    y: with(dist_enc, dist_dec),
-    x: with(dists_enc, dists_dec),
-});
+/// `{"y": […], "x": [[…], …]}`: one list per client, the form every
+/// persisted checkpoint and fractional artifact holds, read straight
+/// into the block's flat buffer.
+impl Wire for BlockSolution {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.begin_obj();
+        out.key("y");
+        dist_enc(&self.y, out);
+        out.key("x");
+        out.begin_arr();
+        for d in self.dists() {
+            dist_enc(d, out);
+        }
+        out.end_arr();
+        out.end_obj();
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        wire_fields!(r, y: dist_dec, x: dists_dec => {
+            let (x, ends) = x;
+            Ok(BlockSolution::from_flat(y, x, ends))
+        })
+    }
+}
 
 wire_record!(FractionalSolution {
     blocks,
@@ -288,12 +308,25 @@ fn dist_dec(r: &mut Reader<'_>) -> Result<Vec<(VhoId, f64)>, WireError> {
     dec_seq(r, |r| dec_pair(r, vho_dec, f64::read))
 }
 
-fn dists_enc<S: Sink>(ds: &[Vec<(VhoId, f64)>], out: &mut S) {
-    enc_seq(ds, out, |d, out| dist_enc(d, out));
-}
+/// The lists of [`dist_dec`]'s form as one flat buffer and each
+/// list's end in it.
+type FlatDists = (Vec<(VhoId, f64)>, Vec<u32>);
 
-fn dists_dec(r: &mut Reader<'_>) -> Result<Vec<Vec<(VhoId, f64)>>, WireError> {
-    dec_seq(r, dist_dec)
+fn dists_dec(r: &mut Reader<'_>) -> Result<FlatDists, WireError> {
+    let (mut x, mut ends) = (Vec::new(), Vec::new());
+    dec_each(r, |r| {
+        dec_each(r, |r| {
+            x.push(dec_pair(r, vho_dec, f64::read)?);
+            Ok(())
+        })?;
+        let end = u32::try_from(x.len())
+            .map_err(|_| WireError::new("more serving entries than a u32 counts"))?;
+        ends.push(end);
+        Ok(())
+    })?;
+    x.shrink_to_fit();
+    ends.shrink_to_fit();
+    Ok((x, ends))
 }
 
 /// Serialize a fractional solution — the solve→round stage boundary of
@@ -407,9 +440,13 @@ mod tests {
     use super::*;
 
     fn sample() -> SolverCheckpoint {
-        let block = |ids: &[u16]| BlockSolution {
-            y: ids.iter().map(|&i| (VhoId::new(i), 0.75)).collect(),
-            x: vec![ids.iter().map(|&i| (VhoId::new(i), 0.5)).collect()],
+        let block = |ids: &[u16]| {
+            BlockSolution::from_dists(
+                ids.iter().map(|&i| (VhoId::new(i), 0.75)).collect(),
+                [ids.iter()
+                    .map(|&i| (VhoId::new(i), 0.5))
+                    .collect::<Vec<_>>()],
+            )
         };
         SolverCheckpoint {
             fingerprint: 0xdead_beef_cafe_f00d,

@@ -260,30 +260,28 @@ fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
     let mut price: f64 = y.iter().zip(&p.facility_cost).map(|(y, f)| y * f).sum();
     let mut short = (1.0 - y.iter().sum::<f64>()).max(0.0);
     let mut order: Vec<usize> = (0..y.len()).collect();
-    let x: Vec<Vec<(vod_model::VhoId, f64)>> = p
-        .service_rows()
-        .map(|row| {
-            order.sort_unstable_by(|&a, &b| row[a].total_cmp(&row[b]).then(a.cmp(&b)));
-            let mut left = 1.0f64;
-            let mut shares = Vec::new();
-            for &i in &order {
-                let take = y[i].min(left);
-                if take > 1e-12 {
-                    price += row[i] * take;
-                    left -= take;
-                    shares.push((vho(i), take));
-                }
-            }
-            short = short.max(left);
-            shares.sort_unstable_by_key(|&(i, _)| i);
-            shares
-        })
-        .collect();
-    let y = (0..y.len())
+    let stored = (0..y.len())
         .filter(|&i| y[i] > 1e-12)
         .map(|i| (vho(i), y[i]))
         .collect();
-    let point = BlockSolution { y, x };
+    let mut point = BlockSolution::from_dists(stored, std::iter::empty::<&[_]>());
+    let mut shares = Vec::new();
+    for row in p.service_rows() {
+        order.sort_unstable_by(|&a, &b| row[a].total_cmp(&row[b]).then(a.cmp(&b)));
+        let mut left = 1.0f64;
+        shares.clear();
+        for &i in &order {
+            let take = y[i].min(left);
+            if take > 1e-12 {
+                price += row[i] * take;
+                left -= take;
+                shares.push((vho(i), take));
+            }
+        }
+        short = short.max(left);
+        shares.sort_unstable_by_key(|&(i, _)| i);
+        point.push_dist(&shares);
+    }
     // Relative, with magnitudes below 1 read as 1: the simplex's own
     // tolerances are absolute, so an optimum of exactly 0 may come back
     // as round-off.
@@ -296,7 +294,7 @@ fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
             "audit failed at block LP map-back: fill short by {short}, point priced at \
              {price} against the LP value {bound}"
         );
-        let stored = point.y.iter().chain(point.x.iter().flatten());
+        let stored = point.y.iter().chain(point.dists().flatten());
         for &(i, v) in stored {
             assert!(
                 v <= point.y_at(i).min(1.0 + MAP_BACK_TOL),

@@ -370,7 +370,7 @@ pub(crate) fn block_delta(
         }
     }
     for (c_idx, client) in data.clients.iter().enumerate() {
-        for (i, old, new) in merge_sparse(&cur.x[c_idx], &hat.x[c_idx]) {
+        for (i, old, new) in merge_sparse(cur.dist(c_idx), hat.dist(c_idx)) {
             let d = new - old;
             if d == 0.0 {
                 continue;
@@ -465,53 +465,46 @@ pub(crate) fn greedy_x_given_y<'a>(
     out: &'a mut BlockBuf,
 ) -> &'a BlockSolution {
     let duals = arena.duals();
-    let block = out.with_clients(data.clients.len());
-    block.y.clear();
-    block.y.extend_from_slice(y);
-    data.clients
-        .iter()
-        .zip(&mut block.x)
-        .for_each(|(client, dist)| {
-            let j = client.j.index();
-            costs.clear();
-            costs.extend(y.iter().filter(|&&(_, yv)| yv > 0.0).map(|&(i, yv)| {
-                let mut cost = duals.obj * client.demand_gb * inst.cost(i, client.j);
-                for (t, &rate) in client.rate.iter().enumerate() {
-                    if rate != 0.0 {
-                        cost += rate * arena.at(t, i.index(), j);
-                    }
-                }
-                (cost, i, yv)
-            }));
-            // `(cost, id)` is a total order over unique ids: the
-            // unstable sort returns the stable sort's order.
-            costs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut remaining = 1.0f64;
-            dist.clear();
-            for &(_, i, yv) in costs.iter() {
-                if remaining <= 0.0 {
-                    break;
-                }
-                let take = yv.min(remaining);
-                if take > 0.0 {
-                    dist.push((i, take));
-                    remaining -= take;
+    out.fill(y, data.clients.len(), |c, dist| {
+        let client = &data.clients[c];
+        let j = client.j.index();
+        costs.clear();
+        costs.extend(y.iter().filter(|&&(_, yv)| yv > 0.0).map(|&(i, yv)| {
+            let mut cost = duals.obj * client.demand_gb * inst.cost(i, client.j);
+            for (t, &rate) in client.rate.iter().enumerate() {
+                if rate != 0.0 {
+                    cost += rate * arena.at(t, i.index(), j);
                 }
             }
-            // The y-mass can dip fractionally below 1 from pruning
-            // noise; dump the residue on the cheapest facility.
-            if remaining > 1e-12 {
-                if let Some(&(_, fi, _)) = costs.first() {
-                    if let Some(e) = dist.iter_mut().find(|e| e.0 == fi) {
-                        e.1 += remaining;
-                    } else {
-                        dist.push((fi, remaining));
-                    }
+            (cost, i, yv)
+        }));
+        // `(cost, id)` is a total order over unique ids: the
+        // unstable sort returns the stable sort's order.
+        costs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut remaining = 1.0f64;
+        for &(_, i, yv) in costs.iter() {
+            if remaining <= 0.0 {
+                break;
+            }
+            let take = yv.min(remaining);
+            if take > 0.0 {
+                dist.push((i, take));
+                remaining -= take;
+            }
+        }
+        // The y-mass can dip fractionally below 1 from pruning
+        // noise; dump the residue on the cheapest facility.
+        if remaining > 1e-12 {
+            if let Some(&(_, fi, _)) = costs.first() {
+                if let Some(e) = dist.iter_mut().find(|e| e.0 == fi) {
+                    e.1 += remaining;
+                } else {
+                    dist.push((fi, remaining));
                 }
             }
-            dist.sort_by_key(|&(i, _)| i);
-        });
-    block
+        }
+        dist.sort_by_key(|&(i, _)| i);
+    })
 }
 
 /// Start the Lagrangian lower bound `LR(λ̄)` with the smoothed duals
@@ -722,14 +715,7 @@ fn approx_bytes(
     threads: usize,
     accumulators: usize,
 ) -> usize {
-    let tuple = std::mem::size_of::<(vod_model::VhoId, f64)>();
-    let sol: usize = blocks
-        .iter()
-        .map(|b| {
-            (b.y.len() + b.x.iter().map(Vec::len).sum::<usize>()) * tuple
-                + b.x.len() * std::mem::size_of::<Vec<()>>()
-        })
-        .sum();
+    let sol: usize = blocks.iter().map(BlockSolution::approx_bytes).sum();
     let data: usize = inst
         .blocks()
         .iter()
@@ -899,26 +885,19 @@ fn warm_block(
         return initial_block(b, n_vhos);
     }
     let fallback = holders[0];
-    let x = b
-        .clients
-        .iter()
-        .map(|c| {
-            let best = holders
-                .iter()
-                .copied()
-                .min_by(|&a, &bb| {
-                    inst.cost(a, c.j)
-                        .total_cmp(&inst.cost(bb, c.j))
-                        .then(a.cmp(&bb))
-                })
-                .unwrap_or(fallback);
-            vec![(best, 1.0)]
-        })
-        .collect();
-    BlockSolution {
-        y: holders.into_iter().map(|h| (h, 1.0)).collect(),
-        x,
-    }
+    let x = b.clients.iter().map(|c| {
+        let best = holders
+            .iter()
+            .copied()
+            .min_by(|&a, &bb| {
+                inst.cost(a, c.j)
+                    .total_cmp(&inst.cost(bb, c.j))
+                    .then(a.cmp(&bb))
+            })
+            .unwrap_or(fallback);
+        [(best, 1.0)]
+    });
+    BlockSolution::from_dists(holders.iter().map(|&h| (h, 1.0)).collect(), x)
 }
 
 /// The EPF solve as an explicit state machine over pass boundaries.
@@ -1559,7 +1538,7 @@ pub(crate) mod tests {
             }
         }
         for (c_idx, client) in data.clients.iter().enumerate() {
-            for (i, old, new) in merge_sparse(&cur.x[c_idx], &hat.x[c_idx]) {
+            for (i, old, new) in merge_sparse(cur.dist(c_idx), hat.dist(c_idx)) {
                 let d = new - old;
                 if d == 0.0 {
                     continue;
@@ -1601,10 +1580,9 @@ pub(crate) mod tests {
                 })
                 .collect()
         };
-        BlockSolution {
-            y: entry(rng),
-            x: (0..clients).map(|_| entry(rng)).collect(),
-        }
+        let y = entry(rng);
+        let x: Vec<_> = (0..clients).map(|_| entry(rng)).collect();
+        BlockSolution::from_dists(y, x)
     }
 
     #[test]
@@ -1627,10 +1605,7 @@ pub(crate) mod tests {
             }
             let cur = random_block(&mut rng, v, data.clients.len());
             let hat = if rng.gen_range(0..4u32) == 0 {
-                BlockSolution {
-                    y: Vec::new(),
-                    x: vec![Vec::new(); data.clients.len()],
-                }
+                BlockSolution::from_dists(Vec::new(), vec![[]; data.clients.len()])
             } else {
                 random_block(&mut rng, v, data.clients.len())
             };
@@ -1685,8 +1660,8 @@ pub(crate) mod tests {
         );
         for (b, data) in frac.blocks.iter().zip(inst.blocks()) {
             assert!(!b.y.is_empty(), "every video must be stored somewhere");
-            assert_eq!(b.x.len(), data.clients.len());
-            for dist in &b.x {
+            assert_eq!(b.n_clients(), data.clients.len());
+            for dist in b.dists() {
                 let total: f64 = dist.iter().map(|&(_, v)| v).sum();
                 assert!((total - 1.0).abs() < 1e-6, "x must sum to 1: {total}");
                 for &(i, v) in dist {

@@ -62,6 +62,7 @@ pub fn round_solution(
     let mut ufl = UflProblem::default();
     let mut scratch = UflScratch::default();
     let mut deltas = RowAcc::default();
+    let mut empty_buf = BlockBuf::default();
     // `m` indexes `inst.blocks()` and `blocks` (mutated below) in
     // lockstep, so a range loop is the honest shape here.
     #[expect(
@@ -82,18 +83,15 @@ pub fn round_solution(
         let data = &inst.blocks()[m];
         // Remove this block's fractional contribution so the UFL sees
         // the load of everyone else.
-        let empty = BlockSolution {
-            y: Vec::new(),
-            x: vec![Vec::new(); data.clients.len()],
-        };
-        let dobj_out = block_delta(inst, &layout, data, &blocks[m], &empty, &mut deltas);
+        let empty = empty_buf.set_empty(data.clients.len());
+        let dobj_out = block_delta(inst, &layout, data, &blocks[m], empty, &mut deltas);
         coupling.apply(deltas.rows(), dobj_out, 1.0);
 
         let duals_now = coupling.duals();
         build_ufl_into(inst, &layout, data, &duals_now, &arena, &mut ufl, kernel);
         let cand = ufl.solve_local_search_with_kernel(&mut scratch, kernel);
         let hat = BlockSolution::from_ufl(&cand);
-        let dobj_in = block_delta(inst, &layout, data, &empty, &hat, &mut deltas);
+        let dobj_in = block_delta(inst, &layout, data, empty, &hat, &mut deltas);
         coupling.apply(deltas.rows(), dobj_in, 1.0);
         blocks[m] = hat;
     }
@@ -121,7 +119,7 @@ pub fn round_solution(
         let mut buf = BlockBuf::default();
         for (m, data) in inst.blocks().iter().enumerate() {
             let better = greedy_x_given_y(inst, data, &blocks[m].y, &arena, &mut costs, &mut buf);
-            blocks[m].x.clone_from(&better.x);
+            blocks[m].copy_dists_from(better);
         }
     }
 
@@ -177,12 +175,13 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
 
     // Reassign the clients of video `mi` that were served by `from`
     // onto the cheapest remaining holder.
-    let reassign = |blocks: &mut [BlockSolution], mi: usize, from: vod_model::VhoId| {
+    let mut dist = Vec::new();
+    let mut reassign = |blocks: &mut [BlockSolution], mi: usize, from: vod_model::VhoId| {
         let stores: Vec<vod_model::VhoId> = blocks[mi].stores();
         let data = &inst.blocks()[mi];
         for (c_idx, client) in data.clients.iter().enumerate() {
-            let dist = &mut blocks[mi].x[c_idx];
-            let moved: f64 = dist
+            let moved: f64 = blocks[mi]
+                .dist(c_idx)
                 .iter()
                 .filter(|&&(i, _)| i == from)
                 .map(|&(_, v)| v)
@@ -198,11 +197,14 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
                     // old routing rather than dropping served demand.
                     continue;
                 };
-                dist.retain(|&(i, _)| i != from);
+                dist.clear();
+                // lint:allow(alloc-in-hot-loop): refills a list hoisted out of the loop, within its retained capacity
+                dist.extend(blocks[mi].dist(c_idx).iter().filter(|&&(i, _)| i != from));
                 match dist.binary_search_by_key(&target, |&(i, _)| i) {
                     Ok(k) => dist[k].1 += moved,
                     Err(k) => dist.insert(k, (target, moved)),
                 }
+                blocks[mi].set_dist(c_idx, &dist);
             }
         }
     };
@@ -232,7 +234,7 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
                     inst.blocks()[mi]
                         .clients
                         .iter()
-                        .zip(&blocks[mi].x)
+                        .zip(blocks[mi].dists())
                         .map(|(c, dist)| {
                             dist.iter()
                                 .filter(|&&(i, _)| i == over_id)

@@ -4,6 +4,7 @@
 
 use crate::block::UflSolution;
 use crate::instance::{MipInstance, VideoBlock};
+use vod_model::narrow::u32_from;
 use vod_model::{Catalog, Gigabytes, VhoId, VideoId};
 
 /// Threshold below which y/x components are pruned during convex
@@ -16,12 +17,23 @@ pub const INT_TOL: f64 = 1e-6;
 /// One video's (possibly fractional) solution: its `y_i^m` values and,
 /// for each block client (same order as `VideoBlock::clients`), the
 /// serving distribution `x_{·j}^m`.
+///
+/// The distributions live in one client-major buffer: client `c`'s
+/// entries are `x[ends[c - 1]..ends[c]]` (from 0 for the first client),
+/// so a block holds three heap buffers whatever its client count, and a
+/// step or a clone allocates two or three times instead of once per
+/// client. Read them through [`BlockSolution::dist`] and
+/// [`BlockSolution::dists`]; build them through
+/// [`BlockSolution::from_dists`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockSolution {
     /// Sparse `(i, y_i)` with `y_i > 0`, sorted by VHO.
     pub y: Vec<(VhoId, f64)>,
-    /// Per client: sparse `(i, x_ij)` summing to 1, sorted by VHO.
-    pub x: Vec<Vec<(VhoId, f64)>>,
+    /// Every client's sparse `(i, x_ij)` summing to 1, sorted by VHO,
+    /// one client after another.
+    x: Vec<(VhoId, f64)>,
+    /// Per client: the end of its entries in `x`.
+    ends: Vec<u32>,
 }
 
 /// The entry "all of it at UFL facility `i`".
@@ -34,13 +46,97 @@ fn full_at(i: usize) -> (VhoId, f64) {
 }
 
 impl BlockSolution {
+    /// A block with stored fractions `y` and the serving distributions
+    /// `lists`, one per client in block order.
+    pub fn from_dists<D: AsRef<[(VhoId, f64)]>>(
+        y: Vec<(VhoId, f64)>,
+        lists: impl IntoIterator<Item = D>,
+    ) -> Self {
+        let mut block = Self {
+            y,
+            x: Vec::new(),
+            ends: Vec::new(),
+        };
+        for dist in lists {
+            block.push_dist(dist.as_ref());
+        }
+        block.x.shrink_to_fit();
+        block.ends.shrink_to_fit();
+        block
+    }
+
+    /// A block from its flat parts, as a decoder reads them: `ends`
+    /// ascending, the last one `x.len()`.
+    pub(crate) fn from_flat(y: Vec<(VhoId, f64)>, x: Vec<(VhoId, f64)>, ends: Vec<u32>) -> Self {
+        debug_assert!(ends.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(ends.last().map_or(0, |&e| e as usize), x.len());
+        Self { y, x, ends }
+    }
+
     /// The all-at-one-facility solution used both as the initial point
     /// and as the shape of every UFL candidate.
     pub fn from_ufl(sol: &UflSolution) -> Self {
-        let mut y: Vec<(VhoId, f64)> = sol.open.iter().map(|&i| full_at(i)).collect();
-        y.sort_by_key(|&(i, _)| i);
-        let x = sol.assign.iter().map(|&i| vec![full_at(i)]).collect();
-        Self { y, x }
+        let mut block = BlockBuf::default();
+        block.set_from_ufl(sol);
+        block.block
+    }
+
+    /// Number of clients (serving distributions).
+    #[inline]
+    pub fn n_clients(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Where client `c`'s entries start in `x`.
+    #[inline]
+    fn start(&self, c: usize) -> usize {
+        if c == 0 {
+            0
+        } else {
+            self.ends[c - 1] as usize
+        }
+    }
+
+    /// Client `c`'s serving distribution.
+    #[inline]
+    pub fn dist(&self, c: usize) -> &[(VhoId, f64)] {
+        &self.x[self.start(c)..self.ends[c] as usize]
+    }
+
+    /// Every client's serving distribution, in block order.
+    pub fn dists(&self) -> impl ExactSizeIterator<Item = &[(VhoId, f64)]> + '_ {
+        (0..self.n_clients()).map(|c| self.dist(c))
+    }
+
+    /// Replace client `c`'s serving distribution with `dist`, shifting
+    /// the later clients' entries.
+    pub fn set_dist(&mut self, c: usize, dist: &[(VhoId, f64)]) {
+        let (start, end) = (self.start(c), self.ends[c] as usize);
+        self.x.splice(start..end, dist.iter().copied());
+        let (old_len, new_len) = (end - start, dist.len());
+        if new_len != old_len {
+            for e in &mut self.ends[c..] {
+                *e = u32_from(*e as usize + new_len - old_len);
+            }
+        }
+    }
+
+    /// Append a client with serving distribution `dist`.
+    pub(crate) fn push_dist(&mut self, dist: &[(VhoId, f64)]) {
+        self.x.extend_from_slice(dist);
+        self.ends.push(u32_from(self.x.len()));
+    }
+
+    /// Overwrite every serving distribution with `other`'s, keeping `y`.
+    pub(crate) fn copy_dists_from(&mut self, other: &BlockSolution) {
+        self.x.clone_from(&other.x);
+        self.ends.clone_from(&other.ends);
+    }
+
+    /// Heap bytes of the three buffers at their lengths.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let tuple = std::mem::size_of::<(VhoId, f64)>();
+        (self.y.len() + self.x.len()) * tuple + self.ends.len() * std::mem::size_of::<u32>()
     }
 
     /// `y` value at VHO `i` (0 when absent).
@@ -71,29 +167,49 @@ impl BlockSolution {
     /// renormalization of every client distribution. Block-feasibility
     /// (x ≤ y, Σx = 1) is preserved: both endpoints satisfy it and the
     /// prune/renormalize bumps `y` up to cover any renormalized `x`.
+    ///
+    /// Every client is merged into one new exact-size buffer and `ends`
+    /// is overwritten in place, so a step allocates `y` and `x` and
+    /// nothing per client.
     pub fn step_toward(&mut self, hat: &BlockSolution, tau: f64) {
         debug_assert!((0.0..=1.0).contains(&tau));
         if tau == 0.0 {
             return;
         }
-        self.y = merge_combine(&self.y, &hat.y, tau, PRUNE_TOL);
-        debug_assert_eq!(self.x.len(), hat.x.len());
-        for (cur, new) in self.x.iter_mut().zip(&hat.x) {
-            let mut combined = merge_combine(cur, new, tau, PRUNE_TOL);
+        let mut y = Vec::with_capacity(self.y.len() + hat.y.len());
+        merge_combine(&self.y, &hat.y, tau, PRUNE_TOL, &mut y);
+        self.y = y;
+        debug_assert_eq!(self.n_clients(), hat.n_clients());
+        // Sized exactly by a counting pass: a buffer sized for the
+        // unpruned merge and shrunk afterwards left its freed tail
+        // behind as heap fragments.
+        let len = (0..self.n_clients())
+            .map(|c| merged_len(self.dist(c), hat.dist(c), tau, PRUNE_TOL))
+            .sum();
+        let mut x = Vec::with_capacity(len);
+        let mut start = 0;
+        for (c, end) in self.ends.iter_mut().enumerate() {
+            // Client c's old entries end at the old `ends[c]`: read it
+            // before the new end overwrites it.
+            let cur = &self.x[start..*end as usize];
+            start = *end as usize;
+            let first = x.len();
+            merge_combine(cur, hat.dist(c), tau, PRUNE_TOL, &mut x);
+            let combined = &mut x[first..];
             let total: f64 = combined.iter().map(|&(_, v)| v).sum();
             debug_assert!(total > 0.5, "distribution lost its mass");
-            for e in &mut combined {
+            for e in combined {
                 e.1 /= total;
             }
-            *cur = combined;
+            *end = u32_from(x.len());
         }
+        debug_assert_eq!(x.len(), len);
+        self.x = x;
         // Re-cover: ensure y_i >= max_j x_ij after pruning noise.
-        for dist in &self.x {
-            for &(i, v) in dist {
-                match self.y.binary_search_by_key(&i, |&(w, _)| w) {
-                    Ok(k) => self.y[k].1 = self.y[k].1.max(v),
-                    Err(k) => self.y.insert(k, (i, v)),
-                }
+        for &(i, v) in &self.x {
+            match self.y.binary_search_by_key(&i, |&(w, _)| w) {
+                Ok(k) => self.y[k].1 = self.y[k].1.max(v),
+                Err(k) => self.y.insert(k, (i, v)),
             }
         }
     }
@@ -102,57 +218,73 @@ impl BlockSolution {
 /// A reusable [`BlockSolution`] for directions that live only until
 /// the next block: the EPF step-apply path materialises every UFL
 /// candidate and every corrective re-routing into one of these instead
-/// of allocating `C + 2` vectors per block. Client lists beyond the
-/// current block's count are parked in `spare`, so shrinking and
-/// regrowing from block to block frees and allocates nothing.
+/// of allocating a block per candidate. Its three buffers keep their
+/// capacity from block to block, so once grown it allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct BlockBuf {
     block: BlockSolution,
-    spare: Vec<Vec<(VhoId, f64)>>,
+    /// One client's distribution while a `fill` closure writes it.
+    dist: Vec<(VhoId, f64)>,
 }
 
 impl BlockBuf {
-    /// The buffer as a block of exactly `n_clients` client lists, all
-    /// contents stale: the caller overwrites `y` and every list.
-    pub(crate) fn with_clients(&mut self, n_clients: usize) -> &mut BlockSolution {
-        let x = &mut self.block.x;
-        if x.len() > n_clients {
-            self.spare.extend(x.drain(n_clients..));
-        } else {
-            let keep = self.spare.len().saturating_sub(n_clients - x.len());
-            x.extend(self.spare.drain(keep..));
-            x.resize_with(n_clients, Vec::new);
+    /// Overwrite with the block of stored fractions `y` and `n_clients`
+    /// clients, client `c`'s distribution written by `fill(c, dist)`
+    /// into a cleared list.
+    pub(crate) fn fill(
+        &mut self,
+        y: &[(VhoId, f64)],
+        n_clients: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(VhoId, f64)>),
+    ) -> &BlockSolution {
+        let Self { block, dist } = self;
+        block.y.clear();
+        block.y.extend_from_slice(y);
+        block.x.clear();
+        block.ends.clear();
+        for c in 0..n_clients {
+            dist.clear();
+            fill(c, dist);
+            block.push_dist(dist);
         }
-        &mut self.block
+        block
     }
 
     /// Overwrite with the all-zero block of `n_clients` clients: the
     /// `cur` against which [`crate::epf::block_delta`] returns a
     /// candidate's whole usage.
     pub(crate) fn set_empty(&mut self, n_clients: usize) -> &BlockSolution {
-        let block = self.with_clients(n_clients);
+        let block = &mut self.block;
         block.y.clear();
-        block.x.iter_mut().for_each(Vec::clear);
+        block.x.clear();
+        block.ends.clear();
+        block.ends.resize(n_clients, 0);
         block
     }
 
     /// Overwrite with the block [`BlockSolution::from_ufl`] would build.
     pub(crate) fn set_from_ufl(&mut self, sol: &UflSolution) -> &BlockSolution {
-        let block = self.with_clients(sol.assign.len());
+        let block = &mut self.block;
         block.y.clear();
         block.y.extend(sol.open.iter().map(|&i| full_at(i)));
         block.y.sort_by_key(|&(i, _)| i);
-        for (dist, &i) in block.x.iter_mut().zip(&sol.assign) {
-            dist.clear();
-            dist.resize(1, full_at(i));
-        }
+        block.x.clear();
+        block.x.extend(sol.assign.iter().map(|&i| full_at(i)));
+        block.ends.clear();
+        block.ends.extend((1..=sol.assign.len()).map(u32_from));
         block
     }
 }
 
-/// Sparse merge of `(1−τ)·a + τ·b`, dropping entries below `tol`.
-fn merge_combine(a: &[(VhoId, f64)], b: &[(VhoId, f64)], tau: f64, tol: f64) -> Vec<(VhoId, f64)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// The sparse merge `(1−τ)·a + τ·b`, each entry above `tol` handed to
+/// `kept` in id order.
+fn merge_kept(
+    a: &[(VhoId, f64)],
+    b: &[(VhoId, f64)],
+    tau: f64,
+    tol: f64,
+    mut kept: impl FnMut(VhoId, f64),
+) {
     let (mut ia, mut ib) = (0, 0);
     while ia < a.len() || ib < b.len() {
         let (id, val) = match (a.get(ia), b.get(ib)) {
@@ -177,10 +309,27 @@ fn merge_combine(a: &[(VhoId, f64)], b: &[(VhoId, f64)], tau: f64, tol: f64) -> 
             (None, None) => unreachable!(),
         };
         if val > tol {
-            out.push((id, val.min(1.0)));
+            kept(id, val.min(1.0));
         }
     }
-    out
+}
+
+/// [`merge_kept`] onto the end of `out`.
+fn merge_combine(
+    a: &[(VhoId, f64)],
+    b: &[(VhoId, f64)],
+    tau: f64,
+    tol: f64,
+    out: &mut Vec<(VhoId, f64)>,
+) {
+    merge_kept(a, b, tau, tol, |id, val| out.push((id, val)));
+}
+
+/// How many entries [`merge_combine`] pushes.
+fn merged_len(a: &[(VhoId, f64)], b: &[(VhoId, f64)], tau: f64, tol: f64) -> usize {
+    let mut n = 0;
+    merge_kept(a, b, tau, tol, |_, _| n += 1);
+    n
 }
 
 /// A complete fractional solution with solver-certified quality data.
@@ -223,8 +372,8 @@ impl Placement {
             let mut r: Vec<(VhoId, Vec<(VhoId, f64)>)> = data
                 .clients
                 .iter()
-                .zip(&b.x)
-                .map(|(c, dist)| (c.j, dist.clone()))
+                .zip(b.dists())
+                .map(|(c, dist)| (c.j, dist.to_vec()))
                 .collect();
             r.sort_by_key(|&(j, _)| j);
             stores.push(s);
@@ -464,23 +613,206 @@ pub fn initial_block(block: &VideoBlock, n_vhos: usize) -> BlockSolution {
                 VhoId::from_index(i)
             }
         });
-    BlockSolution {
-        y: vec![(home, 1.0)],
-        x: block.clients.iter().map(|_| vec![(home, 1.0)]).collect(),
-    }
+    BlockSolution::from_dists(
+        vec![(home, 1.0)],
+        block.clients.iter().map(|_| [(home, 1.0)]),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Dist = Vec<(VhoId, f64)>;
+
+    fn ids(d: &[(u16, f64)]) -> Dist {
+        d.iter().map(|&(i, v)| (VhoId::new(i), v)).collect()
+    }
 
     fn bs(y: &[(u16, f64)], x: Vec<Vec<(u16, f64)>>) -> BlockSolution {
-        BlockSolution {
-            y: y.iter().map(|&(i, v)| (VhoId::new(i), v)).collect(),
-            x: x.into_iter()
-                .map(|d| d.into_iter().map(|(i, v)| (VhoId::new(i), v)).collect())
-                .collect(),
+        BlockSolution::from_dists(ids(y), x.iter().map(|d| ids(d)))
+    }
+
+    fn bits(d: &[(VhoId, f64)]) -> Vec<(VhoId, u64)> {
+        d.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    /// The step over one list per client that [`BlockSolution::step_toward`]
+    /// replaces, kept as its oracle: every sum, in the same order.
+    fn step_nested(y: &mut Dist, x: &mut [Dist], hat_y: &[(VhoId, f64)], hat_x: &[Dist], tau: f64) {
+        fn merge(a: &[(VhoId, f64)], b: &[(VhoId, f64)], tau: f64) -> Dist {
+            let mut out = Vec::new();
+            let (mut ia, mut ib) = (0, 0);
+            while ia < a.len() || ib < b.len() {
+                let (id, val) = match (a.get(ia), b.get(ib)) {
+                    (Some(&(va, xa)), Some(&(vb, xb))) if va == vb => {
+                        ia += 1;
+                        ib += 1;
+                        (va, (1.0 - tau) * xa + tau * xb)
+                    }
+                    (Some(&(va, xa)), Some(&(vb, _))) if va < vb => {
+                        ia += 1;
+                        (va, (1.0 - tau) * xa)
+                    }
+                    (Some(&(va, xa)), None) => {
+                        ia += 1;
+                        (va, (1.0 - tau) * xa)
+                    }
+                    (_, Some(&(vb, xb))) => {
+                        ib += 1;
+                        (vb, tau * xb)
+                    }
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the loop condition keeps one side Some"
+                    )]
+                    (None, None) => unreachable!(),
+                };
+                if val > PRUNE_TOL {
+                    out.push((id, val.min(1.0)));
+                }
+            }
+            out
         }
+        if tau == 0.0 {
+            return;
+        }
+        *y = merge(y, hat_y, tau);
+        for (cur, new) in x.iter_mut().zip(hat_x) {
+            let mut combined = merge(cur, new, tau);
+            let total: f64 = combined.iter().map(|&(_, v)| v).sum();
+            for e in &mut combined {
+                e.1 /= total;
+            }
+            *cur = combined;
+        }
+        for dist in x.iter() {
+            for &(i, v) in dist {
+                match y.binary_search_by_key(&i, |&(w, _)| w) {
+                    Ok(k) => y[k].1 = y[k].1.max(v),
+                    Err(k) => y.insert(k, (i, v)),
+                }
+            }
+        }
+    }
+
+    /// One case of the flat-step oracle: a block and a direction with
+    /// the same client count, τ, and a `set_dist` edit.
+    #[derive(Debug)]
+    struct StepCase {
+        y: Dist,
+        x: Vec<Dist>,
+        hat_y: Dist,
+        hat_x: Vec<Dist>,
+        tau: f64,
+        edit: (usize, Dist),
+    }
+
+    /// 0–8 clients with 1–6 entries each (0–6 in `y` and in the
+    /// edit's list) over 12 VHOs. `y` is drawn apart from the
+    /// distributions, so it often misses a VHO they use and the step's
+    /// re-cover inserts it; a quarter of the weights fall below
+    /// [`PRUNE_TOL`] even after normalizing; τ is 1 in a quarter of the
+    /// cases and small enough to prune every direction entry in
+    /// another.
+    struct StepCases;
+
+    impl Strategy for StepCases {
+        type Value = StepCase;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> StepCase {
+            fn below(rng: &mut proptest::TestRng, n: usize) -> usize {
+                (0..n).generate(rng)
+            }
+            fn entries(rng: &mut proptest::TestRng, min: usize) -> Dist {
+                let len = below(rng, 7 - min) + min;
+                let mut vhos: Vec<u16> = (0..12).collect();
+                let mut d: Dist = (0..len)
+                    .map(|k| {
+                        let pick = k + below(rng, 12 - k);
+                        vhos.swap(k, pick);
+                        let w = if below(rng, 4) == 0 {
+                            1e-10 + rng.unit_f64() * 1e-7
+                        } else {
+                            1e-3 + rng.unit_f64()
+                        };
+                        (VhoId::new(vhos[k]), w)
+                    })
+                    .collect();
+                d.sort_by_key(|&(i, _)| i);
+                d
+            }
+            fn dist(rng: &mut proptest::TestRng) -> Dist {
+                let mut d = entries(rng, 1);
+                let total: f64 = d.iter().map(|&(_, v)| v).sum();
+                d.iter_mut().for_each(|e| e.1 /= total);
+                d
+            }
+            let clients = below(rng, 9);
+            let y = entries(rng, 0);
+            let x = (0..clients).map(|_| dist(rng)).collect();
+            let hat_y = entries(rng, 0);
+            let hat_x = (0..clients).map(|_| dist(rng)).collect();
+            let tau = match below(rng, 4) {
+                0 => 1.0,
+                1 => 1e-10 + rng.unit_f64() * 1e-7,
+                _ => rng.unit_f64(),
+            };
+            let edit = (below(rng, clients.max(1)), entries(rng, 0));
+            StepCase {
+                y,
+                x,
+                hat_y,
+                hat_x,
+                tau,
+                edit,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn flat_step_and_set_dist_match_the_nested_lists(case in StepCases) {
+            let StepCase { mut y, mut x, hat_y, hat_x, tau, edit: (c, new_dist) } = case;
+            let mut flat = BlockSolution::from_dists(y.clone(), &x);
+            flat.step_toward(&BlockSolution::from_dists(hat_y.clone(), &hat_x), tau);
+            step_nested(&mut y, &mut x, &hat_y, &hat_x, tau);
+            prop_assert_eq!(bits(&flat.y), bits(&y));
+            prop_assert_eq!(flat.n_clients(), x.len());
+            for (c, want) in x.iter().enumerate() {
+                prop_assert_eq!(bits(flat.dist(c)), bits(want), "client {}", c);
+            }
+            if tau > 0.0 {
+                prop_assert_eq!(flat.x.capacity(), flat.x.len());
+            }
+
+            if !x.is_empty() {
+                flat.set_dist(c, &new_dist);
+                x[c] = new_dist;
+                prop_assert_eq!(&flat, &BlockSolution::from_dists(y, &x));
+            }
+        }
+    }
+
+    #[test]
+    fn the_step_re_covers_a_pruned_y() {
+        // `y` at VHO 2 is pruned away while the renormalized `x` keeps
+        // its share there: the re-cover inserts it back, as the nested
+        // step did.
+        let y = ids(&[(0, 1.0), (2, 5e-8)]);
+        let x = vec![ids(&[(0, 0.999_999), (2, 1e-6)])];
+        let hat_y = ids(&[(0, 1.0)]);
+        let hat_x = vec![ids(&[(0, 1.0)])];
+        let mut flat = BlockSolution::from_dists(y.clone(), &x);
+        flat.step_toward(&BlockSolution::from_dists(hat_y.clone(), &hat_x), 0.5);
+        let (mut y, mut x) = (y, x);
+        step_nested(&mut y, &mut x, &hat_y, &hat_x, 0.5);
+        assert_eq!(flat.y.len(), 2, "re-cover inserted VHO 2: {:?}", flat.y);
+        assert_eq!(bits(&flat.y), bits(&y));
+        assert_eq!(bits(flat.dist(0)), bits(&x[0]));
     }
 
     #[test]
@@ -493,8 +825,7 @@ mod tests {
     #[test]
     fn block_buf_rebuilds_from_ufl_blocks_of_any_size() {
         // Shrink, regrow past the old size, shrink to nothing: every
-        // time the buffer reads exactly what `from_ufl` builds, and the
-        // parked client lists come back instead of fresh ones.
+        // time the buffer reads exactly what `from_ufl` builds.
         let mut buf = BlockBuf::default();
         let sols = [
             (vec![1, 4], vec![4, 1, 1, 4, 1]),
@@ -503,12 +834,12 @@ mod tests {
             (vec![6], vec![]),
             (vec![1, 2], vec![2, 1, 2]),
         ];
-        let mut lists_held = 0;
         for (open, assign) in sols {
             let sol = UflSolution { open, assign };
             assert_eq!(buf.set_from_ufl(&sol), &BlockSolution::from_ufl(&sol));
-            lists_held = lists_held.max(sol.assign.len());
-            assert_eq!(buf.block.x.len() + buf.spare.len(), lists_held);
+            let empty = buf.set_empty(sol.assign.len());
+            assert_eq!(empty.n_clients(), sol.assign.len());
+            assert!(empty.dists().all(<[_]>::is_empty));
         }
     }
 
@@ -520,10 +851,10 @@ mod tests {
         assert_eq!(a.y.len(), 2);
         assert!((a.y_at(VhoId::new(0)) - 0.75).abs() < 1e-12);
         assert!((a.y_at(VhoId::new(1)) - 0.25).abs() < 1e-12);
-        let total: f64 = a.x[0].iter().map(|&(_, v)| v).sum();
+        let total: f64 = a.dist(0).iter().map(|&(_, v)| v).sum();
         assert!((total - 1.0).abs() < 1e-12);
         // x <= y maintained.
-        for dist in &a.x {
+        for dist in a.dists() {
             for &(i, v) in dist {
                 assert!(v <= a.y_at(i) + 1e-12);
             }
@@ -541,7 +872,7 @@ mod tests {
         }
         assert_eq!(a.y.len(), 1);
         assert_eq!(a.y[0].0, VhoId::new(1));
-        assert!((a.x[0][0].1 - 1.0).abs() < 1e-12);
+        assert!((a.dist(0)[0].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -561,8 +892,8 @@ mod tests {
         };
         let b = BlockSolution::from_ufl(&u);
         assert_eq!(b.y, vec![(VhoId::new(0), 1.0), (VhoId::new(2), 1.0)]);
-        assert_eq!(b.x[0], vec![(VhoId::new(0), 1.0)]);
-        assert_eq!(b.x[1], vec![(VhoId::new(2), 1.0)]);
+        assert_eq!(b.dist(0), [(VhoId::new(0), 1.0)]);
+        assert_eq!(b.dist(1), [(VhoId::new(2), 1.0)]);
     }
 
     #[test]

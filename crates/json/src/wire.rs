@@ -471,15 +471,31 @@ pub fn dec_seq<'a, T>(
     r: &mut Reader<'a>,
     mut read: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
+    let mut items = Vec::new();
+    dec_each(r, |r| {
+        items.push(read(r)?);
+        Ok(())
+    })?;
+    Ok(items)
+}
+
+/// Read an array item by item into wherever `read` puts them; returns
+/// the item count. [`dec_seq`] without the `Vec`, for a decoder that
+/// fills a buffer of its own.
+pub fn dec_each<'a>(
+    r: &mut Reader<'a>,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<(), WireError>,
+) -> Result<usize, WireError> {
     if r.peek()? != Next::Arr {
         return Err(WireError::new("expected an array"));
     }
     r.begin_arr()?;
-    let mut items = Vec::new();
+    let mut n = 0;
     while r.item()? {
-        items.push(read(r).map_err(|e| e.in_index(items.len()))?);
+        read(r).map_err(|e| e.in_index(n))?;
+        n += 1;
     }
-    Ok(items)
+    Ok(n)
 }
 
 /// Read an array of exactly two items.

@@ -59,7 +59,7 @@ fn world(seed: u64) -> OpsWorld {
     }
 }
 
-fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
+fn config(seed: u64, dir: &Path) -> ServiceConfig {
     ServiceConfig {
         ops: OpsConfig {
             cycles: 2,
@@ -76,7 +76,7 @@ fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
             backoff_base_ms: 250,
             validate_tol: 1e-6,
             simulate: false,
-            state_dir: dir,
+            state_dir: dir.to_path_buf(),
         },
         churn_cap: None,
         cycle_step_budget: None,
@@ -87,13 +87,40 @@ fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
 }
 
 fn start(w: &OpsWorld, seed: u64, dir: &Path) -> Result<Service, OpsError> {
-    Service::resume_or_start(w, config(seed, dir.to_path_buf()), ServicePlan::default())
+    Service::resume_or_start(w, config(seed, dir), ServicePlan::default())
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
+/// A test's state directory: emptied before use, removed when the
+/// guard drops, so a failing test leaves none behind either.
+struct StateDir(PathBuf);
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for StateDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for StateDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// A fresh per-test state directory (stale state from a previous test
+/// process would otherwise be resumed), removed again when the returned
+/// guard drops.
+fn fresh_dir(name: &str) -> StateDir {
     let dir = std::env::temp_dir().join(format!("vod_cold_{}_{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    StateDir(dir)
 }
 
 /// Run a service a few steps in, then return the healthy state bytes.
@@ -215,7 +242,8 @@ fn a_deeply_nested_payload_is_a_typed_error_and_a_cold_restart() {
 fn replay_after_torn_write_matches_uninterrupted_run() {
     let w = world(61);
 
-    let mut base = start(&w, 61, &fresh_dir("torn_base")).unwrap();
+    let torn_base_dir = fresh_dir("torn_base");
+    let mut base = start(&w, 61, &torn_base_dir).unwrap();
     let base_fps: Vec<u64> = base
         .run()
         .unwrap()
@@ -310,7 +338,7 @@ fn injected_write_faults_leave_previous_snapshot_intact() {
 /// A service over `dir` whose snapshot I/O runs under `plan`, and the
 /// handle that counts it.
 fn faulted(w: &OpsWorld, seed: u64, dir: &Path, plan: IoFaultPlan) -> (Service, FaultHandle) {
-    let mut cfg = config(seed, dir.to_path_buf());
+    let mut cfg = config(seed, dir);
     cfg.ops.simulate = true;
     let admission = FaultSchedule {
         admission: true,
@@ -393,15 +421,18 @@ fn two_services_stepped_in_turn_keep_their_own_fault_schedules() {
         .into_iter()
         .zip(&worlds)
         .map(|((seed, plan), w)| {
-            let (mut s, io) = faulted(w, seed, &fresh_dir(&format!("solo_{seed}")), plan);
+            let dir = fresh_dir(&format!("solo_{seed}"));
+            let (mut s, io) = faulted(w, seed, &dir, plan);
             s.run().unwrap();
             outcome(&s, &io)
         })
         .collect();
 
     let [(seed_a, plan_a), (seed_b, plan_b)] = cases();
-    let (mut a, io_a) = faulted(&worlds[0], seed_a, &fresh_dir("turns_a"), plan_a);
-    let (mut b, io_b) = faulted(&worlds[1], seed_b, &fresh_dir("turns_b"), plan_b);
+    let turns_a_dir = fresh_dir("turns_a");
+    let (mut a, io_a) = faulted(&worlds[0], seed_a, &turns_a_dir, plan_a);
+    let turns_b_dir = fresh_dir("turns_b");
+    let (mut b, io_b) = faulted(&worlds[1], seed_b, &turns_b_dir, plan_b);
     let (mut a_done, mut b_done) = (false, false);
     while !(a_done && b_done) {
         a_done = a_done || a.step().unwrap() == StepOutcome::Finished;

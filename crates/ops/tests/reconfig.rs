@@ -12,7 +12,7 @@
     reason = "test code unwraps its own fixtures and builds raw VhoIds and reads and writes files directly"
 )]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use vod_core::{DiskConfig, EpfConfig};
 use vod_estimate::{EstimateConfig, EstimatorKind};
 use vod_json::faults::{FaultHandle, FaultPlan as IoFaultPlan, IoFault};
@@ -42,7 +42,7 @@ fn world(seed: u64) -> OpsWorld {
     }
 }
 
-fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
+fn config(seed: u64, dir: &Path) -> ServiceConfig {
     ServiceConfig {
         ops: OpsConfig {
             cycles: 3,
@@ -59,7 +59,7 @@ fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
             backoff_base_ms: 250,
             validate_tol: 1e-6,
             simulate: true,
-            state_dir: dir,
+            state_dir: dir.to_path_buf(),
         },
         churn_cap: None,
         cycle_step_budget: None,
@@ -69,10 +69,37 @@ fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
     }
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
+/// A test's state directory: emptied before use, removed when the
+/// guard drops, so a failing test leaves none behind either.
+struct StateDir(PathBuf);
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for StateDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for StateDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// A fresh per-test state directory (stale state from a previous test
+/// process would otherwise be resumed), removed again when the returned
+/// guard drops.
+fn fresh_dir(name: &str) -> StateDir {
     let dir = std::env::temp_dir().join(format!("vod_reconf_{}_{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    StateDir(dir)
 }
 
 fn fingerprints(st: &ServiceState) -> Vec<u64> {
@@ -110,7 +137,8 @@ fn storm_deltas() -> Vec<WorldDelta> {
 #[test]
 fn deltas_apply_between_cycles_with_repair_and_warm_remap() {
     let w = world(70);
-    let mut cfg = config(70, fresh_dir("apply"));
+    let apply_dir = fresh_dir("apply");
+    let mut cfg = config(70, &apply_dir);
     cfg.cycle_deltas = storm_deltas();
     let mut s = Service::resume_or_start(&w, cfg, ServicePlan::default()).unwrap();
 
@@ -172,7 +200,8 @@ fn delta_schedule_is_validated_up_front() {
     let w = world(71);
 
     // Out of order by cycle: refused before any state is touched.
-    let mut unsorted = config(71, fresh_dir("unsorted"));
+    let unsorted_dir = fresh_dir("unsorted");
+    let mut unsorted = config(71, &unsorted_dir);
     unsorted.cycle_deltas = vec![
         WorldDelta {
             cycle: 2,
@@ -194,7 +223,8 @@ fn delta_schedule_is_validated_up_front() {
 
     // A delta naming a VHO outside the world is refused with the
     // validator's dangling diagnostic, prefixed by its index.
-    let mut dangling = config(72, fresh_dir("dangling"));
+    let dangling_dir = fresh_dir("dangling");
+    let mut dangling = config(72, &dangling_dir);
     dangling.cycle_deltas = vec![WorldDelta {
         cycle: 0,
         seed: 3,
@@ -214,7 +244,8 @@ fn delta_schedule_is_validated_up_front() {
 #[test]
 fn delta_storms_with_kills_and_torn_state_reconverge_identically() {
     let w = world(73);
-    let mut base_cfg = config(73, fresh_dir("storm_base"));
+    let storm_base_dir = fresh_dir("storm_base");
+    let mut base_cfg = config(73, &storm_base_dir);
     base_cfg.cycle_deltas = storm_deltas();
     base_cfg.churn_cap = Some(3);
     let base = Service::resume_or_start(&w, base_cfg, ServicePlan::default())
@@ -235,7 +266,7 @@ fn delta_storms_with_kills_and_torn_state_reconverge_identically() {
     let mut torn = false;
     let mut crashes = 0usize;
     let st = loop {
-        let mut cfg = config(73, dir.clone());
+        let mut cfg = config(73, &dir);
         cfg.cycle_deltas = storm_deltas();
         cfg.churn_cap = Some(3);
         let mut s = Service::resume_or_start(&w, cfg, plan.clone()).unwrap();
@@ -294,7 +325,8 @@ fn delta_storms_with_kills_and_torn_state_reconverge_identically() {
 fn snapshot_fault_storm_degrades_but_reconverges() {
     let w = world(74);
     let clean = {
-        let mut cfg = config(74, fresh_dir("iostorm_base"));
+        let iostorm_base_dir = fresh_dir("iostorm_base");
+        let mut cfg = config(74, &iostorm_base_dir);
         cfg.cycle_deltas = storm_deltas();
         Service::resume_or_start(&w, cfg, ServicePlan::default())
             .unwrap()
@@ -321,7 +353,8 @@ fn snapshot_fault_storm_degrades_but_reconverges() {
         reads: Vec::new(),
     };
     let io = FaultHandle::new(plan);
-    let mut cfg = config(74, fresh_dir("iostorm"));
+    let iostorm_dir = fresh_dir("iostorm");
+    let mut cfg = config(74, &iostorm_dir);
     cfg.cycle_deltas = storm_deltas();
     let plan = ServicePlan {
         io: io.clone(),
@@ -369,7 +402,7 @@ fn checkpoint_rejection_is_classified_remap_eligible() {
         kill_mid_solve: vec![(0, 1)],
         ..ServicePlan::default()
     };
-    let mut s = Service::resume_or_start(&w, config(75, dir.clone()), plan).unwrap();
+    let mut s = Service::resume_or_start(&w, config(75, &dir), plan).unwrap();
     loop {
         match s.step().unwrap() {
             StepOutcome::SimulatedCrash { .. } => break,
@@ -387,7 +420,7 @@ fn checkpoint_rejection_is_classified_remap_eligible() {
     // config token changes, so the checkpoint no longer validates. The
     // axes are intact though — the rejection must classify as
     // remap-eligible (not foreign), and the cycle re-solves cold.
-    let mut cfg = config(75, dir);
+    let mut cfg = config(75, &dir);
     cfg.cycle_step_budget = Some(25);
     let mut s = Service::resume_or_start(&w, cfg, ServicePlan::default()).unwrap();
     let st = s.run().unwrap();

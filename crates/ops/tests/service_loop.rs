@@ -11,7 +11,7 @@
     reason = "test code unwraps its own fixtures and builds raw VhoIds and reads and writes files directly"
 )]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use vod_core::{DiskConfig, EpfConfig};
 use vod_estimate::{EstimateConfig, EstimatorKind};
 use vod_model::{LinkId, Mbps, SimTime, VhoId};
@@ -41,7 +41,7 @@ fn world(seed: u64) -> OpsWorld {
     }
 }
 
-fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
+fn config(seed: u64, dir: &Path) -> ServiceConfig {
     ServiceConfig {
         ops: OpsConfig {
             cycles: 3,
@@ -58,7 +58,7 @@ fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
             backoff_base_ms: 250,
             validate_tol: 1e-6,
             simulate: true,
-            state_dir: dir,
+            state_dir: dir.to_path_buf(),
         },
         churn_cap: None,
         cycle_step_budget: None,
@@ -68,12 +68,37 @@ fn config(seed: u64, dir: PathBuf) -> ServiceConfig {
     }
 }
 
-/// A clean per-test state directory (stale state from a previous test
-/// process would otherwise be resumed).
-fn fresh_dir(name: &str) -> PathBuf {
+/// A test's state directory: emptied before use, removed when the
+/// guard drops, so a failing test leaves none behind either.
+struct StateDir(PathBuf);
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for StateDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for StateDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// A fresh per-test state directory (stale state from a previous test
+/// process would otherwise be resumed), removed again when the returned
+/// guard drops.
+fn fresh_dir(name: &str) -> StateDir {
     let dir = std::env::temp_dir().join(format!("vod_svc_{}_{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    StateDir(dir)
 }
 
 fn fingerprints(st: &ServiceState) -> Vec<u64> {
@@ -83,9 +108,9 @@ fn fingerprints(st: &ServiceState) -> Vec<u64> {
 #[test]
 fn clean_service_run_deploys_every_cycle() {
     let w = world(42);
+    let clean_dir = fresh_dir("clean");
     let mut s =
-        Service::resume_or_start(&w, config(42, fresh_dir("clean")), ServicePlan::default())
-            .unwrap();
+        Service::resume_or_start(&w, config(42, &clean_dir), ServicePlan::default()).unwrap();
     let n = s.effective_cycles();
     assert!(n >= 2, "world too small for a meaningful schedule");
     let st = s.run().unwrap();
@@ -120,12 +145,14 @@ fn clean_service_run_deploys_every_cycle() {
 #[test]
 fn service_runs_are_deterministic() {
     let w = world(48);
-    let a = Service::resume_or_start(&w, config(48, fresh_dir("det_a")), ServicePlan::default())
+    let det_a_dir = fresh_dir("det_a");
+    let a = Service::resume_or_start(&w, config(48, &det_a_dir), ServicePlan::default())
         .unwrap()
         .run()
         .unwrap()
         .clone();
-    let b = Service::resume_or_start(&w, config(48, fresh_dir("det_b")), ServicePlan::default())
+    let det_b_dir = fresh_dir("det_b");
+    let b = Service::resume_or_start(&w, config(48, &det_b_dir), ServicePlan::default())
         .unwrap()
         .run()
         .unwrap()
@@ -142,18 +169,16 @@ fn churn_cap_is_enforced_and_deferrals_drain() {
     let w = world(43);
 
     // Uncapped twin: its final deployment is a full solver target.
-    let base = Service::resume_or_start(
-        &w,
-        config(43, fresh_dir("cap_base")),
-        ServicePlan::default(),
-    )
-    .unwrap()
-    .run()
-    .unwrap()
-    .clone();
+    let cap_base_dir = fresh_dir("cap_base");
+    let base = Service::resume_or_start(&w, config(43, &cap_base_dir), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
     let full_target = base.deployed.as_ref().unwrap().1.clone();
 
-    let mut cfg = config(43, fresh_dir("capped"));
+    let capped_dir = fresh_dir("capped");
+    let mut cfg = config(43, &capped_dir);
     cfg.churn_cap = Some(1);
     let st = Service::resume_or_start(&w, cfg, ServicePlan::default())
         .unwrap()
@@ -203,7 +228,8 @@ fn stale_serve_accounts_denials_instead_of_aborting() {
         fail: (0..3).map(|a| (0, StageId::Solve, a)).collect(),
         ..ServicePlan::default()
     };
-    let mut s = Service::resume_or_start(&w, config(44, fresh_dir("stale")), plan).unwrap();
+    let stale_dir = fresh_dir("stale");
+    let mut s = Service::resume_or_start(&w, config(44, &stale_dir), plan).unwrap();
     let st = s.run().unwrap();
     let bad = &st.records[0];
     assert!(matches!(
@@ -231,7 +257,8 @@ fn stale_serve_accounts_denials_instead_of_aborting() {
 /// failing stage recorded, and cycle 2 deploys fresh again.
 fn exhausted_retries_serve_last_good(seed: u64, stage: StageId, simulate: bool) {
     let w = world(seed);
-    let mut cfg = config(seed, fresh_dir(&format!("lastgood_{stage}")));
+    let dir = fresh_dir(&format!("lastgood_{stage}"));
+    let mut cfg = config(seed, &dir);
     cfg.ops.simulate = simulate;
     let plan = ServicePlan {
         fail: (0..3).map(|a| (1, stage, a)).collect(),
@@ -280,7 +307,8 @@ fn exhausted_validate_retries_degrade_to_last_good() {
 #[test]
 fn watchdog_degrades_stalled_cycles_with_typed_reason() {
     let w = world(45);
-    let mut cfg = config(45, fresh_dir("stall"));
+    let stall_dir = fresh_dir("stall");
+    let mut cfg = config(45, &stall_dir);
     // Three ticks cannot close a five-stage cycle: every cycle stalls
     // at the round stage, deterministically.
     cfg.watchdog_budget = 3;
@@ -307,13 +335,14 @@ fn watchdog_degrades_stalled_cycles_with_typed_reason() {
 #[test]
 fn replay_faults_change_denials_but_never_placements() {
     let w = world(46);
-    let quiet =
-        Service::resume_or_start(&w, config(46, fresh_dir("quiet")), ServicePlan::default())
-            .unwrap()
-            .run()
-            .unwrap()
-            .clone();
-    let mut cfg = config(46, fresh_dir("stormy"));
+    let quiet_dir = fresh_dir("quiet");
+    let quiet = Service::resume_or_start(&w, config(46, &quiet_dir), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
+    let stormy_dir = fresh_dir("stormy");
+    let mut cfg = config(46, &stormy_dir);
     // A full-window storm in cycle 1: two VHOs dark, admission control
     // on. This only touches the replay stage — the solve trajectory
     // must be untouched.
@@ -351,15 +380,12 @@ fn replay_faults_change_denials_but_never_placements() {
 #[test]
 fn kills_and_torn_state_resume_to_identical_deployments() {
     let w = world(47);
-    let base = Service::resume_or_start(
-        &w,
-        config(47, fresh_dir("kill_base")),
-        ServicePlan::default(),
-    )
-    .unwrap()
-    .run()
-    .unwrap()
-    .clone();
+    let kill_base_dir = fresh_dir("kill_base");
+    let base = Service::resume_or_start(&w, config(47, &kill_base_dir), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
     let base_fps = fingerprints(&base);
 
     // Chaos run: stage-boundary kills, a mid-solve kill, and a torn
@@ -374,7 +400,7 @@ fn kills_and_torn_state_resume_to_identical_deployments() {
     let mut torn = false;
     let mut crashes = 0usize;
     loop {
-        let mut s = Service::resume_or_start(&w, config(47, dir.clone()), plan.clone()).unwrap();
+        let mut s = Service::resume_or_start(&w, config(47, &dir), plan.clone()).unwrap();
         let mut crashed = false;
         loop {
             match s.step().unwrap() {
@@ -419,15 +445,12 @@ fn kills_and_torn_state_resume_to_identical_deployments() {
 #[test]
 fn mid_solve_kills_and_corrupt_artifacts_recover_typed() {
     let w = world(55);
-    let base = Service::resume_or_start(
-        &w,
-        config(55, fresh_dir("corrupt_base")),
-        ServicePlan::default(),
-    )
-    .unwrap()
-    .run()
-    .unwrap()
-    .clone();
+    let corrupt_base_dir = fresh_dir("corrupt_base");
+    let base = Service::resume_or_start(&w, config(55, &corrupt_base_dir), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
 
     // Die mid-solve in cycle 0 (after 1 checkpoint) and in cycle 1
     // (after 2), dropping the service value at each crash and resuming
@@ -438,7 +461,7 @@ fn mid_solve_kills_and_corrupt_artifacts_recover_typed() {
         ..ServicePlan::default()
     };
     while !plan.kill_mid_solve.is_empty() {
-        let mut s = Service::resume_or_start(&w, config(55, dir.clone()), plan.clone()).unwrap();
+        let mut s = Service::resume_or_start(&w, config(55, &dir), plan.clone()).unwrap();
         loop {
             match s.step().unwrap() {
                 StepOutcome::SimulatedCrash { cycle, kill } => {
@@ -468,7 +491,7 @@ fn mid_solve_kills_and_corrupt_artifacts_recover_typed() {
     std::fs::write(&ckpt, &bytes[..bytes.len() / 2]).unwrap();
     std::fs::write(dir.join("service.state"), b"not a snapshot").unwrap();
 
-    let mut s = Service::resume_or_start(&w, config(55, dir), ServicePlan::default()).unwrap();
+    let mut s = Service::resume_or_start(&w, config(55, &dir), ServicePlan::default()).unwrap();
     assert_eq!(s.state().cold_restarts, 1);
     let st = s.run().unwrap();
     assert_eq!(st.cold_restarts, 1);
@@ -481,7 +504,8 @@ fn mid_solve_kills_and_corrupt_artifacts_recover_typed() {
 #[test]
 fn budgeted_cycles_still_deploy_serviceably() {
     let w = world(49);
-    let mut cfg = config(49, fresh_dir("budget"));
+    let budget_dir = fresh_dir("budget");
+    let mut cfg = config(49, &budget_dir);
     cfg.cycle_step_budget = Some(10);
     let mut s = Service::resume_or_start(&w, cfg, ServicePlan::default()).unwrap();
     let st = s.run().unwrap();
@@ -499,19 +523,20 @@ fn budgeted_cycles_still_deploy_serviceably() {
 fn seed_mismatch_is_refused_and_foreign_faults_rejected() {
     let w = world(50);
     let dir = fresh_dir("mismatch");
-    Service::resume_or_start(&w, config(50, dir.clone()), ServicePlan::default())
+    Service::resume_or_start(&w, config(50, &dir), ServicePlan::default())
         .unwrap()
         .run()
         .unwrap();
     // Same state dir, different seed: refuse, don't clobber.
-    let other = config(51, dir);
+    let other = config(51, &dir);
     match Service::resume_or_start(&w, other, ServicePlan::default()) {
         Err(OpsError::Invalid { what }) => assert!(what.contains("seed"), "{what}"),
         other => panic!("expected Invalid, got {other:?}"),
     }
     // A fault schedule naming a VHO outside the world is rejected up
     // front.
-    let mut bad = config(52, fresh_dir("badfaults"));
+    let badfaults_dir = fresh_dir("badfaults");
+    let mut bad = config(52, &badfaults_dir);
     bad.cycle_faults = vec![(
         0,
         FaultSchedule {
@@ -534,8 +559,8 @@ fn seed_mismatch_is_refused_and_foreign_faults_rejected() {
 #[test]
 fn the_service_shares_the_trace_of_the_world_it_was_given() {
     let w = world(53);
-    let s = Service::resume_or_start(&w, config(53, fresh_dir("shared")), ServicePlan::default())
-        .unwrap();
+    let shared_dir = fresh_dir("shared");
+    let s = Service::resume_or_start(&w, config(53, &shared_dir), ServicePlan::default()).unwrap();
     // The service evolves its own copy of the world, but a trace is a
     // view: the copy reads the caller's requests, it does not hold a
     // second set.
@@ -559,13 +584,13 @@ fn a_delta_after_the_cycles_instance_was_built_is_seen_by_the_solve() {
         kill_mid_solve: vec![(0, 1)],
         ..ServicePlan::default()
     };
-    let mut dying = Service::resume_or_start(&w, config(54, dir.clone()), plan).unwrap();
+    let mut dying = Service::resume_or_start(&w, config(54, &dir), plan).unwrap();
     while !matches!(dying.step().unwrap(), StepOutcome::SimulatedCrash { .. }) {}
     drop(dying);
     assert!(dir.join("solver.ckpt").exists());
     std::fs::remove_file(dir.join("service.state")).unwrap();
 
-    let mut cfg = config(54, dir);
+    let mut cfg = config(54, &dir);
     cfg.cycle_deltas = vec![
         WorldDelta {
             cycle: 0,

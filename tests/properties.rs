@@ -189,18 +189,15 @@ proptest! {
         steps in prop::collection::vec((0u16..6, 0.0f64..1.0), 1..40),
     ) {
         use vodplace::core::BlockSolution;
-        let mut cur = BlockSolution {
-            y: vec![(VhoId::new(0), 1.0)],
-            x: vec![vec![(VhoId::new(0), 1.0)], vec![(VhoId::new(0), 1.0)]],
-        };
+        let mut cur = BlockSolution::from_dists(
+            vec![(VhoId::new(0), 1.0)],
+            [[(VhoId::new(0), 1.0)], [(VhoId::new(0), 1.0)]],
+        );
         for (target, tau) in steps {
             let t = VhoId::new(target);
-            let hat = BlockSolution {
-                y: vec![(t, 1.0)],
-                x: vec![vec![(t, 1.0)], vec![(t, 1.0)]],
-            };
+            let hat = BlockSolution::from_dists(vec![(t, 1.0)], [[(t, 1.0)], [(t, 1.0)]]);
             cur.step_toward(&hat, tau);
-            for dist in &cur.x {
+            for dist in cur.dists() {
                 let total: f64 = dist.iter().map(|&(_, v)| v).sum();
                 prop_assert!((total - 1.0).abs() < 1e-9, "x sums to {total}");
                 for &(i, v) in dist {

@@ -32,10 +32,23 @@ fn world() -> OpsWorld {
     }
 }
 
-fn config(name: &str) -> ServiceConfig {
+/// A test's state directory: emptied before use, removed when the
+/// guard drops, so a failing test leaves none behind either.
+struct StateDir(std::path::PathBuf);
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The service's configuration over a fresh state directory, and the
+/// guard that removes it.
+fn config(name: &str) -> (ServiceConfig, StateDir) {
     let dir = std::env::temp_dir().join(format!("vod_smoke_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    ServiceConfig {
+    let guard = StateDir(dir.clone());
+    let cfg = ServiceConfig {
         ops: OpsConfig {
             cycles: 3,
             period_days: 2,
@@ -65,7 +78,8 @@ fn config(name: &str) -> ServiceConfig {
                 factor: 0.5,
             }],
         }],
-    }
+    };
+    (cfg, guard)
 }
 
 fn fingerprints(st: &ServiceState) -> Vec<u64> {
@@ -75,7 +89,8 @@ fn fingerprints(st: &ServiceState) -> Vec<u64> {
 #[test]
 fn killed_service_resumes_to_its_twins_deployments() {
     let w = world();
-    let twin = Service::resume_or_start(&w, config("twin"), ServicePlan::default())
+    let (twin_cfg, _twin_dir) = config("twin");
+    let twin = Service::resume_or_start(&w, twin_cfg, ServicePlan::default())
         .unwrap()
         .run()
         .unwrap()
@@ -84,7 +99,7 @@ fn killed_service_resumes_to_its_twins_deployments() {
 
     // The process dies before cycle 1's round stage; the service value
     // is dropped and rebuilt from the state directory alone.
-    let cfg = config("killed");
+    let (cfg, _dir) = config("killed");
     let plan = ServicePlan {
         kill_at_stage: vec![(1, StageId::Round)],
         ..ServicePlan::default()
