@@ -104,15 +104,20 @@ pub fn render_json(findings: &[Finding]) -> String {
 
 /// Render the baseline file: sorted, deduplicated keys only.
 pub fn render_baseline(findings: &[Finding]) -> String {
-    let keys: BTreeSet<String> = findings.iter().map(Finding::key).collect();
-    let mut out = String::from("{\n  \"version\": 1,\n  \"keys\": [");
+    render_baseline_keys(&findings.iter().map(Finding::key).collect())
+}
+
+/// The baseline file of `keys`, in the committed layout: one space
+/// per nesting level.
+pub fn render_baseline_keys(keys: &BTreeSet<String>) -> String {
+    let mut out = String::from("{\n \"version\": 1,\n \"keys\": [");
     for (i, k) in keys.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\n    \"{}\"", escape(k)));
+        out.push_str(&format!("\n  \"{}\"", escape(k)));
     }
-    out.push_str("\n  ]\n}\n");
+    out.push_str("\n ]\n}\n");
     out
 }
 
@@ -207,6 +212,12 @@ mod tests {
         let keys = parse_baseline(&text);
         assert_eq!(keys.len(), 1);
         assert!(keys.contains(&f.key()));
+    }
+
+    #[test]
+    fn the_committed_baseline_is_what_the_writer_writes() {
+        let committed = include_str!("../../../results/ANALYZE_baseline.json");
+        assert_eq!(render_baseline_keys(&parse_baseline(committed)), committed);
     }
 
     #[test]

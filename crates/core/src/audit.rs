@@ -190,10 +190,10 @@ pub fn check_blocks(inst: &MipInstance, blocks: &[BlockSolution], tol: f64) -> A
     let mut violations = Vec::new();
     for (b, data) in blocks.iter().zip(inst.blocks()) {
         let video = data.video.index();
-        if b.n_clients() != data.clients.len() {
+        if b.x.n_clients() != data.clients.len() {
             violations.push(Violation::ClientCount {
                 video,
-                got: b.n_clients(),
+                got: b.x.n_clients(),
                 want: data.clients.len(),
             });
             continue;
@@ -207,7 +207,7 @@ pub fn check_blocks(inst: &MipInstance, blocks: &[BlockSolution], tol: f64) -> A
                 });
             }
         }
-        for (client, dist) in b.dists().enumerate() {
+        for (client, dist) in b.x.iter().enumerate() {
             let mut total = 0.0;
             for &(i, x) in dist {
                 total += x;
@@ -433,14 +433,15 @@ mod tests {
             .blocks
             .iter()
             .enumerate()
-            .find_map(|(m, b)| b.dists().position(|d| !d.is_empty()).map(|c| (m, c)))
+            .find_map(|(m, b)| b.x.iter().position(|d| !d.is_empty()).map(|c| (m, c)))
             .expect("some client exists");
         let halved: Vec<_> = frac.blocks[b]
+            .x
             .dist(c)
             .iter()
             .map(|&(i, x)| (i, x * 0.5))
             .collect();
-        frac.blocks[b].set_dist(c, &halved);
+        frac.blocks[b].x.set_dist(c, &halved);
         let report = check_blocks(&inst, &frac.blocks, INT_TOL);
         assert!(report
             .violations
@@ -452,9 +453,9 @@ mod tests {
     fn broken_dominance_is_flagged() {
         let (inst, mut frac, _) = solved();
         let b = &mut frac.blocks[0];
-        let (i, _) = b.dist(0)[0];
+        let (i, _) = b.x.dist(0)[0];
         // Route everything through one VHO while capping its y below.
-        b.set_dist(0, &[(i, 1.0)]);
+        b.x.set_dist(0, &[(i, 1.0)]);
         if let Ok(k) = b.y.binary_search_by_key(&i, |&(v, _)| v) {
             b.y[k].1 = 0.25;
         }

@@ -32,7 +32,7 @@
 
 use crate::epf::{EpfConfig, RunState};
 use crate::instance::MipInstance;
-use crate::solution::{BlockSolution, FractionalSolution, Placement};
+use crate::solution::{BlockSolution, Dists, FractionalSolution, Placement, VideoRouting};
 use std::fmt;
 use vod_json::reader::Reader;
 use vod_json::wire::{dec_each, dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
@@ -206,17 +206,15 @@ fn validate_blocks(
         if b.y.is_empty() || !sorted_in_range(&b.y) {
             return Err(format!("{what}[{m}].y is empty, unsorted, or out of range"));
         }
-        if b.n_clients() != data.clients.len() {
+        if b.x.n_clients() != data.clients.len() {
             return Err(format!(
                 "{what}[{m}] has {} client rows, instance block has {}",
-                b.n_clients(),
+                b.x.n_clients(),
                 data.clients.len()
             ));
         }
-        for dist in b.dists() {
-            if !sorted_in_range(dist) {
-                return Err(format!("{what}[{m}].x is unsorted or out of range"));
-            }
+        if !b.x.iter().all(sorted_in_range) {
+            return Err(format!("{what}[{m}].x is unsorted or out of range"));
         }
     }
     Ok(())
@@ -250,30 +248,13 @@ wire_record!(SolverCheckpoint {
     zstar,
 });
 
-/// `{"y": […], "x": [[…], …]}`: one list per client, the form every
-/// persisted checkpoint and fractional artifact holds, read straight
-/// into the block's flat buffer.
-impl Wire for BlockSolution {
-    fn emit<S: Sink>(&self, out: &mut S) {
-        out.begin_obj();
-        out.key("y");
-        dist_enc(&self.y, out);
-        out.key("x");
-        out.begin_arr();
-        for d in self.dists() {
-            dist_enc(d, out);
-        }
-        out.end_arr();
-        out.end_obj();
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        wire_fields!(r, y: dist_dec, x: dists_dec => {
-            let (x, ends) = x;
-            Ok(BlockSolution::from_flat(y, x, ends))
-        })
-    }
-}
+// `{"y": […], "x": [[…], …]}`: one list per client, the form every
+// persisted checkpoint and fractional artifact holds, read straight
+// into the block's flat buffers.
+wire_record!(BlockSolution {
+    y: with(dist_enc, dist_dec),
+    x: with(dists_enc, dists_dec),
+});
 
 wire_record!(FractionalSolution {
     blocks,
@@ -308,25 +289,42 @@ fn dist_dec(r: &mut Reader<'_>) -> Result<Vec<(VhoId, f64)>, WireError> {
     dec_seq(r, |r| dec_pair(r, vho_dec, f64::read))
 }
 
-/// The lists of [`dist_dec`]'s form as one flat buffer and each
-/// list's end in it.
-type FlatDists = (Vec<(VhoId, f64)>, Vec<u32>);
+/// Per client, a list of [`dist_enc`]'s form.
+fn dists_enc<S: Sink>(x: &Dists, out: &mut S) {
+    out.begin_arr();
+    for d in x.iter() {
+        dist_enc(d, out);
+    }
+    out.end_arr();
+}
 
-fn dists_dec(r: &mut Reader<'_>) -> Result<FlatDists, WireError> {
-    let (mut x, mut ends) = (Vec::new(), Vec::new());
+/// One client's list of [`dist_dec`]'s form, read onto the end of `x`.
+fn push_dist_dec(r: &mut Reader<'_>, x: &mut Dists) -> Result<(), WireError> {
     dec_each(r, |r| {
-        dec_each(r, |r| {
-            x.push(dec_pair(r, vho_dec, f64::read)?);
-            Ok(())
-        })?;
-        let end = u32::try_from(x.len())
-            .map_err(|_| WireError::new("more serving entries than a u32 counts"))?;
-        ends.push(end);
+        x.push_entry(dec_pair(r, vho_dec, f64::read)?);
         Ok(())
     })?;
+    x.end_dist()
+        .ok_or_else(|| WireError::new("more serving entries than a u32 counts"))
+}
+
+/// A list of [`dist_dec`]'s lists, one per client.
+fn dists_dec(r: &mut Reader<'_>) -> Result<Dists, WireError> {
+    let mut x = Dists::default();
+    dec_each(r, |r| push_dist_dec(r, &mut x))?;
     x.shrink_to_fit();
-    ends.shrink_to_fit();
-    Ok((x, ends))
+    Ok(x)
+}
+
+/// One video's routing as `[[j, [[i, x], …]], …]`.
+fn routing_dec(r: &mut Reader<'_>) -> Result<VideoRouting, WireError> {
+    let mut routing = VideoRouting::default();
+    dec_each(r, |r| {
+        let (j, ()) = dec_pair(r, vho_dec, |r| push_dist_dec(r, &mut routing.x))?;
+        routing.clients.push(j);
+        Ok(())
+    })?;
+    Ok(routing)
 }
 
 /// Serialize a fractional solution — the solve→round stage boundary of
@@ -357,10 +355,12 @@ impl Wire for Placement {
         out.key("stores");
         enc_seq(self.holder_lists(), out, |h, out| enc_seq(h, out, vho_enc));
         out.key("routing");
-        enc_seq(self.routing_lists(), out, |clients, out| {
-            enc_seq(clients, out, |(j, dist), out| {
-                enc_pair(out, |out| vho_enc(j, out), |out| dist_enc(dist, out));
-            });
+        enc_seq(self.routings(), out, |routing, out| {
+            out.begin_arr();
+            for (j, dist) in routing.iter() {
+                enc_pair(out, |out| vho_enc(&j, out), |out| dist_enc(dist, out));
+            }
+            out.end_arr();
         });
         out.end_obj();
     }
@@ -372,7 +372,7 @@ impl Wire for Placement {
                 n => Ok(usize::from(n)),
             },
             stores: |r| dec_seq(r, |r| dec_seq(r, vho_dec)),
-            routing: |r| dec_seq(r, |r| dec_seq(r, |r| dec_pair(r, vho_dec, dist_dec)))
+            routing: |r| dec_seq(r, routing_dec)
             => Placement::from_parts(n_vhos, stores, routing).map_err(WireError::new)
         )
     }
@@ -440,13 +440,12 @@ mod tests {
     use super::*;
 
     fn sample() -> SolverCheckpoint {
-        let block = |ids: &[u16]| {
-            BlockSolution::from_dists(
-                ids.iter().map(|&i| (VhoId::new(i), 0.75)).collect(),
-                [ids.iter()
-                    .map(|&i| (VhoId::new(i), 0.5))
-                    .collect::<Vec<_>>()],
-            )
+        let block = |ids: &[u16]| BlockSolution {
+            y: ids.iter().map(|&i| (VhoId::new(i), 0.75)).collect(),
+            x: Dists::from_lists([ids
+                .iter()
+                .map(|&i| (VhoId::new(i), 0.5))
+                .collect::<Vec<_>>()]),
         };
         SolverCheckpoint {
             fingerprint: 0xdead_beef_cafe_f00d,

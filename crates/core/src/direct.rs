@@ -23,7 +23,7 @@
 use crate::block::{UflProblem, UflScratch};
 use crate::instance::MipInstance;
 use crate::kernel::Kernel;
-use crate::solution::BlockSolution;
+use crate::solution::{BlockSolution, Dists};
 use vod_lp::{Cmp, LinearProgram};
 
 /// The direct formulation plus the variable index maps needed to read
@@ -264,7 +264,7 @@ fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
         .filter(|&i| y[i] > 1e-12)
         .map(|i| (vho(i), y[i]))
         .collect();
-    let mut point = BlockSolution::from_dists(stored, std::iter::empty::<&[_]>());
+    let mut x = Dists::default();
     let mut shares = Vec::new();
     for row in p.service_rows() {
         order.sort_unstable_by(|&a, &b| row[a].total_cmp(&row[b]).then(a.cmp(&b)));
@@ -280,8 +280,9 @@ fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
         }
         short = short.max(left);
         shares.sort_unstable_by_key(|&(i, _)| i);
-        point.push_dist(&shares);
+        x.push_dist(&shares);
     }
+    let point = BlockSolution { y: stored, x };
     // Relative, with magnitudes below 1 read as 1: the simplex's own
     // tolerances are absolute, so an optimum of exactly 0 may come back
     // as round-off.
@@ -294,7 +295,7 @@ fn map_back(p: &UflProblem, bound: f64, y: &[f64]) -> Option<BlockSolution> {
             "audit failed at block LP map-back: fill short by {short}, point priced at \
              {price} against the LP value {bound}"
         );
-        let stored = point.y.iter().chain(point.dists().flatten());
+        let stored = point.y.iter().chain(point.x.iter().flatten());
         for &(i, v) in stored {
             assert!(
                 v <= point.y_at(i).min(1.0 + MAP_BACK_TOL),

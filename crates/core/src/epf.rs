@@ -370,7 +370,7 @@ pub(crate) fn block_delta(
         }
     }
     for (c_idx, client) in data.clients.iter().enumerate() {
-        for (i, old, new) in merge_sparse(cur.dist(c_idx), hat.dist(c_idx)) {
+        for (i, old, new) in merge_sparse(cur.x.dist(c_idx), hat.x.dist(c_idx)) {
             let d = new - old;
             if d == 0.0 {
                 continue;
@@ -885,7 +885,7 @@ fn warm_block(
         return initial_block(b, n_vhos);
     }
     let fallback = holders[0];
-    let x = b.clients.iter().map(|c| {
+    let x = crate::solution::Dists::from_lists(b.clients.iter().map(|c| {
         let best = holders
             .iter()
             .copied()
@@ -896,8 +896,9 @@ fn warm_block(
             })
             .unwrap_or(fallback);
         [(best, 1.0)]
-    });
-    BlockSolution::from_dists(holders.iter().map(|&h| (h, 1.0)).collect(), x)
+    }));
+    let y = holders.iter().map(|&h| (h, 1.0)).collect();
+    BlockSolution { y, x }
 }
 
 /// The EPF solve as an explicit state machine over pass boundaries.
@@ -1485,6 +1486,7 @@ pub(crate) fn solve_with_pool(
 pub(crate) mod tests {
     use super::*;
     use crate::instance::DiskConfig;
+    use crate::solution::Dists;
     use crate::solver::solve_fractional;
     use vod_model::Mbps;
     use vod_net::topologies;
@@ -1538,7 +1540,7 @@ pub(crate) mod tests {
             }
         }
         for (c_idx, client) in data.clients.iter().enumerate() {
-            for (i, old, new) in merge_sparse(cur.dist(c_idx), hat.dist(c_idx)) {
+            for (i, old, new) in merge_sparse(cur.x.dist(c_idx), hat.x.dist(c_idx)) {
                 let d = new - old;
                 if d == 0.0 {
                     continue;
@@ -1582,7 +1584,10 @@ pub(crate) mod tests {
         };
         let y = entry(rng);
         let x: Vec<_> = (0..clients).map(|_| entry(rng)).collect();
-        BlockSolution::from_dists(y, x)
+        BlockSolution {
+            y,
+            x: Dists::from_lists(x),
+        }
     }
 
     #[test]
@@ -1605,7 +1610,10 @@ pub(crate) mod tests {
             }
             let cur = random_block(&mut rng, v, data.clients.len());
             let hat = if rng.gen_range(0..4u32) == 0 {
-                BlockSolution::from_dists(Vec::new(), vec![[]; data.clients.len()])
+                BlockSolution {
+                    y: Vec::new(),
+                    x: Dists::from_lists(vec![[]; data.clients.len()]),
+                }
             } else {
                 random_block(&mut rng, v, data.clients.len())
             };
@@ -1660,8 +1668,8 @@ pub(crate) mod tests {
         );
         for (b, data) in frac.blocks.iter().zip(inst.blocks()) {
             assert!(!b.y.is_empty(), "every video must be stored somewhere");
-            assert_eq!(b.n_clients(), data.clients.len());
-            for dist in b.dists() {
+            assert_eq!(b.x.n_clients(), data.clients.len());
+            for dist in b.x.iter() {
                 let total: f64 = dist.iter().map(|&(_, v)| v).sum();
                 assert!((total - 1.0).abs() < 1e-6, "x must sum to 1: {total}");
                 for &(i, v) in dist {

@@ -66,7 +66,7 @@ pub use pool::map_ordered;
 pub use remap::{remap_checkpoint, remap_fractional, RemapError};
 pub use repair::{repair_placement, RepairMove, RepairPlan};
 pub use rounding::RoundingStats;
-pub use solution::{BlockSolution, FractionalSolution, Placement};
+pub use solution::{BlockSolution, Dists, FractionalSolution, Placement, VideoRouting};
 pub use solver::{
     solve, solve_fractional, solve_fractional_checkpointed, solve_placement, PlacementOutput,
     ResumeKind, Solved,

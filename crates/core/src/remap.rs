@@ -113,11 +113,11 @@ pub fn remap_fractional(
     }
     let n_vhos = inst.n_vhos();
     for (m, (b, data)) in frac.blocks.iter().zip(inst.blocks()).enumerate() {
-        if b.n_clients() != data.clients.len() {
+        if b.x.n_clients() != data.clients.len() {
             return Err(RemapError::AxisChanged {
                 what: format!(
                     "client axis of video {m}: fractional has {}, instance block has {}",
-                    b.n_clients(),
+                    b.x.n_clients(),
                     data.clients.len()
                 ),
             });
@@ -127,7 +127,7 @@ pub fn remap_fractional(
                 .iter()
                 .all(|&(i, x)| i.index() < n_vhos && x.is_finite())
         };
-        if b.y.is_empty() || !ok(&b.y) || b.dists().any(|d| !ok(d)) {
+        if b.y.is_empty() || !ok(&b.y) || b.x.iter().any(|d| !ok(d)) {
             return Err(RemapError::Invalid {
                 reason: format!("video {m}: y/x out of range or non-finite"),
             });

@@ -208,18 +208,22 @@ pub fn repair_placement(
     }
 
     // Pass 4: prune and renormalize routing against the new holders.
-    let mut routing = deployed.routing_lists().to_vec();
-    for (mi, clients) in routing.iter_mut().enumerate() {
-        for (_, dist) in clients.iter_mut() {
-            dist.retain(|(h, _)| stores[mi].binary_search(h).is_ok());
+    let mut routing = deployed.routings().to_vec();
+    let mut dist = Vec::new();
+    for (holders, r) in stores.iter().zip(&mut routing) {
+        for c in 0..r.x.n_clients() {
+            dist.clear();
+            dist.extend_from_slice(r.x.dist(c));
+            dist.retain(|(h, _)| holders.binary_search(h).is_ok());
             let total: f64 = dist.iter().map(|&(_, x)| x).sum();
             if total > 0.0 {
-                for e in dist.iter_mut() {
+                for e in &mut dist {
                     e.1 /= total;
                 }
             } else {
                 dist.clear(); // fall back to nearest-copy service
             }
+            r.x.set_dist(c, &dist);
         }
     }
 

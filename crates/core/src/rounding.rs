@@ -119,7 +119,7 @@ pub fn round_solution(
         let mut buf = BlockBuf::default();
         for (m, data) in inst.blocks().iter().enumerate() {
             let better = greedy_x_given_y(inst, data, &blocks[m].y, &arena, &mut costs, &mut buf);
-            blocks[m].copy_dists_from(better);
+            blocks[m].x.copy_from(&better.x);
         }
     }
 
@@ -129,16 +129,15 @@ pub fn round_solution(
     let optimality_gap = (fractional.lower_bound > 0.0)
         .then(|| (objective - fractional.lower_bound) / fractional.lower_bound);
 
-    let placement = Placement::from_blocks(inst, &blocks);
-    // Rounded blocks must be exactly block-feasible and the assembled
-    // placement must stay within the violation the stats report.
+    // Rounded blocks must be exactly block-feasible (checked before they
+    // move) and the placement within the violation the stats report.
     #[cfg(feature = "audit")]
-    {
-        crate::audit::check_blocks(inst, &blocks, crate::solution::INT_TOL)
-            .assert_ok("rounded block invariants");
-        crate::audit::check_placement(inst, &placement, max_violation + crate::solution::INT_TOL)
-            .assert_ok("rounded placement audit");
-    }
+    crate::audit::check_blocks(inst, &blocks, crate::solution::INT_TOL)
+        .assert_ok("rounded block invariants");
+    let placement = Placement::from_blocks(inst, blocks);
+    #[cfg(feature = "audit")]
+    crate::audit::check_placement(inst, &placement, max_violation + crate::solution::INT_TOL)
+        .assert_ok("rounded placement audit");
     (
         placement,
         RoundingStats {
@@ -181,6 +180,7 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
         let data = &inst.blocks()[mi];
         for (c_idx, client) in data.clients.iter().enumerate() {
             let moved: f64 = blocks[mi]
+                .x
                 .dist(c_idx)
                 .iter()
                 .filter(|&&(i, _)| i == from)
@@ -199,12 +199,12 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
                 };
                 dist.clear();
                 // lint:allow(alloc-in-hot-loop): refills a list hoisted out of the loop, within its retained capacity
-                dist.extend(blocks[mi].dist(c_idx).iter().filter(|&&(i, _)| i != from));
+                dist.extend(blocks[mi].x.dist(c_idx).iter().filter(|&&(i, _)| i != from));
                 match dist.binary_search_by_key(&target, |&(i, _)| i) {
                     Ok(k) => dist[k].1 += moved,
                     Err(k) => dist.insert(k, (target, moved)),
                 }
-                blocks[mi].set_dist(c_idx, &dist);
+                blocks[mi].x.set_dist(c_idx, &dist);
             }
         }
     };
@@ -234,7 +234,7 @@ fn repair_disks(inst: &MipInstance, blocks: &mut [BlockSolution]) {
                     inst.blocks()[mi]
                         .clients
                         .iter()
-                        .zip(blocks[mi].dists())
+                        .zip(blocks[mi].x.iter())
                         .map(|(c, dist)| {
                             dist.iter()
                                 .filter(|&&(i, _)| i == over_id)

@@ -59,7 +59,7 @@ fn partial_state(
                 obj += fo * yv;
             }
         }
-        for (client, dist) in data.clients.iter().zip(b.dists()) {
+        for (client, dist) in data.clients.iter().zip(b.x.iter()) {
             for &(i, xv) in dist {
                 obj += client.demand_gb * inst.cost(i, client.j) * xv;
                 for (t, &rate) in client.rate.iter().enumerate() {

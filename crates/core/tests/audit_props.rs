@@ -74,10 +74,10 @@ proptest! {
         // Find a video (starting from `video`, wrapping) with a client.
         let m = (0..N_VIDEOS)
             .map(|k| (video + k) % N_VIDEOS)
-            .find(|&m| blocks[m].n_clients() > 0)
+            .find(|&m| blocks[m].x.n_clients() > 0)
             .expect("some video has demand");
-        let scaled: Vec<_> = blocks[m].dist(0).iter().map(|&(i, x)| (i, x * scale)).collect();
-        blocks[m].set_dist(0, &scaled);
+        let scaled: Vec<_> = blocks[m].x.dist(0).iter().map(|&(i, x)| (i, x * scale)).collect();
+        blocks[m].x.set_dist(0, &scaled);
         let report = audit::check_blocks(inst, &blocks, INT_TOL);
         prop_assert!(
             report.violations.iter().any(|v| matches!(

@@ -169,7 +169,7 @@ fn projected_block_lp_matches_the_full_model() {
 
                 let (bound, point) = exact_block_lp_solution(&p).expect(&tag);
                 assert_eq!(bound.to_bits(), projected.to_bits(), "{tag}");
-                assert_eq!(point.n_clients(), clients, "{tag}");
+                assert_eq!(point.x.n_clients(), clients, "{tag}");
                 let mut price = 0.0;
                 let mut stored = 0.0;
                 for &(i, y) in &point.y {
@@ -179,7 +179,7 @@ fn projected_block_lp_matches_the_full_model() {
                     fractional += usize::from(y < 0.99);
                 }
                 assert!(stored >= 1.0 - 1e-9, "{tag}: stores {stored} copies");
-                for (row, dist) in p.service_rows().zip(point.dists()) {
+                for (row, dist) in p.service_rows().zip(point.x.iter()) {
                     assert!(dist.windows(2).all(|w| w[0].0 < w[1].0), "{tag}");
                     let mut total = 0.0;
                     for &(i, x) in dist {

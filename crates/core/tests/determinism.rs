@@ -53,8 +53,12 @@ fn assert_bit_identical(a: &FractionalSolution, b: &FractionalSolution) {
             assert_eq!(ia, ib, "video {m}: y id");
             assert_eq!(va.to_bits(), vb.to_bits(), "video {m}: y value");
         }
-        assert_eq!(ba.n_clients(), bb.n_clients(), "video {m}: client count");
-        for (c, (da, db)) in ba.dists().zip(bb.dists()).enumerate() {
+        assert_eq!(
+            ba.x.n_clients(),
+            bb.x.n_clients(),
+            "video {m}: client count"
+        );
+        for (c, (da, db)) in ba.x.iter().zip(bb.x.iter()).enumerate() {
             assert_eq!(da.len(), db.len(), "video {m} client {c}: x length");
             for (&(ia, va), &(ib, vb)) in da.iter().zip(db) {
                 assert_eq!(ia, ib, "video {m} client {c}: x id");

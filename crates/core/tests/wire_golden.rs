@@ -25,8 +25,8 @@
 use std::path::Path;
 use vod_core::checkpoint::{fractional_to_value, placement_to_value, validate_fractional};
 use vod_core::{
-    CheckpointSpec, DiskConfig, EpfConfig, FractionalSolution, Hooks, MipInstance, Placement,
-    SolverCheckpoint, Start,
+    CheckpointSpec, DiskConfig, Dists, EpfConfig, FractionalSolution, Hooks, MipInstance,
+    Placement, SolverCheckpoint, Start, VideoRouting,
 };
 use vod_json::strip_layout;
 use vod_json::wire::{field, Wire};
@@ -145,6 +145,15 @@ fn a_fractional_solution_keeps_its_bytes() {
     }
 }
 
+/// One video's routing from `(client, distribution)` pairs.
+fn routing(pairs: Vec<(VhoId, Vec<(VhoId, f64)>)>) -> VideoRouting {
+    let (clients, lists): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+    VideoRouting {
+        clients,
+        x: Dists::from_lists(lists),
+    }
+}
+
 #[test]
 fn a_placement_with_an_empty_routing_row_keeps_its_bytes() {
     let vhos = |ids: &[u16]| ids.iter().map(|&i| VhoId::new(i)).collect::<Vec<_>>();
@@ -168,7 +177,10 @@ fn a_placement_with_an_empty_routing_row_keeps_its_bytes() {
                     (VhoId::new(3), 1.0 / 3.0),
                 ],
             )],
-        ],
+        ]
+        .into_iter()
+        .map(routing)
+        .collect(),
     )
     .unwrap();
     let text = placement_to_value(&p).to_string_pretty();

@@ -103,15 +103,9 @@ pub fn apply_churn_cap(
         ));
     }
     let n_videos = target.n_videos();
-    const EMPTY_STORES: &[vod_model::VhoId] = &[];
-    const EMPTY_ROUTING: &[(vod_model::VhoId, vod_core::solution::ServingDist)] = &[];
-    let prev_stores = |m: VideoId| -> &[vod_model::VhoId] {
-        if m.index() < prev.n_videos() {
-            prev.stores(m)
-        } else {
-            EMPTY_STORES
-        }
-    };
+    // A video appended since `prev` has no previous layout.
+    let prev_routing = |m: VideoId| prev.routings().get(m.index());
+    let prev_stores = |m: VideoId| prev_routing(m).map_or(&[][..], |_| prev.stores(m));
     // Queue position of each previously-deferred video.
     let mut order: Vec<(usize, VideoId)> = Vec::with_capacity(n_videos);
     let mut queued = vec![false; n_videos];
@@ -131,20 +125,15 @@ pub fn apply_churn_cap(
         }
     }
 
-    let prev_routing = prev.routing_lists();
-    let target_routing = target.routing_lists();
-    let prev_routing_of = |i: usize| -> &[(vod_model::VhoId, vod_core::solution::ServingDist)] {
-        prev_routing.get(i).map_or(EMPTY_ROUTING, Vec::as_slice)
-    };
     let mut moved = 0usize;
     let mut deferred = Vec::new();
-    let mut stores_out: Vec<Vec<_>> = (0..n_videos)
-        .map(|m| prev_stores(VideoId::from_index(m)).to_vec())
-        .collect();
-    let mut routing_out: Vec<Vec<_>> = (0..n_videos).map(|i| prev_routing_of(i).to_vec()).collect();
+    let mut stores_out = prev.holder_lists().to_vec();
+    stores_out.resize(n_videos, Vec::new());
+    let mut routing_out = prev.routings().to_vec();
+    routing_out.resize_with(n_videos, Default::default);
     for &(queued_since, m) in &order {
         let i = m.index();
-        if prev_stores(m) == target.stores(m) && prev_routing_of(i) == target_routing[i] {
+        if prev_stores(m) == target.stores(m) && prev_routing(m) == target.routings().get(i) {
             continue; // identical layouts: nothing to do
         }
         // Transfer cost: target holders not already on prev. The
@@ -166,7 +155,7 @@ pub fn apply_churn_cap(
         if cost <= budget {
             // Full adoption: target stores and routing together.
             stores_out[i] = target.stores(m).to_vec();
-            routing_out[i] = target_routing[i].clone();
+            routing_out[i] = target.routings()[i].clone();
             moved += cost;
         } else {
             let stage = budget + free_copies; // paid prefix + free first copy
@@ -199,6 +188,7 @@ pub fn apply_churn_cap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_core::{Dists, VideoRouting};
     use vod_json::Value;
     use vod_model::VhoId;
 
@@ -212,7 +202,10 @@ mod tests {
             .collect();
         let routing = holders
             .iter()
-            .map(|hs| vec![(VhoId::new(3), vec![(VhoId::new(hs[0]), 1.0)])])
+            .map(|hs| VideoRouting {
+                clients: vec![VhoId::new(3)],
+                x: Dists::from_lists([[(VhoId::new(hs[0]), 1.0)]]),
+            })
             .collect();
         Placement::from_parts(4, stores, routing).unwrap()
     }

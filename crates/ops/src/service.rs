@@ -1549,14 +1549,18 @@ fn effective_cycles(world: &OpsWorld, cfg: &OpsConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_core::{Dists, VideoRouting};
 
     fn sample_state() -> ServiceState {
         let p = Placement::from_parts(
             4,
             vec![vec![VhoId::new(0), VhoId::new(2)], vec![VhoId::new(1)]],
             vec![
-                vec![(VhoId::new(1), vec![(VhoId::new(0), 1.0)])],
-                Vec::new(),
+                VideoRouting {
+                    clients: vec![VhoId::new(1)],
+                    x: Dists::from_lists([[(VhoId::new(0), 1.0)]]),
+                },
+                VideoRouting::default(),
             ],
         )
         .unwrap();

@@ -20,7 +20,7 @@
 )]
 
 use std::path::Path;
-use vod_core::Placement;
+use vod_core::{Dists, Placement, VideoRouting};
 use vod_json::wire::Wire;
 use vod_json::{strip_layout, Value};
 use vod_model::{VhoId, VideoId};
@@ -60,6 +60,15 @@ fn vhos(ids: &[u16]) -> Vec<VhoId> {
     ids.iter().map(|&i| VhoId::new(i)).collect()
 }
 
+/// One video's routing from `(client, distribution)` pairs.
+fn routing(pairs: Vec<(VhoId, Vec<(VhoId, f64)>)>) -> VideoRouting {
+    let (clients, lists): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+    VideoRouting {
+        clients,
+        x: Dists::from_lists(lists),
+    }
+}
+
 /// Three videos on four VHOs; video 1 has an empty routing row and
 /// video 2 a client whose distribution carries the awkward floats.
 fn placement() -> Placement {
@@ -83,7 +92,10 @@ fn placement() -> Placement {
                     (VhoId::new(3), 1.0 / 3.0),
                 ],
             )],
-        ],
+        ]
+        .into_iter()
+        .map(routing)
+        .collect(),
     )
     .unwrap()
 }

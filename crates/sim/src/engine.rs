@@ -310,10 +310,10 @@ impl Routing {
         // Every routed (video, client) in video, then client order: its
         // cell, its distribution and the video's pinned set.
         let routed = || {
-            let lists = placement.routing_lists().iter().zip(pinned_holders);
-            lists.enumerate().flat_map(move |(m, (clients, pinned))| {
-                let clients = clients.iter().filter(move |(j, _)| j.index() < n_vhos);
-                clients.map(move |(j, dist)| (m * n_vhos + j.index(), dist.as_slice(), pinned))
+            let videos = placement.routings().iter().zip(pinned_holders);
+            videos.enumerate().flat_map(move |(m, (routing, pinned))| {
+                let clients = routing.iter().filter(move |(j, _)| j.index() < n_vhos);
+                clients.map(move |(j, dist)| (m * n_vhos + j.index(), dist, pinned))
             })
         };
         let many = || routed().filter(|(_, dist, _)| dist.len() > 1);
@@ -1545,7 +1545,7 @@ mod tests {
     // ---- oracles for `Loads` and `Ends` ------------------------------
 
     use proptest::prelude::*;
-    use vod_core::solution::ServingDist;
+    use vod_core::{Dists, VideoRouting};
 
     /// Reference for [`Loads`]: the implementation it replaced, with
     /// the global max folded linearly at every call and the old
@@ -1759,21 +1759,22 @@ mod tests {
             let mut routing = Vec::new();
             let mut pinned = Vec::new();
             for m in 0..n_videos {
-                let mut clients = Vec::new();
+                let (mut clients, mut lists) = (Vec::new(), Vec::new());
                 for (k, &j) in ids.iter().enumerate() {
                     let (kind, entries) = &shapes[m * n_vhos + k];
-                    let dist: ServingDist = entries
+                    let dist: Vec<_> = entries
                         .iter()
                         .map(|&(i, w, x)| (ids[i % n_vhos], [0.0, 1.0, x][usize::from(w)]))
                         .collect();
                     match kind {
                         0 => continue,
-                        1 => clients.push((j, Vec::new())),
-                        2 => clients.push((j, dist[..1].to_vec())),
-                        _ => clients.push((j, dist)),
+                        1 => lists.push(Vec::new()),
+                        2 => lists.push(dist[..1].to_vec()),
+                        _ => lists.push(dist),
                     }
+                    clients.push(j);
                 }
-                routing.push(clients);
+                routing.push(VideoRouting { clients, x: Dists::from_lists(lists) });
                 pinned.push(
                     ids.iter()
                         .zip(&pins[m * n_vhos..])

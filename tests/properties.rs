@@ -188,16 +188,19 @@ proptest! {
     fn block_steps_stay_in_polytope(
         steps in prop::collection::vec((0u16..6, 0.0f64..1.0), 1..40),
     ) {
-        use vodplace::core::BlockSolution;
-        let mut cur = BlockSolution::from_dists(
-            vec![(VhoId::new(0), 1.0)],
-            [[(VhoId::new(0), 1.0)], [(VhoId::new(0), 1.0)]],
-        );
+        use vodplace::core::{BlockSolution, Dists};
+        let mut cur = BlockSolution {
+            y: vec![(VhoId::new(0), 1.0)],
+            x: Dists::from_lists([[(VhoId::new(0), 1.0)], [(VhoId::new(0), 1.0)]]),
+        };
         for (target, tau) in steps {
             let t = VhoId::new(target);
-            let hat = BlockSolution::from_dists(vec![(t, 1.0)], [[(t, 1.0)], [(t, 1.0)]]);
+            let hat = BlockSolution {
+                y: vec![(t, 1.0)],
+                x: Dists::from_lists([[(t, 1.0)], [(t, 1.0)]]),
+            };
             cur.step_toward(&hat, tau);
-            for dist in cur.dists() {
+            for dist in cur.x.iter() {
                 let total: f64 = dist.iter().map(|&(_, v)| v).sum();
                 prop_assert!((total - 1.0).abs() < 1e-9, "x sums to {total}");
                 for &(i, v) in dist {
