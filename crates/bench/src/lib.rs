@@ -203,13 +203,10 @@ impl Scenario {
 
     /// EPF configuration appropriate for this scale.
     ///
-    /// The solve budget is the deterministic `step_limit` (a global
+    /// The solve budget is the deterministic `step_limit`: a global
     /// pass count, identical on every machine and preserved across
-    /// checkpoint resume), never `wall_limit`: a wall-clock budget
-    /// stops at a machine-speed-dependent pass, so two runs of the
-    /// same experiment could publish different (equally valid) rows.
-    /// `wall_limit` is for interactive/operational use where latency
-    /// matters more than reproducibility.
+    /// checkpoint resume, so two runs of the same experiment publish
+    /// the same rows.
     pub fn epf_config(&self) -> EpfConfig {
         self.passes(match self.scale {
             Scale::Quick => 200,

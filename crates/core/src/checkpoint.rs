@@ -18,9 +18,9 @@
 //! stream from `(seed, global_pass)`, so the counter alone pins it; the
 //! penalty arena and worker pool — rebuilt fresh on resume, which is
 //! bitwise-equal to the incremental updates by the arena's own
-//! invariant (see `crates/core/tests/penalty_props.rs`); and the
-//! wall-clock — `wall_limit` budgets deliberately restart on resume
-//! (only `step_limit` is part of the deterministic contract).
+//! invariant (see `crates/core/tests/penalty_props.rs`). The solver
+//! reads no clock, so its one budget, `step_limit`, is the
+//! checkpointed pass counter.
 //!
 //! Serialization is compact JSON through the field-list codec of
 //! [`vod_json::wire`], which writes every `f64` and `u64` as its exact
@@ -384,23 +384,26 @@ pub fn placement_to_value(p: &Placement) -> Value {
     p.enc()
 }
 
-/// Fingerprint of every config field and instance dimension that
-/// shapes the solve trajectory. `threads` is deliberately excluded
-/// (results are thread-count-invariant by the pool's determinism
-/// contract) and so is `wall_limit` (a machine-local latency cap that
-/// restarts on resume); `step_limit` IS included — resuming under a
-/// different deterministic budget would diverge from the uninterrupted
-/// run the identity guarantee is stated against.
-pub(crate) fn config_fingerprint(cfg: &EpfConfig, inst: &MipInstance) -> u64 {
+/// Fingerprint of every config field and instance value that shapes a
+/// solve, checked by checkpoint resume and by the service's fractional
+/// artifact. `threads` is deliberately excluded (results are
+/// thread-count-invariant by the pool's determinism contract);
+/// `step_limit` IS included — resuming under a different budget would
+/// diverge from the uninterrupted run the identity guarantee is stated
+/// against.
+#[must_use]
+pub fn config_fingerprint(cfg: &EpfConfig, inst: &MipInstance) -> u64 {
     let layout = crate::epf::layout_of(inst);
     let mut buf = Vec::with_capacity(14 * 8);
     let mut push = |x: u64| buf.extend_from_slice(&x.to_le_bytes());
     push(cfg.epsilon.to_bits());
     push(cfg.gamma.to_bits());
-    push(cfg.rho.to_bits());
-    push(cfg.chunk_size as u64);
+    // ρ, the chunk size and the bound cadence (every pass) keep the
+    // slots their former config fields had: stored fingerprints hold.
+    push(crate::epf::RHO.to_bits());
+    push(crate::epf::CHUNK_SIZE as u64);
     push(cfg.max_passes as u64);
-    push(cfg.lb_every as u64);
+    push(1);
     push(cfg.polish_iters as u64);
     push(cfg.seed);
     push(u64::from(cfg.feasibility_only));

@@ -26,8 +26,12 @@ use crate::pool::WorkerPool;
 use crate::potential::{Coupling, Duals, RowLayout};
 use crate::solution::{initial_block, BlockBuf, BlockSolution, FractionalSolution, Placement};
 use rand::seq::SliceRandom;
-use std::time::Duration;
 use vod_model::rng::derive_rng;
+
+/// Blocks per chunk: one dual snapshot and one parallel batch each.
+pub(crate) const CHUNK_SIZE: usize = 32;
+/// Dual smoothing weight ρ of Algorithm 1 step 14.
+pub(crate) const RHO: f64 = 0.5;
 
 /// Solver parameters (Algorithm 1 line 1).
 #[derive(Debug, Clone)]
@@ -38,10 +42,6 @@ pub struct EpfConfig {
     pub epsilon: f64,
     /// Exponent factor γ ≈ 1.
     pub gamma: f64,
-    /// Dual smoothing ρ ∈ [0, 1).
-    pub rho: f64,
-    /// Blocks per chunk (one dual snapshot / parallel batch per chunk).
-    pub chunk_size: usize,
     /// Hard cap on passes.
     pub max_passes: usize,
     /// Compute threads for chunk optimization, the calling thread
@@ -50,37 +50,22 @@ pub struct EpfConfig {
     /// Pure feasibility mode: ignore the objective, stop as soon as
     /// `δ_c(z) ≤ ε` (used by the feasibility-region searches).
     pub feasibility_only: bool,
-    /// Compute the Lagrangian lower bound every this many passes.
-    pub lb_every: usize,
     /// Ignored by the solver: the final lower-bound polish is budgeted
-    /// by `exact_cert` alone. Kept because the checkpoint fingerprint
-    /// and the service's config token still hash it, and the benchmark
-    /// harness still sets it (until ROADMAP 6-A (vii) deletes it).
+    /// by `exact_cert` alone. Kept because the config fingerprint
+    /// still hashes it and the benchmark harness still sets it (until
+    /// ROADMAP 6-A (vii) deletes it).
     pub polish_iters: usize,
     pub seed: u64,
-    /// Optional wall-clock budget. When exceeded, the solver stops at
-    /// the next pass boundary and returns its best incumbent with
-    /// `converged = false` and honest gap statistics — it never
-    /// aborts. **Determinism caveat:** where the cutoff lands depends
-    /// on machine speed, so two runs with the same seed may return
-    /// different (equally valid) incumbents; leave this `None` (the
-    /// default) for byte-reproducible experiments. On a checkpoint
-    /// resume the clock restarts: `wall_limit` is an operational
-    /// latency cap for *this* process, never part of the deterministic
-    /// resume contract. Use [`EpfConfig::step_limit`] for budgets that
-    /// must land in the same place on every machine.
-    pub wall_limit: Option<Duration>,
     /// Deterministic budget in *global passes*: the solver stops at the
-    /// pass boundary once this many passes have completed, returning
-    /// the best incumbent exactly like `wall_limit` does — but the
-    /// cutoff lands on the same pass on every machine and survives
-    /// checkpoint/resume (the pass counter is checkpointed), so
-    /// budgeted runs stay byte-reproducible. When both limits are set,
-    /// whichever trips first wins. Benchmarks use `step_limit`;
-    /// `wall_limit` is for latency-capped operation. The budget covers
-    /// passes only: with `exact_cert > 0` the final lower-bound polish
-    /// runs after the last one, bounded by `exact_cert` and its stall
-    /// stop ([`EpfStats::polish_sweeps`] reports what it took).
+    /// pass boundary once this many passes have completed and returns
+    /// its best incumbent with `converged = false` and honest gap
+    /// statistics — it never aborts. The cutoff lands on the same pass
+    /// on every machine and survives checkpoint/resume (the pass
+    /// counter is checkpointed), so budgeted runs stay
+    /// byte-reproducible. The budget covers passes only: with
+    /// `exact_cert > 0` the final lower-bound polish runs after the
+    /// last one, bounded by `exact_cert` and its stall stop
+    /// ([`EpfStats::polish_sweeps`] reports what it took).
     pub step_limit: Option<u64>,
     /// Lane backend for the hot penalty/UFL kernels
     /// ([`crate::kernel`]). Every backend is bitwise-identical per
@@ -119,15 +104,11 @@ impl Default for EpfConfig {
         Self {
             epsilon: 0.01,
             gamma: 1.0,
-            rho: 0.5,
-            chunk_size: 32,
             max_passes: 1500,
             threads: 0,
             feasibility_only: false,
-            lb_every: 1,
             polish_iters: 120,
             seed: 0,
-            wall_limit: None,
             step_limit: None,
             kernel: Kernel::default(),
             gap_limit: None,
@@ -193,7 +174,6 @@ pub struct EpfStats {
     pub max_violation: f64,
     /// True iff the ε-criteria were met before `max_passes`.
     pub converged: bool,
-    pub wall: Duration,
     /// Approximate peak working-set bytes of solver state (block
     /// solutions + instance block data + potential rows + the pool's
     /// arenas and scratch; see `approx_bytes`).
@@ -919,14 +899,12 @@ pub(crate) fn solve_with_pool(
     cfg: &EpfConfig,
     layout: RowLayout,
     pool: &WorkerPool<'_>,
-    elapsed: &dyn Fn() -> Duration,
     start: Start<'_>,
     mut hooks: Hooks<'_>,
 ) -> (FractionalSolution, EpfStats) {
     let n = inst.n_videos();
     let threads = cfg.effective_threads(n);
     let idx_all: Vec<usize> = (0..n).collect();
-    let chunk_size = cfg.chunk_size.clamp(1, n.max(1));
     let fingerprint = crate::checkpoint::config_fingerprint(cfg, inst);
 
     /// Control state between ticks of the solver loop. Only `Run` is
@@ -1060,10 +1038,8 @@ pub(crate) fn solve_with_pool(
     // before any `PickTarget` consumes it, and derived only from the
     // checkpointed `RunState.budget`, so it needs no checkpoint field.
     let mut next_budget = run_budget;
-    // Opt-in budgets, both checked at pass boundaries only: the wall
-    // clock restarts on resume (operational latency cap), the step
-    // budget is the checkpointed pass counter (deterministic).
-    let over_wall = || cfg.wall_limit.is_some_and(|w| elapsed() >= w);
+    // The opt-in pass budget, checked at pass boundaries only against
+    // the checkpointed pass counter.
     let over_steps = |gp: u64| cfg.step_limit.is_some_and(|s| gp >= s);
     // Step-apply scratch, reused across all chunks: the two candidate
     // directions of a block, its coupling-row delta, the line search's
@@ -1121,7 +1097,6 @@ pub(crate) fn solve_with_pool(
                 objective,
                 max_violation,
                 converged,
-                wall: elapsed(),
                 approx_bytes: bytes,
             },
         )
@@ -1131,7 +1106,7 @@ pub(crate) fn solve_with_pool(
     loop {
         phase = match phase {
             Phase::Run(mut run) => {
-                if run.local_pass >= run.budget || over_wall() || over_steps(global_pass) {
+                if run.local_pass >= run.budget || over_steps(global_pass) {
                     Phase::RunDone {
                         outcome: RunOutcome::Budget,
                         lb_run: run.lb_run,
@@ -1144,7 +1119,7 @@ pub(crate) fn solve_with_pool(
                     let mut rng = derive_rng(cfg.seed, 0xE9F ^ global_pass);
                     order.shuffle(&mut rng);
 
-                    for chunk in order.chunks(chunk_size) {
+                    for chunk in order.chunks(CHUNK_SIZE) {
                         // Retarget the shared arena at this chunk's
                         // snapshot — incremental: only dual rows the
                         // previous chunk's applied steps touched get
@@ -1214,16 +1189,16 @@ pub(crate) fn solve_with_pool(
                     // arena's skip logic.
                     let cur = coupling.duals();
                     for (sm, c) in smoothed.rows.iter_mut().zip(&cur.rows) {
-                        *sm = cfg.rho * *sm + (1.0 - cfg.rho) * c;
+                        *sm = RHO * *sm + (1.0 - RHO) * c;
                     }
-                    smoothed.obj = cfg.rho * smoothed.obj + (1.0 - cfg.rho) * cur.obj;
+                    smoothed.obj = RHO * smoothed.obj + (1.0 - RHO) * cur.obj;
                     smoothed.bump_version();
 
                     // Sample the Lagrangian bound along the trajectory
                     // — the duals wander, and the best bound often
                     // shows up mid-run. The sweep runs during the next
                     // pass; the previous one is folded first.
-                    if run.track_lb && run.local_pass % cfg.lb_every.max(1) == 0 {
+                    if run.track_lb {
                         fold_bound(&mut run.lb_run, &mut in_flight, pool);
                         in_flight = lagrangian_bound(&layout, &coupling, &smoothed, pool, false);
                     }
@@ -1307,7 +1282,7 @@ pub(crate) fn solve_with_pool(
                 budget,
             } => {
                 // Every way out of a run — reached, stalled, out of
-                // budget or wall — comes through here.
+                // budget — comes through here.
                 fold_bound(&mut lb_run, &mut in_flight, pool);
                 hooks.emit(|| SolveEvent::RunEnd {
                     pass: global_pass,
@@ -1440,8 +1415,7 @@ pub(crate) fn solve_with_pool(
                 // gap-based early stop), `epsilon` otherwise.
                 let cert = cfg.gap_limit.unwrap_or(cfg.epsilon);
                 let mut converged = ub <= (1.0 + cert) * lb + 1e-9;
-                let out_of_budget =
-                    passes_done >= cfg.max_passes || over_wall() || over_steps(global_pass);
+                let out_of_budget = passes_done >= cfg.max_passes || over_steps(global_pass);
                 // Pinched: B cannot move meaningfully anymore.
                 let pinched = ub <= lo * (1.0 + cert);
                 if converged || out_of_budget || pinched {

@@ -126,11 +126,8 @@ fn validate(
     if !cfg.gamma.is_finite() || cfg.gamma <= 0.0 {
         return bad(format!("gamma must be finite and > 0 (got {})", cfg.gamma));
     }
-    if !cfg.rho.is_finite() || !(0.0..1.0).contains(&cfg.rho) {
-        return bad(format!("rho must be in [0, 1) (got {})", cfg.rho));
-    }
-    if cfg.lb_every == 0 {
-        return bad("lb_every must be >= 1".to_string());
+    if let Some(g) = cfg.gap_limit.filter(|g| !g.is_finite() || *g < 0.0) {
+        return bad(format!("gap_limit must be finite and >= 0 (got {g})"));
     }
     if cfg.max_passes == 0 {
         return bad("max_passes must be >= 1".to_string());
@@ -162,12 +159,6 @@ pub fn solve(
         (None, Some(_)) => (None, ResumeKind::WarmStart),
         (None, None) => (None, ResumeKind::Cold),
     };
-    #[expect(
-        clippy::disallowed_types,
-        reason = "solver wall time is reported in EpfStats and caps `wall_limit`, \
-                  an operational budget; nothing else reads it"
-    )]
-    let clock = std::time::Instant::now();
     let layout = layout_of(inst);
     // The pool's workers borrow both arenas for the whole solve (see
     // `crate::pool`): one prices the chunk and polish dispatches, the
@@ -188,7 +179,7 @@ pub fn solve(
             cfg.kernel,
         );
         let start = Start { prior, ..start };
-        solve_with_pool(inst, cfg, layout, &pool, &|| clock.elapsed(), start, hooks)
+        solve_with_pool(inst, cfg, layout, &pool, start, hooks)
     });
     Ok(Solved {
         fractional,
@@ -377,11 +368,11 @@ mod tests {
                 ..Default::default()
             },
             EpfConfig {
-                rho: 1.0,
+                gap_limit: Some(f64::NAN),
                 ..Default::default()
             },
             EpfConfig {
-                lb_every: 0,
+                gap_limit: Some(-0.01),
                 ..Default::default()
             },
             EpfConfig {
@@ -482,15 +473,15 @@ mod tests {
     }
 
     #[test]
-    fn wall_budget_returns_degraded_incumbent() {
+    fn step_budget_returns_degraded_incumbent() {
         let (inst, _) = pipeline(48, None);
-        // A zero wall budget stops the solver at the first pass
+        // A one-pass budget stops the solver at the first pass
         // boundary: the result must still be a complete, usable
         // placement with honest gap statistics — never an abort.
         let out = solve_placement(
             &inst,
             &EpfConfig {
-                wall_limit: Some(std::time::Duration::ZERO),
+                step_limit: Some(1),
                 seed: 48,
                 ..Default::default()
             },

@@ -269,7 +269,7 @@ proptest! {
 
 /// `step_limit` is a deterministic budget: two identical runs stop at
 /// the same pass with bit-identical results, and the pass counter never
-/// exceeds the limit — unlike `wall_limit`, which is machine-local.
+/// exceeds the limit.
 #[test]
 fn step_limit_budget_is_deterministic() {
     let inst = instance(0, SEEDS[0]);

@@ -39,7 +39,9 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use vod_core::checkpoint::{validate_fractional, CHECKPOINT_KIND, CHECKPOINT_VERSION};
+use vod_core::checkpoint::{
+    config_fingerprint, validate_fractional, CHECKPOINT_KIND, CHECKPOINT_VERSION,
+};
 use vod_core::rounding::round_solution;
 use vod_core::{
     remap_checkpoint, repair_placement, solve, CheckpointSpec, DiskConfig, EpfConfig,
@@ -116,8 +118,8 @@ pub struct OpsConfig {
     pub start_day: u64,
     pub estimator: EstimatorKind,
     /// Solver configuration. `epf.seed` doubles as the service master
-    /// seed; prefer `step_limit` over `wall_limit` here — a wall clock
-    /// budget breaks the bitwise resume-identity guarantee.
+    /// seed; its `step_limit` (and the service's `cycle_step_budget`)
+    /// bound each solve in passes, the same on every machine.
     pub epf: EpfConfig,
     /// Attempts per stage before the cycle degrades to last-good.
     pub max_attempts: u32,
@@ -440,8 +442,9 @@ fn deployed_dec(r: &mut Reader<'_>) -> Result<Option<(usize, Placement)>, WireEr
 }
 
 /// The solve→round artifact (`fractional.snap`): the fractional
-/// solution with the cycle and solver configuration it was solved for,
-/// so the round stage never rounds a stale one.
+/// solution with the cycle it was solved for and the
+/// [`config_fingerprint`] of its config and instance, so the round
+/// stage never rounds a stale one.
 struct FractionalArtifact {
     cycle: usize,
     config: u64,
@@ -967,7 +970,7 @@ impl Service {
                 }
                 let artifact = FractionalArtifact {
                     cycle,
-                    config: epf_config_token(&epf),
+                    config: config_fingerprint(&epf, &inst),
                     lower_bound: stats.lower_bound,
                     fractional: frac,
                 };
@@ -1000,7 +1003,8 @@ impl Service {
 
     fn step_round(&mut self, cycle: usize) -> Result<StepOutcome, OpsError> {
         let inst = self.instance_for(cycle);
-        let token = epf_config_token(&self.epf_for_cycle(cycle));
+        let epf = self.epf_for_cycle(cycle);
+        let token = config_fingerprint(&epf, &inst);
         let fresh = |a: &&FractionalArtifact| {
             a.cycle == cycle
                 && a.config == token
@@ -1021,7 +1025,6 @@ impl Service {
             self.dir.remove(Snap::FRACTIONAL);
             return self.retreat(StageId::Solve, StageId::Round, cycle);
         };
-        let epf = self.epf_for_cycle(cycle);
         let (placement, stats) = round_solution(&inst, &artifact.fractional, epf.gamma, epf.kernel);
         self.state.target = Some(placement);
         self.state.target_objective = Some(stats.objective);
@@ -1476,28 +1479,6 @@ fn apply_world_delta(cur: &mut OpsWorld, dark: &mut [bool], delta: &WorldDelta) 
 #[must_use]
 pub fn placement_fingerprint(p: &Placement) -> u64 {
     fnv1a64(p.text().as_bytes())
-}
-
-/// Fingerprint of everything that shapes a solve trajectory, so a
-/// persisted fractional artifact from a different solver configuration
-/// is rejected at the round stage instead of silently reused.
-fn epf_config_token(e: &EpfConfig) -> u64 {
-    let mut buf = Vec::with_capacity(96);
-    for bits in [
-        e.epsilon.to_bits(),
-        e.gamma.to_bits(),
-        e.rho.to_bits(),
-        e.chunk_size as u64,
-        e.max_passes as u64,
-        e.lb_every as u64,
-        e.polish_iters as u64,
-        e.seed,
-        u64::from(e.feasibility_only),
-        e.step_limit.unwrap_or(u64::MAX),
-    ] {
-        buf.extend_from_slice(&bits.to_le_bytes());
-    }
-    fnv1a64(&buf)
 }
 
 /// Structural serviceability of a rounded placement: right shape,

@@ -639,3 +639,59 @@ fn a_delta_after_the_cycles_instance_was_built_is_seen_by_the_solve() {
         assert!(!holders.contains(&dark), "video {m} placed on dark VHO 1");
     }
 }
+
+#[test]
+fn a_fractional_artifact_solved_under_another_config_is_solved_again() {
+    // Die before cycle 0's round stage, leaving `fractional.snap` on
+    // disk, then restart over the same state dir with exact
+    // certification on. The artifact was solved without it: the round
+    // stage must refuse it and send the cycle back to the solve.
+    let w = world(56);
+    let cfg = |dir: &Path, exact_cert: usize| {
+        let mut c = config(56, dir);
+        c.ops.cycles = 1;
+        c.ops.epf.exact_cert = exact_cert;
+        c
+    };
+    let dir = fresh_dir("stale_artifact");
+    let plan = ServicePlan {
+        kill_at_stage: vec![(0, StageId::Round)],
+        ..ServicePlan::default()
+    };
+    let mut dying = Service::resume_or_start(&w, cfg(&dir, 0), plan).unwrap();
+    while !matches!(dying.step().unwrap(), StepOutcome::SimulatedCrash { .. }) {}
+    drop(dying);
+    assert!(dir.join("fractional.snap").exists());
+
+    let mut s = Service::resume_or_start(&w, cfg(&dir, 2), ServicePlan::default()).unwrap();
+    assert_eq!(
+        s.step().unwrap(),
+        StepOutcome::Retreated {
+            cycle: 0,
+            stage: StageId::Round
+        }
+    );
+    assert!(!dir.join("fractional.snap").exists());
+    assert_eq!(
+        s.step().unwrap(),
+        StepOutcome::StageDone {
+            cycle: 0,
+            stage: StageId::Solve
+        }
+    );
+    let st = s.run().unwrap().clone();
+
+    // The cycle deploys what an uninterrupted run under the new config
+    // deploys, and records that run's lower bound.
+    let reference_dir = fresh_dir("stale_artifact_reference");
+    let reference = Service::resume_or_start(&w, cfg(&reference_dir, 2), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
+    assert_eq!(fingerprints(&st), fingerprints(&reference));
+    assert_eq!(
+        st.records[0].lower_bound.map(f64::to_bits),
+        reference.records[0].lower_bound.map(f64::to_bits)
+    );
+}

@@ -53,10 +53,8 @@ fn main() {
     let out = solve_placement(&instance, &cfg).expect("quickstart instance is well-formed");
 
     println!(
-        "\nEPF solve: {} passes, {} block steps, {:.1} ms",
-        out.epf.passes,
-        out.epf.block_steps,
-        out.epf.wall.as_secs_f64() * 1e3
+        "\nEPF solve: {} passes, {} block steps",
+        out.epf.passes, out.epf.block_steps
     );
     println!(
         "fractional: objective {:.1} GB·hop, lower bound {:.1}, max violation {:.2} %",

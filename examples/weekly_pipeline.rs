@@ -93,9 +93,9 @@ fn main() {
             },
         );
         println!(
-            "week {w}: solve {:>5.0} ms | migrate {migrated:>4} copies | peak {:>7.1} Mb/s | \
+            "week {w}: solve {:>4} passes | migrate {migrated:>4} copies | peak {:>7.1} Mb/s | \
              transfer {:>9.1} GB·hop | local {:>5.1} %",
-            out.epf.wall.as_secs_f64() * 1e3,
+            out.epf.passes,
             rep.max_link_mbps,
             rep.total_gb_hops,
             rep.local_fraction() * 100.0,
