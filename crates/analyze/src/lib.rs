@@ -49,7 +49,7 @@ pub use report::Finding;
 /// calls, simulator entry points, LP rounding, and the snapshot
 /// writers. A root is a simple name: `solve` also roots
 /// `WorkerPool::solve`, which the free `solve` reaches anyway.
-pub const DEFAULT_ROOTS: [&str; 10] = [
+pub const DEFAULT_ROOTS: [&str; 11] = [
     "solve",
     "solve_placement",
     "solve_fractional",
@@ -59,6 +59,7 @@ pub const DEFAULT_ROOTS: [&str; 10] = [
     "round_solution",
     "write_atomic",
     "write_snapshot_atomic",
+    "write_wire_snapshot",
     "write_json_snapshot",
 ];
 

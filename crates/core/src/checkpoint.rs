@@ -5,7 +5,11 @@
 //!
 //! What must be captured (and why):
 //!
-//! - the per-video block solutions and the incumbent `z*`,
+//! - the per-video block solutions and the incumbent `z*` — shared
+//!   with the solver, not copied: a checkpoint holds the `Arc`s of the
+//!   solver's own iterate, and the solver mutates through
+//!   `Arc::make_mut`, so emission is two reference bumps and a sink
+//!   that drops its checkpoint before the next pass causes no copy,
 //! - the coupling state: usage totals, objective value, target `B`,
 //!   and the scale `δ` (whose update is monotone and therefore
 //!   history-dependent),
@@ -34,6 +38,7 @@ use crate::epf::{EpfConfig, RunState};
 use crate::instance::MipInstance;
 use crate::solution::{BlockSolution, Dists, FractionalSolution, Placement, VideoRouting};
 use std::fmt;
+use std::sync::Arc;
 use vod_json::reader::Reader;
 use vod_json::wire::{dec_each, dec_pair, dec_seq, enc_pair, enc_seq, Sink, Wire, WireError};
 use vod_json::{wire_fields, wire_record, Value};
@@ -94,8 +99,11 @@ pub struct SolverCheckpoint {
     pub(crate) smoothed_obj: f64,
     pub(crate) order: Vec<usize>,
     pub(crate) run: RunState,
-    pub(crate) blocks: Vec<BlockSolution>,
-    pub(crate) zstar: Vec<BlockSolution>,
+    /// The solver's own iterate and incumbent, shared: the solve moves
+    /// to a copy of its own (`Arc::make_mut`) at its next pass only if
+    /// the checkpoint is still alive then.
+    pub(crate) blocks: Arc<Vec<BlockSolution>>,
+    pub(crate) zstar: Arc<Vec<BlockSolution>>,
 }
 
 impl SolverCheckpoint {
@@ -472,8 +480,8 @@ mod tests {
                 track_lb: true,
                 lb_run: 17.25,
             },
-            blocks: vec![block(&[0, 2]), block(&[1])],
-            zstar: vec![block(&[0]), block(&[3])],
+            blocks: Arc::new(vec![block(&[0, 2]), block(&[1])]),
+            zstar: Arc::new(vec![block(&[0]), block(&[3])]),
         }
     }
 
@@ -508,7 +516,7 @@ mod tests {
     fn none_target_round_trips() {
         let mut ck = sample();
         ck.target = None;
-        ck.zstar = Vec::new();
+        ck.zstar = Arc::default();
         let back = SolverCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
         assert!(back.target.is_none());
         assert!(back.zstar.is_empty());

@@ -26,6 +26,7 @@ use crate::pool::WorkerPool;
 use crate::potential::{Coupling, Duals, RowLayout};
 use crate::solution::{initial_block, BlockBuf, BlockSolution, FractionalSolution, Placement};
 use rand::seq::SliceRandom;
+use std::sync::Arc;
 use vod_model::rng::derive_rng;
 
 /// Blocks per chunk: one dual snapshot and one parallel batch each.
@@ -750,7 +751,9 @@ pub(crate) struct RunState {
 /// at *pass boundaries* only — mid-chunk state is not serializable —
 /// and only while a FEAS run is in flight; the inter-run transition
 /// logic is a pure function of the checkpointed state and replays
-/// identically on resume.
+/// identically on resume. A checkpoint shares the solver's iterate
+/// rather than copying it: a sink that drops it before the next pass
+/// costs nothing, one that keeps it costs the solve one copy there.
 pub struct CheckpointSpec<'a> {
     /// Checkpoint cadence in global passes (0 disables emission).
     pub every: u64,
@@ -983,8 +986,8 @@ pub(crate) fn solve_with_pool(
                 (cfg.max_passes / 3).max(50)
             };
             (
-                blocks,
-                Vec::new(),
+                Arc::new(blocks),
+                Arc::default(),
                 coupling,
                 smoothed,
                 (0..n).collect::<Vec<usize>>(),
@@ -1016,8 +1019,8 @@ pub(crate) fn solve_with_pool(
             }
             coupling.restore_scale(ck.delta);
             (
-                ck.blocks.clone(),
-                ck.zstar.clone(),
+                Arc::clone(&ck.blocks),
+                Arc::clone(&ck.zstar),
                 coupling,
                 Duals::new(ck.smoothed_rows.clone(), ck.smoothed_obj),
                 ck.order.clone(),
@@ -1055,7 +1058,7 @@ pub(crate) fn solve_with_pool(
     // captures the run, and when the run ends — never checkpointed.
     let mut in_flight: Option<PendingBound> = None;
 
-    let finish = |blocks: Vec<BlockSolution>,
+    let finish = |blocks: Arc<Vec<BlockSolution>>,
                   lb: f64,
                   converged: bool,
                   passes_done: usize,
@@ -1077,7 +1080,8 @@ pub(crate) fn solve_with_pool(
             accumulators,
         );
         let frac = FractionalSolution {
-            blocks,
+            // A copy only if a sink still holds a checkpoint of it.
+            blocks: Arc::unwrap_or_clone(blocks),
             objective,
             max_violation,
             lower_bound: lb,
@@ -1118,6 +1122,10 @@ pub(crate) fn solve_with_pool(
                     passes_done += 1;
                     let mut rng = derive_rng(cfg.seed, 0xE9F ^ global_pass);
                     order.shuffle(&mut rng);
+                    // The pass's one write access to the iterate: a
+                    // copy of it only if a checkpoint or `zstar` still
+                    // shares it.
+                    let iterate = Arc::make_mut(&mut blocks);
 
                     for chunk in order.chunks(CHUNK_SIZE) {
                         // Retarget the shared arena at this chunk's
@@ -1131,11 +1139,11 @@ pub(crate) fn solve_with_pool(
                             let data = &inst.blocks()[m];
                             let hat = hat_buf.set_from_ufl(sol);
                             let dobj =
-                                block_delta(inst, &layout, data, &blocks[m], hat, &mut deltas);
+                                block_delta(inst, &layout, data, &iterate[m], hat, &mut deltas);
                             let tau = coupling.line_search(deltas.rows(), dobj, &mut terms);
                             if tau > 0.0 {
                                 coupling.apply(deltas.rows(), dobj, tau);
-                                blocks[m].step_toward(hat, tau);
+                                iterate[m].step_toward(hat, tau);
                                 block_steps += 1;
                             }
                             // Corrective step: optimal x within the
@@ -1143,7 +1151,7 @@ pub(crate) fn solve_with_pool(
                             let corrective = greedy_x_given_y(
                                 inst,
                                 data,
-                                &blocks[m].y,
+                                &iterate[m].y,
                                 &arena,
                                 &mut greedy_costs,
                                 &mut corrective_buf,
@@ -1152,14 +1160,14 @@ pub(crate) fn solve_with_pool(
                                 inst,
                                 &layout,
                                 data,
-                                &blocks[m],
+                                &iterate[m],
                                 corrective,
                                 &mut deltas,
                             );
                             let tau = coupling.line_search(deltas.rows(), dobj, &mut terms);
                             if tau > 0.0 {
                                 coupling.apply(deltas.rows(), dobj, tau);
-                                blocks[m].step_toward(corrective, tau);
+                                iterate[m].step_toward(corrective, tau);
                                 block_steps += 1;
                             }
                         }
@@ -1266,8 +1274,8 @@ pub(crate) fn solve_with_pool(
                                     smoothed_obj: smoothed.obj,
                                     order: order.clone(),
                                     run,
-                                    blocks: blocks.clone(),
-                                    zstar: zstar.clone(),
+                                    blocks: Arc::clone(&blocks),
+                                    zstar: Arc::clone(&zstar),
                                 });
                             }
                         }
@@ -1326,7 +1334,7 @@ pub(crate) fn solve_with_pool(
                     }
                     // --- Enter phase 2: bisection on the target B. ---
                     ub = coupling.objective();
-                    zstar = blocks.clone();
+                    zstar = Arc::clone(&blocks);
                     // `lo` steers the bisection: certified lb, raised
                     // (uncertified) on failed FEAS(B) runs.
                     lo = lb.max(ub * 1e-3).max(1e-12);
@@ -1342,7 +1350,7 @@ pub(crate) fn solve_with_pool(
                             let obj = coupling.objective();
                             if obj < ub {
                                 ub = obj;
-                                zstar = blocks.clone();
+                                zstar = Arc::clone(&blocks);
                             }
                             next_budget = budget;
                         }
@@ -1371,7 +1379,7 @@ pub(crate) fn solve_with_pool(
                                 && obj < ub
                             {
                                 ub = obj;
-                                zstar = blocks.clone();
+                                zstar = Arc::clone(&blocks);
                             }
                             // FEAS(B) looks infeasible at this target:
                             // steer the bisection up (not a certified
@@ -1431,6 +1439,9 @@ pub(crate) fn solve_with_pool(
                         lb = lb.max(polished);
                         converged = ub <= (1.0 + cert) * lb + 1e-9;
                     }
+                    // The iterate goes first, so an incumbent that
+                    // still shares it is returned without a copy.
+                    drop(blocks);
                     return finish(
                         zstar,
                         lb,

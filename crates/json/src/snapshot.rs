@@ -30,22 +30,35 @@
 //! a crashed writer or a corrupted disk must degrade into a recovery
 //! path, not take the supervisor down with it.
 //!
-//! Writers go through [`write_snapshot_atomic`], in this order: the
-//! header and the payload are written to a sibling `*.tmp` file —
-//! uniquely named per call, so concurrent writers of one destination
-//! never share it — which is `sync_all`ed, then `rename`d over the
-//! destination, and then the directory is `sync_all`ed. The first
-//! barrier keeps the rename from publishing bytes that are not on the
-//! device; the second makes the rename itself survive power loss. A
-//! reader never observes a half-written snapshot (rename is atomic on
-//! POSIX filesystems). The `xtask` lint rule `snapshot-io` pins this:
-//! direct `File::create`/`fs::write` on snapshot paths is denied
-//! elsewhere in the workspace.
+//! Every write goes through one writer, in this order, into a sibling
+//! `*.tmp` file — uniquely named per call, so concurrent writers of one
+//! destination never share it:
+//!
+//! 1. the header's bytes are reserved (written as zeros);
+//! 2. the payload is streamed in behind them, its word sum and length
+//!    folded as it goes — a byte slice in one write, a [`Wire`] value
+//!    ([`FaultHandle::write_wire_snapshot`], how the service writes its
+//!    state, checkpoint and fractional artifact) as its compact text
+//!    through a buffer of [`SPILL_AT`] bytes, so the text is never whole
+//!    in memory;
+//! 3. the real header is written over the reservation — last, and
+//!    before the barrier;
+//! 4. the temp file is `sync_all`ed, `rename`d over the destination,
+//!    and the directory is `sync_all`ed.
+//!
+//! The first barrier keeps the rename from publishing bytes that are
+//! not on the device; the second makes the rename itself survive power
+//! loss. A reader never observes a half-written snapshot (rename is
+//! atomic on POSIX filesystems), and a temp file left by a crash before
+//! step 3 holds a zero header, which no reader accepts. The `xtask`
+//! lint rule `snapshot-io` pins this: direct `File::create`/`fs::write`
+//! on snapshot paths is denied elsewhere in the workspace.
 
 use crate::faults::{FaultHandle, IoFault};
+use crate::wire::{CompactText, Sink, Wire};
 use crate::{JsonError, Value};
 use std::fmt;
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -150,32 +163,115 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Not cryptographic: it guards against truncation and bit rot, not
 /// adversaries.
 fn word_sum64(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
     let words = bytes.chunks_exact(8);
     let mut tail = [0u8; 8];
     tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    let h = words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        step(h, w.try_into().map_or(0, u64::from_le_bytes))
+    let h = words.fold(WORD_SUM_SEED, |h, w| {
+        word_step(h, w.try_into().map_or(0, u64::from_le_bytes))
     });
-    step(step(h, u64::from_le_bytes(tail)), bytes.len() as u64)
+    word_step(word_step(h, u64::from_le_bytes(tail)), bytes.len() as u64)
 }
 
-/// The container header for `payload`: everything before it.
-fn header(kind: &str, version: u32, payload: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    let Ok(kind_len) = u8::try_from(kind.len()) else {
-        return Err(SnapshotError::Malformed {
-            what: format!("kind tag too long ({} bytes, max 255)", kind.len()),
+/// The state [`word_sum64`] starts from.
+const WORD_SUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One step of [`word_sum64`].
+fn word_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+}
+
+/// [`word_sum64`] folded piece by piece, as a streamed payload reaches
+/// the file. A piece need not end on a word boundary: its last partial
+/// word is carried into the next piece.
+#[derive(Debug, Clone, Copy)]
+struct WordSum {
+    h: u64,
+    len: u64,
+    carry: [u8; 8],
+    carried: usize,
+}
+
+impl Default for WordSum {
+    fn default() -> Self {
+        WordSum {
+            h: WORD_SUM_SEED,
+            len: 0,
+            carry: [0; 8],
+            carried: 0,
+        }
+    }
+}
+
+impl WordSum {
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.carried > 0 {
+            let n = (8 - self.carried).min(bytes.len());
+            self.carry[self.carried..self.carried + n].copy_from_slice(&bytes[..n]);
+            self.carried += n;
+            bytes = &bytes[n..];
+            if self.carried < 8 {
+                return;
+            }
+            self.h = word_step(self.h, u64::from_le_bytes(self.carry));
+            self.carried = 0;
+        }
+        let words = bytes.chunks_exact(8);
+        let rest = words.remainder();
+        self.h = words.fold(self.h, |h, w| {
+            word_step(h, w.try_into().map_or(0, u64::from_le_bytes))
         });
-    };
-    let mut out = Vec::with_capacity(FIXED_PREFIX + kind.len() + FIXED_SUFFIX);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.push(kind_len);
-    out.extend_from_slice(kind.as_bytes());
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&word_sum64(payload).to_le_bytes());
-    Ok(out)
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.carried = rest.len();
+    }
+
+    /// The sum of every byte folded in: [`word_sum64`] of their
+    /// concatenation.
+    fn finish(&self) -> u64 {
+        let mut tail = [0u8; 8];
+        tail[..self.carried].copy_from_slice(&self.carry[..self.carried]);
+        word_step(word_step(self.h, u64::from_le_bytes(tail)), self.len)
+    }
+}
+
+/// A container's kind tag and payload version: what its header says
+/// besides the payload's length and sum.
+#[derive(Debug, Clone, Copy)]
+struct Head<'a> {
+    kind: &'a str,
+    kind_len: u8,
+    version: u32,
+}
+
+impl<'a> Head<'a> {
+    fn new(kind: &'a str, version: u32) -> Result<Self, SnapshotError> {
+        let Ok(kind_len) = u8::try_from(kind.len()) else {
+            return Err(SnapshotError::Malformed {
+                what: format!("kind tag too long ({} bytes, max 255)", kind.len()),
+            });
+        };
+        Ok(Head {
+            kind,
+            kind_len,
+            version,
+        })
+    }
+
+    fn len(&self) -> usize {
+        FIXED_PREFIX + self.kind.len() + FIXED_SUFFIX
+    }
+
+    /// The header of a payload of `len` bytes summing to `sum`.
+    fn bytes(&self, len: u64, sum: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.push(self.kind_len);
+        out.extend_from_slice(self.kind.as_bytes());
+        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
 }
 
 /// Decode a snapshot container of either version, checking magic, kind,
@@ -291,15 +387,95 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// best-effort, so a failed write leaves the destination untouched and
 /// no stray `*.tmp` behind.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    write_parts(path, &[bytes], None)
+    write_parts(path, None, None, |body| body.payload(bytes))
 }
 
-/// [`write_atomic`] of the concatenation of `parts`, which is never
-/// built: a snapshot's header and payload go to the file one after the
-/// other. `fault` is this write's injected fault, if any.
-fn write_parts(path: &Path, parts: &[&[u8]], fault: Option<IoFault>) -> Result<(), SnapshotError> {
+/// Bytes of compact text a streamed [`Wire`] payload buffers before
+/// they go to the file.
+const SPILL_AT: usize = 64 * 1024;
+
+/// The temp file a write streams into. Every byte goes through
+/// [`Body::raw`], which lands at most `room` of them (a torn write's
+/// budget), and every payload byte through [`Body::payload`], which
+/// also folds it into the sum the header is written with. The first
+/// error is kept, and nothing is written after it.
+struct Body {
+    file: std::fs::File,
+    sum: WordSum,
+    room: usize,
+    err: Option<std::io::Error>,
+}
+
+impl Body {
+    fn raw(&mut self, bytes: &[u8]) {
+        if self.err.is_none() {
+            let n = bytes.len().min(self.room);
+            self.room -= n;
+            self.err = self.file.write_all(&bytes[..n]).err();
+        }
+    }
+
+    fn payload(&mut self, bytes: &[u8]) {
+        self.sum.update(bytes);
+        self.raw(bytes);
+    }
+}
+
+/// A [`Wire`] value's compact text on its way into a [`Body`]: printed
+/// into a buffer that is drained into the file whenever it holds
+/// [`SPILL_AT`] bytes, so the whole text never exists.
+struct Spill<'a> {
+    text: CompactText,
+    body: &'a mut Body,
+}
+
+impl Spill<'_> {
+    fn drain(&mut self) {
+        let buf = self.text.buffer();
+        self.body.payload(buf.as_bytes());
+        buf.clear();
+    }
+}
+
+/// The [`Sink`] methods of [`Spill`]: print, then drain a full buffer.
+macro_rules! spilled {
+    ($($event:ident($($arg:ident: $t:ty),*)),* $(,)?) => {$(
+        fn $event(&mut self, $($arg: $t),*) {
+            self.text.$event($($arg),*);
+            if self.text.buffer().len() >= SPILL_AT {
+                self.drain();
+            }
+        }
+    )*};
+}
+
+impl Sink for Spill<'_> {
+    spilled!(
+        null(),
+        bool(b: bool),
+        num(x: f64),
+        str(s: &str),
+        hex(bits: u64),
+        begin_arr(),
+        end_arr(),
+        begin_obj(),
+        key(k: &str),
+        end_obj(),
+    );
+}
+
+/// The one snapshot writer: the payload `fill` puts into a temp file,
+/// behind the container header `head` (none for raw bytes), made
+/// durable and renamed over `path`. `fault` is this write's injected
+/// fault, if any.
+fn write_parts(
+    path: &Path,
+    head: Option<Head<'_>>,
+    fault: Option<IoFault>,
+    fill: impl FnOnce(&mut Body),
+) -> Result<(), SnapshotError> {
     let tmp = tmp_path(path);
-    let result = write_parts_inner(path, &tmp, parts, fault);
+    let result = write_parts_inner(path, &tmp, head, fault, fill);
     if result.is_err() {
         // Best-effort: the partial temp file is garbage whether the
         // failure was a short write or a failed rename. Ignoring the
@@ -314,8 +490,9 @@ fn write_parts(path: &Path, parts: &[&[u8]], fault: Option<IoFault>) -> Result<(
 fn write_parts_inner(
     path: &Path,
     tmp: &Path,
-    parts: &[&[u8]],
+    head: Option<Head<'_>>,
     fault: Option<IoFault>,
+    fill: impl FnOnce(&mut Body),
 ) -> Result<(), SnapshotError> {
     let io_err = |p: &Path, source: std::io::Error| SnapshotError::Io {
         path: p.to_path_buf(),
@@ -324,29 +501,47 @@ fn write_parts_inner(
     if fault == Some(IoFault::WriteEnospc) {
         return Err(io_err(tmp, crate::faults::enospc()));
     }
-    // A torn write lands this many bytes of the concatenation, then
-    // the device runs out of space.
-    let mut room = match fault {
-        Some(IoFault::WritePartial { keep }) => keep,
-        _ => usize::MAX,
-    };
     #[expect(
         clippy::disallowed_methods,
         reason = "this is the atomic write every snapshot writer routes through, \
                   and `fault` above is this write's injected fault"
     )]
-    let mut file = std::fs::File::create(tmp).map_err(|e| io_err(tmp, e))?;
-    for part in parts {
-        let n = part.len().min(room);
-        file.write_all(&part[..n]).map_err(|e| io_err(tmp, e))?;
-        room -= n;
+    let file = std::fs::File::create(tmp).map_err(|e| io_err(tmp, e))?;
+    let mut body = Body {
+        file,
+        sum: WordSum::default(),
+        // A torn write lands this many bytes of the file, then the
+        // device runs out of space.
+        room: match fault {
+            Some(IoFault::WritePartial { keep }) => keep,
+            _ => usize::MAX,
+        },
+        err: None,
+    };
+    // The header's bytes are reserved until the payload's length and
+    // sum are known.
+    if let Some(head) = head {
+        body.raw(&vec![0; head.len()]);
     }
-    match fault {
-        Some(IoFault::WritePartial { .. }) => return Err(io_err(tmp, crate::faults::enospc())),
-        // The bytes are written but the barrier fails: the rename is
-        // never attempted, and the destination keeps its old contents.
-        Some(IoFault::FsyncFail) => return Err(io_err(tmp, crate::faults::eio())),
-        _ => {}
+    fill(&mut body);
+    let Body {
+        mut file, sum, err, ..
+    } = body;
+    if let Some(e) = err {
+        return Err(io_err(tmp, e));
+    }
+    if matches!(fault, Some(IoFault::WritePartial { .. })) {
+        return Err(io_err(tmp, crate::faults::enospc()));
+    }
+    if let Some(head) = head {
+        file.seek(SeekFrom::Start(0))
+            .and_then(|_| file.write_all(&head.bytes(sum.len, sum.finish())))
+            .map_err(|e| io_err(tmp, e))?;
+    }
+    // The bytes are written but the barrier fails: the rename is never
+    // attempted, and the destination keeps its old contents.
+    if fault == Some(IoFault::FsyncFail) {
+        return Err(io_err(tmp, crate::faults::eio()));
     }
     file.sync_all().map_err(|e| io_err(tmp, e))?;
     drop(file);
@@ -374,7 +569,8 @@ pub fn write_snapshot_atomic(
     version: u32,
     payload: &[u8],
 ) -> Result<(), SnapshotError> {
-    write_parts(path, &[&header(kind, version, payload)?, payload], None)
+    let head = Head::new(kind, version)?;
+    write_parts(path, Some(head), None, |body| body.payload(payload))
 }
 
 /// The snapshot read: `fault` (this read's injected fault, if any)
@@ -442,8 +638,30 @@ impl FaultHandle {
         version: u32,
         payload: &[u8],
     ) -> Result<(), SnapshotError> {
-        let header = header(kind, version, payload)?;
-        write_parts(path, &[&header, payload], self.next_write())
+        let head = Head::new(kind, version)?;
+        write_parts(path, Some(head), self.next_write(), |body| {
+            body.payload(payload);
+        })
+    }
+
+    /// [`FaultHandle::write_snapshot_atomic`] of `value`'s compact text
+    /// ([`Wire::compact`]), streamed: the text is never whole in memory.
+    pub fn write_wire_snapshot(
+        &self,
+        path: &Path,
+        kind: &str,
+        version: u32,
+        value: &impl Wire,
+    ) -> Result<(), SnapshotError> {
+        let head = Head::new(kind, version)?;
+        write_parts(path, Some(head), self.next_write(), |body| {
+            let mut spill = Spill {
+                text: CompactText::default(),
+                body,
+            };
+            value.emit(&mut spill);
+            spill.drain();
+        })
     }
 
     /// [`read_snapshot`], faulted by this handle's schedule.
@@ -482,10 +700,18 @@ mod tests {
     use super::*;
     use crate::wire::Wire;
 
-    /// A whole container in memory: the bytes `write_snapshot_atomic`
-    /// puts on disk.
+    /// A whole container in memory, built in one piece from the layout
+    /// in the module doc: the bytes `write_snapshot_atomic` must put on
+    /// disk.
     fn encode(kind: &str, version: u32, payload: &[u8]) -> Vec<u8> {
-        [header(kind, version, payload).unwrap(), payload.to_vec()].concat()
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.push(u8::try_from(kind.len()).unwrap());
+        out.extend_from_slice(kind.as_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&word_sum64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
     }
 
     /// The same container as the previous version writes it.
@@ -723,6 +949,63 @@ mod tests {
                 Err(SnapshotError::BadMagic)
             ));
         }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_word_sum_folded_in_pieces_is_the_one_shot_sum(
+            payload in proptest::collection::vec(0u8..=255, 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(payload.len())).collect();
+            cuts.push(payload.len());
+            cuts.sort_unstable();
+            let mut sum = WordSum::default();
+            let mut at = 0;
+            for cut in cuts {
+                sum.update(&payload[at..cut]);
+                at = cut;
+            }
+            proptest::prop_assert_eq!(sum.finish(), word_sum64(&payload));
+        }
+    }
+
+    /// Write `value` the way the service's state dir does and check the
+    /// file against the container built in one piece from its compact
+    /// text.
+    fn assert_streamed(path: &Path, value: &impl Wire, what: &str) {
+        FaultHandle::default()
+            .write_wire_snapshot(path, "k", 1, value)
+            .unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let text = value.compact();
+        assert!(bytes == encode("k", 1, text.as_bytes()), "{what}");
+        assert_eq!(decode(&bytes, "k", 1).unwrap(), text.as_bytes(), "{what}");
+    }
+
+    #[test]
+    fn streamed_snapshots_are_the_container_built_in_one_piece() {
+        let path = tmp_dir().join("streamed.snap");
+        let lens = (0..=24)
+            .chain(SPILL_AT - 12..=SPILL_AT + 12)
+            .chain([3 * SPILL_AT + 5]);
+        for len in lens {
+            let raw: Vec<u8> = (0..len)
+                .map(|i| u8::try_from(i * 131 % 251).unwrap())
+                .collect();
+            write_snapshot_atomic(&path, "k", 1, &raw).unwrap();
+            assert!(
+                std::fs::read(&path).unwrap() == encode("k", 1, &raw),
+                "{len} raw bytes"
+            );
+            // One string event of `len + 2` bytes, drained whole ...
+            assert_streamed(&path, &"x".repeat(len), &format!("a {len}-byte string"));
+            // ... and strings of 0 to 12 bytes, so drains end anywhere in
+            // a word.
+            let pieces: Vec<String> = (0..len / 7).map(|i| "y".repeat(i % 13)).collect();
+            assert_streamed(&path, &pieces, &format!("{} short strings", pieces.len()));
+        }
+        assert!(tmp_debris(&path).is_empty(), "temp file left behind");
     }
 
     #[test]

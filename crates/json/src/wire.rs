@@ -8,6 +8,7 @@
 //! | `bool`, `String` | `Bool`, `Str` | |
 //! | `Option<T>` | `null` or `T`'s form | |
 //! | `Vec<T>` | array | |
+//! | `Arc<T>` | `T`'s form | a checkpoint shares the solver's iterate |
 //! | `(A, B)` | 2-element array | |
 //! | [`wire_record!`] struct | object, keys in field-list order | the printer keeps insertion order, so the bytes are canonical |
 //! | [`wire_names!`] unit enum | `Str` of its `name()` | |
@@ -70,6 +71,7 @@ use crate::{
 };
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A type with one JSON form, fixed by the table in the module doc.
 pub trait Wire: Sized {
@@ -161,6 +163,11 @@ impl<const PRETTY: bool> Text<PRETTY> {
     #[must_use]
     pub fn finish(self) -> String {
         self.out
+    }
+
+    /// The text printed so far, for a writer that drains it as it goes.
+    pub(crate) fn buffer(&mut self) -> &mut String {
+        &mut self.out
     }
 
     /// Start a container item: a comma unless it is the first, then,
@@ -616,6 +623,15 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
         dec_seq(r, T::read)
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        T::emit(self, out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::read(r).map(Arc::new)
     }
 }
 

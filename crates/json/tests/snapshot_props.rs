@@ -10,9 +10,12 @@
 )]
 
 use proptest::prelude::*;
+use std::path::Path;
+use vod_json::faults::FaultHandle;
+use vod_json::reader::Reader;
 use vod_json::snapshot::{self, SnapshotError};
-use vod_json::wire::Wire;
-use vod_json::Value;
+use vod_json::wire::{Sink, Wire, WireError};
+use vod_json::{strip_layout, Value};
 
 /// Encode a snapshot via the public file API (temp file round trip).
 fn valid_snapshot(kind: &str, version: u32, payload: &[u8]) -> Vec<u8> {
@@ -102,4 +105,79 @@ proptest! {
             prop_assert!(text.is_ok_and(|t| Value::parse(t).is_ok()));
         }
     }
+}
+
+/// A parsed document as a [`Wire`] value, emitted node by node, so any
+/// golden can go down the typed payloads' write path. Write-only.
+struct Doc(Value);
+
+fn walk<S: Sink>(v: &Value, out: &mut S) {
+    match v {
+        Value::Null => out.null(),
+        Value::Bool(b) => out.bool(*b),
+        Value::Num(x) => out.num(*x),
+        Value::Str(s) => out.str(s),
+        Value::Arr(items) => {
+            out.begin_arr();
+            for x in items {
+                walk(x, out);
+            }
+            out.end_arr();
+        }
+        Value::Obj(fields) => {
+            out.begin_obj();
+            for (k, x) in fields {
+                out.key(k);
+                walk(x, out);
+            }
+            out.end_obj();
+        }
+    }
+}
+
+impl Wire for Doc {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        walk(&self.0, out);
+    }
+    fn read(_: &mut Reader<'_>) -> Result<Self, WireError> {
+        Err(WireError::new("write-only"))
+    }
+}
+
+/// Every payload golden of the workspace, streamed into a snapshot the
+/// way the service's state dir writes one, reads back as the golden's
+/// compact text.
+#[test]
+fn every_golden_payload_streams_to_its_compact_text() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let dir = std::env::temp_dir().join(format!("vod-snap-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("golden.snap");
+    let mut seen = 0;
+    for goldens in ["core/tests/golden", "ops/tests/golden"] {
+        for entry in std::fs::read_dir(crates.join(goldens)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = Doc(Value::parse(&text).unwrap());
+            FaultHandle::default()
+                .write_wire_snapshot(&snap, "golden", 1, &doc)
+                .unwrap();
+            let payload = snapshot::read_snapshot(&snap, "golden", 1).unwrap();
+            assert_eq!(
+                String::from_utf8(payload).unwrap(),
+                strip_layout(&text),
+                "{}",
+                path.display()
+            );
+            seen += 1;
+        }
+    }
+    assert_eq!(
+        seen, 6,
+        "the checkpoint, fractional, placement and state goldens"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -150,8 +150,9 @@ pub enum StepOutcome {
         attempt: u32,
         backoff_ms: u64,
     },
-    /// A persisted inter-stage artifact was missing, corrupt or stale;
-    /// the service stepped back to the stage that regenerates it.
+    /// A persisted inter-stage artifact was missing, corrupt or stale.
+    /// `stage` is the stage that found it so, not the one the service
+    /// stepped back to, which regenerates it.
     Retreated { cycle: usize, stage: StageId },
     /// The cycle exhausted a stage's retries (or failed validation)
     /// and fell back to the last-good placement.
@@ -483,9 +484,15 @@ impl StateDir {
         self.io.read_snapshot(&self.root.join(name), kind, version)
     }
 
-    fn write(&self, Snap(name, kind, version): Snap, payload: &[u8]) -> Result<(), SnapshotError> {
+    /// Stream `payload`'s compact text into the snapshot: the text is
+    /// never whole in memory.
+    fn write(
+        &self,
+        Snap(name, kind, version): Snap,
+        payload: &impl Wire,
+    ) -> Result<(), SnapshotError> {
         self.io
-            .write_snapshot_atomic(&self.root.join(name), kind, version, payload)
+            .write_wire_snapshot(&self.root.join(name), kind, version, payload)
     }
 
     /// Best-effort: a file that is already gone is what was asked for.
@@ -807,7 +814,7 @@ impl Service {
                 .and_then(|ck| remap_checkpoint(ck, &inst, &epf).ok());
             match remapped {
                 Some(ck) => {
-                    let _ = self.dir.write(Snap::CHECKPOINT, &ck.to_bytes());
+                    let _ = self.dir.write(Snap::CHECKPOINT, &ck);
                 }
                 None => self.dir.remove(Snap::CHECKPOINT),
             }
@@ -913,7 +920,7 @@ impl Service {
             // A failed checkpoint write degrades crash recovery (the
             // resume point stays older) but never correctness, so it
             // is deliberately not a solve failure.
-            let _ = dir.write(Snap::CHECKPOINT, &ck.to_bytes());
+            let _ = dir.write(Snap::CHECKPOINT, &ck);
         };
         let start = Start {
             prior: prior.as_ref(),
@@ -979,10 +986,7 @@ impl Service {
                 // memory, and a crash before the retry lands falls
                 // back to the deterministic retreat-to-solve
                 // recompute.
-                match self
-                    .dir
-                    .write(Snap::FRACTIONAL, artifact.compact().as_bytes())
-                {
+                match self.dir.write(Snap::FRACTIONAL, &artifact) {
                     Ok(()) => self.mem_fractional = None,
                     Err(e) => {
                         self.note_snapshot_failure(format!("persist fractional: {e}"));
@@ -1241,7 +1245,7 @@ impl Service {
     /// durable state current again — replaying from an older snapshot
     /// is deterministic, so nothing is lost but recomputation.
     fn persist(&mut self) -> Result<(), OpsError> {
-        match self.dir.write(Snap::STATE, self.state.compact().as_bytes()) {
+        match self.dir.write(Snap::STATE, &self.state) {
             Ok(()) => {
                 self.dirty = false;
                 self.last_snapshot_error = None;
