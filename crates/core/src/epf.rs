@@ -409,14 +409,16 @@ pub(crate) fn build_ufl_into(
                 }
                 cost
             })),
-            // Lane backends stream the arena's contiguous client-major
-            // rows: base objective cost elementwise, then one axpy per
-            // active window (t-ascending per element — the exact addend
-            // order of the scalar closure above).
+            // Lane backends stream contiguous client-major rows: the
+            // instance's cost row scaled elementwise (`scale · c` is the
+            // scalar closure's left-to-right product), then one axpy per
+            // active window over the arena (t-ascending per element —
+            // the exact addend order of the scalar closure above).
             _ => {
                 let row = out.push_service_row_zeroed();
-                for (iv, slot) in inst.network.vho_ids().zip(row.iter_mut()) {
-                    *slot = duals.obj * client.demand_gb * inst.cost(iv, client.j);
+                let scale = duals.obj * client.demand_gb;
+                for (slot, &c) in row.iter_mut().zip(inst.cost_row(client.j)) {
+                    *slot = scale * c;
                 }
                 for (t, &rate) in client.rate.iter().enumerate() {
                     if rate != 0.0 {
@@ -437,6 +439,11 @@ pub(crate) fn build_ufl_into(
 /// corrective variant and speeds up objective convergence markedly.
 /// Prices come from the arena's own dual snapshot (`arena.duals()`);
 /// `costs` and `out` are caller-owned scratch reused across blocks.
+///
+/// The fill usually stops after one or two facilities, so it selects
+/// them one at a time — the least remaining `(cost, id)`, a total order
+/// over unique ids — instead of sorting the whole list: the picks come
+/// in the sorted order, and the first is the global argmin.
 pub(crate) fn greedy_x_given_y<'a>(
     inst: &MipInstance,
     data: &VideoBlock,
@@ -449,9 +456,10 @@ pub(crate) fn greedy_x_given_y<'a>(
     out.fill(y, data.clients.len(), |c, dist| {
         let client = &data.clients[c];
         let j = client.j.index();
+        let c_row = inst.cost_row(client.j);
         costs.clear();
         costs.extend(y.iter().filter(|&&(_, yv)| yv > 0.0).map(|&(i, yv)| {
-            let mut cost = duals.obj * client.demand_gb * inst.cost(i, client.j);
+            let mut cost = duals.obj * client.demand_gb * c_row[i.index()];
             for (t, &rate) in client.rate.iter().enumerate() {
                 if rate != 0.0 {
                     cost += rate * arena.at(t, i.index(), j);
@@ -459,14 +467,13 @@ pub(crate) fn greedy_x_given_y<'a>(
             }
             (cost, i, yv)
         }));
-        // `(cost, id)` is a total order over unique ids: the
-        // unstable sort returns the stable sort's order.
-        costs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut remaining = 1.0f64;
-        for &(_, i, yv) in costs.iter() {
+        for k in 0..costs.len() {
             if remaining <= 0.0 {
                 break;
             }
+            select_least(&mut costs[k..]);
+            let (_, i, yv) = costs[k];
             let take = yv.min(remaining);
             if take > 0.0 {
                 dist.push((i, take));
@@ -486,6 +493,18 @@ pub(crate) fn greedy_x_given_y<'a>(
         }
         dist.sort_by_key(|&(i, _)| i);
     })
+}
+
+/// Move the least `(cost, id)` entry of `costs` to its front.
+fn select_least(costs: &mut [(f64, vod_model::VhoId, f64)]) {
+    let mut best = 0;
+    for (k, e) in costs.iter().enumerate().skip(1) {
+        let b = &costs[best];
+        if e.0.total_cmp(&b.0).then(e.1.cmp(&b.1)).is_lt() {
+            best = k;
+        }
+    }
+    costs.swap(0, best);
 }
 
 /// Start the Lagrangian lower bound `LR(λ̄)` with the smoothed duals
@@ -1156,6 +1175,12 @@ pub(crate) fn solve_with_pool(
                                 &mut greedy_costs,
                                 &mut corrective_buf,
                             );
+                            // A corrective equal to the block has no row
+                            // delta and `dobj == 0.0`, so its line search
+                            // has no terms and returns exactly 0.0.
+                            if *corrective == iterate[m] {
+                                continue;
+                            }
                             let dobj = block_delta(
                                 inst,
                                 &layout,
@@ -1617,6 +1642,188 @@ pub(crate) mod tests {
         // row whose first addend is `-0.0` into `-0.0`).
         assert!(zero_sums > 100, "{zero_sums} rows summing to 0");
         assert!(neg_zero > 100, "{neg_zero} -0.0 addends");
+    }
+
+    /// The sort-based re-routing that `greedy_x_given_y`'s lazy
+    /// selection replaced: the oracle of its picks, their order and
+    /// where the residue lands.
+    fn greedy_x_given_y_sorted(
+        inst: &MipInstance,
+        data: &VideoBlock,
+        y: &[(vod_model::VhoId, f64)],
+        arena: &PenaltyArena,
+    ) -> BlockSolution {
+        let duals = arena.duals();
+        let mut costs: Vec<(f64, vod_model::VhoId, f64)> = Vec::new();
+        let mut out = BlockBuf::default();
+        out.fill(y, data.clients.len(), |c, dist| {
+            let client = &data.clients[c];
+            let j = client.j.index();
+            costs.clear();
+            costs.extend(y.iter().filter(|&&(_, yv)| yv > 0.0).map(|&(i, yv)| {
+                let mut cost = duals.obj * client.demand_gb * inst.cost(i, client.j);
+                for (t, &rate) in client.rate.iter().enumerate() {
+                    if rate != 0.0 {
+                        cost += rate * arena.at(t, i.index(), j);
+                    }
+                }
+                (cost, i, yv)
+            }));
+            costs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut remaining = 1.0f64;
+            for &(_, i, yv) in costs.iter() {
+                if remaining <= 0.0 {
+                    break;
+                }
+                let take = yv.min(remaining);
+                if take > 0.0 {
+                    dist.push((i, take));
+                    remaining -= take;
+                }
+            }
+            if remaining > 1e-12 {
+                if let Some(&(_, fi, _)) = costs.first() {
+                    if let Some(e) = dist.iter_mut().find(|e| e.0 == fi) {
+                        e.1 += remaining;
+                    } else {
+                        dist.push((fi, remaining));
+                    }
+                }
+            }
+            dist.sort_by_key(|&(i, _)| i);
+        })
+        .clone()
+    }
+
+    fn entry_bits(e: &[(vod_model::VhoId, f64)]) -> Vec<(vod_model::VhoId, u64)> {
+        e.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    /// A re-routing case: one of the instance's blocks with redrawn
+    /// weights and rates, a `y` over a random support and an arena
+    /// priced at random duals. Coarse grids make cost ties common (all
+    /// of them at `π_0 = 0` with zero link duals); `y` has zero entries,
+    /// fills over several facilities, and with probability 1/3 a mass
+    /// just under 1, which leaves a residue.
+    fn greedy_case(
+        inst: &MipInstance,
+        layout: &RowLayout,
+        seed: u64,
+    ) -> (VideoBlock, Vec<(vod_model::VhoId, f64)>, PenaltyArena) {
+        use rand::Rng;
+        let mut rng = vod_model::rng::rng_from_seed(seed);
+        let mut data = inst.blocks()[rng.gen_range(0..inst.n_videos())].clone();
+        for c in &mut data.clients {
+            c.demand_gb = [0.0, 1.0, 2.5, rng.gen::<f64>()][rng.gen_range(0..4usize)];
+            for r in &mut c.rate {
+                *r = [0.0, 0.5, 1.0, rng.gen::<f64>()][rng.gen_range(0..4usize)];
+            }
+        }
+        let dual_mode = rng.gen_range(0..3u32);
+        let rows = (0..layout.n_rows())
+            .map(|_| match dual_mode {
+                0 => 0.0,
+                1 => [0.0, 0.25, 1.0][rng.gen_range(0..3usize)],
+                _ => rng.gen::<f64>(),
+            })
+            .collect();
+        let obj = [0.0, 1.0, rng.gen::<f64>()][rng.gen_range(0..3usize)];
+        let arena =
+            PenaltyArena::for_duals(inst, layout, &Duals::new(rows, obj), Kernel::default());
+        let mut y: Vec<(vod_model::VhoId, f64)> = inst
+            .network
+            .vho_ids()
+            .filter_map(|i| {
+                let v = match rng.gen_range(0..8u32) {
+                    0..=3 => return None,
+                    4 => 0.0,
+                    5 => 1.0,
+                    6 => f64::from(rng.gen_range(1..5u32)) * 0.125,
+                    _ => rng.gen::<f64>(),
+                };
+                Some((i, v))
+            })
+            .collect();
+        if rng.gen_range(0..3u32) == 0 {
+            let mass: f64 = y.iter().map(|e| e.1).sum();
+            if mass > 0.0 {
+                for e in &mut y {
+                    e.1 = e.1 / mass * (1.0 - 1e-9);
+                }
+            }
+        }
+        (data, y, arena)
+    }
+
+    fn greedy_setup() -> &'static (MipInstance, RowLayout) {
+        static SETUP: std::sync::OnceLock<(MipInstance, RowLayout)> = std::sync::OnceLock::new();
+        SETUP.get_or_init(|| {
+            let inst = small_instance(40, 2.0, 1.0, 12);
+            let layout = layout_of(&inst);
+            (inst, layout)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Lazy selection picks the sort's facilities in the sort's
+        /// order and puts the residue where the sort did: every bit of
+        /// the re-routed block is the sort-based one's.
+        #[test]
+        fn greedy_selection_matches_the_sort(seed in proptest::prelude::any::<u64>()) {
+            let (inst, layout) = greedy_setup();
+            let (data, y, arena) = greedy_case(inst, layout, seed);
+            let want = greedy_x_given_y_sorted(inst, &data, &y, &arena);
+            let (mut costs, mut buf) = (Vec::new(), BlockBuf::default());
+            let got = greedy_x_given_y(inst, &data, &y, &arena, &mut costs, &mut buf);
+            proptest::prop_assert_eq!(entry_bits(&got.y), entry_bits(&want.y));
+            proptest::prop_assert_eq!(got.x.n_clients(), want.x.n_clients());
+            for c in 0..want.x.n_clients() {
+                proptest::prop_assert_eq!(
+                    entry_bits(got.x.dist(c)),
+                    entry_bits(want.x.dist(c)),
+                    "client {}", c
+                );
+            }
+        }
+    }
+
+    /// The premise of skipping a corrective step equal to the block: the
+    /// step's delta has no rows and `dobj == 0.0`, and its line search
+    /// returns exactly 0.0, with and without an objective target.
+    #[test]
+    fn an_unchanged_block_has_no_delta_and_no_step() {
+        use rand::Rng;
+        let (inst, layout) = greedy_setup();
+        let v = inst.n_vhos();
+        let blocks: Vec<_> = inst.blocks().iter().map(|b| initial_block(b, v)).collect();
+        let (usage, obj) = compute_state(inst, layout, &blocks);
+        let couplings = [None, Some(0.5 * obj)].map(|target| {
+            let mut c = Coupling::new(*layout, caps_of(inst, layout), 1.0, target);
+            c.set_state(usage.clone(), obj);
+            c.init_scale(0.01);
+            c
+        });
+        let mut rng = vod_model::rng::rng_from_seed(50);
+        let (mut acc, mut terms) = (RowAcc::default(), Vec::new());
+        let (mut costs, mut buf) = (Vec::new(), BlockBuf::default());
+        for case in 0..2000 {
+            let (data, y, arena) = greedy_case(inst, layout, case);
+            let cur = if rng.gen_range(0..2u32) == 0 {
+                random_block(&mut rng, v, data.clients.len())
+            } else {
+                greedy_x_given_y(inst, &data, &y, &arena, &mut costs, &mut buf).clone()
+            };
+            let corrective = cur.clone();
+            let dobj = block_delta(inst, layout, &data, &cur, &corrective, &mut acc);
+            assert!(acc.rows().is_empty(), "case {case}: {:?}", acc.rows());
+            assert_eq!(dobj.to_bits(), 0.0f64.to_bits(), "case {case}");
+            for c in &couplings {
+                let tau = c.line_search(acc.rows(), dobj, &mut terms);
+                assert_eq!(tau.to_bits(), 0.0f64.to_bits(), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -125,13 +125,17 @@ pub struct VideoBlock {
 #[derive(Debug)]
 pub struct MipInstance {
     pub network: Network,
-    pub paths: PathSet,
     pub catalog: Catalog,
     pub demand: DemandInput,
     pub disks: Vec<Gigabytes>,
-    /// Transfer-cost coefficients of eq. (1).
-    pub alpha: f64,
-    pub beta: f64,
+    /// The routing and the transfer-cost coefficients of eq. (1),
+    /// read-only outside the crate: `costs` is derived from them once.
+    pub(crate) paths: PathSet,
+    pub(crate) alpha: f64,
+    pub(crate) beta: f64,
+    /// `c_ij` client-major: `costs[j·n + i]`, so one client's costs
+    /// over every server are one contiguous row.
+    costs: Vec<f64>,
     blocks: Vec<VideoBlock>,
 }
 
@@ -243,16 +247,27 @@ impl MipInstance {
             });
         }
 
+        let costs = cost_table(&paths, alpha, beta);
         Self {
             network,
-            paths,
             catalog,
             demand,
             disks,
+            paths,
             alpha,
             beta,
+            costs,
             blocks,
         }
+    }
+
+    /// The same instance routed by `paths` instead, its cost table
+    /// rebuilt: for tests that hand the solver a foreign routing.
+    #[cfg(test)]
+    pub(crate) fn with_paths(mut self, paths: PathSet) -> Self {
+        self.costs = cost_table(&paths, self.alpha, self.beta);
+        self.paths = paths;
+        self
     }
 
     #[inline]
@@ -280,10 +295,35 @@ impl MipInstance {
         &self.blocks[m.index()]
     }
 
+    /// The fixed routing `P_ij`.
+    #[inline]
+    pub fn paths(&self) -> &PathSet {
+        &self.paths
+    }
+
+    /// Transfer-cost coefficient `α` of eq. (1).
+    #[inline]
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// Transfer-cost coefficient `β` of eq. (1).
+    #[inline]
+    pub fn beta(&self) -> f64 {
+        self.beta
+    }
+
     /// Transfer cost `c_ij` of eq. (1).
     #[inline]
     pub fn cost(&self, server: VhoId, client: VhoId) -> f64 {
-        self.paths.cost(server, client, self.alpha, self.beta)
+        self.costs[client.index() * self.n_vhos() + server.index()]
+    }
+
+    /// `c_ij` of client `j` for every server `i`, indexed by `i`.
+    #[inline]
+    pub fn cost_row(&self, client: VhoId) -> &[f64] {
+        let n = self.n_vhos();
+        &self.costs[client.index() * n..][..n]
     }
 
     /// Aggregate disk across all VHOs.
@@ -303,6 +343,15 @@ impl MipInstance {
         }
         Ok(())
     }
+}
+
+/// `c_ij = α·|P_ij| + β` for every pair, client-major, each entry
+/// computed by [`PathSet::cost`] itself.
+fn cost_table(paths: &PathSet, alpha: f64, beta: f64) -> Vec<f64> {
+    let ids = vod_model::ids::all_vhos(paths.num_nodes());
+    ids.clone()
+        .flat_map(|j| ids.clone().map(move |i| paths.cost(i, j, alpha, beta)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -387,6 +436,27 @@ mod tests {
         assert!((total_gb - expect).abs() < 1e-6);
     }
 
+    /// An instance on `net` with no demand, priced at `alpha`, `beta`;
+    /// every VHO's disk holds the whole library.
+    fn demand_free(net: vod_net::Network, alpha: f64, beta: f64) -> MipInstance {
+        let catalog = synthesize_library(&LibraryConfig::default_for(20, 7, 1));
+        let (m, v) = (catalog.len(), net.num_nodes());
+        let demand = DemandInput {
+            aggregate: vod_trace::DemandMatrix::zeros(m, v),
+            windows: vec![],
+            active: vec![],
+        };
+        MipInstance::new(
+            net,
+            catalog,
+            demand,
+            &DiskConfig::UniformRatio { ratio: v as f64 },
+            alpha,
+            beta,
+            None,
+        )
+    }
+
     #[test]
     fn cost_matches_paths() {
         let inst = tiny_instance(2.0);
@@ -397,6 +467,26 @@ mod tests {
             inst.paths.hops(i, j) as f64 * inst.alpha + inst.beta
         );
         assert_eq!(inst.cost(j, j), inst.beta);
+
+        // The cost table holds every pair's `PathSet::cost` bit for bit,
+        // and a client's row is its costs indexed by server.
+        for (net, alpha, beta) in [
+            (topologies::tiscali(), 1.0, 0.0),
+            (topologies::ladder_mesh(100), 1.0, 0.0),
+            (topologies::backbone55(), 1.0, 0.0),
+            (topologies::backbone55(), 0.3, 0.7),
+        ] {
+            let inst = demand_free(net, alpha, beta);
+            for j in inst.network.vho_ids() {
+                let row = inst.cost_row(j);
+                assert_eq!(row.len(), inst.n_vhos());
+                for i in inst.network.vho_ids() {
+                    let want = inst.paths().cost(i, j, alpha, beta);
+                    assert_eq!(inst.cost(i, j).to_bits(), want.to_bits(), "c({i}, {j})");
+                    assert_eq!(row[i.index()].to_bits(), want.to_bits(), "row {j}[{i}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -421,10 +421,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "routing is not prefix-closed")]
     fn foreign_routing_table_is_refused() {
-        let (mut inst, layout, _) = setup();
+        let (inst, layout, _) = setup();
         let other = vod_net::topologies::mesh_backbone(6, 9, 43);
         assert_eq!(other.num_links(), inst.network.num_links());
-        inst.paths = vod_net::PathSet::shortest_paths(&other);
+        let inst = inst.with_paths(vod_net::PathSet::shortest_paths(&other));
         let _ = PenaltyArena::new(&inst, &layout);
     }
 

@@ -77,7 +77,7 @@ fn naive_penalty(
         vod_model::VhoId::from_index(i),
         vod_model::VhoId::from_index(j),
     );
-    inst.paths
+    inst.paths()
         .path(iv, jv)
         .iter()
         .map(|&l| duals.rows[layout.link_row(l, t)])

@@ -723,10 +723,28 @@ mod tests {
         bytes
     }
 
-    fn tmp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("vod-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A test's own directory under the temp dir, removed when dropped.
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn new() -> Self {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("vod-snap-test-{}-{n}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        fn join(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     /// Temp-file siblings of `path` still on disk.
@@ -744,7 +762,8 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let path = tmp_dir().join("rt.snap");
+        let dir = TmpDir::new();
+        let path = dir.join("rt.snap");
         write_snapshot_atomic(&path, "test-kind", 3, b"hello payload").unwrap();
         let back = read_snapshot(&path, "test-kind", 3).unwrap();
         assert_eq!(back, b"hello payload");
@@ -758,7 +777,8 @@ mod tests {
 
     #[test]
     fn concurrent_writers_of_one_path_never_collide() {
-        let path = tmp_dir().join("contended.snap");
+        let dir = TmpDir::new();
+        let path = dir.join("contended.snap");
         let payload = |t: usize, i: usize| format!("writer {t} round {i}").into_bytes();
         std::thread::scope(|scope| {
             for t in 0..8 {
@@ -783,7 +803,8 @@ mod tests {
 
     #[test]
     fn empty_payload_round_trips() {
-        let path = tmp_dir().join("empty.snap");
+        let dir = TmpDir::new();
+        let path = dir.join("empty.snap");
         write_snapshot_atomic(&path, "k", 1, b"").unwrap();
         assert_eq!(read_snapshot(&path, "k", 1).unwrap(), Vec::<u8>::new());
     }
@@ -849,7 +870,8 @@ mod tests {
 
     #[test]
     fn json_payload_round_trips() {
-        let path = tmp_dir().join("doc.snap");
+        let dir = TmpDir::new();
+        let path = dir.join("doc.snap");
         let doc = (std::f64::consts::PI, u64::MAX - 1).enc();
         write_json_snapshot(&path, "doc", 1, &doc).unwrap();
         let back = read_json_snapshot(&path, "doc", 1).unwrap();
@@ -985,7 +1007,8 @@ mod tests {
 
     #[test]
     fn streamed_snapshots_are_the_container_built_in_one_piece() {
-        let path = tmp_dir().join("streamed.snap");
+        let dir = TmpDir::new();
+        let path = dir.join("streamed.snap");
         let lens = (0..=24)
             .chain(SPILL_AT - 12..=SPILL_AT + 12)
             .chain([3 * SPILL_AT + 5]);

@@ -10,18 +10,37 @@
 )]
 
 use proptest::prelude::*;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vod_json::faults::FaultHandle;
 use vod_json::reader::Reader;
 use vod_json::snapshot::{self, SnapshotError};
 use vod_json::wire::{Sink, Wire, WireError};
 use vod_json::{strip_layout, Value};
 
+/// A directory of its own under the temp dir, removed when dropped.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("vod-snap-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Encode a snapshot via the public file API (temp file round trip).
 fn valid_snapshot(kind: &str, version: u32, payload: &[u8]) -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("vod-snap-props-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{kind}-{version}.snap"));
+    let dir = TmpDir::new("props");
+    let path = dir.0.join(format!("{kind}-{version}.snap"));
     snapshot::write_snapshot_atomic(&path, kind, version, payload).unwrap();
     std::fs::read(&path).unwrap()
 }
@@ -150,9 +169,8 @@ impl Wire for Doc {
 #[test]
 fn every_golden_payload_streams_to_its_compact_text() {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let dir = std::env::temp_dir().join(format!("vod-snap-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("golden.snap");
+    let dir = TmpDir::new("golden");
+    let snap = dir.0.join("golden.snap");
     let mut seen = 0;
     for goldens in ["core/tests/golden", "ops/tests/golden"] {
         for entry in std::fs::read_dir(crates.join(goldens)).unwrap() {
@@ -179,5 +197,4 @@ fn every_golden_payload_streams_to_its_compact_text() {
         seen, 6,
         "the checkpoint, fractional, placement and state goldens"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
