@@ -499,9 +499,9 @@ fn service_ledger(st: &ServiceState) -> Value {
 
 // The reconfiguration drill.
 
-/// The storm both twins replay: a capacity-only squeeze (remap
-/// eligible — warm solver state survives) before cycle 1, then a
-/// topology+catalog delta (repair required) before cycle 2.
+/// The storm both twins replay: a capacity-only squeeze (the deployed
+/// placement survives and warm-starts the next solve) before cycle 1,
+/// then a topology+catalog delta (repair required) before cycle 2.
 fn storm_deltas(seed: u64) -> Vec<WorldDelta> {
     vec![
         WorldDelta {
@@ -554,7 +554,7 @@ fn io_storm() -> IoFaultPlan {
 /// where deltas are applied, so they are the reconfig drill's own.
 fn check_reconfig(t: &Twin, who: &str) {
     assert!(t.dark[1], "{who}: VHO 1 must end storage-dark");
-    // The capacity-only delta carried warm state across: recorded as a
+    // The capacity-only delta met a deployed placement: recorded as a
     // typed warm-remap recovery on its cycle.
     assert!(
         recovered(t, RecoveryAction::WarmRemap),

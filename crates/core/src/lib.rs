@@ -47,7 +47,6 @@ pub mod kernel;
 pub mod penalty;
 pub mod pool;
 pub mod potential;
-pub mod remap;
 pub mod repair;
 pub mod rounding;
 pub mod shard;
@@ -63,7 +62,6 @@ pub use instance::{DiskConfig, MipInstance, PlacementCost};
 pub use kernel::Kernel;
 pub use penalty::{PenaltyArena, PenaltyUpdate};
 pub use pool::map_ordered;
-pub use remap::{remap_checkpoint, remap_fractional, RemapError};
 pub use repair::{repair_placement, RepairMove, RepairPlan};
 pub use rounding::RoundingStats;
 pub use solution::{BlockSolution, Dists, FractionalSolution, Placement, VideoRouting};

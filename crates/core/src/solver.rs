@@ -6,7 +6,7 @@
 //! `converged == false` and honest gaps — a re-solve loop never aborts.
 //! [`solve_placement`], [`solve_fractional`] and
 //! [`solve_fractional_checkpointed`] are one-expression wrappers the
-//! benchmark harness calls (until ROADMAP 5-A).
+//! benchmark harness calls (until ROADMAP 6-A (v)).
 #![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 
 use crate::epf::{layout_of, solve_with_pool, CheckpointSpec, EpfConfig, EpfStats, Hooks, Start};
@@ -61,10 +61,8 @@ pub enum ResumeKind {
     Cold,
     /// A prior checkpoint was presented but failed validation and was
     /// discarded; the solve fell through to the warm/cold trajectory.
-    /// `reason` is the typed validation message, so callers can
-    /// distinguish a *foreign* artifact (fingerprint mismatch) from a
-    /// *remap-eligible* one (axes intact, capacities moved) instead of
-    /// losing the evidence to a silent discard.
+    /// `reason` is the validation message, so callers can record why
+    /// instead of losing the evidence to a silent discard.
     Rejected { reason: String },
 }
 
@@ -198,7 +196,7 @@ pub fn solve_placement(inst: &MipInstance, cfg: &EpfConfig) -> Result<PlacementO
 /// # Panics
 ///
 /// On every [`SolveError`]. The benchmark harness calls this form
-/// (until ROADMAP 5-A moves it to [`solve`]); library code calls
+/// (until ROADMAP 6-A (v) moves it to [`solve`]); library code calls
 /// [`solve`].
 pub fn solve_fractional(inst: &MipInstance, cfg: &EpfConfig) -> (FractionalSolution, EpfStats) {
     match solve(inst, cfg, Start::default(), Hooks::default()) {
@@ -212,7 +210,7 @@ pub fn solve_fractional(inst: &MipInstance, cfg: &EpfConfig) -> (FractionalSolut
 }
 
 /// A [`solve`] from `warm` that emits checkpoints: the benchmark
-/// harness's checkpoint probe, until ROADMAP 5-A moves it to [`solve`].
+/// harness's checkpoint probe, until ROADMAP 6-A (v) moves it to [`solve`].
 pub fn solve_fractional_checkpointed(
     inst: &MipInstance,
     cfg: &EpfConfig,

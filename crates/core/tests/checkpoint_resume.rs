@@ -7,16 +7,21 @@
 //! step-based (global passes), never wall-clock, which is what makes
 //! this identity machine-independent.
 
-#![expect(clippy::unwrap_used, reason = "test code unwraps its own fixtures")]
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test code unwraps its own fixtures and builds a raw VhoId"
+)]
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vod_core::{
-    solve, CheckpointSpec, EpfConfig, Hooks, MipInstance, ResumeKind, SolverCheckpoint, Start,
+    solve, CheckpointSpec, EpfConfig, Hooks, MipInstance, ResumeKind, Solved, SolverCheckpoint,
+    Start,
 };
-use vod_core::{DiskConfig, PlacementOutput};
-use vod_model::Mbps;
-use vod_net::topologies;
+use vod_core::{DiskConfig, Placement, PlacementOutput};
+use vod_model::{LinkId, Mbps, VhoId};
+use vod_net::{topologies, DeltaOp, Network, WorldDelta};
 use vod_trace::{
     analysis, generate_trace, synthesize_library, DemandInput, LibraryConfig, TraceConfig,
 };
@@ -24,13 +29,22 @@ use vod_trace::{
 const SEEDS: [u64; 2] = [11, 23];
 const CKPT_EVERY: u64 = 3;
 
-/// Small instance on one of two topologies (mesh vs line), per seed.
-fn instance(topology: usize, seed: u64) -> MipInstance {
+/// One of two topologies (mesh vs line), per seed.
+fn network(topology: usize, seed: u64) -> Network {
     let mut net = match topology {
         0 => topologies::mesh_backbone(6, 9, seed),
         _ => topologies::line(5),
     };
     net.set_uniform_capacity(Mbps::from_gbps(1.0));
+    net
+}
+
+/// Small instance on one of two topologies (mesh vs line), per seed.
+fn instance(topology: usize, seed: u64) -> MipInstance {
+    instance_on(network(topology, seed), seed)
+}
+
+fn instance_on(net: Network, seed: u64) -> MipInstance {
     let catalog = synthesize_library(&LibraryConfig::default_for(50, 7, seed));
     let trace = generate_trace(&catalog, &net, &TraceConfig::default_for(500.0, 7, seed));
     let windows = analysis::select_peak_windows(&trace, &catalog, 3600, 2);
@@ -203,6 +217,16 @@ fn checkpoints_at_every_pass_fold_the_bound_in_flight() {
     );
 }
 
+/// What a solve ends on, bit for bit.
+fn key(s: &Solved) -> (u64, u64, usize, u64) {
+    (
+        s.stats.objective.to_bits(),
+        s.stats.lower_bound.to_bits(),
+        s.stats.passes,
+        s.stats.block_steps,
+    )
+}
+
 /// A checkpoint from one (config, instance) pair never resumes a
 /// different one, and is never an error: the solve reports it
 /// `Rejected` and lands on exactly the bits of the same solve without
@@ -224,15 +248,60 @@ fn mismatched_checkpoint_is_rejected_and_not_resumed() {
     }
     let without = solve(inst, &other, Start::default(), Hooks::default()).unwrap();
     assert_eq!(without.kind, ResumeKind::Cold);
-    let key = |s: &vod_core::Solved| {
-        (
-            s.stats.objective.to_bits(),
-            s.stats.lower_bound.to_bits(),
-            s.stats.passes,
-            s.stats.block_steps,
-        )
-    };
     assert_eq!(key(&with), key(&without));
+}
+
+/// A capacity-only delta moves no id axis, but the checkpoint priced
+/// the old capacities: after the delta the solve rejects it, naming
+/// the fingerprint, even when a warm placement is also given, and
+/// lands on the bits of the same solve without it. A warm placement
+/// shorter than the instance (append-only catalog growth) still
+/// warm-starts.
+#[test]
+fn a_checkpoint_from_before_a_capacity_delta_is_rejected() {
+    let (base, _, snaps) = &baselines()[0];
+    let ck = SolverCheckpoint::from_bytes(&snaps[snaps.len() / 2]).expect("decode checkpoint");
+    let cfg = config(SEEDS[0]);
+    let mut net = network(0, SEEDS[0]);
+    let delta = WorldDelta {
+        cycle: 0,
+        seed: SEEDS[0],
+        ops: vec![
+            DeltaOp::ScaleLink {
+                link: LinkId::new(0),
+                factor: 0.5,
+            },
+            DeltaOp::CutLink {
+                link: LinkId::new(3),
+            },
+        ],
+    };
+    assert!(delta.validate(&net).is_ok() && delta.is_capacity_only());
+    delta.apply_links(&mut net);
+    let moved = instance_on(net, SEEDS[0]);
+    let solve_from = |inst: &MipInstance, prior, warm| {
+        solve(inst, &cfg, Start { prior, warm }, Hooks::default()).unwrap()
+    };
+
+    let rejected = solve_from(&moved, Some(&ck), None);
+    match &rejected.kind {
+        ResumeKind::Rejected { reason } => assert!(reason.contains("fingerprint"), "{reason}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    assert_eq!(key(&rejected), key(&solve_from(&moved, None, None)));
+
+    let shorter = Placement::from_stores(
+        base.n_vhos(),
+        (0..base.n_videos() - 4)
+            .map(|_| vec![VhoId::from_index(0)])
+            .collect(),
+    );
+    let warm = solve_from(&moved, Some(&ck), Some(&shorter)).kind;
+    assert!(matches!(warm, ResumeKind::Rejected { .. }), "{warm:?}");
+    assert_eq!(
+        solve_from(&moved, None, Some(&shorter)).kind,
+        ResumeKind::WarmStart
+    );
 }
 
 /// Truncating a serialized checkpoint yields a typed snapshot error.

@@ -29,9 +29,6 @@
 use vod_model::{Catalog, VideoId, VideoKind};
 use vod_trace::{analysis, DemandInput, Trace};
 
-pub mod streaming;
-pub use streaming::StreamingWindow;
-
 /// Which estimation strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatorKind {

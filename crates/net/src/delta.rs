@@ -62,7 +62,7 @@ pub enum DeltaOp {
 
 impl DeltaOp {
     /// Whether this op only rescales capacities (link axis untouched,
-    /// id axes untouched) — the remap-eligible class.
+    /// id axes untouched).
     #[must_use]
     pub fn is_capacity_only(&self) -> bool {
         matches!(self, DeltaOp::ScaleLink { .. } | DeltaOp::CutLink { .. })
@@ -113,9 +113,9 @@ impl WorldDelta {
         self.ops.is_empty()
     }
 
-    /// Remap-eligible deltas only touch capacities: every id axis
-    /// (VHO, video, link) survives unchanged, so warm solver state
-    /// remains index-stable.
+    /// Capacity-only deltas touch nothing but capacities: every id axis
+    /// (VHO, video, link) survives unchanged, so the deployed placement
+    /// stays index-stable.
     #[must_use]
     pub fn is_capacity_only(&self) -> bool {
         self.ops.iter().all(DeltaOp::is_capacity_only)

@@ -8,11 +8,11 @@
 //! [`SolverCheckpoint`]s. Around that sequence it is a deterministic
 //! multi-cycle loop that
 //!
-//! 1. feeds a streaming demand estimator from the live trace window
-//!    ([`vod_estimate::StreamingWindow`]: a window is a view of the one
-//!    trace in memory, found by cursors that only slide — nothing is
-//!    copied or re-sorted) and builds the cycle's [`MipInstance`] from
-//!    it once, for all four stages that read it,
+//! 1. estimates demand from the cycle's history and period windows of
+//!    the live trace ([`vod_trace::Trace::restricted`]: a window is a
+//!    view of the one trace in memory — nothing is copied or
+//!    re-sorted) and builds the cycle's [`MipInstance`] from it once,
+//!    for all four stages that read it,
 //! 2. incrementally re-solves each cycle with one [`vod_core::solve`]
 //!    — resumed from the cycle's checkpoint, else warm from the
 //!    deployed placement — under a per-cycle deterministic pass budget
@@ -44,11 +44,10 @@ use vod_core::checkpoint::{
 };
 use vod_core::rounding::round_solution;
 use vod_core::{
-    remap_checkpoint, repair_placement, solve, CheckpointSpec, DiskConfig, EpfConfig,
-    FractionalSolution, Hooks, MipInstance, Placement, PlacementCost, ResumeKind, Solved,
-    SolverCheckpoint, Start,
+    repair_placement, solve, CheckpointSpec, DiskConfig, EpfConfig, FractionalSolution, Hooks,
+    MipInstance, Placement, PlacementCost, ResumeKind, Solved, SolverCheckpoint, Start,
 };
-use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
+use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind};
 use vod_json::faults::FaultHandle;
 use vod_json::reader::{Next, Reader};
 use vod_json::snapshot::{fnv1a64, SnapshotError};
@@ -280,8 +279,8 @@ pub struct ServiceRecord {
     /// (one per applied world delta that required repair) — the
     /// identity anchor of `drill reconfig` for repair behaviour.
     pub repairs: Vec<u64>,
-    /// Typed solver-checkpoint rejections surfaced this cycle, each
-    /// prefixed `remap-eligible:` or `foreign:`.
+    /// Solver-checkpoint rejections surfaced this cycle, each the
+    /// reason the solver gave ([`ResumeKind::Rejected`]).
     pub rejections: Vec<String>,
 }
 
@@ -520,9 +519,6 @@ pub struct Service {
     dir: StateDir,
     state: ServiceState,
     watchdog: Watchdog,
-    /// History / period trace cursors (amortized O(1) window slides).
-    history_win: StreamingWindow,
-    period_win: StreamingWindow,
     /// The MIP instance of the cycle it is tagged with, built by the
     /// first stage that asks ([`Service::instance_for`]). It is a pure
     /// function of the cycle, the evolved world (applied deltas, dark
@@ -678,8 +674,6 @@ impl Service {
             dir,
             state,
             watchdog,
-            history_win: StreamingWindow::new(),
-            period_win: StreamingWindow::new(),
             instance: None,
             dirty: false,
             last_snapshot_error: None,
@@ -790,35 +784,19 @@ impl Service {
     }
 
     /// Apply one world delta as a single durable transition: mutate the
-    /// evolved world, carry (or discard) warm solver state, repair the
-    /// serving placement under the churn cap, and only then advance the
-    /// durable `deltas_applied` counter — so a crash at any point
-    /// either replays the whole delta or none of it.
+    /// evolved world, repair the serving placement under the churn cap,
+    /// and only then advance the durable `deltas_applied` counter — so
+    /// a crash at any point either replays the whole delta or none of
+    /// it. A solver checkpoint on disk is left as it is: the solve
+    /// stage resumes it only if it validates against the post-delta
+    /// instance and config.
     fn apply_next_delta(&mut self, cycle: usize, index: usize) -> Result<StepOutcome, OpsError> {
         let Some(delta) = self.cfg.cycle_deltas.get(index).cloned() else {
             return Ok(StepOutcome::Finished); // unreachable: index came from pending_delta
         };
-        // The world changes under any instance built so far...
+        // The world changes under any instance built so far.
         self.instance = None;
         apply_world_delta(&mut self.cur, &mut self.dark, &delta);
-        // Warm solver state: a capacity-only delta re-blesses the
-        // mid-solve checkpoint via the remap rules (primal iterate
-        // kept, dual bound reset); anything else discards it and the
-        // solve stage falls through to a warm start off the deployed
-        // placement.
-        if let Ok(bytes) = self.dir.read(Snap::CHECKPOINT) {
-            let inst = self.instance_for(cycle);
-            let epf = self.epf_for_cycle(cycle);
-            let remapped = SolverCheckpoint::from_bytes(&bytes)
-                .ok()
-                .and_then(|ck| remap_checkpoint(ck, &inst, &epf).ok());
-            match remapped {
-                Some(ck) => {
-                    let _ = self.dir.write(Snap::CHECKPOINT, &ck);
-                }
-                None => self.dir.remove(Snap::CHECKPOINT),
-            }
-        }
         // Feasibility repair of the placement that is *serving right
         // now*, fed through the same churn-capped diff as a regular
         // deploy: repair migrations spend the cycle's migration budget,
@@ -851,16 +829,12 @@ impl Service {
                 }
             }
             if delta.is_capacity_only() {
-                // Warm state survived the reconfiguration: record the
-                // remap rung so drills can assert a capacity tweak
-                // never forces a cold solve.
+                // The deployed placement survived the reconfiguration
+                // and warm-starts the next solve: record it so drills
+                // can assert a capacity tweak never forces a cold one.
                 self.push_recovery(RecoveryAction::WarmRemap);
             }
         }
-        // ...and the remap above may have built one mid-delta, against
-        // the placement the repair has since replaced: no instance
-        // outlives a delta.
-        self.instance = None;
         self.state.deltas_applied = index + 1;
         self.persist()?;
         Ok(StepOutcome::DeltaApplied { cycle, index })
@@ -953,23 +927,11 @@ impl Service {
                     }
                     // A checkpoint existed but did not validate for
                     // this (instance, config): it was discarded and
-                    // the solve fell through to a cold trajectory.
-                    // Classify the rejection for the ledger — axes
-                    // intact (the remap-eligible class) vs genuinely
-                    // foreign. Classification only: *using* the
-                    // remapped state here would bless checkpoints the
-                    // chaos twin never saw and break twin identity.
+                    // the solve fell through to the trajectory it
+                    // would have taken without it. The ledger keeps
+                    // the solver's reason.
                     ResumeKind::Rejected { reason } => {
-                        let verdict = match prior.as_ref() {
-                            Some(ck) => match remap_checkpoint(ck.clone(), &inst, &epf) {
-                                Ok(_) => "remap-eligible",
-                                Err(_) => "foreign",
-                            },
-                            None => "foreign",
-                        };
-                        self.state
-                            .cycle_rejections
-                            .push(format!("{verdict}: {reason}"));
+                        self.state.cycle_rejections.push(reason);
                         self.dir.remove(Snap::CHECKPOINT);
                         self.push_recovery(RecoveryAction::ColdSolve);
                     }
@@ -1311,12 +1273,12 @@ impl Service {
         caps
     }
 
-    /// The cycle's MIP instance: built from the streaming windows by
-    /// the first caller of a cycle, shared with the later ones. Pure
-    /// function of the (delta-evolved) world, the dark mask, the cycle
-    /// index and the deployed placement (the migration anchor), so
-    /// every stage, every attempt and every resumed process sees the
-    /// identical instance.
+    /// The cycle's MIP instance: built from the cycle's history and
+    /// period windows by the first caller of a cycle, shared with the
+    /// later ones. Pure function of the (delta-evolved) world, the dark
+    /// mask, the cycle index and the deployed placement (the migration
+    /// anchor), so every stage, every attempt and every resumed process
+    /// sees the identical instance.
     fn instance_for(&mut self, cycle: usize) -> Arc<MipInstance> {
         if let Some((built_for, inst)) = &self.instance {
             if *built_for == cycle {
@@ -1324,14 +1286,14 @@ impl Service {
             }
         }
         let (day, end) = self.window_of(cycle);
-        let history = self.history_win.advance(
-            &self.cur.trace,
-            TimeWindow::new(SimTime::new((day - 7) * DAY), SimTime::new(day * DAY)),
-        );
-        let future = self.period_win.advance(
-            &self.cur.trace,
-            TimeWindow::new(SimTime::new(day * DAY), SimTime::new(end * DAY)),
-        );
+        let history = self.cur.trace.restricted(TimeWindow::new(
+            SimTime::new((day - 7) * DAY),
+            SimTime::new(day * DAY),
+        ));
+        let future = self.cur.trace.restricted(TimeWindow::new(
+            SimTime::new(day * DAY),
+            SimTime::new(end * DAY),
+        ));
         let demand = estimate_demand(
             self.cfg.ops.estimator,
             &self.cur.catalog,
@@ -1382,12 +1344,12 @@ impl Service {
     /// the cycle's fault schedule (if any). The placement moves into
     /// the replay's routing policy. Returns the sim summary plus denial
     /// accounting.
-    fn replay_window(&mut self, cycle: usize, placement: Placement) -> (SimSummary, u64, f64) {
+    fn replay_window(&self, cycle: usize, placement: Placement) -> (SimSummary, u64, f64) {
         let (day, end) = self.window_of(cycle);
-        let future = self.period_win.advance(
-            &self.cur.trace,
-            TimeWindow::new(SimTime::new(day * DAY), SimTime::new(end * DAY)),
-        );
+        let future = self.cur.trace.restricted(TimeWindow::new(
+            SimTime::new(day * DAY),
+            SimTime::new(end * DAY),
+        ));
         let faults = self
             .cfg
             .cycle_faults

@@ -38,9 +38,10 @@ pub fn recorded_backoff(
 pub enum RecoveryAction {
     /// A mid-solve checkpoint was validated and resumed.
     WarmResume,
-    /// Warm state survived a world delta: the solver state was remapped
-    /// onto the reconfigured instance instead of cold-solving
-    /// ([`vod_core::remap`]). Capacity-only deltas land here.
+    /// A capacity-only world delta (`ScaleLink`, `CutLink`) met a
+    /// deployed placement, which warm-starts the next solve. The wire
+    /// name `warm-remap` predates this meaning and is kept, because
+    /// state files read it.
     WarmRemap,
     /// A stale/foreign checkpoint was discarded; the solve restarted
     /// cold, seeded from the deployed placement.

@@ -1,11 +1,12 @@
 //! Live-reconfiguration robustness: validated world deltas (topology
 //! and catalog churn) applied between cycles as durable transitions,
 //! feasibility repair of the serving placement under the churn cap,
-//! warm-state remapping across compatible deltas, typed checkpoint
-//! rejection, and injected snapshot-I/O fault storms — all while the
-//! service re-converges byte-identically to an undisturbed twin and
-//! never aborts. A fault schedule is a handle in the faulted service's
-//! plan, so it cannot leak into a concurrently running test.
+//! a warm start off the deployed placement across capacity-only
+//! deltas, typed checkpoint rejection, and injected snapshot-I/O fault
+//! storms — all while the service re-converges byte-identically to an
+//! undisturbed twin and never aborts. A fault schedule is a handle in
+//! the faulted service's plan, so it cannot leak into a concurrently
+//! running test.
 #![expect(
     clippy::unwrap_used,
     clippy::disallowed_methods,
@@ -168,8 +169,9 @@ fn deltas_apply_between_cycles_with_repair_and_warm_remap() {
         assert!(r.degraded.is_none(), "cycle {}: {:?}", r.cycle, r.degraded);
         assert_ne!(r.placement_fnv, 0);
     }
-    // The capacity-only delta carried the deployment across via warm
-    // remap and needed no feasibility repair (disks untouched).
+    // The capacity-only delta met a deployed placement, which
+    // warm-starts the next solve (recorded as warm-remap), and needed
+    // no feasibility repair (disks untouched).
     assert!(
         st.records[1]
             .recoveries
@@ -392,7 +394,7 @@ fn snapshot_fault_storm_degrades_but_reconverges() {
 }
 
 #[test]
-fn checkpoint_rejection_is_classified_remap_eligible() {
+fn checkpoint_rejection_records_the_solvers_reason() {
     let w = world(75);
     let dir = fresh_dir("reject");
 
@@ -418,24 +420,25 @@ fn checkpoint_rejection_is_classified_remap_eligible() {
 
     // Restart under a different per-cycle step budget: the solver
     // config token changes, so the checkpoint no longer validates. The
-    // axes are intact though — the rejection must classify as
-    // remap-eligible (not foreign), and the cycle re-solves cold.
+    // ledger records the solver's reason as it gave it, and the cycle
+    // re-solves cold.
     let mut cfg = config(75, &dir);
     cfg.cycle_step_budget = Some(25);
     let mut s = Service::resume_or_start(&w, cfg, ServicePlan::default()).unwrap();
     let st = s.run().unwrap();
     let r0 = &st.records[0];
     assert!(
-        r0.rejections
-            .iter()
-            .any(|m| m.starts_with("remap-eligible:")),
-        "expected a remap-eligible rejection, got {:?}",
+        matches!(&r0.rejections[..], [m] if m.starts_with("config/instance fingerprint mismatch:")),
+        "expected the solver's fingerprint rejection, got {:?}",
         r0.rejections
     );
     assert!(r0.recoveries.contains(&RecoveryAction::ColdSolve));
-    assert!(
-        r0.degraded.is_none(),
-        "rejection must not degrade the cycle"
-    );
+    for r in &st.records {
+        assert!(
+            r.degraded.is_none(),
+            "rejection must not degrade cycle {}",
+            r.cycle
+        );
+    }
     assert_ne!(r0.placement_fnv, 0);
 }

@@ -24,11 +24,20 @@ use vod_sim::{FaultEvent, FaultKind, FaultSchedule};
 use vod_trace::{generate_trace, synthesize_library, LibraryConfig, TraceConfig};
 
 fn world(seed: u64) -> OpsWorld {
+    world_of(seed, LibraryConfig::default_for(50, 14, seed), 600.0)
+}
+
+/// A 6-VHO mesh at 1 Gb/s, serving `library` at `requests_per_day`.
+fn world_of(seed: u64, library: LibraryConfig, requests_per_day: f64) -> OpsWorld {
     let mut net = topologies::mesh_backbone(6, 9, seed);
     net.set_uniform_capacity(Mbps::from_gbps(1.0));
     let paths = PathSet::shortest_paths(&net);
-    let catalog = synthesize_library(&LibraryConfig::default_for(50, 14, seed));
-    let trace = generate_trace(&catalog, &net, &TraceConfig::default_for(600.0, 14, seed));
+    let catalog = synthesize_library(&library);
+    let trace = generate_trace(
+        &catalog,
+        &net,
+        &TraceConfig::default_for(requests_per_day, 14, seed),
+    );
     let disks = DiskConfig::UniformRatio { ratio: 2.5 }.capacities(&net, catalog.total_size());
     OpsWorld {
         net,
@@ -570,14 +579,12 @@ fn the_service_shares_the_trace_of_the_world_it_was_given() {
 
 #[test]
 fn a_delta_after_the_cycles_instance_was_built_is_seen_by_the_solve() {
-    // The cycle's instance is built once and shared by its stages. The
-    // only thing that builds one *before* a delta of the same cycle is
-    // the delta before it, when a solver checkpoint is there to remap.
-    // So: leave a checkpoint behind (die mid-solve in cycle 0, lose the
-    // state file), then restart under a schedule with two deltas due at
-    // cycle 0. The first delta builds cycle 0's instance; the second
-    // takes VHO 1's storage away. Estimate and solve run after both and
-    // must see both.
+    // The cycle's instance is built once and shared by its stages, and
+    // every delta drops the one built so far; nothing builds one during
+    // a delta. Leave a checkpoint behind (die mid-solve in cycle 0,
+    // lose the state file), then restart under a schedule with two
+    // deltas due at cycle 0: a capacity scale, then VHO 1's storage
+    // taken away. Estimate and solve run after both and must see both.
     let w = world(54);
     let dir = fresh_dir("late_delta");
     let plan = ServicePlan {
@@ -694,4 +701,66 @@ fn a_fractional_artifact_solved_under_another_config_is_solved_again() {
         st.records[0].lower_bound.map(f64::to_bits),
         reference.records[0].lower_bound.map(f64::to_bits)
     );
+}
+
+#[test]
+fn a_later_cycles_checkpoint_is_not_resumed_after_a_lost_state_file() {
+    // Die mid-solve in cycle 1 and lose `service.state`: the restart
+    // replays from cycle 0 with cycle 1's checkpoint still on disk and
+    // cycle 0's capacity-only delta due first. Demand on every (video,
+    // VHO) pair in both windows gives the two cycles' checkpoints the
+    // same shapes, so only the fingerprint tells them apart. Cycle 0
+    // must solve as its uninterrupted twin did, not resume the later
+    // cycle's iterate.
+    let library = LibraryConfig {
+        n_series: 0,
+        blockbusters_per_week: 0,
+        other_new_per_week: 0,
+        ..LibraryConfig::default_for(50, 14, 77)
+    };
+    let w = world_of(77, library, 20_000.0);
+    let cfg = |dir: &Path| {
+        let mut c = config(77, dir);
+        c.cycle_deltas = vec![WorldDelta {
+            cycle: 0,
+            seed: 0xE3,
+            ops: vec![DeltaOp::ScaleLink {
+                link: LinkId::new(0),
+                factor: 0.5,
+            }],
+        }];
+        c
+    };
+    let twin_dir = fresh_dir("later_ckpt_twin");
+    let twin = Service::resume_or_start(&w, cfg(&twin_dir), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
+
+    let dir = fresh_dir("later_ckpt");
+    let plan = ServicePlan {
+        kill_mid_solve: vec![(1, 1)],
+        ..ServicePlan::default()
+    };
+    let mut dying = Service::resume_or_start(&w, cfg(&dir), plan).unwrap();
+    while !matches!(dying.step().unwrap(), StepOutcome::SimulatedCrash { .. }) {}
+    drop(dying);
+    assert!(dir.join("solver.ckpt").exists());
+    std::fs::remove_file(dir.join("service.state")).unwrap();
+
+    let st = Service::resume_or_start(&w, cfg(&dir), ServicePlan::default())
+        .unwrap()
+        .run()
+        .unwrap()
+        .clone();
+    assert_eq!(fingerprints(&st), fingerprints(&twin));
+    let bounds = |s: &ServiceState| -> Vec<_> {
+        s.records
+            .iter()
+            .map(|r| r.lower_bound.map(f64::to_bits))
+            .collect()
+    };
+    assert_eq!(bounds(&st), bounds(&twin));
+    assert_eq!(st.records[0].solver_resumes, 0);
 }

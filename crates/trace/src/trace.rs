@@ -158,13 +158,6 @@ impl Trace {
         unpack(self.words()[i])
     }
 
-    /// The time of request `i`, without decoding the rest of it.
-    /// Panics when `i >= len()`.
-    #[inline]
-    pub fn time_at(&self, i: usize) -> SimTime {
-        time_of(self.words()[i])
-    }
-
     /// Whether `other` views the same storage as this trace, so that
     /// neither holds a copy of the other's requests.
     pub fn shares_storage(&self, other: &Trace) -> bool {
@@ -202,21 +195,7 @@ impl Trace {
     /// warm-up period), keeping absolute timestamps. Two binary
     /// searches; the result shares this trace's storage.
     pub fn restricted(&self, window: TimeWindow) -> Trace {
-        self.window_at(self.positions(window), window)
-    }
-
-    /// The view [`Trace::restricted`] returns for `window`, given the
-    /// positions (within [`Trace::requests`]) of the requests inside it
-    /// — for callers that track those positions themselves instead of
-    /// searching for them. Panics when a request at `positions` lies
-    /// outside `window`.
-    pub fn window_at(&self, positions: Range<usize>, window: TimeWindow) -> Trace {
-        let inside = &self.words()[positions.clone()];
-        assert!(
-            inside.first().is_none_or(|&w| time_of(w) >= window.start)
-                && inside.last().is_none_or(|&w| time_of(w) < window.end),
-            "positions reach outside the window"
-        );
+        let positions = self.positions(window);
         Trace {
             horizon: self.horizon.min(window.end),
             storage: Arc::clone(&self.storage),
@@ -402,7 +381,6 @@ mod tests {
         assert_eq!(back, fwd);
         for (i, r) in t.requests().enumerate() {
             assert_eq!(t.get(i), r);
-            assert_eq!(t.time_at(i), r.time);
         }
     }
 
@@ -478,7 +456,6 @@ mod tests {
         assert_eq!(w.get(0), req(50, 0, 5));
         assert_eq!(w.get(1), req(50, 1, 5));
         assert_eq!(w.get(13), req(110, 1, 11));
-        assert_eq!(w.time_at(13), SimTime::new(110));
         // `slice` searches inside the window only.
         assert_eq!(all(w.slice(win(0, 200))), expect);
         assert_eq!(all(w.slice(win(60, 80))), expect[2..6]);
@@ -561,14 +538,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn a_time_past_a_window_panics_even_when_the_parent_has_more() {
-        let t = grid(100);
-        let w = t.restricted(win(20, 40));
-        let _ = w.time_at(4);
-    }
-
-    #[test]
     fn clones_and_windows_share_the_requests_they_view() {
         let t = grid(200);
         assert!(t.clone().shares_storage(&t));
@@ -588,13 +557,6 @@ mod tests {
             all(inner.requests()),
             [req(70, 0, 7), req(70, 1, 7), req(80, 0, 8), req(80, 1, 8)]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the window")]
-    fn a_window_cannot_be_given_requests_it_does_not_cover() {
-        let t = grid(100);
-        let _ = t.window_at(0..6, win(10, 30));
     }
 
     #[test]

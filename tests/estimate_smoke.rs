@@ -1,10 +1,10 @@
 //! Tier-1 smoke of demand estimation on one generated trace: the
 //! `History` estimator's new-release substitutions (a new series
 //! episode inherits its predecessor's demand rows, a new blockbuster
-//! the previous week's top movie's), and the service's window path
-//! (`StreamingWindow::advance`) estimating bit for bit what the batch
-//! path (`Trace::restricted`) estimates, over three sliding weeks.
-use vodplace::estimate::{previous_episode, top_movie, StreamingWindow};
+//! the previous week's top movie's), and a week cut out of an already
+//! restricted fortnight estimating bit for bit what the week cut from
+//! the whole trace estimates, over three sliding weeks.
+use vodplace::estimate::{previous_episode, top_movie};
 use vodplace::model::time::DAY;
 use vodplace::model::VideoKind;
 use vodplace::net::topologies;
@@ -113,18 +113,19 @@ fn history_substitutes_new_episodes_and_blockbusters() {
 fn streaming_windows_estimate_what_restricted_windows_do() {
     let (catalog, trace, n_vhos) = world();
     let cfg = EstimateConfig::default();
-    let (mut past, mut next) = (StreamingWindow::new(), StreamingWindow::new());
-    // Three weekly slides, as the service advances its cursors.
+    // Three weekly slides. Each week is also cut out of the fortnight
+    // around it, a window that starts past the trace's first request.
     for day in [7, 14, 21] {
         let (h, f) = (days(day - 7, day), days(day, day + 7));
-        let streamed = (past.advance(&trace, h), next.advance(&trace, f));
+        let fortnight = trace.restricted(days(day - 7, day + 7));
+        let nested = (fortnight.restricted(h), fortnight.restricted(f));
         let batch = (trace.restricted(h), trace.restricted(f));
         assert!(
-            streamed.0.requests().eq(batch.0.requests()),
+            nested.0.requests().eq(batch.0.requests()),
             "history at day {day}"
         );
         assert!(
-            streamed.1.requests().eq(batch.1.requests()),
+            nested.1.requests().eq(batch.1.requests()),
             "period at day {day}"
         );
         for kind in [
@@ -132,7 +133,7 @@ fn streaming_windows_estimate_what_restricted_windows_do() {
             EstimatorKind::Perfect,
             EstimatorKind::NoEstimate,
         ] {
-            let [s, b] = [&streamed, &batch]
+            let [s, b] = [&nested, &batch]
                 .map(|(h, f)| estimate_demand(kind, &catalog, n_vhos, h, f, day, 7, &cfg));
             assert!(s.aggregate.total() > 0.0, "{kind:?} at day {day} is empty");
             assert_eq!(
